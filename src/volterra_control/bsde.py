@@ -94,13 +94,20 @@ def solve_bsde(
     y[:, n] = terminal
     w_dt = noise.levy.weights * dt if m else None
     comp = noise.compensated_counts if m else None
+    # one projection per step: columns y, y dB and y (count_q - w_q dt)
+    targets = np.empty((n_paths, 2 + m), order="F")
 
     for i in range(n - 1, -1, -1):
         y_next = y[:, i + 1]
-        y_proj = engine.project(i, y_next)
-        z[:, i] = engine.project(i, y_next * noise.d_brownian[:, i]) / dt
+        targets[:, 0] = y_next
+        np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
         for q in range(m):
-            k[q, :, i] = engine.project(i, y_next * comp[q, :, i]) / w_dt[q]
+            np.multiply(y_next, comp[q, :, i], out=targets[:, 2 + q])
+        proj = engine.project(i, targets)
+        y_proj = proj[:, 0]
+        z[:, i] = proj[:, 1] / dt
+        for q in range(m):
+            k[q, :, i] = proj[:, 2 + q] / w_dt[q]
         if driver is not None:
             x_i = x_paths[:, i] if x_paths is not None else None
             k_i = k[:, :, i] if m else None

@@ -102,6 +102,7 @@ def weighted_norm(
     grid: TimeGrid,
     levy: LevyMeasure,
     beta_w: float,
+    base: BsvieTriple | None = None,
 ) -> float:
     """Exponentially weighted squared norm of a candidate triple.
 
@@ -110,47 +111,27 @@ def weighted_norm(
         E int_0^T [ e^{b t} Y(t)^2 + int_t^T e^{b s} Z(t,s)^2 ds
                     + int_t^T e^{b s} int K(t,s,e)^2 nu(de) ds ] dt
 
-    with trapezoid quadrature in ``t`` and left-point in ``s``.
+    with trapezoid quadrature in ``t`` and left-point in ``s``.  With a
+    ``base`` triple the norm is that of the difference ``(y, z, k) - base``,
+    formed one first-index row at a time (no full-triangle copies).
     """
-    n, dt = grid.n_steps, grid.dt
-    t = grid.nodes
-    w_t = np.full(n + 1, dt)
-    w_t[0] = w_t[-1] = 0.5 * dt
-    e_t = np.exp(beta_w * t)
-    total = 0.0
-    for i in range(n + 1):
-        inner = float(np.mean(y[i] ** 2)) * e_t[i]
-        for j in range(i, n):
-            idx = pair_index(n, i, j)
-            zsq = float(np.mean(z[idx] ** 2))
-            if k.shape[1]:
-                ksq = float(np.dot(levy.weights, np.mean(k[idx] ** 2, axis=1)))
-            else:
-                ksq = 0.0
-            inner += e_t[j] * (zsq + ksq) * dt
-        total += w_t[i] * inner
-    return total
-
-
-def _distance_norm(a: BsvieTriple, b: BsvieTriple, grid, levy, beta_w) -> float:
-    """Weighted norm of the difference, computed row-by-row (no full copies)."""
     n, dt = grid.n_steps, grid.dt
     w_t = np.full(n + 1, dt)
     w_t[0] = w_t[-1] = 0.5 * dt
     e_t = np.exp(beta_w * grid.nodes)
     total = 0.0
     for i in range(n + 1):
-        inner = float(np.mean((a.y[i] - b.y[i]) ** 2)) * e_t[i]
-        for j in range(i, n):
-            idx = pair_index(n, i, j)
-            zsq = float(np.mean((a.z[idx] - b.z[idx]) ** 2))
-            if a.k.shape[1]:
-                ksq = float(
-                    np.dot(levy.weights, np.mean((a.k[idx] - b.k[idx]) ** 2, axis=1))
-                )
-            else:
-                ksq = 0.0
-            inner += e_t[j] * (zsq + ksq) * dt
+        y_i = y[i] if base is None else y[i] - base.y[i]
+        inner = float(np.mean(y_i**2)) * e_t[i]
+        if i < n:
+            # the pairs (i, i..n-1) are contiguous in the flat triangle
+            row = slice(pair_index(n, i, i), pair_index(n, i, n - 1) + 1)
+            z_i = z[row] if base is None else z[row] - base.z[row]
+            sq = np.mean(z_i**2, axis=1)
+            if k.shape[1]:
+                k_i = k[row] if base is None else k[row] - base.k[row]
+                sq += np.mean(k_i**2, axis=2) @ levy.weights
+            inner += float(e_t[i:n] @ sq) * dt
         total += w_t[i] * inner
     return total
 
@@ -168,7 +149,9 @@ def solve_family_step(
     For each node ``t_i`` the backward SDE on ``[t_i, T]`` has terminal
     ``zeta(t_i)`` and the running-time generator evaluated on the frozen
     triple; the new diagonal value is the solve at ``t_i`` and the triangle
-    rows are the extracted coefficients.
+    rows are the extracted coefficients.  The running time ``t_r`` steps
+    backward once for all families: every family ``i <= r`` advances
+    together, with one projection per node.
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
@@ -181,31 +164,32 @@ def solve_family_step(
     out = BsvieTriple.zeros(n, n_paths, m)
     comp = noise.compensated_counts if m else None
     w_dt = noise.levy.weights * dt if m else None
+    kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
 
-    out.y[n] = zeta[n]
-    for i in range(n):
-        y_run = np.array(zeta[i], dtype=float)
-        if y_run.ndim == 0:
-            y_run = np.full(n_paths, float(y_run))
-        else:
-            y_run = y_run.copy()
-        for r in range(n - 1, i - 1, -1):
-            idx = pair_index(n, i, r)
-            y_proj = engine.project(r, y_run)
-            out.z[idx] = engine.project(r, y_run * noise.d_brownian[:, r]) / dt
-            for q in range(m):
-                out.k[idx, q] = engine.project(r, y_run * comp[q, :, r]) / w_dt[q]
-            if driver is not None:
-                g = driver(
-                    i, r, frozen.y[r],
-                    frozen.z[idx],
-                    frozen.k[idx] if m else None,
-                    x_paths[:, r] if x_paths is not None else None,
-                )
-                y_run = y_proj + np.asarray(g, dtype=float) * dt
-            else:
-                y_run = y_proj
-        out.y[i] = y_run
+    # out.y[i] carries family i's running value until its solve reaches t_i
+    out.y[:] = zeta.reshape(n + 1, -1)
+    for r in range(n - 1, -1, -1):
+        fam = r + 1
+        y_run = out.y[:fam]
+        # node-major block: rows [kind * fam + i] hold family i's target
+        block = np.empty((kinds * fam, n_paths))
+        block[:fam] = y_run
+        np.multiply(y_run, np.ascontiguousarray(noise.d_brownian[:, r]), out=block[fam:2 * fam])
+        for q in range(m):
+            np.multiply(y_run, np.ascontiguousarray(comp[q, :, r]),
+                        out=block[(2 + q) * fam:(3 + q) * fam])
+        proj = engine.project(r, block.T).T
+        rows = [pair_index(n, i, r) for i in range(fam)]
+        out.z[rows] = proj[fam:2 * fam] / dt
+        for q in range(m):
+            out.k[rows, q] = proj[(2 + q) * fam:(3 + q) * fam] / w_dt[q]
+        if driver is None:
+            y_run[:] = proj[:fam]
+            continue
+        x_r = x_paths[:, r] if x_paths is not None else None
+        for i, idx in enumerate(rows):
+            g = driver(i, r, frozen.y[r], frozen.z[idx], frozen.k[idx] if m else None, x_r)
+            y_run[i] = proj[i] + np.asarray(g, dtype=float) * dt
     return out
 
 
@@ -238,7 +222,7 @@ def solve_bsvie(
     scale = None
     for _ in range(max_iter):
         new = solve_family_step(zeta, driver, current, noise, engine, x_paths=x_paths)
-        dist = _distance_norm(new, current, grid, noise.levy, beta_w)
+        dist = weighted_norm(new.y, new.z, new.k, grid, noise.levy, beta_w, base=current)
         log.append(dist)
         if scale is None:
             scale = max(weighted_norm(new.y, new.z, new.k, grid, noise.levy, beta_w), 1e-300)

@@ -7,15 +7,21 @@ declared state (the classic regress-now Monte Carlo approach):
 * ``full``     -- regression on the state observed at the current node;
 * ``delay``    -- regression on the state lagged by a fixed delay.
 
-Design matrices are column-standardized; when the normal equations are
-ill-conditioned a small trace-normalized ridge penalty rescues the solve
-(the intercept is never penalized, so sample means are always preserved).
+Every regression goes through one projector: the monomial basis is built in
+node-major layout (one row of ``N`` path values per basis function),
+standardized row by row, and solved through its ``p x p`` Gram matrix.  When
+the Gram matrix is too ill-conditioned for the normal equations, the solve
+falls back to the pseudo-inverse of the design, and beyond that to a small
+trace-normalized ridge penalty (the intercept is never penalized, so sample
+means are always preserved).  Targets may be one column ``(N,)`` or a block
+``(N, k)``; ``k`` projections at one node then cost one matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 import numpy as np
 
@@ -26,12 +32,12 @@ __all__ = [
     "RegressionError",
     "ProjectionFn",
     "fit_projection",
-    "project",
     "conditional_mean",
     "CondExpEngine",
 ]
 
-_COND_LIMIT = 1e10
+_COND_LIMIT = 1e10  # design condition number above which the ridge rescues the solve
+_GRAM_COND_LIMIT = 1e12  # largest Gram condition number solved by normal equations
 _RIDGE = 1e-8
 
 
@@ -55,16 +61,86 @@ def _monomial_powers(n_vars: int, degree: int) -> list[tuple[int, ...]]:
     return powers
 
 
-def _design(states: np.ndarray, powers: list[tuple[int, ...]]) -> np.ndarray:
-    n = states.shape[0]
-    cols = np.empty((n, len(powers)))
+def _basis(rows: Sequence[np.ndarray], powers: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Monomials of the state rows (one per variable), shape ``(p, N)``."""
+    phi = np.empty((len(powers), rows[0].shape[0]))
     for j, p in enumerate(powers):
-        col = np.ones(n)
+        row = phi[j]
+        row.fill(1.0)
         for v, e in enumerate(p):
             if e:
-                col = col * states[:, v] ** e
-        cols[:, j] = col
-    return cols
+                row *= rows[v] ** e
+    return phi
+
+
+def _standardise(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and scale every non-intercept basis row in place; returns the
+    row means and scales that were removed."""
+    mean = phi.mean(axis=1)
+    scale = phi.std(axis=1)
+    scale[scale == 0.0] = 1.0
+    mean[0], scale[0] = 0.0, 1.0
+    phi -= mean[:, None]
+    phi /= scale[:, None]
+    phi[0] = 1.0
+    return mean, scale
+
+
+def _column_means(targets: np.ndarray) -> np.ndarray:
+    """Each target column's sample mean, broadcast to every path."""
+    out = np.empty_like(targets)
+    out[...] = targets.mean(axis=0)
+    return out
+
+
+class _Design:
+    """A standardized basis ``phi`` (p, N) and the solve of its normal equations.
+
+    A well-conditioned design keeps only ``phi`` and its Gram matrix.  Past
+    :data:`_GRAM_COND_LIMIT` the normal equations would lose the digits the
+    design still has, so the ``p x N`` pseudo-inverse (or, past
+    :data:`_COND_LIMIT` on the design, the ridge solve) is kept as well.
+    """
+
+    __slots__ = ("phi", "gram", "solver", "condition_number", "ridged")
+
+    def __init__(self, phi: np.ndarray):
+        self.phi = phi
+        self.gram = phi @ phi.T
+        self.solver = None
+        self.ridged = False
+        eig = np.linalg.eigvalsh(self.gram)
+        if eig[0] > 0.0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0]:
+            self.condition_number = float(np.sqrt(eig[-1] / eig[0]))
+            return
+        sv = np.linalg.svd(phi, compute_uv=False)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        self.condition_number = cond
+        if cond > _COND_LIMIT:
+            # trace-normalized ridge on the non-intercept block
+            p = phi.shape[0]
+            reg = np.eye(p) * (_RIDGE * np.trace(self.gram) / p)
+            reg[0, 0] = 0.0
+            try:
+                self.solver = np.linalg.solve(self.gram + reg, phi)
+            except np.linalg.LinAlgError as exc:
+                raise RegressionError("normal equations singular beyond ridge rescue", cond) from exc
+            self.ridged = True
+        else:
+            self.solver = np.linalg.pinv(phi.T)
+
+    def coefficients(self, targets: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients, ``(p,)`` or ``(p, k)`` like the targets."""
+        if self.solver is not None:
+            return self.solver @ targets
+        return np.linalg.solve(self.gram, self.phi @ targets)
+
+    def evaluate(self, coef: np.ndarray) -> np.ndarray:
+        """Fitted values ``(N,)`` or ``(N, k)`` of per-row coefficients."""
+        return (coef.T @ self.phi).T
+
+    def project(self, targets: np.ndarray) -> np.ndarray:
+        return self.evaluate(self.coefficients(targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +178,31 @@ class ProjectionFn:
             raise ValidationError(
                 f"state dimension {states.shape[1]} != fitted dimension {self.n_vars}"
             )
-        phi = _design(states, list(self.powers))
-        phi_std = (phi - self.col_mean) / self.col_scale
-        phi_std[:, 0] = 1.0
-        return phi_std @ self.coef_std
+        phi = _basis(states.T, self.powers)
+        phi -= self.col_mean[:, None]
+        phi /= self.col_scale[:, None]
+        phi[0] = 1.0
+        return (self.coef_std.T @ phi).T
+
+
+def _sample_design(
+    states: np.ndarray, targets: np.ndarray, degree: int
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, _Design]:
+    """Validated standardized design of sampled states (paths along axis 0)."""
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 1:
+        states = states[:, None]
+    if not np.all(np.isfinite(states)) or not np.all(np.isfinite(targets)):
+        raise RegressionError("non-finite entries in regression inputs", np.inf)
+    powers = _monomial_powers(states.shape[1], degree)
+    if states.shape[0] < len(powers):
+        raise RegressionError(
+            f"need at least {len(powers)} samples for {len(powers)} basis functions",
+            np.inf,
+        )
+    phi = _basis(states.T, powers)
+    col_mean, col_scale = _standardise(phi)
+    return powers, col_mean, col_scale, _Design(phi)
 
 
 def fit_projection(states: np.ndarray, targets: np.ndarray, degree: int) -> ProjectionFn:
@@ -115,46 +212,14 @@ def fit_projection(states: np.ndarray, targets: np.ndarray, degree: int) -> Proj
     :class:`RegressionError` when the inputs are non-finite or the solve
     cannot be rescued.
     """
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
     targets = np.asarray(targets, dtype=float)
-    if not np.all(np.isfinite(states)) or not np.all(np.isfinite(targets)):
-        raise RegressionError("non-finite entries in regression inputs", np.inf)
-    powers = _monomial_powers(states.shape[1], degree)
-    if states.shape[0] < len(powers):
-        raise RegressionError(
-            f"need at least {len(powers)} samples for {len(powers)} basis functions",
-            np.inf,
-        )
-    phi = _design(states, powers)
-    col_mean = phi.mean(axis=0)
-    col_scale = phi.std(axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    col_mean[0], col_scale[0] = 0.0, 1.0
-    phi_std = (phi - col_mean) / col_scale
-    phi_std[:, 0] = 1.0
-
-    coef, _, rank, sv = np.linalg.lstsq(phi_std, targets, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    ridged = False
-    if rank < len(powers) or cond > _COND_LIMIT:
-        # trace-normalized ridge on the non-intercept block
-        gram = phi_std.T @ phi_std
-        pen = _RIDGE * np.trace(gram) / len(powers)
-        reg = np.eye(len(powers)) * pen
-        reg[0, 0] = 0.0
-        try:
-            coef = np.linalg.solve(gram + reg, phi_std.T @ targets)
-        except np.linalg.LinAlgError as exc:
-            raise RegressionError("normal equations singular beyond ridge rescue", cond) from exc
-        ridged = True
-    fitted = phi_std @ coef
-    resid = targets - fitted
+    powers, col_mean, col_scale, design = _sample_design(states, targets, degree)
+    coef = design.coefficients(targets)
+    resid = targets - design.evaluate(coef)
     sst = float(np.sum((targets - targets.mean()) ** 2))
     ssr = float(np.sum(resid**2))
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
-    dof = max(states.shape[0] - len(powers), 1)
+    dof = max(targets.shape[0] - len(powers), 1)
     return ProjectionFn(
         powers=tuple(powers),
         coef_std=coef,
@@ -162,14 +227,9 @@ def fit_projection(states: np.ndarray, targets: np.ndarray, degree: int) -> Proj
         col_scale=col_scale,
         r_squared=r2,
         residual_variance=ssr / dof,
-        condition_number=cond,
-        ridged=ridged,
+        condition_number=design.condition_number,
+        ridged=design.ridged,
     )
-
-
-def project(fn: ProjectionFn, states: np.ndarray) -> np.ndarray:
-    """Evaluate a fitted projection at new states."""
-    return fn(states)
 
 
 def conditional_mean(
@@ -181,22 +241,24 @@ def conditional_mean(
     """Per-path conditional mean of ``targets`` under the given filtration.
 
     ``states`` must be the state observed at the conditioning time (already
-    lagged for delay mode); trivial mode ignores it.
+    lagged for delay mode); trivial mode ignores it.  ``targets`` may be
+    ``(N,)`` or ``(N, k)``.
     """
     targets = np.asarray(targets, dtype=float)
     if mode.mode == "trivial" or states is None:
-        return np.full_like(targets, targets.mean())
-    fn = fit_projection(states, targets, degree)
-    return fn(states)
+        return _column_means(targets)
+    return _sample_design(states, targets, degree)[3].project(targets)
 
 
 class CondExpEngine:
     """Node-indexed projection engine shared by the backward solvers.
 
-    Caches the standardized design and its pseudo-inverse per node, so the
-    many projections performed at the same node (value, martingale
-    coefficients, jump coefficients, repeated fixed-point passes) price as
-    matrix-vector products.
+    With ``cache_designs`` it keeps, per conditioning node, the standardized
+    ``(p, N)`` design and its ``p x p`` Gram matrix, so the many projections
+    performed at the same node (value, martingale coefficients, jump
+    coefficients, every family of a BSVIE pass, repeated fixed-point passes)
+    price as matrix products.  ``project`` takes targets of shape ``(N,)`` or
+    ``(N, k)`` and returns the same shape.
     """
 
     def __init__(
@@ -213,35 +275,25 @@ class CondExpEngine:
         self.x_paths = x_paths
         self.cache_designs = cache_designs  # worth it only when nodes repeat
         self.grid: TimeGrid = noise.grid
-        self._design_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._brownian = None
-        self._counts = None
+        self._designs: dict[int, _Design] = {}
 
     # -- state assembly ------------------------------------------------------
 
-    def _state_columns(self, node: int) -> np.ndarray | None:
-        cols = []
+    def _state_rows(self, node: int) -> list[np.ndarray]:
+        # the noise bundle stores its level arrays node-major, so the level
+        # rows are contiguous views
+        rows = []
         for var in self.regression.variables:
-            if var == "x":
+            if var in ("x", "log_x"):
                 if self.x_paths is None:
                     continue
-                cols.append(self.x_paths[:, node])
-            elif var == "log_x":
-                if self.x_paths is None:
-                    continue
-                cols.append(np.log(self.x_paths[:, node]))
+                x = self.x_paths[:, node]
+                rows.append(x if var == "x" else np.log(x))
             elif var == "brownian":
-                if self._brownian is None:
-                    self._brownian = self.noise.brownian_levels
-                cols.append(self._brownian[:, node])
+                rows.append(self.noise.brownian_levels[:, node])
             elif var == "jump_counts":
-                if self._counts is None:
-                    self._counts = self.noise.count_levels
-                for q in range(self.noise.levy.n_atoms):
-                    cols.append(self._counts[q, :, node])
-        if not cols:
-            return None
-        return np.column_stack(cols)
+                rows.extend(self.noise.count_levels[:, :, node])
+        return rows
 
     def conditioning_node(self, node: int) -> int:
         if self.filtration.mode == "delay":
@@ -249,42 +301,31 @@ class CondExpEngine:
             return max(node - lag, 0)
         return node
 
-    # -- projections ---------------------------------------------------------
-
-    def project(self, node: int, targets: np.ndarray) -> np.ndarray:
-        """Conditional mean of ``targets`` given the node's information."""
-        if self.filtration.mode == "trivial":
-            return np.full_like(targets, targets.mean())
-        cnode = self.conditioning_node(node)
-        if self.filtration.mode == "delay" and cnode == 0:
-            return np.full_like(targets, targets.mean())
-        cached = self._design_cache.get(cnode)
-        if cached is None:
-            states = self._state_columns(cnode)
-            if states is None:
+    def _design(self, cnode: int) -> _Design:
+        design = self._designs.get(cnode)
+        if design is None:
+            rows = self._state_rows(cnode)
+            if not rows:
                 raise ValidationError(
                     "no regression state available; declare state variables or use trivial mode"
                 )
-            powers = _monomial_powers(states.shape[1], self.regression.degree)
-            phi = _design(states, powers)
-            col_mean = phi.mean(axis=0)
-            col_scale = phi.std(axis=0)
-            col_scale[col_scale == 0.0] = 1.0
-            col_mean[0], col_scale[0] = 0.0, 1.0
-            phi_std = (phi - col_mean) / col_scale
-            phi_std[:, 0] = 1.0
-            sv = np.linalg.svd(phi_std, compute_uv=False)
-            cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-            if cond > _COND_LIMIT:
-                gram = phi_std.T @ phi_std
-                pen = _RIDGE * np.trace(gram) / phi_std.shape[1]
-                reg = np.eye(phi_std.shape[1]) * pen
-                reg[0, 0] = 0.0
-                solver = np.linalg.solve(gram + reg, phi_std.T)
-            else:
-                solver = np.linalg.pinv(phi_std)
-            cached = (phi_std, solver)
+            phi = _basis(rows, _monomial_powers(len(rows), self.regression.degree))
+            _standardise(phi)
+            design = _Design(phi)
             if self.cache_designs:
-                self._design_cache[cnode] = cached
-        phi_std, solver = cached
-        return phi_std @ (solver @ targets)
+                self._designs[cnode] = design
+        return design
+
+    # -- projections ---------------------------------------------------------
+
+    def project(self, node: int, targets: np.ndarray) -> np.ndarray:
+        """Conditional mean of ``targets`` given the node's information.
+
+        ``targets`` is ``(N,)`` or ``(N, k)``; each column is projected.
+        """
+        if self.filtration.mode == "trivial":
+            return _column_means(targets)
+        cnode = self.conditioning_node(node)
+        if self.filtration.mode == "delay" and cnode == 0:
+            return _column_means(targets)
+        return self._design(cnode).project(targets)

@@ -335,16 +335,27 @@ def adjoint_malliavin_projection(
     big_p = adjoint.big_p[: last + 1]
     engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=x)
 
-    d_brown = -big_p[None, :] * fv.brownian / x**2
-    out_b = np.zeros_like(d_brown)
-    for j in range(k, last + 1):
-        out_b[:, j] = engine.project(k, d_brown[:, j]) if k > 0 else d_brown[:, j].mean()
     m = scenario.n_atoms
-    out_j = np.zeros((m, x.shape[0], last + 1))
+    n_paths = x.shape[0]
+    # every gradient column from node k on, all directions, in one projection
+    cols = slice(k, last + 1)
+    width = last + 1 - k
+    p_tail, x_tail = big_p[None, cols], x[:, cols]
+    block = np.empty((n_paths, (1 + m) * width), order="F")
+    block[:, :width] = -p_tail * fv.brownian[:, cols] / x_tail**2
     for q in range(m):
-        shifted = big_p[None, :] / (x + fv.jump[q]) - big_p[None, :] / x
-        for j in range(k, last + 1):
-            out_j[q, :, j] = engine.project(k, shifted[:, j]) if k > 0 else shifted[:, j].mean()
+        block[:, (q + 1) * width:(q + 2) * width] = (
+            p_tail / (x_tail + fv.jump[q][:, cols]) - p_tail / x_tail
+        )
+    if k > 0:
+        block = engine.project(k, block)
+    else:
+        block = np.broadcast_to(block.mean(axis=0), block.shape)
+    out_b = np.zeros((n_paths, last + 1))
+    out_b[:, cols] = block[:, :width]
+    out_j = np.zeros((m, n_paths, last + 1))
+    for q in range(m):
+        out_j[q][:, cols] = block[:, (q + 1) * width:(q + 2) * width]
     return {"brownian": out_b, "jump": out_j}
 
 

@@ -23,6 +23,7 @@ state ``(B(t), jump counts up to t)``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,7 +105,7 @@ class WienerIntegral(Functional):
 
     def __init__(self, f: Callable[[float], float] | np.ndarray | float = 1.0):
         self.f = f
-        self._memo: tuple[int, np.ndarray] | None = None
+        self._memo: tuple[weakref.ref, np.ndarray] | None = None
 
     def _values(self, noise: NoiseBundle) -> np.ndarray:
         t = noise.grid.nodes[:-1]
@@ -119,11 +120,12 @@ class WienerIntegral(Functional):
 
     def evaluate(self, noise):
         # one-slot memo: derivative trees re-evaluate the same primitive at
-        # every node of a duality sweep
-        if self._memo is not None and self._memo[0] == id(noise):
+        # every node of a duality sweep.  It is keyed on the bundle through a
+        # weak reference, because a later bundle can reuse a freed one's id().
+        if self._memo is not None and self._memo[0]() is noise:
             return self._memo[1]
         vals = noise.d_brownian @ self._values(noise)
-        self._memo = (id(noise), vals)
+        self._memo = (weakref.ref(noise), vals)
         return vals
 
     def evaluate_with_jump(self, noise, node, atom):
@@ -159,7 +161,7 @@ class JumpIntegral(Functional):
 
     def __init__(self, h: Callable[[float, float], float] | float = 1.0):
         self.h = h
-        self._memo: tuple[int, np.ndarray] | None = None
+        self._memo: tuple[weakref.ref, np.ndarray] | None = None
 
     def _values(self, noise: NoiseBundle) -> np.ndarray:
         m = noise.levy.n_atoms
@@ -176,11 +178,11 @@ class JumpIntegral(Functional):
     def evaluate(self, noise):
         if noise.levy.n_atoms == 0:
             return np.zeros(noise.n_paths)
-        if self._memo is not None and self._memo[0] == id(noise):
+        if self._memo is not None and self._memo[0]() is noise:
             return self._memo[1]
         vals = self._values(noise)
         out = np.einsum("ms,mps->p", vals, noise.compensated_counts)
-        self._memo = (id(noise), out)
+        self._memo = (weakref.ref(noise), out)
         return out
 
     def evaluate_with_jump(self, noise, node, atom):

@@ -55,21 +55,25 @@ class NoiseBundle:
     def n_steps(self) -> int:
         return self.d_brownian.shape[1]
 
+    # The level arrays are stored node-major and returned as transposed
+    # views: regressions and integrands read one node across all paths, which
+    # is then a contiguous row.
+
     @cached_property
     def brownian_levels(self) -> np.ndarray:
         """B(t_i) per path, shape (n_paths, n_steps + 1), B(0) = 0."""
-        levels = np.zeros((self.n_paths, self.n_steps + 1))
-        np.cumsum(self.d_brownian, axis=1, out=levels[:, 1:])
-        return levels
+        levels = np.zeros((self.n_steps + 1, self.n_paths))
+        np.cumsum(self.d_brownian.T, axis=0, out=levels[1:])
+        return levels.T
 
     @cached_property
     def count_levels(self) -> np.ndarray:
         """Cumulative jump counts N_m(t_i), shape (n_atoms, n_paths, n_steps + 1)."""
         m = self.levy.n_atoms
-        levels = np.zeros((m, self.n_paths, self.n_steps + 1), dtype=float)
+        levels = np.zeros((m, self.n_steps + 1, self.n_paths), dtype=float)
         if m:
-            np.cumsum(self.jump_counts, axis=2, out=levels[:, :, 1:])
-        return levels
+            np.cumsum(self.jump_counts.transpose(0, 2, 1), axis=1, out=levels[:, 1:])
+        return levels.transpose(0, 2, 1)
 
     @cached_property
     def compensated_counts(self) -> np.ndarray:

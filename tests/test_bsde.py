@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control.bsde import (
     recursive_utility,
@@ -197,3 +199,49 @@ def test_generic_solver_cross_check_with_discounting():
     y0, _ = recursive_utility(spec, one, fwd)
     y0_bsde, _ = recursive_utility_bsde(spec, one, fwd, noise)
     assert abs(y0_bsde - y0) < 0.02 * max(abs(y0), 0.1)
+
+
+def _solve_bsde_reference(terminal, driver, noise, engine):
+    """The backward recursion with one projection call per target column."""
+    n, dt = noise.grid.n_steps, noise.grid.dt
+    m = noise.levy.n_atoms
+    y = np.empty((noise.n_paths, n + 1))
+    z = np.zeros((noise.n_paths, n))
+    k = np.zeros((m, noise.n_paths, n))
+    y[:, n] = terminal
+    comp = noise.compensated_counts
+    for i in range(n - 1, -1, -1):
+        y_next = y[:, i + 1]
+        y_proj = engine.project(i, y_next)
+        z[:, i] = engine.project(i, y_next * noise.d_brownian[:, i]) / dt
+        for q in range(m):
+            k[q, :, i] = engine.project(i, y_next * comp[q, :, i]) / (noise.levy.weights[q] * dt)
+        g = driver(i, noise.grid.nodes[i], None, y_proj, z[:, i], k[:, :, i] if m else None)
+        y[:, i] = y_proj + g * dt
+    return y, z, k
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_steps=st.integers(2, 20),
+    n_paths=st.integers(50, 400),
+    seed=st.integers(0, 2**16),
+    n_atoms=st.integers(0, 2),
+    mode=st.sampled_from(["full", "trivial"]),
+)
+def test_one_projection_per_step_matches_per_column_calls(n_steps, n_paths, seed, n_atoms, mode):
+    grid = build_time_grid(1.0, n_steps)
+    levy = LevyMeasure.from_atoms([[-0.1 * (q + 1), 1.0 + q] for q in range(n_atoms)])
+    noise = generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian",)), noise
+    )
+    terminal = noise.brownian_levels[:, -1] ** 2 + noise.count_levels.sum(axis=0)[:, -1]
+
+    def driver(i, t, x, y, z, k):
+        return np.cos(y) + 0.3 * z + (0.0 if k is None else 0.1 * k.sum(axis=0))
+
+    sol = solve_bsde(terminal, driver, noise, engine)
+    y, z, k = _solve_bsde_reference(terminal, driver, noise, engine)
+    for a, b in ((sol.y, y), (sol.z, z), (sol.k, k)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(y).max())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control.bsvie import (
     BsvieTriple,
@@ -241,3 +243,110 @@ def test_z_derivative_norm_for_linear_family():
     sol = solve_bsvie(zeta, None, noise, brownian_engine(noise), tol=1e-9)
     val = z_time_derivative_norm(sol)
     assert abs(val - 0.5) < 0.1
+
+
+# --------------------------------------------------------------------------- #
+# batched rewrites against the plain loops they replace
+# --------------------------------------------------------------------------- #
+
+def _family_step_reference(zeta, driver, frozen, noise, engine):
+    """Family by family, one projection call per target column."""
+    n, dt = noise.grid.n_steps, noise.grid.dt
+    m = noise.levy.n_atoms
+    out = BsvieTriple.zeros(n, noise.n_paths, m)
+    comp = noise.compensated_counts
+    out.y[n] = zeta[n]
+    for i in range(n):
+        y_run = zeta[i].copy()
+        for r in range(n - 1, i - 1, -1):
+            idx = pair_index(n, i, r)
+            y_proj = engine.project(r, y_run)
+            out.z[idx] = engine.project(r, y_run * noise.d_brownian[:, r]) / dt
+            for q in range(m):
+                out.k[idx, q] = engine.project(r, y_run * comp[q, :, r]) / (noise.levy.weights[q] * dt)
+            g = driver(i, r, frozen.y[r], frozen.z[idx], frozen.k[idx], None)
+            y_run = y_proj + g * dt
+        out.y[i] = y_run
+    return out
+
+
+def _jump_driver(i, r, y, z, k, x):
+    return np.sin(y) + 0.2 * z + 0.2 * k[0] + 0.01 * (i - r)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_steps=st.integers(2, 8),
+    n_paths=st.integers(50, 300),
+    seed=st.integers(0, 2**16),
+    weight=st.floats(0.5, 4.0),
+    mode=st.sampled_from(["full", "trivial"]),
+)
+def test_batched_family_step_matches_per_family_loop(n_steps, n_paths, seed, weight, mode):
+    levy = LevyMeasure.from_atoms([[-0.1, weight]])
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed, levy=levy)
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
+        noise,
+    )
+    rng = np.random.default_rng(seed)
+    n_pairs = n_steps * (n_steps + 1) // 2
+    frozen = BsvieTriple(
+        y=rng.normal(size=(n_steps + 1, n_paths)),
+        z=rng.normal(size=(n_pairs, n_paths)),
+        k=rng.normal(size=(n_pairs, 1, n_paths)),
+    )
+    b_total = noise.d_brownian.sum(axis=1)
+    zeta = noise.grid.nodes[:, None] * b_total[None, :] + 0.1 * noise.count_levels[0][:, -1]
+    got = solve_family_step(zeta, _jump_driver, frozen, noise, engine)
+    ref = _family_step_reference(zeta, _jump_driver, frozen, noise, engine)
+    for a, b in ((got.y, ref.y), (got.z, ref.z), (got.k, ref.k)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def _weighted_norm_reference(a, b, grid, levy, beta_w):
+    """Pair-by-pair weighted norm of the difference of two triples."""
+    n, dt = grid.n_steps, grid.dt
+    w_t = np.full(n + 1, dt)
+    w_t[0] = w_t[-1] = 0.5 * dt
+    e_t = np.exp(beta_w * grid.nodes)
+    total = 0.0
+    for i in range(n + 1):
+        inner = float(np.mean((a.y[i] - b.y[i]) ** 2)) * e_t[i]
+        for j in range(i, n):
+            idx = pair_index(n, i, j)
+            zsq = float(np.mean((a.z[idx] - b.z[idx]) ** 2))
+            ksq = float(np.dot(levy.weights, np.mean((a.k[idx] - b.k[idx]) ** 2, axis=1)))
+            inner += e_t[j] * (zsq + ksq) * dt
+        total += w_t[i] * inner
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_steps=st.integers(2, 12),
+    n_paths=st.integers(1, 40),
+    n_atoms=st.integers(0, 2),
+    beta_w=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**16),
+)
+def test_weighted_norm_matches_pairwise_loop(n_steps, n_paths, n_atoms, beta_w, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_time_grid(1.0, n_steps)
+    levy = LevyMeasure.from_atoms([[0.1 * (q + 1), 1.0 + q] for q in range(n_atoms)])
+    n_pairs = n_steps * (n_steps + 1) // 2
+
+    def triple():
+        return BsvieTriple(
+            y=rng.normal(size=(n_steps + 1, n_paths)),
+            z=rng.normal(size=(n_pairs, n_paths)),
+            k=rng.normal(size=(n_pairs, n_atoms, n_paths)),
+        )
+
+    a, b = triple(), triple()
+    zero = BsvieTriple.zeros(n_steps, n_paths, n_atoms)
+    expected = _weighted_norm_reference(a, b, grid, levy, beta_w)
+    got = weighted_norm(a.y, a.z, a.k, grid, levy, beta_w, base=b)
+    assert math.isclose(got, expected, rel_tol=1e-12)
+    plain = weighted_norm(a.y, a.z, a.k, grid, levy, beta_w)
+    assert math.isclose(plain, _weighted_norm_reference(a, zero, grid, levy, beta_w), rel_tol=1e-12)

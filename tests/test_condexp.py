@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control.condexp import (
     CondExpEngine,
     RegressionError,
     conditional_mean,
     fit_projection,
-    project,
 )
 from volterra_control.model import (
     FiltrationMode,
@@ -47,7 +48,7 @@ def test_martingale_regression_slope():
     se_inter = math.sqrt(resid_var * (1.0 / n + b_half.mean() ** 2 / sxx))
     assert abs(coef[1] - 1.0) <= 3 * se_slope
     assert abs(coef[0]) <= 3 * se_inter
-    pred = project(fn, np.array([0.3]))
+    pred = fn(np.array([0.3]))
     assert abs(pred[0] - (coef[0] + 0.3 * coef[1])) < 1e-12
 
 
@@ -60,7 +61,7 @@ def test_constant_targets_reproduced():
 def test_identity_fit_prediction():
     x = np.linspace(-2, 2, 100)
     fn = fit_projection(x, x, degree=2)
-    assert abs(project(fn, np.array([0.7]))[0] - 0.7) < 1e-10
+    assert abs(fn(np.array([0.7]))[0] - 0.7) < 1e-10
 
 
 def test_dimension_mismatch_raises():
@@ -149,3 +150,138 @@ def test_delay_lags_the_conditioning_node():
 def test_delay_zero_collapses_to_full():
     mode = FiltrationMode(mode="delay", delay=0.0)
     assert mode.mode == "full"
+
+
+# --------------------------------------------------------------------------- #
+# the engine's projector against per-column least squares
+# --------------------------------------------------------------------------- #
+
+def _standardised_design(columns, degree):
+    """Standardized monomials of one or two state columns, paths along axis 0."""
+    if len(columns) == 1:
+        cols = [columns[0] ** e for e in range(degree + 1)]
+    else:
+        a, b = columns
+        cols = [a**i * b**j for i in range(degree + 1) for j in range(degree + 1 - i)]
+    phi = np.column_stack(cols)
+    mean, scale = phi.mean(axis=0), phi.std(axis=0)
+    mean[0], scale[0] = 0.0, 1.0
+    return (phi - mean) / scale
+
+
+def _lstsq_fit(design, targets):
+    """Fitted values of each target column, one ``lstsq`` per column."""
+    targets = targets.reshape(targets.shape[0], -1)
+    cols = [design @ np.linalg.lstsq(design, t, rcond=None)[0] for t in targets.T]
+    return np.column_stack(cols)
+
+
+def _tolerance(design, targets):
+    """The normal equations lose up to ``cond(design)^2 * eps`` relative to
+    ``lstsq``; allow a generous constant on that bound."""
+    return 1e3 * np.finfo(float).eps * np.linalg.cond(design) ** 2 * np.abs(targets).max()
+
+
+def _noise_and_targets(n_steps, n_paths, seed, k):
+    grid = build_time_grid(1.0, n_steps)
+    noise = generate_noise(grid, LevyMeasure.from_atoms([]), n_paths, seed, 1)
+    rng = np.random.default_rng(seed)
+    b_end = noise.brownian_levels[:, -1]
+    targets = np.column_stack([b_end ** (c % 3 + 1) + rng.normal(size=n_paths) for c in range(k)])
+    return noise, targets, rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_steps=st.integers(2, 12),
+    n_paths=st.integers(40, 400),
+    seed=st.integers(0, 2**16),
+    degree=st.integers(1, 3),
+    with_x=st.booleans(),
+    k=st.integers(1, 5),
+    data=st.data(),
+)
+def test_projector_matches_columnwise_lstsq(n_steps, n_paths, seed, degree, with_x, k, data):
+    noise, targets, rng = _noise_and_targets(n_steps, n_paths, seed, k)
+    x_paths = np.exp(0.3 * rng.normal(size=(n_paths, n_steps + 1))) if with_x else None
+    variables = ("x", "brownian") if with_x else ("brownian",)
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=degree, variables=variables),
+        noise, x_paths=x_paths,
+    )
+    node = data.draw(st.integers(1, n_steps))
+    state = [noise.brownian_levels[:, node]]
+    if with_x:
+        state.insert(0, x_paths[:, node])
+    design = _standardised_design(state, degree)
+    expected = _lstsq_fit(design, targets)
+    atol = _tolerance(design, targets)
+    block = engine.project(node, targets)
+    assert block.shape == targets.shape
+    np.testing.assert_allclose(block, expected, rtol=0, atol=atol)
+    single = engine.project(node, targets[:, 0])
+    assert single.shape == (n_paths,)
+    np.testing.assert_allclose(single, expected[:, 0], rtol=0, atol=atol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_steps=st.integers(4, 12),
+    n_paths=st.integers(40, 400),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_projector_trivial_and_delay_modes(n_steps, n_paths, seed, k, data):
+    noise, targets, _ = _noise_and_targets(n_steps, n_paths, seed, k)
+    reg = RegressionSpec(degree=2, variables=("brownian",))
+    means = np.broadcast_to([t.mean() for t in targets.T], targets.shape)
+    mean_tol = {"rtol": 1e-14, "atol": 1e-14 * np.abs(targets).max()}
+    node = data.draw(st.integers(0, n_steps))
+    trivial = CondExpEngine(FiltrationMode(mode="trivial"), reg, noise)
+    np.testing.assert_allclose(trivial.project(node, targets), means, **mean_tol)
+    np.testing.assert_allclose(trivial.project(node, targets[:, 0]), means[:, 0], **mean_tol)
+
+    lag = data.draw(st.integers(1, n_steps))
+    delayed = CondExpEngine(FiltrationMode(mode="delay", delay=lag * noise.grid.dt), reg, noise)
+    cnode = max(node - lag, 0)
+    if cnode == 0:
+        np.testing.assert_allclose(delayed.project(node, targets), means, **mean_tol)
+    else:
+        design = _standardised_design([noise.brownian_levels[:, cnode]], 2)
+        np.testing.assert_allclose(delayed.project(node, targets), _lstsq_fit(design, targets),
+                                   rtol=0, atol=_tolerance(design, targets))
+
+
+def test_near_collinear_design_takes_the_ridge_path():
+    # x duplicates the Brownian level up to 1e-13: the design condition number
+    # is far past the ridge threshold, so the fit is the ridge least-squares
+    # solution, written here as one lstsq on the penalty-augmented system
+    n_steps, n_paths, node = 8, 300, 5
+    noise, targets, rng = _noise_and_targets(n_steps, n_paths, 3, 3)
+    x_paths = noise.brownian_levels + 1e-13 * rng.normal(size=(n_paths, n_steps + 1))
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=1, variables=("x", "brownian")),
+        noise, x_paths=x_paths,
+    )
+    design = _standardised_design([x_paths[:, node], noise.brownian_levels[:, node]], 1)
+    p = design.shape[1]
+    penalty = np.eye(p) * np.sqrt(1e-8 * np.trace(design.T @ design) / p)
+    penalty[0, 0] = 0.0
+    augmented = np.vstack([design, penalty])
+    coef = np.linalg.lstsq(augmented, np.vstack([targets, np.zeros((p, 3))]), rcond=None)[0]
+    fitted = engine.project(node, targets)
+    assert engine._design(node).ridged
+    np.testing.assert_allclose(fitted, design @ coef, rtol=0, atol=1e-12 * np.abs(targets).max())
+    # the intercept is never penalized, so the sample means survive
+    np.testing.assert_allclose(fitted.mean(axis=0), targets.mean(axis=0), atol=1e-12)
+
+
+def test_conditional_mean_projects_every_column():
+    rng = np.random.default_rng(6)
+    states = rng.normal(size=500)
+    targets = np.column_stack([states**2, np.sin(states)]) + rng.normal(size=(500, 2))
+    out = conditional_mean(FiltrationMode(mode="full"), targets, states, degree=2)
+    design = _standardised_design([states], 2)
+    np.testing.assert_allclose(out, _lstsq_fit(design, targets), rtol=0,
+                               atol=_tolerance(design, targets))

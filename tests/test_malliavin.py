@@ -136,3 +136,21 @@ def test_reconstruction_error_shrinks_with_grid():
         recon = clark_ocone_reconstruction(f, noise)
         mses.append(float(np.mean((recon - f.evaluate(noise)) ** 2)))
     assert mses[1] < mses[0] / 2
+
+
+def test_integral_memo_never_serves_another_bundle(monkeypatch):
+    # give every object the same id(): a memo keyed on id() would hand the
+    # second bundle the first bundle's values
+    from volterra_control import malliavin
+
+    monkeypatch.setattr(malliavin, "id", lambda obj: 0, raising=False)
+    first = make_noise(n_steps=20, n_paths=64, seed=1, levy=ONE_ATOM)
+    second = make_noise(n_steps=20, n_paths=64, seed=2, levy=ONE_ATOM)
+    wiener, jump = WienerIntegral(1.0), JumpIntegral(1.0)
+    wiener.evaluate(first)
+    jump.evaluate(first)
+    assert np.array_equal(wiener.evaluate(second), second.d_brownian @ np.ones(20))
+    assert np.array_equal(
+        jump.evaluate(second),
+        np.einsum("ms,mps->p", np.ones((1, 20)), second.compensated_counts),
+    )
