@@ -2,8 +2,9 @@
 
 Every check returns :class:`CheckResult` records with the measured value,
 the reference, the tolerance actually enforced, and the outcome.  The same
-functions back both the ``run-acceptance`` CLI subcommand and the pytest
-acceptance suite, so the two always agree.
+functions back the pytest acceptance suite and the CLI (``run-acceptance``,
+``check-mp``, ``verify-duality`` and ``solve-bsvie``), so the two always
+agree.
 
 The reference scenario is fixed: horizon 1, 100 steps, unit initial level,
 zero discount rate, constant drift/diffusion loadings 0.05 / 0.2, no jump
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import solve_bsde
-from .bsvie import solve_bsvie, pair_index, z_time_derivative_norm
+from .bsvie import BsvieSolution, solve_bsvie, pair_index, z_time_derivative_norm
 from .condexp import CondExpEngine
 from .controls import ControlFn
 from .control import (
@@ -41,13 +42,32 @@ from .model import (
     LevyMeasure,
     RegressionSpec,
     ScenarioSpec,
+    TimeGrid,
     ValidationError,
     build_time_grid,
     validate_scenario,
 )
 from .paths import generate_noise
 
-__all__ = ["CheckResult", "require_reference_scenario", "run_acceptance", "CRITERIA"]
+__all__ = [
+    "CheckResult",
+    "require_reference_scenario",
+    "check_closed_form_optimum",
+    "check_value_oracle",
+    "check_optimality_ranking",
+    "check_necessary_mp",
+    "resolvent_solution",
+    "martingale_family_solution",
+    "check_bsvie_solver",
+    "check_contraction",
+    "duality_square_identities",
+    "check_duality",
+    "check_forward_solver",
+    "check_adjoint_reduction",
+    "check_z_time_derivative",
+    "run_acceptance",
+    "CRITERIA",
+]
 
 
 @dataclass(frozen=True)
@@ -174,21 +194,23 @@ def check_necessary_mp(scenario: ScenarioSpec, noise) -> list[CheckResult]:
     return out
 
 
-def _resolvent_case(n_steps: int = 100, n_paths: int = 256) -> float:
-    """Deterministic fixed point of Y(t) = 1 + int_t^T Y(s) ds."""
-    grid = build_time_grid(1.0, n_steps)
+def resolvent_solution(grid: TimeGrid) -> BsvieSolution:
+    """Deterministic fixed point of ``Y(t) = 1 + int_t^T Y(s) ds`` on ``grid``.
+
+    The problem is path-constant, so a few hundred paths carry it exactly.
+    """
+    n_paths = 256
     levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
     noise = generate_noise(grid, levy, n_paths=n_paths, seed=11, n_blocks=1)
     engine = CondExpEngine(FiltrationMode(mode="trivial"), RegressionSpec(), noise)
-    zeta = np.ones((n_steps + 1, n_paths))
+    zeta = np.ones((grid.n_steps + 1, n_paths))
 
     def driver(i, r, y_frozen, z, k, x):
         return y_frozen
 
     # tight tolerance: the weighted scale is exp-inflated, so a loose relative
     # threshold would stop with a visible gap at t = 0
-    sol = solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-13, max_iter=120)
-    return float(sol.y[0].mean())
+    return solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-13, max_iter=120)
 
 
 def martingale_family_solution(n_steps: int = 100, n_paths: int = 20_000, seed: int = 1234):
@@ -211,7 +233,7 @@ def check_bsvie_solver(martingale=None) -> list[CheckResult]:
     """C5: resolvent value within 1% of e; martingale-family coefficient means
     match the first-index node across the triangle (>= 99% of pairs within
     3 SE, all within 5 SE)."""
-    y0 = _resolvent_case()
+    y0 = float(resolvent_solution(build_time_grid(1.0, 100)).y[0].mean())
     out = [_result("C5", "resolvent_value", y0, math.e, 0.01 * math.e,
                    "terminal 1, generator y, 1% tolerance")]
     sol, noise = martingale if martingale is not None else martingale_family_solution()
@@ -276,12 +298,15 @@ def check_contraction() -> list[CheckResult]:
     ]
 
 
-def check_duality(n_paths: int = 200_000, seed: int = 7) -> list[CheckResult]:
-    """C7: both sides of the two integration-by-parts identities.
+def duality_square_identities(n_paths: int = 200_000, seed: int = 7):
+    """The two C7 noise bundles and both sides of their square identities.
 
-    The Brownian pairing runs on a finer grid because its left-hand side (a
-    discrete stochastic integral against the path level) carries an O(dt)
-    bias of size dt that must stay inside the 3-SE band.
+    Returns ``(noise_b, noise_j, brownian_square, jump_square)``: a Brownian
+    bundle on 200 steps at ``seed`` and a one-atom (size 1, weight 2) bundle
+    on 100 steps at ``seed + 1``.  The Brownian pairing runs on the finer grid
+    because its left-hand side (a discrete stochastic integral against the
+    path level) carries an O(dt) bias of size dt that must stay inside the
+    3-SE band.
     """
     no_jumps = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
     noise_b = generate_noise(build_time_grid(1.0, 200), no_jumps,
@@ -297,6 +322,12 @@ def check_duality(n_paths: int = 200_000, seed: int = 7) -> list[CheckResult]:
     res_j = verify_duality_jump(
         JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0, noise_j, name="jump_square",
     )
+    return noise_b, noise_j, res_b, res_j
+
+
+def check_duality(n_paths: int = 200_000, seed: int = 7) -> list[CheckResult]:
+    """C7: both sides of the two integration-by-parts identities."""
+    _, _, res_b, res_j = duality_square_identities(n_paths, seed)
     return [
         _result("C7", "brownian_lhs", res_b.lhs, 1.0, 3.0 * res_b.se_lhs),
         _result("C7", "brownian_rhs", res_b.rhs, 1.0, 3.0 * res_b.se_rhs),
@@ -382,18 +413,12 @@ def check_z_time_derivative(martingale=None) -> list[CheckResult]:
 CRITERIA = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10")
 
 
-def run_acceptance(
-    scenario: ScenarioSpec,
-    n_paths: int | None = None,
-    seed: int | None = None,
-) -> list[CheckResult]:
+def run_acceptance(scenario: ScenarioSpec) -> list[CheckResult]:
     """Run the full acceptance suite against the reference scenario."""
     require_reference_scenario(scenario)
     mc = scenario.mc
-    n_paths = n_paths or mc.n_paths
-    seed = seed if seed is not None else mc.seed
-    noise = generate_noise(scenario.grid, scenario.levy, n_paths=n_paths,
-                           seed=seed, n_blocks=mc.n_blocks)
+    noise = generate_noise(scenario.grid, scenario.levy, n_paths=mc.n_paths,
+                           seed=mc.seed, n_blocks=mc.n_blocks)
     results: list[CheckResult] = []
     results += check_closed_form_optimum(scenario)
     results += check_value_oracle(scenario, noise)

@@ -39,7 +39,6 @@ __all__ = [
     "solve_bsde",
     "recursive_utility",
     "recursive_utility_bsde",
-    "bsde_curve_rows",
 ]
 
 # generator signature: g(step, t, x, y, z, k) -> per-path array; x is None
@@ -185,20 +184,3 @@ def recursive_utility_bsde(
     engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=x)
     sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
     return sol.y0, sol.y0_se
-
-
-def bsde_curve_rows(sol: BsdeSolution) -> list[dict]:
-    """Per-node summary ``{t, y_mean, y_se, z_mean, k_mean_0, ...}`` rows."""
-    n_paths = sol.y.shape[0]
-    rows = []
-    for i, t in enumerate(sol.t_nodes):
-        row = {
-            "t": float(t),
-            "y_mean": float(sol.y[:, i].mean()),
-            "y_se": float(sol.y[:, i].std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
-            "z_mean": float(sol.z[:, i].mean()) if i < sol.z.shape[1] else 0.0,
-        }
-        for q in range(sol.k.shape[0]):
-            row[f"k_mean_{q}"] = float(sol.k[q, :, i].mean()) if i < sol.k.shape[2] else 0.0
-        rows.append(row)
-    return rows

@@ -6,8 +6,9 @@ Subcommands
 * ``solve-bsvie``          -- resolvent fixed-point solve on the config grid.
 * ``evaluate-utility``     -- Monte Carlo objective with oracle cross-check.
 * ``optimal-consumption``  -- closed-form rate and multiplier curves.
-* ``check-mp``             -- first-order condition, theta sweep, bumps.
-* ``verify-duality``       -- built-in integration-by-parts identities.
+* ``check-mp``             -- maximum-principle checks C1, C3, C4 (reference
+  scenario only).
+* ``verify-duality``       -- the C7 identities plus two isometries.
 * ``run-acceptance``       -- the full acceptance suite.
 
 Every run writes CSV outputs plus a JSON run report (emitted even when a
@@ -23,24 +24,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance as acc
 from .bsvie import ConvergenceError, diagonal_rows, iteration_rows
-from .fsvie import PositivityBreachError
 from .controls import ControlFn
-from .control import (
-    build_adjoint_state,
-    consumption_rows,
-    gateaux_derivative,
-    log_utility_oracle,
-    performance,
-    theta_sweep_rows,
-)
-from .fsvie import forward_mean_oracle, mean_quantile_rows, simulate_fsvie
+from .control import build_adjoint_state, consumption_rows, log_utility_oracle, performance
+from .fsvie import PositivityBreachError, forward_mean_oracle, mean_quantile_rows, simulate_fsvie
 from .malliavin import (
     JumpIntegral,
     WienerIntegral,
@@ -48,7 +41,7 @@ from .malliavin import (
     verify_duality_brownian,
     verify_duality_jump,
 )
-from .model import LevyMeasure, ScenarioSpec, ValidationError, validate_scenario
+from .model import ScenarioSpec, ValidationError, validate_scenario
 from .paths import generate_noise
 
 __all__ = ["main", "run", "load_config", "emit_csv", "RunReport"]
@@ -57,6 +50,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CHECK_FAILED = 3
 EXIT_NO_CONVERGENCE = 4
+_ERROR_EXIT_CODES = {
+    ValidationError: EXIT_VALIDATION,
+    PositivityBreachError: EXIT_CHECK_FAILED,
+    ConvergenceError: EXIT_NO_CONVERGENCE,
+}
 
 
 @dataclass
@@ -245,25 +243,11 @@ def _cmd_optimal_consumption(spec, args, report, out_dir):
 
 
 def _cmd_solve_bsvie(spec, args, report, out_dir):
-    from .bsvie import solve_bsvie
-    from .condexp import CondExpEngine
-    from .model import FiltrationMode, RegressionSpec
-
-    n = spec.grid.n_steps
-    noise = generate_noise(spec.grid, LevyMeasure(sizes=np.empty(0), weights=np.empty(0)),
-                           n_paths=min(spec.mc.n_paths, 4096), seed=spec.mc.seed,
-                           n_blocks=1)
-    engine = CondExpEngine(FiltrationMode(mode="trivial"), RegressionSpec(), noise)
-    zeta = np.ones((n + 1, noise.n_paths))
-
-    def driver(i, r, y_frozen, z, k, x):
-        return y_frozen
-
-    sol = solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-10, max_iter=60)
+    sol = acc.resolvent_solution(spec.grid)
     _write_rows(report, out_dir, "iteration_log.csv", iteration_rows(sol))
     _write_rows(report, out_dir, "bsvie_diagonal.csv", diagonal_rows(sol))
     y0 = float(sol.y[0].mean())
-    fixed_point = (1.0 - spec.grid.dt) ** (-n)  # discrete resolvent identity
+    fixed_point = (1.0 - spec.grid.dt) ** (-spec.grid.n_steps)  # discrete resolvent identity
     report.add_check("resolvent_fixed_point", y0, fixed_point, 1e-3 * fixed_point,
                      abs(y0 - fixed_point) <= 1e-3 * fixed_point)
     report.add_check("resolvent_vs_exponential", y0, math.exp(spec.grid.horizon),
@@ -272,70 +256,8 @@ def _cmd_solve_bsvie(spec, args, report, out_dir):
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def _cmd_check_mp(spec, args, report, out_dir):
-    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
-    adj = build_adjoint_state(spec)
-    report.add_check("first_order_condition", adj.foc_residual(), 0.0, 1e-12,
-                     adj.foc_residual() <= 1e-12)
-    _write_rows(report, out_dir, "c_star.csv", consumption_rows(spec))
-
-    thetas = [0.7, 0.85, 1.0, 1.15, 1.3]
-    rows = theta_sweep_rows(spec, thetas, noise)
-    _write_rows(report, out_dir, "theta_sweep.csv", rows)
-    mc_rank = tuple(np.argsort([r["j_mc"] for r in rows])[::-1])
-    or_rank = tuple(np.argsort([r["j_oracle"] for r in rows])[::-1])
-    report.add_check("theta_ranking_matches_oracle", float(mc_rank == or_rank), 1.0, 0.0,
-                     mc_rank == or_rank)
-
-    cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
-    one = ControlFn.constant(1.0, spec.grid)
-    gateaux_out = []
-    for name, ctrl, start, ref in (
-        ("bump_at_optimum_0.1", cstar, 0.1, 0.0),
-        ("bump_at_optimum_0.4", cstar, 0.4, 0.0),
-        ("bump_at_optimum_0.7", cstar, 0.7, 0.0),
-        ("bump_at_unit_rate_0.4", one, 0.4, 0.045),
-    ):
-        g = gateaux_derivative(spec, ctrl, start, 0.1, 1.0, noise)
-        gateaux_out.append({"bump_start": start, "dJ_dtheta": g.estimate, "se": g.se})
-        report.add_check(name, g.estimate, ref, 3.0 * g.se, abs(g.estimate - ref) <= 3.0 * g.se)
-    _write_rows(report, out_dir, "gateaux.csv", gateaux_out)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _cmd_verify_duality(args, report, out_dir):
-    from .model import build_time_grid
-
-    n_paths = args.paths or 200_000
-    seed = args.seed if args.seed is not None else 7
-    empty = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
-    noise_b = generate_noise(build_time_grid(1.0, 200), empty,
-                             n_paths=n_paths, seed=seed, n_blocks=8)
-    levels = noise_b.brownian_levels
-    results = [
-        verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i],
-                                noise_b, name="brownian_square"),
-        verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: 1.0,
-                                noise_b, name="brownian_isometry"),
-    ]
-    one_atom = LevyMeasure(sizes=np.array([1.0]), weights=np.array([2.0]))
-    noise_j = generate_noise(build_time_grid(1.0, 100), one_atom,
-                             n_paths=n_paths, seed=seed + 1, n_blocks=8)
-    results += [
-        verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0,
-                            noise_j, name="jump_square"),
-        verify_duality_jump(JumpIntegral(1.0), lambda i, q, _n: 1.0,
-                            noise_j, name="jump_isometry"),
-    ]
-    _write_rows(report, out_dir, "duality.csv", duality_rows(results))
-    for r in results:
-        tol = 3.0 * r.combined_se
-        report.add_check(f"{r.name}_sides_agree", r.lhs, r.rhs, tol, abs(r.lhs - r.rhs) <= tol)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _cmd_run_acceptance(spec, args, report, out_dir):
-    results = acc.run_acceptance(spec, n_paths=args.paths, seed=args.seed)
+def _write_checks(report, out_dir, name, results) -> int:
+    """Print, report and tabulate acceptance check records."""
     rows = []
     for r in results:
         print(r.line())
@@ -345,8 +267,42 @@ def _cmd_run_acceptance(spec, args, report, out_dir):
             "passed": int(r.passed), "detail": r.detail,
         })
         report.add_check(f"{r.criterion}:{r.name}", r.value, r.reference, r.tolerance, r.passed)
-    _write_rows(report, out_dir, "acceptance_results.csv", rows)
+    _write_rows(report, out_dir, name, rows)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+
+
+def _cmd_check_mp(spec, args, report, out_dir):
+    acc.require_reference_scenario(spec)
+    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
+    _write_rows(report, out_dir, "c_star.csv", consumption_rows(spec))
+    results = (acc.check_closed_form_optimum(spec)
+               + acc.check_optimality_ranking(spec, noise)
+               + acc.check_necessary_mp(spec, noise))
+    return _write_checks(report, out_dir, "mp_checks.csv", results)
+
+
+def _cmd_verify_duality(args, report, out_dir):
+    noise_b, noise_j, res_b, res_j = acc.duality_square_identities(
+        args.paths or 200_000, report.seed)
+    results = [
+        res_b,
+        verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: 1.0,
+                                noise_b, name="brownian_isometry"),
+        res_j,
+        verify_duality_jump(JumpIntegral(1.0), lambda i, q, _n: 1.0,
+                            noise_j, name="jump_isometry"),
+    ]
+    _write_rows(report, out_dir, "duality.csv", duality_rows(results))
+    checks = []
+    for r in results:
+        tol = 3.0 * r.combined_se
+        checks.append(acc.CheckResult("C7", f"{r.name}_sides_agree", r.lhs, r.rhs, tol,
+                                      abs(r.lhs - r.rhs) <= tol))
+    return _write_checks(report, out_dir, "duality_checks.csv", checks)
+
+
+def _cmd_run_acceptance(spec, args, report, out_dir):
+    return _write_checks(report, out_dir, "acceptance_results.csv", acc.run_acceptance(spec))
 
 
 # --------------------------------------------------------------------------- #
@@ -394,7 +350,6 @@ def run(argv=None) -> int:
                 spec = spec.with_mc(n_paths=args.paths,
                                     n_blocks=math.gcd(args.paths, spec.mc.n_blocks))
             if args.convention is not None:
-                from dataclasses import replace
                 spec = validate_scenario(replace(spec, convention=args.convention))
             report.scenario_hash = scenario_hash(spec)
             report.seed = spec.mc.seed
@@ -411,18 +366,10 @@ def run(argv=None) -> int:
             "run-acceptance": lambda: _cmd_run_acceptance(spec, args, report, out_dir),
         }[args.subcommand]
         code = handler()
-    except ValidationError as exc:
+    except tuple(_ERROR_EXIT_CODES) as exc:
         report.error = str(exc)
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_VALIDATION
-    except PositivityBreachError as exc:
-        report.error = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_CHECK_FAILED
-    except ConvergenceError as exc:
-        report.error = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_NO_CONVERGENCE
+        code = next(c for cls, c in _ERROR_EXIT_CODES.items() if isinstance(exc, cls))
     finally:
         report.wall_time_s = time.perf_counter() - started
         try:

@@ -322,10 +322,10 @@ class CondExpEngine:
         """Conditional mean of ``targets`` given the node's information.
 
         ``targets`` is ``(N,)`` or ``(N, k)``; each column is projected.
+        The information at ``t = 0`` is trivial, so conditioning node 0 gives
+        the column means in every mode.
         """
-        if self.filtration.mode == "trivial":
-            return _column_means(targets)
         cnode = self.conditioning_node(node)
-        if self.filtration.mode == "delay" and cnode == 0:
+        if self.filtration.mode == "trivial" or cnode == 0:
             return _column_means(targets)
         return self._design(cnode).project(targets)

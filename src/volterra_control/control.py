@@ -4,7 +4,7 @@ The multiplier pipeline for the log-utility consumption problem is analytic:
 
 * ``lambda_adjoint``     -- discount multiplier ``lambda(t)`` (forward ODE);
 * ``adjoint_product``    -- remaining value ``P(t) = int_t^T lambda``;
-* ``optimal_consumption``-- the closed-form rate ``c*(t) = lambda(t)/P(t)``.
+* ``build_adjoint_state``-- both, plus the closed-form rate ``c*(t) = lambda(t)/P(t)``.
 
 ``performance`` evaluates the objective by Monte Carlo, ``log_utility_oracle``
 by high-resolution deterministic quadrature (time-invariant kernels only),
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import recursive_utility
+from .bsde import _utility_legs
 from .condexp import CondExpEngine
 from .controls import ControlFn, discount_curve, remaining_value_curve
 from .fsvie import ForwardPaths, first_variation, simulate_fsvie
@@ -31,7 +31,6 @@ __all__ = [
     "AdjointState",
     "lambda_adjoint",
     "adjoint_product",
-    "optimal_consumption",
     "build_adjoint_state",
     "PerformanceResult",
     "performance",
@@ -43,7 +42,6 @@ __all__ = [
     "adjoint_malliavin_projection",
     "concavity_probe",
     "consumption_rows",
-    "theta_sweep_rows",
 ]
 
 
@@ -59,11 +57,6 @@ def lambda_adjoint(gamma: np.ndarray, grid: TimeGrid, convention: str = "discoun
 def adjoint_product(gamma: np.ndarray, grid: TimeGrid, convention: str = "discounting") -> np.ndarray:
     """Remaining value ``P(t_i) = sum_{j>=i} lambda(t_j) dt``; ``P(T) = 0``."""
     return remaining_value_curve(np.asarray(gamma, float), grid, convention)
-
-
-def optimal_consumption(gamma: np.ndarray, grid: TimeGrid, convention: str = "discounting") -> ControlFn:
-    """The closed-form optimal rate ``c*(t_i) = lambda(t_i) / P(t_i)``."""
-    return ControlFn.theta_cstar(1.0, np.asarray(gamma, float), convention)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +143,6 @@ def performance(
                              through_node=None if needs_terminal else n - 1)
     if needs_terminal and fwd.last_node < n:
         raise ValidationError("terminal functional requires paths through T")
-
-    from .bsde import _utility_legs  # shared per-path integrand
 
     u_legs = _utility_legs(scenario, control, fwd)
     y0 = float(u_legs.mean())
@@ -245,8 +236,6 @@ def gateaux_derivative(
         return GateauxResult(estimate=0.0, se=0.0, se_paired=0.0, j_plus=base.j, j_minus=base.j)
     if bump_start < 0.0 or bump_start + bump_len > scenario.grid.horizon + 1e-12:
         raise ValidationError("bump interval must lie inside [0, T)")
-
-    from .bsde import _utility_legs
 
     n = scenario.grid.n_steps
     legs = {}
@@ -347,10 +336,7 @@ def adjoint_malliavin_projection(
         block[:, (q + 1) * width:(q + 2) * width] = (
             p_tail / (x_tail + fv.jump[q][:, cols]) - p_tail / x_tail
         )
-    if k > 0:
-        block = engine.project(k, block)
-    else:
-        block = np.broadcast_to(block.mean(axis=0), block.shape)
+    block = engine.project(k, block)
     out_b = np.zeros((n_paths, last + 1))
     out_b[:, cols] = block[:, :width]
     out_j = np.zeros((m, n_paths, last + 1))
@@ -480,22 +466,5 @@ def consumption_rows(scenario: ScenarioSpec) -> list[dict]:
             "lambda": float(adj.lam[i]),
             "P": float(adj.big_p[i]),
             "c_star": float(adj.cstar[i]),
-        })
-    return rows
-
-
-def theta_sweep_rows(
-    scenario: ScenarioSpec, thetas, noise: NoiseBundle
-) -> list[dict]:
-    """Rows ``{theta, j_mc, j_se, j_oracle}`` under common random numbers."""
-    rows = []
-    for theta in thetas:
-        ctrl = ControlFn.theta_cstar(float(theta), scenario.gamma, scenario.convention)
-        res = performance(scenario, ctrl, noise)
-        rows.append({
-            "theta": float(theta),
-            "j_mc": res.j,
-            "j_se": res.se,
-            "j_oracle": log_utility_oracle(scenario, ctrl),
         })
     return rows

@@ -338,7 +338,7 @@ def verify_duality_brownian(
     rhs_samples = np.zeros(noise.n_paths)
     for i in range(n):
         d_vals = brownian_derivative(f, i).evaluate(noise)
-        proj = engine.project(i, d_vals) if i > 0 else np.full(noise.n_paths, d_vals.mean())
+        proj = engine.project(i, d_vals)
         rhs_samples += proj * psi_vals[:, i] * w[i]
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
@@ -375,7 +375,7 @@ def verify_duality_jump(
         w = noise.levy.weights[q]
         for i in range(n):
             d_vals = jump_derivative(f, i, q).evaluate(noise)
-            proj = engine.project(i, d_vals) if i > 0 else np.full(noise.n_paths, d_vals.mean())
+            proj = engine.project(i, d_vals)
             rhs_samples += np.broadcast_to(phi(i, q, noise), (noise.n_paths,)) * proj * w * w_t[i]
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
@@ -393,7 +393,7 @@ def clark_ocone_reconstruction(f: Functional, noise: NoiseBundle, degree: int = 
     recon = np.full(noise.n_paths, f_vals.mean())
     for i in range(noise.n_steps):
         d_vals = brownian_derivative(f, i).evaluate(noise)
-        proj = engine.project(i, d_vals) if i > 0 else np.full(noise.n_paths, d_vals.mean())
+        proj = engine.project(i, d_vals)
         recon += proj * noise.d_brownian[:, i]
     return recon
 

@@ -32,8 +32,6 @@ __all__ = [
     "RegressionSpec",
     "ScenarioSpec",
     "build_time_grid",
-    "eval_kernel",
-    "levy_integral",
     "validate_scenario",
     "time_quadrature_weights",
 ]
@@ -74,13 +72,6 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-    def node_index(self, t: float) -> int:
-        """Index of the grid node equal to ``t`` (within relative tolerance)."""
-        idx = int(round(t / self.dt))
-        if idx < 0 or idx > self.n_steps or abs(t - idx * self.dt) > _REL_TOL * max(1.0, self.horizon):
-            raise KernelDomainError(f"t={t} is not a grid node")
-        return idx
 
 
 def build_time_grid(horizon: float, n_steps: int) -> TimeGrid:
@@ -169,10 +160,6 @@ class Kernel:
             return self.rate == 0.0
         return False
 
-    def _table_entry(self, i: int, j: int) -> float:
-        assert self.table is not None
-        return float(self.table[i * (i + 1) // 2 + j])
-
     def __call__(self, t: float, s: float) -> float:
         if s > t + _REL_TOL * max(1.0, abs(t)):
             raise KernelDomainError(f"kernel evaluated outside triangle: t={t}, s={s}")
@@ -260,11 +247,6 @@ class Kernel:
         return out
 
 
-def eval_kernel(kernel: Kernel, t: float, s: float) -> float:
-    """Evaluate ``K(t, s)`` with triangle-domain checking."""
-    return kernel(t, s)
-
-
 # --------------------------------------------------------------------------- #
 # Jump measure
 # --------------------------------------------------------------------------- #
@@ -302,21 +284,12 @@ class LevyMeasure:
     def n_atoms(self) -> int:
         return int(self.sizes.size)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def integral(self, f: Callable[[float], float]) -> float:
         """``sum_m w_m * f(e_m)`` (zero for the empty measure)."""
         if self.n_atoms == 0:
             return 0.0
         vals = np.array([f(e) for e in self.sizes], dtype=float)
         return float(self.weights @ vals)
-
-
-def levy_integral(measure: LevyMeasure, f: Callable[[float], float]) -> float:
-    """Integral of ``f`` against the discrete measure."""
-    return measure.integral(f)
 
 
 # --------------------------------------------------------------------------- #

@@ -16,7 +16,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .model import LevyMeasure, TimeGrid, ValidationError
 __all__ = [
     "NoiseBundle",
     "generate_noise",
-    "compensated_jump_sum",
     "save_noise",
     "load_noise",
 ]
@@ -84,12 +82,6 @@ class NoiseBundle:
         comp = self.levy.weights[:, None, None] * self.grid.dt
         return self.jump_counts.astype(float) - comp
 
-    def compensated_mark_sum(self, f_atom_values: np.ndarray) -> np.ndarray:
-        """``sum_m f(e_m) * (count - w_m dt)`` per path/step, shape (n_paths, n_steps)."""
-        if self.levy.n_atoms == 0:
-            return np.zeros((self.n_paths, self.n_steps))
-        return np.einsum("m,mps->ps", f_atom_values, self.compensated_counts)
-
 
 def generate_noise(
     grid: TimeGrid,
@@ -127,21 +119,6 @@ def generate_noise(
     )
 
 
-def compensated_jump_sum(
-    bundle: NoiseBundle, path: int, step: int, f: Callable[[float], float]
-) -> float:
-    """Increment of the compensated jump integral of ``f`` over one step.
-
-    ``sum_m [count_{p,i,m} - w_m dt] * f(e_m)``; zero for the empty measure.
-    """
-    levy = bundle.levy
-    if levy.n_atoms == 0:
-        return 0.0
-    f_vals = np.array([f(e) for e in levy.sizes], dtype=float)
-    counts = bundle.jump_counts[:, path, step].astype(float)
-    return float(f_vals @ (counts - levy.weights * bundle.grid.dt))
-
-
 # --------------------------------------------------------------------------- #
 # Binary dump / restore (regression-test fixture format)
 # --------------------------------------------------------------------------- #
@@ -168,12 +145,19 @@ def load_noise(path: str) -> NoiseBundle:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValidationError(f"{path}: not a noise bundle file")
-        n, n_paths, seed, n_blocks, m = struct.unpack("<5q", fh.read(40))
-        (horizon,) = struct.unpack("<d", fh.read(8))
-        sizes = np.frombuffer(fh.read(8 * m), dtype="<f8")
-        weights = np.frombuffer(fh.read(8 * m), dtype="<f8")
-        db = np.frombuffer(fh.read(8 * n_paths * n), dtype="<f8").reshape(n_paths, n)
-        counts = np.frombuffer(fh.read(8 * m * n_paths * n), dtype="<i8").reshape(m, n_paths, n)
+
+        def read(n_bytes: int) -> bytes:
+            data = fh.read(n_bytes)
+            if len(data) != n_bytes:
+                raise ValidationError(f"{path}: truncated noise bundle file")
+            return data
+
+        n, n_paths, seed, n_blocks, m = struct.unpack("<5q", read(40))
+        (horizon,) = struct.unpack("<d", read(8))
+        sizes = np.frombuffer(read(8 * m), dtype="<f8")
+        weights = np.frombuffer(read(8 * m), dtype="<f8")
+        db = np.frombuffer(read(8 * n_paths * n), dtype="<f8").reshape(n_paths, n)
+        counts = np.frombuffer(read(8 * m * n_paths * n), dtype="<i8").reshape(m, n_paths, n)
     grid = TimeGrid(horizon=horizon, n_steps=int(n))
     levy = LevyMeasure(sizes=sizes.copy(), weights=weights.copy()) if m else \
         LevyMeasure(sizes=np.empty(0), weights=np.empty(0))

@@ -9,6 +9,7 @@ from volterra_control.cli import emit_csv, load_config, run, scenario_hash
 from volterra_control.model import ValidationError
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
+CHECKS_HEADER = "criterion,name,value,reference,tolerance,passed,detail"
 
 
 def write_config(tmp_path, **overrides):
@@ -141,6 +142,37 @@ def test_verify_duality_small(tmp_path):
     rows = (out / "duality.csv").read_text().splitlines()
     assert rows[0].startswith("identity,lhs,rhs")
     assert len(rows) == 5
+    checks = (out / "duality_checks.csv").read_text().splitlines()
+    assert checks[0] == CHECKS_HEADER
+    assert len(checks) == 5
+
+
+def test_check_mp_reference_scenario(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["check-mp", "--config", str(CONFIG), "--paths", "20000", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "C1:optimal_rate_nodes", "C1:first_order_condition",
+        "C3:oracle_argmax_theta", "C3:mc_ranking_matches",
+        "C4:derivative_at_optimum_bump_0.1", "C4:derivative_at_optimum_bump_0.4",
+        "C4:derivative_at_optimum_bump_0.7", "C4:derivative_at_unit_rate",
+    ]
+    assert all(c["passed"] for c in report["checks"])
+    assert capsys.readouterr().out.count(": PASS ") == 8
+    checks = (out / "mp_checks.csv").read_text().splitlines()
+    assert checks[0] == CHECKS_HEADER
+    assert len(checks) == 9
+    assert len((out / "c_star.csv").read_text().splitlines()) == 101
+
+
+def test_check_mp_off_reference_exits_2(tmp_path):
+    out = tmp_path / "out"
+    code = run(["check-mp", "--config", write_config(tmp_path, gamma=0.5), "--out", str(out)])
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    assert "reference scenario" in report["error"]
+    assert not report["checks"]
 
 
 def test_evaluate_utility_reproducible_bytes(tmp_path):

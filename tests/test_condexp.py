@@ -241,6 +241,9 @@ def test_projector_trivial_and_delay_modes(n_steps, n_paths, seed, k, data):
     trivial = CondExpEngine(FiltrationMode(mode="trivial"), reg, noise)
     np.testing.assert_allclose(trivial.project(node, targets), means, **mean_tol)
     np.testing.assert_allclose(trivial.project(node, targets[:, 0]), means[:, 0], **mean_tol)
+    # the information at t = 0 is trivial whatever the mode
+    full = CondExpEngine(FiltrationMode(mode="full"), reg, noise)
+    np.testing.assert_array_equal(full.project(0, targets), trivial.project(0, targets))
 
     lag = data.draw(st.integers(1, n_steps))
     delayed = CondExpEngine(FiltrationMode(mode="delay", delay=lag * noise.grid.dt), reg, noise)

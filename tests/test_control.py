@@ -13,7 +13,6 @@ from volterra_control.control import (
     hamiltonian_h1,
     lambda_adjoint,
     log_utility_oracle,
-    optimal_consumption,
     performance,
 )
 from volterra_control.controls import ControlFn
@@ -76,7 +75,7 @@ def test_remaining_value_monotone_for_nonneg_rate():
 
 
 def test_optimal_rate_zero_discount():
-    ctrl = optimal_consumption(np.zeros(101), GRID)
+    ctrl = ControlFn.theta_cstar(1.0, np.zeros(101), "discounting")
     vals = ctrl.values(GRID)
     assert math.isclose(vals[0], 1.0, rel_tol=1e-12)
     assert math.isclose(vals[50], 2.0, rel_tol=1e-12)
@@ -84,12 +83,12 @@ def test_optimal_rate_zero_discount():
 
 def test_optimal_rate_longer_horizon():
     grid = build_time_grid(2.0, 100)
-    ctrl = optimal_consumption(np.zeros(101), grid)
+    ctrl = ControlFn.theta_cstar(1.0, np.zeros(101), "discounting")
     assert math.isclose(ctrl.values(grid)[0], 0.5, rel_tol=1e-12)
 
 
 def test_optimal_rate_with_discounting():
-    ctrl = optimal_consumption(np.ones(101), GRID, "discounting")
+    ctrl = ControlFn.theta_cstar(1.0, np.ones(101), "discounting")
     assert abs(ctrl.values(GRID)[0] - 1.0 / (1.0 - math.exp(-1.0))) < 0.016
 
 

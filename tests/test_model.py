@@ -9,8 +9,6 @@ from volterra_control.model import (
     LevyMeasure,
     ValidationError,
     build_time_grid,
-    eval_kernel,
-    levy_integral,
     time_quadrature_weights,
     validate_scenario,
 )
@@ -64,17 +62,17 @@ def test_quadrature_weights_integrate_constants():
 
 def test_constant_kernel_value():
     k = Kernel.constant(0.05)
-    assert eval_kernel(k, 0.7, 0.2) == 0.05
+    assert k(0.7, 0.2) == 0.05
 
 
 def test_exp_decay_kernel_value():
     k = Kernel.exp_decay(0.05, 1.0)
-    assert math.isclose(eval_kernel(k, 1.0, 0.0), 0.05 * math.exp(-1.0), rel_tol=1e-14)
+    assert math.isclose(k(1.0, 0.0), 0.05 * math.exp(-1.0), rel_tol=1e-14)
 
 
 def test_kernel_outside_triangle_raises():
     with pytest.raises(KernelDomainError):
-        eval_kernel(Kernel.constant(1.0), 0.2, 0.7)
+        Kernel.constant(1.0)(0.2, 0.7)
 
 
 def test_exp_decay_derivative_matches_finite_differences():
@@ -119,18 +117,18 @@ def test_table_kernel_wrong_length():
 
 def test_levy_single_atom_mean():
     m = LevyMeasure.from_atoms([[-0.1, 0.5]])
-    assert math.isclose(levy_integral(m, lambda e: e), -0.05, rel_tol=1e-14)
+    assert math.isclose(m.integral(lambda e: e), -0.05, rel_tol=1e-14)
 
 
 def test_levy_log_moment():
     m = LevyMeasure.from_atoms([[-0.1, 0.5]])
-    val = levy_integral(m, lambda e: math.log1p(e) - e)
+    val = m.integral(lambda e: math.log1p(e) - e)
     assert math.isclose(val, 0.5 * (math.log(0.9) + 0.1), rel_tol=1e-12)
 
 
 def test_levy_empty_measure():
     m = LevyMeasure.from_atoms([])
-    assert levy_integral(m, lambda e: e**2) == 0.0
+    assert m.integral(lambda e: e**2) == 0.0
 
 
 def test_levy_integral_linearity():
@@ -140,8 +138,8 @@ def test_levy_integral_linearity():
         a, b = rng.normal(size=2)
         f = lambda e: math.sin(e)
         g = lambda e: e**2 - 1.0
-        lhs = levy_integral(m, lambda e: a * f(e) + b * g(e))
-        rhs = a * levy_integral(m, f) + b * levy_integral(m, g)
+        lhs = m.integral(lambda e: a * f(e) + b * g(e))
+        rhs = a * m.integral(f) + b * m.integral(g)
         assert math.isclose(lhs, rhs, rel_tol=1e-13, abs_tol=1e-13)
 
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from volterra_control.model import LevyMeasure, ValidationError, build_time_grid
-from volterra_control.paths import (
-    NoiseBundle,
-    compensated_jump_sum,
-    generate_noise,
-    load_noise,
-    save_noise,
-)
+from volterra_control.paths import NoiseBundle, generate_noise, load_noise, save_noise
 
 GRID = build_time_grid(1.0, 100)
 EMPTY = LevyMeasure.from_atoms([])
@@ -63,21 +57,26 @@ def _bundle_with_counts(counts_at_step):
     )
 
 
+def _mark_sum(bundle, path, step):
+    """``sum_m e_m (count_m - w_m dt)`` over one step: the compensated jump
+    integral of ``f(e) = e``."""
+    return float(bundle.levy.sizes @ bundle.compensated_counts[:, path, step])
+
+
 def test_compensated_sum_empty_measure():
     noise = generate_noise(GRID, EMPTY, n_paths=4, seed=1, n_blocks=1)
-    assert compensated_jump_sum(noise, 0, 0, lambda e: e) == 0.0
+    assert noise.compensated_counts.shape == (0, 4, GRID.n_steps)
+    assert _mark_sum(noise, 0, 0) == 0.0
 
 
 def test_compensated_sum_compensator_only():
     bundle = _bundle_with_counts(0)
-    val = compensated_jump_sum(bundle, 0, 0, lambda e: e)
-    assert math.isclose(val, 0.0005, rel_tol=1e-12)
+    assert math.isclose(_mark_sum(bundle, 0, 0), 0.0005, rel_tol=1e-12)
 
 
 def test_compensated_sum_one_jump():
     bundle = _bundle_with_counts(1)
-    val = compensated_jump_sum(bundle, 0, 0, lambda e: e)
-    assert math.isclose(val, -0.0995, rel_tol=1e-12)
+    assert math.isclose(_mark_sum(bundle, 0, 0), -0.0995, rel_tol=1e-12)
 
 
 def test_compensated_sums_are_centred():
@@ -86,7 +85,7 @@ def test_compensated_sums_are_centred():
     step_mean = comp[:, 13].mean()
     se = comp[:, 13].std(ddof=1) / math.sqrt(noise.n_paths)
     assert abs(step_mean) <= 3 * se
-    # summed over steps with f = 1: mean 0, variance ~ total_mass * T
+    # summed over steps with f = 1: mean 0, variance ~ (total weight) * T
     totals = comp.sum(axis=1)
     se_mean = totals.std(ddof=1) / math.sqrt(noise.n_paths)
     assert abs(totals.mean()) <= 3 * se_mean
@@ -111,4 +110,16 @@ def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a bundle")
     with pytest.raises(ValidationError):
+        load_noise(str(path))
+
+
+@pytest.mark.parametrize("keep", [20, 60, -8], ids=["header", "atoms", "counts"])
+def test_load_rejects_truncated_files(tmp_path, keep):
+    # cut inside the integer header, inside the atom sizes, and eight bytes
+    # short of the end of the jump counts
+    noise = generate_noise(GRID, ONE_ATOM, n_paths=8, seed=2, n_blocks=1)
+    path = tmp_path / "bundle.bin"
+    save_noise(noise, str(path))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValidationError, match="truncated"):
         load_noise(str(path))
