@@ -1,4 +1,4 @@
-"""Hot numerical kernels: triangular Volterra sweeps.
+"""Hot numerical kernel: the triangular Volterra sweep.
 
 The state recursion
 
@@ -8,50 +8,32 @@ The state recursion
                               + U[p, j] * sum_m P[m, i, j] * CJ[m, p, j] )
 
 is O(n_steps^2 * n_paths) and dominates runtime for two-time kernels.  It is
-compiled with numba when available; a pure-numpy implementation (BLAS matrix
--vector products per row) is always present.
-
-Backend selection: numba is used when importable unless the environment
-variable ``VOLTERRA_CONTROL_NUMBA`` is set to ``0``/``false``/``off``.
-``benchmarks/bench_kernels.py`` compares both paths.
+solved by blocked forward substitution (level-3 BLAS): the products
+``U_j * [1, dB_j, CJ_{m,j}]`` are kept node-major, each block of ``_BLOCK``
+rows receives everything from earlier blocks through one matrix product with
+the stacked coefficients ``[(A - c) dt, B, P_m]``, and the rows inside a
+block run one at a time over the block's own earlier rows.  Only the order
+of the sums differs from the direct recursion.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA",
-    "NUMBA_ENABLED",
-    "volterra_sweep",
-    "volterra_sweep_numpy",
-    "volterra_sweep_numba",
-]
+__all__ = ["volterra_sweep"]
+
+_BLOCK = 32
+
+# The benchmark's environment record reads this; there is no compiled backend.
+NUMBA_ENABLED = False
 
 
-def _env_enabled() -> bool:
-    flag = os.environ.get("VOLTERRA_CONTROL_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and _env_enabled()
-
-
-def volterra_sweep_numpy(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
-    """Pure-numpy triangular sweep.
+def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
+    """Triangular sweep of the left-point Volterra scheme.
 
     Parameters
     ----------
-    source : (n_nodes, N) per-node inhomogeneity (already broadcast).
+    source : (n_nodes, N) per-node inhomogeneity (a broadcast view is fine).
     a_nodes, b_nodes : (n_nodes, n_nodes) kernel matrices at grid nodes.
     c : (n_steps,) consumption values at left nodes.
     db : (N, n_steps) Brownian increments.
@@ -61,69 +43,31 @@ def volterra_sweep_numpy(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
 
     Returns the (N, n_nodes) state array.
     """
-    n_nodes = source.shape[0]
-    n_paths = source.shape[1]
+    n_nodes, n_paths = source.shape
+    if n_nodes == 0:
+        return np.empty((n_paths, 0))
+    n_steps = n_nodes - 1
     m = p_nodes.shape[0]
-    u = np.empty((n_paths, n_nodes))
-    u[:, 0] = source[0]
-    # Accumulated per-step products reused by every later row.
-    u_dt = np.empty((n_paths, n_nodes - 1))
-    u_db = np.empty((n_paths, n_nodes - 1))
-    u_cj = np.empty((m, n_paths, n_nodes - 1))
-    for i in range(1, n_nodes):
-        j = i - 1
-        u_dt[:, j] = u[:, j] * dt
-        u_db[:, j] = u[:, j] * db[:, j]
-        for q in range(m):
-            u_cj[q, :, j] = u[:, j] * cj[q, :, j]
-        acc = source[i] + u_dt[:, :i] @ (a_nodes[i, :i] - c[:i]) + u_db[:, :i] @ b_nodes[i, :i]
-        for q in range(m):
-            acc += u_cj[q, :, :i] @ p_nodes[q, i, :i]
-        u[:, i] = acc
-    return u
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _volterra_sweep_jit(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):  # pragma: no cover
-        n_nodes = source.shape[0]
-        n_paths = source.shape[1]
-        m = p_nodes.shape[0]
-        u = np.empty((n_paths, n_nodes))
-        for p in prange(n_paths):
-            u[p, 0] = source[0, p]
-            for i in range(1, n_nodes):
-                acc = source[i, p]
-                for j in range(i):
-                    uj = u[p, j]
-                    term = (a_nodes[i, j] - c[j]) * uj * dt + b_nodes[i, j] * uj * db[p, j]
-                    for q in range(m):
-                        term += uj * p_nodes[q, i, j] * cj[q, p, j]
-                    acc += term
-                u[p, i] = acc
-        return u
-
-    def volterra_sweep_numba(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
-        return _volterra_sweep_jit(
-            np.ascontiguousarray(source),
-            np.ascontiguousarray(a_nodes),
-            np.ascontiguousarray(c),
-            np.ascontiguousarray(b_nodes),
-            np.ascontiguousarray(db),
-            np.ascontiguousarray(p_nodes),
-            np.ascontiguousarray(cj),
-            float(dt),
-        )
-
-else:  # pragma: no cover
-
-    def volterra_sweep_numba(*args, **kwargs):
-        raise RuntimeError("numba is not available")
-
-
-def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
-    """Dispatch to the configured backend."""
-    if NUMBA_ENABLED:
-        return volterra_sweep_numba(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt)
-    return volterra_sweep_numpy(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt)
+    width = 2 + m
+    # coefficient of driver r at node j in row i sits in column j * width + r
+    coef = np.empty((n_nodes, n_steps, width))
+    coef[:, :, 0] = (a_nodes[:, :n_steps] - c) * dt
+    coef[:, :, 1] = b_nodes[:, :n_steps]
+    coef[:, :, 2:] = p_nodes[:, :, :n_steps].transpose(1, 2, 0)
+    coef = coef.reshape(n_nodes, n_steps * width)
+    # drivers[j] = U_j * [1, dB_j, CJ_{0,j}, ..., CJ_{m-1,j}]
+    drivers = np.empty((n_steps, width, n_paths))
+    flat = drivers.reshape(n_steps * width, n_paths)
+    u = np.empty((n_nodes, n_paths))
+    for s in range(0, n_nodes, _BLOCK):
+        e = min(s + _BLOCK, n_nodes)
+        np.matmul(coef[s:e, : s * width], flat[: s * width], out=u[s:e])
+        u[s:e] += source[s:e]
+        for i in range(s, e):
+            if i > s:
+                u[i] += coef[i, s * width : i * width] @ flat[s * width : i * width]
+            if i < n_steps:
+                drivers[i, 0] = u[i]
+                np.multiply(u[i], db[:, i], out=drivers[i, 1])
+                np.multiply(u[i], cj[:, :, i], out=drivers[i, 2:])
+    return np.ascontiguousarray(u.T)

@@ -16,7 +16,7 @@ index ``i*n - i(i-1)/2 + (j - i)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

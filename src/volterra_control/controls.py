@@ -17,7 +17,7 @@ plain node values feed drivers, utilities and Hamiltonians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,6 +17,12 @@ Two stepping engines are available:
                                  + beta(t_i,t_j) X_j dB_j
                                  + X_j * sum_m pi_m(t_i,t_j) (count - w dt) ].
 
+  The sum runs as the blocked triangular sweep of ``_kernels``.
+
+The first variations at ``t_k`` solve the same linear recursion with a
+source that is zero before ``t_k``, so each runs only on the sub-triangle of
+nodes from ``t_k`` on.
+
 ``scheme="auto"`` (default) picks the exact engine whenever the scenario is
 time-invariant.  Positivity of the state is guarded with an abort-never-clamp
 floor when the scenario is of the multiplicative class.
@@ -177,23 +183,29 @@ def _simulate_multiplicative(
     return x
 
 
-def _simulate_volterra(
-    scenario: ScenarioSpec, noise: NoiseBundle, c_vals: np.ndarray, last: int
-) -> np.ndarray:
+def _kernel_matrices(
+    scenario: ScenarioSpec, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``alpha``, ``beta`` and the stacked ``pi_m`` at nodes ``0 .. last``."""
     grid = scenario.grid
     a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
     b_nodes = scenario.beta.at_nodes(grid)[: last + 1, : last + 1]
-    m = scenario.n_atoms
-    p_nodes = np.zeros((m, last + 1, last + 1))
-    for q, k in enumerate(scenario.pi_kernels):
-        p_nodes[q] = k.at_nodes(grid)[: last + 1, : last + 1]
-    cj = noise.compensated_counts[:, :, :last]
+    p_nodes = np.zeros((scenario.n_atoms, last + 1, last + 1))
+    for q, ker in enumerate(scenario.pi_kernels):
+        p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
+    return a_nodes, b_nodes, p_nodes
+
+
+def _simulate_volterra(
+    scenario: ScenarioSpec, noise: NoiseBundle, c_vals: np.ndarray, last: int
+) -> np.ndarray:
+    a_nodes, b_nodes, p_nodes = _kernel_matrices(scenario, last)
     source = np.broadcast_to(
         scenario.initial_at_nodes[: last + 1, None], (last + 1, noise.n_paths)
-    ).copy()
+    )
     return volterra_sweep(
-        source, a_nodes, c_vals[:last] if last else c_vals[:0],
-        b_nodes, noise.d_brownian[:, :last], p_nodes, cj, grid.dt,
+        source, a_nodes, c_vals[:last], b_nodes, noise.d_brownian[:, :last],
+        p_nodes, noise.compensated_counts[:, :, :last], scenario.grid.dt,
     )
 
 
@@ -263,30 +275,26 @@ def first_variation(
         raise ValidationError("forward paths do not reach the differentiation node")
     last = fwd.last_node
 
-    a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
-    b_nodes = scenario.beta.at_nodes(grid)[: last + 1, : last + 1]
-    m = scenario.n_atoms
-    p_nodes = np.zeros((m, last + 1, last + 1))
-    for q, ker in enumerate(scenario.pi_kernels):
-        p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
-    cj = noise.compensated_counts[:, :, :last]
-    c_vals = control.values(grid)[:last]
-    db = noise.d_brownian[:, :last]
+    a_nodes, b_nodes, p_nodes = _kernel_matrices(scenario, last)
     xk = fwd.values[:, k]
-    n_paths = fwd.n_paths
-
+    # The source, and with it the state, is zero below ``start``: sweep only
+    # the sub-triangle of nodes ``start .. last``.
     start = k if include_diagonal else k + 1
+    a_sub, b_sub = a_nodes[start:, start:], b_nodes[start:, start:]
+    p_sub = p_nodes[:, start:, start:]
+    c_sub = control.values(grid)[start:last]
+    db = noise.d_brownian[:, start:last]
+    cj = noise.compensated_counts[:, :, start:last]
 
-    def run(source_col: np.ndarray) -> np.ndarray:
-        source = np.zeros((last + 1, n_paths))
-        source[start:, :] = source_col[start:, None] * xk[None, :]
-        # zero the propagation below k by zero source; the recursion keeps it
-        return volterra_sweep(source, a_nodes, c_vals, b_nodes, db, p_nodes, cj, grid.dt)
+    def run(source_col: np.ndarray, out: np.ndarray) -> None:
+        source = source_col[start:, None] * xk[None, :]
+        out[:, start:] = volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt)
 
-    brown = run(b_nodes[:, k])
-    jumps = np.zeros((m, n_paths, last + 1))
-    for q in range(m):
-        jumps[q] = run(p_nodes[q][:, k])
+    brown = np.zeros((fwd.n_paths, last + 1))
+    run(b_nodes[:, k], brown)
+    jumps = np.zeros((scenario.n_atoms, fwd.n_paths, last + 1))
+    for q in range(scenario.n_atoms):
+        run(p_nodes[q, :, k], jumps[q])
     return FirstVariation(grid=grid, node=k, brownian=brown, jump=jumps)
 
 

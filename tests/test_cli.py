@@ -2,7 +2,6 @@ import json
 import math
 import pathlib
 
-import numpy as np
 import pytest
 
 from volterra_control.cli import emit_csv, load_config, run, scenario_hash
@@ -200,6 +199,16 @@ def test_solve_bsvie_subcommand(tmp_path):
     assert code == 0
     assert (out / "iteration_log.csv").exists()
     assert (out / "bsvie_diagonal.csv").exists()
+
+
+def test_solve_bsvie_coarse_grid_exits_0(tmp_path):
+    # at 40 steps the discrete fixed point (1 - dt)^-n is 1.3% above e^T
+    cfg = write_config(tmp_path, grid={"horizon": 1.0, "n_steps": 40})
+    out = tmp_path / "out"
+    assert run(["solve-bsvie", "--config", cfg, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    band = checks["resolvent_vs_exponential"]["tolerance"]
+    assert band == pytest.approx(abs(0.975**-40 - math.e) + 1e-3 * math.e)
 
 
 def test_report_written_on_check_failure(tmp_path, monkeypatch):

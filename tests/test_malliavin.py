@@ -1,7 +1,4 @@
-import math
-
 import numpy as np
-import pytest
 
 from volterra_control.malliavin import (
     Const,
