@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import solve_bsde
-from .bsvie import BsvieSolution, solve_bsvie, pair_index, z_time_derivative_norm
+from .bsvie import BsvieSolution, solve_bsvie, z_time_derivative_norm
 from .condexp import CondExpEngine
 from .controls import ControlFn
 from .control import (
@@ -139,7 +139,13 @@ def check_closed_form_optimum(scenario: ScenarioSpec) -> list[CheckResult]:
 
 
 def check_value_oracle(scenario: ScenarioSpec, noise) -> list[CheckResult]:
-    """C2: Monte Carlo objective versus the closed forms -0.485 and 0.015."""
+    """C2: Monte Carlo objective versus the closed forms -0.485 and 0.015.
+
+    The two value rows are one test, not two: under common random numbers
+    the per-path utility difference between the two controls is
+    deterministic (log X is affine in the control), so both estimates carry
+    the same noise term and the same SE and miss their bands together.
+    """
     grid = scenario.grid
     res_one = performance(scenario, ControlFn.constant(1.0, grid), noise)
     cstar = ControlFn.theta_cstar(1.0, scenario.gamma, scenario.convention)
@@ -218,10 +224,13 @@ def martingale_family_solution(n_steps: int = 100, n_paths: int = 20_000, seed: 
     grid = build_time_grid(1.0, n_steps)
     levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
     noise = generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=8)
+    # without a generator the solve is one pass, one projection per node, so
+    # a cached design would never be read again
     engine = CondExpEngine(
         FiltrationMode(mode="full"),
         RegressionSpec(degree=2, variables=("brownian",)),
         noise,
+        cache_designs=False,
     )
     b_total = noise.d_brownian.sum(axis=1)
     zeta = grid.nodes[:, None] * b_total[None, :]
@@ -250,14 +259,14 @@ def check_bsvie_solver(martingale=None) -> list[CheckResult]:
         for j in range(i, n):
             t_s = sol.grid.nodes[j]
             se = t_i * np.sqrt((t_s / dt + 2.0) / n_paths)
-            zs.append(abs(float(sol.z[pair_index(n, i, j)].mean()) - t_i) / se)
+            zs.append(abs(float(sol.z_at(i, j).mean()) - t_i) / se)
     zs = np.array(zs)
     frac3 = float(np.mean(zs <= 3.0))
     out.append(_result("C5", "martingale_z_within_3se", frac3, 1.0, 0.01,
                        f"{(zs > 3).sum()} of {zs.size} pairs beyond 3 SE"))
     out.append(_result("C5", "martingale_z_max_zscore", float(zs.max()), 0.0, 5.0,
                        "largest |mean - t_i| in SE units"))
-    zero_row = float(np.max(np.abs(sol.z[pair_index(n, 0, 0):pair_index(n, 0, n - 1) + 1])))
+    zero_row = max(float(np.max(np.abs(sol.z_at(0, j)))) for j in range(n))
     out.append(_result("C5", "martingale_zero_terminal_row", zero_row, 0.0, 1e-12,
                        "terminal 0 * B(T) gives an exactly zero coefficient row"))
     return out
@@ -426,9 +435,13 @@ def run_acceptance(scenario: ScenarioSpec) -> list[CheckResult]:
     results += check_necessary_mp(scenario, noise)
     martingale = martingale_family_solution()
     results += check_bsvie_solver(martingale)
+    # C10 reads the same family; run it now so the triangle is released
+    # before C7 draws its two large bundles (reported in criterion order)
+    z_derivative = check_z_time_derivative(martingale)
+    del martingale
     results += check_contraction()
     results += check_duality()
     results += check_forward_solver(scenario, noise)
     results += check_adjoint_reduction(scenario)
-    results += check_z_time_derivative(martingale)
+    results += z_derivative
     return results

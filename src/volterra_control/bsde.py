@@ -48,7 +48,12 @@ Driver = Callable[[int, float, np.ndarray | None, np.ndarray, np.ndarray, np.nda
 
 @dataclass(frozen=True, eq=False)
 class BsdeSolution:
-    """Backward solution arrays on the grid."""
+    """Backward solution arrays on the grid.
+
+    The solver stores ``y``, ``z`` and ``k`` node-major, so each backward
+    step reads and writes contiguous rows; the fields are transposed views
+    with the path-major shapes below.
+    """
 
     t_nodes: np.ndarray
     y: np.ndarray  # (n_paths, n_steps + 1)
@@ -86,37 +91,37 @@ def solve_bsde(
     if not np.all(np.isfinite(terminal)):
         raise ValidationError("terminal values must be finite")
 
-    y = np.empty((n_paths, n + 1))
-    z = np.zeros((n_paths, n))
-    k = np.zeros((m, n_paths, n))
+    y = np.empty((n + 1, n_paths))
+    z = np.zeros((n, n_paths))
+    k = np.zeros((m, n, n_paths))
     r2 = np.zeros(n)
-    y[:, n] = terminal
+    y[n] = terminal
     w_dt = noise.levy.weights * dt if m else None
     comp = noise.compensated_counts if m else None
     # one projection per step: columns y, y dB and y (count_q - w_q dt)
     targets = np.empty((n_paths, 2 + m), order="F")
 
     for i in range(n - 1, -1, -1):
-        y_next = y[:, i + 1]
+        y_next = y[i + 1]
         targets[:, 0] = y_next
         np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
         for q in range(m):
             np.multiply(y_next, comp[q, :, i], out=targets[:, 2 + q])
         proj = engine.project(i, targets)
         y_proj = proj[:, 0]
-        z[:, i] = proj[:, 1] / dt
+        z[i] = proj[:, 1] / dt
         for q in range(m):
-            k[q, :, i] = proj[:, 2 + q] / w_dt[q]
+            k[q, i] = proj[:, 2 + q] / w_dt[q]
         if driver is not None:
             x_i = x_paths[:, i] if x_paths is not None else None
-            k_i = k[:, :, i] if m else None
-            g = driver(i, grid.nodes[i], x_i, y_proj, z[:, i], k_i)
-            y[:, i] = y_proj + np.asarray(g, dtype=float) * dt
+            g = driver(i, grid.nodes[i], x_i, y_proj, z[i], k[:, i] if m else None)
+            y[i] = y_proj + np.asarray(g, dtype=float) * dt
         else:
-            y[:, i] = y_proj
+            y[i] = y_proj
         var = float(np.var(y_next))
         r2[i] = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y_proj)) / var
-    return BsdeSolution(t_nodes=grid.nodes.copy(), y=y, z=z, k=k, r_squared=r2)
+    return BsdeSolution(t_nodes=grid.nodes.copy(), y=y.T, z=z.T, k=k.transpose(0, 2, 1),
+                        r_squared=r2)
 
 
 # --------------------------------------------------------------------------- #
@@ -177,10 +182,13 @@ def recursive_utility_bsde(
     x = fwd.values
 
     def gen(i, t, x_i, y, z, k):
-        if np.any(c[i] * x[:, i] <= 0.0):
+        consumption = c[i] * x[:, i]
+        if np.any(consumption <= 0.0):
             raise ValidationError("nonpositive consumption value inside generator")
-        return np.log(c[i] * x[:, i]) + sign * gamma[i] * y
+        return np.log(consumption) + sign * gamma[i] * y
 
-    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=x)
+    # one projection per node: a cached design would never be read again
+    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=x,
+                           cache_designs=False)
     sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
     return sol.y0, sol.y0_se

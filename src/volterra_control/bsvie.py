@@ -8,10 +8,16 @@ and the frozen-argument generator; the new diagonal and triangle are read off
 those solves.  Iteration proceeds under common random numbers (one fixed
 noise bundle), which makes the pass map deterministic, and stops when the
 exponentially weighted distance between successive triples drops below a
-relative tolerance.
+relative tolerance.  Without a generator the pass map ignores the frozen
+triple, so one pass reaches the fixed point.
 
-Storage is triangular: pair ``(i, j)`` for ``i <= j <= n-1`` lives at flat
-index ``i*n - i(i-1)/2 + (j - i)``.
+Storage is triangular and running-time-major: pair ``(i, r)`` for
+``i <= r <= n-1`` lives at flat index ``r(r+1)/2 + i``, so the pairs
+``(0..r, r)`` that one backward step reads and writes form one contiguous
+``(r+1, N)`` block.  A pass runs in place on one triangle: step ``r`` reads
+only the frozen column ``r``, then overwrites it with the new column and
+records the per-pair squared change, from which the weighted distance is
+formed.  Only the ``(n+1, N)`` frozen diagonal is copied.
 """
 
 from __future__ import annotations
@@ -37,9 +43,13 @@ __all__ = [
     "diagonal_rows",
 ]
 
-# generator signature: g(t_index, s_index, y, z, k, x) -> per-path array
+# generator signature: g(i, r, y, z, k, x), called once per running time r
+# for the families i = 0..r together: i is an (r+1, 1) int array, y the
+# frozen diagonal value Y(t_r) of shape (N,), z the frozen (r+1, N) column
+# block, k its (n_atoms, r+1, N) jump view (None without atoms) and x the
+# forward state at t_r (or None); the result must broadcast to (r+1, N)
 VolterraDriver = Callable[
-    [int, int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None], np.ndarray
+    [np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None], np.ndarray
 ]
 
 
@@ -55,11 +65,17 @@ def pair_index(n_steps: int, i: int, j: int) -> int:
     """Flat index of the triangle pair ``(t_i, s_j)``, ``i <= j <= n-1``."""
     if not 0 <= i <= j < n_steps:
         raise ValidationError(f"pair ({i}, {j}) outside the triangle")
-    return i * n_steps - (i * (i - 1)) // 2 + (j - i)
+    return j * (j + 1) // 2 + i
 
 
 def _n_pairs(n_steps: int) -> int:
     return n_steps * (n_steps + 1) // 2
+
+
+def _column(r: int) -> slice:
+    """Flat rows of the running-time column ``(0..r, r)``."""
+    first = r * (r + 1) // 2
+    return slice(first, first + r + 1)
 
 
 @dataclass
@@ -95,6 +111,26 @@ class BsvieSolution:
         return self.k[pair_index(self.grid.n_steps, i, j)]
 
 
+def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w: float) -> float:
+    """The weighted norm of per-node ``E[Y^2]`` and per-pair squares.
+
+    ``pair_sq`` holds ``E[Z^2] + sum_q w_q E[K_q^2]`` in the flat triangle
+    layout; the terms are summed first index by first index.
+    """
+    n, dt = grid.n_steps, grid.dt
+    w_t = np.full(n + 1, dt)
+    w_t[0] = w_t[-1] = 0.5 * dt
+    e_t = np.exp(beta_w * grid.nodes)
+    firsts = np.arange(n) * (np.arange(n) + 1) // 2  # flat index of pair (0, r)
+    total = 0.0
+    for i in range(n + 1):
+        inner = y_sq[i] * e_t[i]
+        if i < n:
+            inner += float(e_t[i:n] @ pair_sq[firsts[i:] + i]) * dt
+        total += w_t[i] * inner
+    return total
+
+
 def weighted_norm(
     y: np.ndarray,
     z: np.ndarray,
@@ -102,7 +138,6 @@ def weighted_norm(
     grid: TimeGrid,
     levy: LevyMeasure,
     beta_w: float,
-    base: BsvieTriple | None = None,
 ) -> float:
     """Exponentially weighted squared norm of a candidate triple.
 
@@ -111,29 +146,25 @@ def weighted_norm(
         E int_0^T [ e^{b t} Y(t)^2 + int_t^T e^{b s} Z(t,s)^2 ds
                     + int_t^T e^{b s} int K(t,s,e)^2 nu(de) ds ] dt
 
-    with trapezoid quadrature in ``t`` and left-point in ``s``.  With a
-    ``base`` triple the norm is that of the difference ``(y, z, k) - base``,
-    formed one first-index row at a time (no full-triangle copies).
+    with trapezoid quadrature in ``t`` and left-point in ``s``.
     """
-    n, dt = grid.n_steps, grid.dt
-    w_t = np.full(n + 1, dt)
-    w_t[0] = w_t[-1] = 0.5 * dt
-    e_t = np.exp(beta_w * grid.nodes)
-    total = 0.0
-    for i in range(n + 1):
-        y_i = y[i] if base is None else y[i] - base.y[i]
-        inner = float(np.mean(y_i**2)) * e_t[i]
-        if i < n:
-            # the pairs (i, i..n-1) are contiguous in the flat triangle
-            row = slice(pair_index(n, i, i), pair_index(n, i, n - 1) + 1)
-            z_i = z[row] if base is None else z[row] - base.z[row]
-            sq = np.mean(z_i**2, axis=1)
-            if k.shape[1]:
-                k_i = k[row] if base is None else k[row] - base.k[row]
-                sq += np.mean(k_i**2, axis=2) @ levy.weights
-            inner += float(e_t[i:n] @ sq) * dt
-        total += w_t[i] * inner
-    return total
+    n = grid.n_steps
+    pair_sq = np.empty(_n_pairs(n))
+    for r in range(n):
+        col = _column(r)
+        pair_sq[col] = np.mean(z[col] ** 2, axis=1)
+        if k.shape[1]:
+            pair_sq[col] += levy.weights @ np.mean(k[col].transpose(1, 0, 2) ** 2, axis=2)
+    return _weighted_sum(np.mean(y**2, axis=1), pair_sq, grid, beta_w)
+
+
+def _replace(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Overwrite ``old`` with ``new``; return the mean squared change per path row."""
+    np.subtract(new, old, out=old)
+    np.square(old, out=old)
+    sq = old.mean(axis=-1)
+    old[...] = new
+    return sq
 
 
 def solve_family_step(
@@ -143,15 +174,19 @@ def solve_family_step(
     noise: NoiseBundle,
     engine: CondExpEngine,
     x_paths: np.ndarray | None = None,
-) -> BsvieTriple:
-    """One pass: solve the node-indexed family of backward SDEs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass, in place: solve the node-indexed family of backward SDEs.
 
     For each node ``t_i`` the backward SDE on ``[t_i, T]`` has terminal
     ``zeta(t_i)`` and the running-time generator evaluated on the frozen
     triple; the new diagonal value is the solve at ``t_i`` and the triangle
     rows are the extracted coefficients.  The running time ``t_r`` steps
     backward once for all families: every family ``i <= r`` advances
-    together, with one projection per node.
+    together, with one projection and one driver call per node.
+
+    ``frozen`` is overwritten with the new iterate.  Returns the squared
+    changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and per
+    pair ``E[(Z_new - Z_old)^2] + sum_q w_q E[(K_new - K_old)_q^2]``.
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
@@ -161,16 +196,22 @@ def solve_family_step(
     if zeta.shape[0] != n + 1:
         raise ValidationError("terminal family needs one per-path value per node")
 
-    out = BsvieTriple.zeros(n, n_paths, m)
     comp = noise.compensated_counts if m else None
-    w_dt = noise.levy.weights * dt if m else None
+    w_dt = noise.levy.weights[:, None, None] * dt if m else None
     kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
+    families = np.arange(n)[:, None]
 
-    # out.y[i] carries family i's running value until its solve reaches t_i
-    out.y[:] = zeta.reshape(n + 1, -1)
+    y_frozen = frozen.y.copy()
+    # frozen.y[i] carries family i's running value until its solve reaches t_i
+    y = frozen.y
+    y[:] = zeta.reshape(n + 1, -1)
+    y_sq = np.empty(n + 1)
+    pair_sq = np.empty(_n_pairs(n))
+    y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
     for r in range(n - 1, -1, -1):
         fam = r + 1
-        y_run = out.y[:fam]
+        col = _column(r)
+        y_run = y[:fam]
         # node-major block: rows [kind * fam + i] hold family i's target
         block = np.empty((kinds * fam, n_paths))
         block[:fam] = y_run
@@ -179,18 +220,24 @@ def solve_family_step(
             np.multiply(y_run, np.ascontiguousarray(comp[q, :, r]),
                         out=block[(2 + q) * fam:(3 + q) * fam])
         proj = engine.project(r, block.T).T
-        rows = [pair_index(n, i, r) for i in range(fam)]
-        out.z[rows] = proj[fam:2 * fam] / dt
-        for q in range(m):
-            out.k[rows, q] = proj[(2 + q) * fam:(3 + q) * fam] / w_dt[q]
+        z_col = frozen.z[col]
+        k_col = frozen.k[col].transpose(1, 0, 2)  # (m, fam, N)
         if driver is None:
             y_run[:] = proj[:fam]
-            continue
-        x_r = x_paths[:, r] if x_paths is not None else None
-        for i, idx in enumerate(rows):
-            g = driver(i, r, frozen.y[r], frozen.z[idx], frozen.k[idx] if m else None, x_r)
-            y_run[i] = proj[i] + np.asarray(g, dtype=float) * dt
-    return out
+        else:
+            x_r = x_paths[:, r] if x_paths is not None else None
+            g = driver(families[:fam], r, y_frozen[r], z_col, k_col if m else None, x_r)
+            np.add(proj[:fam], np.asarray(g, dtype=float) * dt, out=y_run)
+        # the driver has read the frozen column r: overwrite it with the new one
+        z_new = proj[fam:2 * fam]
+        z_new /= dt
+        pair_sq[col] = _replace(z_col, z_new)
+        if m:
+            k_new = proj[2 * fam:].reshape(m, fam, n_paths)
+            k_new /= w_dt
+            pair_sq[col] += noise.levy.weights @ _replace(k_col, k_new)
+        y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
+    return y_sq, pair_sq
 
 
 def solve_bsvie(
@@ -210,31 +257,40 @@ def solve_bsvie(
     The tolerance is relative to the weighted norm of the first iterate.  The
     noise bundle is fixed across passes (common random numbers), so the map
     is deterministic and the recorded distances contract geometrically until
-    they hit the floating-point / regression floor.  Raises
-    :class:`ConvergenceError` (carrying the distance log) after ``max_iter``
-    passes without convergence.
+    they hit the floating-point / regression floor.  Without a generator the
+    map is constant: the solve stops after one pass and logs a second
+    distance of exactly zero.  ``start`` (default: zeros) is copied, never
+    modified.  Raises :class:`ConvergenceError` (carrying the distance log)
+    after ``max_iter`` passes without convergence.
     """
     grid = noise.grid
     n = grid.n_steps
     m = noise.levy.n_atoms
-    current = start if start is not None else BsvieTriple.zeros(n, noise.n_paths, m)
+    if start is None:
+        current = BsvieTriple.zeros(n, noise.n_paths, m)
+    else:
+        current = BsvieTriple(y=start.y.copy(), z=start.z.copy(), k=start.k.copy())
     log: list[float] = []
     scale = None
     for _ in range(max_iter):
-        new = solve_family_step(zeta, driver, current, noise, engine, x_paths=x_paths)
-        dist = weighted_norm(new.y, new.z, new.k, grid, noise.levy, beta_w, base=current)
-        log.append(dist)
+        squares = solve_family_step(zeta, driver, current, noise, engine, x_paths=x_paths)
+        log.append(_weighted_sum(*squares, grid, beta_w))
+        if driver is None:
+            log.append(0.0)
+            break
         if scale is None:
-            scale = max(weighted_norm(new.y, new.z, new.k, grid, noise.levy, beta_w), 1e-300)
-        current = new
-        if dist <= tol * scale:
-            return BsvieSolution(
-                grid=grid, levy=noise.levy, y=current.y, z=current.z, k=current.k,
-                iteration_log=tuple(log),
-            )
-    raise ConvergenceError(
-        f"no convergence after {max_iter} passes (last distance {log[-1]:.3e}, "
-        f"tolerance {tol:.1e} relative)", log,
+            scale = max(weighted_norm(current.y, current.z, current.k, grid, noise.levy, beta_w),
+                        1e-300)
+        if log[-1] <= tol * scale:
+            break
+    else:
+        raise ConvergenceError(
+            f"no convergence after {max_iter} passes (last distance {log[-1]:.3e}, "
+            f"tolerance {tol:.1e} relative)", log,
+        )
+    return BsvieSolution(
+        grid=grid, levy=noise.levy, y=current.y, z=current.z, k=current.k,
+        iteration_log=tuple(log),
     )
 
 
@@ -249,10 +305,10 @@ def z_time_derivative_norm(sol: BsvieSolution) -> float:
     if n < 2:
         raise ValidationError("need at least two first-index nodes")
     total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            fd = (sol.z[pair_index(n, i + 1, j)] - sol.z[pair_index(n, i, j)]) / dt
-            total += float(np.mean(fd**2)) * dt * dt
+    for j in range(1, n):
+        # consecutive rows of column j are the pairs (i, j) and (i + 1, j)
+        fd = np.diff(sol.z[_column(j)], axis=0) / dt
+        total += float(np.mean(fd**2, axis=1).sum()) * dt * dt
     return total
 
 

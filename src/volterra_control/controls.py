@@ -8,7 +8,6 @@ kind also knows its per-step integral ``int_{t_k}^{t_{k+1}} c(r) dr``:
 * ``theta_cstar`` -- ``theta * lambda / P`` built from discrete discount
   arrays; the step integral ``-theta * log(1 - c_k dt)`` telescopes the
   remaining-value ratio exactly;
-* ``cstar_shift`` -- ``c* + shift``;
 * ``bump``        -- a base control plus ``height`` on ``[t_a, t_a + eps)``.
 
 The step integrals feed the exact multiplicative forward stepping; the
@@ -51,7 +50,6 @@ class ControlFn:
     kind: str
     table_values: np.ndarray | None = None
     theta: float = 1.0
-    shift: float = 0.0
     gamma: np.ndarray | None = None
     convention: str = "discounting"
     base: "ControlFn | None" = None
@@ -78,11 +76,6 @@ class ControlFn:
                          gamma=np.asarray(gamma, float), convention=convention)
 
     @staticmethod
-    def cstar_shift(shift: float, gamma: np.ndarray, convention: str) -> "ControlFn":
-        return ControlFn(kind="cstar_shift", shift=float(shift),
-                         gamma=np.asarray(gamma, float), convention=convention)
-
-    @staticmethod
     def bump(base: "ControlFn", start: float, length: float, height: float) -> "ControlFn":
         return ControlFn(kind="bump", base=base, bump_start=float(start),
                          bump_len=float(length), bump_height=float(height))
@@ -105,8 +98,6 @@ class ControlFn:
             return self.table_values[:n].copy()
         if self.kind == "theta_cstar":
             return self.theta * self._cstar_nodes(grid)
-        if self.kind == "cstar_shift":
-            return self._cstar_nodes(grid) + self.shift
         if self.kind == "bump":
             vals = self.base.values(grid)
             mask = self._bump_mask(grid)
@@ -129,14 +120,12 @@ class ControlFn:
         """Exact ``int_{t_k}^{t_{k+1}} c`` per step (``+inf`` where divergent)."""
         if self.kind == "table":
             return self.values(grid) * grid.dt
-        if self.kind in ("theta_cstar", "cstar_shift"):
+        if self.kind == "theta_cstar":
             cstar = self._cstar_nodes(grid)
             frac = cstar * grid.dt
             with np.errstate(divide="ignore"):
                 base = -np.log1p(-np.minimum(frac, 1.0))
-            if self.kind == "theta_cstar":
-                return self.theta * base
-            return base + self.shift * grid.dt
+            return self.theta * base
         if self.kind == "bump":
             return self.base.step_integrals(grid) + self.bump_height * self._bump_overlap(grid)
         raise ValidationError(f"unknown control kind {self.kind!r}")
@@ -160,7 +149,7 @@ class ControlFn:
             c = vals[idx]
             cum = np.concatenate(([0.0], np.cumsum(c[:-1] * ds)))
             return c, cum
-        if self.kind in ("theta_cstar", "cstar_shift"):
+        if self.kind == "theta_cstar":
             gamma_nodes = self.gamma
             coarse = np.linspace(0.0, s[-1], gamma_nodes.shape[0])
             gamma_fine = np.interp(s, coarse, gamma_nodes)
@@ -171,9 +160,7 @@ class ControlFn:
             with np.errstate(divide="ignore"):
                 cstar = np.where(tail > 0.0, lam / np.where(tail > 0, tail, 1.0), np.inf)
                 cum_cstar = -np.log(tail / tail[0])
-            if self.kind == "theta_cstar":
-                return self.theta * cstar, self.theta * cum_cstar
-            return cstar + self.shift, cum_cstar + self.shift * s
+            return self.theta * cstar, self.theta * cum_cstar
         if self.kind == "bump":
             c0, cum0 = self.base.oracle_profile(s)
             a, b = self.bump_start, self.bump_start + self.bump_len

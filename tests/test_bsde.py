@@ -244,3 +244,49 @@ def test_one_projection_per_step_matches_per_column_calls(n_steps, n_paths, seed
     y, z, k = _solve_bsde_reference(terminal, driver, noise, engine)
     for a, b in ((sol.y, y), (sol.z, z), (sol.k, k)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+
+def _solve_bsde_path_major(terminal, driver, noise, engine, x_paths):
+    """The recursion as it ran with path-major ``y``, ``z`` and ``k`` storage."""
+    n, dt = noise.grid.n_steps, noise.grid.dt
+    m = noise.levy.n_atoms
+    y = np.empty((noise.n_paths, n + 1))
+    z = np.zeros((noise.n_paths, n))
+    k = np.zeros((m, noise.n_paths, n))
+    y[:, n] = terminal
+    comp = noise.compensated_counts
+    targets = np.empty((noise.n_paths, 2 + m), order="F")
+    for i in range(n - 1, -1, -1):
+        y_next = y[:, i + 1]
+        targets[:, 0] = y_next
+        np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
+        for q in range(m):
+            np.multiply(y_next, comp[q, :, i], out=targets[:, 2 + q])
+        proj = engine.project(i, targets)
+        z[:, i] = proj[:, 1] / dt
+        for q in range(m):
+            k[q, :, i] = proj[:, 2 + q] / (noise.levy.weights[q] * dt)
+        g = driver(i, noise.grid.nodes[i], x_paths[:, i], proj[:, 0], z[:, i], k[:, :, i])
+        y[:, i] = proj[:, 0] + g * dt
+    return y, z, k
+
+
+def test_node_major_storage_matches_path_major_loop():
+    grid = build_time_grid(1.0, 30)
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0]])
+    noise = generate_noise(grid, levy, n_paths=500, seed=37, n_blocks=1)
+    x_paths = np.exp(0.2 * noise.brownian_levels - 0.1 * noise.count_levels[0])
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("x",)), noise,
+        x_paths=x_paths,
+    )
+    terminal = np.log(x_paths[:, -1]) + noise.count_levels[0][:, -1]
+
+    def driver(i, t, x, y, z, k):
+        return np.log(x) - 0.5 * y + 0.3 * z + 0.2 * k[0]
+
+    sol = solve_bsde(terminal, driver, noise, engine, x_paths=x_paths)
+    assert sol.y.shape == (500, 31) and sol.z.shape == (500, 30) and sol.k.shape == (1, 500, 30)
+    y, z, k = _solve_bsde_path_major(terminal, driver, noise, engine, x_paths)
+    for a, b in ((sol.y, y), (sol.z, z), (sol.k, k)):
+        np.testing.assert_array_equal(a, b)

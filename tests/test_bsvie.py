@@ -77,6 +77,8 @@ def test_pair_index_layout():
     for i in range(n):
         for j in range(i, n):
             seen.add(pair_index(n, i, j))
+            # running-time-major: the column (0..j, j) is one contiguous block
+            assert pair_index(n, i, j) == j * (j + 1) // 2 + i
     assert seen == set(range(n * (n + 1) // 2))
     with pytest.raises(ValidationError):
         pair_index(5, 3, 2)
@@ -90,8 +92,8 @@ def test_family_step_deterministic_terminal():
     noise = make_noise(n_steps=20)
     n = 20
     zeta = np.broadcast_to(noise.grid.nodes[:, None], (21, noise.n_paths)).copy()
-    frozen = BsvieTriple.zeros(n, noise.n_paths, 0)
-    out = solve_family_step(zeta, None, frozen, noise, trivial_engine(noise))
+    out = BsvieTriple.zeros(n, noise.n_paths, 0)
+    solve_family_step(zeta, None, out, noise, trivial_engine(noise))
     # deterministic terminal: the diagonal reproduces it exactly and the
     # coefficient rows are pure sample noise around zero
     assert np.allclose(out.y, zeta, atol=1e-14)
@@ -104,13 +106,14 @@ def test_family_step_ignores_frozen_when_driver_is_zero_function():
     n = 15
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
-    frozen = BsvieTriple.zeros(n, noise.n_paths, 0)
+    a = BsvieTriple.zeros(n, noise.n_paths, 0)
+    b = BsvieTriple.zeros(n, noise.n_paths, 0)
 
     def driver(i, r, y_frozen, z, k, x):
         return y_frozen  # frozen y stays identically zero
 
-    a = solve_family_step(zeta, driver, frozen, noise, brownian_engine(noise))
-    b = solve_family_step(zeta, None, frozen, noise, brownian_engine(noise))
+    solve_family_step(zeta, driver, a, noise, brownian_engine(noise))
+    solve_family_step(zeta, None, b, noise, brownian_engine(noise))
     assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
 
 
@@ -119,8 +122,8 @@ def test_family_step_martingale_terminal_tracks_brownian():
     n = 50
     b_levels = noise.brownian_levels
     zeta = noise.grid.nodes[:, None] * b_levels[:, -1][None, :]
-    frozen = BsvieTriple.zeros(n, noise.n_paths, 0)
-    out = solve_family_step(zeta, None, frozen, noise, brownian_engine(noise))
+    out = BsvieTriple.zeros(n, noise.n_paths, 0)
+    solve_family_step(zeta, None, out, noise, brownian_engine(noise))
     # diagonal close to t_i * B(t_i) pathwise (iterated-regression error)
     gaps = out.y - noise.grid.nodes[:, None] * b_levels.T
     rms = math.sqrt(float(np.mean(gaps**2)))
@@ -169,8 +172,8 @@ def test_diagonal_consistency_at_the_fixed_point():
 
     engine = trivial_engine(noise)
     sol = solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-21, max_iter=60)
-    frozen = BsvieTriple(y=sol.y, z=sol.z, k=sol.k)
-    re_solved = solve_family_step(zeta, driver, frozen, noise, engine)
+    re_solved = BsvieTriple(y=sol.y.copy(), z=sol.z.copy(), k=sol.k.copy())
+    solve_family_step(zeta, driver, re_solved, noise, engine)
     assert np.max(np.abs(re_solved.y - sol.y)) < 1e-10
 
 
@@ -298,7 +301,8 @@ def test_batched_family_step_matches_per_family_loop(n_steps, n_paths, seed, wei
     )
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :] + 0.1 * noise.count_levels[0][:, -1]
-    got = solve_family_step(zeta, _jump_driver, frozen, noise, engine)
+    got = BsvieTriple(y=frozen.y.copy(), z=frozen.z.copy(), k=frozen.k.copy())
+    solve_family_step(zeta, _jump_driver, got, noise, engine)
     ref = _family_step_reference(zeta, _jump_driver, frozen, noise, engine)
     for a, b in ((got.y, ref.y), (got.z, ref.z), (got.k, ref.k)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
@@ -346,7 +350,144 @@ def test_weighted_norm_matches_pairwise_loop(n_steps, n_paths, n_atoms, beta_w, 
     a, b = triple(), triple()
     zero = BsvieTriple.zeros(n_steps, n_paths, n_atoms)
     expected = _weighted_norm_reference(a, b, grid, levy, beta_w)
-    got = weighted_norm(a.y, a.z, a.k, grid, levy, beta_w, base=b)
+    got = weighted_norm(a.y - b.y, a.z - b.z, a.k - b.k, grid, levy, beta_w)
     assert math.isclose(got, expected, rel_tol=1e-12)
     plain = weighted_norm(a.y, a.z, a.k, grid, levy, beta_w)
     assert math.isclose(plain, _weighted_norm_reference(a, zero, grid, levy, beta_w), rel_tol=1e-12)
+
+
+# --------------------------------------------------------------------------- #
+# the in-place running-time-major solver against the two-triangle one
+# --------------------------------------------------------------------------- #
+# The reference below is the solver this module had before the triangle was
+# stored running-time-major: first-index-major storage, one driver call per
+# pair, a fresh triangle per pass and the distance formed afterwards.
+
+def _ref_index(n, i, j):
+    return i * n - (i * (i - 1)) // 2 + (j - i)
+
+
+def _ref_weighted_norm(y, z, k, grid, levy, beta_w, base=None):
+    n, dt = grid.n_steps, grid.dt
+    w_t = np.full(n + 1, dt)
+    w_t[0] = w_t[-1] = 0.5 * dt
+    e_t = np.exp(beta_w * grid.nodes)
+    total = 0.0
+    for i in range(n + 1):
+        y_i = y[i] if base is None else y[i] - base.y[i]
+        inner = float(np.mean(y_i**2)) * e_t[i]
+        if i < n:
+            row = slice(_ref_index(n, i, i), _ref_index(n, i, n - 1) + 1)
+            z_i = z[row] if base is None else z[row] - base.z[row]
+            sq = np.mean(z_i**2, axis=1)
+            if k.shape[1]:
+                k_i = k[row] if base is None else k[row] - base.k[row]
+                sq += np.mean(k_i**2, axis=2) @ levy.weights
+            inner += float(e_t[i:n] @ sq) * dt
+        total += w_t[i] * inner
+    return total
+
+
+def _ref_family_step(zeta, driver, frozen, noise, engine):
+    n, dt = noise.grid.n_steps, noise.grid.dt
+    n_paths, m = noise.n_paths, noise.levy.n_atoms
+    out = BsvieTriple.zeros(n, n_paths, m)
+    comp = noise.compensated_counts
+    w_dt = noise.levy.weights * dt
+    kinds = 2 + m
+    out.y[:] = zeta
+    for r in range(n - 1, -1, -1):
+        fam = r + 1
+        y_run = out.y[:fam]
+        block = np.empty((kinds * fam, n_paths))
+        block[:fam] = y_run
+        np.multiply(y_run, noise.d_brownian[:, r], out=block[fam:2 * fam])
+        for q in range(m):
+            np.multiply(y_run, comp[q, :, r], out=block[(2 + q) * fam:(3 + q) * fam])
+        proj = engine.project(r, block.T).T
+        rows = [_ref_index(n, i, r) for i in range(fam)]
+        out.z[rows] = proj[fam:2 * fam] / dt
+        for q in range(m):
+            out.k[rows, q] = proj[(2 + q) * fam:(3 + q) * fam] / w_dt[q]
+        if driver is None:
+            y_run[:] = proj[:fam]
+            continue
+        for i, idx in enumerate(rows):
+            g = driver(i, r, frozen.y[r], frozen.z[idx], frozen.k[idx] if m else None, None)
+            y_run[i] = proj[i] + np.asarray(g, dtype=float) * dt
+    return out
+
+
+def _ref_solve_bsvie(zeta, driver, noise, engine, beta_w, tol, max_iter):
+    grid, levy = noise.grid, noise.levy
+    current = BsvieTriple.zeros(grid.n_steps, noise.n_paths, levy.n_atoms)
+    log, scale = [], None
+    for _ in range(max_iter):
+        new = _ref_family_step(zeta, driver, current, noise, engine)
+        log.append(_ref_weighted_norm(new.y, new.z, new.k, grid, levy, beta_w, base=current))
+        if scale is None:
+            scale = max(_ref_weighted_norm(new.y, new.z, new.k, grid, levy, beta_w), 1e-300)
+        current = new
+        if log[-1] <= tol * scale:
+            break
+    return current, log
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_steps=st.integers(2, 8),
+    n_paths=st.integers(50, 300),
+    seed=st.integers(0, 2**16),
+    weight=st.floats(0.5, 4.0),
+    mode=st.sampled_from(["full", "trivial"]),
+    with_driver=st.booleans(),
+)
+def test_in_place_solver_matches_two_triangle_reference(
+    n_steps, n_paths, seed, weight, mode, with_driver
+):
+    levy = LevyMeasure.from_atoms([[-0.1, weight]])
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed, levy=levy)
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
+        noise,
+    )
+    b_total = noise.d_brownian.sum(axis=1)
+    zeta = noise.grid.nodes[:, None] * b_total[None, :] + 0.1 * noise.count_levels[0][:, -1]
+    driver = _jump_driver if with_driver else None
+    sol = solve_bsvie(zeta, driver, noise, engine, beta_w=5.0, tol=1e-10, max_iter=40)
+    ref, log = _ref_solve_bsvie(zeta, driver, noise, engine, 5.0, 1e-10, 40)
+    if driver is None:
+        # the reference runs the second pass that repeats the first
+        assert log[1] == 0.0
+    assert len(sol.iteration_log) == len(log)
+    np.testing.assert_allclose(sol.iteration_log, log, rtol=1e-12, atol=0.0)
+    scale = np.abs(ref.z).max() + np.abs(ref.k).max()
+    np.testing.assert_allclose(sol.y, ref.y, rtol=1e-12, atol=1e-12 * np.abs(ref.y).max())
+    for i in range(n_steps):
+        for j in range(i, n_steps):
+            idx = _ref_index(n_steps, i, j)
+            np.testing.assert_allclose(sol.z_at(i, j), ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(sol.k_at(i, j), ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_warm_start_triple_is_not_modified():
+    n = 12
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0]])
+    noise = make_noise(n_steps=n, n_paths=200, seed=31, levy=levy)
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
+        noise,
+    )
+    zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+    rng = np.random.default_rng(31)
+    n_pairs = n * (n + 1) // 2
+    warm = BsvieTriple(
+        y=rng.normal(size=(n + 1, noise.n_paths)),
+        z=rng.normal(size=(n_pairs, noise.n_paths)),
+        k=rng.normal(size=(n_pairs, 1, noise.n_paths)),
+    )
+    kept = BsvieTriple(y=warm.y.copy(), z=warm.z.copy(), k=warm.k.copy())
+    sol = solve_bsvie(zeta, _jump_driver, noise, engine, tol=1e-10, max_iter=60, start=warm)
+    for a, b in ((warm.y, kept.y), (warm.z, kept.z), (warm.k, kept.k)):
+        assert np.array_equal(a, b)
+    assert not np.shares_memory(sol.z, warm.z)
