@@ -32,6 +32,7 @@ from .control import (
 )
 from .fsvie import forward_mean_oracle, simulate_fsvie
 from .malliavin import (
+    DualityResult,
     JumpIntegral,
     WienerIntegral,
     verify_duality_brownian,
@@ -60,7 +61,8 @@ __all__ = [
     "martingale_family_solution",
     "check_bsvie_solver",
     "check_contraction",
-    "duality_square_identities",
+    "brownian_duality",
+    "jump_duality",
     "check_duality",
     "check_forward_solver",
     "check_adjoint_reduction",
@@ -307,36 +309,55 @@ def check_contraction() -> list[CheckResult]:
     ]
 
 
-def duality_square_identities(n_paths: int = 200_000, seed: int = 7):
-    """The two C7 noise bundles and both sides of their square identities.
+def brownian_duality(
+    names: tuple[str, ...], n_paths: int = 200_000, seed: int = 7
+) -> list[DualityResult]:
+    """Draw the C7 Brownian bundle, check the named identities on it, release it.
 
-    Returns ``(noise_b, noise_j, brownian_square, jump_square)``: a Brownian
-    bundle on 200 steps at ``seed`` and a one-atom (size 1, weight 2) bundle
-    on 100 steps at ``seed + 1``.  The Brownian pairing runs on the finer grid
-    because its left-hand side (a discrete stochastic integral against the
-    path level) carries an O(dt) bias of size dt that must stay inside the
-    3-SE band.
+    The bundle has 200 steps.  ``names`` picks from ``brownian_square``
+    (``F = B(T)^2``, ``psi = B``) and ``brownian_isometry`` (``F = B(T)``,
+    ``psi = 1``).  The square pairing runs on this finer grid because its
+    left-hand side (a discrete stochastic integral against the path level)
+    carries an O(dt) bias of size dt that must stay inside the 3-SE band.
     """
     no_jumps = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
-    noise_b = generate_noise(build_time_grid(1.0, 200), no_jumps,
-                             n_paths=n_paths, seed=seed, n_blocks=8)
-    levels = noise_b.brownian_levels
-    res_b = verify_duality_brownian(
-        WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i], noise_b,
-        name="brownian_square",
-    )
+    noise = generate_noise(build_time_grid(1.0, 200), no_jumps, n_paths=n_paths,
+                           seed=seed, n_blocks=math.gcd(n_paths, 8))
+    levels = noise.brownian_levels
+    identities = {
+        "brownian_square": (WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i]),
+        "brownian_isometry": (WienerIntegral(1.0), lambda i, _n: 1.0),
+    }
+    return [verify_duality_brownian(*identities[name], noise, name=name) for name in names]
+
+
+def jump_duality(
+    names: tuple[str, ...], n_paths: int = 200_000, seed: int = 8
+) -> list[DualityResult]:
+    """Draw the C7 jump bundle, check the named identities on it, release it.
+
+    The bundle has 100 steps and one atom (size 1, weight 2); C7 draws it at
+    its own seed + 1.  ``names`` picks from ``jump_square`` (``F = N~(T)^2``)
+    and ``jump_isometry`` (``F = N~(T)``), both with the unit integrand.
+    """
     one_atom = LevyMeasure(sizes=np.array([1.0]), weights=np.array([2.0]))
-    noise_j = generate_noise(build_time_grid(1.0, 100), one_atom,
-                             n_paths=n_paths, seed=seed + 1, n_blocks=8)
-    res_j = verify_duality_jump(
-        JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0, noise_j, name="jump_square",
-    )
-    return noise_b, noise_j, res_b, res_j
+    noise = generate_noise(build_time_grid(1.0, 100), one_atom, n_paths=n_paths,
+                           seed=seed, n_blocks=math.gcd(n_paths, 8))
+    identities = {
+        "jump_square": JumpIntegral(1.0) ** 2,
+        "jump_isometry": JumpIntegral(1.0),
+    }
+    return [verify_duality_jump(identities[name], lambda i, q, _n: 1.0, noise, name=name)
+            for name in names]
 
 
 def check_duality(n_paths: int = 200_000, seed: int = 7) -> list[CheckResult]:
-    """C7: both sides of the two integration-by-parts identities."""
-    _, _, res_b, res_j = duality_square_identities(n_paths, seed)
+    """C7: both sides of the two integration-by-parts identities.
+
+    Each bundle is drawn, checked and released before the next one is drawn.
+    """
+    (res_b,) = brownian_duality(("brownian_square",), n_paths, seed)
+    (res_j,) = jump_duality(("jump_square",), n_paths, seed + 1)
     return [
         _result("C7", "brownian_lhs", res_b.lhs, 1.0, 3.0 * res_b.se_lhs),
         _result("C7", "brownian_rhs", res_b.rhs, 1.0, 3.0 * res_b.se_rhs),
@@ -413,7 +434,15 @@ def check_adjoint_reduction(scenario: ScenarioSpec) -> list[CheckResult]:
 
 
 def check_z_time_derivative(martingale=None) -> list[CheckResult]:
-    """C10: finite-difference first-index derivative norm near T^2/2."""
+    """C10: finite-difference first-index derivative norm near T^2/2.
+
+    The value depends on the grid at a fixed path count: the regression noise
+    in each Z coefficient enters the first-index difference divided by dt, so
+    the estimate grows as the grid is refined.  On the martingale family it
+    reads 0.519 at 100 steps x 20k paths but 0.589 at 200 steps x 10k, which
+    is outside the 0.5 +- 0.05 band, so the band is calibrated to the
+    family's default 100 x 20k only.
+    """
     sol, _ = martingale if martingale is not None else martingale_family_solution()
     val = z_time_derivative_norm(sol)
     return [_result("C10", "z_time_derivative_norm", val, 0.5, 0.05)]

@@ -261,8 +261,11 @@ def solve_bsvie(
     map is constant: the solve stops after one pass and logs a second
     distance of exactly zero.  ``start`` (default: zeros) is copied, never
     modified.  Raises :class:`ConvergenceError` (carrying the distance log)
-    after ``max_iter`` passes without convergence.
+    after ``max_iter`` passes without convergence, and
+    :class:`ValidationError` when ``max_iter < 1``.
     """
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     grid = noise.grid
     n = grid.n_steps
     m = noise.levy.n_atoms

@@ -34,13 +34,7 @@ from .bsvie import ConvergenceError, diagonal_rows, iteration_rows
 from .controls import ControlFn
 from .control import build_adjoint_state, consumption_rows, log_utility_oracle, performance
 from .fsvie import PositivityBreachError, forward_mean_oracle, mean_quantile_rows, simulate_fsvie
-from .malliavin import (
-    JumpIntegral,
-    WienerIntegral,
-    duality_rows,
-    verify_duality_brownian,
-    verify_duality_jump,
-)
+from .malliavin import duality_rows
 from .model import ScenarioSpec, ValidationError, validate_scenario
 from .paths import generate_noise
 
@@ -284,16 +278,12 @@ def _cmd_check_mp(spec, args, report, out_dir):
 
 
 def _cmd_verify_duality(args, report, out_dir):
-    noise_b, noise_j, res_b, res_j = acc.duality_square_identities(
-        args.paths or 200_000, report.seed)
-    results = [
-        res_b,
-        verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: 1.0,
-                                noise_b, name="brownian_isometry"),
-        res_j,
-        verify_duality_jump(JumpIntegral(1.0), lambda i, q, _n: 1.0,
-                            noise_j, name="jump_isometry"),
-    ]
+    # one bundle at a time: each is released before the next one is drawn
+    n_paths = args.paths or 200_000
+    results = (
+        acc.brownian_duality(("brownian_square", "brownian_isometry"), n_paths, report.seed)
+        + acc.jump_duality(("jump_square", "jump_isometry"), n_paths, report.seed + 1)
+    )
     _write_rows(report, out_dir, "duality.csv", duality_rows(results))
     checks = []
     for r in results:

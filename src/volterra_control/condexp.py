@@ -8,13 +8,14 @@ declared state (the classic regress-now Monte Carlo approach):
 * ``delay``    -- regression on the state lagged by a fixed delay.
 
 Every regression goes through one projector: the monomial basis is built in
-node-major layout (one row of ``N`` path values per basis function),
-standardized row by row, and solved through its ``p x p`` Gram matrix.  When
-the Gram matrix is too ill-conditioned for the normal equations, the solve
-falls back to the pseudo-inverse of the design, and beyond that to a small
-trace-normalized ridge penalty (the intercept is never penalized, so sample
-means are always preserved).  Targets may be one column ``(N,)`` or a block
-``(N, k)``; ``k`` projections at one node then cost one matrix product.
+node-major layout (one row of ``N`` path values per basis function), centred
+row by row, scaled by the diagonal of its ``p x p`` Gram matrix, and solved
+through that Gram matrix.  When the Gram matrix is too ill-conditioned for
+the normal equations, the solve falls back to the pseudo-inverse of the
+design, and beyond that to a small trace-normalized ridge penalty (the
+intercept is never penalized, so sample means are always preserved).
+Targets may be one column ``(N,)`` or a block ``(N, k)``; ``k`` projections
+at one node then cost one matrix product.
 """
 
 from __future__ import annotations
@@ -66,24 +67,44 @@ def _basis(rows: Sequence[np.ndarray], powers: Sequence[tuple[int, ...]]) -> np.
     phi = np.empty((len(powers), rows[0].shape[0]))
     for j, p in enumerate(powers):
         row = phi[j]
-        row.fill(1.0)
-        for v, e in enumerate(p):
-            if e:
-                row *= rows[v] ** e
+        factors = [(rows[v], e) for v, e in enumerate(p) if e]
+        if not factors:
+            row.fill(1.0)
+            continue
+        # the first factor goes straight into the row: no fill, no temporary
+        (x, e), *rest = factors
+        np.power(x, e, out=row)
+        for x, e in rest:
+            row *= x ** e
     return phi
 
 
-def _standardise(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and scale every non-intercept basis row in place; returns the
-    row means and scales that were removed."""
+def _standardise(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centre and scale every non-intercept basis row in place.
+
+    The rows are centred in one pass and their Gram matrix is formed once;
+    each row's scale (its population standard deviation) is read off the
+    Gram diagonal, and the ``p x p`` Gram is rescaled instead of recomputed
+    (Bjorck, *Numerical Methods for Least Squares Problems*, SIAM 1996).
+    Returns the row means and scales that were removed and the Gram matrix
+    of the standardized rows.
+    """
     mean = phi.mean(axis=1)
-    scale = phi.std(axis=1)
+    mean[0] = 0.0
+    phi[1:] -= mean[1:, None]
+    # one dot per pair of rows: for a few long rows this beats a matrix product
+    p = phi.shape[0]
+    gram = np.empty((p, p))
+    for a in range(p):
+        for b in range(a + 1):
+            gram[a, b] = gram[b, a] = phi[a] @ phi[b]
+    scale = np.sqrt(np.diagonal(gram) / phi.shape[1])
     scale[scale == 0.0] = 1.0
-    mean[0], scale[0] = 0.0, 1.0
-    phi -= mean[:, None]
-    phi /= scale[:, None]
-    phi[0] = 1.0
-    return mean, scale
+    scale[0] = 1.0
+    phi[1:] /= scale[1:, None]
+    gram /= scale[:, None]
+    gram /= scale[None, :]
+    return mean, scale, gram
 
 
 def _column_means(targets: np.ndarray) -> np.ndarray:
@@ -104,9 +125,9 @@ class _Design:
 
     __slots__ = ("phi", "gram", "solver", "condition_number", "ridged")
 
-    def __init__(self, phi: np.ndarray):
+    def __init__(self, phi: np.ndarray, gram: np.ndarray):
         self.phi = phi
-        self.gram = phi @ phi.T
+        self.gram = gram
         self.solver = None
         self.ridged = False
         eig = np.linalg.eigvalsh(self.gram)
@@ -201,8 +222,8 @@ def _sample_design(
             np.inf,
         )
     phi = _basis(states.T, powers)
-    col_mean, col_scale = _standardise(phi)
-    return powers, col_mean, col_scale, _Design(phi)
+    col_mean, col_scale, gram = _standardise(phi)
+    return powers, col_mean, col_scale, _Design(phi, gram)
 
 
 def fit_projection(states: np.ndarray, targets: np.ndarray, degree: int) -> ProjectionFn:
@@ -310,8 +331,7 @@ class CondExpEngine:
                     "no regression state available; declare state variables or use trivial mode"
                 )
             phi = _basis(rows, _monomial_powers(len(rows), self.regression.degree))
-            _standardise(phi)
-            design = _Design(phi)
+            design = _Design(phi, _standardise(phi)[2])
             if self.cache_designs:
                 self._designs[cnode] = design
         return design

@@ -46,7 +46,6 @@ __all__ = [
     "DualityResult",
     "verify_duality_brownian",
     "verify_duality_jump",
-    "clark_ocone_reconstruction",
     "duality_rows",
 ]
 
@@ -329,17 +328,18 @@ def verify_duality_brownian(
     ``psi(step, noise)`` must return the adapted integrand values at the left
     node of the step.
     """
-    n = noise.n_steps
-    f_vals = f.evaluate(noise)
-    psi_vals = np.column_stack([np.broadcast_to(psi(i, noise), (noise.n_paths,)) for i in range(n)])
-    lhs_samples = f_vals * np.einsum("ps,ps->p", psi_vals, noise.d_brownian)
     engine = _projection_engine(noise, degree)
     w = time_quadrature_weights(noise.grid)
+    # psi is read one node at a time, for both sides, and never stored whole
+    integral = np.zeros(noise.n_paths)
     rhs_samples = np.zeros(noise.n_paths)
-    for i in range(n):
+    for i in range(noise.n_steps):
+        psi_i = np.broadcast_to(psi(i, noise), (noise.n_paths,))
+        integral += psi_i * noise.d_brownian[:, i]
         d_vals = brownian_derivative(f, i).evaluate(noise)
         proj = engine.project(i, d_vals)
-        rhs_samples += proj * psi_vals[:, i] * w[i]
+        rhs_samples += proj * psi_i * w[i]
+    lhs_samples = f.evaluate(noise) * integral
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
     return DualityResult(name=name, lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs)
@@ -380,22 +380,6 @@ def verify_duality_jump(
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
     return DualityResult(name=name, lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs)
-
-
-def clark_ocone_reconstruction(f: Functional, noise: NoiseBundle, degree: int = 2) -> np.ndarray:
-    """Martingale-representation reconstruction ``E[F] + sum E[D_t F|F_t] dB``.
-
-    Returns per-path reconstructed values; the mean-square gap to the true
-    functional shrinks linearly in the step size.
-    """
-    f_vals = f.evaluate(noise)
-    engine = _projection_engine(noise, degree)
-    recon = np.full(noise.n_paths, f_vals.mean())
-    for i in range(noise.n_steps):
-        d_vals = brownian_derivative(f, i).evaluate(noise)
-        proj = engine.project(i, d_vals)
-        recon += proj * noise.d_brownian[:, i]
-    return recon
 
 
 def duality_rows(results: list[DualityResult]) -> list[dict]:

@@ -55,22 +55,26 @@ class NoiseBundle:
 
     # The level arrays are stored node-major and returned as transposed
     # views: regressions and integrands read one node across all paths, which
-    # is then a contiguous row.
+    # is then a contiguous row.  They are summed one node row at a time, in
+    # the same order as a cumulative sum, so every write is contiguous.
 
     @cached_property
     def brownian_levels(self) -> np.ndarray:
         """B(t_i) per path, shape (n_paths, n_steps + 1), B(0) = 0."""
-        levels = np.zeros((self.n_steps + 1, self.n_paths))
-        np.cumsum(self.d_brownian.T, axis=0, out=levels[1:])
+        levels = np.empty((self.n_steps + 1, self.n_paths))
+        levels[0] = 0.0
+        for i in range(self.n_steps):
+            np.add(levels[i], self.d_brownian[:, i], out=levels[i + 1])
         return levels.T
 
     @cached_property
     def count_levels(self) -> np.ndarray:
         """Cumulative jump counts N_m(t_i), shape (n_atoms, n_paths, n_steps + 1)."""
         m = self.levy.n_atoms
-        levels = np.zeros((m, self.n_steps + 1, self.n_paths), dtype=float)
+        levels = np.zeros((m, self.n_steps + 1, self.n_paths))
         if m:
-            np.cumsum(self.jump_counts.transpose(0, 2, 1), axis=1, out=levels[:, 1:])
+            for i in range(self.n_steps):
+                np.add(levels[:, i], self.jump_counts[:, :, i], out=levels[:, i + 1])
         return levels.transpose(0, 2, 1)
 
     @cached_property
@@ -110,7 +114,9 @@ def generate_noise(
     for b, child in enumerate(children):
         rng = np.random.Generator(np.random.PCG64(child))
         rows = slice(b * block, (b + 1) * block)
-        db[rows] = rng.standard_normal((block, n)) * sqrt_dt
+        # drawn and scaled in place: no block-sized temporaries
+        rng.standard_normal(out=db[rows])
+        db[rows] *= sqrt_dt
         for q in range(m):
             counts[q, rows] = rng.poisson(levy.weights[q] * grid.dt, size=(block, n))
     return NoiseBundle(

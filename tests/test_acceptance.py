@@ -8,11 +8,12 @@ reference path count (1e5); the two-time family solve runs at its own scale
 """
 
 import pathlib
+import weakref
 
 import pytest
 
 from volterra_control import acceptance as acc
-from volterra_control.cli import load_config
+from volterra_control.cli import load_config, run
 from volterra_control.paths import generate_noise
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
@@ -81,3 +82,23 @@ def test_c09_adjoint_reduction(scenario):
 
 def test_c10_z_time_derivative(martingale_solution):
     _assert_all(acc.check_z_time_derivative(martingale_solution))
+
+
+@pytest.mark.parametrize("entry", ["check_duality", "verify-duality"])
+def test_c07_releases_each_bundle_before_drawing_the_next(entry, monkeypatch, tmp_path):
+    drawn = []
+    alive_at_draw = []
+
+    def tracked_noise(*args, **kwargs):
+        alive_at_draw.append([ref() is not None for ref in drawn])
+        noise = generate_noise(*args, **kwargs)
+        drawn.append(weakref.ref(noise))
+        return noise
+
+    monkeypatch.setattr(acc, "generate_noise", tracked_noise)
+    if entry == "check_duality":
+        acc.check_duality(n_paths=400)
+    else:
+        run(["verify-duality", "--paths", "400", "--out", str(tmp_path / "out")])
+    # the Brownian bundle, then the jump bundle, each drawn with nothing alive
+    assert alive_at_draw == [[], [False]]

@@ -228,6 +228,14 @@ def test_non_convergence_raises_with_log():
     assert len(err.value.log) == 2
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_below_one_is_rejected(max_iter):
+    noise = make_noise(n_steps=5, n_paths=16, seed=23)
+    zeta = np.ones((6, noise.n_paths))
+    with pytest.raises(ValidationError, match="max_iter"):
+        solve_bsvie(zeta, None, noise, trivial_engine(noise), max_iter=max_iter)
+
+
 # --------------------------------------------------------------------------- #
 # first-index derivative diagnostic
 # --------------------------------------------------------------------------- #

@@ -146,6 +146,19 @@ def test_verify_duality_small(tmp_path):
     assert len(checks) == 5
 
 
+def test_verify_duality_paths_not_divisible_by_8(tmp_path):
+    # --paths picks gcd(paths, 8) noise blocks, as the other subcommands do
+    out = tmp_path / "out"
+    code = run(["verify-duality", "--paths", "10002", "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert code != 2, report["error"]
+    assert not report["error"]
+    rows = (out / "duality.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == [
+        "brownian_square", "brownian_isometry", "jump_square", "jump_isometry",
+    ]
+
+
 def test_check_mp_reference_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["check-mp", "--config", str(CONFIG), "--paths", "20000", "--out", str(out)])

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from volterra_control.condexp import (
     CondExpEngine,
     RegressionError,
+    _basis,
+    _monomial_powers,
+    _standardise,
     conditional_mean,
     fit_projection,
 )
@@ -288,3 +291,50 @@ def test_conditional_mean_projects_every_column():
     design = _standardised_design([states], 2)
     np.testing.assert_allclose(out, _lstsq_fit(design, targets), rtol=0,
                                atol=_tolerance(design, targets))
+
+
+# --------------------------------------------------------------------------- #
+# Gram-space standardisation against the two-pass reference
+# --------------------------------------------------------------------------- #
+
+def _two_pass_standardise(phi):
+    """The previous ``_standardise``: row means and standard deviations in
+    separate passes over the ``(p, N)`` basis, then the Gram recomputed."""
+    mean = phi.mean(axis=1)
+    scale = phi.std(axis=1)
+    scale[scale == 0.0] = 1.0
+    mean[0], scale[0] = 0.0, 1.0
+    phi -= mean[:, None]
+    phi /= scale[:, None]
+    phi[0] = 1.0
+    return mean, scale, phi @ phi.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_paths=st.integers(8, 400),
+    seed=st.integers(0, 2**16),
+    degree=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(["normal", "constant", "offset"]), min_size=1, max_size=2),
+    constant=st.sampled_from([0.0, 0.1, -3.7, 1e3]),
+)
+def test_gram_standardisation_matches_two_pass(n_paths, seed, degree, kinds, constant):
+    # "offset" rows have a mean far from zero and a small standard deviation
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "constant":
+            rows.append(np.full(n_paths, constant))
+        elif kind == "offset":
+            rows.append(50.0 + 1e-3 * rng.normal(size=n_paths))
+        else:
+            rows.append(rng.normal(size=n_paths))
+    phi = _basis(rows, _monomial_powers(len(rows), degree))
+    ref = phi.copy()
+    ref_mean, ref_scale, ref_gram = _two_pass_standardise(ref)
+    mean, scale, gram = _standardise(phi)
+    np.testing.assert_array_equal(mean, ref_mean)
+    np.testing.assert_allclose(scale, ref_scale, rtol=1e-12)
+    np.testing.assert_allclose(phi, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_allclose(gram, ref_gram, rtol=0, atol=1e-12 * n_paths)
+    assert np.all(phi[0] == 1.0)

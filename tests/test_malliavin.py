@@ -1,16 +1,24 @@
 import numpy as np
+import pytest
 
+from volterra_control.condexp import CondExpEngine
 from volterra_control.malliavin import (
     Const,
+    DualityResult,
     JumpIntegral,
     WienerIntegral,
     brownian_derivative,
-    clark_ocone_reconstruction,
     jump_derivative,
     verify_duality_brownian,
     verify_duality_jump,
 )
-from volterra_control.model import LevyMeasure, build_time_grid
+from volterra_control.model import (
+    FiltrationMode,
+    LevyMeasure,
+    RegressionSpec,
+    build_time_grid,
+    time_quadrature_weights,
+)
 from volterra_control.paths import generate_noise
 
 EMPTY = LevyMeasure.from_atoms([])
@@ -20,6 +28,13 @@ ONE_ATOM = LevyMeasure.from_atoms([[1.0, 2.0]])
 def make_noise(n_steps=100, n_paths=1000, seed=1, levy=EMPTY):
     grid = build_time_grid(1.0, n_steps)
     return generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
+
+
+def _brownian_engine(noise, degree=2):
+    return CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=degree, variables=("brownian",)),
+        noise, cache_designs=False,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -107,6 +122,49 @@ def test_brownian_duality_constant_functional():
     assert res.rhs == 0.0  # derivative is exactly zero
 
 
+def _column_stack_duality_brownian(f, psi, noise, degree=2):
+    """The previous ``verify_duality_brownian``: every psi value stacked into
+    one ``(N, n)`` matrix before either side is formed."""
+    n = noise.n_steps
+    f_vals = f.evaluate(noise)
+    psi_vals = np.column_stack([np.broadcast_to(psi(i, noise), (noise.n_paths,)) for i in range(n)])
+    lhs_samples = f_vals * np.einsum("ps,ps->p", psi_vals, noise.d_brownian)
+    engine = _brownian_engine(noise, degree)
+    w = time_quadrature_weights(noise.grid)
+    rhs_samples = np.zeros(noise.n_paths)
+    for i in range(n):
+        proj = engine.project(i, brownian_derivative(f, i).evaluate(noise))
+        rhs_samples += proj * psi_vals[:, i] * w[i]
+    n_paths = noise.n_paths
+    return DualityResult(
+        name="brownian", lhs=float(lhs_samples.mean()), rhs=float(rhs_samples.mean()),
+        se_lhs=float(lhs_samples.std(ddof=1) / np.sqrt(n_paths)),
+        se_rhs=float(rhs_samples.std(ddof=1) / np.sqrt(n_paths)),
+    )
+
+
+def test_streamed_brownian_duality_matches_column_stack():
+    noise = make_noise(n_steps=60, n_paths=3000, seed=13)
+    levels = noise.brownian_levels
+    cases = [
+        (WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i]),
+        (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, _n: np.sin(levels[:, i])),
+        (WienerIntegral(1.0), lambda i, _n: 1.0),
+    ]
+    for f, psi in cases:
+        got = verify_duality_brownian(f, psi, noise)
+        ref = _column_stack_duality_brownian(f, psi, noise)
+        for field in ("lhs", "rhs", "se_lhs", "se_rhs"):
+            np.testing.assert_allclose(getattr(got, field), getattr(ref, field), rtol=1e-12,
+                                       atol=1e-15, err_msg=field)
+
+
+def test_brownian_duality_rejects_a_misshaped_integrand():
+    noise = make_noise(n_steps=10, n_paths=100, seed=14)
+    with pytest.raises(ValueError):
+        verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: np.ones(99), noise)
+
+
 def test_jump_duality_square_case():
     noise = make_noise(n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
     res = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0, noise)
@@ -124,6 +182,21 @@ def test_jump_duality_isometry_case():
 # --------------------------------------------------------------------------- #
 # martingale-representation reconstruction
 # --------------------------------------------------------------------------- #
+
+def clark_ocone_reconstruction(f, noise, degree=2):
+    """Martingale-representation reconstruction ``E[F] + sum E[D_t F|F_t] dB``.
+
+    Returns per-path reconstructed values; the mean-square gap to the true
+    functional shrinks linearly in the step size.
+    """
+    f_vals = f.evaluate(noise)
+    engine = _brownian_engine(noise, degree)
+    recon = np.full(noise.n_paths, f_vals.mean())
+    for i in range(noise.n_steps):
+        proj = engine.project(i, brownian_derivative(f, i).evaluate(noise))
+        recon += proj * noise.d_brownian[:, i]
+    return recon
+
 
 def test_reconstruction_error_shrinks_with_grid():
     mses = []

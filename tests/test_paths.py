@@ -18,6 +18,33 @@ def test_regeneration_is_bit_identical():
     assert a.jump_counts.tobytes() == b.jump_counts.tobytes()
 
 
+def test_draws_match_the_blockwise_recipe():
+    # one child stream per block, normals scaled by sqrt(dt) before the counts
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    noise = generate_noise(GRID, two_atoms, n_paths=60, seed=4, n_blocks=3)
+    for b, child in enumerate(np.random.SeedSequence(4).spawn(3)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        rows = slice(20 * b, 20 * (b + 1))
+        db = rng.standard_normal((20, 100)) * math.sqrt(GRID.dt)
+        assert np.array_equal(noise.d_brownian[rows], db)
+        for q, w in enumerate(two_atoms.weights):
+            assert np.array_equal(noise.jump_counts[q, rows], rng.poisson(w * GRID.dt, (20, 100)))
+
+
+def test_levels_are_exact_cumulative_sums():
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    noise = generate_noise(GRID, two_atoms, n_paths=64, seed=6, n_blocks=2)
+    b = np.zeros((64, 101))
+    np.cumsum(noise.d_brownian, axis=1, out=b[:, 1:])
+    assert np.array_equal(noise.brownian_levels, b)
+    counts = np.zeros((2, 64, 101))
+    np.cumsum(noise.jump_counts, axis=2, out=counts[:, :, 1:])
+    assert np.array_equal(noise.count_levels, counts)
+    assert noise.brownian_levels.T.flags.c_contiguous
+    assert noise.count_levels.transpose(0, 2, 1).flags.c_contiguous
+    assert generate_noise(GRID, EMPTY, 8, 1, 1).count_levels.shape == (0, 8, 101)
+
+
 def test_different_blocks_change_layout():
     a = generate_noise(GRID, EMPTY, n_paths=512, seed=9, n_blocks=4)
     b = generate_noise(GRID, EMPTY, n_paths=512, seed=9, n_blocks=8)
