@@ -10,7 +10,7 @@ Subpackage map:
 * ``bsvie``     -- two-time backward solver (freeze / solve / iterate)
 * ``malliavin`` -- functional calculus and duality-identity checkers
 * ``controls``  -- consumption-rate controls
-* ``control``   -- multipliers, Hamiltonians, performance, bump derivatives
+* ``control``   -- multipliers, memory Hamiltonian, performance, bump derivatives
 * ``acceptance``-- reference-scenario acceptance checks
 * ``cli``       -- command-line entry point
 """

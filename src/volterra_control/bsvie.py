@@ -34,8 +34,6 @@ from .paths import NoiseBundle
 __all__ = [
     "ConvergenceError",
     "BsvieSolution",
-    "pair_index",
-    "weighted_norm",
     "solve_family_step",
     "solve_bsvie",
     "z_time_derivative_norm",

@@ -38,7 +38,7 @@ from .malliavin import duality_rows
 from .model import ScenarioSpec, ValidationError, validate_scenario
 from .paths import generate_noise
 
-__all__ = ["main", "run", "load_config", "emit_csv", "RunReport"]
+__all__ = ["main", "run", "load_config", "RunReport"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -20,7 +20,6 @@ at one node then cost one matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -29,13 +28,7 @@ import numpy as np
 from .model import FiltrationMode, RegressionSpec, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
-__all__ = [
-    "RegressionError",
-    "ProjectionFn",
-    "fit_projection",
-    "conditional_mean",
-    "CondExpEngine",
-]
+__all__ = ["RegressionError", "CondExpEngine"]
 
 _COND_LIMIT = 1e10  # design condition number above which the ridge rescues the solve
 _GRAM_COND_LIMIT = 1e12  # largest Gram condition number solved by normal equations
@@ -79,19 +72,16 @@ def _basis(rows: Sequence[np.ndarray], powers: Sequence[tuple[int, ...]]) -> np.
     return phi
 
 
-def _standardise(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardise(phi: np.ndarray) -> np.ndarray:
     """Centre and scale every non-intercept basis row in place.
 
     The rows are centred in one pass and their Gram matrix is formed once;
     each row's scale (its population standard deviation) is read off the
     Gram diagonal, and the ``p x p`` Gram is rescaled instead of recomputed
     (Bjorck, *Numerical Methods for Least Squares Problems*, SIAM 1996).
-    Returns the row means and scales that were removed and the Gram matrix
-    of the standardized rows.
+    Returns the Gram matrix of the standardized rows.
     """
-    mean = phi.mean(axis=1)
-    mean[0] = 0.0
-    phi[1:] -= mean[1:, None]
+    phi[1:] -= phi[1:].mean(axis=1)[:, None]
     # one dot per pair of rows: for a few long rows this beats a matrix product
     p = phi.shape[0]
     gram = np.empty((p, p))
@@ -104,7 +94,7 @@ def _standardise(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi[1:] /= scale[1:, None]
     gram /= scale[:, None]
     gram /= scale[None, :]
-    return mean, scale, gram
+    return gram
 
 
 def _column_means(targets: np.ndarray) -> np.ndarray:
@@ -162,113 +152,6 @@ class _Design:
 
     def project(self, targets: np.ndarray) -> np.ndarray:
         return self.evaluate(self.coefficients(targets))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionFn:
-    """A fitted polynomial conditional-mean estimate."""
-
-    powers: tuple[tuple[int, ...], ...]
-    coef_std: np.ndarray  # coefficients in standardized column space
-    col_mean: np.ndarray
-    col_scale: np.ndarray
-    r_squared: float
-    residual_variance: float
-    condition_number: float
-    ridged: bool
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.powers[0])
-
-    def coefficients(self) -> np.ndarray:
-        """Coefficients in the raw (unstandardized) monomial basis."""
-        coef = self.coef_std / self.col_scale
-        coef[0] = self.coef_std[0] - float(np.sum(self.coef_std[1:] * self.col_mean[1:] / self.col_scale[1:]))
-        return coef
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 0:
-            states = states.reshape(1, 1)
-        elif states.ndim == 1:
-            # a batch of scalar states when the fit is univariate, otherwise
-            # a single multivariate sample
-            states = states[:, None] if self.n_vars == 1 else states[None, :]
-        if states.shape[1] != self.n_vars:
-            raise ValidationError(
-                f"state dimension {states.shape[1]} != fitted dimension {self.n_vars}"
-            )
-        phi = _basis(states.T, self.powers)
-        phi -= self.col_mean[:, None]
-        phi /= self.col_scale[:, None]
-        phi[0] = 1.0
-        return (self.coef_std.T @ phi).T
-
-
-def _sample_design(
-    states: np.ndarray, targets: np.ndarray, degree: int
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray, _Design]:
-    """Validated standardized design of sampled states (paths along axis 0)."""
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    if not np.all(np.isfinite(states)) or not np.all(np.isfinite(targets)):
-        raise RegressionError("non-finite entries in regression inputs", np.inf)
-    powers = _monomial_powers(states.shape[1], degree)
-    if states.shape[0] < len(powers):
-        raise RegressionError(
-            f"need at least {len(powers)} samples for {len(powers)} basis functions",
-            np.inf,
-        )
-    phi = _basis(states.T, powers)
-    col_mean, col_scale, gram = _standardise(phi)
-    return powers, col_mean, col_scale, _Design(phi, gram)
-
-
-def fit_projection(states: np.ndarray, targets: np.ndarray, degree: int) -> ProjectionFn:
-    """Least-squares polynomial fit of ``targets`` on ``states``.
-
-    Accepts 1-D or 2-D states (paths along the first axis).  Raises
-    :class:`RegressionError` when the inputs are non-finite or the solve
-    cannot be rescued.
-    """
-    targets = np.asarray(targets, dtype=float)
-    powers, col_mean, col_scale, design = _sample_design(states, targets, degree)
-    coef = design.coefficients(targets)
-    resid = targets - design.evaluate(coef)
-    sst = float(np.sum((targets - targets.mean()) ** 2))
-    ssr = float(np.sum(resid**2))
-    r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
-    dof = max(targets.shape[0] - len(powers), 1)
-    return ProjectionFn(
-        powers=tuple(powers),
-        coef_std=coef,
-        col_mean=col_mean,
-        col_scale=col_scale,
-        r_squared=r2,
-        residual_variance=ssr / dof,
-        condition_number=design.condition_number,
-        ridged=design.ridged,
-    )
-
-
-def conditional_mean(
-    mode: FiltrationMode,
-    targets: np.ndarray,
-    states: np.ndarray | None = None,
-    degree: int = 2,
-) -> np.ndarray:
-    """Per-path conditional mean of ``targets`` under the given filtration.
-
-    ``states`` must be the state observed at the conditioning time (already
-    lagged for delay mode); trivial mode ignores it.  ``targets`` may be
-    ``(N,)`` or ``(N, k)``.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if mode.mode == "trivial" or states is None:
-        return _column_means(targets)
-    return _sample_design(states, targets, degree)[3].project(targets)
 
 
 class CondExpEngine:
@@ -331,7 +214,7 @@ class CondExpEngine:
                     "no regression state available; declare state variables or use trivial mode"
                 )
             phi = _basis(rows, _monomial_powers(len(rows), self.regression.degree))
-            design = _Design(phi, _standardise(phi)[2])
+            design = _Design(phi, _standardise(phi))
             if self.cache_designs:
                 self._designs[cnode] = design
         return design

@@ -1,4 +1,4 @@
-"""Maximum-principle layer: multipliers, Hamiltonians, performance, bumps.
+"""Maximum-principle layer: multipliers, memory Hamiltonian, performance, bumps.
 
 The multiplier pipeline for the log-utility consumption problem is analytic:
 
@@ -9,9 +9,9 @@ The multiplier pipeline for the log-utility consumption problem is analytic:
 ``performance`` evaluates the objective by Monte Carlo, ``log_utility_oracle``
 by high-resolution deterministic quadrature (time-invariant kernels only),
 and ``gateaux_derivative`` estimates directional derivatives by a central
-difference under common random numbers.  The two-part Hamiltonian splits into
-the diagonal part ``hamiltonian_h0`` and the memory part ``hamiltonian_h1``
-(kernel time-derivatives against projected adjoint gradients).
+difference under common random numbers.  ``hamiltonian_h1`` is the memory
+part of the Hamiltonian (kernel time-derivatives against projected adjoint
+gradients).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .bsde import _utility_legs
 from .condexp import CondExpEngine
 from .controls import ControlFn, discount_curve, remaining_value_curve
 from .fsvie import ForwardPaths, first_variation, simulate_fsvie
-from .model import ScenarioSpec, TimeGrid, ValidationError, time_quadrature_weights
+from .model import ScenarioSpec, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
 __all__ = [
@@ -37,10 +37,7 @@ __all__ = [
     "log_utility_oracle",
     "GateauxResult",
     "gateaux_derivative",
-    "hamiltonian_h0",
     "hamiltonian_h1",
-    "adjoint_malliavin_projection",
-    "concavity_probe",
     "consumption_rows",
 ]
 
@@ -92,77 +89,22 @@ def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None)
 # Performance functional and its oracle
 # --------------------------------------------------------------------------- #
 
-_CATALOG = {
-    "zero": (lambda x: np.zeros_like(x), lambda x: 0.0),
-    "identity": (lambda x: x, lambda x: 1.0),
-    "log": (np.log, lambda x: 1.0 / x),
-}
-
-
-def _scalar_fn(spec):
-    """Resolve a catalog entry ``zero|identity|log|("power", g)`` to (f, f')."""
-    if isinstance(spec, tuple) and spec[0] == "power":
-        g = float(spec[1])
-        if g == 0.0:
-            raise ValidationError("power exponent must be nonzero (use 'log')")
-        return (lambda x: x**g / g, lambda x: x ** (g - 1.0))
-    try:
-        return _CATALOG[spec]
-    except KeyError as exc:
-        raise ValidationError(f"unknown functional spec {spec!r}") from exc
-
-
 @dataclass(frozen=True)
 class PerformanceResult:
     j: float
     se: float
-    y0: float
-    y0_se: float
 
 
-def performance(
-    scenario: ScenarioSpec,
-    control: ControlFn,
-    noise: NoiseBundle,
-    f_spec="zero",
-    phi_spec="zero",
-    psi_spec="identity",
-    fwd: ForwardPaths | None = None,
-) -> PerformanceResult:
-    """Monte Carlo objective ``E[int f(X) dt + phi(X(T))] + psi(Y(0))``.
+def performance(scenario: ScenarioSpec, control: ControlFn, noise: NoiseBundle) -> PerformanceResult:
+    """Monte Carlo recursive-utility objective ``J = Y(0)`` and its standard error.
 
-    The default specs reproduce the pure recursive-utility objective
-    ``J = Y(0)``.  The state path is simulated through the last left node
-    unless the terminal functional ``phi`` is nonzero.
+    The state path is simulated through the last left node.
     """
-    grid = scenario.grid
-    n = grid.n_steps
-    needs_terminal = phi_spec != "zero"
-    if fwd is None:
-        fwd = simulate_fsvie(scenario, noise, control,
-                             through_node=None if needs_terminal else n - 1)
-    if needs_terminal and fwd.last_node < n:
-        raise ValidationError("terminal functional requires paths through T")
-
+    fwd = simulate_fsvie(scenario, noise, control, through_node=scenario.grid.n_steps - 1)
     u_legs = _utility_legs(scenario, control, fwd)
-    y0 = float(u_legs.mean())
     n_paths = u_legs.shape[0]
-    y0_se = float(u_legs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-
-    extra = np.zeros(n_paths)
-    if f_spec != "zero":
-        f_fn, _ = _scalar_fn(f_spec)
-        w = time_quadrature_weights(grid)
-        extra += f_fn(fwd.values[:, :n]) @ w
-    if needs_terminal:
-        phi_fn, _ = _scalar_fn(phi_spec)
-        extra += phi_fn(fwd.values[:, n])
-
-    psi_fn, psi_d = _scalar_fn(psi_spec)
-    combined = extra + psi_d(y0) * u_legs  # delta-method linearization
-    j = float(extra.mean()) + float(psi_fn(np.asarray(y0)))
-    se = float(combined.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return PerformanceResult(j=j, se=se, y0=y0, y0_se=y0_se)
+    se = float(u_legs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    return PerformanceResult(j=float(u_legs.mean()), se=se)
 
 
 def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn, refine: int = 10) -> float:
@@ -264,42 +206,6 @@ def gateaux_derivative(
 # Hamiltonians
 # --------------------------------------------------------------------------- #
 
-def hamiltonian_h0(
-    t: float,
-    x: float,
-    y: float,
-    c: float,
-    p: float,
-    q: float,
-    r: np.ndarray | None,
-    lam: float,
-    scenario: ScenarioSpec,
-    f_spec="zero",
-) -> float:
-    """Diagonal Hamiltonian part for the consumption model.
-
-    ``(alpha(t,t) - c) p x + beta(t,t) q x + sum_m pi_m(t,t) x r_m w_m
-    + (log c + log x -+ gamma(t) y) lam``, plus the running-cost term when
-    a nonzero ``f`` is configured.
-    """
-    if c <= 0.0 or x <= 0.0:
-        raise ValidationError("Hamiltonian requires c > 0 and x > 0")
-    alpha_tt = scenario.alpha(t, t)
-    beta_tt = scenario.beta(t, t)
-    gamma_t = float(np.interp(t, scenario.grid.nodes, scenario.gamma))
-    sign = -1.0 if scenario.convention == "discounting" else 1.0
-    value = (alpha_tt - c) * p * x + beta_tt * q * x
-    if scenario.n_atoms:
-        r = np.zeros(scenario.n_atoms) if r is None else np.asarray(r, float)
-        pis = np.array([k(t, t) for k in scenario.pi_kernels])
-        value += float(np.dot(scenario.levy.weights, pis * r)) * x
-    value += (np.log(c) + np.log(x) + sign * gamma_t * y) * lam
-    if f_spec != "zero":
-        f_fn, _ = _scalar_fn(f_spec)
-        value += float(f_fn(np.asarray(x)))
-    return float(value)
-
-
 def adjoint_malliavin_projection(
     scenario: ScenarioSpec,
     noise: NoiseBundle,
@@ -353,7 +259,6 @@ def hamiltonian_h1(
     scenario: ScenarioSpec,
     noise: NoiseBundle | None = None,
     control: ControlFn | None = None,
-    projections: dict | None = None,
 ) -> tuple[float, float]:
     """Memory part of the Hamiltonian at ``t = t_node`` (estimate, SE).
 
@@ -386,13 +291,9 @@ def hamiltonian_h1(
     per_path = (adjoint.p_paths[:, k:] * (w * col_a)[None, :]).sum(axis=1) * x
 
     if (np.any(col_b) or any(np.any(c) for c in cols_p)):
-        if projections is None:
-            if noise is None or control is None or fwd is None:
-                raise ValidationError(
-                    "kernel time-derivative terms need noise/control/paths or "
-                    "precomputed projections"
-                )
-            projections = adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, k)
+        if noise is None or control is None or fwd is None:
+            raise ValidationError("kernel time-derivative terms need noise, control and paths")
+        projections = adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, k)
         if np.any(col_b):
             per_path = per_path + (projections["brownian"][:, k:] * (w * col_b)[None, :]).sum(axis=1) * x
         for q, col in enumerate(cols_p):
@@ -403,52 +304,6 @@ def hamiltonian_h1(
     n_paths = per_path.shape[0]
     se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return float(per_path.mean()), se
-
-
-def concavity_probe(
-    scenario: ScenarioSpec,
-    samples: list[dict],
-    rel_step: float = 1e-4,
-) -> dict:
-    """Numerical Hessian of the diagonal Hamiltonian over ``(x, y, c)``.
-
-    Each sample is a dict with keys ``t, x, y, c`` and multipliers
-    ``p, q, r, lam``.  Central differences with a relative step; reports the
-    minimum eigenvalue per sample and overall.  Diagnostic only -- no
-    pass/fail.
-    """
-    reports = []
-    for smp in samples:
-        t = smp["t"]
-        base = np.array([smp["x"], smp["y"], smp["c"]], dtype=float)
-        p, q, lam = smp.get("p", 0.0), smp.get("q", 0.0), smp.get("lam", 1.0)
-        r = smp.get("r")
-
-        def h_at(v):
-            return hamiltonian_h0(t, v[0], v[1], v[2], p, q, r, lam, scenario)
-
-        steps = rel_step * np.maximum(np.abs(base), 1.0)
-        hess = np.empty((3, 3))
-        for a in range(3):
-            for b in range(a, 3):
-                if a == b:
-                    vp, vm = base.copy(), base.copy()
-                    vp[a] += steps[a]
-                    vm[a] -= steps[a]
-                    hess[a, a] = (h_at(vp) - 2.0 * h_at(base) + h_at(vm)) / steps[a] ** 2
-                else:
-                    vpp, vpm, vmp, vmm = (base.copy() for _ in range(4))
-                    vpp[[a, b]] += steps[[a, b]]
-                    vpm[a] += steps[a]; vpm[b] -= steps[b]
-                    vmp[a] -= steps[a]; vmp[b] += steps[b]
-                    vmm[[a, b]] -= steps[[a, b]]
-                    hess[a, b] = hess[b, a] = (
-                        h_at(vpp) - h_at(vpm) - h_at(vmp) + h_at(vmm)
-                    ) / (4.0 * steps[a] * steps[b])
-        eigs = np.linalg.eigvalsh(hess)
-        reports.append({"sample": smp, "hessian": hess, "min_eigenvalue": float(eigs[0])})
-    overall = min(r["min_eigenvalue"] for r in reports) if reports else 0.0
-    return {"samples": reports, "min_eigenvalue": overall}
 
 
 # --------------------------------------------------------------------------- #

@@ -41,8 +41,6 @@ __all__ = [
     "Sum",
     "Product",
     "Power",
-    "brownian_derivative",
-    "jump_derivative",
     "DualityResult",
     "verify_duality_brownian",
     "verify_duality_jump",
@@ -271,11 +269,6 @@ class _JumpDifference(Functional):
         raise ValidationError("mixed derivatives are not supported")
 
 
-def brownian_derivative(f: Functional, node: int) -> Functional:
-    """Chain-rule derivative with respect to the Brownian increment time."""
-    return f.d_brownian(node)
-
-
 def jump_derivative(f: Functional, node: int, atom: int) -> Functional:
     """Difference-form derivative: add one jump at the node, subtract."""
     return _JumpDifference(f, node, atom)
@@ -308,10 +301,10 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n))
 
 
-def _projection_engine(noise: NoiseBundle, degree: int = 2) -> CondExpEngine:
+def _projection_engine(noise: NoiseBundle) -> CondExpEngine:
     variables = ("brownian", "jump_counts") if noise.levy.n_atoms else ("brownian",)
     return CondExpEngine(
-        FiltrationMode(mode="full"), RegressionSpec(degree=degree, variables=variables),
+        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=variables),
         noise, cache_designs=False,
     )
 
@@ -321,14 +314,13 @@ def verify_duality_brownian(
     psi: Callable[[int, NoiseBundle], np.ndarray],
     noise: NoiseBundle,
     name: str = "brownian",
-    degree: int = 2,
 ) -> DualityResult:
     """Both sides of the Brownian integration-by-parts identity on one noise.
 
     ``psi(step, noise)`` must return the adapted integrand values at the left
     node of the step.
     """
-    engine = _projection_engine(noise, degree)
+    engine = _projection_engine(noise)
     w = time_quadrature_weights(noise.grid)
     # psi is read one node at a time, for both sides, and never stored whole
     integral = np.zeros(noise.n_paths)
@@ -336,7 +328,7 @@ def verify_duality_brownian(
     for i in range(noise.n_steps):
         psi_i = np.broadcast_to(psi(i, noise), (noise.n_paths,))
         integral += psi_i * noise.d_brownian[:, i]
-        d_vals = brownian_derivative(f, i).evaluate(noise)
+        d_vals = f.d_brownian(i).evaluate(noise)
         proj = engine.project(i, d_vals)
         rhs_samples += proj * psi_i * w[i]
     lhs_samples = f.evaluate(noise) * integral
@@ -350,7 +342,6 @@ def verify_duality_jump(
     phi: Callable[[int, int, NoiseBundle], np.ndarray],
     noise: NoiseBundle,
     name: str = "jump",
-    degree: int = 2,
 ) -> DualityResult:
     """Both sides of the jump integration-by-parts identity on one noise.
 

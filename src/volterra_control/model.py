@@ -214,14 +214,6 @@ class Kernel:
         start = i * (i + 1) // 2
         return np.asarray(self.table[start : start + i + 1])
 
-    def d_first(self, t: float, s: float) -> float:
-        """Analytic ``dK/dt (t, s)`` for constant and exp_decay kinds."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "exp_decay":
-            return -self.rate * self(t, s)
-        raise KernelDomainError("table kernels only support node-based finite differences")
-
     def d_first_at_nodes(self, grid: TimeGrid) -> np.ndarray:
         """Matrix of ``dK/dt (t_i, t_j)`` on the triangle.
 
@@ -235,15 +227,12 @@ class Kernel:
             return -self.rate * self.at_nodes(grid)
         vals = self.at_nodes(grid)
         out = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            for j in range(i + 1):
-                if j <= i - 1 and i + 1 <= n:
-                    out[i, j] = (vals[i + 1, j] - vals[i - 1, j]) / (2 * dt) if i - 1 >= j else \
-                        (vals[i + 1, j] - vals[i, j]) / dt
-                elif i + 1 <= n:
-                    out[i, j] = (vals[i + 1, j] - vals[i, j]) / dt
-                else:
-                    out[i, j] = (vals[i, j] - vals[i - 1, j]) / dt if i - 1 >= j else 0.0
+        # central below the diagonal of rows 1..n-1, forward on the diagonal,
+        # backward on the last row
+        out[1:n] = np.tril((vals[2:] - vals[:-2]) / (2 * dt))
+        d = np.arange(n)
+        out[d, d] = (vals[d + 1, d] - vals[d, d]) / dt
+        out[n, :n] = (vals[n, :n] - vals[n - 1, :n]) / dt
         return out
 
 

@@ -1,39 +1,48 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterra_control.condexp import (
     CondExpEngine,
-    RegressionError,
     _basis,
     _monomial_powers,
     _standardise,
-    conditional_mean,
-    fit_projection,
 )
 from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
     RegressionSpec,
-    ValidationError,
     build_time_grid,
 )
 from volterra_control.paths import generate_noise
+
+
+def _full_engine(states, degree):
+    """A full-information engine on a two-step grid whose ``x`` state at
+    node 1 is the sample ``states`` (paths along axis 0)."""
+    n_paths = states.shape[0]
+    noise = generate_noise(build_time_grid(1.0, 2), LevyMeasure.from_atoms([]), n_paths, 0, 1)
+    ones = np.ones(n_paths)
+    return CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=degree, variables=("x",)),
+        noise, x_paths=np.column_stack([ones, states, ones]),
+    )
 
 
 def test_exact_linear_target_recovered():
     rng = np.random.default_rng(0)
     x = rng.normal(size=500)
     y = 3.0 * x + 1.0
-    fn = fit_projection(x, y, degree=2)
-    coef = fn.coefficients()
-    assert abs(coef[0] - 1.0) < 1e-10
-    assert abs(coef[1] - 3.0) < 1e-10
+    engine = _full_engine(x, degree=2)
+    design = engine._design(1)
+    coef = design.coefficients(y)
+    # standardized basis rows: 1, (x - m1) / s1, (x^2 - m2) / s2
+    assert abs(coef[0] - (3.0 * x.mean() + 1.0)) < 1e-10
+    assert abs(coef[1] - 3.0 * x.std()) < 1e-10
     assert abs(coef[2]) < 1e-10
-    assert fn.r_squared > 1.0 - 1e-12
+    np.testing.assert_allclose(engine.project(1, y), y, rtol=0, atol=1e-10)
 
 
 def test_martingale_regression_slope():
@@ -42,55 +51,44 @@ def test_martingale_regression_slope():
     n = 20_000
     b_half = rng.normal(scale=math.sqrt(0.5), size=n)
     b_one = b_half + rng.normal(scale=math.sqrt(0.5), size=n)
-    fn = fit_projection(b_half, b_one, degree=1)
-    coef = fn.coefficients()
+    engine = _full_engine(b_half, degree=1)
+    fitted = engine.project(1, b_one)
+    # slope and intercept of the fitted (exactly affine) values, with the
     # classic OLS standard errors
-    resid_var = fn.residual_variance
+    slope, intercept = np.polyfit(b_half, fitted, 1)
+    resid_var = np.sum((b_one - fitted) ** 2) / (n - 2)
     sxx = np.sum((b_half - b_half.mean()) ** 2)
     se_slope = math.sqrt(resid_var / sxx)
     se_inter = math.sqrt(resid_var * (1.0 / n + b_half.mean() ** 2 / sxx))
-    assert abs(coef[1] - 1.0) <= 3 * se_slope
-    assert abs(coef[0]) <= 3 * se_inter
-    pred = fn(np.array([0.3]))
-    assert abs(pred[0] - (coef[0] + 0.3 * coef[1])) < 1e-12
+    assert abs(slope - 1.0) <= 3 * se_slope
+    assert abs(intercept) <= 3 * se_inter
+    np.testing.assert_allclose(fitted, intercept + slope * b_half, rtol=0, atol=1e-12)
 
 
 def test_constant_targets_reproduced():
     x = np.linspace(-1, 1, 50)
-    fn = fit_projection(x, np.full(50, 2.5), degree=3)
-    assert np.allclose(fn(x), 2.5, atol=1e-12)
+    fitted = _full_engine(x, degree=3).project(1, np.full(50, 2.5))
+    assert np.allclose(fitted, 2.5, atol=1e-12)
 
 
 def test_identity_fit_prediction():
     x = np.linspace(-2, 2, 100)
-    fn = fit_projection(x, x, degree=2)
-    assert abs(fn(np.array([0.7]))[0] - 0.7) < 1e-10
+    fitted = _full_engine(x, degree=2).project(1, x)
+    np.testing.assert_allclose(fitted, x, rtol=0, atol=1e-10)
 
 
-def test_dimension_mismatch_raises():
-    rng = np.random.default_rng(2)
-    states = rng.normal(size=(100, 2))
-    fn = fit_projection(states, states[:, 0], degree=1)
-    with pytest.raises(ValidationError):
-        fn(np.ones((10, 3)))
-
-
-def test_refit_is_deterministic():
-    rng = np.random.default_rng(3)
-    x, y = rng.normal(size=(2, 400))
-    a = fit_projection(x, y, degree=2).coef_std
-    b = fit_projection(x, y, degree=2).coef_std
-    assert np.array_equal(a, b)
-
-
-def test_too_few_samples_raise():
-    with pytest.raises(RegressionError):
-        fit_projection(np.arange(3.0), np.arange(3.0), degree=4)
-
-
-def test_non_finite_inputs_raise():
-    with pytest.raises(RegressionError):
-        fit_projection(np.array([1.0, np.nan]), np.array([1.0, 2.0]), degree=1)
+def test_cached_designs_match_uncached_in_any_node_order():
+    # a cached design is keyed by its conditioning node: revisiting nodes in
+    # any order must give what a fresh design for that node gives
+    noise, targets, _ = _noise_and_targets(6, 300, 3, 2)
+    reg = RegressionSpec(degree=2, variables=("brownian",))
+    cached = CondExpEngine(FiltrationMode(mode="full"), reg, noise, cache_designs=True)
+    fresh = CondExpEngine(FiltrationMode(mode="full"), reg, noise, cache_designs=False)
+    for node in (3, 5, 3, 5):
+        np.testing.assert_array_equal(cached.project(node, targets), fresh.project(node, targets))
+        np.testing.assert_array_equal(cached.project(node, targets[:, 0]),
+                                      fresh.project(node, targets[:, 0]))
+    assert sorted(cached._designs) == [3, 5] and not fresh._designs
 
 
 def test_degenerate_state_rescued_by_ridge():
@@ -98,31 +96,28 @@ def test_degenerate_state_rescued_by_ridge():
     # sample mean
     x = np.full(200, 3.0)
     y = np.linspace(0, 1, 200)
-    fn = fit_projection(x, y, degree=2)
-    assert fn.ridged
-    assert np.allclose(fn(x), y.mean(), atol=1e-8)
+    engine = _full_engine(x, degree=2)
+    fitted = engine.project(1, y)
+    assert engine._design(1).ridged
+    assert np.allclose(fitted, y.mean(), atol=1e-8)
 
 
 def test_tower_property_and_contraction():
     rng = np.random.default_rng(4)
     x = rng.normal(size=5000)
     y = np.sin(x) + 0.5 * rng.normal(size=5000)
-    fn = fit_projection(x, y, degree=3)
-    fitted = fn(x)
+    fitted = _full_engine(x, degree=3).project(1, y)
     assert abs(fitted.mean() - y.mean()) < 1e-10
     assert np.sum(fitted**2) <= np.sum(y**2) * (1 + 1e-10)
-
-
-def test_conditional_mean_trivial_broadcasts():
-    y = np.array([0.01, 0.02, 0.015])
-    out = conditional_mean(FiltrationMode(mode="trivial"), y)
-    assert np.allclose(out, 0.015)
+    # projecting the projection changes nothing
+    np.testing.assert_allclose(_full_engine(x, degree=3).project(1, fitted), fitted,
+                               rtol=0, atol=1e-10)
 
 
 def test_conditional_mean_full_on_deterministic_targets():
     rng = np.random.default_rng(5)
     states = rng.normal(size=300)
-    out = conditional_mean(FiltrationMode(mode="full"), np.full(300, 4.2), states)
+    out = _full_engine(states, degree=2).project(1, np.full(300, 4.2))
     assert np.allclose(out, 4.2, atol=1e-10)
 
 
@@ -283,22 +278,12 @@ def test_near_collinear_design_takes_the_ridge_path():
     np.testing.assert_allclose(fitted.mean(axis=0), targets.mean(axis=0), atol=1e-12)
 
 
-def test_conditional_mean_projects_every_column():
-    rng = np.random.default_rng(6)
-    states = rng.normal(size=500)
-    targets = np.column_stack([states**2, np.sin(states)]) + rng.normal(size=(500, 2))
-    out = conditional_mean(FiltrationMode(mode="full"), targets, states, degree=2)
-    design = _standardised_design([states], 2)
-    np.testing.assert_allclose(out, _lstsq_fit(design, targets), rtol=0,
-                               atol=_tolerance(design, targets))
-
-
 # --------------------------------------------------------------------------- #
 # Gram-space standardisation against the two-pass reference
 # --------------------------------------------------------------------------- #
 
 def _two_pass_standardise(phi):
-    """The previous ``_standardise``: row means and standard deviations in
+    """The earlier ``_standardise``: row means and standard deviations in
     separate passes over the ``(p, N)`` basis, then the Gram recomputed."""
     mean = phi.mean(axis=1)
     scale = phi.std(axis=1)
@@ -307,7 +292,7 @@ def _two_pass_standardise(phi):
     phi -= mean[:, None]
     phi /= scale[:, None]
     phi[0] = 1.0
-    return mean, scale, phi @ phi.T
+    return phi @ phi.T
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,10 +316,8 @@ def test_gram_standardisation_matches_two_pass(n_paths, seed, degree, kinds, con
             rows.append(rng.normal(size=n_paths))
     phi = _basis(rows, _monomial_powers(len(rows), degree))
     ref = phi.copy()
-    ref_mean, ref_scale, ref_gram = _two_pass_standardise(ref)
-    mean, scale, gram = _standardise(phi)
-    np.testing.assert_array_equal(mean, ref_mean)
-    np.testing.assert_allclose(scale, ref_scale, rtol=1e-12)
+    ref_gram = _two_pass_standardise(ref)
+    gram = _standardise(phi)
     np.testing.assert_allclose(phi, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_allclose(gram, ref_gram, rtol=0, atol=1e-12 * n_paths)
     assert np.all(phi[0] == 1.0)

@@ -7,9 +7,7 @@ from volterra_control.control import (
     adjoint_malliavin_projection,
     adjoint_product,
     build_adjoint_state,
-    concavity_probe,
     gateaux_derivative,
-    hamiltonian_h0,
     hamiltonian_h1,
     lambda_adjoint,
     log_utility_oracle,
@@ -172,14 +170,6 @@ def test_performance_scaled_optimal_rate(s0_small, s0_noise):
     assert abs(res.j - expected) <= 3 * res.se
 
 
-def test_performance_with_terminal_functional(s0_small, s0_noise):
-    one = ControlFn.constant(1.0, s0_small.grid)
-    res = performance(s0_small, one, s0_noise, phi_spec="identity")
-    base = performance(s0_small, one, s0_noise)
-    # terminal leg adds E[X(T)] ~ e^{-0.95}
-    assert abs((res.j - base.j) - math.exp(-0.95)) < 3e-3
-
-
 # --------------------------------------------------------------------------- #
 # directional derivatives
 # --------------------------------------------------------------------------- #
@@ -227,28 +217,6 @@ def test_gateaux_rejects_positivity_loss(s0_small, s0_noise):
 # --------------------------------------------------------------------------- #
 # Hamiltonians
 # --------------------------------------------------------------------------- #
-
-def test_diagonal_hamiltonian_direct_value():
-    spec = make_scenario()
-    val = hamiltonian_h0(0.3, x=1.0, y=0.0, c=1.0, p=0.5, q=0.0, r=None, lam=1.0,
-                         scenario=spec)
-    assert math.isclose(val, -0.475, rel_tol=1e-12)
-
-
-def test_diagonal_hamiltonian_zero_multipliers():
-    spec = make_scenario()
-    val = hamiltonian_h0(0.3, x=2.0, y=1.0, c=0.7, p=0.0, q=0.0, r=None, lam=0.0,
-                         scenario=spec)
-    assert val == 0.0
-
-
-def test_diagonal_hamiltonian_stationary_in_consumption():
-    spec = make_scenario()
-    h = 1e-6
-    up = hamiltonian_h0(0.3, 1.0, 0.0, 2.0 + h, 0.5, 0.0, None, 1.0, spec)
-    dn = hamiltonian_h0(0.3, 1.0, 0.0, 2.0 - h, 0.5, 0.0, None, 1.0, spec)
-    assert abs((up - dn) / (2 * h)) < 1e-6  # c = lam / (p x) = 2
-
 
 def test_memory_hamiltonian_zero_for_time_invariant_kernels(s0_small, s0_noise):
     one = ControlFn.constant(1.0, s0_small.grid)
@@ -311,26 +279,3 @@ def test_adjoint_jump_gradient_matches_shortcut():
     pi = -0.1
     want = -pi / (1 + pi) * adj.p_paths[:, 40].mean()
     assert abs(got - want) < 0.02 * abs(want)
-
-
-# --------------------------------------------------------------------------- #
-# concavity probe
-# --------------------------------------------------------------------------- #
-
-def test_concavity_probe_log_curvatures():
-    spec = make_scenario()
-    report = concavity_probe(spec, [
-        {"t": 0.3, "x": 1.0, "y": 0.0, "c": 1.0, "p": 0.5, "q": 0.0, "lam": 1.0},
-    ])
-    hess = report["samples"][0]["hessian"]
-    assert abs(hess[2, 2] + 1.0) < 1e-4  # d2/dc2 of lam log c at c=1
-    assert abs(hess[0, 0] + 1.0) < 1e-4  # d2/dx2 of lam log x at x=1
-    assert report["min_eigenvalue"] < 0
-
-
-def test_concavity_probe_flat_when_multipliers_vanish():
-    spec = make_scenario()
-    report = concavity_probe(spec, [
-        {"t": 0.3, "x": 1.0, "y": 0.0, "c": 1.0, "p": 0.0, "q": 0.0, "lam": 0.0},
-    ])
-    assert abs(report["min_eigenvalue"]) < 1e-6

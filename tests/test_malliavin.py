@@ -7,7 +7,6 @@ from volterra_control.malliavin import (
     DualityResult,
     JumpIntegral,
     WienerIntegral,
-    brownian_derivative,
     jump_derivative,
     verify_duality_brownian,
     verify_duality_jump,
@@ -43,28 +42,28 @@ def _brownian_engine(noise, degree=2):
 
 def test_brownian_derivative_of_unit_integrand():
     noise = make_noise()
-    d = brownian_derivative(WienerIntegral(1.0), 37)
+    d = WienerIntegral(1.0).d_brownian(37)
     assert np.allclose(d.evaluate(noise), 1.0)
 
 
 def test_brownian_derivative_chain_rule_square():
     noise = make_noise()
     w = WienerIntegral(1.0)
-    d = brownian_derivative(w**2, 10)
+    d = (w**2).d_brownian(10)
     assert np.allclose(d.evaluate(noise), 2.0 * w.evaluate(noise), atol=1e-12)
 
 
 def test_brownian_derivative_of_constant_is_zero():
     noise = make_noise()
-    assert np.allclose(brownian_derivative(Const(5.0), 3).evaluate(noise), 0.0)
+    assert np.allclose(Const(5.0).d_brownian(3).evaluate(noise), 0.0)
 
 
 def test_derivative_of_adapted_functional_vanishes_later():
     # integrand supported on [0, 0.5): derivative at later nodes is zero
     noise = make_noise()
     w = WienerIntegral(lambda t: 1.0 if t < 0.5 else 0.0)
-    assert np.allclose(brownian_derivative(w, 70).evaluate(noise), 0.0)
-    assert np.allclose(brownian_derivative(w**2, 70).evaluate(noise), 0.0)
+    assert np.allclose(w.d_brownian(70).evaluate(noise), 0.0)
+    assert np.allclose((w**2).d_brownian(70).evaluate(noise), 0.0)
 
 
 def test_jump_derivative_of_unit_mark():
@@ -133,7 +132,7 @@ def _column_stack_duality_brownian(f, psi, noise, degree=2):
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(noise.n_paths)
     for i in range(n):
-        proj = engine.project(i, brownian_derivative(f, i).evaluate(noise))
+        proj = engine.project(i, f.d_brownian(i).evaluate(noise))
         rhs_samples += proj * psi_vals[:, i] * w[i]
     n_paths = noise.n_paths
     return DualityResult(
@@ -193,7 +192,7 @@ def clark_ocone_reconstruction(f, noise, degree=2):
     engine = _brownian_engine(noise, degree)
     recon = np.full(noise.n_paths, f_vals.mean())
     for i in range(noise.n_steps):
-        proj = engine.project(i, brownian_derivative(f, i).evaluate(noise))
+        proj = engine.project(i, f.d_brownian(i).evaluate(noise))
         recon += proj * noise.d_brownian[:, i]
     return recon
 

@@ -79,8 +79,10 @@ def test_exp_decay_derivative_matches_finite_differences():
     # central differences converge at second order: quartering h should cut
     # the defect by ~16
     k = Kernel.exp_decay(0.05, 1.3)
-    t, s = 0.8, 0.3
-    exact = k.d_first(t, s)
+    grid = build_time_grid(1.0, 10)
+    i, j = 8, 3
+    t, s = grid.nodes[i], grid.nodes[j]
+    exact = k.d_first_at_nodes(grid)[i, j]
 
     def defect(h):
         return abs((k(t + h, s) - k(t - h, s)) / (2 * h) - exact)
@@ -88,6 +90,32 @@ def test_exp_decay_derivative_matches_finite_differences():
     d1, d2 = defect(1e-3), defect(2.5e-4)
     assert d1 < 1e-6
     assert d2 < d1 / 8
+
+
+def _table_derivative_loop(vals, n, dt):
+    """The earlier element-by-element finite differences of a table kernel,
+    kept verbatim as the reference for the sliced version."""
+    out = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in range(i + 1):
+            if j <= i - 1 and i + 1 <= n:
+                out[i, j] = (vals[i + 1, j] - vals[i - 1, j]) / (2 * dt) if i - 1 >= j else \
+                    (vals[i + 1, j] - vals[i, j]) / dt
+            elif i + 1 <= n:
+                out[i, j] = (vals[i + 1, j] - vals[i, j]) / dt
+            else:
+                out[i, j] = (vals[i, j] - vals[i - 1, j]) / dt if i - 1 >= j else 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 57])
+def test_table_derivative_matches_elementwise_loop(n):
+    grid = build_time_grid(1.3, n)
+    rng = np.random.default_rng(n)
+    k = Kernel.from_table(rng.normal(size=(n + 1) * (n + 2) // 2), n)
+    got = k.d_first_at_nodes(grid)
+    assert np.array_equal(got, _table_derivative_loop(k.at_nodes(grid), n, grid.dt))
+    assert np.all(got[np.triu_indices(n + 1, k=1)] == 0.0)
 
 
 def test_table_kernel_roundtrip():
