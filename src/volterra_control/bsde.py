@@ -97,8 +97,8 @@ def solve_bsde(
     r2 = np.zeros(n)
     y[n] = terminal
     w_dt = noise.levy.weights * dt if m else None
-    comp = noise.compensated_counts if m else None
-    # one projection per step: columns y, y dB and y (count_q - w_q dt)
+    # one projection per step: columns y, y dB and y (count_q - w_q dt); each
+    # step compensates its own counts, so no float copy of all counts is made
     targets = np.empty((n_paths, 2 + m), order="F")
 
     for i in range(n - 1, -1, -1):
@@ -106,7 +106,8 @@ def solve_bsde(
         targets[:, 0] = y_next
         np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
         for q in range(m):
-            np.multiply(y_next, comp[q, :, i], out=targets[:, 2 + q])
+            np.subtract(noise.jump_counts[q, :, i], w_dt[q], out=targets[:, 2 + q])
+            targets[:, 2 + q] *= y_next
         proj = engine.project(i, targets)
         y_proj = proj[:, 0]
         z[i] = proj[:, 1] / dt
@@ -131,7 +132,11 @@ def solve_bsde(
 def _utility_legs(
     scenario: ScenarioSpec, control: ControlFn, fwd: ForwardPaths
 ) -> np.ndarray:
-    """Per-path integral ``int_0^T lambda log(c X)`` on the node quadrature."""
+    """Per-path integral ``int_0^T lambda log(c X)`` on the node quadrature.
+
+    On a log state (the exact engine, whose simulation already checked the
+    positivity floor) this is ``log X @ wl + log c @ wl`` and takes no log.
+    """
     grid = scenario.grid
     n = grid.n_steps
     if fwd.last_node < n - 1:
@@ -139,13 +144,14 @@ def _utility_legs(
     c = control.values(grid)
     if np.any(c <= 0.0):
         raise ValidationError("consumption must be strictly positive at evaluated nodes")
+    lam = discount_curve(scenario.gamma, grid, scenario.convention)[:n]
+    wl = time_quadrature_weights(grid) * lam
+    if fwd.log_state:
+        return fwd.state[:, :n] @ wl + float(np.log(c) @ wl)
     x = fwd.values[:, :n]
     if np.any(x <= 0.0):
         raise ValidationError("utility requires strictly positive state paths")
-    lam = discount_curve(scenario.gamma, grid, scenario.convention)[:n]
-    w = time_quadrature_weights(grid)
-    integrand = np.log(c[None, :] * x)
-    return integrand @ (w * lam)
+    return np.log(c[None, :] * x) @ wl
 
 
 def recursive_utility(

@@ -9,6 +9,9 @@ Two stepping engines are available:
   prod_m (1 + pi_m)^count * exp(-w_m pi_m dt)`` with the control's exact
   per-step integral ``c_bar dt``.  The drift and both martingale factors are
   exact in law, so Monte Carlo means carry no time-discretization bias.
+  The engine sums the log-factors and keeps ``log X``: the utility reads it
+  directly, the positivity floor is checked on it, and ``X`` itself is
+  exponentiated only when a caller asks for ``ForwardPaths.values``.
 
 * ``volterra_sum`` -- the general left-point scheme for genuinely two-time
   kernels: every node value is the full triangular sum
@@ -31,6 +34,7 @@ floor when the scenario is of the multiplicative class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,20 +70,30 @@ class PositivityBreachError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ForwardPaths:
-    """Simulated state values ``X[p, i]`` on nodes ``t_0 .. t_{last_node}``."""
+    """Simulated state ``X[p, i]`` on nodes ``t_0 .. t_{last_node}``.
+
+    ``state`` holds ``log X`` when ``log_state`` is set (the exact engine)
+    and ``X`` otherwise.  ``values`` is always ``X``: on a log state it is
+    exponentiated on first access and then kept.
+    """
 
     grid: TimeGrid
-    values: np.ndarray  # (n_paths, last_node + 1)
+    state: np.ndarray  # (n_paths, last_node + 1)
+    log_state: bool
     positive_state: bool
     scheme: str
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.exp(self.state) if self.log_state else self.state
+
     @property
     def n_paths(self) -> int:
-        return self.values.shape[0]
+        return self.state.shape[0]
 
     @property
     def last_node(self) -> int:
-        return self.values.shape[1] - 1
+        return self.state.shape[1] - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +125,13 @@ def _check_positive(x: np.ndarray, floor: float) -> None:
         raise PositivityBreachError(p, i, x[p, i])
 
 
+def _check_log_positive(log_x: np.ndarray, floor: float) -> None:
+    bad = log_x <= np.log(floor)
+    if bad.any():
+        p, i = np.argwhere(bad)[0]
+        raise PositivityBreachError(p, i, np.exp(log_x[p, i]))
+
+
 def simulate_fsvie(
     scenario: ScenarioSpec,
     noise: NoiseBundle,
@@ -137,24 +158,24 @@ def simulate_fsvie(
         raise ValidationError("noise grid does not match scenario grid")
 
     c_vals = control.values(grid)
-    _check_control_admissible(c_vals[:last] if last > 0 else c_vals[:0])
+    _check_control_admissible(c_vals[:last])
 
     if scheme == "auto":
         scheme = "multiplicative_exact" if scenario.time_invariant else "volterra_sum"
     if scheme == "multiplicative_exact":
         if not scenario.time_invariant:
             raise ValidationError("multiplicative_exact requires time-invariant kernels")
-        x = _simulate_multiplicative(scenario, noise, control, last)
-        positive = True
-    elif scheme == "volterra_sum":
-        x = _simulate_volterra(scenario, noise, c_vals, last)
-        positive = scenario.time_invariant
-    else:
+        log_x = _simulate_multiplicative(scenario, noise, control, last)
+        _check_log_positive(log_x, positivity_floor)
+        return ForwardPaths(grid=grid, state=log_x, log_state=True, positive_state=True,
+                            scheme=scheme)
+    if scheme != "volterra_sum":
         raise ValidationError(f"unknown scheme {scheme!r}")
-
-    if positive:
+    x = _simulate_volterra(scenario, noise, c_vals, last)
+    if scenario.time_invariant:
         _check_positive(x, positivity_floor)
-    return ForwardPaths(grid=grid, values=x, positive_state=positive, scheme=scheme)
+    return ForwardPaths(grid=grid, state=x, log_state=False,
+                        positive_state=scenario.time_invariant, scheme=scheme)
 
 
 def _simulate_multiplicative(
@@ -169,18 +190,20 @@ def _simulate_multiplicative(
     c_int = control.step_integrals(grid)[:last]
     xi = float(scenario.initial)
 
-    # log-increments per step: exact drift + exact martingale factors
+    # log-increments per step, written in place: exact drift + exact
+    # martingale factors; one running sum along each path then gives log X
     drift = alpha * dt - c_int - 0.5 * beta * beta * dt
-    log_f = drift[None, :] + beta * noise.d_brownian[:, :last]
+    log_x = np.empty((noise.n_paths, last + 1))
+    log_x[:, 0] = np.log(xi)
+    steps = log_x[:, 1:]
+    np.multiply(beta, noise.d_brownian[:, :last], out=steps)
+    steps += drift[None, :]
+    for q, log_jump in enumerate(np.log1p(pi)):
+        steps += log_jump * noise.jump_counts[q, :, :last]
     if pi.size:
-        log_f = log_f + np.einsum(
-            "m,mps->ps", np.log1p(pi), noise.jump_counts[:, :, :last].astype(float)
-        )
-        log_f -= float(np.dot(w, pi)) * dt
-    x = np.empty((noise.n_paths, last + 1))
-    x[:, 0] = xi
-    np.exp(np.cumsum(log_f, axis=1) + np.log(xi), out=x[:, 1:])
-    return x
+        steps -= float(np.dot(w, pi)) * dt
+    np.cumsum(log_x, axis=1, out=log_x)
+    return log_x
 
 
 def _kernel_matrices(

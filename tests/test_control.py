@@ -13,9 +13,14 @@ from volterra_control.control import (
     log_utility_oracle,
     performance,
 )
-from volterra_control.controls import ControlFn
+from volterra_control.controls import ControlFn, discount_curve
 from volterra_control.fsvie import simulate_fsvie
-from volterra_control.model import ValidationError, build_time_grid, validate_scenario
+from volterra_control.model import (
+    ValidationError,
+    build_time_grid,
+    time_quadrature_weights,
+    validate_scenario,
+)
 from volterra_control.paths import generate_noise
 
 GRID = build_time_grid(1.0, 100)
@@ -187,6 +192,49 @@ def test_gateaux_at_optimum_is_stationary(s0_small, s0_noise):
         g = gateaux_derivative(s0_small, cstar, start, 0.1, 1.0, s0_noise)
         assert abs(g.estimate) <= 3 * g.se
         assert abs(g.estimate) < 1.5e-3
+
+
+def _discrete_mean_objective(spec, control):
+    """Exact expectation of the Monte Carlo objective on the exact engine,
+    for time-invariant kernels without jumps: ``E[log X_i]`` is ``log xi``
+    plus the summed per-step drifts, so no path is needed."""
+    grid = spec.grid
+    n, dt = grid.n_steps, grid.dt
+    alpha, beta = spec.alpha(0.0, 0.0), spec.beta(0.0, 0.0)
+    steps = (alpha - 0.5 * beta * beta) * dt - control.step_integrals(grid)[: n - 1]
+    mean_log_x = math.log(float(spec.initial)) + np.concatenate(([0.0], np.cumsum(steps)))
+    wl = time_quadrature_weights(grid) * discount_curve(spec.gamma, grid, spec.convention)[:n]
+    return float((np.log(control.values(grid)) + mean_log_x) @ wl)
+
+
+def _discrete_central_difference(spec, control, start, length, height, theta=1e-3):
+    # log X is affine in the control, so the common-random-number difference
+    # of the two displaced objectives is the difference of their exact means
+    def displaced(sign):
+        bumped = ControlFn.bump(control, start, length, sign * theta * height)
+        return _discrete_mean_objective(spec, bumped)
+    return (displaced(+1.0) - displaced(-1.0)) / (2.0 * theta)
+
+
+@pytest.mark.parametrize("rate, start", [("cstar", 0.1), ("one", 0.4)])
+def test_gateaux_equals_exact_discrete_difference(s0_small, s0_noise, rate, start):
+    # The C4 band (3 se, about 0.78 at 100k paths) cannot fail: an estimate of
+    # 0, or the sign-flipped -0.045 at the unit rate, lies inside it.  The
+    # pathwise difference is deterministic, so pin the estimate itself.
+    control = (ControlFn.theta_cstar(1.0, s0_small.gamma, s0_small.convention)
+               if rate == "cstar" else ControlFn.constant(1.0, s0_small.grid))
+    g = gateaux_derivative(s0_small, control, start, 0.1, 1.0, s0_noise)
+    exact = _discrete_central_difference(s0_small, control, start, 0.1, 1.0)
+    assert abs(g.estimate - exact) <= 1e-10
+    assert g.se_paired <= 1e-12
+
+
+def test_performance_tracks_exact_discrete_mean(s0_small, s0_noise):
+    one = ControlFn.constant(1.0, s0_small.grid)
+    exact = _discrete_mean_objective(s0_small, one)
+    assert abs(exact - (-0.4849515)) < 5e-8
+    res = performance(s0_small, one, s0_noise)
+    assert abs(res.j - exact) <= 3 * res.se
 
 
 def test_gateaux_zero_height_is_exactly_zero(s0_small, s0_noise):

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from volterra_control.controls import ControlFn
+from volterra_control.bsde import _utility_legs
+from volterra_control.controls import ControlFn, discount_curve
 from volterra_control.fsvie import (
+    POSITIVITY_FLOOR,
     PositivityBreachError,
+    _check_positive,
     first_variation,
     forward_mean_oracle,
     simulate_fsvie,
 )
-from volterra_control.model import ValidationError, validate_scenario
+from volterra_control.model import ValidationError, time_quadrature_weights, validate_scenario
 from volterra_control.paths import generate_noise
 
 
@@ -136,6 +141,69 @@ def test_exact_engine_matches_geometric_stepping():
     assert fwd.scheme == "multiplicative_exact"
     ref = _reference_multiplicative(spec, noise, 1.0)
     assert np.max(np.abs(fwd.values - ref)) < 1e-12
+
+
+def _exp_of_summed_log_factors(spec, noise, control, last):
+    """The exact engine as it was before it kept log X: it exponentiated
+    ``cumsum(log f) + log xi`` into X."""
+    dt = spec.grid.dt
+    alpha, beta = spec.alpha(0.0, 0.0), spec.beta(0.0, 0.0)
+    pi, w = spec.pi_values(), spec.levy.weights
+    drift = alpha * dt - control.step_integrals(spec.grid)[:last] - 0.5 * beta * beta * dt
+    log_f = drift[None, :] + beta * noise.d_brownian[:, :last]
+    if pi.size:
+        log_f = log_f + np.einsum(
+            "m,mps->ps", np.log1p(pi), noise.jump_counts[:, :, :last].astype(float)
+        )
+        log_f -= float(np.dot(w, pi)) * dt
+    x = np.empty((noise.n_paths, last + 1))
+    x[:, 0] = float(spec.initial)
+    np.exp(np.cumsum(log_f, axis=1) + np.log(float(spec.initial)), out=x[:, 1:])
+    return x
+
+
+def _log_consumption_legs(spec, control, x):
+    """The utility legs as they were before the log state: ``log(c X) @ wl``."""
+    n = spec.grid.n_steps
+    wl = time_quadrature_weights(spec.grid) * discount_curve(
+        spec.gamma, spec.grid, spec.convention)[:n]
+    integrand = np.log(control.values(spec.grid)[None, :] * x[:, :n])
+    return integrand @ wl, np.abs(integrand) @ wl
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    initial=st.floats(0.2, 5.0).filter(lambda v: v != 1.0),
+    size=st.floats(-0.5, 0.5).filter(lambda v: abs(v) > 1e-3),
+    weight=st.floats(0.1, 3.0),
+    gamma=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_log_state_matches_exponentiated_engine(initial, size, weight, gamma, seed):
+    spec = make_scenario(
+        grid={"horizon": 1.0, "n_steps": 20}, initial=initial, gamma=gamma,
+        levy={"atoms": [[size, weight]]}, pi_kernels=[{"kind": "constant", "value": size}],
+    )
+    n = spec.grid.n_steps
+    noise = generate_noise(spec.grid, spec.levy, 64, seed, 1)
+    control = ControlFn.table(np.random.default_rng(seed).uniform(0.05, 3.0, n))
+
+    fwd = simulate_fsvie(spec, noise, control, through_node=n - 1)
+    ref = _exp_of_summed_log_factors(spec, noise, control, n - 1)
+    assert fwd.log_state and fwd.last_node == n - 1 and fwd.n_paths == 64
+    np.testing.assert_allclose(fwd.values, ref, rtol=1e-13, atol=0.0)
+    # relative to the size of the summed terms: a leg may itself be near zero
+    legs, scale = _log_consumption_legs(spec, control, ref)
+    assert np.all(np.abs(_utility_legs(spec, control, fwd) - legs) <= 1e-13 * scale)
+
+    # a rate of 40 drives log X through log(floor) near t = 0.7 on every path
+    forty = ControlFn.constant(40.0, spec.grid)
+    with pytest.raises(PositivityBreachError) as breach:
+        simulate_fsvie(spec, noise, forty)
+    with pytest.raises(PositivityBreachError) as old:
+        _check_positive(_exp_of_summed_log_factors(spec, noise, forty, n), POSITIVITY_FLOOR)
+    assert (breach.value.path, breach.value.node) == (old.value.path, old.value.node)
+    assert math.isclose(breach.value.value, old.value.value, rel_tol=1e-12)
 
 
 # --------------------------------------------------------------------------- #
