@@ -371,7 +371,8 @@ def check_forward_solver(scenario: ScenarioSpec, noise) -> list[CheckResult]:
     the weak error on a genuinely two-time-kernel variant."""
     one = ControlFn.constant(1.0, scenario.grid)
     fwd = simulate_fsvie(scenario, noise, one)
-    x_t = fwd.values[:, -1]
+    # one column: a log state is not exponentiated whole to read it
+    x_t = np.exp(fwd.state[:, -1]) if fwd.log_state else fwd.state[:, -1]
     mean = float(x_t.mean())
     se = float(x_t.std(ddof=1) / np.sqrt(x_t.shape[0]))
     ref = math.exp(-0.95)

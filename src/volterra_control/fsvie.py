@@ -80,7 +80,6 @@ class ForwardPaths:
     grid: TimeGrid
     state: np.ndarray  # (n_paths, last_node + 1)
     log_state: bool
-    positive_state: bool
     scheme: str
 
     @cached_property
@@ -139,7 +138,6 @@ def simulate_fsvie(
     *,
     through_node: int | None = None,
     scheme: str = "auto",
-    positivity_floor: float = POSITIVITY_FLOOR,
 ) -> ForwardPaths:
     """Simulate the controlled cash flow on the scenario grid.
 
@@ -166,16 +164,14 @@ def simulate_fsvie(
         if not scenario.time_invariant:
             raise ValidationError("multiplicative_exact requires time-invariant kernels")
         log_x = _simulate_multiplicative(scenario, noise, control, last)
-        _check_log_positive(log_x, positivity_floor)
-        return ForwardPaths(grid=grid, state=log_x, log_state=True, positive_state=True,
-                            scheme=scheme)
+        _check_log_positive(log_x, POSITIVITY_FLOOR)
+        return ForwardPaths(grid=grid, state=log_x, log_state=True, scheme=scheme)
     if scheme != "volterra_sum":
         raise ValidationError(f"unknown scheme {scheme!r}")
     x = _simulate_volterra(scenario, noise, c_vals, last)
     if scenario.time_invariant:
-        _check_positive(x, positivity_floor)
-    return ForwardPaths(grid=grid, state=x, log_state=False,
-                        positive_state=scenario.time_invariant, scheme=scheme)
+        _check_positive(x, POSITIVITY_FLOOR)
+    return ForwardPaths(grid=grid, state=x, log_state=False, scheme=scheme)
 
 
 def _simulate_multiplicative(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .condexp import CondExpEngine
 from .model import FiltrationMode, RegressionSpec, ValidationError, time_quadrature_weights
-from .paths import NoiseBundle
+from .paths import NoiseBundle, _run_path_ranges
 
 __all__ = [
     "Functional",
@@ -318,16 +318,26 @@ def verify_duality_brownian(
     """Both sides of the Brownian integration-by-parts identity on one noise.
 
     ``psi(step, noise)`` must return the adapted integrand values at the left
-    node of the step.
+    node of the step.  It is called more than once per node (once for the
+    right-hand side, once per range of paths for the left-hand side) and from
+    worker threads, so it must be pure.
     """
+    n_paths = noise.n_paths
+    # psi is read one node at a time, for both sides, and never stored whole;
+    # the stochastic integral runs on one range of paths per CPU
+    integral = np.zeros(n_paths)
+
+    def integrate(rows: slice) -> None:
+        for i in range(noise.n_steps):
+            psi_i = np.broadcast_to(psi(i, noise), (n_paths,))[rows]
+            integral[rows] += psi_i * noise.d_brownian[rows, i]
+
+    _run_path_ranges(integrate, n_paths)
     engine = _projection_engine(noise)
     w = time_quadrature_weights(noise.grid)
-    # psi is read one node at a time, for both sides, and never stored whole
-    integral = np.zeros(noise.n_paths)
-    rhs_samples = np.zeros(noise.n_paths)
+    rhs_samples = np.zeros(n_paths)
     for i in range(noise.n_steps):
-        psi_i = np.broadcast_to(psi(i, noise), (noise.n_paths,))
-        integral += psi_i * noise.d_brownian[:, i]
+        psi_i = np.broadcast_to(psi(i, noise), (n_paths,))
         d_vals = f.d_brownian(i).evaluate(noise)
         proj = engine.project(i, d_vals)
         rhs_samples += proj * psi_i * w[i]
@@ -346,18 +356,26 @@ def verify_duality_jump(
     """Both sides of the jump integration-by-parts identity on one noise.
 
     ``phi(step, atom, noise)`` returns the adapted two-argument integrand at
-    the left node.
+    the left node.  It is called more than once per (node, atom) (once for
+    the right-hand side, once per range of paths for the left-hand side) and
+    from worker threads, so it must be pure.
     """
     if noise.levy.n_atoms == 0:
         raise ValidationError("jump duality needs at least one atom")
     n = noise.n_steps
     m = noise.levy.n_atoms
+    n_paths = noise.n_paths
     f_vals = f.evaluate(noise)
     comp = noise.compensated_counts
-    lhs_samples = np.zeros(noise.n_paths)
-    for q in range(m):
-        for i in range(n):
-            lhs_samples += np.broadcast_to(phi(i, q, noise), (noise.n_paths,)) * comp[q, :, i]
+    lhs_samples = np.zeros(n_paths)
+
+    def integrate(rows: slice) -> None:
+        for q in range(m):
+            for i in range(n):
+                phi_i = np.broadcast_to(phi(i, q, noise), (n_paths,))[rows]
+                lhs_samples[rows] += phi_i * comp[q, rows, i]
+
+    _run_path_ranges(integrate, n_paths)
     lhs_samples *= f_vals
     engine = _projection_engine(noise)
     w_t = time_quadrature_weights(noise.grid)

@@ -7,15 +7,22 @@ per block (``numpy.random.SeedSequence.spawn``), so the result is
 bit-reproducible for a fixed ``(seed, n_paths, grid, n_blocks)`` regardless
 of how the blocks are later consumed.
 
+The blocks are drawn concurrently, one thread per CPU in the process's
+affinity mask, and the level sums run on one contiguous range of paths per
+thread.  Each thread writes only its own rows, so every value is the same
+whatever the CPU count; with one CPU nothing runs off the calling thread.
+
 Jump times inside a step are not recorded: left-point stepping only needs the
 per-step aggregate counts.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +36,32 @@ __all__ = [
 ]
 
 _MAGIC = b"VCNB0001"
+_POISSON_CHUNK_ROWS = 1024
+
+
+def _run_tasks(fn: Callable[[int], None], k: int) -> None:
+    """Run ``fn(task)`` for ``task in range(k)``, one thread per CPU.
+
+    The tasks must be independent and spend their time in numpy calls that
+    release the interpreter lock.  With one CPU in the affinity mask (or one
+    task) they run inline; otherwise a worker's exception re-raises here, and
+    every thread has finished when this returns.
+    """
+    workers = min(k, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        for task in range(k):
+            fn(task)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fn, range(k)))
+
+
+def _run_path_ranges(fn: Callable[[slice], None], n_paths: int) -> None:
+    """Run ``fn(rows)`` on one contiguous range of paths per CPU."""
+    k = min(n_paths, len(os.sched_getaffinity(0)))
+    _run_tasks(lambda t: fn(slice(t * n_paths // k, (t + 1) * n_paths // k)), k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +89,21 @@ class NoiseBundle:
     # The level arrays are stored node-major and returned as transposed
     # views: regressions and integrands read one node across all paths, which
     # is then a contiguous row.  They are summed one node row at a time, in
-    # the same order as a cumulative sum, so every write is contiguous.
+    # the same order as a cumulative sum, so every write is contiguous.  The
+    # strided reads of the increments wait on memory latency, so each CPU
+    # sums its own range of paths.
 
     @cached_property
     def brownian_levels(self) -> np.ndarray:
         """B(t_i) per path, shape (n_paths, n_steps + 1), B(0) = 0."""
         levels = np.empty((self.n_steps + 1, self.n_paths))
         levels[0] = 0.0
-        for i in range(self.n_steps):
-            np.add(levels[i], self.d_brownian[:, i], out=levels[i + 1])
+
+        def run(rows: slice) -> None:
+            for i in range(self.n_steps):
+                np.add(levels[i, rows], self.d_brownian[rows, i], out=levels[i + 1, rows])
+
+        _run_path_ranges(run, self.n_paths)
         return levels.T
 
     @cached_property
@@ -72,9 +111,14 @@ class NoiseBundle:
         """Cumulative jump counts N_m(t_i), shape (n_atoms, n_paths, n_steps + 1)."""
         m = self.levy.n_atoms
         levels = np.zeros((m, self.n_steps + 1, self.n_paths))
-        if m:
+
+        def run(rows: slice) -> None:
             for i in range(self.n_steps):
-                np.add(levels[:, i], self.jump_counts[:, :, i], out=levels[:, i + 1])
+                np.add(levels[:, i, rows], self.jump_counts[:, rows, i],
+                       out=levels[:, i + 1, rows])
+
+        if m:
+            _run_path_ranges(run, self.n_paths)
         return levels.transpose(0, 2, 1)
 
     @cached_property
@@ -84,7 +128,7 @@ class NoiseBundle:
         if m == 0:
             return np.zeros((0, self.n_paths, self.n_steps))
         comp = self.levy.weights[:, None, None] * self.grid.dt
-        return self.jump_counts.astype(float) - comp
+        return np.subtract(self.jump_counts, comp, dtype=float)
 
 
 def generate_noise(
@@ -98,7 +142,11 @@ def generate_noise(
 
     One child stream per block; within a block the normals are drawn before
     the Poisson counts, so regeneration with identical arguments is
-    byte-identical.
+    byte-identical.  The blocks are drawn concurrently, one thread per CPU in
+    the affinity mask; each block consumes only its own stream and writes
+    only its own rows, so the result does not depend on the CPU count.  The
+    counts are drawn in chunks of rows, which consumes a scalar-rate stream
+    in the same order as one ``(block, n_steps)`` draw.
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
@@ -111,14 +159,20 @@ def generate_noise(
     counts = np.zeros((m, n_paths, n), dtype=np.int64)
     sqrt_dt = np.sqrt(grid.dt)
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    for b, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
+
+    def draw(b: int) -> None:
+        rng = np.random.Generator(np.random.PCG64(children[b]))
         rows = slice(b * block, (b + 1) * block)
         # drawn and scaled in place: no block-sized temporaries
         rng.standard_normal(out=db[rows])
         db[rows] *= sqrt_dt
         for q in range(m):
-            counts[q, rows] = rng.poisson(levy.weights[q] * grid.dt, size=(block, n))
+            lam = levy.weights[q] * grid.dt
+            for lo in range(rows.start, rows.stop, _POISSON_CHUNK_ROWS):
+                hi = min(lo + _POISSON_CHUNK_ROWS, rows.stop)
+                counts[q, lo:hi] = rng.poisson(lam, size=(hi - lo, n))
+
+    _run_tasks(draw, n_blocks)
     return NoiseBundle(
         grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
         d_brownian=db, jump_counts=counts,

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,43 @@ def test_brownian_duality_rejects_a_misshaped_integrand():
     noise = make_noise(n_steps=10, n_paths=100, seed=14)
     with pytest.raises(ValueError):
         verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: np.ones(99), noise)
+
+
+@pytest.mark.parametrize("verifier", ["brownian", "jump"])
+def test_misshaped_integrand_raises_from_a_worker(cpus, verifier):
+    cpus(3)
+    noise = make_noise(n_steps=10, n_paths=100, seed=14, levy=ONE_ATOM)
+    callers = set()
+
+    def integrand(*args):
+        callers.add(threading.current_thread())
+        return np.ones(99)
+
+    with pytest.raises(ValueError):
+        if verifier == "brownian":
+            verify_duality_brownian(WienerIntegral(1.0), integrand, noise)
+        else:
+            verify_duality_jump(JumpIntegral(1.0), integrand, noise)
+    assert callers and threading.main_thread() not in callers
+
+
+def _duality_results(n_paths, n_blocks):
+    grid = build_time_grid(1.0, 50)
+    noise_b = generate_noise(grid, EMPTY, n_paths=n_paths, seed=5, n_blocks=n_blocks)
+    noise_j = generate_noise(grid, ONE_ATOM, n_paths=n_paths, seed=6, n_blocks=n_blocks)
+    levels = noise_b.brownian_levels
+    return [
+        verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i], noise_b),
+        verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0 + 0.1 * i, noise_j),
+    ]
+
+
+@pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1)])
+def test_duality_does_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
+    cpus(1)
+    sequential = _duality_results(n_paths, n_blocks)
+    cpus(3)
+    assert _duality_results(n_paths, n_blocks) == sequential
 
 
 def test_jump_duality_square_case():

@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -127,3 +130,13 @@ def test_every_export_has_a_caller():
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))}
     callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert uncalled_exports(modules, callers) == EXPORTS_WITHOUT_CALLER
+
+
+def test_import_starts_no_thread():
+    # the thread pool of ``paths`` is imported by the first call that uses
+    # it, so a bare import (and the start-up time users pay) stays as it was
+    code = ("import sys, threading, volterra_control; "
+            "assert threading.active_count() == 1, threading.enumerate(); "
+            "assert 'concurrent.futures' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -31,6 +31,38 @@ def test_draws_match_the_blockwise_recipe():
             assert np.array_equal(noise.jump_counts[q, rows], rng.poisson(w * GRID.dt, (20, 100)))
 
 
+def test_counts_beyond_one_chunk_match_one_draw():
+    # 2500-row blocks cross two Poisson chunk boundaries; a scalar rate
+    # consumes the stream in the same order as one (block, n_steps) draw,
+    # and each atom's counts are drawn whole before the next atom's
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    noise = generate_noise(GRID, two_atoms, n_paths=5000, seed=11, n_blocks=2)
+    for b, child in enumerate(np.random.SeedSequence(11).spawn(2)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        rows = slice(2500 * b, 2500 * (b + 1))
+        assert np.array_equal(noise.d_brownian[rows],
+                              rng.standard_normal((2500, 100)) * math.sqrt(GRID.dt))
+        for q, w in enumerate(two_atoms.weights):
+            assert np.array_equal(noise.jump_counts[q, rows], rng.poisson(w * GRID.dt, (2500, 100)))
+
+
+def _bundle_bytes(n_paths, n_blocks):
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    noise = generate_noise(GRID, two_atoms, n_paths=n_paths, seed=17, n_blocks=n_blocks)
+    return [a.tobytes() for a in (noise.d_brownian, noise.jump_counts, noise.brownian_levels,
+                                  noise.count_levels, noise.compensated_counts)]
+
+
+@pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1), (7, 7)])
+def test_bundle_and_levels_do_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
+    # 1667-row blocks cross a Poisson chunk; 7 paths split unevenly over 3
+    # CPUs, and 7 one-row blocks are more tasks than CPUs
+    cpus(1)
+    sequential = _bundle_bytes(n_paths, n_blocks)
+    cpus(3)
+    assert _bundle_bytes(n_paths, n_blocks) == sequential
+
+
 def test_levels_are_exact_cumulative_sums():
     two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
     noise = generate_noise(GRID, two_atoms, n_paths=64, seed=6, n_blocks=2)
