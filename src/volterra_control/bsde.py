@@ -129,6 +129,21 @@ def solve_bsde(
 # Recursive utility
 # --------------------------------------------------------------------------- #
 
+def _utility_weights(scenario: ScenarioSpec) -> np.ndarray:
+    """Node quadrature weights times the discount, on nodes ``0 .. n-1``."""
+    grid = scenario.grid
+    lam = discount_curve(scenario.gamma, grid, scenario.convention)[: grid.n_steps]
+    return time_quadrature_weights(grid) * lam
+
+
+def _positive_consumption(scenario: ScenarioSpec, control: ControlFn) -> np.ndarray:
+    """The control's node values, which the log utility needs strictly positive."""
+    c = control.values(scenario.grid)
+    if np.any(c <= 0.0):
+        raise ValidationError("consumption must be strictly positive at evaluated nodes")
+    return c
+
+
 def _utility_legs(
     scenario: ScenarioSpec, control: ControlFn, fwd: ForwardPaths
 ) -> np.ndarray:
@@ -141,11 +156,8 @@ def _utility_legs(
     n = grid.n_steps
     if fwd.last_node < n - 1:
         raise ValidationError("forward paths must reach node n-1 for the utility integral")
-    c = control.values(grid)
-    if np.any(c <= 0.0):
-        raise ValidationError("consumption must be strictly positive at evaluated nodes")
-    lam = discount_curve(scenario.gamma, grid, scenario.convention)[:n]
-    wl = time_quadrature_weights(grid) * lam
+    c = _positive_consumption(scenario, control)
+    wl = _utility_weights(scenario)
     if fwd.log_state:
         return fwd.state[:, :n] @ wl + float(np.log(c) @ wl)
     x = fwd.values[:, :n]

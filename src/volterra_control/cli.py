@@ -32,7 +32,13 @@ import numpy as np
 from . import acceptance as acc
 from .bsvie import ConvergenceError, diagonal_rows, iteration_rows
 from .controls import ControlFn
-from .control import build_adjoint_state, consumption_rows, log_utility_oracle, performance
+from .control import (
+    _log_noise_leg,
+    build_adjoint_state,
+    consumption_rows,
+    log_utility_oracle,
+    performance,
+)
 from .fsvie import PositivityBreachError, forward_mean_oracle, mean_quantile_rows, simulate_fsvie
 from .malliavin import duality_rows
 from .model import ScenarioSpec, ValidationError, validate_scenario
@@ -270,10 +276,12 @@ def _write_checks(report, out_dir, name, results) -> int:
 def _cmd_check_mp(spec, args, report, out_dir):
     acc.require_reference_scenario(spec)
     noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
+    # every control of C3 and C4 is a shift of one control-free leg
+    log_noise = _log_noise_leg(spec, noise)
     _write_rows(report, out_dir, "c_star.csv", consumption_rows(spec))
     results = (acc.check_closed_form_optimum(spec)
-               + acc.check_optimality_ranking(spec, noise)
-               + acc.check_necessary_mp(spec, noise))
+               + acc.check_optimality_ranking(spec, log_noise)
+               + acc.check_necessary_mp(spec, log_noise))
     return _write_checks(report, out_dir, "mp_checks.csv", results)
 
 

@@ -12,6 +12,21 @@ and ``gateaux_derivative`` estimates directional derivatives by a central
 difference under common random numbers.  ``hamiltonian_h1`` is the memory
 part of the Hamiltonian (kernel time-derivatives against projected adjoint
 gradients).
+
+For time-invariant kernels the exact engine gives
+
+    log X(t_i) = L_i - C_i,    C_i = sum_{j<i} int_{t_j}^{t_{j+1}} c,
+
+where the log-noise ``L`` (log xi plus the summed Brownian, drift and jump
+log-factors) is the same for every control.  Each path's utility leg is then
+the control-free ``L @ wl`` plus the deterministic ``(log c - C) @ wl``
+(Merton 1971: under log utility the objective separates into a noise term
+and a control term).  ``L`` is summed once per noise bundle; every control
+is a shift of that one leg, and the state is simulated again only for a
+control whose shifted minimum reaches the positivity floor, so the
+simulator reports the breach.  The two displaced objectives of a bump share
+the leg, so their difference is deterministic and ``se_paired`` is exactly
+zero.  Two-time kernels simulate every control.
 """
 
 from __future__ import annotations
@@ -20,10 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import _utility_legs
+from .bsde import _positive_consumption, _utility_legs, _utility_weights
 from .condexp import CondExpEngine
 from .controls import ControlFn, discount_curve, remaining_value_curve
-from .fsvie import ForwardPaths, first_variation, simulate_fsvie
+from .fsvie import (
+    POSITIVITY_FLOOR,
+    ForwardPaths,
+    _check_control_admissible,
+    _check_noise_grid,
+    _simulate_multiplicative,
+    first_variation,
+    simulate_fsvie,
+)
 from .model import ScenarioSpec, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
@@ -89,22 +112,105 @@ def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None)
 # Performance functional and its oracle
 # --------------------------------------------------------------------------- #
 
+@dataclass(frozen=True, eq=False)
+class _LogNoiseLeg:
+    """What the utility legs read of the log-noise ``L`` of one bundle.
+
+    ``L`` itself (n_paths x n) is not kept: only the per-path leg
+    ``L[:, :n] @ wl``, the per-node minimum of ``L`` over paths (for the
+    positivity floor), and the scenario and bundle it was built from.
+    """
+
+    scenario: ScenarioSpec
+    noise: NoiseBundle
+    leg: np.ndarray  # (n_paths,)
+    min_log: np.ndarray  # (n,) over nodes 0 .. n-1
+
+
+def _log_noise_leg(scenario: ScenarioSpec, noise: NoiseBundle) -> _LogNoiseLeg:
+    """Sum the log-noise of a time-invariant scenario once: the exact engine
+    run with zero step integrals, through the last left node."""
+    n = scenario.grid.n_steps
+    _check_noise_grid(scenario.grid, noise)
+    log_noise = _simulate_multiplicative(scenario, noise, np.zeros(n - 1), n - 1)
+    leg = log_noise @ _utility_weights(scenario)
+    return _LogNoiseLeg(scenario=scenario, noise=noise, leg=leg, min_log=log_noise.min(axis=0))
+
+
+def _resolve_noise(
+    scenario: ScenarioSpec, noise: NoiseBundle | _LogNoiseLeg
+) -> NoiseBundle | _LogNoiseLeg:
+    """The bundle's control-free leg when the scenario is time-invariant."""
+    if isinstance(noise, NoiseBundle) and scenario.time_invariant:
+        return _log_noise_leg(scenario, noise)
+    return noise
+
+
+def _shift_weights(scenario: ScenarioSpec) -> np.ndarray:
+    """Weights of the control terms ``(log c, c_int)`` in the utility shift.
+
+    ``(log c - C) @ wl = log c @ wl - c_int @ W`` with the tail sums
+    ``W_j = sum_{i>j} wl_i``: the shift is linear in the terms, so the
+    shift difference of two controls is taken term by term, with no running
+    sum to cancel.
+    """
+    wl = _utility_weights(scenario)
+    return np.concatenate((wl, -np.cumsum(wl[::-1])[-2::-1]))
+
+
+def _control_legs(
+    scenario: ScenarioSpec, control: ControlFn, noise: NoiseBundle | _LogNoiseLeg
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path utility legs of ``control`` as ``part + terms @ _shift_weights``.
+
+    On a control-free leg ``part`` is that shared leg and ``terms`` are the
+    control's ``(log c, c_int)``.  Otherwise the state is simulated through
+    the last left node, ``part`` holds the whole legs and ``terms`` are zero.
+    """
+    grid = scenario.grid
+    n = grid.n_steps
+    if isinstance(noise, NoiseBundle):
+        fwd = simulate_fsvie(scenario, noise, control, through_node=n - 1)
+        return _utility_legs(scenario, control, fwd), np.zeros(2 * n - 1)
+    if noise.scenario is not scenario:
+        raise ValidationError("log-noise leg was built for another scenario")
+    _check_control_admissible(control.values(grid)[: n - 1])
+    c_int = control.step_integrals(grid)[: n - 1]
+    spent = np.zeros(n)
+    np.cumsum(c_int, out=spent[1:])
+    if np.any(noise.min_log - spent <= np.log(POSITIVITY_FLOOR)):
+        # some path crosses the floor: the simulator reports where
+        return _control_legs(scenario, control, noise.noise)
+    log_c = np.log(_positive_consumption(scenario, control))
+    return noise.leg, np.concatenate((log_c, c_int))
+
+
+def _standard_error(samples: np.ndarray) -> float:
+    n = samples.shape[0]
+    return float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class PerformanceResult:
     j: float
     se: float
 
 
-def performance(scenario: ScenarioSpec, control: ControlFn, noise: NoiseBundle) -> PerformanceResult:
+def performance(
+    scenario: ScenarioSpec, control: ControlFn, noise: NoiseBundle | _LogNoiseLeg
+) -> PerformanceResult:
     """Monte Carlo recursive-utility objective ``J = Y(0)`` and its standard error.
 
-    The state path is simulated through the last left node.
+    ``noise`` is a bundle or, for a time-invariant scenario, its control-free
+    log-noise leg (``_log_noise_leg``), which callers evaluating several
+    controls on one bundle build once.  On that leg ``J`` is the leg's mean
+    plus the control's deterministic shift, and ``se`` is the leg's, the same
+    for every control.  Two-time kernels simulate the state through the last
+    left node.
     """
-    fwd = simulate_fsvie(scenario, noise, control, through_node=scenario.grid.n_steps - 1)
-    u_legs = _utility_legs(scenario, control, fwd)
-    n_paths = u_legs.shape[0]
-    se = float(u_legs.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return PerformanceResult(j=float(u_legs.mean()), se=se)
+    part, terms = _control_legs(scenario, control, _resolve_noise(scenario, noise))
+    shift = float(terms @ _shift_weights(scenario))
+    return PerformanceResult(j=float(part.mean()) + shift, se=_standard_error(part))
 
 
 def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn, refine: int = 10) -> float:
@@ -163,42 +269,44 @@ def gateaux_derivative(
     bump_start: float,
     bump_len: float,
     bump_height: float,
-    noise: NoiseBundle,
+    noise: NoiseBundle | _LogNoiseLeg,
     theta: float = 1e-3,
 ) -> GateauxResult:
     """Central-difference directional derivative of the utility objective.
 
-    Both displaced objectives are evaluated on the same noise bundle.  The
-    reported ``se`` propagates the two objective standard errors as if they
-    were independent measurements; ``se_paired`` is the (much smaller)
-    standard error of the per-path pathwise differences.
+    Both displaced objectives are evaluated on the same noise, a bundle or
+    its control-free log-noise leg (see ``performance``).  The reported
+    ``se`` propagates the two objective standard errors as if they were
+    independent measurements; ``se_paired`` is the standard error of the
+    per-path differences.  On the exact engine both objectives share one
+    leg, so the difference is the difference of their deterministic shifts
+    and ``se_paired`` is exactly zero.
     """
+    noise = _resolve_noise(scenario, noise)
     if bump_height == 0.0:
         base = performance(scenario, control, noise)
         return GateauxResult(estimate=0.0, se=0.0, se_paired=0.0, j_plus=base.j, j_minus=base.j)
     if bump_start < 0.0 or bump_start + bump_len > scenario.grid.horizon + 1e-12:
         raise ValidationError("bump interval must lie inside [0, T)")
 
-    n = scenario.grid.n_steps
-    legs = {}
+    parts, terms = {}, {}
     for sgn in (+1.0, -1.0):
         ctrl = ControlFn.bump(control, bump_start, bump_len, sgn * theta * bump_height)
         vals = ctrl.values(scenario.grid)
         if np.any(vals <= 0.0):
             raise ValidationError("bumped control loses positivity; reduce theta")
-        fwd = simulate_fsvie(scenario, noise, ctrl, through_node=n - 1)
-        legs[sgn] = _utility_legs(scenario, ctrl, fwd)
-    diff = (legs[+1.0] - legs[-1.0]) / (2.0 * theta)
-    n_paths = diff.shape[0]
-    j_plus, j_minus = float(legs[+1.0].mean()), float(legs[-1.0].mean())
-    se_plus = float(legs[+1.0].std(ddof=1) / np.sqrt(n_paths))
-    se_minus = float(legs[-1.0].std(ddof=1) / np.sqrt(n_paths))
+        parts[sgn], terms[sgn] = _control_legs(scenario, ctrl, noise)
+    weights = _shift_weights(scenario)
+    # exactly zero when both displaced controls share the control-free leg
+    diff = (parts[+1.0] - parts[-1.0]) / (2.0 * theta)
+    shift_diff = float((terms[+1.0] - terms[-1.0]) @ weights) / (2.0 * theta)
     return GateauxResult(
-        estimate=float(diff.mean()),
-        se=float(np.hypot(se_plus, se_minus) / (2.0 * theta)),
-        se_paired=float(diff.std(ddof=1) / np.sqrt(n_paths)),
-        j_plus=j_plus,
-        j_minus=j_minus,
+        estimate=float(diff.mean()) + shift_diff,
+        se=float(np.hypot(_standard_error(parts[+1.0]), _standard_error(parts[-1.0]))
+                 / (2.0 * theta)),
+        se_paired=_standard_error(diff),
+        j_plus=float(parts[+1.0].mean()) + float(terms[+1.0] @ weights),
+        j_minus=float(parts[-1.0].mean()) + float(terms[-1.0] @ weights),
     )
 
 

@@ -131,6 +131,11 @@ def _check_log_positive(log_x: np.ndarray, floor: float) -> None:
         raise PositivityBreachError(p, i, np.exp(log_x[p, i]))
 
 
+def _check_noise_grid(grid: TimeGrid, noise: NoiseBundle) -> None:
+    if noise.grid.n_steps != grid.n_steps or abs(noise.grid.horizon - grid.horizon) > 1e-12:
+        raise ValidationError("noise grid does not match scenario grid")
+
+
 def simulate_fsvie(
     scenario: ScenarioSpec,
     noise: NoiseBundle,
@@ -152,8 +157,7 @@ def simulate_fsvie(
     last = n if through_node is None else int(through_node)
     if last < 0 or last > n:
         raise ValidationError(f"through_node must be in [0, {n}]")
-    if noise.grid.n_steps != n or abs(noise.grid.horizon - grid.horizon) > 1e-12:
-        raise ValidationError("noise grid does not match scenario grid")
+    _check_noise_grid(grid, noise)
 
     c_vals = control.values(grid)
     _check_control_admissible(c_vals[:last])
@@ -163,7 +167,8 @@ def simulate_fsvie(
     if scheme == "multiplicative_exact":
         if not scenario.time_invariant:
             raise ValidationError("multiplicative_exact requires time-invariant kernels")
-        log_x = _simulate_multiplicative(scenario, noise, control, last)
+        c_int = control.step_integrals(grid)[:last]
+        log_x = _simulate_multiplicative(scenario, noise, c_int, last)
         _check_log_positive(log_x, POSITIVITY_FLOOR)
         return ForwardPaths(grid=grid, state=log_x, log_state=True, scheme=scheme)
     if scheme != "volterra_sum":
@@ -175,15 +180,14 @@ def simulate_fsvie(
 
 
 def _simulate_multiplicative(
-    scenario: ScenarioSpec, noise: NoiseBundle, control: ControlFn, last: int
+    scenario: ScenarioSpec, noise: NoiseBundle, c_int: np.ndarray, last: int
 ) -> np.ndarray:
-    grid = scenario.grid
-    dt = grid.dt
+    """``log X`` on nodes ``0 .. last`` from the control's step integrals ``c_int``."""
+    dt = scenario.grid.dt
     alpha = scenario.alpha(0.0, 0.0)
     beta = scenario.beta(0.0, 0.0)
     pi = scenario.pi_values()
     w = scenario.levy.weights
-    c_int = control.step_integrals(grid)[:last]
     xi = float(scenario.initial)
 
     # log-increments per step, written in place: exact drift + exact

@@ -17,8 +17,10 @@ identities on the same noise:
     E[ F int Psi dB ]        = E[ int E[D_t F | F_t] Psi(t) dt ]
     E[ F int int Phi dN~ ]   = E[ int int Phi(t,e) E[D_{t,e} F | F_t] nu(de) dt ]
 
-with the conditional projections computed by the regression engine on the
-state ``(B(t), jump counts up to t)``.
+with the conditional projections computed by the regression engine.  The
+projection state follows the functional: the jump counts up to ``t`` when
+the noise has jump atoms, and ``B(t)`` when the functional's tree holds a
+Wiener integral, so a pure jump functional regresses on the counts alone.
 """
 
 from __future__ import annotations
@@ -301,8 +303,24 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n))
 
 
-def _projection_engine(noise: NoiseBundle) -> CondExpEngine:
-    variables = ("brownian", "jump_counts") if noise.levy.n_atoms else ("brownian",)
+def _holds_wiener(f: Functional) -> bool:
+    """Whether a ``WienerIntegral`` occurs anywhere in the tree of ``f``."""
+    if isinstance(f, WienerIntegral):
+        return True
+    return any(_holds_wiener(v) for v in vars(f).values() if isinstance(v, Functional))
+
+
+def _projection_engine(noise: NoiseBundle, f: Functional) -> CondExpEngine:
+    """Regression on the state the functional's derivatives depend on.
+
+    The jump counts enter when the bundle has atoms, the Brownian level when
+    the tree holds a Wiener integral (or when there is nothing else to
+    regress on).  A pure jump functional's derivatives are independent of
+    the Brownian path, so its basis drops ``B(t)``.
+    """
+    variables = ("jump_counts",) if noise.levy.n_atoms else ()
+    if not variables or _holds_wiener(f):
+        variables = ("brownian",) + variables
     return CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=variables),
         noise, cache_designs=False,
@@ -333,7 +351,7 @@ def verify_duality_brownian(
             integral[rows] += psi_i * noise.d_brownian[rows, i]
 
     _run_path_ranges(integrate, n_paths)
-    engine = _projection_engine(noise)
+    engine = _projection_engine(noise, f)
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(n_paths)
     for i in range(noise.n_steps):
@@ -377,7 +395,7 @@ def verify_duality_jump(
 
     _run_path_ranges(integrate, n_paths)
     lhs_samples *= f_vals
-    engine = _projection_engine(noise)
+    engine = _projection_engine(noise, f)
     w_t = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(noise.n_paths)
     for q in range(m):

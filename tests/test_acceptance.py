@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from volterra_control import acceptance as acc
+from volterra_control import control, fsvie
 from volterra_control.cli import load_config, run
 from volterra_control.paths import generate_noise
 
@@ -33,6 +34,12 @@ def reference_noise(scenario):
 
 
 @pytest.fixture(scope="module")
+def reference_log_noise(scenario, reference_noise):
+    """The control-free leg that ``run_acceptance`` hands to C2-C4."""
+    return control._log_noise_leg(scenario, reference_noise)
+
+
+@pytest.fixture(scope="module")
 def martingale_solution():
     return acc.martingale_family_solution()
 
@@ -48,16 +55,16 @@ def test_c01_closed_form_optimum(scenario):
     _assert_all(acc.check_closed_form_optimum(scenario))
 
 
-def test_c02_value_function_oracle(scenario, reference_noise):
-    _assert_all(acc.check_value_oracle(scenario, reference_noise))
+def test_c02_value_function_oracle(scenario, reference_log_noise):
+    _assert_all(acc.check_value_oracle(scenario, reference_log_noise))
 
 
-def test_c03_optimality_ranking(scenario, reference_noise):
-    _assert_all(acc.check_optimality_ranking(scenario, reference_noise))
+def test_c03_optimality_ranking(scenario, reference_log_noise):
+    _assert_all(acc.check_optimality_ranking(scenario, reference_log_noise))
 
 
-def test_c04_necessary_maximum_principle(scenario, reference_noise):
-    _assert_all(acc.check_necessary_mp(scenario, reference_noise))
+def test_c04_necessary_maximum_principle(scenario, reference_log_noise):
+    _assert_all(acc.check_necessary_mp(scenario, reference_log_noise))
 
 
 def test_c05_bsvie_solver(martingale_solution):
@@ -102,3 +109,57 @@ def test_c07_releases_each_bundle_before_drawing_the_next(entry, monkeypatch, tm
         run(["verify-duality", "--paths", "400", "--out", str(tmp_path / "out")])
     # the Brownian bundle, then the jump bundle, each drawn with nothing alive
     assert alive_at_draw == [[], [False]]
+
+
+def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
+    calls = []
+    simulate = fsvie.simulate_fsvie
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    for module in (fsvie, control, acc):
+        monkeypatch.setattr(module, "simulate_fsvie", counted)
+    log_noise = control._log_noise_leg(s0_small, s0_noise)
+    results = (acc.check_value_oracle(s0_small, log_noise)
+               + acc.check_optimality_ranking(s0_small, log_noise)
+               + acc.check_necessary_mp(s0_small, log_noise))
+    assert calls == []
+    _assert_all(results)
+
+
+def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
+    drawn = []
+
+    def tracked_noise(*args, **kwargs):
+        drawn.append(generate_noise(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(acc, "generate_noise", tracked_noise)
+    acc.check_duality(n_paths=400)
+    brownian, jump = drawn
+    assert "brownian_levels" in brownian.__dict__
+    assert "brownian_levels" not in jump.__dict__
+
+
+def test_main_noise_is_released_before_the_c05_family(s0_small, monkeypatch):
+    drawn, alive = [], []
+
+    class Stop(Exception):
+        pass
+
+    def tracked_noise(*args, **kwargs):
+        noise = generate_noise(*args, **kwargs)
+        drawn.append(weakref.ref(noise))
+        return noise
+
+    def family_solution():
+        alive.append(drawn[0]() is not None)
+        raise Stop
+
+    monkeypatch.setattr(acc, "generate_noise", tracked_noise)
+    monkeypatch.setattr(acc, "martingale_family_solution", family_solution)
+    with pytest.raises(Stop):
+        acc.run_acceptance(s0_small)
+    assert alive == [False]

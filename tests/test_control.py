@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volterra_control import control as ctl
+from volterra_control.bsde import _utility_legs
 from volterra_control.control import (
     adjoint_malliavin_projection,
     adjoint_product,
@@ -14,7 +18,7 @@ from volterra_control.control import (
     performance,
 )
 from volterra_control.controls import ControlFn, discount_curve
-from volterra_control.fsvie import simulate_fsvie
+from volterra_control.fsvie import POSITIVITY_FLOOR, PositivityBreachError, simulate_fsvie
 from volterra_control.model import (
     ValidationError,
     build_time_grid,
@@ -235,6 +239,86 @@ def test_performance_tracks_exact_discrete_mean(s0_small, s0_noise):
     assert abs(exact - (-0.4849515)) < 5e-8
     res = performance(s0_small, one, s0_noise)
     assert abs(res.j - exact) <= 3 * res.se
+
+
+def _simulated_legs(spec, control, noise):
+    """The utility legs from one simulation of the state, and the size of
+    their summed terms: the leg sums ``L`` and the spent ``C`` apart, so
+    ``log X = L - C`` may be small where both are large."""
+    n = spec.grid.n_steps
+    fwd = simulate_fsvie(spec, noise, control, through_node=n - 1)
+    spent = np.concatenate(([0.0], np.cumsum(control.step_integrals(spec.grid)[: n - 1])))
+    wl = time_quadrature_weights(spec.grid) * discount_curve(
+        spec.gamma, spec.grid, spec.convention)[:n]
+    size = np.abs(fwd.state[:, :n]) + spent + np.abs(np.log(control.values(spec.grid)))
+    return _utility_legs(spec, control, fwd), size @ wl
+
+
+def _breach(evaluate):
+    with pytest.raises(PositivityBreachError) as err:
+        evaluate()
+    return err.value.path, err.value.node, err.value.value
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    initial=st.floats(0.2, 5.0).filter(lambda v: v != 1.0),
+    atoms=st.lists(
+        st.tuples(st.floats(-0.5, 0.5).filter(lambda v: abs(v) > 1e-3), st.floats(0.1, 3.0)),
+        min_size=1, max_size=2,
+    ),
+    gamma=st.floats(0.01, 1.0),
+    bump=st.tuples(st.floats(0.0, 0.9), st.floats(0.05, 0.5), st.floats(-0.04, 2.0)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_control_free_leg_matches_simulated_legs(initial, atoms, gamma, bump, seed):
+    spec = make_scenario(
+        grid={"horizon": 1.0, "n_steps": 20}, initial=initial, gamma=gamma,
+        levy={"atoms": [list(a) for a in atoms]},
+        pi_kernels=[{"kind": "constant", "value": size} for size, _ in atoms],
+    )
+    grid, n = spec.grid, spec.grid.n_steps
+    noise = generate_noise(grid, spec.levy, 64, seed, 1)
+    log_noise = ctl._log_noise_leg(spec, noise)
+    table = ControlFn.table(np.random.default_rng(seed).uniform(0.05, 3.0, n))
+    start, length, height = bump
+    length = min(length, 1.0 - start)
+    weights = ctl._shift_weights(spec)
+    for control in (table, ControlFn.bump(table, start, length, height)):
+        part, terms = ctl._control_legs(spec, control, log_noise)
+        legs, size = _simulated_legs(spec, control, noise)
+        assert np.all(np.abs(part + terms @ weights - legs) <= 1e-13 * size)
+        assert abs(performance(spec, control, log_noise).j - legs.mean()) <= 1e-13 * size.mean()
+
+    g = gateaux_derivative(spec, table, start, length, 1.0, log_noise)
+    plus, size_plus = _simulated_legs(spec, ControlFn.bump(table, start, length, 1e-3), noise)
+    minus, size_minus = _simulated_legs(spec, ControlFn.bump(table, start, length, -1e-3), noise)
+    assert g.se_paired == 0.0
+    assert abs(g.estimate - (plus - minus).mean() / 2e-3) <= \
+        1e-13 * (size_plus + size_minus).mean() / 2e-3
+    assert abs(g.j_plus - plus.mean()) <= 1e-13 * size_plus.mean()
+    assert abs(g.j_minus - minus.mean()) <= 1e-13 * size_minus.mean()
+
+    # the constant rate at which the lowest path first reaches log(floor)
+    critical = float(np.min(
+        (log_noise.min_log[1:] - np.log(POSITIVITY_FLOOR)) / (np.arange(1, n) * grid.dt)))
+    above = ControlFn.constant(critical * (1.0 + 1e-6), grid)
+    assert _breach(lambda: performance(spec, above, log_noise)) == \
+        _breach(lambda: simulate_fsvie(spec, noise, above, through_node=n - 1))
+    below = ControlFn.constant(critical * (1.0 - 1e-6), grid)
+    legs, size = _simulated_legs(spec, below, noise)
+    assert abs(performance(spec, below, log_noise).j - legs.mean()) <= 1e-13 * size.mean()
+    # the upward leg of a bump over the whole horizon crosses the floor
+    bumped_up = ControlFn.bump(below, 0.0, 1.0, 1e-3 * critical)
+    assert _breach(lambda: gateaux_derivative(spec, below, 0.0, 1.0, critical, log_noise)) == \
+        _breach(lambda: simulate_fsvie(spec, noise, bumped_up, through_node=n - 1))
+
+
+def test_log_noise_leg_serves_only_its_own_scenario(s0_small, s0_noise):
+    log_noise = ctl._log_noise_leg(s0_small, s0_noise)
+    with pytest.raises(ValidationError):
+        performance(s0_small.with_mc(n_paths=20_000), ControlFn.constant(1.0, s0_small.grid),
+                    log_noise)
 
 
 def test_gateaux_zero_height_is_exactly_zero(s0_small, s0_noise):

@@ -217,6 +217,43 @@ def test_jump_duality_isometry_case():
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs + 1e-12
 
 
+def _brownian_and_counts_engine(noise, f):
+    """The jump-duality projection state before it followed the functional."""
+    return CondExpEngine(
+        FiltrationMode(mode="full"),
+        RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
+        noise, cache_designs=False,
+    )
+
+
+@pytest.mark.parametrize("f", [JumpIntegral(1.0) ** 2, JumpIntegral(1.0)],
+                         ids=["jump_square", "jump_isometry"])
+def test_jump_functional_regresses_on_counts_alone(f, monkeypatch):
+    from volterra_control import malliavin
+
+    noise = make_noise(n_steps=20, n_paths=4000, seed=13, levy=ONE_ATOM)
+    assert malliavin._projection_engine(noise, f).regression.variables == ("jump_counts",)
+    counts_only = verify_duality_jump(f, lambda i, q, _n: 1.0, noise)
+    assert "brownian_levels" not in noise.__dict__
+    monkeypatch.setattr(malliavin, "_projection_engine", _brownian_and_counts_engine)
+    both = verify_duality_jump(f, lambda i, q, _n: 1.0, noise)
+    # E[D F | F_t] is a polynomial in N(t): the Brownian level adds nothing
+    assert abs(counts_only.rhs - both.rhs) <= 1e-12 * abs(both.rhs)
+    assert counts_only.lhs == both.lhs
+
+
+def test_mixed_functional_regresses_on_both_variables():
+    from volterra_control import malliavin
+
+    noise = make_noise(n_steps=20, n_paths=64, seed=14, levy=ONE_ATOM)
+    mixed = WienerIntegral(1.0) * JumpIntegral(1.0)
+    assert malliavin._projection_engine(noise, mixed).regression.variables == (
+        "brownian", "jump_counts")
+    # without atoms the Brownian level is the whole state
+    assert malliavin._projection_engine(make_noise(20, 64), Const(1.0)).regression.variables == (
+        "brownian",)
+
+
 # --------------------------------------------------------------------------- #
 # martingale-representation reconstruction
 # --------------------------------------------------------------------------- #
