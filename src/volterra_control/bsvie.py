@@ -11,19 +11,28 @@ exponentially weighted distance between successive triples drops below a
 relative tolerance.  Without a generator the pass map ignores the frozen
 triple, so one pass reaches the fixed point.
 
-Storage is triangular and running-time-major: pair ``(i, r)`` for
-``i <= r <= n-1`` lives at flat index ``r(r+1)/2 + i``, so the pairs
-``(0..r, r)`` that one backward step reads and writes form one contiguous
-``(r+1, N)`` block.  A pass runs in place on one triangle: step ``r`` reads
-only the frozen column ``r``, then overwrites it with the new column and
-records the per-pair squared change, from which the weighted distance is
-formed.  Only the ``(n+1, N)`` frozen diagonal is copied.
+One backward recursion serves every solve.  It steps the running time
+``t_r`` backward for all families at once and hands each finished column
+``(0..r, r)`` to its consumer, as in the BSDE-family view of the equation
+(Bender & Pokalyuk, "Discretization of backward stochastic Volterra integral
+equations", 2013).
+
+A triangle exists only for the solves that return one.  It is
+running-time-major: pair ``(i, r)`` for ``i <= r <= n-1`` lives at flat index
+``r(r+1)/2 + i``, so the pairs ``(0..r, r)`` that one backward step reads and
+writes form one contiguous ``(r+1, N)`` block.  A pass of
+:func:`solve_bsvie` runs in place on one triangle: step ``r`` reads only the
+frozen column ``r``, then overwrites it with the new column and records the
+per-pair squared change, from which the weighted distance is formed.  Only
+the ``(n+1, N)`` frozen diagonal is copied.  :func:`family_statistics`
+reduces each column of a driver-free family as it is finished and stores no
+triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,7 +45,8 @@ __all__ = [
     "BsvieSolution",
     "solve_family_step",
     "solve_bsvie",
-    "z_time_derivative_norm",
+    "FamilyStatistics",
+    "family_statistics",
     "iteration_rows",
     "diagonal_rows",
 ]
@@ -57,13 +67,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, log: list[float]):
         self.log = log
         super().__init__(message)
-
-
-def pair_index(n_steps: int, i: int, j: int) -> int:
-    """Flat index of the triangle pair ``(t_i, s_j)``, ``i <= j <= n-1``."""
-    if not 0 <= i <= j < n_steps:
-        raise ValidationError(f"pair ({i}, {j}) outside the triangle")
-    return j * (j + 1) // 2 + i
 
 
 def _n_pairs(n_steps: int) -> int:
@@ -101,12 +104,6 @@ class BsvieSolution:
     z: np.ndarray  # (n_pairs, n_paths)
     k: np.ndarray  # (n_pairs, n_atoms, n_paths)
     iteration_log: tuple[float, ...]
-
-    def z_at(self, i: int, j: int) -> np.ndarray:
-        return self.z[pair_index(self.grid.n_steps, i, j)]
-
-    def k_at(self, i: int, j: int) -> np.ndarray:
-        return self.k[pair_index(self.grid.n_steps, i, j)]
 
 
 def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w: float) -> float:
@@ -165,6 +162,62 @@ def _replace(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _family_columns(
+    zeta: np.ndarray,
+    y: np.ndarray,
+    noise: NoiseBundle,
+    engine: CondExpEngine,
+    drift: Callable[[int], np.ndarray] | None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The backward recursion of one pass, one running time at a time.
+
+    ``y`` (``(n+1, N)``) is filled with ``zeta``; row ``i`` then carries
+    family ``i``'s running value until its solve reaches ``t_i``, so ``y``
+    ends as the new diagonal.  The running time ``t_r`` steps backward once
+    for all families ``i <= r``, with one projection per node and, unless
+    ``drift`` is None, one call ``drift(r)`` for the generator term of the
+    families ``0..r`` (shape broadcastable to ``(r+1, N)``).
+
+    After each running time ``r`` this yields ``(r, z, k)``: the new
+    coefficient column ``(0..r, r)`` of shape ``(r+1, N)`` and its jump block
+    ``(n_atoms, r+1, N)``.  Both are views into a per-step buffer, valid until
+    the next step; ``drift(r)`` has already run.
+    """
+    grid = noise.grid
+    n, dt = grid.n_steps, grid.dt
+    n_paths = noise.n_paths
+    m = noise.levy.n_atoms
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.shape[0] != n + 1:
+        raise ValidationError("terminal family needs one per-path value per node")
+
+    comp = noise.compensated_counts if m else None
+    w_dt = noise.levy.weights[:, None, None] * dt if m else None
+    kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
+    y[:] = zeta.reshape(n + 1, -1)
+    for r in range(n - 1, -1, -1):
+        fam = r + 1
+        y_run = y[:fam]
+        # node-major block: rows [kind * fam + i] hold family i's target
+        block = np.empty((kinds * fam, n_paths))
+        block[:fam] = y_run
+        np.multiply(y_run, np.ascontiguousarray(noise.d_brownian[:, r]), out=block[fam:2 * fam])
+        for q in range(m):
+            np.multiply(y_run, np.ascontiguousarray(comp[q, :, r]),
+                        out=block[(2 + q) * fam:(3 + q) * fam])
+        proj = engine.project(r, block.T).T
+        if drift is None:
+            y_run[:] = proj[:fam]
+        else:
+            np.add(proj[:fam], np.asarray(drift(r), dtype=float) * dt, out=y_run)
+        z_new = proj[fam:2 * fam]
+        z_new /= dt
+        k_new = proj[2 * fam:].reshape(m, fam, n_paths)
+        if m:
+            k_new /= w_dt
+        yield r, z_new, k_new
+
+
 def solve_family_step(
     zeta: np.ndarray,
     driver: VolterraDriver | None,
@@ -186,56 +239,75 @@ def solve_family_step(
     changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and per
     pair ``E[(Z_new - Z_old)^2] + sum_q w_q E[(K_new - K_old)_q^2]``.
     """
-    grid = noise.grid
-    n, dt = grid.n_steps, grid.dt
-    n_paths = noise.n_paths
+    n = noise.grid.n_steps
     m = noise.levy.n_atoms
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape[0] != n + 1:
-        raise ValidationError("terminal family needs one per-path value per node")
-
-    comp = noise.compensated_counts if m else None
-    w_dt = noise.levy.weights[:, None, None] * dt if m else None
-    kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
     families = np.arange(n)[:, None]
-
     y_frozen = frozen.y.copy()
-    # frozen.y[i] carries family i's running value until its solve reaches t_i
+    drift = None
+    if driver is not None:
+        def drift(r: int) -> np.ndarray:
+            col = _column(r)
+            k_col = frozen.k[col].transpose(1, 0, 2) if m else None
+            x_r = x_paths[:, r] if x_paths is not None else None
+            return driver(families[:r + 1], r, y_frozen[r], frozen.z[col], k_col, x_r)
+
     y = frozen.y
-    y[:] = zeta.reshape(n + 1, -1)
     y_sq = np.empty(n + 1)
     pair_sq = np.empty(_n_pairs(n))
-    y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
-    for r in range(n - 1, -1, -1):
-        fam = r + 1
+    # the driver has read the frozen column r before it is yielded: overwrite
+    # it with the new one
+    for r, z_new, k_new in _family_columns(zeta, y, noise, engine, drift):
         col = _column(r)
-        y_run = y[:fam]
-        # node-major block: rows [kind * fam + i] hold family i's target
-        block = np.empty((kinds * fam, n_paths))
-        block[:fam] = y_run
-        np.multiply(y_run, np.ascontiguousarray(noise.d_brownian[:, r]), out=block[fam:2 * fam])
-        for q in range(m):
-            np.multiply(y_run, np.ascontiguousarray(comp[q, :, r]),
-                        out=block[(2 + q) * fam:(3 + q) * fam])
-        proj = engine.project(r, block.T).T
-        z_col = frozen.z[col]
-        k_col = frozen.k[col].transpose(1, 0, 2)  # (m, fam, N)
-        if driver is None:
-            y_run[:] = proj[:fam]
-        else:
-            x_r = x_paths[:, r] if x_paths is not None else None
-            g = driver(families[:fam], r, y_frozen[r], z_col, k_col if m else None, x_r)
-            np.add(proj[:fam], np.asarray(g, dtype=float) * dt, out=y_run)
-        # the driver has read the frozen column r: overwrite it with the new one
-        z_new = proj[fam:2 * fam]
-        z_new /= dt
-        pair_sq[col] = _replace(z_col, z_new)
+        pair_sq[col] = _replace(frozen.z[col], z_new)
         if m:
-            k_new = proj[2 * fam:].reshape(m, fam, n_paths)
-            k_new /= w_dt
-            pair_sq[col] += noise.levy.weights @ _replace(k_col, k_new)
+            pair_sq[col] += noise.levy.weights @ _replace(frozen.k[col].transpose(1, 0, 2), k_new)
         y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
+    y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
     return y_sq, pair_sq
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyStatistics:
+    """What the C5 and C10 checks read from a driver-free family solve."""
+
+    grid: TimeGrid
+    n_paths: int
+    z_mean: np.ndarray  # (n_pairs,) per-pair path means of Z, triangle layout
+    zero_row_max: float  # largest |Z(t_0, s_r)| over paths and running times
+    z_derivative_norm: float  # C10's first-index derivative norm of Z
+
+
+def family_statistics(
+    zeta: np.ndarray, noise: NoiseBundle, engine: CondExpEngine
+) -> FamilyStatistics:
+    """Solve the driver-free family and reduce each column as it is finished.
+
+    Without a generator one pass is the solution, and each running-time
+    column ``(0..r, r)`` is final when the backward step leaves it, so the
+    statistics are formed column by column and no triangle is stored: the
+    memory is the ``(n+1, N)`` diagonal plus one column's projection block.
+
+    ``z_derivative_norm`` is the finite-difference estimate of
+    ``E int int (dZ/dt)^2 ds dt``: first-index differences within each
+    column (pairs with ``j >= i + 1``), left-point quadrature in both time
+    variables, summed over running times ``1..n-1`` in increasing order.
+    """
+    grid = noise.grid
+    n, dt = grid.n_steps, grid.dt
+    z_mean = np.empty(_n_pairs(n))
+    terms = np.empty(n)
+    zero_row = 0.0
+    y = np.empty((n + 1, noise.n_paths))
+    for r, z, _ in _family_columns(zeta, y, noise, engine, None):
+        z_mean[_column(r)] = z.mean(axis=1)
+        zero_row = np.maximum(zero_row, np.max(np.abs(z[0])))  # keeps a NaN
+        # consecutive rows of column r are the pairs (i, r) and (i + 1, r)
+        terms[r] = float(np.mean((np.diff(z, axis=0) / dt) ** 2, axis=1).sum()) * dt * dt
+    total = 0.0
+    for term in terms[1:]:
+        total += float(term)
+    return FamilyStatistics(grid=grid, n_paths=noise.n_paths, z_mean=z_mean,
+                            zero_row_max=float(zero_row), z_derivative_norm=total)
 
 
 def solve_bsvie(
@@ -293,24 +365,6 @@ def solve_bsvie(
         grid=grid, levy=noise.levy, y=current.y, z=current.z, k=current.k,
         iteration_log=tuple(log),
     )
-
-
-def z_time_derivative_norm(sol: BsvieSolution) -> float:
-    """Finite-difference estimate of ``E int int (dZ/dt)^2 ds dt``.
-
-    First-index differences on the overlapping triangle (pairs with
-    ``j >= i + 1``), left-point quadrature in both time variables.  Reported
-    as a finiteness diagnostic for the smooth-in-the-first-argument regime.
-    """
-    n, dt = sol.grid.n_steps, sol.grid.dt
-    if n < 2:
-        raise ValidationError("need at least two first-index nodes")
-    total = 0.0
-    for j in range(1, n):
-        # consecutive rows of column j are the pairs (i, j) and (i + 1, j)
-        fd = np.diff(sol.z[_column(j)], axis=0) / dt
-        total += float(np.mean(fd**2, axis=1).sum()) * dt * dt
-    return total
 
 
 def iteration_rows(sol: BsvieSolution) -> list[dict]:

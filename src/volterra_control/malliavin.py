@@ -33,7 +33,7 @@ import numpy as np
 
 from .condexp import CondExpEngine
 from .model import FiltrationMode, RegressionSpec, ValidationError, time_quadrature_weights
-from .paths import NoiseBundle, _run_path_ranges
+from .paths import _CHUNK_ROWS, NoiseBundle, _run_path_ranges
 
 __all__ = [
     "Functional",
@@ -180,7 +180,12 @@ class JumpIntegral(Functional):
         if self._memo is not None and self._memo[0]() is noise:
             return self._memo[1]
         vals = self._values(noise)
-        out = np.einsum("ms,mps->p", vals, noise.compensated_counts)
+        # compensated one chunk of paths at a time: the bundle never holds a
+        # float copy of its counts
+        out = np.empty(noise.n_paths)
+        for lo in range(0, noise.n_paths, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            out[rows] = np.einsum("ms,mps->p", vals, noise.compensated_rows(rows))
         self._memo = (weakref.ref(noise), out)
         return out
 
@@ -384,14 +389,17 @@ def verify_duality_jump(
     m = noise.levy.n_atoms
     n_paths = noise.n_paths
     f_vals = f.evaluate(noise)
-    comp = noise.compensated_counts
+    w_dt = noise.levy.weights * noise.grid.dt
     lhs_samples = np.zeros(n_paths)
 
     def integrate(rows: slice) -> None:
+        # the counts are compensated one step of one range at a time, never
+        # as a whole float array
         for q in range(m):
             for i in range(n):
                 phi_i = np.broadcast_to(phi(i, q, noise), (n_paths,))[rows]
-                lhs_samples[rows] += phi_i * comp[q, rows, i]
+                comp = np.subtract(noise.jump_counts[q, rows, i], w_dt[q], dtype=float)
+                lhs_samples[rows] += phi_i * comp
 
     _run_path_ranges(integrate, n_paths)
     lhs_samples *= f_vals

@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 _MAGIC = b"VCNB0001"
-_POISSON_CHUNK_ROWS = 1024
+# paths per chunk wherever counts are drawn or compensated a chunk at a time
+_CHUNK_ROWS = 1024
 
 
 def _run_tasks(fn: Callable[[int], None], k: int) -> None:
@@ -124,11 +125,16 @@ class NoiseBundle:
     @cached_property
     def compensated_counts(self) -> np.ndarray:
         """Per-step compensated counts ``count - w_m * dt``, shape (m, n_paths, n_steps)."""
-        m = self.levy.n_atoms
-        if m == 0:
-            return np.zeros((0, self.n_paths, self.n_steps))
+        return self.compensated_rows(slice(None))
+
+    def compensated_rows(self, rows: slice) -> np.ndarray:
+        """``compensated_counts[:, rows]``, computed without the whole array.
+
+        Not cached: readers that need one sum over the steps call it one
+        chunk of paths at a time.
+        """
         comp = self.levy.weights[:, None, None] * self.grid.dt
-        return np.subtract(self.jump_counts, comp, dtype=float)
+        return np.subtract(self.jump_counts[:, rows], comp, dtype=float)
 
 
 def generate_noise(
@@ -168,8 +174,8 @@ def generate_noise(
         db[rows] *= sqrt_dt
         for q in range(m):
             lam = levy.weights[q] * grid.dt
-            for lo in range(rows.start, rows.stop, _POISSON_CHUNK_ROWS):
-                hi = min(lo + _POISSON_CHUNK_ROWS, rows.stop)
+            for lo in range(rows.start, rows.stop, _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, rows.stop)
                 counts[q, lo:hi] = rng.poisson(lam, size=(hi - lo, n))
 
     _run_tasks(draw, n_blocks)

@@ -10,6 +10,7 @@ reference path count (1e5); the two-time family solve runs at its own scale
 import pathlib
 import weakref
 
+import numpy as np
 import pytest
 
 from volterra_control import acceptance as acc
@@ -69,6 +70,24 @@ def test_c04_necessary_maximum_principle(scenario, reference_log_noise):
 
 def test_c05_bsvie_solver(martingale_solution):
     _assert_all(acc.check_bsvie_solver(martingale_solution))
+
+
+def test_c05_vectorised_zscores_equal_the_pair_loop():
+    stats = acc.martingale_family_solution(n_steps=30, n_paths=2000, seed=3)
+    assert stats.grid.n_steps == 30 and stats.n_paths == 2000
+    n, dt = 30, stats.grid.dt
+    zs = []
+    for i in range(1, n):
+        t_i = stats.grid.nodes[i]
+        for j in range(i, n):
+            se = t_i * np.sqrt((stats.grid.nodes[j] / dt + 2.0) / stats.n_paths)
+            zs.append(abs(float(stats.z_mean[j * (j + 1) // 2 + i]) - t_i) / se)
+    zs = np.array(zs)
+    _, within, largest, zero_row = acc.check_bsvie_solver(stats)
+    assert within.value == float(np.mean(zs <= 3.0))
+    assert within.detail == f"{(zs > 3).sum()} of {zs.size} pairs beyond 3 SE"
+    assert largest.value == float(zs.max())
+    assert zero_row.value == stats.zero_row_max == 0.0
 
 
 def test_c06_contraction():
@@ -141,6 +160,7 @@ def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
     brownian, jump = drawn
     assert "brownian_levels" in brownian.__dict__
     assert "brownian_levels" not in jump.__dict__
+    assert "compensated_counts" not in jump.__dict__
 
 
 def test_main_noise_is_released_before_the_c05_family(s0_small, monkeypatch):

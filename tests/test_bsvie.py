@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from volterra_control.bsvie import (
     BsvieTriple,
     ConvergenceError,
-    pair_index,
+    _column,
+    family_statistics,
     solve_bsvie,
     solve_family_step,
     weighted_norm,
-    z_time_derivative_norm,
 )
 from volterra_control.condexp import CondExpEngine
 from volterra_control.model import (
@@ -40,6 +41,12 @@ def brownian_engine(noise):
 def make_noise(n_steps=100, n_paths=256, seed=11, levy=EMPTY):
     grid = build_time_grid(1.0, n_steps)
     return generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
+
+
+def pair_index(n_steps, i, j):
+    """Flat index of the triangle pair ``(t_i, s_j)``, ``i <= j <= n-1``."""
+    assert 0 <= i <= j < n_steps
+    return j * (j + 1) // 2 + i
 
 
 # --------------------------------------------------------------------------- #
@@ -74,14 +81,14 @@ def test_weighted_norm_zero_triple():
 def test_pair_index_layout():
     n = 5
     seen = set()
-    for i in range(n):
-        for j in range(i, n):
-            seen.add(pair_index(n, i, j))
-            # running-time-major: the column (0..j, j) is one contiguous block
-            assert pair_index(n, i, j) == j * (j + 1) // 2 + i
+    for j in range(n):
+        # running-time-major: the column (0..j, j) is one contiguous block
+        col = _column(j)
+        assert col.stop - col.start == j + 1
+        for i in range(j + 1):
+            assert col.start + i == pair_index(n, i, j)
+            seen.add(col.start + i)
     assert seen == set(range(n * (n + 1) // 2))
-    with pytest.raises(ValidationError):
-        pair_index(5, 3, 2)
 
 
 # --------------------------------------------------------------------------- #
@@ -237,23 +244,112 @@ def test_max_iter_below_one_is_rejected(max_iter):
 
 
 # --------------------------------------------------------------------------- #
-# first-index derivative diagnostic
+# the streamed driver-free family against the stored triangle
 # --------------------------------------------------------------------------- #
+# The oracle is the family solve that stored its triangle before the columns
+# were reduced as they were finished: a one-pass ``solve_bsvie`` without a
+# generator, then the statistics read off the triangle pair by pair.
+
+def _triangle_family(zeta, noise, engine):
+    return solve_bsvie(zeta, None, noise, engine, beta_w=20.0, tol=1e-8, max_iter=5)
+
+
+def _triangle_z_derivative_norm(sol):
+    """First-index derivative norm of Z, summed over the stored triangle."""
+    n, dt = sol.grid.n_steps, sol.grid.dt
+    total = 0.0
+    for j in range(1, n):
+        fd = np.diff(sol.z[_column(j)], axis=0) / dt
+        total += float(np.mean(fd**2, axis=1).sum()) * dt * dt
+    return total
+
+
+def _triangle_statistics(sol):
+    n = sol.grid.n_steps
+    z_mean = np.array([sol.z[pair_index(n, i, j)].mean() for j in range(n) for i in range(j + 1)])
+    zero_row = max(float(np.max(np.abs(sol.z[pair_index(n, 0, j)]))) for j in range(n))
+    return z_mean, zero_row, _triangle_z_derivative_norm(sol)
+
 
 def test_z_derivative_norm_zero_for_flat_coefficients():
     noise = make_noise(n_steps=20)
     zeta = np.ones((21, noise.n_paths))
-    sol = solve_bsvie(zeta, None, noise, trivial_engine(noise), tol=1e-9)
-    assert z_time_derivative_norm(sol) < 1e-3
+    assert family_statistics(zeta, noise, trivial_engine(noise)).z_derivative_norm < 1e-3
 
 
 def test_z_derivative_norm_for_linear_family():
     noise = make_noise(n_steps=50, n_paths=20_000, seed=29)
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
-    sol = solve_bsvie(zeta, None, noise, brownian_engine(noise), tol=1e-9)
-    val = z_time_derivative_norm(sol)
+    val = family_statistics(zeta, noise, brownian_engine(noise)).z_derivative_norm
     assert abs(val - 0.5) < 0.1
+    assert val == _triangle_z_derivative_norm(_triangle_family(zeta, noise, brownian_engine(noise)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_steps=st.integers(2, 30),
+    n_paths=st.integers(2, 400),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["full", "trivial"]),
+    zero_first_row=st.booleans(),
+)
+def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, mode, zero_first_row):
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed)
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian",)), noise,
+        cache_designs=False,
+    )
+    weights = np.random.default_rng(seed).normal(size=n_steps + 1)
+    weights[0] = 0.0 if zero_first_row else weights[0]
+    zeta = weights[:, None] * noise.d_brownian.sum(axis=1)[None, :] + np.sin(weights)[:, None]
+    if zero_first_row:
+        zeta[0] = 0.0
+    stats = family_statistics(zeta, noise, engine)
+    z_mean, zero_row, norm = _triangle_statistics(_triangle_family(zeta, noise, engine))
+    assert stats.grid is noise.grid and stats.n_paths == n_paths
+    assert np.array_equal(stats.z_mean, z_mean)
+    assert stats.zero_row_max == zero_row
+    assert stats.z_derivative_norm == norm
+    if zero_first_row:
+        assert zero_row == 0.0
+
+
+def test_a_nan_in_row_zero_reaches_its_maximum():
+    noise = make_noise(n_steps=6, n_paths=50)
+    zeta = np.zeros((7, 50))
+    zeta[0, 3] = np.nan
+    assert math.isnan(family_statistics(zeta, noise, trivial_engine(noise)).zero_row_max)
+
+
+def _peak_bytes(solve, n_steps, n_paths):
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=37)
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian",)), noise,
+        cache_designs=False,
+    )
+    zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+    noise.brownian_levels  # the regression state belongs to the bundle, not to the solve
+    tracemalloc.start()
+    try:
+        solve(zeta, noise, engine)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_family_memory_is_linear_in_steps_and_paths():
+    base = _peak_bytes(family_statistics, 40, 1000)
+    more_steps = _peak_bytes(family_statistics, 80, 1000)
+    more_paths = _peak_bytes(family_statistics, 40, 2000)
+    assert 1.6 < more_steps / base < 2.4
+    assert 1.6 < more_paths / base < 2.4
+    # the stored triangle grows as n^2 N: the same doubling of the grid
+    # nearly quadruples it, and at 80 steps it alone outweighs the stream
+    tri_base = _peak_bytes(_triangle_family, 40, 1000)
+    tri_more_steps = _peak_bytes(_triangle_family, 80, 1000)
+    assert tri_more_steps / tri_base > 3.0
+    assert more_steps < 80 * 81 // 2 * 1000 * 8
 
 
 # --------------------------------------------------------------------------- #
@@ -474,8 +570,9 @@ def test_in_place_solver_matches_two_triangle_reference(
     for i in range(n_steps):
         for j in range(i, n_steps):
             idx = _ref_index(n_steps, i, j)
-            np.testing.assert_allclose(sol.z_at(i, j), ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(sol.k_at(i, j), ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
+            got = pair_index(n_steps, i, j)
+            np.testing.assert_allclose(sol.z[got], ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(sol.k[got], ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_warm_start_triple_is_not_modified():

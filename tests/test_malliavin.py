@@ -217,6 +217,28 @@ def test_jump_duality_isometry_case():
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs + 1e-12
 
 
+def test_chunked_compensation_equals_the_whole_array():
+    # three chunks of paths, two atoms, a mark that depends on time and size
+    levy = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
+    noise = make_noise(n_steps=30, n_paths=2500, seed=15, levy=levy)
+    f = JumpIntegral(lambda t, e: e * (1.0 + t))
+    vals = f._values(noise)
+    assert np.array_equal(f.evaluate(noise),
+                          np.einsum("ms,mps->p", vals, noise.compensated_counts))
+
+    def phi(i, q, _n):
+        return 1.0 + 0.1 * i - 0.2 * q
+
+    f_vals = f.evaluate(noise)
+    res = verify_duality_jump(f, phi, noise)
+    lhs = np.zeros(noise.n_paths)
+    for q in range(2):
+        for i in range(noise.n_steps):
+            lhs += phi(i, q, noise) * noise.compensated_counts[q, :, i]
+    lhs *= f_vals
+    assert res.lhs == float(lhs.mean())
+
+
 def _brownian_and_counts_engine(noise, f):
     """The jump-duality projection state before it followed the functional."""
     return CondExpEngine(
