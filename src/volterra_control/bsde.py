@@ -80,14 +80,20 @@ def solve_bsde(
 ) -> BsdeSolution:
     """Backward recursion from a per-path terminal value.
 
-    ``terminal`` may be a scalar (broadcast) or a per-path array.  A ``None``
-    driver means a zero generator.
+    ``terminal`` may be a scalar (broadcast) or a per-path array of shape
+    ``(1,)`` or ``(N,)``; any other shape raises :class:`ValidationError`.
+    A ``None`` driver means a zero generator.
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
     n_paths = noise.n_paths
     m = noise.levy.n_atoms
-    terminal = np.broadcast_to(np.asarray(terminal, dtype=float), (n_paths,)).copy()
+    terminal = np.asarray(terminal, dtype=float)
+    if terminal.shape not in ((), (1,), (n_paths,)):
+        raise ValidationError(
+            f"terminal needs one value or {n_paths} per-path values, got shape {terminal.shape}"
+        )
+    terminal = np.broadcast_to(terminal, (n_paths,)).copy()
     if not np.all(np.isfinite(terminal)):
         raise ValidationError("terminal values must be finite")
 

@@ -17,16 +17,21 @@ One backward recursion serves every solve.  It steps the running time
 (Bender & Pokalyuk, "Discretization of backward stochastic Volterra integral
 equations", 2013).
 
-A triangle exists only for the solves that return one.  It is
-running-time-major: pair ``(i, r)`` for ``i <= r <= n-1`` lives at flat index
-``r(r+1)/2 + i``, so the pairs ``(0..r, r)`` that one backward step reads and
-writes form one contiguous ``(r+1, N)`` block.  A pass of
-:func:`solve_bsvie` runs in place on one triangle: step ``r`` reads only the
-frozen column ``r``, then overwrites it with the new column and records the
-per-pair squared change, from which the weighted distance is formed.  Only
-the ``(n+1, N)`` frozen diagonal is copied.  :func:`family_statistics`
-reduces each column of a driver-free family as it is finished and stores no
-triangle.
+Every coefficient ``Z(t_i, s_r)`` and ``K(t_i, s_r, e_q)`` comes out of the
+regression at node ``r``, so it is held as its ``p`` coefficients on that
+node's conditioning design (the intercept alone where the engine answers with
+column means), as in regression-based BSDE schemes (Gobet, Lemor & Warin,
+Ann. Appl. Probab. 15, 2005).  The triangle is running-time-major: pair
+``(i, r)`` for ``i <= r <= n-1`` lives at flat index ``r(r+1)/2 + i``, so the
+pairs ``(0..r, r)`` that one backward step reads and writes form one
+contiguous ``(r+1, p)`` block.  Only the diagonal ``Y`` lives on the paths.
+A pass of :func:`solve_bsvie` runs in place on one triangle: step ``r``
+evaluates the frozen column ``r`` on the paths only to call the driver, then
+overwrites it with the new column and records the per-pair squared change as
+a Gram form of the coefficient change, from which the weighted distance is
+formed.  Only the ``(n+1, N)`` frozen diagonal is copied.
+:func:`family_statistics` reduces each column of a driver-free family from
+its coefficients as it is finished and stores no triangle.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .condexp import CondExpEngine
+from .condexp import CondExpEngine, _Design
 from .model import LevyMeasure, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
@@ -54,8 +59,9 @@ __all__ = [
 # generator signature: g(i, r, y, z, k, x), called once per running time r
 # for the families i = 0..r together: i is an (r+1, 1) int array, y the
 # frozen diagonal value Y(t_r) of shape (N,), z the frozen (r+1, N) column
-# block, k its (n_atoms, r+1, N) jump view (None without atoms) and x the
-# forward state at t_r (or None); the result must broadcast to (r+1, N)
+# evaluated on the paths, k its (n_atoms, r+1, N) jump block (None without
+# atoms) and x the forward state at t_r (or None); the result must broadcast
+# to (r+1, N)
 VolterraDriver = Callable[
     [np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None], np.ndarray
 ]
@@ -81,18 +87,23 @@ def _column(r: int) -> slice:
 
 @dataclass
 class BsvieTriple:
-    """One iterate: diagonal values plus triangular coefficient arrays."""
+    """One iterate: diagonal values plus the triangle of regression coefficients.
 
-    y: np.ndarray  # (n_steps + 1, n_paths)
-    z: np.ndarray  # (n_pairs, n_paths)
-    k: np.ndarray  # (n_pairs, n_atoms, n_paths)
+    Row ``r(r+1)/2 + i`` holds the coefficients of pair ``(i, r)`` on the
+    conditioning design of node ``r``; a design narrower than ``n_basis``
+    (the intercept) uses the leading entries and leaves the rest zero.
+    """
+
+    y: np.ndarray  # (n_steps + 1, n_paths), diagonal values on the paths
+    z: np.ndarray  # (n_pairs, n_basis), coefficients of Z
+    k: np.ndarray  # (n_pairs, n_atoms, n_basis), coefficients of K
 
     @staticmethod
-    def zeros(n_steps: int, n_paths: int, n_atoms: int) -> "BsvieTriple":
+    def zeros(n_steps: int, n_paths: int, n_atoms: int, n_basis: int) -> "BsvieTriple":
         return BsvieTriple(
             y=np.zeros((n_steps + 1, n_paths)),
-            z=np.zeros((_n_pairs(n_steps), n_paths)),
-            k=np.zeros((_n_pairs(n_steps), n_atoms, n_paths)),
+            z=np.zeros((_n_pairs(n_steps), n_basis)),
+            k=np.zeros((_n_pairs(n_steps), n_atoms, n_basis)),
         )
 
 
@@ -101,16 +112,23 @@ class BsvieSolution:
     grid: TimeGrid
     levy: LevyMeasure
     y: np.ndarray  # (n_steps + 1, n_paths), diagonal values
-    z: np.ndarray  # (n_pairs, n_paths)
-    k: np.ndarray  # (n_pairs, n_atoms, n_paths)
+    z: np.ndarray  # (n_pairs, n_basis), coefficients of Z, as in BsvieTriple
+    k: np.ndarray  # (n_pairs, n_atoms, n_basis), coefficients of K
     iteration_log: tuple[float, ...]
 
 
 def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w: float) -> float:
-    """The weighted norm of per-node ``E[Y^2]`` and per-pair squares.
+    """The exponentially weighted norm of per-node and per-pair squares.
 
-    ``pair_sq`` holds ``E[Z^2] + sum_q w_q E[K_q^2]`` in the flat triangle
-    layout; the terms are summed first index by first index.
+    Monte Carlo estimate of
+
+        E int_0^T [ e^{b t} Y(t)^2 + int_t^T e^{b s} Z(t,s)^2 ds
+                    + int_t^T e^{b s} int K(t,s,e)^2 nu(de) ds ] dt
+
+    with trapezoid quadrature in ``t`` and left-point in ``s``.  ``y_sq``
+    holds ``E[Y^2]`` per node and ``pair_sq`` holds
+    ``E[Z^2] + sum_q w_q E[K_q^2]`` in the flat triangle layout; the terms
+    are summed first index by first index.
     """
     n, dt = grid.n_steps, grid.dt
     w_t = np.full(n + 1, dt)
@@ -126,40 +144,24 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w:
     return total
 
 
-def weighted_norm(
-    y: np.ndarray,
-    z: np.ndarray,
-    k: np.ndarray,
-    grid: TimeGrid,
-    levy: LevyMeasure,
-    beta_w: float,
-) -> float:
-    """Exponentially weighted squared norm of a candidate triple.
-
-    Monte Carlo estimate of
-
-        E int_0^T [ e^{b t} Y(t)^2 + int_t^T e^{b s} Z(t,s)^2 ds
-                    + int_t^T e^{b s} int K(t,s,e)^2 nu(de) ds ] dt
-
-    with trapezoid quadrature in ``t`` and left-point in ``s``.
-    """
-    n = grid.n_steps
-    pair_sq = np.empty(_n_pairs(n))
-    for r in range(n):
-        col = _column(r)
-        pair_sq[col] = np.mean(z[col] ** 2, axis=1)
-        if k.shape[1]:
-            pair_sq[col] += levy.weights @ np.mean(k[col].transpose(1, 0, 2) ** 2, axis=2)
-    return _weighted_sum(np.mean(y**2, axis=1), pair_sq, grid, beta_w)
-
-
-def _replace(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Overwrite ``old`` with ``new``; return the mean squared change per path row."""
-    np.subtract(new, old, out=old)
-    np.square(old, out=old)
-    sq = old.mean(axis=-1)
+def _replace(old: np.ndarray, new: np.ndarray, design: _Design) -> np.ndarray:
+    """Overwrite coefficient rows ``old`` with ``new``; return the path mean
+    of each row's squared change."""
+    sq = design.mean_squares(new - old)
     old[...] = new
     return sq
+
+
+def _terminal_family(zeta: np.ndarray, n_steps: int, n_paths: int) -> np.ndarray:
+    """``zeta`` as ``(n+1, N)`` or, for a deterministic family, ``(n+1, 1)``."""
+    zeta = np.asarray(zeta, dtype=float)
+    if (zeta.ndim not in (1, 2) or zeta.shape[0] != n_steps + 1
+            or (zeta.ndim == 2 and zeta.shape[1] not in (1, n_paths))):
+        raise ValidationError(
+            f"terminal family needs one value or one per-path value per node: shape "
+            f"({n_steps + 1},), ({n_steps + 1}, 1) or ({n_steps + 1}, {n_paths}), got {zeta.shape}"
+        )
+    return zeta.reshape(n_steps + 1, -1)
 
 
 def _family_columns(
@@ -167,55 +169,45 @@ def _family_columns(
     y: np.ndarray,
     noise: NoiseBundle,
     engine: CondExpEngine,
-    drift: Callable[[int], np.ndarray] | None,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    drift: Callable[[int, _Design], np.ndarray] | None,
+) -> Iterator[tuple[int, _Design, np.ndarray, np.ndarray]]:
     """The backward recursion of one pass, one running time at a time.
 
     ``y`` (``(n+1, N)``) is filled with ``zeta``; row ``i`` then carries
     family ``i``'s running value until its solve reaches ``t_i``, so ``y``
     ends as the new diagonal.  The running time ``t_r`` steps backward once
-    for all families ``i <= r``, with one projection per node and, unless
-    ``drift`` is None, one call ``drift(r)`` for the generator term of the
-    families ``0..r`` (shape broadcastable to ``(r+1, N)``).
+    for all families ``i <= r``: one product of node ``r``'s design with the
+    running values gives the coefficients of ``y``, ``y dB_r`` and
+    ``y (count_q - w_q dt)``, and only ``y`` is evaluated back on the paths.
+    Unless ``drift`` is None, one call ``drift(r, design)`` adds the
+    generator term of the families ``0..r`` (shape broadcastable to
+    ``(r+1, N)``).
 
-    After each running time ``r`` this yields ``(r, z, k)``: the new
-    coefficient column ``(0..r, r)`` of shape ``(r+1, N)`` and its jump block
-    ``(n_atoms, r+1, N)``.  Both are views into a per-step buffer, valid until
-    the next step; ``drift(r)`` has already run.
+    After each running time ``r`` this yields ``(r, design, z, k)``: the
+    design of node ``r`` and the new coefficient column ``(0..r, r)``, of
+    shape ``(r+1, p)``, with its jump block ``(n_atoms, r+1, p)``;
+    ``drift(r, design)`` has already run.
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
-    n_paths = noise.n_paths
     m = noise.levy.n_atoms
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape[0] != n + 1:
-        raise ValidationError("terminal family needs one per-path value per node")
-
+    y[:] = _terminal_family(zeta, n, noise.n_paths)
     comp = noise.compensated_counts if m else None
     w_dt = noise.levy.weights[:, None, None] * dt if m else None
-    kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
-    y[:] = zeta.reshape(n + 1, -1)
     for r in range(n - 1, -1, -1):
-        fam = r + 1
-        y_run = y[:fam]
-        # node-major block: rows [kind * fam + i] hold family i's target
-        block = np.empty((kinds * fam, n_paths))
-        block[:fam] = y_run
-        np.multiply(y_run, np.ascontiguousarray(noise.d_brownian[:, r]), out=block[fam:2 * fam])
-        for q in range(m):
-            np.multiply(y_run, np.ascontiguousarray(comp[q, :, r]),
-                        out=block[(2 + q) * fam:(3 + q) * fam])
-        proj = engine.project(r, block.T).T
-        if drift is None:
-            y_run[:] = proj[:fam]
-        else:
-            np.add(proj[:fam], np.asarray(drift(r), dtype=float) * dt, out=y_run)
-        z_new = proj[fam:2 * fam]
-        z_new /= dt
-        k_new = proj[2 * fam:].reshape(m, fam, n_paths)
-        if m:
-            k_new /= w_dt
-        yield r, z_new, k_new
+        design = engine.design_at(r)
+        y_run = y[:r + 1]
+        factors = [np.ascontiguousarray(noise.d_brownian[:, r])]
+        factors += [np.ascontiguousarray(comp[q, :, r]) for q in range(m)]
+        # (2 + m, r+1, p): coefficients of y, y dB and y (count_q - w_q dt)
+        coef = design.product_coefficients(y_run, factors)
+        np.matmul(coef[0], design.phi, out=y_run)
+        if drift is not None:
+            # the driver reads the frozen triple, never the running values
+            y_run += np.asarray(drift(r, design), dtype=float) * dt
+        z_new = coef[1] / dt
+        k_new = coef[2:] / w_dt if m else coef[2:]
+        yield r, design, z_new, k_new
 
 
 def solve_family_step(
@@ -233,7 +225,8 @@ def solve_family_step(
     triple; the new diagonal value is the solve at ``t_i`` and the triangle
     rows are the extracted coefficients.  The running time ``t_r`` steps
     backward once for all families: every family ``i <= r`` advances
-    together, with one projection and one driver call per node.
+    together, with one regression product and one driver call per node.
+    The driver receives the frozen column evaluated on the paths.
 
     ``frozen`` is overwritten with the new iterate.  Returns the squared
     changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and per
@@ -245,22 +238,29 @@ def solve_family_step(
     y_frozen = frozen.y.copy()
     drift = None
     if driver is not None:
-        def drift(r: int) -> np.ndarray:
-            col = _column(r)
-            k_col = frozen.k[col].transpose(1, 0, 2) if m else None
+        # the frozen Z and K columns on the paths, rows [z; k_1; ...; k_m]
+        on_paths = np.empty(((1 + m) * n, noise.n_paths))
+
+        def drift(r: int, design: _Design) -> np.ndarray:
+            col, p, fam = _column(r), design.phi.shape[0], r + 1
+            k_coef = frozen.k[col, :, :p].transpose(1, 0, 2).reshape(m * fam, p)
+            coef = np.concatenate([frozen.z[col, :p], k_coef])
+            block = np.matmul(coef, design.phi, out=on_paths[:(1 + m) * fam])
+            k_col = block[fam:].reshape(m, fam, -1) if m else None
             x_r = x_paths[:, r] if x_paths is not None else None
-            return driver(families[:r + 1], r, y_frozen[r], frozen.z[col], k_col, x_r)
+            return driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
 
     y = frozen.y
     y_sq = np.empty(n + 1)
     pair_sq = np.empty(_n_pairs(n))
     # the driver has read the frozen column r before it is yielded: overwrite
     # it with the new one
-    for r, z_new, k_new in _family_columns(zeta, y, noise, engine, drift):
-        col = _column(r)
-        pair_sq[col] = _replace(frozen.z[col], z_new)
+    for r, design, z_new, k_new in _family_columns(zeta, y, noise, engine, drift):
+        col, p = _column(r), design.phi.shape[0]
+        pair_sq[col] = _replace(frozen.z[col, :p], z_new, design)
         if m:
-            pair_sq[col] += noise.levy.weights @ _replace(frozen.k[col].transpose(1, 0, 2), k_new)
+            k_old = frozen.k[col, :, :p].transpose(1, 0, 2)
+            pair_sq[col] += noise.levy.weights @ _replace(k_old, k_new, design)
         y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
     y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
     return y_sq, pair_sq
@@ -284,8 +284,11 @@ def family_statistics(
 
     Without a generator one pass is the solution, and each running-time
     column ``(0..r, r)`` is final when the backward step leaves it, so the
-    statistics are formed column by column and no triangle is stored: the
-    memory is the ``(n+1, N)`` diagonal plus one column's projection block.
+    statistics are formed column by column from its coefficients and no
+    triangle is stored: the memory is the ``(n+1, N)`` diagonal plus one
+    node's design.  Each pair's ``Z`` mean is ``c . mean(phi)``, the C10
+    terms are Gram forms of consecutive coefficient differences, and only
+    row 0 is evaluated on the paths, for its maximum.
 
     ``z_derivative_norm`` is the finite-difference estimate of
     ``E int int (dZ/dt)^2 ds dt``: first-index differences within each
@@ -298,11 +301,11 @@ def family_statistics(
     terms = np.empty(n)
     zero_row = 0.0
     y = np.empty((n + 1, noise.n_paths))
-    for r, z, _ in _family_columns(zeta, y, noise, engine, None):
-        z_mean[_column(r)] = z.mean(axis=1)
-        zero_row = np.maximum(zero_row, np.max(np.abs(z[0])))  # keeps a NaN
+    for r, design, z, _ in _family_columns(zeta, y, noise, engine, None):
+        z_mean[_column(r)] = z @ design.phi.mean(axis=1)
+        zero_row = np.maximum(zero_row, np.max(np.abs(z[0] @ design.phi)))  # keeps a NaN
         # consecutive rows of column r are the pairs (i, r) and (i + 1, r)
-        terms[r] = float(np.mean((np.diff(z, axis=0) / dt) ** 2, axis=1).sum()) * dt * dt
+        terms[r] = float(design.mean_squares(np.diff(z, axis=0) / dt).sum()) * dt * dt
     total = 0.0
     for term in terms[1:]:
         total += float(term)
@@ -320,17 +323,16 @@ def solve_bsvie(
     tol: float = 1e-6,
     max_iter: int = 50,
     x_paths: np.ndarray | None = None,
-    start: BsvieTriple | None = None,
 ) -> BsvieSolution:
     """Fixed-point iteration of the freeze-and-solve map from the zero triple.
 
-    The tolerance is relative to the weighted norm of the first iterate.  The
+    The tolerance is relative to the weighted norm of the first iterate,
+    which is the first pass's distance from the zero triple.  The
     noise bundle is fixed across passes (common random numbers), so the map
     is deterministic and the recorded distances contract geometrically until
     they hit the floating-point / regression floor.  Without a generator the
     map is constant: the solve stops after one pass and logs a second
-    distance of exactly zero.  ``start`` (default: zeros) is copied, never
-    modified.  Raises :class:`ConvergenceError` (carrying the distance log)
+    distance of exactly zero.  Raises :class:`ConvergenceError` (carrying the distance log)
     after ``max_iter`` passes without convergence, and
     :class:`ValidationError` when ``max_iter < 1``.
     """
@@ -338,23 +340,18 @@ def solve_bsvie(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     grid = noise.grid
     n = grid.n_steps
-    m = noise.levy.n_atoms
-    if start is None:
-        current = BsvieTriple.zeros(n, noise.n_paths, m)
-    else:
-        current = BsvieTriple(y=start.y.copy(), z=start.z.copy(), k=start.k.copy())
+    # the last running time conditions on the latest node, whose design is
+    # the widest of the pass
+    n_basis = engine.design_at(n - 1).phi.shape[0]
+    current = BsvieTriple.zeros(n, noise.n_paths, noise.levy.n_atoms, n_basis)
     log: list[float] = []
-    scale = None
     for _ in range(max_iter):
         squares = solve_family_step(zeta, driver, current, noise, engine, x_paths=x_paths)
         log.append(_weighted_sum(*squares, grid, beta_w))
         if driver is None:
             log.append(0.0)
             break
-        if scale is None:
-            scale = max(weighted_norm(current.y, current.z, current.k, grid, noise.levy, beta_w),
-                        1e-300)
-        if log[-1] <= tol * scale:
+        if log[-1] <= tol * max(log[0], 1e-300):
             break
     else:
         raise ConvergenceError(

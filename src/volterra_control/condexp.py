@@ -16,6 +16,15 @@ design, and beyond that to a small trace-normalized ridge penalty (the
 intercept is never penalized, so sample means are always preserved).
 Targets may be one column ``(N,)`` or a block ``(N, k)``; ``k`` projections
 at one node then cost one matrix product.
+
+A backward solver that keeps coefficients instead of fitted values reads the
+node's design itself (:meth:`CondExpEngine.design_at`).  The coefficients of
+``k`` value rows and of their products with a few noise rows come from one
+product of the weighted basis with the values (``[phi; phi*f_1; ...] @ y.T``)
+and one ``p x p`` solve, so no ``(N, k)`` target block is formed; the path
+mean of a fitted square is the Gram form ``c^T (gram / N) c``, read off the
+basis' triangular factor.  Column means are the regression on the intercept
+alone.
 """
 
 from __future__ import annotations
@@ -113,11 +122,12 @@ class _Design:
     :data:`_COND_LIMIT` on the design, the ridge solve) is kept as well.
     """
 
-    __slots__ = ("phi", "gram", "solver", "condition_number", "ridged")
+    __slots__ = ("phi", "gram", "solver", "condition_number", "ridged", "factor")
 
     def __init__(self, phi: np.ndarray, gram: np.ndarray):
         self.phi = phi
         self.gram = gram
+        self.factor = None  # triangular factor of the basis, see mean_squares
         self.solver = None
         self.ridged = False
         eig = np.linalg.eigvalsh(self.gram)
@@ -152,6 +162,48 @@ class _Design:
 
     def project(self, targets: np.ndarray) -> np.ndarray:
         return self.evaluate(self.coefficients(targets))
+
+    @classmethod
+    def intercept(cls, n_paths: int) -> "_Design":
+        """The design of column means: the intercept row alone."""
+        design = cls(np.ones((1, n_paths)), np.array([[float(n_paths)]]))
+        design.factor = np.sqrt(design.gram)
+        return design
+
+    def product_coefficients(self, values: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """Coefficient rows of the rows of ``values`` and of their products with each factor.
+
+        ``values`` is ``(k, N)`` and each factor ``(N,)``.  Returns
+        ``(1 + len(factors), k, p)``: block 0 regresses ``values`` and block
+        ``1 + j`` regresses ``values * factors[j]``.  The right-hand sides are
+        one product of the values with the weighted basis (``phi``, or the
+        kept solver).
+        """
+        base = self.phi if self.solver is None else self.solver
+        p = base.shape[0]
+        weighted = np.empty(((1 + len(factors)) * p, base.shape[1]))
+        weighted[:p] = base
+        for j, f in enumerate(factors, start=1):
+            np.multiply(base, f, out=weighted[j * p:(j + 1) * p])
+        # (k, N) @ (N, .) rather than (., N) @ (N, k): the threaded BLAS
+        # splits this orientation well and the other one badly
+        rhs = (values @ weighted.T).reshape(len(values), 1 + len(factors), p).transpose(1, 0, 2)
+        if self.solver is not None:
+            return rhs
+        return np.linalg.solve(self.gram, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    def mean_squares(self, coef: np.ndarray) -> np.ndarray:
+        """Path means of the squared fitted values of coefficient rows ``(..., p)``.
+
+        The Gram form ``c^T (gram / N) c``, read off the triangular factor
+        ``R`` of the basis (``R^T R = phi phi^T``) as ``|R c|^2 / N``: the
+        formed Gram matrix would square the basis' condition number, the
+        factor keeps the accuracy of evaluating on the paths.  ``R`` is
+        formed on the first call.
+        """
+        if self.factor is None:
+            self.factor = np.linalg.qr(self.phi.T, mode="r")
+        return np.square(coef @ self.factor.T).sum(axis=-1) / self.phi.shape[1]
 
 
 class CondExpEngine:
@@ -219,6 +271,21 @@ class CondExpEngine:
                 self._designs[cnode] = design
         return design
 
+    def _trivial_at(self, cnode: int) -> bool:
+        """Whether the information at conditioning node ``cnode`` is trivial."""
+        return self.filtration.mode == "trivial" or cnode == 0
+
+    def design_at(self, node: int) -> _Design:
+        """The design that conditions at ``node``.
+
+        Where :meth:`project` answers with column means (trivial
+        information) this is the intercept design.
+        """
+        cnode = self.conditioning_node(node)
+        if self._trivial_at(cnode):
+            return _Design.intercept(self.noise.n_paths)
+        return self._design(cnode)
+
     # -- projections ---------------------------------------------------------
 
     def project(self, node: int, targets: np.ndarray) -> np.ndarray:
@@ -229,6 +296,6 @@ class CondExpEngine:
         the column means in every mode.
         """
         cnode = self.conditioning_node(node)
-        if self.filtration.mode == "trivial" or cnode == 0:
+        if self._trivial_at(cnode):
             return _column_means(targets)
         return self._design(cnode).project(targets)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
     RegressionSpec,
+    ValidationError,
     build_time_grid,
     validate_scenario,
 )
@@ -35,6 +37,20 @@ def test_null_solution_is_exactly_zero():
     noise = generate_noise(GRID, EMPTY, n_paths=256, seed=1, n_blocks=1)
     sol = solve_bsde(np.zeros(256), None, noise, brownian_engine(noise))
     assert np.all(sol.y == 0.0) and np.all(sol.z == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (10, 2), (10, 1), (1, 10)])
+def test_malformed_terminal_is_rejected(shape):
+    noise = generate_noise(build_time_grid(1.0, 8), EMPTY, n_paths=10, seed=1, n_blocks=1)
+    with pytest.raises(ValidationError, match="terminal needs"):
+        solve_bsde(np.ones(shape), None, noise, brownian_engine(noise, mode="trivial"))
+
+
+@pytest.mark.parametrize("terminal", [2.0, np.full(1, 2.0), np.full(10, 2.0)])
+def test_scalar_and_per_path_terminals_are_accepted(terminal):
+    noise = generate_noise(build_time_grid(1.0, 8), EMPTY, n_paths=10, seed=1, n_blocks=1)
+    sol = solve_bsde(terminal, None, noise, brownian_engine(noise, mode="trivial"))
+    assert np.array_equal(sol.y, np.full((10, 9), 2.0))
 
 
 def test_terminal_square_recovers_variance():

@@ -3,17 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volterra_control.bsvie import (
     BsvieTriple,
     ConvergenceError,
     _column,
+    _replace,
+    _weighted_sum,
     family_statistics,
     solve_bsvie,
     solve_family_step,
-    weighted_norm,
 )
 from volterra_control.condexp import CondExpEngine
 from volterra_control.model import (
@@ -49,33 +50,161 @@ def pair_index(n_steps, i, j):
     return j * (j + 1) // 2 + i
 
 
+def coefficient_zeros(noise, engine):
+    """The zero iterate, its triangle as wide as the widest design."""
+    n = noise.grid.n_steps
+    width = engine.design_at(n - 1).phi.shape[0]
+    return BsvieTriple.zeros(n, noise.n_paths, noise.levy.n_atoms, width)
+
+
+def on_paths(z, k, engine):
+    """A coefficient triangle evaluated on the paths: ``(n_pairs, N)`` and
+    ``(n_pairs, n_atoms, N)``."""
+    n = engine.grid.n_steps
+    z_paths = np.empty((z.shape[0], engine.noise.n_paths))
+    k_paths = np.empty((k.shape[0], k.shape[1], engine.noise.n_paths))
+    for r in range(n):
+        phi = engine.design_at(r).phi
+        col = _column(r)
+        z_paths[col] = z[col, :phi.shape[0]] @ phi
+        k_paths[col] = k[col, :, :phi.shape[0]] @ phi
+    return z_paths, k_paths
+
+
+# --------------------------------------------------------------------------- #
+# the path-valued oracle
+# --------------------------------------------------------------------------- #
+# The recursion, pass and weighted norm below are the solver this module had
+# before the triangle held regression coefficients: every target is formed on
+# the paths, projected through ``engine.project`` and stored evaluated, and
+# each squared change is a path mean.
+
+def path_zeros(n_steps, n_paths, n_atoms):
+    n_pairs = n_steps * (n_steps + 1) // 2
+    return BsvieTriple(
+        y=np.zeros((n_steps + 1, n_paths)),
+        z=np.zeros((n_pairs, n_paths)),
+        k=np.zeros((n_pairs, n_atoms, n_paths)),
+    )
+
+
+def weighted_norm(y, z, k, grid, levy, beta_w):
+    """Exponentially weighted squared norm of a path-valued triple."""
+    n = grid.n_steps
+    pair_sq = np.empty(n * (n + 1) // 2)
+    for r in range(n):
+        col = _column(r)
+        pair_sq[col] = np.mean(z[col] ** 2, axis=1)
+        if k.shape[1]:
+            pair_sq[col] += levy.weights @ np.mean(k[col].transpose(1, 0, 2) ** 2, axis=2)
+    return _weighted_sum(np.mean(y**2, axis=1), pair_sq, grid, beta_w)
+
+
+def _path_replace(old, new):
+    np.subtract(new, old, out=old)
+    np.square(old, out=old)
+    sq = old.mean(axis=-1)
+    old[...] = new
+    return sq
+
+
+def path_family_columns(zeta, y, noise, engine, drift):
+    n, dt = noise.grid.n_steps, noise.grid.dt
+    n_paths, m = noise.n_paths, noise.levy.n_atoms
+    zeta = np.asarray(zeta, dtype=float)
+    comp = noise.compensated_counts if m else None
+    w_dt = noise.levy.weights[:, None, None] * dt if m else None
+    kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
+    y[:] = zeta.reshape(n + 1, -1)
+    for r in range(n - 1, -1, -1):
+        fam = r + 1
+        y_run = y[:fam]
+        # node-major block: rows [kind * fam + i] hold family i's target
+        block = np.empty((kinds * fam, n_paths))
+        block[:fam] = y_run
+        np.multiply(y_run, np.ascontiguousarray(noise.d_brownian[:, r]), out=block[fam:2 * fam])
+        for q in range(m):
+            np.multiply(y_run, np.ascontiguousarray(comp[q, :, r]),
+                        out=block[(2 + q) * fam:(3 + q) * fam])
+        proj = engine.project(r, block.T).T
+        if drift is None:
+            y_run[:] = proj[:fam]
+        else:
+            np.add(proj[:fam], np.asarray(drift(r), dtype=float) * dt, out=y_run)
+        z_new = proj[fam:2 * fam]
+        z_new /= dt
+        k_new = proj[2 * fam:].reshape(m, fam, n_paths)
+        if m:
+            k_new /= w_dt
+        yield r, z_new, k_new
+
+
+def path_family_step(zeta, driver, frozen, noise, engine):
+    """One in-place pass on a path-valued triple; returns ``(y_sq, pair_sq)``."""
+    n = noise.grid.n_steps
+    m = noise.levy.n_atoms
+    families = np.arange(n)[:, None]
+    y_frozen = frozen.y.copy()
+    drift = None
+    if driver is not None:
+        def drift(r):
+            col = _column(r)
+            k_col = frozen.k[col].transpose(1, 0, 2) if m else None
+            return driver(families[:r + 1], r, y_frozen[r], frozen.z[col], k_col, None)
+
+    y = frozen.y
+    y_sq = np.empty(n + 1)
+    pair_sq = np.empty(n * (n + 1) // 2)
+    for r, z_new, k_new in path_family_columns(zeta, y, noise, engine, drift):
+        col = _column(r)
+        pair_sq[col] = _path_replace(frozen.z[col], z_new)
+        if m:
+            pair_sq[col] += noise.levy.weights @ _path_replace(
+                frozen.k[col].transpose(1, 0, 2), k_new)
+        y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
+    y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
+    return y_sq, pair_sq
+
+
+def path_solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-6, max_iter=50):
+    """The fixed-point loop on a path-valued triangle; returns it and the log."""
+    grid = noise.grid
+    current = path_zeros(grid.n_steps, noise.n_paths, noise.levy.n_atoms)
+    log, scale = [], None
+    for _ in range(max_iter):
+        squares = path_family_step(zeta, driver, current, noise, engine)
+        log.append(_weighted_sum(*squares, grid, beta_w))
+        if driver is None:
+            log.append(0.0)
+            break
+        if scale is None:
+            scale = max(weighted_norm(current.y, current.z, current.k, grid, noise.levy, beta_w),
+                        1e-300)
+        if log[-1] <= tol * scale:
+            break
+    return current, log
+
+
 # --------------------------------------------------------------------------- #
 # weighted norm
 # --------------------------------------------------------------------------- #
 
 def test_weighted_norm_of_constant_value():
     grid = build_time_grid(1.0, 100)
-    y = np.ones((101, 4))
-    z = np.zeros((100 * 101 // 2, 4))
-    k = np.zeros((100 * 101 // 2, 0, 4))
-    assert math.isclose(weighted_norm(y, z, k, grid, EMPTY, 0.0), 1.0, rel_tol=1e-12)
+    # E[Y^2] = 1 at every node, no coefficient terms
+    assert math.isclose(_weighted_sum(np.ones(101), np.zeros(5050), grid, 0.0), 1.0,
+                        rel_tol=1e-12)
 
 
 def test_weighted_norm_exponential_weight():
     grid = build_time_grid(1.0, 100)
-    y = np.ones((101, 4))
-    z = np.zeros((100 * 101 // 2, 4))
-    k = np.zeros((100 * 101 // 2, 0, 4))
-    val = weighted_norm(y, z, k, grid, EMPTY, 2.0)
+    val = _weighted_sum(np.ones(101), np.zeros(5050), grid, 2.0)
     assert abs(val - (math.e**2 - 1.0) / 2.0) < 1e-3
 
 
 def test_weighted_norm_zero_triple():
     grid = build_time_grid(1.0, 10)
-    y = np.zeros((11, 3))
-    z = np.zeros((55, 3))
-    k = np.zeros((55, 0, 3))
-    assert weighted_norm(y, z, k, grid, EMPTY, 5.0) == 0.0
+    assert _weighted_sum(np.zeros(11), np.zeros(55), grid, 5.0) == 0.0
 
 
 def test_pair_index_layout():
@@ -99,8 +228,10 @@ def test_family_step_deterministic_terminal():
     noise = make_noise(n_steps=20)
     n = 20
     zeta = np.broadcast_to(noise.grid.nodes[:, None], (21, noise.n_paths)).copy()
-    out = BsvieTriple.zeros(n, noise.n_paths, 0)
-    solve_family_step(zeta, None, out, noise, trivial_engine(noise))
+    engine = trivial_engine(noise)
+    out = coefficient_zeros(noise, engine)
+    assert out.z.shape == (n * (n + 1) // 2, 1)  # trivial mode: the intercept alone
+    solve_family_step(zeta, None, out, noise, engine)
     # deterministic terminal: the diagonal reproduces it exactly and the
     # coefficient rows are pure sample noise around zero
     assert np.allclose(out.y, zeta, atol=1e-14)
@@ -113,8 +244,9 @@ def test_family_step_ignores_frozen_when_driver_is_zero_function():
     n = 15
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
-    a = BsvieTriple.zeros(n, noise.n_paths, 0)
-    b = BsvieTriple.zeros(n, noise.n_paths, 0)
+    a = coefficient_zeros(noise, brownian_engine(noise))
+    b = coefficient_zeros(noise, brownian_engine(noise))
+    assert a.z.shape == (n * (n + 1) // 2, 3)
 
     def driver(i, r, y_frozen, z, k, x):
         return y_frozen  # frozen y stays identically zero
@@ -129,8 +261,9 @@ def test_family_step_martingale_terminal_tracks_brownian():
     n = 50
     b_levels = noise.brownian_levels
     zeta = noise.grid.nodes[:, None] * b_levels[:, -1][None, :]
-    out = BsvieTriple.zeros(n, noise.n_paths, 0)
-    solve_family_step(zeta, None, out, noise, brownian_engine(noise))
+    engine = brownian_engine(noise)
+    out = coefficient_zeros(noise, engine)
+    solve_family_step(zeta, None, out, noise, engine)
     # diagonal close to t_i * B(t_i) pathwise (iterated-regression error)
     gaps = out.y - noise.grid.nodes[:, None] * b_levels.T
     rms = math.sqrt(float(np.mean(gaps**2)))
@@ -196,11 +329,22 @@ def test_uniqueness_from_different_starting_triple():
     engine = brownian_engine(noise)
     tol = 1e-10
     a = solve_bsvie(zeta, driver, noise, engine, tol=tol, max_iter=60)
-    warm = BsvieTriple.zeros(n, noise.n_paths, 0)
-    warm.y += 1.0
-    b = solve_bsvie(zeta, driver, noise, engine, tol=tol, max_iter=60, start=warm)
-    diff = weighted_norm(a.y - b.y, a.z - b.z, a.k - b.k, noise.grid, EMPTY, 20.0)
-    scale = weighted_norm(a.y, a.z, a.k, noise.grid, EMPTY, 20.0)
+    # the same fixed-point loop from a warm triple, stopped by the same rule
+    # relative to its own first iterate
+    b = coefficient_zeros(noise, engine)
+    b.y += 1.0
+    scale_b = None
+    for _ in range(60):
+        squares = solve_family_step(zeta, driver, b, noise, engine)
+        if scale_b is None:
+            scale_b = weighted_norm(b.y, *on_paths(b.z, b.k, engine), noise.grid, EMPTY, 20.0)
+        if _weighted_sum(*squares, noise.grid, 20.0) <= tol * scale_b:
+            break
+    else:
+        pytest.fail("no convergence from the warm triple")
+    (a_z, a_k), (b_z, b_k) = on_paths(a.z, a.k, engine), on_paths(b.z, b.k, engine)
+    diff = weighted_norm(a.y - b.y, a_z - b_z, a_k - b_k, noise.grid, EMPTY, 20.0)
+    scale = weighted_norm(a.y, a_z, a_k, noise.grid, EMPTY, 20.0)
     assert diff <= 2 * tol * scale
 
 
@@ -246,29 +390,29 @@ def test_max_iter_below_one_is_rejected(max_iter):
 # --------------------------------------------------------------------------- #
 # the streamed driver-free family against the stored triangle
 # --------------------------------------------------------------------------- #
-# The oracle is the family solve that stored its triangle before the columns
-# were reduced as they were finished: a one-pass ``solve_bsvie`` without a
-# generator, then the statistics read off the triangle pair by pair.
+# The oracle is the path-valued family solve, which stores its triangle on
+# the paths: one pass without a generator, then the statistics read off the
+# triangle pair by pair.
 
 def _triangle_family(zeta, noise, engine):
-    return solve_bsvie(zeta, None, noise, engine, beta_w=20.0, tol=1e-8, max_iter=5)
+    return path_solve_bsvie(zeta, None, noise, engine)[0]
 
 
-def _triangle_z_derivative_norm(sol):
+def _triangle_z_derivative_norm(tri, grid):
     """First-index derivative norm of Z, summed over the stored triangle."""
-    n, dt = sol.grid.n_steps, sol.grid.dt
+    n, dt = grid.n_steps, grid.dt
     total = 0.0
     for j in range(1, n):
-        fd = np.diff(sol.z[_column(j)], axis=0) / dt
+        fd = np.diff(tri.z[_column(j)], axis=0) / dt
         total += float(np.mean(fd**2, axis=1).sum()) * dt * dt
     return total
 
 
-def _triangle_statistics(sol):
-    n = sol.grid.n_steps
-    z_mean = np.array([sol.z[pair_index(n, i, j)].mean() for j in range(n) for i in range(j + 1)])
-    zero_row = max(float(np.max(np.abs(sol.z[pair_index(n, 0, j)]))) for j in range(n))
-    return z_mean, zero_row, _triangle_z_derivative_norm(sol)
+def _triangle_statistics(tri, grid):
+    n = grid.n_steps
+    z_mean = np.array([tri.z[pair_index(n, i, j)].mean() for j in range(n) for i in range(j + 1)])
+    zero_row = max(float(np.max(np.abs(tri.z[pair_index(n, 0, j)]))) for j in range(n))
+    return z_mean, zero_row, _triangle_z_derivative_norm(tri, grid)
 
 
 def test_z_derivative_norm_zero_for_flat_coefficients():
@@ -283,7 +427,8 @@ def test_z_derivative_norm_for_linear_family():
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
     val = family_statistics(zeta, noise, brownian_engine(noise)).z_derivative_norm
     assert abs(val - 0.5) < 0.1
-    assert val == _triangle_z_derivative_norm(_triangle_family(zeta, noise, brownian_engine(noise)))
+    tri = _triangle_family(zeta, noise, brownian_engine(noise))
+    assert math.isclose(val, _triangle_z_derivative_norm(tri, noise.grid), rel_tol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,13 +451,14 @@ def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, m
     if zero_first_row:
         zeta[0] = 0.0
     stats = family_statistics(zeta, noise, engine)
-    z_mean, zero_row, norm = _triangle_statistics(_triangle_family(zeta, noise, engine))
+    z_mean, zero_row, norm = _triangle_statistics(_triangle_family(zeta, noise, engine), noise.grid)
     assert stats.grid is noise.grid and stats.n_paths == n_paths
-    assert np.array_equal(stats.z_mean, z_mean)
-    assert stats.zero_row_max == zero_row
-    assert stats.z_derivative_norm == norm
+    # the coefficients reorder the regression's sums: equal to rounding
+    np.testing.assert_allclose(stats.z_mean, z_mean, rtol=1e-10, atol=1e-12)
+    assert math.isclose(stats.zero_row_max, zero_row, rel_tol=1e-10, abs_tol=1e-12)
+    assert math.isclose(stats.z_derivative_norm, norm, rel_tol=1e-10, abs_tol=1e-12)
     if zero_first_row:
-        assert zero_row == 0.0
+        assert stats.zero_row_max == zero_row == 0.0
 
 
 def test_a_nan_in_row_zero_reaches_its_maximum():
@@ -360,7 +506,7 @@ def _family_step_reference(zeta, driver, frozen, noise, engine):
     """Family by family, one projection call per target column."""
     n, dt = noise.grid.n_steps, noise.grid.dt
     m = noise.levy.n_atoms
-    out = BsvieTriple.zeros(n, noise.n_paths, m)
+    out = path_zeros(n, noise.n_paths, m)
     comp = noise.compensated_counts
     out.y[n] = zeta[n]
     for i in range(n):
@@ -397,18 +543,16 @@ def test_batched_family_step_matches_per_family_loop(n_steps, n_paths, seed, wei
         noise,
     )
     rng = np.random.default_rng(seed)
-    n_pairs = n_steps * (n_steps + 1) // 2
-    frozen = BsvieTriple(
-        y=rng.normal(size=(n_steps + 1, n_paths)),
-        z=rng.normal(size=(n_pairs, n_paths)),
-        k=rng.normal(size=(n_pairs, 1, n_paths)),
-    )
+    got = coefficient_zeros(noise, engine)
+    for a in (got.y, got.z, got.k):
+        a[...] = rng.normal(size=a.shape)
+    # the reference reads the frozen triple on the paths
+    frozen = BsvieTriple(got.y.copy(), *on_paths(got.z, got.k, engine))
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :] + 0.1 * noise.count_levels[0][:, -1]
-    got = BsvieTriple(y=frozen.y.copy(), z=frozen.z.copy(), k=frozen.k.copy())
     solve_family_step(zeta, _jump_driver, got, noise, engine)
     ref = _family_step_reference(zeta, _jump_driver, frozen, noise, engine)
-    for a, b in ((got.y, ref.y), (got.z, ref.z), (got.k, ref.k)):
+    for a, b in ((got.y, ref.y), *zip(on_paths(got.z, got.k, engine), (ref.z, ref.k))):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
@@ -430,34 +574,56 @@ def _weighted_norm_reference(a, b, grid, levy, beta_w):
     return total
 
 
+def _gram_distance(a, b, engine, beta_w):
+    """The weighted distance of two coefficient triples, formed as a pass
+    forms it: ``_replace`` per column, then ``_weighted_sum``."""
+    grid, levy = engine.grid, engine.noise.levy
+    n = grid.n_steps
+    old = BsvieTriple(a.y, a.z.copy(), a.k.copy())
+    pair_sq = np.empty(n * (n + 1) // 2)
+    for r in range(n):
+        design = engine.design_at(r)
+        col, p = _column(r), design.phi.shape[0]
+        pair_sq[col] = _replace(old.z[col, :p], b.z[col, :p], design)
+        if levy.n_atoms:
+            pair_sq[col] += levy.weights @ _replace(
+                old.k[col, :, :p].transpose(1, 0, 2), b.k[col, :, :p].transpose(1, 0, 2), design)
+    return _weighted_sum(np.mean((a.y - b.y) ** 2, axis=1), pair_sq, grid, beta_w)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_steps=st.integers(2, 12),
-    n_paths=st.integers(1, 40),
+    n_paths=st.integers(2, 40),
     n_atoms=st.integers(0, 2),
     beta_w=st.floats(0.0, 20.0),
     seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["full", "trivial"]),
 )
-def test_weighted_norm_matches_pairwise_loop(n_steps, n_paths, n_atoms, beta_w, seed):
-    rng = np.random.default_rng(seed)
-    grid = build_time_grid(1.0, n_steps)
+def test_weighted_norm_matches_pairwise_loop(n_steps, n_paths, n_atoms, beta_w, seed, mode):
     levy = LevyMeasure.from_atoms([[0.1 * (q + 1), 1.0 + q] for q in range(n_atoms)])
-    n_pairs = n_steps * (n_steps + 1) // 2
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed, levy=levy)
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
+        noise,
+    )
+    rng = np.random.default_rng(seed)
 
     def triple():
-        return BsvieTriple(
-            y=rng.normal(size=(n_steps + 1, n_paths)),
-            z=rng.normal(size=(n_pairs, n_paths)),
-            k=rng.normal(size=(n_pairs, n_atoms, n_paths)),
-        )
+        out = coefficient_zeros(noise, engine)
+        for a in (out.y, out.z, out.k):
+            a[...] = rng.normal(size=a.shape)
+        return out
+
+    def paths(t):
+        return BsvieTriple(t.y, *on_paths(t.z, t.k, engine))
 
     a, b = triple(), triple()
-    zero = BsvieTriple.zeros(n_steps, n_paths, n_atoms)
-    expected = _weighted_norm_reference(a, b, grid, levy, beta_w)
-    got = weighted_norm(a.y - b.y, a.z - b.z, a.k - b.k, grid, levy, beta_w)
-    assert math.isclose(got, expected, rel_tol=1e-12)
-    plain = weighted_norm(a.y, a.z, a.k, grid, levy, beta_w)
-    assert math.isclose(plain, _weighted_norm_reference(a, zero, grid, levy, beta_w), rel_tol=1e-12)
+    zero = coefficient_zeros(noise, engine)
+    expected = _weighted_norm_reference(paths(a), paths(b), noise.grid, levy, beta_w)
+    assert math.isclose(_gram_distance(a, b, engine, beta_w), expected, rel_tol=1e-12)
+    plain = _weighted_norm_reference(paths(a), paths(zero), noise.grid, levy, beta_w)
+    assert math.isclose(_gram_distance(zero, a, engine, beta_w), plain, rel_tol=1e-12)
 
 
 # --------------------------------------------------------------------------- #
@@ -495,7 +661,7 @@ def _ref_weighted_norm(y, z, k, grid, levy, beta_w, base=None):
 def _ref_family_step(zeta, driver, frozen, noise, engine):
     n, dt = noise.grid.n_steps, noise.grid.dt
     n_paths, m = noise.n_paths, noise.levy.n_atoms
-    out = BsvieTriple.zeros(n, n_paths, m)
+    out = path_zeros(n, n_paths, m)
     comp = noise.compensated_counts
     w_dt = noise.levy.weights * dt
     kinds = 2 + m
@@ -524,7 +690,7 @@ def _ref_family_step(zeta, driver, frozen, noise, engine):
 
 def _ref_solve_bsvie(zeta, driver, noise, engine, beta_w, tol, max_iter):
     grid, levy = noise.grid, noise.levy
-    current = BsvieTriple.zeros(grid.n_steps, noise.n_paths, levy.n_atoms)
+    current = path_zeros(grid.n_steps, noise.n_paths, levy.n_atoms)
     log, scale = [], None
     for _ in range(max_iter):
         new = _ref_family_step(zeta, driver, current, noise, engine)
@@ -564,35 +730,127 @@ def test_in_place_solver_matches_two_triangle_reference(
         # the reference runs the second pass that repeats the first
         assert log[1] == 0.0
     assert len(sol.iteration_log) == len(log)
-    np.testing.assert_allclose(sol.iteration_log, log, rtol=1e-12, atol=0.0)
+    # a distance is the square of a difference that shrinks every pass, so
+    # its rounding grows relative to it: compare above 1e-12 of the first
+    np.testing.assert_allclose(sol.iteration_log, log, rtol=1e-10, atol=1e-12 * log[0])
     scale = np.abs(ref.z).max() + np.abs(ref.k).max()
     np.testing.assert_allclose(sol.y, ref.y, rtol=1e-12, atol=1e-12 * np.abs(ref.y).max())
+    z, k = on_paths(sol.z, sol.k, engine)
     for i in range(n_steps):
         for j in range(i, n_steps):
             idx = _ref_index(n_steps, i, j)
             got = pair_index(n_steps, i, j)
-            np.testing.assert_allclose(sol.z[got], ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(sol.k[got], ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(z[got], ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(k[got], ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_warm_start_triple_is_not_modified():
-    n = 12
-    levy = LevyMeasure.from_atoms([[-0.1, 2.0]])
-    noise = make_noise(n_steps=n, n_paths=200, seed=31, levy=levy)
+# --------------------------------------------------------------------------- #
+# the coefficient triangle against the path-valued oracle
+# --------------------------------------------------------------------------- #
+
+def _reading_driver(i, r, y, z, k, x):
+    """A generator that reads the frozen ``Z`` and ``K`` columns, not only ``y``."""
+    out = np.sin(y) + 0.2 * z + 0.01 * (i - r)
+    return out if k is None else out + 0.2 * k.sum(axis=0)
+
+
+def _assert_passes_match_oracle(zeta, driver, noise, engine, passes=3):
+    """``passes`` in-place passes from the zero triple, against the oracle's."""
+    got = coefficient_zeros(noise, engine)
+    ref = path_zeros(noise.grid.n_steps, noise.n_paths, noise.levy.n_atoms)
+    for _ in range(passes):
+        squares = solve_family_step(zeta, driver, got, noise, engine)
+        ref_squares = path_family_step(zeta, driver, ref, noise, engine)
+        z, k = on_paths(got.z, got.k, engine)
+        for a, b in ((got.y, ref.y), (z, ref.z), (k, ref.k), *zip(squares, ref_squares)):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_steps=st.integers(2, 20),
+    n_paths=st.integers(2, 400),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["full", "trivial", "delay"]),
+    n_atoms=st.integers(0, 2),
+    with_driver=st.booleans(),
+)
+# fewer paths than basis functions: a squared change read off the formed Gram
+# matrix, which squares the basis' condition number, misses 1e-10 here
+@example(n_steps=8, n_paths=8, seed=33233, mode="full", n_atoms=2, with_driver=True)
+def test_coefficient_recursion_matches_path_valued_oracle(
+    n_steps, n_paths, seed, mode, n_atoms, with_driver
+):
+    levy = LevyMeasure.from_atoms([[-0.1 * (q + 1), 1.0 + q] for q in range(n_atoms)])
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed, levy=levy)
+    delay = (1 + seed % 3) * noise.grid.dt if mode == "delay" else 0.0
     engine = CondExpEngine(
-        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
-        noise,
+        FiltrationMode(mode=mode, delay=delay),
+        RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise,
     )
+    zeta = (noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+            + np.sin(noise.grid.nodes)[:, None])
+    if n_atoms:
+        zeta = zeta + 0.1 * noise.count_levels[0][:, -1]
+    _assert_passes_match_oracle(zeta, _reading_driver if with_driver else None, noise, engine)
+
+
+def test_kept_solver_design_matches_path_valued_oracle():
+    # a state row that repeats the Brownian level: the Gram matrix is
+    # singular, so every design past node 0 keeps its ridge solver and the
+    # product runs on the solver instead of the basis
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0]])
+    noise = make_noise(n_steps=8, n_paths=300, seed=41, levy=levy)
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian", "x")), noise,
+        x_paths=noise.brownian_levels.copy(),
+    )
+    assert all(engine.design_at(r).solver is not None for r in range(1, 8))
     zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
-    rng = np.random.default_rng(31)
-    n_pairs = n * (n + 1) // 2
-    warm = BsvieTriple(
-        y=rng.normal(size=(n + 1, noise.n_paths)),
-        z=rng.normal(size=(n_pairs, noise.n_paths)),
-        k=rng.normal(size=(n_pairs, 1, noise.n_paths)),
-    )
-    kept = BsvieTriple(y=warm.y.copy(), z=warm.z.copy(), k=warm.k.copy())
-    sol = solve_bsvie(zeta, _jump_driver, noise, engine, tol=1e-10, max_iter=60, start=warm)
-    for a, b in ((warm.y, kept.y), (warm.z, kept.z), (warm.k, kept.k)):
-        assert np.array_equal(a, b)
-    assert not np.shares_memory(sol.z, warm.z)
+    _assert_passes_match_oracle(zeta, _reading_driver, noise, engine)
+
+
+def test_solve_bsvie_memory_grows_with_the_diagonal_not_the_triangle():
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0]])
+
+    def peak(solve, n_steps):
+        noise = make_noise(n_steps=n_steps, n_paths=1000, seed=43, levy=levy)
+        engine = CondExpEngine(
+            FiltrationMode(mode="full"),
+            RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise,
+        )
+        zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+        # the regression state and the compensated counts belong to the bundle
+        noise.brownian_levels, noise.count_levels, noise.compensated_counts
+        tracemalloc.start()
+        try:
+            solve(zeta, _reading_driver, noise, engine, tol=1e-6, max_iter=20)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ratio = peak(solve_bsvie, 80) / peak(solve_bsvie, 40)
+    assert 1.6 < ratio < 2.4
+    # the path-valued triangle grows as n^2 N: the same doubling of the grid
+    # nearly quadruples it
+    assert peak(path_solve_bsvie, 80) / peak(path_solve_bsvie, 40) > 3.0
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (9, 10, 2), (8, 10), (9, 1, 1), ()])
+def test_malformed_terminal_family_is_rejected(shape):
+    noise = make_noise(n_steps=8, n_paths=10)
+    with pytest.raises(ValidationError, match="terminal family"):
+        solve_bsvie(np.ones(shape), None, noise, trivial_engine(noise))
+    with pytest.raises(ValidationError, match="terminal family"):
+        family_statistics(np.ones(shape), noise, trivial_engine(noise))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 1)])
+def test_deterministic_terminal_family_is_accepted(shape):
+    noise = make_noise(n_steps=8, n_paths=10)
+    zeta = noise.grid.nodes.reshape(shape)
+    per_path = np.broadcast_to(noise.grid.nodes[:, None], (9, 10))
+    sol = solve_bsvie(zeta, None, noise, trivial_engine(noise))
+    ref = solve_bsvie(per_path, None, noise, trivial_engine(noise))
+    assert np.array_equal(sol.y, ref.y) and np.array_equal(sol.z, ref.z)
+
