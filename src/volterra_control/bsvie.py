@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .condexp import CondExpEngine, _Design
+from .condexp import CondExpEngine, Design
 from .model import LevyMeasure, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
@@ -90,7 +90,8 @@ class BsvieTriple:
     """One iterate: diagonal values plus the triangle of regression coefficients.
 
     Row ``r(r+1)/2 + i`` holds the coefficients of pair ``(i, r)`` on the
-    conditioning design of node ``r``; a design narrower than ``n_basis``
+    conditioning design of node ``r``.  The triangle is as wide as the
+    engine's widest design (:attr:`CondExpEngine.n_basis`); a narrower design
     (the intercept) uses the leading entries and leaves the rest zero.
     """
 
@@ -144,7 +145,13 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w:
     return total
 
 
-def _replace(old: np.ndarray, new: np.ndarray, design: _Design) -> np.ndarray:
+def _on_design(triangle: np.ndarray, r: int, design: Design) -> np.ndarray:
+    """Column ``r`` of a coefficient triangle ``(n_pairs, ..., n_basis)``,
+    cut to the width of node ``r``'s design (a view)."""
+    return triangle[_column(r), ..., :design.phi.shape[0]]
+
+
+def _replace(old: np.ndarray, new: np.ndarray, design: Design) -> np.ndarray:
     """Overwrite coefficient rows ``old`` with ``new``; return the path mean
     of each row's squared change."""
     sq = design.mean_squares(new - old)
@@ -169,8 +176,8 @@ def _family_columns(
     y: np.ndarray,
     noise: NoiseBundle,
     engine: CondExpEngine,
-    drift: Callable[[int, _Design], np.ndarray] | None,
-) -> Iterator[tuple[int, _Design, np.ndarray, np.ndarray]]:
+    drift: Callable[[int, Design], np.ndarray] | None,
+) -> Iterator[tuple[int, Design, np.ndarray, np.ndarray]]:
     """The backward recursion of one pass, one running time at a time.
 
     ``y`` (``(n+1, N)``) is filled with ``zeta``; row ``i`` then carries
@@ -241,10 +248,10 @@ def solve_family_step(
         # the frozen Z and K columns on the paths, rows [z; k_1; ...; k_m]
         on_paths = np.empty(((1 + m) * n, noise.n_paths))
 
-        def drift(r: int, design: _Design) -> np.ndarray:
-            col, p, fam = _column(r), design.phi.shape[0], r + 1
-            k_coef = frozen.k[col, :, :p].transpose(1, 0, 2).reshape(m * fam, p)
-            coef = np.concatenate([frozen.z[col, :p], k_coef])
+        def drift(r: int, design: Design) -> np.ndarray:
+            fam, p = r + 1, design.phi.shape[0]
+            k_coef = _on_design(frozen.k, r, design).transpose(1, 0, 2).reshape(m * fam, p)
+            coef = np.concatenate([_on_design(frozen.z, r, design), k_coef])
             block = np.matmul(coef, design.phi, out=on_paths[:(1 + m) * fam])
             k_col = block[fam:].reshape(m, fam, -1) if m else None
             x_r = x_paths[:, r] if x_paths is not None else None
@@ -256,10 +263,10 @@ def solve_family_step(
     # the driver has read the frozen column r before it is yielded: overwrite
     # it with the new one
     for r, design, z_new, k_new in _family_columns(zeta, y, noise, engine, drift):
-        col, p = _column(r), design.phi.shape[0]
-        pair_sq[col] = _replace(frozen.z[col, :p], z_new, design)
+        col = _column(r)
+        pair_sq[col] = _replace(_on_design(frozen.z, r, design), z_new, design)
         if m:
-            k_old = frozen.k[col, :, :p].transpose(1, 0, 2)
+            k_old = _on_design(frozen.k, r, design).transpose(1, 0, 2)
             pair_sq[col] += noise.levy.weights @ _replace(k_old, k_new, design)
         y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
     y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
@@ -340,10 +347,7 @@ def solve_bsvie(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     grid = noise.grid
     n = grid.n_steps
-    # the last running time conditions on the latest node, whose design is
-    # the widest of the pass
-    n_basis = engine.design_at(n - 1).phi.shape[0]
-    current = BsvieTriple.zeros(n, noise.n_paths, noise.levy.n_atoms, n_basis)
+    current = BsvieTriple.zeros(n, noise.n_paths, noise.levy.n_atoms, engine.n_basis)
     log: list[float] = []
     for _ in range(max_iter):
         squares = solve_family_step(zeta, driver, current, noise, engine, x_paths=x_paths)

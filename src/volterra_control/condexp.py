@@ -18,10 +18,12 @@ Targets may be one column ``(N,)`` or a block ``(N, k)``; ``k`` projections
 at one node then cost one matrix product.
 
 A backward solver that keeps coefficients instead of fitted values reads the
-node's design itself (:meth:`CondExpEngine.design_at`).  The coefficients of
-``k`` value rows and of their products with a few noise rows come from one
-product of the weighted basis with the values (``[phi; phi*f_1; ...] @ y.T``)
-and one ``p x p`` solve, so no ``(N, k)`` target block is formed; the path
+node's design itself (:meth:`CondExpEngine.design_at`); every node outside
+trivial information has the same :attr:`CondExpEngine.n_basis` rows.  The
+coefficients of ``k`` value rows and of their products with a few noise rows
+come from one product of the weighted basis with the values
+(``[phi; phi*f_1; ...] @ y.T``) and one ``p x p`` solve, so no ``(N, k)``
+target block is formed; the path
 mean of a fitted square is the Gram form ``c^T (gram / N) c``, read off the
 basis' triangular factor.  Column means are the regression on the intercept
 alone.
@@ -37,7 +39,7 @@ import numpy as np
 from .model import FiltrationMode, RegressionSpec, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
-__all__ = ["RegressionError", "CondExpEngine"]
+__all__ = ["RegressionError", "Design", "CondExpEngine"]
 
 _COND_LIMIT = 1e10  # design condition number above which the ridge rescues the solve
 _GRAM_COND_LIMIT = 1e12  # largest Gram condition number solved by normal equations
@@ -113,7 +115,7 @@ def _column_means(targets: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Design:
+class Design:
     """A standardized basis ``phi`` (p, N) and the solve of its normal equations.
 
     A well-conditioned design keeps only ``phi`` and its Gram matrix.  Past
@@ -164,7 +166,7 @@ class _Design:
         return self.evaluate(self.coefficients(targets))
 
     @classmethod
-    def intercept(cls, n_paths: int) -> "_Design":
+    def intercept(cls, n_paths: int) -> "Design":
         """The design of column means: the intercept row alone."""
         design = cls(np.ones((1, n_paths)), np.array([[float(n_paths)]]))
         design.factor = np.sqrt(design.gram)
@@ -231,7 +233,7 @@ class CondExpEngine:
         self.x_paths = x_paths
         self.cache_designs = cache_designs  # worth it only when nodes repeat
         self.grid: TimeGrid = noise.grid
-        self._designs: dict[int, _Design] = {}
+        self._designs: dict[int, Design] = {}
 
     # -- state assembly ------------------------------------------------------
 
@@ -257,7 +259,7 @@ class CondExpEngine:
             return max(node - lag, 0)
         return node
 
-    def _design(self, cnode: int) -> _Design:
+    def _design(self, cnode: int) -> Design:
         design = self._designs.get(cnode)
         if design is None:
             rows = self._state_rows(cnode)
@@ -266,7 +268,7 @@ class CondExpEngine:
                     "no regression state available; declare state variables or use trivial mode"
                 )
             phi = _basis(rows, _monomial_powers(len(rows), self.regression.degree))
-            design = _Design(phi, _standardise(phi))
+            design = Design(phi, _standardise(phi))
             if self.cache_designs:
                 self._designs[cnode] = design
         return design
@@ -275,7 +277,17 @@ class CondExpEngine:
         """Whether the information at conditioning node ``cnode`` is trivial."""
         return self.filtration.mode == "trivial" or cnode == 0
 
-    def design_at(self, node: int) -> _Design:
+    @property
+    def n_basis(self) -> int:
+        """Rows of the widest design: every node outside trivial information
+        regresses on the same monomials of the state, the rest on the
+        intercept alone."""
+        if self.filtration.mode == "trivial":
+            return 1
+        n_vars = len(self._state_rows(self.grid.n_steps))
+        return len(_monomial_powers(n_vars, self.regression.degree))
+
+    def design_at(self, node: int) -> Design:
         """The design that conditions at ``node``.
 
         Where :meth:`project` answers with column means (trivial
@@ -283,7 +295,7 @@ class CondExpEngine:
         """
         cnode = self.conditioning_node(node)
         if self._trivial_at(cnode):
-            return _Design.intercept(self.noise.n_paths)
+            return Design.intercept(self.noise.n_paths)
         return self._design(cnode)
 
     # -- projections ---------------------------------------------------------

@@ -145,6 +145,22 @@ def test_delay_lags_the_conditioning_node():
     assert engine.conditioning_node(3) == 0
 
 
+def test_n_basis_is_the_width_of_every_design_but_the_intercept():
+    grid = build_time_grid(1.0, 8)
+    noise = generate_noise(grid, LevyMeasure.from_atoms([[0.1, 1.0], [-0.2, 2.0]]), 200, 3, 1)
+    x_paths = np.exp(noise.brownian_levels)
+    reg = RegressionSpec(degree=2, variables=("log_x", "brownian", "jump_counts"))
+    for mode, delay, width in (("full", 0.0, math.comb(4 + 2, 2)),
+                               ("delay", 0.25, math.comb(4 + 2, 2)), ("trivial", 0.0, 1)):
+        engine = CondExpEngine(FiltrationMode(mode=mode, delay=delay), reg, noise, x_paths)
+        assert engine.n_basis == width
+        widths = {engine.design_at(r).phi.shape[0] for r in range(grid.n_steps + 1)}
+        assert max(widths) == width and widths <= {1, width}
+    # without the forward state the x rows drop out
+    engine = CondExpEngine(FiltrationMode(mode="full"), reg, noise)
+    assert engine.n_basis == math.comb(3 + 2, 2) == engine.design_at(5).phi.shape[0]
+
+
 def test_delay_zero_collapses_to_full():
     mode = FiltrationMode(mode="delay", delay=0.0)
     assert mode.mode == "full"
