@@ -14,6 +14,12 @@ rows receives everything from earlier blocks through one matrix product with
 the stacked coefficients ``[(A - c) dt, B, P_m]``, and the rows inside a
 block run one at a time over the block's own earlier rows.  Only the order
 of the sums differs from the direct recursion.
+
+The state is built node-major and returned as a transposed view with the
+path-major shape ``(N, n_nodes)``, no copy made.  The increments and counts
+are read one node at a time, ``db[:, j]`` and ``cj[:, :, j]``: contiguous
+rows for the node-major views of ``paths``, strided reads (still correct) for
+path-major arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ _BLOCK = 32
 NUMBA_ENABLED = False
 
 
-def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
+def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None):
     """Triangular sweep of the left-point Volterra scheme.
 
     Parameters
@@ -40,12 +46,15 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
     p_nodes : (m, n_nodes, n_nodes) jump kernel matrices (m may be 0).
     cj : (m, N, n_steps) compensated jump counts (count - w*dt).
     dt : step size.
+    out : optional (n_nodes, N) C-ordered array the state is written into.
 
-    Returns the (N, n_nodes) state array.
+    Returns the (N, n_nodes) state as a view of node-major storage (``out.T``
+    when ``out`` is given).
     """
     n_nodes, n_paths = source.shape
+    u = np.empty((n_nodes, n_paths)) if out is None else out
     if n_nodes == 0:
-        return np.empty((n_paths, 0))
+        return u.T
     n_steps = n_nodes - 1
     m = p_nodes.shape[0]
     width = 2 + m
@@ -58,7 +67,6 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
     # drivers[j] = U_j * [1, dB_j, CJ_{0,j}, ..., CJ_{m-1,j}]
     drivers = np.empty((n_steps, width, n_paths))
     flat = drivers.reshape(n_steps * width, n_paths)
-    u = np.empty((n_nodes, n_paths))
     for s in range(0, n_nodes, _BLOCK):
         e = min(s + _BLOCK, n_nodes)
         np.matmul(coef[s:e, : s * width], flat[: s * width], out=u[s:e])
@@ -70,4 +78,4 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt):
                 drivers[i, 0] = u[i]
                 np.multiply(u[i], db[:, i], out=drivers[i, 1])
                 np.multiply(u[i], cj[:, :, i], out=drivers[i, 2:])
-    return np.ascontiguousarray(u.T)
+    return u.T

@@ -204,8 +204,8 @@ def _family_columns(
     for r in range(n - 1, -1, -1):
         design = engine.design_at(r)
         y_run = y[:r + 1]
-        factors = [np.ascontiguousarray(noise.d_brownian[:, r])]
-        factors += [np.ascontiguousarray(comp[q, :, r]) for q in range(m)]
+        # contiguous rows of the node-major noise
+        factors = [noise.d_brownian[:, r]] + [comp[q, :, r] for q in range(m)]
         # (2 + m, r+1, p): coefficients of y, y dB and y (count_q - w_q dt)
         coef = design.product_coefficients(y_run, factors)
         np.matmul(coef[0], design.phi, out=y_run)

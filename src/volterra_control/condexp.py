@@ -238,8 +238,8 @@ class CondExpEngine:
     # -- state assembly ------------------------------------------------------
 
     def _state_rows(self, node: int) -> list[np.ndarray]:
-        # the noise bundle stores its level arrays node-major, so the level
-        # rows are contiguous views
+        # the noise levels and the forward state are stored node-major, so
+        # every state row is a contiguous view
         rows = []
         for var in self.regression.variables:
             if var in ("x", "log_x"):

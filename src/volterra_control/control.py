@@ -351,9 +351,10 @@ def adjoint_malliavin_projection(
             p_tail / (x_tail + fv.jump[q][:, cols]) - p_tail / x_tail
         )
     block = engine.project(k, block)
-    out_b = np.zeros((n_paths, last + 1))
+    # node-major, as the state and its first variations are
+    out_b = np.zeros((last + 1, n_paths)).T
     out_b[:, cols] = block[:, :width]
-    out_j = np.zeros((m, n_paths, last + 1))
+    out_j = np.zeros((m, last + 1, n_paths)).transpose(0, 2, 1)
     for q in range(m):
         out_j[q][:, cols] = block[:, (q + 1) * width:(q + 2) * width]
     return {"brownian": out_b, "jump": out_j}

@@ -74,11 +74,12 @@ class ForwardPaths:
 
     ``state`` holds ``log X`` when ``log_state`` is set (the exact engine)
     and ``X`` otherwise.  ``values`` is always ``X``: on a log state it is
-    exponentiated on first access and then kept.
+    exponentiated on first access and then kept.  Both are stored node-major
+    and read through the path-major shape, as the noise is (see ``paths``).
     """
 
     grid: TimeGrid
-    state: np.ndarray  # (n_paths, last_node + 1)
+    state: np.ndarray  # (n_paths, last_node + 1), node-major in memory
     log_state: bool
     scheme: str
 
@@ -102,12 +103,13 @@ class FirstVariation:
     ``brownian[p, i]`` approximates the derivative of ``X(t_i)`` with respect
     to a Brownian perturbation at ``t_k``; ``jump[m, p, i]`` the response to
     one extra jump of atom ``m`` at ``t_k``.  Both vanish for ``i < k``.
+    Both are stored node-major, as the state is.
     """
 
     grid: TimeGrid
     node: int
-    brownian: np.ndarray  # (n_paths, n_nodes)
-    jump: np.ndarray  # (n_atoms, n_paths, n_nodes)
+    brownian: np.ndarray  # (n_paths, n_nodes), node-major in memory
+    jump: np.ndarray  # (n_atoms, n_paths, n_nodes), node-major in memory
 
 
 def _check_control_admissible(c_vals: np.ndarray) -> None:
@@ -191,19 +193,21 @@ def _simulate_multiplicative(
     xi = float(scenario.initial)
 
     # log-increments per step, written in place: exact drift + exact
-    # martingale factors; one running sum along each path then gives log X
+    # martingale factors; a running sum over the node rows then gives log X
     drift = alpha * dt - c_int - 0.5 * beta * beta * dt
-    log_x = np.empty((noise.n_paths, last + 1))
-    log_x[:, 0] = np.log(xi)
-    steps = log_x[:, 1:]
-    np.multiply(beta, noise.d_brownian[:, :last], out=steps)
-    steps += drift[None, :]
+    log_x = np.empty((last + 1, noise.n_paths))
+    log_x[0] = np.log(xi)
+    steps = log_x[1:]
+    np.multiply(beta, noise.d_brownian[:, :last].T, out=steps)
+    steps += drift[:, None]
     for q, log_jump in enumerate(np.log1p(pi)):
-        steps += log_jump * noise.jump_counts[q, :, :last]
+        steps += log_jump * noise.jump_counts[q, :, :last].T
     if pi.size:
         steps -= float(np.dot(w, pi)) * dt
-    np.cumsum(log_x, axis=1, out=log_x)
-    return log_x
+    # row adds in the order of a cumulative sum along each path
+    for i in range(last):
+        log_x[i + 1] += log_x[i]
+    return log_x.T
 
 
 def _kernel_matrices(
@@ -310,15 +314,17 @@ def first_variation(
     cj = noise.compensated_counts[:, :, start:last]
 
     def run(source_col: np.ndarray, out: np.ndarray) -> None:
+        # out is node-major (last + 1, N): the sweep fills its rows from
+        # ``start`` on in place, and the rows below stay zero
         source = source_col[start:, None] * xk[None, :]
-        out[:, start:] = volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt)
+        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt, out=out[start:])
 
-    brown = np.zeros((fwd.n_paths, last + 1))
+    brown = np.zeros((last + 1, fwd.n_paths))
     run(b_nodes[:, k], brown)
-    jumps = np.zeros((scenario.n_atoms, fwd.n_paths, last + 1))
+    jumps = np.zeros((scenario.n_atoms, last + 1, fwd.n_paths))
     for q in range(scenario.n_atoms):
         run(p_nodes[q, :, k], jumps[q])
-    return FirstVariation(grid=grid, node=k, brownian=brown, jump=jumps)
+    return FirstVariation(grid=grid, node=k, brownian=brown.T, jump=jumps.transpose(0, 2, 1))
 
 
 def mean_quantile_rows(fwd: ForwardPaths) -> list[dict]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .condexp import CondExpEngine
 from .model import FiltrationMode, RegressionSpec, ValidationError, time_quadrature_weights
-from .paths import _CHUNK_ROWS, NoiseBundle, _run_path_ranges
+from .paths import NoiseBundle, _path_chunks, _run_path_ranges
 
 __all__ = [
     "Functional",
@@ -183,8 +183,7 @@ class JumpIntegral(Functional):
         # compensated one chunk of paths at a time: the bundle never holds a
         # float copy of its counts
         out = np.empty(noise.n_paths)
-        for lo in range(0, noise.n_paths, _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
+        for rows in _path_chunks(0, noise.n_paths):
             out[rows] = np.einsum("ms,mps->p", vals, noise.compensated_rows(rows))
         self._memo = (weakref.ref(noise), out)
         return out

@@ -7,9 +7,14 @@ per block (``numpy.random.SeedSequence.spawn``), so the result is
 bit-reproducible for a fixed ``(seed, n_paths, grid, n_blocks)`` regardless
 of how the blocks are later consumed.
 
+Every per-path, per-node array of the package has one layout, owned here:
+it is stored node-major, one contiguous row of all paths per node, and
+handed out as a transposed view with the path-major shape ``(n_paths,
+n_nodes)``.  Readers index ``[:, node]`` as before and get a contiguous row.
+
 The blocks are drawn concurrently, one thread per CPU in the process's
 affinity mask, and the level sums run on one contiguous range of paths per
-thread.  Each thread writes only its own rows, so every value is the same
+thread.  Each thread writes only its own paths, so every value is the same
 whatever the CPU count; with one CPU nothing runs off the calling thread.
 
 Jump times inside a step are not recorded: left-point stepping only needs the
@@ -36,7 +41,8 @@ __all__ = [
 ]
 
 _MAGIC = b"VCNB0001"
-# paths per chunk wherever counts are drawn or compensated a chunk at a time
+# paths per chunk wherever noise is drawn, compensated, saved or loaded a
+# chunk at a time
 _CHUNK_ROWS = 1024
 
 
@@ -65,11 +71,32 @@ def _run_path_ranges(fn: Callable[[slice], None], n_paths: int) -> None:
     _run_tasks(lambda t: fn(slice(t * n_paths // k, (t + 1) * n_paths // k)), k)
 
 
+def _path_chunks(start: int, stop: int) -> list[slice]:
+    """Paths ``start .. stop - 1`` in chunks of at most ``_CHUNK_ROWS``."""
+    return [slice(lo, min(lo + _CHUNK_ROWS, stop)) for lo in range(start, stop, _CHUNK_ROWS)]
+
+
+def _node_major(a: np.ndarray) -> np.ndarray:
+    """``a`` (shape ``(..., n_paths, n_nodes)``) as a view of node-major storage.
+
+    An array stored that way already is returned as it is; any other is
+    copied once into node-major memory.
+    """
+    if not a.swapaxes(-1, -2).flags.c_contiguous:
+        a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseBundle:
     """Per-path Brownian increments and jump counts on a fixed grid.
 
-    The derived arrays below are cached; treat them as read-only.
+    Both arrays, and every array derived from them, are stored node-major
+    and read through the path-major shapes below (see the module docstring):
+    ``d_brownian[:, i]`` and ``jump_counts[q, :, i]`` are contiguous rows.
+    Arrays passed in another layout, as ``dataclasses.replace`` may pass
+    them, are stored node-major on construction.  The derived arrays are
+    cached; treat them as read-only.
     """
 
     grid: TimeGrid
@@ -79,6 +106,10 @@ class NoiseBundle:
     d_brownian: np.ndarray  # (n_paths, n_steps), variance dt each
     jump_counts: np.ndarray  # (n_atoms, n_paths, n_steps), int64
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d_brownian", _node_major(self.d_brownian))
+        object.__setattr__(self, "jump_counts", _node_major(self.jump_counts))
+
     @property
     def n_paths(self) -> int:
         return self.d_brownian.shape[0]
@@ -87,12 +118,9 @@ class NoiseBundle:
     def n_steps(self) -> int:
         return self.d_brownian.shape[1]
 
-    # The level arrays are stored node-major and returned as transposed
-    # views: regressions and integrands read one node across all paths, which
-    # is then a contiguous row.  They are summed one node row at a time, in
-    # the same order as a cumulative sum, so every write is contiguous.  The
-    # strided reads of the increments wait on memory latency, so each CPU
-    # sums its own range of paths.
+    # The levels are summed one node row at a time, in the same order as a
+    # cumulative sum, each CPU on its own range of paths; every read and
+    # write is a contiguous row.
 
     @cached_property
     def brownian_levels(self) -> np.ndarray:
@@ -134,7 +162,8 @@ class NoiseBundle:
         chunk of paths at a time.
         """
         comp = self.levy.weights[:, None, None] * self.grid.dt
-        return np.subtract(self.jump_counts[:, rows], comp, dtype=float)
+        counts = self.jump_counts.transpose(0, 2, 1)[:, :, rows]
+        return np.subtract(counts, comp, dtype=float).transpose(0, 2, 1)
 
 
 def generate_noise(
@@ -150,8 +179,9 @@ def generate_noise(
     the Poisson counts, so regeneration with identical arguments is
     byte-identical.  The blocks are drawn concurrently, one thread per CPU in
     the affinity mask; each block consumes only its own stream and writes
-    only its own rows, so the result does not depend on the CPU count.  The
-    counts are drawn in chunks of rows, which consumes a scalar-rate stream
+    only its own paths, so the result does not depend on the CPU count.
+    Each block is drawn a chunk of paths at a time and each chunk is written
+    transposed into node-major storage; a chunk of rows consumes the stream
     in the same order as one ``(block, n_steps)`` draw.
     """
     if n_paths < 1:
@@ -161,27 +191,26 @@ def generate_noise(
     n = grid.n_steps
     m = levy.n_atoms
     block = n_paths // n_blocks
-    db = np.empty((n_paths, n))
-    counts = np.zeros((m, n_paths, n), dtype=np.int64)
+    db = np.empty((n, n_paths))
+    counts = np.empty((m, n, n_paths), dtype=np.int64)
     sqrt_dt = np.sqrt(grid.dt)
     children = np.random.SeedSequence(seed).spawn(n_blocks)
 
     def draw(b: int) -> None:
         rng = np.random.Generator(np.random.PCG64(children[b]))
-        rows = slice(b * block, (b + 1) * block)
-        # drawn and scaled in place: no block-sized temporaries
-        rng.standard_normal(out=db[rows])
-        db[rows] *= sqrt_dt
+        chunks = _path_chunks(b * block, (b + 1) * block)
+        for rows in chunks:
+            normals = rng.standard_normal(size=(rows.stop - rows.start, n))
+            np.multiply(normals.T, sqrt_dt, out=db[:, rows])
         for q in range(m):
             lam = levy.weights[q] * grid.dt
-            for lo in range(rows.start, rows.stop, _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, rows.stop)
-                counts[q, lo:hi] = rng.poisson(lam, size=(hi - lo, n))
+            for rows in chunks:
+                counts[q, :, rows] = rng.poisson(lam, size=(rows.stop - rows.start, n)).T
 
     _run_tasks(draw, n_blocks)
     return NoiseBundle(
         grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-        d_brownian=db, jump_counts=counts,
+        d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
     )
 
 
@@ -190,7 +219,9 @@ def generate_noise(
 # --------------------------------------------------------------------------- #
 # Layout (little-endian): magic, then int64 {n_steps, n_paths, seed, n_blocks,
 # n_atoms}, float64 horizon, float64 atom sizes, float64 atom weights, the
-# float64 increment matrix, and the int64 jump-count array.
+# float64 increment matrix, and the int64 jump-count array.  The arrays are
+# written path-major, one path after another, and moved a chunk of paths at
+# a time between the file and the bundle's node-major storage.
 
 def save_noise(bundle: NoiseBundle, path: str) -> None:
     with open(path, "wb") as fh:
@@ -202,8 +233,11 @@ def save_noise(bundle: NoiseBundle, path: str) -> None:
         fh.write(struct.pack("<d", bundle.grid.horizon))
         fh.write(np.ascontiguousarray(bundle.levy.sizes, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(bundle.levy.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.d_brownian, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.jump_counts, dtype="<i8").tobytes())
+        for rows in _path_chunks(0, bundle.n_paths):
+            fh.write(np.ascontiguousarray(bundle.d_brownian[rows], dtype="<f8").tobytes())
+        for counts in bundle.jump_counts:
+            for rows in _path_chunks(0, bundle.n_paths):
+                fh.write(np.ascontiguousarray(counts[rows], dtype="<i8").tobytes())
 
 
 def load_noise(path: str) -> NoiseBundle:
@@ -218,16 +252,26 @@ def load_noise(path: str) -> NoiseBundle:
                 raise ValidationError(f"{path}: truncated noise bundle file")
             return data
 
+        def read_rows(out: np.ndarray, dtype: str) -> None:
+            # out is node-major (n_steps, n_paths); the file holds its transpose
+            for rows in _path_chunks(0, out.shape[1]):
+                width = rows.stop - rows.start
+                chunk = np.frombuffer(read(8 * width * n), dtype=dtype)
+                out[:, rows] = chunk.reshape(width, n).T
+
         n, n_paths, seed, n_blocks, m = struct.unpack("<5q", read(40))
         (horizon,) = struct.unpack("<d", read(8))
         sizes = np.frombuffer(read(8 * m), dtype="<f8")
         weights = np.frombuffer(read(8 * m), dtype="<f8")
-        db = np.frombuffer(read(8 * n_paths * n), dtype="<f8").reshape(n_paths, n)
-        counts = np.frombuffer(read(8 * m * n_paths * n), dtype="<i8").reshape(m, n_paths, n)
+        db = np.empty((n, n_paths))
+        read_rows(db, "<f8")
+        counts = np.empty((m, n, n_paths), dtype=np.int64)
+        for q in range(m):
+            read_rows(counts[q], "<i8")
     grid = TimeGrid(horizon=horizon, n_steps=int(n))
     levy = LevyMeasure(sizes=sizes.copy(), weights=weights.copy()) if m else \
         LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
     return NoiseBundle(
         grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-        d_brownian=db.copy(), jump_counts=counts.copy(),
+        d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
     )

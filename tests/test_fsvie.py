@@ -11,6 +11,7 @@ from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
     PositivityBreachError,
     _check_positive,
+    _simulate_volterra,
     first_variation,
     forward_mean_oracle,
     simulate_fsvie,
@@ -264,6 +265,21 @@ def test_positivity_breach_aborts_with_location():
     with pytest.raises(PositivityBreachError) as err:
         simulate_fsvie(spec, noise, one, scheme="volterra_sum")
     assert err.value.path >= 0 and err.value.node > 0
+
+
+def test_volterra_sum_breach_reports_the_first_path_major_entry():
+    # the first breach in path order, not in node order: with node-major
+    # storage the two differ here, and the report must not change with it
+    spec = make_scenario(beta_kernel={"kind": "constant", "value": 5.0})
+    noise = noise_for(spec, n_paths=2000, seed=0)
+    one = ControlFn.constant(1.0, spec.grid)
+    x = _simulate_volterra(spec, noise, one.values(spec.grid), spec.grid.n_steps)
+    bad = np.ascontiguousarray(x) <= POSITIVITY_FLOOR
+    path, node = np.argwhere(bad)[0]
+    assert tuple(np.argwhere(bad.T)[0][::-1]) != (path, node)
+    with pytest.raises(PositivityBreachError) as err:
+        simulate_fsvie(spec, noise, one, scheme="volterra_sum")
+    assert (err.value.path, err.value.node, err.value.value) == (path, node, x[path, node])
 
 
 def test_optimal_rate_cannot_reach_terminal_node(s0_small, s0_noise):

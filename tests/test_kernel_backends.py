@@ -42,7 +42,7 @@ def _direct_recursion(source, a, c, b, db, p, cj, dt):
 def test_numpy_backend_matches_direct_recursion():
     args = _random_problem()
     got = _kernels.volterra_sweep(*args)
-    assert got.flags.c_contiguous
+    assert got.T.flags.c_contiguous  # node-major storage, path-major view
     np.testing.assert_allclose(got, _direct_recursion(*args), rtol=1e-12, atol=1e-12)
 
 

@@ -1,14 +1,36 @@
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import volterra_control
+from volterra_control.bsde import solve_bsde
+from volterra_control.condexp import CondExpEngine
+from volterra_control.control import adjoint_malliavin_projection, build_adjoint_state
+from volterra_control.controls import ControlFn
+from volterra_control.fsvie import _simulate_multiplicative, first_variation, simulate_fsvie
+from volterra_control.malliavin import (
+    JumpIntegral,
+    WienerIntegral,
+    verify_duality_brownian,
+    verify_duality_jump,
+)
+from volterra_control.model import (
+    FiltrationMode,
+    LevyMeasure,
+    RegressionSpec,
+    build_time_grid,
+    validate_scenario,
+)
+from volterra_control.paths import _CHUNK_ROWS, NoiseBundle, generate_noise
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "volterra_control"
@@ -140,3 +162,118 @@ def test_import_starts_no_thread():
             "assert 'concurrent.futures' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+# --------------------------------------------------------------------------- #
+# one node-major layout for every per-path, per-node array
+# --------------------------------------------------------------------------- #
+
+def _layout_scenario(**overrides):
+    raw = {
+        "grid": {"horizon": 1.0, "n_steps": 20},
+        "initial": 1.0,
+        "gamma": 0.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 0.2},
+        "levy": {"atoms": [[-0.1, 2.0]]},
+        "pi_kernels": [{"kind": "constant", "value": -0.1}],
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": 64, "seed": 3, "n_blocks": 2},
+        "regression": {"degree": 2, "state": ["x"]},
+    }
+    raw.update(overrides)
+    return validate_scenario(raw)
+
+
+def _node_major(a: np.ndarray) -> bool:
+    """Stored one contiguous row of all paths per node (last axis = nodes)."""
+    return np.swapaxes(a, -1, -2).flags.c_contiguous
+
+
+def test_every_per_node_array_is_node_major():
+    spec = _layout_scenario()
+    mc = spec.mc
+    noise = generate_noise(spec.grid, spec.levy, mc.n_paths, mc.seed, mc.n_blocks)
+    one = ControlFn.constant(1.0, spec.grid)
+    arrays = {
+        "d_brownian": noise.d_brownian,
+        "jump_counts": noise.jump_counts,
+        "brownian_levels": noise.brownian_levels,
+        "count_levels": noise.count_levels,
+        "compensated_counts": noise.compensated_counts,
+        "compensated_rows": noise.compensated_rows(slice(3, 40)),
+    }
+    for scheme in ("multiplicative_exact", "volterra_sum"):
+        fwd = simulate_fsvie(spec, noise, one, scheme=scheme)
+        arrays[f"{scheme}.state"] = fwd.state
+        arrays[f"{scheme}.values"] = fwd.values
+    fv = first_variation(spec, noise, one, fwd, 5)
+    arrays["first_variation.brownian"] = fv.brownian
+    arrays["first_variation.jump"] = fv.jump
+    adjoint = build_adjoint_state(spec, fwd)
+    arrays["adjoint.p_paths"] = adjoint.p_paths
+    grads = adjoint_malliavin_projection(spec, noise, one, fwd, adjoint, 5)
+    arrays["adjoint_gradient.brownian"] = grads["brownian"]
+    arrays["adjoint_gradient.jump"] = grads["jump"]
+    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd.values)
+    sol = solve_bsde(noise.brownian_levels[:, -1] ** 2, None, noise, engine)
+    arrays.update({"bsde.y": sol.y, "bsde.z": sol.z, "bsde.k": sol.k})
+    assert [name for name, a in arrays.items() if not _node_major(a)] == []
+
+
+def test_generate_noise_peak_is_its_output_plus_chunk_buffers():
+    # two 20000-path blocks: a block-sized temporary (3.2 MB) would break
+    # the bound, chunk buffers (160 kB each) do not
+    grid = build_time_grid(1.0, 20)
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    generate_noise(grid, levy, 16, 1, 2)  # first-call imports and pools
+    tracemalloc.start()
+    try:
+        noise = generate_noise(grid, levy, 40_000, 3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = noise.d_brownian.nbytes + noise.jump_counts.nbytes
+    chunk = _CHUNK_ROWS * grid.n_steps * 8
+    workers = min(2, len(os.sched_getaffinity(0)))
+    assert peak <= output + 3 * chunk * workers
+
+
+def test_path_major_bundle_gives_the_same_values():
+    """A bundle built from path-major arrays is stored node-major, so every
+    reader gives the values of the generated bundle."""
+    spec = _layout_scenario()
+    two_time = _layout_scenario(
+        alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
+        beta_kernel={"kind": "exp_decay", "amplitude": 0.2, "rate": 0.5},
+    )
+    mc = spec.mc
+    noise = generate_noise(spec.grid, spec.levy, mc.n_paths, mc.seed, mc.n_blocks)
+    built = NoiseBundle(
+        grid=noise.grid, levy=noise.levy, seed=noise.seed, n_blocks=noise.n_blocks,
+        d_brownian=np.ascontiguousarray(noise.d_brownian),
+        jump_counts=np.ascontiguousarray(noise.jump_counts),
+    )
+    replaced = dataclasses.replace(noise, d_brownian=np.ascontiguousarray(noise.d_brownian))
+    one = ControlFn.constant(1.0, spec.grid)
+    engine_spec = (FiltrationMode(mode="full"),
+                   RegressionSpec(degree=2, variables=("brownian", "jump_counts")))
+
+    def values(bundle):
+        sweep = simulate_fsvie(two_time, bundle, one, scheme="volterra_sum").state
+        log_x = _simulate_multiplicative(spec, bundle, one.step_integrals(spec.grid), 20)
+        engine = CondExpEngine(*engine_spec, bundle)
+        bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
+                          None, bundle, engine)
+        levels = bundle.brownian_levels
+        brownian = verify_duality_brownian(WienerIntegral(1.0) ** 2,
+                                           lambda i, _n: levels[:, i], bundle)
+        jump = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0, bundle)
+        return [sweep, log_x, bsde.y, bsde.z, bsde.k,
+                np.array([brownian.lhs, brownian.rhs, jump.lhs, jump.rhs])]
+
+    want = values(noise)
+    for bundle in (built, replaced):
+        assert _node_major(bundle.d_brownian) and _node_major(bundle.jump_counts)
+        got = values(bundle)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

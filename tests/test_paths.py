@@ -1,12 +1,24 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control.model import LevyMeasure, ValidationError, build_time_grid
-from volterra_control.paths import NoiseBundle, generate_noise, load_noise, save_noise
+from volterra_control.paths import (
+    _CHUNK_ROWS,
+    _MAGIC,
+    NoiseBundle,
+    generate_noise,
+    load_noise,
+    save_noise,
+)
 
 GRID = build_time_grid(1.0, 100)
+SHORT = build_time_grid(1.0, 9)
 EMPTY = LevyMeasure.from_atoms([])
 ONE_ATOM = LevyMeasure.from_atoms([[-0.1, 2.0]])
 
@@ -75,6 +87,59 @@ def test_levels_are_exact_cumulative_sums():
     assert noise.brownian_levels.T.flags.c_contiguous
     assert noise.count_levels.transpose(0, 2, 1).flags.c_contiguous
     assert generate_noise(GRID, EMPTY, 8, 1, 1).count_levels.shape == (0, 8, 101)
+
+
+def _path_major_draw(grid, levy, n_paths, seed, n_blocks):
+    """The block recipe drawn path-major: per block, one ``(block, n_steps)``
+    draw of normals, then one per atom of counts."""
+    block = n_paths // n_blocks
+    db = np.empty((n_paths, grid.n_steps))
+    counts = np.empty((levy.n_atoms, n_paths, grid.n_steps), dtype=np.int64)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        rows = slice(b * block, (b + 1) * block)
+        rng.standard_normal(out=db[rows])
+        db[rows] *= math.sqrt(grid.dt)
+        for q, w in enumerate(levy.weights):
+            counts[q, rows] = rng.poisson(w * grid.dt, size=(block, grid.n_steps))
+    return db, counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    block=st.sampled_from([1, 5, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                           2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 300]),
+    n_blocks=st.integers(1, 3),
+    n_steps=st.integers(2, 6),
+    n_atoms=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_node_major_draw_is_the_path_major_draw(block, n_blocks, n_steps, n_atoms, seed):
+    # blocks smaller than, equal to, larger than and not a multiple of a chunk
+    grid = build_time_grid(1.0, n_steps)
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]][:n_atoms])
+    noise = generate_noise(grid, levy, block * n_blocks, seed, n_blocks)
+    db, counts = _path_major_draw(grid, levy, block * n_blocks, seed, n_blocks)
+    assert np.ascontiguousarray(noise.d_brownian).tobytes() == db.tobytes()
+    assert np.ascontiguousarray(noise.jump_counts).tobytes() == counts.tobytes()
+    assert noise.d_brownian.T.flags.c_contiguous
+    assert noise.jump_counts.transpose(0, 2, 1).flags.c_contiguous
+
+
+def test_path_major_arrays_are_stored_node_major():
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    noise = generate_noise(GRID, two_atoms, n_paths=40, seed=8, n_blocks=2)
+    db, counts = np.ascontiguousarray(noise.d_brownian), np.ascontiguousarray(noise.jump_counts)
+    built = NoiseBundle(grid=GRID, levy=two_atoms, seed=8, n_blocks=2,
+                        d_brownian=db, jump_counts=counts)
+    replaced = dataclasses.replace(noise, d_brownian=db)
+    for bundle in (built, replaced):
+        assert bundle.d_brownian.T.flags.c_contiguous
+        assert bundle.jump_counts.transpose(0, 2, 1).flags.c_contiguous
+        assert np.array_equal(bundle.d_brownian, noise.d_brownian)
+        assert np.array_equal(bundle.jump_counts, noise.jump_counts)
+    # a node-major array is kept, not copied
+    assert np.shares_memory(dataclasses.replace(noise).d_brownian, noise.d_brownian)
 
 
 def test_different_blocks_change_layout():
@@ -153,16 +218,36 @@ def test_compensated_sums_are_centred():
     assert abs(var - 2.0) <= 4 * se_var
 
 
+def _file_bytes(noise, db, counts):
+    """The noise file format, built from path-major arrays."""
+    levy = noise.levy
+    return b"".join([
+        _MAGIC,
+        struct.pack("<5q", db.shape[1], db.shape[0], noise.seed, noise.n_blocks, levy.n_atoms),
+        struct.pack("<d", noise.grid.horizon),
+        levy.sizes.astype("<f8").tobytes(), levy.weights.astype("<f8").tobytes(),
+        db.astype("<f8").tobytes(), counts.astype("<i8").tobytes(),
+    ])
+
+
 def test_dump_restore_roundtrip(tmp_path):
-    noise = generate_noise(GRID, ONE_ATOM, n_paths=64, seed=21, n_blocks=2)
-    path = tmp_path / "bundle.bin"
-    save_noise(noise, str(path))
-    back = load_noise(str(path))
-    assert back.seed == noise.seed and back.n_blocks == noise.n_blocks
-    assert back.grid.n_steps == noise.grid.n_steps
-    assert np.array_equal(back.d_brownian, noise.d_brownian)
-    assert np.array_equal(back.jump_counts, noise.jump_counts)
-    assert np.array_equal(back.levy.sizes, noise.levy.sizes)
+    # 2100 paths span three chunks of the file; the format is path-major
+    cases = [(64, [[-0.1, 2.0]]), (2100, [[-0.1, 2.0], [0.3, 0.5]]), (7, [])]
+    for n_paths, atoms in cases:
+        noise = generate_noise(SHORT, LevyMeasure.from_atoms(atoms), n_paths=n_paths, seed=21,
+                               n_blocks=1)
+        path = tmp_path / f"bundle{n_paths}.bin"
+        save_noise(noise, str(path))
+        db, counts = np.ascontiguousarray(noise.d_brownian), np.ascontiguousarray(noise.jump_counts)
+        assert path.read_bytes() == _file_bytes(noise, db, counts)
+        back = load_noise(str(path))
+        assert back.seed == noise.seed and back.n_blocks == noise.n_blocks
+        assert back.grid.n_steps == noise.grid.n_steps
+        assert back.d_brownian.T.flags.c_contiguous
+        assert back.jump_counts.transpose(0, 2, 1).flags.c_contiguous
+        assert np.array_equal(back.d_brownian, noise.d_brownian)
+        assert np.array_equal(back.jump_counts, noise.jump_counts)
+        assert np.array_equal(back.levy.sizes, noise.levy.sizes)
 
 
 def test_load_rejects_foreign_files(tmp_path):
@@ -172,11 +257,15 @@ def test_load_rejects_foreign_files(tmp_path):
         load_noise(str(path))
 
 
-@pytest.mark.parametrize("keep", [20, 60, -8], ids=["header", "atoms", "counts"])
-def test_load_rejects_truncated_files(tmp_path, keep):
+@pytest.mark.parametrize("n_paths, keep", [(8, 20), (8, 60), (8, -8), (2100, 80_000),
+                                           (2100, -8)],
+                         ids=["header", "atoms", "counts", "chunked-increments", "chunked-counts"])
+def test_load_rejects_truncated_files(tmp_path, n_paths, keep):
     # cut inside the integer header, inside the atom sizes, and eight bytes
-    # short of the end of the jump counts
-    noise = generate_noise(GRID, ONE_ATOM, n_paths=8, seed=2, n_blocks=1)
+    # short of the end of the jump counts; a 2100-path file is read in three
+    # chunks, and is cut inside its second chunk of increments or its last
+    # chunk of counts
+    noise = generate_noise(SHORT, ONE_ATOM, n_paths=n_paths, seed=2, n_blocks=1)
     path = tmp_path / "bundle.bin"
     save_noise(noise, str(path))
     path.write_bytes(path.read_bytes()[:keep])
