@@ -11,6 +11,14 @@ generator is evaluated at the left time with the projected value,
 
 The solver follows the generator convention ``Y(t) = E_t[ Y(T) + int_t^T g ]``.
 
+Every conditional expectation at step ``i`` comes out of the regression on
+node ``i``'s conditioning design, so ``z_i`` and ``k_i`` are held as their
+``p`` coefficients on that design (Gobet, Lemor & Warin, Ann. Appl. Probab.
+15, 2005), as the BSVIE triangle is.  One solve of the design against the
+block ``[y, y dB, y (count_q - w_q dt)]`` gives all of them; only ``y`` is
+evaluated back on the paths, and with a generator ``z_i`` and ``k_i`` are
+evaluated on the paths for its call and dropped.
+
 ``recursive_utility`` evaluates the log-consumption utility.  Its generator
 is linear in the value, so the integrating-factor representation
 
@@ -48,17 +56,22 @@ Driver = Callable[[int, float, np.ndarray | None, np.ndarray, np.ndarray, np.nda
 
 @dataclass(frozen=True, eq=False)
 class BsdeSolution:
-    """Backward solution arrays on the grid.
+    """Backward solution on the grid.
 
-    The solver stores ``y``, ``z`` and ``k`` node-major, so each backward
-    step reads and writes contiguous rows; the fields are transposed views
-    with the path-major shapes below.
+    ``y`` lives on the paths; the solver stores it node-major, so each
+    backward step reads and writes contiguous rows, and the field is a
+    transposed view with the path-major shape below.  ``z[i]`` and
+    ``k[i, q]`` are the coefficients of ``z_i`` and ``k_i,q`` on the design
+    that conditions at node ``i`` (``CondExpEngine.design_at(i)``), as wide
+    as the engine's widest design (``CondExpEngine.n_basis``); a narrower
+    design (the intercept) uses the leading entries and leaves the rest
+    zero.  ``design.evaluate(z[i][:p])`` gives ``z_i`` on the paths.
     """
 
     t_nodes: np.ndarray
-    y: np.ndarray  # (n_paths, n_steps + 1)
-    z: np.ndarray  # (n_paths, n_steps)
-    k: np.ndarray  # (n_atoms, n_paths, n_steps)
+    y: np.ndarray  # (n_paths, n_steps + 1), node-major in memory
+    z: np.ndarray  # (n_steps, n_basis), coefficients of z_i
+    k: np.ndarray  # (n_steps, n_atoms, n_basis), coefficients of k_i
     r_squared: np.ndarray  # (n_steps,) projection diagnostic per step
 
     @property
@@ -98,12 +111,12 @@ def solve_bsde(
         raise ValidationError("terminal values must be finite")
 
     y = np.empty((n + 1, n_paths))
-    z = np.zeros((n, n_paths))
-    k = np.zeros((m, n, n_paths))
+    z = np.zeros((n, engine.n_basis))
+    k = np.zeros((n, m, engine.n_basis))
     r2 = np.zeros(n)
     y[n] = terminal
     w_dt = noise.levy.weights * dt if m else None
-    # one projection per step: columns y, y dB and y (count_q - w_q dt); each
+    # one solve per step: columns y, y dB and y (count_q - w_q dt); each
     # step compensates its own counts, so no float copy of all counts is made
     targets = np.empty((n_paths, 2 + m), order="F")
 
@@ -114,21 +127,24 @@ def solve_bsde(
         for q in range(m):
             np.subtract(noise.jump_counts[q, :, i], w_dt[q], out=targets[:, 2 + q])
             targets[:, 2 + q] *= y_next
-        proj = engine.project(i, targets)
-        y_proj = proj[:, 0]
-        z[i] = proj[:, 1] / dt
-        for q in range(m):
-            k[q, i] = proj[:, 2 + q] / w_dt[q]
+        design = engine.design_at(i)
+        coef = design.coefficients(targets)  # (p, 2 + m)
+        p = coef.shape[0]
+        z[i, :p] = coef[:, 1] / dt
+        if m:
+            k[i, :, :p] = coef[:, 2:].T / w_dt[:, None]
+        y_proj = design.evaluate(coef[:, 0])
         if driver is not None:
+            # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
+            zk = np.concatenate([z[i, None, :p], k[i, :, :p]]) @ design.phi
             x_i = x_paths[:, i] if x_paths is not None else None
-            g = driver(i, grid.nodes[i], x_i, y_proj, z[i], k[:, i] if m else None)
+            g = driver(i, grid.nodes[i], x_i, y_proj, zk[0], zk[1:] if m else None)
             y[i] = y_proj + np.asarray(g, dtype=float) * dt
         else:
             y[i] = y_proj
         var = float(np.var(y_next))
         r2[i] = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y_proj)) / var
-    return BsdeSolution(t_nodes=grid.nodes.copy(), y=y.T, z=z.T, k=k.transpose(0, 2, 1),
-                        r_squared=r2)
+    return BsdeSolution(t_nodes=grid.nodes.copy(), y=y.T, z=z, k=k, r_squared=r2)
 
 
 # --------------------------------------------------------------------------- #
@@ -203,16 +219,16 @@ def recursive_utility_bsde(
     sign = -1.0 if scenario.convention == "discounting" else 1.0
     if fwd.last_node < n - 1:
         raise ValidationError("forward paths must reach node n-1")
-    x = fwd.values
 
     def gen(i, t, x_i, y, z, k):
-        consumption = c[i] * x[:, i]
+        # one node row of X: the whole array of X is never formed
+        consumption = c[i] * fwd.row(i)
         if np.any(consumption <= 0.0):
             raise ValidationError("nonpositive consumption value inside generator")
         return np.log(consumption) + sign * gamma[i] * y
 
     # one projection per node: a cached design would never be read again
-    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=x,
+    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd,
                            cache_designs=False)
     sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
     return sol.y0, sol.y0_se

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fsvie import ForwardPaths
 from .model import FiltrationMode, RegressionSpec, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
@@ -217,6 +218,11 @@ class CondExpEngine:
     coefficients, every family of a BSVIE pass, repeated fixed-point passes)
     price as matrix products.  ``project`` takes targets of shape ``(N,)`` or
     ``(N, k)`` and returns the same shape.
+
+    ``x_paths`` is the forward state the ``x`` and ``log_x`` variables read.
+    A design reads it one node row at a time (:meth:`ForwardPaths.row`), so
+    the exact engine's log state is exponentiated one row per design and the
+    engine never forms the whole array of ``X``.
     """
 
     def __init__(
@@ -224,7 +230,7 @@ class CondExpEngine:
         filtration: FiltrationMode,
         regression: RegressionSpec,
         noise: NoiseBundle,
-        x_paths: np.ndarray | None = None,
+        x_paths: ForwardPaths | None = None,
         cache_designs: bool = True,
     ):
         self.filtration = filtration
@@ -239,13 +245,13 @@ class CondExpEngine:
 
     def _state_rows(self, node: int) -> list[np.ndarray]:
         # the noise levels and the forward state are stored node-major, so
-        # every state row is a contiguous view
+        # every state row is a contiguous view (or the exp of one)
         rows = []
         for var in self.regression.variables:
             if var in ("x", "log_x"):
                 if self.x_paths is None:
                     continue
-                x = self.x_paths[:, node]
+                x = self.x_paths.row(node)
                 rows.append(x if var == "x" else np.log(x))
             elif var == "brownian":
                 rows.append(self.noise.brownian_levels[:, node])
@@ -281,10 +287,18 @@ class CondExpEngine:
     def n_basis(self) -> int:
         """Rows of the widest design: every node outside trivial information
         regresses on the same monomials of the state, the rest on the
-        intercept alone."""
+        intercept alone.  The state variables are counted from the spec, as
+        :meth:`_state_rows` would return them, without reading any node."""
         if self.filtration.mode == "trivial":
             return 1
-        n_vars = len(self._state_rows(self.grid.n_steps))
+        n_vars = 0
+        for var in self.regression.variables:
+            if var in ("x", "log_x"):
+                n_vars += self.x_paths is not None
+            elif var == "brownian":
+                n_vars += 1
+            elif var == "jump_counts":
+                n_vars += self.noise.levy.n_atoms
         return len(_monomial_powers(n_vars, self.regression.degree))
 
     def design_at(self, node: int) -> Design:

@@ -336,7 +336,7 @@ def adjoint_malliavin_projection(
     last = fwd.last_node
     x = fwd.values
     big_p = adjoint.big_p[: last + 1]
-    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=x)
+    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
 
     m = scenario.n_atoms
     n_paths = x.shape[0]

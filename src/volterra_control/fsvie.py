@@ -11,7 +11,8 @@ Two stepping engines are available:
   exact in law, so Monte Carlo means carry no time-discretization bias.
   The engine sums the log-factors and keeps ``log X``: the utility reads it
   directly, the positivity floor is checked on it, and ``X`` itself is
-  exponentiated only when a caller asks for ``ForwardPaths.values``.
+  exponentiated only when a caller asks for ``ForwardPaths.values`` (or, one
+  node at a time, for ``ForwardPaths.row``).
 
 * ``volterra_sum`` -- the general left-point scheme for genuinely two-time
   kernels: every node value is the full triangular sum
@@ -86,6 +87,15 @@ class ForwardPaths:
     @cached_property
     def values(self) -> np.ndarray:
         return np.exp(self.state) if self.log_state else self.state
+
+    def row(self, node: int) -> np.ndarray:
+        """``X`` at one node on every path, equal to ``values[:, node]``.
+
+        On a log state this exponentiates one row, so a reader that walks
+        the nodes one at a time never forms ``values``.
+        """
+        row = self.state[:, node]
+        return np.exp(row) if self.log_state else row
 
     @property
     def n_paths(self) -> int:
@@ -201,7 +211,11 @@ def _simulate_multiplicative(
     np.multiply(beta, noise.d_brownian[:, :last].T, out=steps)
     steps += drift[:, None]
     for q, log_jump in enumerate(np.log1p(pi)):
-        steps += log_jump * noise.jump_counts[q, :, :last].T
+        # one node row at a time: a whole-block product would be a float
+        # temporary the size of the output
+        counts = noise.jump_counts[q, :, :last].T
+        for i in range(last):
+            steps[i] += log_jump * counts[i]
     if pi.size:
         steps -= float(np.dot(w, pi)) * dt
     # row adds in the order of a cumulative sum along each path

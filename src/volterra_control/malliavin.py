@@ -408,7 +408,8 @@ def verify_duality_jump(
     for q in range(m):
         w = noise.levy.weights[q]
         for i in range(n):
-            d_vals = jump_derivative(f, i, q).evaluate(noise)
+            # the jump derivative of f at (i, q), with f evaluated once above
+            d_vals = f.evaluate_with_jump(noise, i, q) - f_vals
             proj = engine.project(i, d_vals)
             rhs_samples += np.broadcast_to(phi(i, q, noise), (noise.n_paths,)) * proj * w * w_t[i]
     lhs, se_lhs = _mean_se(lhs_samples)

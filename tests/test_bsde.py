@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from volterra_control.bsde import (
 )
 from volterra_control.condexp import CondExpEngine
 from volterra_control.controls import ControlFn
-from volterra_control.fsvie import simulate_fsvie
+from volterra_control.fsvie import ForwardPaths, simulate_fsvie
 from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
@@ -31,6 +32,28 @@ def brownian_engine(noise, degree=2, mode="full"):
     return CondExpEngine(
         FiltrationMode(mode=mode), RegressionSpec(degree=degree, variables=("brownian",)), noise
     )
+
+
+def _given_state(grid, x):
+    """The array ``x`` (paths, nodes) as the forward state an engine reads."""
+    return ForwardPaths(grid=grid, state=x, log_state=False, scheme="volterra_sum")
+
+
+def on_paths(coef, engine, i):
+    """Coefficients held for step ``i`` (``(n_basis,)`` or ``(..., n_basis)``)
+    evaluated on the paths through the design that conditions at node ``i``."""
+    design = engine.design_at(i)
+    return design.evaluate(coef[..., :design.phi.shape[0]].T).T
+
+
+def z_paths(sol, engine):
+    """``z`` on the paths, path-major ``(n_paths, n_steps)``."""
+    return np.stack([on_paths(sol.z[i], engine, i) for i in range(len(sol.z))], axis=1)
+
+
+def k_paths(sol, engine):
+    """``k`` on the paths, path-major ``(n_atoms, n_paths, n_steps)``."""
+    return np.stack([on_paths(sol.k[i], engine, i) for i in range(len(sol.k))], axis=2)
 
 
 def test_null_solution_is_exactly_zero():
@@ -95,13 +118,13 @@ def test_martingale_coefficient_for_deterministic_integrand():
     terminal = running[:, -1]
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("x",)),
-        noise, x_paths=running,
+        noise, x_paths=_given_state(GRID, running),
     )
     sol = solve_bsde(terminal, None, noise, engine)
     for i in (20, 50, 80):
         t = GRID.nodes[i]
         se = math.sqrt((t**3 / 3.0 / GRID.dt + 2 * f[i] ** 2) / noise.n_paths)
-        assert abs(sol.z[:, i].mean() - f[i]) <= 3 * se
+        assert abs(on_paths(sol.z[i], engine, i).mean() - f[i]) <= 3 * se
 
 
 def test_martingale_coefficient_noise_shrinks_with_paths():
@@ -111,8 +134,9 @@ def test_martingale_coefficient_noise_shrinks_with_paths():
     for n_paths in (5_000, 80_000):
         noise = generate_noise(GRID, EMPTY, n_paths=n_paths, seed=6, n_blocks=8)
         terminal = noise.brownian_levels[:, -1]
-        sol = solve_bsde(terminal, None, noise, brownian_engine(noise))
-        stds.append(sol.z.std(axis=0, ddof=1).mean())
+        engine = brownian_engine(noise)
+        sol = solve_bsde(terminal, None, noise, engine)
+        stds.append(z_paths(sol, engine).std(axis=0, ddof=1).mean())
     assert stds[1] < 0.5 * stds[0]
 
 
@@ -126,7 +150,7 @@ def test_jump_coefficient_for_compensated_count_terminal():
         noise,
     )
     sol = solve_bsde(terminal, None, noise, engine)
-    k_means = sol.k[0].mean(axis=0)
+    k_means = k_paths(sol, engine)[0].mean(axis=0)
     assert abs(k_means.mean() - 1.0) < 0.05
     assert np.max(np.abs(k_means - 1.0)) < 0.3
 
@@ -216,6 +240,32 @@ def test_generic_solver_cross_check_with_discounting():
     assert abs(y0_bsde - y0) < 0.02 * max(abs(y0), 0.1)
 
 
+def test_generic_solver_reads_the_log_state_one_row_at_a_time():
+    # full information on X, which the exact engine holds as log X through
+    # node n - 1: the solve exponentiates one row at a time and gives the
+    # values of a solve on the whole array of X
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": 20},
+        "initial": 1.0,
+        "gamma": 1.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 0.2},
+        "levy": {"atoms": [[-0.1, 2.0]]},
+        "pi_kernels": [{"kind": "constant", "value": -0.1}],
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": 2000, "seed": 12, "n_blocks": 2},
+        "regression": {"degree": 2, "state": ["x"]},
+    })
+    n = spec.grid.n_steps
+    noise = generate_noise(spec.grid, spec.levy, 2000, 12, 2)
+    cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
+    fwd = simulate_fsvie(spec, noise, cstar, through_node=n - 1)
+    got = recursive_utility_bsde(spec, cstar, fwd, noise)
+    assert fwd.log_state and "values" not in vars(fwd)
+    given = _given_state(spec.grid, np.exp(fwd.state))
+    assert recursive_utility_bsde(spec, cstar, given, noise) == got
+
+
 def _solve_bsde_reference(terminal, driver, noise, engine):
     """The backward recursion with one projection call per target column."""
     n, dt = noise.grid.n_steps, noise.grid.dt
@@ -231,39 +281,54 @@ def _solve_bsde_reference(terminal, driver, noise, engine):
         z[:, i] = engine.project(i, y_next * noise.d_brownian[:, i]) / dt
         for q in range(m):
             k[q, :, i] = engine.project(i, y_next * comp[q, :, i]) / (noise.levy.weights[q] * dt)
-        g = driver(i, noise.grid.nodes[i], None, y_proj, z[:, i], k[:, :, i] if m else None)
+        g = 0.0 if driver is None else driver(
+            i, noise.grid.nodes[i], None, y_proj, z[:, i], k[:, :, i] if m else None)
         y[:, i] = y_proj + g * dt
     return y, z, k
 
 
-@settings(max_examples=15, deadline=None)
+def _assert_matches_path_arrays(sol, engine, y, z, k):
+    """The held coefficients, evaluated on the paths, are the path arrays."""
+    tol = {"rtol": 1e-12, "atol": 1e-12 * np.abs(y).max()}
+    n, n_basis = sol.z.shape
+    assert sol.k.shape == (n, k.shape[0], n_basis) and n_basis == engine.n_basis
+    np.testing.assert_allclose(sol.y, y, **tol)
+    np.testing.assert_allclose(z_paths(sol, engine), z, **tol)
+    np.testing.assert_allclose(k_paths(sol, engine), k, **tol)
+
+
+@settings(max_examples=20, deadline=None)
 @given(
     n_steps=st.integers(2, 20),
     n_paths=st.integers(50, 400),
     seed=st.integers(0, 2**16),
     n_atoms=st.integers(0, 2),
-    mode=st.sampled_from(["full", "trivial"]),
+    mode=st.sampled_from(["full", "trivial", "delay"]),
+    with_driver=st.booleans(),
 )
-def test_one_projection_per_step_matches_per_column_calls(n_steps, n_paths, seed, n_atoms, mode):
+def test_one_projection_per_step_matches_per_column_calls(
+    n_steps, n_paths, seed, n_atoms, mode, with_driver
+):
     grid = build_time_grid(1.0, n_steps)
     levy = LevyMeasure.from_atoms([[-0.1 * (q + 1), 1.0 + q] for q in range(n_atoms)])
     noise = generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
+    variables = ("brownian", "jump_counts") if n_atoms else ("brownian",)
     engine = CondExpEngine(
-        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian",)), noise
+        FiltrationMode(mode=mode, delay=0.3 if mode == "delay" else 0.0),
+        RegressionSpec(degree=2, variables=variables), noise,
     )
     terminal = noise.brownian_levels[:, -1] ** 2 + noise.count_levels.sum(axis=0)[:, -1]
 
     def driver(i, t, x, y, z, k):
         return np.cos(y) + 0.3 * z + (0.0 if k is None else 0.1 * k.sum(axis=0))
 
+    driver = driver if with_driver else None
     sol = solve_bsde(terminal, driver, noise, engine)
-    y, z, k = _solve_bsde_reference(terminal, driver, noise, engine)
-    for a, b in ((sol.y, y), (sol.z, z), (sol.k, k)):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(y).max())
+    _assert_matches_path_arrays(sol, engine, *_solve_bsde_reference(terminal, driver, noise, engine))
 
 
 def _solve_bsde_path_major(terminal, driver, noise, engine, x_paths):
-    """The recursion as it ran with path-major ``y``, ``z`` and ``k`` storage."""
+    """The recursion as it ran with path-major ``y``, ``z`` and ``k`` path arrays."""
     n, dt = noise.grid.n_steps, noise.grid.dt
     m = noise.levy.n_atoms
     y = np.empty((noise.n_paths, n + 1))
@@ -294,7 +359,7 @@ def test_node_major_storage_matches_path_major_loop():
     x_paths = np.exp(0.2 * noise.brownian_levels - 0.1 * noise.count_levels[0])
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("x",)), noise,
-        x_paths=x_paths,
+        x_paths=_given_state(grid, x_paths),
     )
     terminal = np.log(x_paths[:, -1]) + noise.count_levels[0][:, -1]
 
@@ -302,7 +367,34 @@ def test_node_major_storage_matches_path_major_loop():
         return np.log(x) - 0.5 * y + 0.3 * z + 0.2 * k[0]
 
     sol = solve_bsde(terminal, driver, noise, engine, x_paths=x_paths)
-    assert sol.y.shape == (500, 31) and sol.z.shape == (500, 30) and sol.k.shape == (1, 500, 30)
-    y, z, k = _solve_bsde_path_major(terminal, driver, noise, engine, x_paths)
-    for a, b in ((sol.y, y), (sol.z, z), (sol.k, k)):
-        np.testing.assert_array_equal(a, b)
+    assert sol.y.shape == (500, 31) and np.swapaxes(sol.y, 0, 1).flags.c_contiguous
+    assert sol.z.shape == (30, 3) and sol.k.shape == (30, 1, 3)
+    _assert_matches_path_arrays(
+        sol, engine, *_solve_bsde_path_major(terminal, driver, noise, engine, x_paths))
+
+
+def test_solve_bsde_holds_no_path_array_of_z_or_k():
+    # without a design cache the solve keeps y on the paths and a few
+    # per-step rows; an (n, N) array of z or k alone would break the bound
+    n, n_paths = 64, 20_000
+    grid = build_time_grid(1.0, n)
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0]])
+    noise = generate_noise(grid, levy, n_paths=n_paths, seed=38, n_blocks=2)
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"),
+        RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise,
+        cache_designs=False,
+    )
+    terminal = noise.brownian_levels[:, -1] ** 2 + noise.count_levels[0][:, -1]
+
+    def driver(i, t, x, y, z, k):
+        return np.cos(y) + 0.3 * z + 0.1 * k[0]
+
+    tracemalloc.start()
+    try:
+        sol = solve_bsde(terminal, driver, noise, engine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = n_paths * 8
+    assert peak <= sol.y.nbytes + (n // 2) * row

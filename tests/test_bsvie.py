@@ -18,6 +18,7 @@ from volterra_control.bsvie import (
     solve_family_step,
 )
 from volterra_control.condexp import CondExpEngine
+from volterra_control.fsvie import ForwardPaths
 from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
@@ -806,7 +807,8 @@ def test_kept_solver_design_matches_path_valued_oracle():
     noise = make_noise(n_steps=8, n_paths=300, seed=41, levy=levy)
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian", "x")), noise,
-        x_paths=noise.brownian_levels.copy(),
+        x_paths=ForwardPaths(grid=noise.grid, state=noise.brownian_levels.copy(),
+                             log_state=False, scheme="volterra_sum"),
     )
     assert all(engine.design_at(r).solver is not None for r in range(1, 8))
     zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]

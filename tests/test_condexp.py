@@ -10,13 +10,21 @@ from volterra_control.condexp import (
     _monomial_powers,
     _standardise,
 )
+from volterra_control.controls import ControlFn
+from volterra_control.fsvie import ForwardPaths, simulate_fsvie
 from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
     RegressionSpec,
     build_time_grid,
+    validate_scenario,
 )
 from volterra_control.paths import generate_noise
+
+
+def _given_state(grid, x):
+    """The array ``x`` (paths, nodes) as the forward state an engine reads."""
+    return ForwardPaths(grid=grid, state=x, log_state=False, scheme="volterra_sum")
 
 
 def _full_engine(states, degree):
@@ -27,7 +35,7 @@ def _full_engine(states, degree):
     ones = np.ones(n_paths)
     return CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=degree, variables=("x",)),
-        noise, x_paths=np.column_stack([ones, states, ones]),
+        noise, x_paths=_given_state(noise.grid, np.column_stack([ones, states, ones])),
     )
 
 
@@ -148,7 +156,7 @@ def test_delay_lags_the_conditioning_node():
 def test_n_basis_is_the_width_of_every_design_but_the_intercept():
     grid = build_time_grid(1.0, 8)
     noise = generate_noise(grid, LevyMeasure.from_atoms([[0.1, 1.0], [-0.2, 2.0]]), 200, 3, 1)
-    x_paths = np.exp(noise.brownian_levels)
+    x_paths = _given_state(grid, np.exp(noise.brownian_levels))
     reg = RegressionSpec(degree=2, variables=("log_x", "brownian", "jump_counts"))
     for mode, delay, width in (("full", 0.0, math.comb(4 + 2, 2)),
                                ("delay", 0.25, math.comb(4 + 2, 2)), ("trivial", 0.0, 1)):
@@ -159,6 +167,34 @@ def test_n_basis_is_the_width_of_every_design_but_the_intercept():
     # without the forward state the x rows drop out
     engine = CondExpEngine(FiltrationMode(mode="full"), reg, noise)
     assert engine.n_basis == math.comb(3 + 2, 2) == engine.design_at(5).phi.shape[0]
+
+
+def test_n_basis_on_a_state_that_stops_before_the_horizon():
+    # the utility evaluators simulate through node n - 1 only: counting the
+    # state variables must not read node n
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": 10},
+        "initial": 1.0,
+        "gamma": 0.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 0.2},
+        "levy": {"atoms": [[-0.1, 2.0]]},
+        "pi_kernels": [{"kind": "constant", "value": -0.1}],
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": 200, "seed": 4, "n_blocks": 1},
+        "regression": {"degree": 2, "state": ["x", "jump_counts"]},
+    })
+    noise = generate_noise(spec.grid, spec.levy, 200, 4, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one, through_node=9)
+    assert fwd.log_state and fwd.last_node == 9
+    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
+    assert engine.n_basis == math.comb(2 + 2, 2)
+    assert "values" not in vars(fwd)  # counted without forming X
+    for node in range(1, 10):
+        assert engine.design_at(node).phi.shape[0] == engine.n_basis
+        # one exponentiated row is the row of the whole exponentiated state
+        np.testing.assert_array_equal(fwd.row(node), np.exp(fwd.state)[:, node])
 
 
 def test_delay_zero_collapses_to_full():
@@ -221,7 +257,7 @@ def test_projector_matches_columnwise_lstsq(n_steps, n_paths, seed, degree, with
     variables = ("x", "brownian") if with_x else ("brownian",)
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=degree, variables=variables),
-        noise, x_paths=x_paths,
+        noise, x_paths=_given_state(noise.grid, x_paths) if with_x else None,
     )
     node = data.draw(st.integers(1, n_steps))
     state = [noise.brownian_levels[:, node]]
@@ -279,7 +315,7 @@ def test_near_collinear_design_takes_the_ridge_path():
     x_paths = noise.brownian_levels + 1e-13 * rng.normal(size=(n_paths, n_steps + 1))
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=1, variables=("x", "brownian")),
-        noise, x_paths=x_paths,
+        noise, x_paths=_given_state(noise.grid, x_paths),
     )
     design = _standardised_design([x_paths[:, node], noise.brownian_levels[:, node]], 1)
     p = design.shape[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
     PositivityBreachError,
     _check_positive,
+    _simulate_multiplicative,
     _simulate_volterra,
     first_variation,
     forward_mean_oracle,
@@ -142,6 +144,35 @@ def test_exact_engine_matches_geometric_stepping():
     assert fwd.scheme == "multiplicative_exact"
     ref = _reference_multiplicative(spec, noise, 1.0)
     assert np.max(np.abs(fwd.values - ref)) < 1e-12
+
+
+def test_exact_engine_peak_is_its_output_plus_a_few_rows():
+    # the jump log-factors go in one node row at a time: a whole-block
+    # product with the counts would be a float array the size of the output
+    spec = make_scenario(**JUMPY)
+    n = spec.grid.n_steps
+    noise = noise_for(spec, n_paths=10_000)
+    c_int = ControlFn.constant(1.0, spec.grid).step_integrals(spec.grid)
+    tracemalloc.start()
+    try:
+        log_x = _simulate_multiplicative(spec, noise, c_int, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= log_x.nbytes + 4 * noise.n_paths * 8
+    # the same elementwise sums as the whole-block product, in the same order
+    dt, beta, pi = spec.grid.dt, spec.beta(0.0, 0.0), spec.pi_values()
+    steps = beta * noise.d_brownian.T + (spec.alpha(0.0, 0.0) * dt - c_int
+                                         - 0.5 * beta * beta * dt)[:, None]
+    for q, log_jump in enumerate(np.log1p(pi)):
+        steps += log_jump * noise.jump_counts[q].T
+    steps -= float(np.dot(spec.levy.weights, pi)) * dt
+    ref = np.empty((n + 1, noise.n_paths))
+    ref[0] = np.log(float(spec.initial))
+    ref[1:] = steps
+    for i in range(n):
+        ref[i + 1] += ref[i]
+    np.testing.assert_array_equal(log_x, ref.T)
 
 
 def _exp_of_summed_log_factors(spec, noise, control, last):

@@ -215,10 +215,13 @@ def test_every_per_node_array_is_node_major():
     grads = adjoint_malliavin_projection(spec, noise, one, fwd, adjoint, 5)
     arrays["adjoint_gradient.brownian"] = grads["brownian"]
     arrays["adjoint_gradient.jump"] = grads["jump"]
-    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd.values)
+    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
     sol = solve_bsde(noise.brownian_levels[:, -1] ** 2, None, noise, engine)
-    arrays.update({"bsde.y": sol.y, "bsde.z": sol.z, "bsde.k": sol.k})
+    arrays["bsde.y"] = sol.y
     assert [name for name, a in arrays.items() if not _node_major(a)] == []
+    # the BSDE holds z and k as regression coefficients, one row per step
+    n, p = spec.grid.n_steps, engine.n_basis
+    assert sol.z.shape == (n, p) and sol.k.shape == (n, spec.n_atoms, p)
 
 
 def test_generate_noise_peak_is_its_output_plus_chunk_buffers():
