@@ -49,8 +49,9 @@ __all__ = [
     "recursive_utility_bsde",
 ]
 
-# generator signature: g(step, t, x, y, z, k) -> per-path array; x is None
-# when no forward state is attached, k is an (n_atoms, n_paths) block or None
+# generator signature: g(step, t, x, y, z, k) -> per-path array; x is the
+# engine's forward state row at the step (None when the engine holds no
+# state), k is an (n_atoms, n_paths) block or None
 Driver = Callable[[int, float, np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
 
 
@@ -89,13 +90,14 @@ def solve_bsde(
     driver: Driver | None,
     noise: NoiseBundle,
     engine: CondExpEngine,
-    x_paths: np.ndarray | None = None,
 ) -> BsdeSolution:
     """Backward recursion from a per-path terminal value.
 
     ``terminal`` may be a scalar (broadcast) or a per-path array of shape
     ``(1,)`` or ``(N,)``; any other shape raises :class:`ValidationError`.
-    A ``None`` driver means a zero generator.
+    A ``None`` driver means a zero generator.  The driver's ``x`` is the
+    engine's forward state at the step's node (``engine.x_paths.row(i)``),
+    or None when the engine holds no state.
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
@@ -119,6 +121,7 @@ def solve_bsde(
     # one solve per step: columns y, y dB and y (count_q - w_q dt); each
     # step compensates its own counts, so no float copy of all counts is made
     targets = np.empty((n_paths, 2 + m), order="F")
+    x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
 
     for i in range(n - 1, -1, -1):
         y_next = y[i + 1]
@@ -137,8 +140,8 @@ def solve_bsde(
         if driver is not None:
             # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
             zk = np.concatenate([z[i, None, :p], k[i, :, :p]]) @ design.phi
-            x_i = x_paths[:, i] if x_paths is not None else None
-            g = driver(i, grid.nodes[i], x_i, y_proj, zk[0], zk[1:] if m else None)
+            # the state row is made in the call, so it does not outlive it
+            g = driver(i, grid.nodes[i], x_row(i), y_proj, zk[0], zk[1:] if m else None)
             y[i] = y_proj + np.asarray(g, dtype=float) * dt
         else:
             y[i] = y_proj
@@ -221,8 +224,7 @@ def recursive_utility_bsde(
         raise ValidationError("forward paths must reach node n-1")
 
     def gen(i, t, x_i, y, z, k):
-        # one node row of X: the whole array of X is never formed
-        consumption = c[i] * fwd.row(i)
+        consumption = c[i] * x_i
         if np.any(consumption <= 0.0):
             raise ValidationError("nonpositive consumption value inside generator")
         return np.log(consumption) + sign * gamma[i] * y

@@ -60,8 +60,8 @@ __all__ = [
 # for the families i = 0..r together: i is an (r+1, 1) int array, y the
 # frozen diagonal value Y(t_r) of shape (N,), z the frozen (r+1, N) column
 # evaluated on the paths, k its (n_atoms, r+1, N) jump block (None without
-# atoms) and x the forward state at t_r (or None); the result must broadcast
-# to (r+1, N)
+# atoms) and x the engine's forward state row at t_r (None when the engine
+# holds no state); the result must broadcast to (r+1, N)
 VolterraDriver = Callable[
     [np.ndarray, int, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None], np.ndarray
 ]
@@ -223,7 +223,6 @@ def solve_family_step(
     frozen: BsvieTriple,
     noise: NoiseBundle,
     engine: CondExpEngine,
-    x_paths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pass, in place: solve the node-indexed family of backward SDEs.
 
@@ -233,7 +232,9 @@ def solve_family_step(
     rows are the extracted coefficients.  The running time ``t_r`` steps
     backward once for all families: every family ``i <= r`` advances
     together, with one regression product and one driver call per node.
-    The driver receives the frozen column evaluated on the paths.
+    The driver receives the frozen column evaluated on the paths and the
+    engine's forward state at ``t_r`` (``engine.x_paths.row(r)``, or None
+    when the engine holds no state).
 
     ``frozen`` is overwritten with the new iterate.  Returns the squared
     changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and per
@@ -254,7 +255,7 @@ def solve_family_step(
             coef = np.concatenate([_on_design(frozen.z, r, design), k_coef])
             block = np.matmul(coef, design.phi, out=on_paths[:(1 + m) * fam])
             k_col = block[fam:].reshape(m, fam, -1) if m else None
-            x_r = x_paths[:, r] if x_paths is not None else None
+            x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
             return driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
 
     y = frozen.y
@@ -329,7 +330,6 @@ def solve_bsvie(
     beta_w: float = 20.0,
     tol: float = 1e-6,
     max_iter: int = 50,
-    x_paths: np.ndarray | None = None,
 ) -> BsvieSolution:
     """Fixed-point iteration of the freeze-and-solve map from the zero triple.
 
@@ -350,7 +350,7 @@ def solve_bsvie(
     current = BsvieTriple.zeros(n, noise.n_paths, noise.levy.n_atoms, engine.n_basis)
     log: list[float] = []
     for _ in range(max_iter):
-        squares = solve_family_step(zeta, driver, current, noise, engine, x_paths=x_paths)
+        squares = solve_family_step(zeta, driver, current, noise, engine)
         log.append(_weighted_sum(*squares, grid, beta_w))
         if driver is None:
             log.append(0.0)

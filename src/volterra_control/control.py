@@ -11,7 +11,9 @@ by high-resolution deterministic quadrature (time-invariant kernels only),
 and ``gateaux_derivative`` estimates directional derivatives by a central
 difference under common random numbers.  ``hamiltonian_h1`` is the memory
 part of the Hamiltonian (kernel time-derivatives against projected adjoint
-gradients).
+gradients).  Projection is linear, so it contracts the gradients with their
+quadrature weights first, reading the state one node row at a time, and then
+projects one column per noise direction.
 
 For time-invariant kernels the exact engine gives
 
@@ -82,13 +84,18 @@ def adjoint_product(gamma: np.ndarray, grid: TimeGrid, convention: str = "discou
 @dataclass(frozen=True, eq=False)
 class AdjointState:
     """Multipliers along a candidate control: deterministic ``lambda`` and
-    ``P``, the rate ``c*``, and (optionally) the per-path ratio ``p = P/X``."""
+    ``P``, the rate ``c*``, and (optionally) the paths ``fwd`` of the
+    per-path ratio ``p = P/X``.
+
+    The ratio is not stored: a reader forms ``big_p[s] / fwd.row(s)`` one
+    node at a time, so no ``(n_paths, n+1)`` copy of ``P/X`` exists.
+    """
 
     grid: TimeGrid
     lam: np.ndarray  # (n+1,)
     big_p: np.ndarray  # (n+1,)
     cstar: np.ndarray  # (n,)
-    p_paths: np.ndarray | None = None  # (n_paths, n+1) when paths attached
+    fwd: ForwardPaths | None = None  # the paths of X the ratio reads
 
     def foc_residual(self) -> float:
         """``max_i |c*(t_i) P(t_i) - lambda(t_i)|`` over left nodes."""
@@ -101,11 +108,7 @@ def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None)
     lam = lambda_adjoint(scenario.gamma, grid, scenario.convention)
     big_p = adjoint_product(scenario.gamma, grid, scenario.convention)
     cstar = lam[:-1] / big_p[:-1]
-    p_paths = None
-    if fwd is not None:
-        last = fwd.last_node
-        p_paths = big_p[None, : last + 1] / fwd.values
-    return AdjointState(grid=grid, lam=lam, big_p=big_p, cstar=cstar, p_paths=p_paths)
+    return AdjointState(grid=grid, lam=lam, big_p=big_p, cstar=cstar, fwd=fwd)
 
 
 # --------------------------------------------------------------------------- #
@@ -213,7 +216,11 @@ def performance(
     return PerformanceResult(j=float(part.mean()) + shift, se=_standard_error(part))
 
 
-def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn, refine: int = 10) -> float:
+# the oracle's quadrature grid is this many times finer than the scenario's
+_ORACLE_REFINE = 10
+
+
+def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn) -> float:
     """Deterministic objective value for time-invariant kernels.
 
     Uses the jump-diffusion identity for the expected log-state,
@@ -222,13 +229,13 @@ def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn, refine: int =
                                         + int (log(1+pi) - pi) nu(de)) dr,
 
     and integrates ``lambda(s) (log c(s) + E[log X(s)])`` on a grid refined
-    ``refine``-fold, with a left rectangle on the final sub-interval (the
-    rate may diverge at the horizon).
+    ``_ORACLE_REFINE``-fold, with a left rectangle on the final sub-interval
+    (the rate may diverge at the horizon).
     """
     if not scenario.time_invariant:
         raise ValidationError("oracle requires time-invariant kernels and constant initial level")
     grid = scenario.grid
-    n_fine = refine * grid.n_steps
+    n_fine = _ORACLE_REFINE * grid.n_steps
     s = np.linspace(0.0, grid.horizon, n_fine + 1)
     ds = s[1] - s[0]
     alpha = scenario.alpha(0.0, 0.0)
@@ -254,6 +261,10 @@ def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn, refine: int =
 # Directional derivative (bump perturbations)
 # --------------------------------------------------------------------------- #
 
+# relative size of the central-difference displacement
+_BUMP_THETA = 1e-3
+
+
 @dataclass(frozen=True)
 class GateauxResult:
     estimate: float
@@ -270,9 +281,11 @@ def gateaux_derivative(
     bump_len: float,
     bump_height: float,
     noise: NoiseBundle | _LogNoiseLeg,
-    theta: float = 1e-3,
 ) -> GateauxResult:
     """Central-difference directional derivative of the utility objective.
+
+    The displaced controls are ``control +- _BUMP_THETA * bump_height`` on
+    the bump interval.
 
     Both displaced objectives are evaluated on the same noise, a bundle or
     its control-free log-noise leg (see ``performance``).  The reported
@@ -291,19 +304,19 @@ def gateaux_derivative(
 
     parts, terms = {}, {}
     for sgn in (+1.0, -1.0):
-        ctrl = ControlFn.bump(control, bump_start, bump_len, sgn * theta * bump_height)
+        ctrl = ControlFn.bump(control, bump_start, bump_len, sgn * _BUMP_THETA * bump_height)
         vals = ctrl.values(scenario.grid)
         if np.any(vals <= 0.0):
-            raise ValidationError("bumped control loses positivity; reduce theta")
+            raise ValidationError("bumped control loses positivity; reduce bump_height")
         parts[sgn], terms[sgn] = _control_legs(scenario, ctrl, noise)
     weights = _shift_weights(scenario)
     # exactly zero when both displaced controls share the control-free leg
-    diff = (parts[+1.0] - parts[-1.0]) / (2.0 * theta)
-    shift_diff = float((terms[+1.0] - terms[-1.0]) @ weights) / (2.0 * theta)
+    diff = (parts[+1.0] - parts[-1.0]) / (2.0 * _BUMP_THETA)
+    shift_diff = float((terms[+1.0] - terms[-1.0]) @ weights) / (2.0 * _BUMP_THETA)
     return GateauxResult(
         estimate=float(diff.mean()) + shift_diff,
         se=float(np.hypot(_standard_error(parts[+1.0]), _standard_error(parts[-1.0]))
-                 / (2.0 * theta)),
+                 / (2.0 * _BUMP_THETA)),
         se_paired=_standard_error(diff),
         j_plus=float(parts[+1.0].mean()) + float(terms[+1.0] @ weights),
         j_minus=float(parts[-1.0].mean()) + float(terms[-1.0] @ weights),
@@ -313,52 +326,6 @@ def gateaux_derivative(
 # --------------------------------------------------------------------------- #
 # Hamiltonians
 # --------------------------------------------------------------------------- #
-
-def adjoint_malliavin_projection(
-    scenario: ScenarioSpec,
-    noise: NoiseBundle,
-    control: ControlFn,
-    fwd: ForwardPaths,
-    adjoint: AdjointState,
-    node: int,
-) -> dict:
-    """Projected stochastic gradients of the adjoint ratio ``p = P / X``.
-
-    For the Brownian direction the pathwise derivative is
-    ``-P(s) V(s) / X(s)^2`` with ``V`` the first-variation process; for a
-    jump direction the exact difference ``P/(X + dX) - P/X`` is used.  Both
-    are projected onto the information at the differentiation node.  Keys:
-    ``brownian`` (n_paths, n_nodes) and ``jump`` (n_atoms, n_paths, n_nodes);
-    columns before the node are zero.
-    """
-    k = int(node)
-    fv = first_variation(scenario, noise, control, fwd, k)
-    last = fwd.last_node
-    x = fwd.values
-    big_p = adjoint.big_p[: last + 1]
-    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
-
-    m = scenario.n_atoms
-    n_paths = x.shape[0]
-    # every gradient column from node k on, all directions, in one projection
-    cols = slice(k, last + 1)
-    width = last + 1 - k
-    p_tail, x_tail = big_p[None, cols], x[:, cols]
-    block = np.empty((n_paths, (1 + m) * width), order="F")
-    block[:, :width] = -p_tail * fv.brownian[:, cols] / x_tail**2
-    for q in range(m):
-        block[:, (q + 1) * width:(q + 2) * width] = (
-            p_tail / (x_tail + fv.jump[q][:, cols]) - p_tail / x_tail
-        )
-    block = engine.project(k, block)
-    # node-major, as the state and its first variations are
-    out_b = np.zeros((last + 1, n_paths)).T
-    out_b[:, cols] = block[:, :width]
-    out_j = np.zeros((m, last + 1, n_paths)).transpose(0, 2, 1)
-    for q in range(m):
-        out_j[q][:, cols] = block[:, (q + 1) * width:(q + 2) * width]
-    return {"brownian": out_b, "jump": out_j}
-
 
 def hamiltonian_h1(
     node: int,
@@ -371,48 +338,60 @@ def hamiltonian_h1(
 ) -> tuple[float, float]:
     """Memory part of the Hamiltonian at ``t = t_node`` (estimate, SE).
 
-    ``int_t^T dalpha/ds(s,t) x p(s) ds`` plus the diffusion and jump terms
-    weighted by the projected adjoint gradients.  Zero exactly when every
-    kernel is constant in its first argument.  Trapezoid quadrature in the
-    running time.
+    With ``p = P / X`` the adjoint ratio read from ``adjoint.fwd``,
+
+        x int_t^T [ dalpha/ds(s,t) p(s) + dbeta/ds(s,t) E_t[D_t p(s)]
+                    + sum_q w_q dpi_q/ds(s,t) E_t[D_{t,q} p(s)] ] ds,
+
+    trapezoid quadrature in the running time.  The stochastic gradients of
+    ``p`` come from the first variations of ``fwd``: ``-P V / X^2`` in the
+    Brownian direction and the exact difference ``P/(X + dX) - P/X`` for a
+    jump.  Conditional expectation is linear, so each gradient is contracted
+    with its quadrature weights first, one node row of ``X`` and of the first
+    variations at a time, and the ``(N, 1 + m)`` block of contracted
+    gradients is projected once onto the information at ``t``.  Zero exactly
+    when every kernel is constant in its first argument.
     """
     grid = scenario.grid
     n = grid.n_steps
     k = int(node)
-    t_k = grid.nodes[k]
-    d_alpha = scenario.alpha.d_first_at_nodes(grid)
-    d_beta = scenario.beta.d_first_at_nodes(grid)
-    d_pi = [kk.d_first_at_nodes(grid) for kk in scenario.pi_kernels]
-    col_a = d_alpha[k:, k]
-    col_b = d_beta[k:, k]
-    cols_p = [d[k:, k] for d in d_pi]
-    if not np.any(col_a) and not np.any(col_b) and not any(np.any(c) for c in cols_p):
+    col_a = scenario.alpha.d_first_at_nodes(grid)[k:, k]
+    col_b = scenario.beta.d_first_at_nodes(grid)[k:, k]
+    cols_p = [kk.d_first_at_nodes(grid)[k:, k] for kk in scenario.pi_kernels]
+    gradients = bool(np.any(col_b)) or any(np.any(c) for c in cols_p)
+    if not np.any(col_a) and not gradients:
         return 0.0, 0.0
 
-    if adjoint.p_paths is None:
+    if adjoint.fwd is None:
         raise ValidationError("memory Hamiltonian needs per-path adjoint ratios")
-    last = adjoint.p_paths.shape[1] - 1
-    if last < n:
+    if adjoint.fwd.last_node < n:
         raise ValidationError("memory Hamiltonian needs paths through the horizon")
+    if gradients and (noise is None or control is None or fwd is None):
+        raise ValidationError("kernel time-derivative terms need noise, control and paths")
     # trapezoid weights on [t_k, T]
     w = np.full(n + 1 - k, grid.dt)
     w[0] = w[-1] = 0.5 * grid.dt
-    per_path = (adjoint.p_paths[:, k:] * (w * col_a)[None, :]).sum(axis=1) * x
+    big_p = adjoint.big_p
+    per_path = np.zeros(adjoint.fwd.n_paths)
+    for j, s in enumerate(range(k, n + 1)):
+        per_path += big_p[s] / adjoint.fwd.row(s) * (w[j] * col_a[j])
 
-    if (np.any(col_b) or any(np.any(c) for c in cols_p)):
-        if noise is None or control is None or fwd is None:
-            raise ValidationError("kernel time-derivative terms need noise, control and paths")
-        projections = adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, k)
-        if np.any(col_b):
-            per_path = per_path + (projections["brownian"][:, k:] * (w * col_b)[None, :]).sum(axis=1) * x
-        for q, col in enumerate(cols_p):
-            if np.any(col):
-                wq = scenario.levy.weights[q]
-                per_path = per_path + wq * (projections["jump"][q][:, k:] * (w * col)[None, :]).sum(axis=1) * x
-
-    n_paths = per_path.shape[0]
-    se = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return float(per_path.mean()), se
+    if gradients:
+        fv = first_variation(scenario, noise, control, fwd, k)
+        # weights of the Brownian column and, scaled by w_q, of each jump column
+        weights = np.stack([w * col_b] + [
+            wq * w * col for wq, col in zip(scenario.levy.weights, cols_p)
+        ])
+        block = np.zeros((fwd.n_paths, len(weights)), order="F")
+        for j, s in enumerate(range(k, n + 1)):
+            x_s, p_s = fwd.row(s), big_p[s]
+            block[:, 0] += -p_s * fv.brownian[:, s] / x_s**2 * weights[0, j]
+            for q, jump in enumerate(fv.jump, start=1):
+                block[:, q] += (p_s / (x_s + jump[:, s]) - p_s / x_s) * weights[q, j]
+        engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
+        per_path += engine.project(k, block).sum(axis=1)
+    per_path *= x
+    return float(per_path.mean()), _standard_error(per_path)
 
 
 # --------------------------------------------------------------------------- #

@@ -317,7 +317,7 @@ def first_variation(
     last = fwd.last_node
 
     a_nodes, b_nodes, p_nodes = _kernel_matrices(scenario, last)
-    xk = fwd.values[:, k]
+    xk = fwd.row(k)
     # The source, and with it the state, is zero below ``start``: sweep only
     # the sub-triangle of nodes ``start .. last``.
     start = k if include_diagonal else k + 1

@@ -3,13 +3,13 @@
 Functionals are composition trees over three primitives -- constants, Wiener
 integrals ``int f dB`` with deterministic integrands, and compensated jump
 integrals ``int int h dN~`` with deterministic marks -- combined by sums,
-products and integer powers.  The calculus is closed under both derivative
-operators:
+products and integer powers.  Both derivative operators act on a tree:
 
 * the Brownian derivative at a node follows the linear chain rule and is
   returned as another tree;
-* the jump derivative at ``(node, atom)`` is the difference form: re-evaluate
-  the tree with one extra jump inserted, subtract the plain evaluation.
+* the jump derivative at ``(node, atom)`` is the difference form
+  ``f.evaluate_with_jump(noise, node, atom) - f.evaluate(noise)``: the tree
+  re-evaluated with one extra jump inserted, minus the plain evaluation.
 
 The duality checkers estimate both sides of the integration-by-parts
 identities on the same noise:
@@ -254,30 +254,6 @@ class Power(Functional):
             Product(Const(float(self.exponent)), Power(self.base, self.exponent - 1)),
             self.base.d_brownian(node),
         )
-
-
-class _JumpDifference(Functional):
-    """Difference-form jump derivative, itself a functional."""
-
-    def __init__(self, base: Functional, node: int, atom: int):
-        self.base = base
-        self.node = node
-        self.atom = atom
-
-    def evaluate(self, noise):
-        return self.base.evaluate_with_jump(noise, self.node, self.atom) - \
-            self.base.evaluate(noise)
-
-    def evaluate_with_jump(self, noise, node, atom):
-        raise ValidationError("nested jump derivatives are not supported")
-
-    def d_brownian(self, node):
-        raise ValidationError("mixed derivatives are not supported")
-
-
-def jump_derivative(f: Functional, node: int, atom: int) -> Functional:
-    """Difference-form derivative: add one jump at the node, subtract."""
-    return _JumpDifference(f, node, atom)
 
 
 # --------------------------------------------------------------------------- #

@@ -366,7 +366,7 @@ def test_node_major_storage_matches_path_major_loop():
     def driver(i, t, x, y, z, k):
         return np.log(x) - 0.5 * y + 0.3 * z + 0.2 * k[0]
 
-    sol = solve_bsde(terminal, driver, noise, engine, x_paths=x_paths)
+    sol = solve_bsde(terminal, driver, noise, engine)
     assert sol.y.shape == (500, 31) and np.swapaxes(sol.y, 0, 1).flags.c_contiguous
     assert sol.z.shape == (30, 3) and sol.k.shape == (30, 1, 3)
     _assert_matches_path_arrays(

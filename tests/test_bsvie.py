@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from volterra_control.bsde import solve_bsde
 from volterra_control.bsvie import (
     BsvieTriple,
     ConvergenceError,
@@ -149,7 +150,8 @@ def path_family_step(zeta, driver, frozen, noise, engine):
         def drift(r):
             col = _column(r)
             k_col = frozen.k[col].transpose(1, 0, 2) if m else None
-            return driver(families[:r + 1], r, y_frozen[r], frozen.z[col], k_col, None)
+            x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
+            return driver(families[:r + 1], r, y_frozen[r], frozen.z[col], k_col, x_r)
 
     y = frozen.y
     y_sq = np.empty(n + 1)
@@ -813,6 +815,37 @@ def test_kept_solver_design_matches_path_valued_oracle():
     assert all(engine.design_at(r).solver is not None for r in range(1, 8))
     zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
     _assert_passes_match_oracle(zeta, _reading_driver, noise, engine)
+
+
+@pytest.mark.parametrize("with_state", [True, False])
+def test_drivers_read_the_engine_state_at_their_node(with_state):
+    # both backward solvers hand their driver the engine's state row, the
+    # exp of one row of a log state, and None when the engine holds no state
+    noise = make_noise(n_steps=6, n_paths=50, seed=3)
+    fwd = ForwardPaths(grid=noise.grid, state=noise.brownian_levels.copy(),
+                       log_state=True, scheme="multiplicative_exact")
+    engine = CondExpEngine(FiltrationMode(mode="full"),
+                           RegressionSpec(degree=1, variables=("x", "brownian")), noise,
+                           x_paths=fwd if with_state else None)
+    seen = {}
+
+    def bsde_driver(i, t, x, y, z, k):
+        seen["bsde", i] = x
+        return 0.0 * y
+
+    def bsvie_driver(i, r, y, z, k, x):
+        seen["bsvie", r] = x
+        return 0.0 * y
+
+    solve_bsde(noise.brownian_levels[:, -1], bsde_driver, noise, engine)
+    solve_bsvie(noise.grid.nodes[:, None] * noise.brownian_levels[:, -1], bsvie_driver,
+                noise, engine, max_iter=3)
+    assert sorted(seen) == [(solver, r) for solver in ("bsde", "bsvie") for r in range(6)]
+    for (_, r), x in seen.items():
+        if with_state:
+            assert np.array_equal(x, np.exp(noise.brownian_levels[:, r]))
+        else:
+            assert x is None
 
 
 def test_solve_bsvie_memory_grows_with_the_diagonal_not_the_triangle():

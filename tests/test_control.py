@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from volterra_control import control as ctl
 from volterra_control.bsde import _utility_legs
+from volterra_control.condexp import CondExpEngine
 from volterra_control.control import (
-    adjoint_malliavin_projection,
     adjoint_product,
     build_adjoint_state,
     gateaux_derivative,
@@ -18,7 +19,13 @@ from volterra_control.control import (
     performance,
 )
 from volterra_control.controls import ControlFn, discount_curve
-from volterra_control.fsvie import POSITIVITY_FLOOR, PositivityBreachError, simulate_fsvie
+from volterra_control.fsvie import (
+    POSITIVITY_FLOOR,
+    ForwardPaths,
+    PositivityBreachError,
+    first_variation,
+    simulate_fsvie,
+)
 from volterra_control.model import (
     ValidationError,
     build_time_grid,
@@ -211,9 +218,11 @@ def _discrete_mean_objective(spec, control):
     return float((np.log(control.values(grid)) + mean_log_x) @ wl)
 
 
-def _discrete_central_difference(spec, control, start, length, height, theta=1e-3):
+def _discrete_central_difference(spec, control, start, length, height):
     # log X is affine in the control, so the common-random-number difference
     # of the two displaced objectives is the difference of their exact means
+    theta = ctl._BUMP_THETA
+
     def displaced(sign):
         bumped = ControlFn.bump(control, start, length, sign * theta * height)
         return _discrete_mean_objective(spec, bumped)
@@ -358,30 +367,170 @@ def test_memory_hamiltonian_zero_for_time_invariant_kernels(s0_small, s0_noise):
     assert est == 0.0 and se == 0.0
 
 
-def test_memory_hamiltonian_deterministic_drift_case():
-    from dataclasses import replace
+def _unit_state_adjoint(spec):
+    """The adjoint on one path with ``X = 1``: at ``gamma = 0`` the ratio is
+    ``p = P = 1 - t``."""
+    ones = ForwardPaths(grid=spec.grid, state=np.ones((1, spec.grid.n_steps + 1)),
+                        log_state=False, scheme="volterra_sum")
+    return build_adjoint_state(spec, ones)
 
+
+def test_memory_hamiltonian_deterministic_drift_case():
     spec = make_scenario(
         alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
         beta_kernel={"kind": "constant", "value": 0.0},
     )
-    adj = build_adjoint_state(spec)
-    p_det = (1.0 - spec.grid.nodes)[None, :]  # prescribed ratio path
-    adj = replace(adj, p_paths=p_det)
-    est, se = hamiltonian_h1(0, 1.0, None, adj, spec)
+    est, se = hamiltonian_h1(0, 1.0, None, _unit_state_adjoint(spec), spec)
     assert abs(est - (-0.05 * math.exp(-1.0))) < 2e-4
     assert se == 0.0
 
 
 def test_memory_hamiltonian_linear_in_state():
-    from dataclasses import replace
-
     spec = make_scenario(
         alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
         beta_kernel={"kind": "constant", "value": 0.0},
     )
-    adj = replace(build_adjoint_state(spec), p_paths=(1.0 - spec.grid.nodes)[None, :])
-    assert hamiltonian_h1(0, 0.0, None, adj, spec)[0] == 0.0
+    assert hamiltonian_h1(0, 0.0, None, _unit_state_adjoint(spec), spec)[0] == 0.0
+
+
+def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
+    """Projected stochastic gradients of the adjoint ratio ``p = P / X``,
+    one projected column per node and direction.
+
+    For the Brownian direction the pathwise derivative is
+    ``-P(s) V(s) / X(s)^2`` with ``V`` the first-variation process; for a
+    jump direction the exact difference ``P/(X + dX) - P/X`` is used.  Both
+    are projected onto the information at the differentiation node.  Keys:
+    ``brownian`` (n_paths, n_nodes) and ``jump`` (n_atoms, n_paths, n_nodes);
+    columns before the node are zero.
+    """
+    k = int(node)
+    fv = first_variation(scenario, noise, control, fwd, k)
+    last = fwd.last_node
+    x = fwd.values
+    big_p = adjoint.big_p[: last + 1]
+    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
+
+    m = scenario.n_atoms
+    n_paths = x.shape[0]
+    cols = slice(k, last + 1)
+    width = last + 1 - k
+    p_tail, x_tail = big_p[None, cols], x[:, cols]
+    block = np.empty((n_paths, (1 + m) * width), order="F")
+    block[:, :width] = -p_tail * fv.brownian[:, cols] / x_tail**2
+    for q in range(m):
+        block[:, (q + 1) * width:(q + 2) * width] = (
+            p_tail / (x_tail + fv.jump[q][:, cols]) - p_tail / x_tail
+        )
+    block = engine.project(k, block)
+    out_b = np.zeros((n_paths, last + 1))
+    out_b[:, cols] = block[:, :width]
+    out_j = np.zeros((m, n_paths, last + 1))
+    for q in range(m):
+        out_j[q][:, cols] = block[:, (q + 1) * width:(q + 2) * width]
+    return {"brownian": out_b, "jump": out_j}
+
+
+def _h1_project_then_contract(node, x, fwd, adjoint, scenario, noise, control):
+    """The memory Hamiltonian formed the long way: the whole ratio ``P/X``,
+    every gradient column projected on its own, then the quadrature."""
+    grid = scenario.grid
+    n, k = grid.n_steps, node
+    col_a = scenario.alpha.d_first_at_nodes(grid)[k:, k]
+    col_b = scenario.beta.d_first_at_nodes(grid)[k:, k]
+    cols_p = [kk.d_first_at_nodes(grid)[k:, k] for kk in scenario.pi_kernels]
+    w = np.full(n + 1 - k, grid.dt)
+    w[0] = w[-1] = 0.5 * grid.dt
+    p_paths = adjoint.big_p[None, :] / adjoint.fwd.values
+    per_path = (p_paths[:, k:] * (w * col_a)[None, :]).sum(axis=1) * x
+    projections = adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, k)
+    per_path = per_path + (projections["brownian"][:, k:] * (w * col_b)[None, :]).sum(axis=1) * x
+    for q, col in enumerate(cols_p):
+        wq, jump = scenario.levy.weights[q], projections["jump"][q][:, k:]
+        per_path = per_path + wq * (jump * (w * col)[None, :]).sum(axis=1) * x
+    return float(per_path.mean()), float(per_path.std(ddof=1) / np.sqrt(per_path.shape[0]))
+
+
+def _two_time_kernel(kind, base, spread, n_steps, rng):
+    """An ``exp_decay`` kernel, or a table of random values on its triangle."""
+    if kind == "exp_decay":
+        return {"kind": "exp_decay", "amplitude": base, "rate": 0.5 + rng.uniform()}
+    size = (n_steps + 1) * (n_steps + 2) // 2
+    return {"kind": "table", "values": (base + spread * rng.uniform(-1, 1, size)).tolist()}
+
+
+def _h1_scenario(n_steps, n_paths, seed, kind, n_atoms, mode):
+    rng = np.random.default_rng(seed)
+    return validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": n_steps},
+        "initial": 1.0,
+        "gamma": 0.3,
+        "alpha_kernel": _two_time_kernel(kind, 0.05, 0.05, n_steps, rng),
+        "beta_kernel": _two_time_kernel(kind, 0.2, 0.1, n_steps, rng),
+        "levy": {"atoms": [[-0.1 * (q + 1), 0.5 + q] for q in range(n_atoms)]},
+        "pi_kernels": [_two_time_kernel(kind, -0.1, 0.05, n_steps, rng) for _ in range(n_atoms)],
+        "filtration": {"mode": mode, "delay": 2.0 / n_steps if mode == "delay" else 0.0},
+        "mc": {"n_paths": n_paths, "seed": seed, "n_blocks": 1},
+        "regression": {"degree": 2, "state": ["x"]},
+    })
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_steps=st.integers(2, 12),
+    n_paths=st.integers(20, 300),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["exp_decay", "table"]),
+    n_atoms=st.integers(0, 2),
+    mode=st.sampled_from(["full", "delay"]),
+    where=st.sampled_from(["first", "mid", "last"]),
+)
+def test_memory_hamiltonian_matches_project_then_contract(
+    n_steps, n_paths, seed, kind, n_atoms, mode, where
+):
+    # projection is linear: contracting the gradients first and projecting
+    # the (N, 1 + m) block once moves the estimate by rounding only, relative
+    # to the per-path spread where the mean cancels
+    spec = _h1_scenario(n_steps, n_paths, seed, kind, n_atoms, mode)
+    noise = generate_noise(spec.grid, spec.levy, n_paths, seed, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    adj = build_adjoint_state(spec, fwd)
+    k = {"first": 0, "mid": n_steps // 2, "last": n_steps - 1}[where]
+    x = float(fwd.values[:, k].mean())
+    got = hamiltonian_h1(k, x, fwd, adj, spec, noise, one)
+    want = _h1_project_then_contract(k, x, fwd, adj, spec, noise, one)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * want[1] * np.sqrt(n_paths))
+
+
+def test_memory_hamiltonian_holds_no_path_array_but_the_first_variation(monkeypatch):
+    # an (N, n+1) array of P/X, of the gradients or of their projections
+    # would break the bound; the first variation's output and work space
+    # are not counted
+    spec = _h1_scenario(40, 5000, 7, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 5000, 7, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    adj = build_adjoint_state(spec, fwd)
+    hamiltonian_h1(0, 1.0, fwd, adj, spec, noise, one)  # first-call imports
+    marks = {}
+
+    def measured_first_variation(*args):
+        marks["before"] = tracemalloc.get_traced_memory()[1]
+        fv = first_variation(*args)
+        marks["held"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return fv
+
+    monkeypatch.setattr(ctl, "first_variation", measured_first_variation)
+    tracemalloc.start()
+    try:
+        hamiltonian_h1(0, 1.0, fwd, adj, spec, noise, one)
+        after = tracemalloc.get_traced_memory()[1] - marks["held"]
+    finally:
+        tracemalloc.stop()
+    path_array = fwd.state.nbytes
+    assert marks["before"] < 0.25 * path_array and after < 0.25 * path_array
 
 
 def test_adjoint_gradient_projection_matches_shortcut(s0_small):
@@ -394,7 +543,7 @@ def test_adjoint_gradient_projection_matches_shortcut(s0_small):
     adj = build_adjoint_state(spec, fwd)
     proj = adjoint_malliavin_projection(spec, noise, one, fwd, adj, node=20)
     got = proj["brownian"][:, 40].mean()
-    want = -0.2 * adj.p_paths[:, 40].mean()
+    want = -0.2 * (adj.big_p[40] / fwd.row(40)).mean()
     assert abs(got - want) < 0.01 * abs(want)
 
 
@@ -409,5 +558,5 @@ def test_adjoint_jump_gradient_matches_shortcut():
     proj = adjoint_malliavin_projection(spec, noise, one, fwd, adj, node=20)
     got = proj["jump"][0][:, 40].mean()
     pi = -0.1
-    want = -pi / (1 + pi) * adj.p_paths[:, 40].mean()
+    want = -pi / (1 + pi) * (adj.big_p[40] / fwd.row(40)).mean()
     assert abs(got - want) < 0.02 * abs(want)

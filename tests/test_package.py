@@ -14,7 +14,6 @@ import pytest
 import volterra_control
 from volterra_control.bsde import solve_bsde
 from volterra_control.condexp import CondExpEngine
-from volterra_control.control import adjoint_malliavin_projection, build_adjoint_state
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import _simulate_multiplicative, first_variation, simulate_fsvie
 from volterra_control.malliavin import (
@@ -154,6 +153,75 @@ def test_every_export_has_a_caller():
     assert uncalled_exports(modules, callers) == EXPORTS_WITHOUT_CALLER
 
 
+def unset_options(sources: list[str], callers: list[str],
+                  allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``function.parameter`` (``Class.method.parameter`` for a method) of
+    each defaulted parameter in ``sources`` that no call in ``sources`` or
+    ``callers`` sets, by keyword or by position.
+
+    Calls are matched by the called name (a bare name or an attribute), a
+    class name stands for its ``__init__``, and a method's ``self`` takes no
+    position.  A call that unpacks ``*args`` sets no position; ``**kwargs``
+    sets no keyword.  ``allowed`` holds ``function.parameter`` names that
+    need no caller.
+    """
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, int] = {}
+    for tree in map(ast.parse, sources + callers):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+            if not any(isinstance(a, ast.Starred) for a in node.args):
+                positions[name] = max(positions.get(name, 0), len(node.args))
+    found = []
+    for tree in map(ast.parse, sources):
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = methods.get(id(fn))
+            name = owner if fn.name == "__init__" else fn.name
+            params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            skip = 1 if owner and params[:1] in (["self"], ["cls"]) else 0
+            defaulted = [(a, i - skip) for i, a in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            label = f"{owner}.{fn.name}" if owner else fn.name
+            for param, pos in defaulted:
+                if param in keywords.get(name, ()) or (
+                        pos is not None and pos < positions.get(name, 0)):
+                    continue
+                if f"{label}.{param}" not in allowed:
+                    found.append(f"{label}.{param}")
+    return sorted(found)
+
+
+def test_unset_options_are_found():
+    source = ("class C:\n    def __init__(self, a, b=1, *, c=2):\n        pass\n"
+              "    def m(self, d=3, e=4):\n        pass\n"
+              "def f(x, y=0, z=0):\n    pass\n"
+              "C(0, 1).m(5)\nf(*[1, 2, 3])\nf(1, **{'z': 0})\n")
+    assert unset_options([source], ["f(0, z=1)\n"]) == ["C.__init__.c", "C.m.e", "f.y"]
+    assert unset_options([source], [], frozenset({"C.m.e"})) == ["C.__init__.c", "f.y", "f.z"]
+
+
+# Default arguments that bind a value of the enclosing scope into a closure
+# (``driver(..., _lam=lam)``): they are not options, and no caller sets them.
+CLOSURE_DEFAULTS = frozenset({"driver._lam"})
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    sources = [p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))]
+    callers = [p.read_text() for d in ("tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unset_options(sources, callers, CLOSURE_DEFAULTS) == []
+
+
 def test_import_starts_no_thread():
     # the thread pool of ``paths`` is imported by the first call that uses
     # it, so a bare import (and the start-up time users pay) stays as it was
@@ -210,11 +278,6 @@ def test_every_per_node_array_is_node_major():
     fv = first_variation(spec, noise, one, fwd, 5)
     arrays["first_variation.brownian"] = fv.brownian
     arrays["first_variation.jump"] = fv.jump
-    adjoint = build_adjoint_state(spec, fwd)
-    arrays["adjoint.p_paths"] = adjoint.p_paths
-    grads = adjoint_malliavin_projection(spec, noise, one, fwd, adjoint, 5)
-    arrays["adjoint_gradient.brownian"] = grads["brownian"]
-    arrays["adjoint_gradient.jump"] = grads["jump"]
     engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
     sol = solve_bsde(noise.brownian_levels[:, -1] ** 2, None, noise, engine)
     arrays["bsde.y"] = sol.y
