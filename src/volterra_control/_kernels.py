@@ -7,22 +7,39 @@ The state recursion
                               + B[i, j] * U[p, j] * dB[p, j]
                               + U[p, j] * sum_m P[m, i, j] * CJ[m, p, j] )
 
-is O(n_steps^2 * n_paths) and dominates runtime for two-time kernels.  It is
-solved by blocked forward substitution (level-3 BLAS): the products
+runs on one of two paths.
+
+*Blocked path* (any kernels, given as matrices), O(n_steps^2 * n_paths):
+blocked forward substitution (level-3 BLAS).  The products
 ``U_j * [1, dB_j, CJ_{m,j}]`` are kept node-major, each block of ``_BLOCK``
 rows receives everything from earlier blocks through one matrix product with
 the stacked coefficients ``[(A - c) dt, B, P_m]``, and the rows inside a
 block run one at a time over the block's own earlier rows.  Only the order
 of the sums differs from the direct recursion.
 
-The state is built node-major and returned as a transposed view with the
-path-major shape ``(N, n_nodes)``, no copy made.  The increments and counts
-are read one node at a time, ``db[:, j]`` and ``cj[:, :, j]``: contiguous
-rows for the node-major views of ``paths``, strided reads (still correct) for
-path-major arrays.
+*Lifted path* (every kernel ``a * exp(-r (t - s))``, given as its
+``(a, r)`` pair; a constant kernel and the consumption term are rate 0),
+O(n_steps * n_paths): on a uniform grid the triangular sum is an exact
+finite-dimensional Markovian lift,
+
+    sum_{j < i} exp(-r (t_i - t_j)) g_j = H_i,   H_0 = 0,
+    H_{i+1} = exp(-r dt) (H_i + g_i),
+
+so the sweep keeps one running ``(N,)`` row ``H`` per distinct rate, fed by
+every driver whose kernel has that rate.  This is the scheme itself, not an
+approximation of it: only rounding differs from the blocked path.  The decay
+factor never exceeds 1, so large ``r * T`` underflows rather than overflows.
+
+Both paths build the state node-major and return it as a transposed view
+with the path-major shape ``(N, n_nodes)``, no copy made.  The increments and
+counts are read one node at a time, ``db[:, j]`` and ``cj[:, :, j]``:
+contiguous rows for the node-major views of ``paths``, strided reads (still
+correct) for path-major arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,7 +51,7 @@ _BLOCK = 32
 NUMBA_ENABLED = False
 
 
-def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None):
+def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None, lift=None):
     """Triangular sweep of the left-point Volterra scheme.
 
     Parameters
@@ -47,6 +64,10 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None):
     cj : (m, N, n_steps) compensated jump counts (count - w*dt).
     dt : step size.
     out : optional (n_nodes, N) C-ordered array the state is written into.
+    lift : optional ``2 + m`` ``(amplitude, rate)`` pairs, for alpha, beta
+        and each ``pi_m``, when every kernel is ``amplitude * exp(-rate *
+        (t - s))`` on a uniform grid of step ``dt``.  The sweep then runs the
+        exact O(n_steps * N) recursion and does not read the kernel matrices.
 
     Returns the (N, n_nodes) state as a view of node-major storage (``out.T``
     when ``out`` is given).
@@ -54,6 +75,9 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None):
     n_nodes, n_paths = source.shape
     u = np.empty((n_nodes, n_paths)) if out is None else out
     if n_nodes == 0:
+        return u.T
+    if lift is not None:
+        _lifted_sweep(source, c, db, cj, dt, lift, u)
         return u.T
     n_steps = n_nodes - 1
     m = p_nodes.shape[0]
@@ -79,3 +103,41 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None):
                 np.multiply(u[i], db[:, i], out=drivers[i, 1])
                 np.multiply(u[i], cj[:, :, i], out=drivers[i, 2:])
     return u.T
+
+
+def _lifted_sweep(source, c, db, cj, dt, lift, u):
+    """The exponential-kernel recursion of the module docstring, into ``u``."""
+    n_nodes, n_paths = source.shape
+    n_steps = n_nodes - 1
+    (a_alpha, r_alpha), (a_beta, r_beta), *pis = lift
+    # per distinct rate: the drift amplitude and the (amplitude, atom) of
+    # each noise driver, atom -1 standing for the Brownian increment; rate 0
+    # always exists, because it carries the consumption term
+    groups = {0.0: [0.0, []]}
+    groups.setdefault(float(r_alpha), [0.0, []])[0] += a_alpha
+    for q, (amp, rate) in enumerate([(a_beta, r_beta), *pis], start=-1):
+        groups.setdefault(float(rate), [0.0, []])[1].append((amp, q))
+    rates = list(groups)
+    decay = [math.exp(-r * dt) for r in rates]
+    h = np.zeros((len(rates), n_paths))
+    tmp = np.empty(n_paths)
+    for i in range(n_nodes):
+        row = u[i]
+        np.add(source[i], h[0], out=row)
+        for hr in h[1:]:
+            row += hr
+        if i == n_steps:
+            break
+        for hr, r, d in zip(h, rates, decay):
+            drift, noise = groups[r]
+            # H <- exp(-r dt) (H + U_i g_i), one driver at a time
+            coef = (drift - c[i]) * dt if r == 0.0 else drift * dt
+            if coef != 0.0:
+                np.multiply(row, coef, out=tmp)
+                hr += tmp
+            for amp, q in noise:
+                np.multiply(db[:, i] if q < 0 else cj[q, :, i], amp, out=tmp)
+                tmp *= row
+                hr += tmp
+            if d != 1.0:
+                hr *= d

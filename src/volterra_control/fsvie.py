@@ -21,11 +21,15 @@ Two stepping engines are available:
                                  + beta(t_i,t_j) X_j dB_j
                                  + X_j * sum_m pi_m(t_i,t_j) (count - w dt) ].
 
-  The sum runs as the blocked triangular sweep of ``_kernels``.
+  The sum runs as the sweep of ``_kernels``: when every kernel is
+  ``a * exp(-r (t - s))`` (``constant`` included, as rate 0) as the exact
+  Markovian lift, one running row per distinct rate, in O(n * N); with any
+  ``table`` kernel as the blocked triangular sum, in O(n^2 * N).
 
 The first variations at ``t_k`` solve the same linear recursion with a
 source that is zero before ``t_k``, so each runs only on the sub-triangle of
-nodes from ``t_k`` on.
+nodes from ``t_k`` on.  A kernel of ``t - s`` alone is the same kernel there,
+so the sub-triangle keeps the lift.
 
 ``scheme="auto"`` (default) picks the exact engine whenever the scenario is
 time-invariant.  Positivity of the state is guarded with an abort-never-clamp
@@ -226,27 +230,31 @@ def _simulate_multiplicative(
 
 def _kernel_matrices(
     scenario: ScenarioSpec, last: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``alpha``, ``beta`` and the stacked ``pi_m`` at nodes ``0 .. last``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+    """``alpha``, ``beta`` and the stacked ``pi_m`` at nodes ``0 .. last``,
+    and the sweep's ``lift``: their ``(amplitude, rate)`` pairs, or ``None``
+    when any of them is a table."""
     grid = scenario.grid
     a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
     b_nodes = scenario.beta.at_nodes(grid)[: last + 1, : last + 1]
     p_nodes = np.zeros((scenario.n_atoms, last + 1, last + 1))
     for q, ker in enumerate(scenario.pi_kernels):
         p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
-    return a_nodes, b_nodes, p_nodes
+    kernels = (scenario.alpha, scenario.beta, *scenario.pi_kernels)
+    lift = tuple(k.exponential_form for k in kernels)
+    return a_nodes, b_nodes, p_nodes, None if None in lift else lift
 
 
 def _simulate_volterra(
     scenario: ScenarioSpec, noise: NoiseBundle, c_vals: np.ndarray, last: int
 ) -> np.ndarray:
-    a_nodes, b_nodes, p_nodes = _kernel_matrices(scenario, last)
+    a_nodes, b_nodes, p_nodes, lift = _kernel_matrices(scenario, last)
     source = np.broadcast_to(
         scenario.initial_at_nodes[: last + 1, None], (last + 1, noise.n_paths)
     )
     return volterra_sweep(
         source, a_nodes, c_vals[:last], b_nodes, noise.d_brownian[:, :last],
-        p_nodes, noise.compensated_counts[:, :, :last], scenario.grid.dt,
+        p_nodes, noise.compensated_counts[:, :, :last], scenario.grid.dt, lift=lift,
     )
 
 
@@ -316,7 +324,7 @@ def first_variation(
         raise ValidationError("forward paths do not reach the differentiation node")
     last = fwd.last_node
 
-    a_nodes, b_nodes, p_nodes = _kernel_matrices(scenario, last)
+    a_nodes, b_nodes, p_nodes, lift = _kernel_matrices(scenario, last)
     xk = fwd.row(k)
     # The source, and with it the state, is zero below ``start``: sweep only
     # the sub-triangle of nodes ``start .. last``.
@@ -331,7 +339,8 @@ def first_variation(
         # out is node-major (last + 1, N): the sweep fills its rows from
         # ``start`` on in place, and the rows below stay zero
         source = source_col[start:, None] * xk[None, :]
-        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt, out=out[start:])
+        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt,
+                       out=out[start:], lift=lift)
 
     brown = np.zeros((last + 1, fwd.n_paths))
     run(b_nodes[:, k], brown)

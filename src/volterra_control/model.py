@@ -110,7 +110,11 @@ class Kernel:
       row-major, one row per ``t``-node.
 
     ``constant`` and ``exp_decay`` have an analytic first-argument derivative;
-    ``table`` falls back to finite differences along the first index.
+    ``table`` falls back to finite differences along the first index.  Both
+    are ``amplitude * exp(-rate * (t - s))`` (``constant`` with rate 0), which
+    ``exponential_form`` reports; the forward sweep then runs as an exact
+    Markovian lift in O(n_steps * n_paths) instead of the triangular sum.
+    Their parameters must be finite.
     """
 
     kind: str
@@ -124,13 +128,21 @@ class Kernel:
 
     @staticmethod
     def constant(value: float) -> "Kernel":
-        return Kernel(kind="constant", value=float(value))
+        value = float(value)
+        if not np.isfinite(value):
+            raise ValidationError(f"constant kernel value must be finite, got {value}")
+        return Kernel(kind="constant", value=value)
 
     @staticmethod
     def exp_decay(amplitude: float, rate: float) -> "Kernel":
+        amplitude, rate = float(amplitude), float(rate)
+        if not (np.isfinite(amplitude) and np.isfinite(rate)):
+            raise ValidationError(
+                f"exp_decay amplitude and rate must be finite, got {amplitude}, {rate}"
+            )
         if rate < 0.0:
             raise ValidationError(f"exp_decay rate must be >= 0, got {rate}")
-        return Kernel(kind="exp_decay", amplitude=float(amplitude), rate=float(rate))
+        return Kernel(kind="exp_decay", amplitude=amplitude, rate=rate)
 
     @staticmethod
     def from_table(values: Sequence[float], n_steps: int) -> "Kernel":
@@ -154,11 +166,20 @@ class Kernel:
     @property
     def time_invariant(self) -> bool:
         """True when ``K(t, s)`` does not depend on the first argument."""
+        form = self.exponential_form
+        return form is not None and form[1] == 0.0
+
+    @property
+    def exponential_form(self) -> tuple[float, float] | None:
+        """``(amplitude, rate)`` with ``K(t, s) = amplitude * exp(-rate * (t - s))``.
+
+        ``(value, 0.0)`` for a constant kernel, ``None`` for a table.
+        """
         if self.kind == "constant":
-            return True
+            return self.value, 0.0
         if self.kind == "exp_decay":
-            return self.rate == 0.0
-        return False
+            return self.amplitude, self.rate
+        return None
 
     def __call__(self, t: float, s: float) -> float:
         if s > t + _REL_TOL * max(1.0, abs(t)):
@@ -426,7 +447,7 @@ def _kernel_from_raw(raw, n_steps: int, field_name: str) -> Kernel:
 def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
     """Normalize and validate a scenario given as a dict (JSON shape) or spec.
 
-    Checks: positive initial level, kernels evaluable on the full grid
+    Checks: positive initial level, kernels finite on the full grid
     triangle, one jump kernel per atom with ``1 + pi > 0`` everywhere, a
     known sign convention, and a consistent Monte Carlo block partition.
     """
@@ -512,14 +533,16 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
     if len(spec.pi_kernels) != spec.levy.n_atoms:
         raise ValidationError("need exactly one jump kernel per atom")
 
-    # Kernels must be evaluable on the whole triangle; jump factors must keep
-    # the state positive.
+    # Kernels must be finite on the whole triangle (a NaN would pass the
+    # positivity test below); jump factors must keep the state positive.
     for name, k in (("alpha", spec.alpha), ("beta", spec.beta)):
         vals = k.at_nodes(spec.grid)
         if not np.all(np.isfinite(vals)):
             raise ValidationError(f"{name} kernel produced non-finite values")
     for m, k in enumerate(spec.pi_kernels):
         vals = k.at_nodes(spec.grid)[np.tril_indices(spec.grid.n_steps + 1)]
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError(f"jump kernel {m} produced non-finite values")
         if np.any(vals <= -1.0 + 1e-12):
             raise ValidationError(
                 f"jump kernel {m}: 1 + pi must stay positive, min pi = {vals.min():.6g}"

@@ -127,6 +127,19 @@ def test_corrupted_config_exits_2(tmp_path):
     assert report["error"]
 
 
+def test_non_finite_jump_kernel_exits_2(tmp_path):
+    path = write_config(
+        tmp_path,
+        levy={"atoms": [[-0.1, 0.5]]},
+        pi_kernels=[{"kind": "exp_decay", "amplitude": -0.1, "rate": math.nan}],
+    )
+    out = tmp_path / "out"
+    code = run(["simulate-forward", "--config", path, "--control", "constant:1.0",
+                "--out", str(out)])
+    assert code == 2
+    assert "finite" in json.loads((out / "report.json").read_text())["error"]
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["optimal-consumption", "--config", str(CONFIG), "--frobnicate"])

@@ -1,12 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from volterra_control import _kernels
+from volterra_control import _kernels, fsvie
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import FirstVariation, first_variation, simulate_fsvie
-from volterra_control.model import validate_scenario
+from volterra_control.model import Kernel, build_time_grid, validate_scenario
 from volterra_control.paths import generate_noise
 
 
@@ -127,3 +130,160 @@ def test_first_variation_matches_full_triangle(two_time_case, k, include_diagona
     assert not got.brownian[:, :start].any() and not got.jump[:, :, :start].any()
     np.testing.assert_allclose(got.brownian, want.brownian, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(got.jump, want.jump, rtol=1e-12, atol=1e-14)
+
+
+# --------------------------------------------------------------------------- #
+# exponential kernels: the lifted sweep against the blocked one
+# --------------------------------------------------------------------------- #
+
+def _exponential_problem(pairs, n_steps, n_paths, seed):
+    """Blocked-sweep arguments on ``[0, 1]`` for kernels ``amplitude *
+    exp(-rate (t - s))`` (alpha, beta, then one per atom), from ``at_nodes``."""
+    grid = build_time_grid(1.0, n_steps)
+    a, b, *p = [Kernel.exp_decay(amp, rate).at_nodes(grid) for amp, rate in pairs]
+    m = len(p)
+    rng = np.random.default_rng(seed)
+    source = np.repeat(rng.normal(1.0, 0.2, size=(n_steps + 1, 1)), n_paths, axis=1)
+    c = rng.uniform(0.0, 2.0, size=n_steps)
+    db = rng.normal(scale=np.sqrt(grid.dt), size=(n_paths, n_steps))
+    cj = rng.poisson(0.5 * grid.dt, size=(m, n_paths, n_steps)) - 0.5 * grid.dt
+    p = np.array(p).reshape(m, n_steps + 1, n_steps + 1)
+    return source, a, c, b, db, p, cj, grid.dt
+
+
+def _assert_rows_close(got, want, source, rtol=1e-13):
+    # Relative to the largest magnitude in the node's row, the rows before it
+    # and its source row: the terms row i sums.  First variations cross zero,
+    # often on every path at one node, and a row may cancel its source, so
+    # neither an elementwise nor a row-alone relative error bounds rounding.
+    scale = np.maximum.accumulate(
+        np.maximum(np.abs(want).max(axis=0), np.abs(source).max(axis=1)))
+    err = np.abs(got - want).max(axis=0)
+    assert np.all(err <= rtol * scale), (err / np.where(scale > 0, scale, 1.0)).max()
+
+
+# amplitudes on a 1e-3 grid: a subnormal one has no relative precision to keep
+_PAIRS = st.tuples(st.integers(-500, 500).map(lambda k: k / 1000),
+                   st.sampled_from([0.0, 0.5, 1.0, 50.0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # alpha, beta and m = 0..2 jump kernels; rates repeat, and 50 is r T = 50
+    pairs=st.lists(_PAIRS, min_size=2, max_size=4),
+    n_steps=st.integers(2, 60),
+    n_paths=st.integers(1, 5),
+    # -1 is the state; d >= 0 the first variation along column d % (1 + m)
+    # of [beta, pi_0, ..., pi_{m-1}] at node ``at * (n_steps - 1)``
+    direction=st.integers(-1, 2),
+    at=st.floats(0.0, 1.0),
+    diagonal=st.booleans(),
+    with_out=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pairs=[(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5), (0.3, 50.0)], n_steps=200,
+         n_paths=40, direction=-1, at=0.0, diagonal=True, with_out=True, seed=1)
+@example(pairs=[(0.5, 50.0), (0.4, 0.0), (-0.3, 50.0)], n_steps=400,
+         n_paths=40, direction=1, at=0.25, diagonal=True, with_out=True, seed=2)
+@example(pairs=[(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5)], n_steps=400,
+         n_paths=40, direction=0, at=0.5, diagonal=False, with_out=True, seed=3)
+@example(pairs=[(0.05, 0.0), (0.2, 0.0)], n_steps=10, n_paths=3,
+         direction=0, at=1.0, diagonal=False, with_out=True, seed=4)  # one node
+def test_lifted_sweep_matches_blocked_sweep(pairs, n_steps, n_paths, direction, at,
+                                            diagonal, with_out, seed):
+    source, a, c, b, db, p, cj, dt = _exponential_problem(pairs, n_steps, n_paths, seed)
+    if direction >= 0:
+        # the sub-triangle first_variation sweeps, with its source
+        k = int(at * (n_steps - 1))
+        start = k if diagonal else k + 1
+        column = np.concatenate([b[None], p])[direction % (1 + p.shape[0])][start:, k]
+        xk = np.random.default_rng(seed).uniform(0.5, 2.0, size=n_paths)
+        source = column[:, None] * xk[None, :]
+        a, b, p = a[start:, start:], b[start:, start:], p[:, start:, start:]
+        c, db, cj = c[start:], db[:, start:], cj[:, :, start:]
+    want = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt)
+    out = np.full(source.shape, np.nan) if with_out else None
+    got = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt, out=out, lift=pairs)
+    assert got.shape == want.shape
+    if with_out:
+        assert got.base is out
+    _assert_rows_close(got, want, source)
+
+
+def test_lifted_sweep_peak_is_its_output_plus_a_row_per_rate():
+    # rates {0, 0.5, 1}: the lift keeps three running rows and one scratch
+    # row; the blocked sweep holds an (n_steps, 2 + m, N) driver buffer
+    pairs = [(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5), (0.1, 0.0)]
+    n_steps, n_paths, rates = 100, 20_000, 3
+    args = _exponential_problem(pairs, n_steps, n_paths, seed=0)
+    _kernels.volterra_sweep(*_exponential_problem(pairs, 3, 2, seed=0), lift=pairs)
+    row = n_paths * 8
+    output = (n_steps + 1) * row
+
+    def peak(lift):
+        tracemalloc.start()
+        try:
+            _kernels.volterra_sweep(*args, lift=lift)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(pairs) <= output + (rates + 2) * row
+    assert peak(None) >= output + n_steps * len(pairs) * row
+
+
+@pytest.fixture(scope="module")
+def exponential_case():
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": 30},
+        "initial": 1.0,
+        "gamma": 0.0,
+        "alpha_kernel": {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.5},
+        "beta_kernel": {"kind": "exp_decay", "amplitude": 0.2, "rate": 0.7},
+        "levy": {"atoms": [[-0.1, 0.5], [0.25, 1.0]]},
+        "pi_kernels": [
+            {"kind": "exp_decay", "amplitude": -0.1, "rate": 0.5},
+            {"kind": "constant", "value": 0.25},
+        ],
+        "filtration": {"mode": "trivial"},
+        "mc": {"n_paths": 16, "seed": 5, "n_blocks": 1},
+    })
+    return spec, generate_noise(spec.grid, spec.levy, 16, 5, 1)
+
+
+@pytest.mark.parametrize("table", [None, "alpha", "beta", "pi_kernels"])
+def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkeypatch):
+    spec, noise = exponential_case
+    n = spec.grid.n_steps
+
+    def as_table(kernel):
+        # the kernel's own values, so only the path the sweep takes changes
+        return Kernel.from_table(kernel.at_nodes(spec.grid)[np.tril_indices(n + 1)], n)
+
+    if table == "pi_kernels":
+        spec = replace(spec, pi_kernels=(spec.pi_kernels[0], as_table(spec.pi_kernels[1])))
+    elif table is not None:
+        spec = replace(spec, **{table: as_table(getattr(spec, table))})
+    spec = validate_scenario(spec)
+    one = ControlFn.constant(1.0, spec.grid)
+    lifts = []
+
+    def spy(*args, lift=None, **kwargs):
+        lifts.append(lift)
+        return _kernels.volterra_sweep(*args, lift=lift, **kwargs)
+
+    monkeypatch.setattr(fsvie, "volterra_sweep", spy)
+    fwd = simulate_fsvie(spec, noise, one, scheme="volterra_sum")
+    first_variation(spec, noise, one, fwd, 7)
+    assert len(lifts) == 1 + 1 + spec.n_atoms
+    if table is None:
+        assert lifts == [((0.05, 1.5), (0.2, 0.7), (-0.1, 0.5), (0.25, 0.0))] * len(lifts)
+        return
+    assert lifts == [None] * len(lifts)
+    a, b, p, lift = fsvie._kernel_matrices(spec, n)
+    assert lift is None
+    want = _kernels.volterra_sweep(
+        np.ones((n + 1, noise.n_paths)), a, one.values(spec.grid)[:n], b,
+        noise.d_brownian, p, noise.compensated_counts, spec.grid.dt,
+    )
+    np.testing.assert_array_equal(fwd.state, want)

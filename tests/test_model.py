@@ -70,6 +70,21 @@ def test_exp_decay_kernel_value():
     assert math.isclose(k(1.0, 0.0), 0.05 * math.exp(-1.0), rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("kernel, form", [
+    (Kernel.constant(0.3), (0.3, 0.0)),
+    (Kernel.exp_decay(-0.1, 0.5), (-0.1, 0.5)),
+    (Kernel.from_table(np.arange(6.0), 2), None),
+])
+def test_exponential_form_of_each_kernel_kind(kernel, form):
+    assert kernel.exponential_form == form
+    if form is not None:
+        grid = build_time_grid(1.0, 4)
+        amplitude, rate = form
+        lag = np.tril(grid.nodes[:, None] - grid.nodes[None, :])
+        want = np.tril(amplitude * np.exp(-rate * lag))
+        np.testing.assert_allclose(kernel.at_nodes(grid), want, rtol=1e-15)
+
+
 def test_kernel_outside_triangle_raises():
     with pytest.raises(KernelDomainError):
         Kernel.constant(1.0)(0.2, 0.7)
@@ -192,6 +207,20 @@ def test_validate_rejects_jump_killing_positivity():
     raw["levy"] = {"atoms": [[-1.5, 0.5]]}
     raw["pi_kernels"] = [{"kind": "constant", "value": -1.5}]
     with pytest.raises(ValidationError, match="positive"):
+        validate_scenario(raw)
+
+
+@pytest.mark.parametrize("kernel", [
+    {"kind": "exp_decay", "amplitude": -0.1, "rate": math.nan},
+    {"kind": "exp_decay", "amplitude": math.nan, "rate": 0.5},
+    {"kind": "constant", "value": math.nan},
+    {"kind": "exp_decay", "amplitude": -0.1, "rate": math.inf},
+    # built past the constructors' checks: validation still sees the NaN
+    Kernel(kind="exp_decay", amplitude=-0.1, rate=math.nan),
+])
+def test_validate_rejects_non_finite_jump_kernel(kernel):
+    raw = dict(S0_RAW, levy={"atoms": [[-0.1, 0.5]]}, pi_kernels=[kernel])
+    with pytest.raises(ValidationError, match="finite"):
         validate_scenario(raw)
 
 
