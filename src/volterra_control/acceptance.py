@@ -332,10 +332,9 @@ def brownian_duality(
     no_jumps = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
     noise = generate_noise(build_time_grid(1.0, 200), no_jumps, n_paths=n_paths,
                            seed=seed, n_blocks=math.gcd(n_paths, 8))
-    levels = noise.brownian_levels
     identities = {
-        "brownian_square": (WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i]),
-        "brownian_isometry": (WienerIntegral(1.0), lambda i, _n: 1.0),
+        "brownian_square": (WienerIntegral(1.0) ** 2, lambda i, b: b),
+        "brownian_isometry": (WienerIntegral(1.0), lambda i, b: 1.0),
     }
     return [verify_duality_brownian(*identities[name], noise, name=name) for name in names]
 
@@ -357,7 +356,7 @@ def jump_duality(
         "jump_square": JumpIntegral(1.0) ** 2,
         "jump_isometry": JumpIntegral(1.0),
     }
-    return [verify_duality_jump(identities[name], lambda i, q, _n: 1.0, noise, name=name)
+    return [verify_duality_jump(identities[name], lambda i, q, c: 1.0, noise, name=name)
             for name in names]
 
 

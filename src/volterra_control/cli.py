@@ -287,7 +287,7 @@ def _cmd_check_mp(spec, args, report, out_dir):
 
 def _cmd_verify_duality(args, report, out_dir):
     # one bundle at a time: each is released before the next one is drawn
-    n_paths = args.paths or 200_000
+    n_paths = 200_000 if args.paths is None else args.paths
     results = (
         acc.brownian_duality(("brownian_square", "brownian_isometry"), n_paths, report.seed)
         + acc.jump_duality(("jump_square", "jump_isometry"), n_paths, report.seed + 1)

@@ -167,6 +167,12 @@ class Design:
         return self.evaluate(self.coefficients(targets))
 
     @classmethod
+    def from_rows(cls, rows: Sequence[np.ndarray], degree: int) -> "Design":
+        """The standardized monomials of degree <= ``degree`` in the ``(N,)`` state rows."""
+        phi = _basis(rows, _monomial_powers(len(rows), degree))
+        return cls(phi, _standardise(phi))
+
+    @classmethod
     def intercept(cls, n_paths: int) -> "Design":
         """The design of column means: the intercept row alone."""
         design = cls(np.ones((1, n_paths)), np.array([[float(n_paths)]]))
@@ -273,8 +279,7 @@ class CondExpEngine:
                 raise ValidationError(
                     "no regression state available; declare state variables or use trivial mode"
                 )
-            phi = _basis(rows, _monomial_powers(len(rows), self.regression.degree))
-            design = Design(phi, _standardise(phi))
+            design = Design.from_rows(rows, self.regression.degree)
             if self.cache_designs:
                 self._designs[cnode] = design
         return design

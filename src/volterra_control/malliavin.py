@@ -17,10 +17,11 @@ identities on the same noise:
     E[ F int Psi dB ]        = E[ int E[D_t F | F_t] Psi(t) dt ]
     E[ F int int Phi dN~ ]   = E[ int int Phi(t,e) E[D_{t,e} F | F_t] nu(de) dt ]
 
-with the conditional projections computed by the regression engine.  The
-projection state follows the functional: the jump counts up to ``t`` when
-the noise has jump atoms, and ``B(t)`` when the functional's tree holds a
-Wiener integral, so a pure jump functional regresses on the counts alone.
+with the conditional projections regressed on running level rows (no
+bundle forms its array of levels).  The projection state follows the
+functional: the jump counts up to ``t`` when the noise has jump atoms, and
+``B(t)`` when its tree holds a Wiener integral, so a pure jump functional
+regresses on the counts alone.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import CondExpEngine
-from .model import FiltrationMode, RegressionSpec, ValidationError, time_quadrature_weights
+from .condexp import Design
+from .model import ValidationError, time_quadrature_weights
 from .paths import NoiseBundle, _path_chunks, _run_path_ranges
 
 __all__ = [
@@ -162,17 +163,13 @@ class JumpIntegral(Functional):
         self.h = h
         self._memo: tuple[weakref.ref, np.ndarray] | None = None
 
+    def _mark(self, noise: NoiseBundle, node: int, atom: int) -> float:
+        h = self.h
+        return float(h(noise.grid.nodes[node], noise.levy.sizes[atom]) if callable(h) else h)
+
     def _values(self, noise: NoiseBundle) -> np.ndarray:
-        m = noise.levy.n_atoms
-        t = noise.grid.nodes[:-1]
-        out = np.empty((m, noise.n_steps))
-        for q in range(m):
-            e = noise.levy.sizes[q]
-            if callable(self.h):
-                out[q] = [float(self.h(ti, e)) for ti in t]
-            else:
-                out[q] = float(self.h)
-        return out
+        return np.array([[self._mark(noise, i, q) for i in range(noise.n_steps)]
+                         for q in range(noise.levy.n_atoms)])
 
     def evaluate(self, noise):
         if noise.levy.n_atoms == 0:
@@ -189,9 +186,7 @@ class JumpIntegral(Functional):
         return out
 
     def evaluate_with_jump(self, noise, node, atom):
-        base = self.evaluate(noise)
-        vals = self._values(noise)
-        return base + vals[atom, node]
+        return self.evaluate(noise) + self._mark(noise, node, atom)
 
     def d_brownian(self, node):
         return Const(0.0)
@@ -280,6 +275,8 @@ class DualityResult:
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     n = samples.shape[0]
+    if n < 2:
+        raise ValidationError("duality needs n_paths >= 2 for a standard error")
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n))
 
 
@@ -290,35 +287,39 @@ def _holds_wiener(f: Functional) -> bool:
     return any(_holds_wiener(v) for v in vars(f).values() if isinstance(v, Functional))
 
 
-def _projection_engine(noise: NoiseBundle, f: Functional) -> CondExpEngine:
-    """Regression on the state the functional's derivatives depend on.
+def _running_levels(noise: NoiseBundle, rows: slice, brownian: bool, counts: bool):
+    """Yield ``B(t_i)`` and ``N(t_i)`` ``(m, len)`` of the paths ``rows`` at nodes
+    ``0 .. n - 1`` (``None`` unless asked for), each one running row advanced by
+    the ``np.add`` that sums the bundle's cached levels, so bit for bit theirs."""
+    size = len(range(noise.n_paths)[rows])
+    b = np.zeros(size) if brownian else None
+    c = np.zeros((noise.levy.n_atoms, size)) if counts else None
+    for i in range(noise.n_steps):
+        yield b, c
+        if brownian:
+            np.add(b, noise.d_brownian[rows, i], out=b)
+        if counts:
+            np.add(c, noise.jump_counts[:, rows, i], out=c)
 
-    The jump counts enter when the bundle has atoms, the Brownian level when
-    the tree holds a Wiener integral (or when there is nothing else to
-    regress on).  A pure jump functional's derivatives are independent of
-    the Brownian path, so its basis drops ``B(t)``.
-    """
-    variables = ("jump_counts",) if noise.levy.n_atoms else ()
-    if not variables or _holds_wiener(f):
-        variables = ("brownian",) + variables
-    return CondExpEngine(
-        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=variables),
-        noise, cache_designs=False,
-    )
+
+def _project(node: int, targets: np.ndarray, state: list[np.ndarray]):
+    """``E[targets | state]``: the column mean at node 0 (trivial information)."""
+    return targets.mean(axis=0) if node == 0 else Design.from_rows(state, 2).project(targets)
 
 
 def verify_duality_brownian(
     f: Functional,
-    psi: Callable[[int, NoiseBundle], np.ndarray],
+    psi: Callable[[int, np.ndarray], np.ndarray],
     noise: NoiseBundle,
     name: str = "brownian",
 ) -> DualityResult:
     """Both sides of the Brownian integration-by-parts identity on one noise.
 
-    ``psi(step, noise)`` must return the adapted integrand values at the left
-    node of the step.  It is called more than once per node (once for the
-    right-hand side, once per range of paths for the left-hand side) and from
-    worker threads, so it must be pure.
+    ``psi(step, b)`` returns the adapted integrand at the left node from
+    ``b = B(t_step)`` of the paths at hand (a running row: do not keep it).
+    It is called more than once per node (once for the right-hand side, once
+    per range of paths for the left-hand side) and from worker threads, so it
+    must be pure.
     """
     n_paths = noise.n_paths
     # psi is read one node at a time, for both sides, and never stored whole;
@@ -326,19 +327,16 @@ def verify_duality_brownian(
     integral = np.zeros(n_paths)
 
     def integrate(rows: slice) -> None:
-        for i in range(noise.n_steps):
-            psi_i = np.broadcast_to(psi(i, noise), (n_paths,))[rows]
-            integral[rows] += psi_i * noise.d_brownian[rows, i]
+        for i, (b, _) in enumerate(_running_levels(noise, rows, True, False)):
+            integral[rows] += np.broadcast_to(psi(i, b), b.shape) * noise.d_brownian[rows, i]
 
     _run_path_ranges(integrate, n_paths)
-    engine = _projection_engine(noise, f)
+    on_b = noise.levy.n_atoms == 0 or _holds_wiener(f)
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(n_paths)
-    for i in range(noise.n_steps):
-        psi_i = np.broadcast_to(psi(i, noise), (n_paths,))
-        d_vals = f.d_brownian(i).evaluate(noise)
-        proj = engine.project(i, d_vals)
-        rhs_samples += proj * psi_i * w[i]
+    for i, (b, c) in enumerate(_running_levels(noise, slice(None), True, True)):
+        proj = _project(i, f.d_brownian(i).evaluate(noise), ([b] if on_b else []) + list(c))
+        rhs_samples += proj * np.broadcast_to(psi(i, b), (n_paths,)) * w[i]
     lhs_samples = f.evaluate(noise) * integral
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
@@ -347,20 +345,20 @@ def verify_duality_brownian(
 
 def verify_duality_jump(
     f: Functional,
-    phi: Callable[[int, int, NoiseBundle], np.ndarray],
+    phi: Callable[[int, int, np.ndarray], np.ndarray],
     noise: NoiseBundle,
     name: str = "jump",
 ) -> DualityResult:
     """Both sides of the jump integration-by-parts identity on one noise.
 
-    ``phi(step, atom, noise)`` returns the adapted two-argument integrand at
-    the left node.  It is called more than once per (node, atom) (once for
-    the right-hand side, once per range of paths for the left-hand side) and
-    from worker threads, so it must be pure.
+    ``phi(step, atom, c)`` returns the adapted two-argument integrand at the
+    left node from the counts ``c = N(t_step)`` ``(m, len)`` of the paths at
+    hand (a running array: do not keep it).  It is called more than once per
+    (node, atom) (once for the right-hand side, once per range of paths for
+    the left-hand side) and from worker threads, so it must be pure.
     """
     if noise.levy.n_atoms == 0:
         raise ValidationError("jump duality needs at least one atom")
-    n = noise.n_steps
     m = noise.levy.n_atoms
     n_paths = noise.n_paths
     f_vals = f.evaluate(noise)
@@ -371,23 +369,21 @@ def verify_duality_jump(
         # the counts are compensated one step of one range at a time, never
         # as a whole float array
         for q in range(m):
-            for i in range(n):
-                phi_i = np.broadcast_to(phi(i, q, noise), (n_paths,))[rows]
+            for i, (_, c) in enumerate(_running_levels(noise, rows, False, True)):
                 comp = np.subtract(noise.jump_counts[q, rows, i], w_dt[q], dtype=float)
-                lhs_samples[rows] += phi_i * comp
+                lhs_samples[rows] += np.broadcast_to(phi(i, q, c), comp.shape) * comp
 
     _run_path_ranges(integrate, n_paths)
     lhs_samples *= f_vals
-    engine = _projection_engine(noise, f)
+    on_b = _holds_wiener(f)
     w_t = time_quadrature_weights(noise.grid)
-    rhs_samples = np.zeros(noise.n_paths)
-    for q in range(m):
-        w = noise.levy.weights[q]
-        for i in range(n):
+    rhs_samples = np.zeros(n_paths)
+    for q, w in enumerate(noise.levy.weights):
+        for i, (b, c) in enumerate(_running_levels(noise, slice(None), on_b, True)):
             # the jump derivative of f at (i, q), with f evaluated once above
             d_vals = f.evaluate_with_jump(noise, i, q) - f_vals
-            proj = engine.project(i, d_vals)
-            rhs_samples += np.broadcast_to(phi(i, q, noise), (noise.n_paths,)) * proj * w * w_t[i]
+            proj = _project(i, d_vals, ([b] if on_b else []) + list(c))
+            rhs_samples += np.broadcast_to(phi(i, q, c), (n_paths,)) * proj * w * w_t[i]
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
     return DualityResult(name=name, lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs)

@@ -149,6 +149,7 @@ def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
 
 
 def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
+    # neither bundle builds its levels: the verifiers keep running level rows
     drawn = []
 
     def tracked_noise(*args, **kwargs):
@@ -158,7 +159,7 @@ def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
     monkeypatch.setattr(acc, "generate_noise", tracked_noise)
     acc.check_duality(n_paths=400)
     brownian, jump = drawn
-    assert "brownian_levels" in brownian.__dict__
+    assert "brownian_levels" not in brownian.__dict__
     assert "brownian_levels" not in jump.__dict__
     assert "compensated_counts" not in jump.__dict__
 

@@ -172,6 +172,18 @@ def test_verify_duality_paths_not_divisible_by_8(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("paths", ["0", "1", "-8"])
+def test_verify_duality_needs_two_paths(tmp_path, paths):
+    # 0 is a path count like any other, not "use the default"; one path has
+    # no standard error, so no 3-SE band
+    out = tmp_path / "out"
+    code = run(["verify-duality", "--paths", paths, "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert code == 2
+    assert "n_paths" in report["error"]
+    assert not (out / "duality.csv").exists()
+
+
 def test_check_mp_reference_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["check-mp", "--config", str(CONFIG), "--paths", "20000", "--out", str(out)])

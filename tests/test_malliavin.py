@@ -1,9 +1,11 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from volterra_control.condexp import CondExpEngine
+from volterra_control import acceptance, malliavin
+from volterra_control.condexp import CondExpEngine, Design
 from volterra_control.malliavin import (
     Const,
     DualityResult,
@@ -101,9 +103,7 @@ def test_wiener_integral_is_brownian_terminal():
 
 def test_brownian_duality_square_case():
     noise = make_noise(n_steps=200, n_paths=50_000, seed=7)
-    levels = noise.brownian_levels
-    res = verify_duality_brownian(WienerIntegral(1.0) ** 2,
-                                  lambda i, _n: levels[:, i], noise)
+    res = verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, b: b, noise)
     assert abs(res.lhs - 1.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 1.0) <= 3 * res.se_rhs
     assert res.gap_in_se <= 3.0
@@ -111,7 +111,7 @@ def test_brownian_duality_square_case():
 
 def test_brownian_duality_isometry_case():
     noise = make_noise(n_steps=100, n_paths=50_000, seed=8)
-    res = verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: 1.0, noise)
+    res = verify_duality_brownian(WienerIntegral(1.0), lambda i, _b: 1.0, noise)
     # the projected derivative is the constant 1, so the right side is exact
     # up to rounding and its SE collapses to float dust
     assert abs(res.lhs - 1.0) <= 3 * res.se_lhs
@@ -120,17 +120,20 @@ def test_brownian_duality_isometry_case():
 
 def test_brownian_duality_constant_functional():
     noise = make_noise(n_steps=50, n_paths=20_000, seed=9)
-    res = verify_duality_brownian(Const(4.0), lambda i, _n: 1.0, noise)
+    res = verify_duality_brownian(Const(4.0), lambda i, _b: 1.0, noise)
     assert abs(res.lhs) <= 3 * res.se_lhs
     assert res.rhs == 0.0  # derivative is exactly zero
 
 
 def _column_stack_duality_brownian(f, psi, noise, degree=2):
-    """The previous ``verify_duality_brownian``: every psi value stacked into
-    one ``(N, n)`` matrix before either side is formed."""
+    """An earlier ``verify_duality_brownian``: every psi value stacked into
+    one ``(N, n)`` matrix, from the bundle's cached levels, before either
+    side is formed."""
     n = noise.n_steps
     f_vals = f.evaluate(noise)
-    psi_vals = np.column_stack([np.broadcast_to(psi(i, noise), (noise.n_paths,)) for i in range(n)])
+    levels = noise.brownian_levels
+    psi_vals = np.column_stack([np.broadcast_to(psi(i, levels[:, i]), (noise.n_paths,))
+                                for i in range(n)])
     lhs_samples = f_vals * np.einsum("ps,ps->p", psi_vals, noise.d_brownian)
     engine = _brownian_engine(noise, degree)
     w = time_quadrature_weights(noise.grid)
@@ -148,11 +151,10 @@ def _column_stack_duality_brownian(f, psi, noise, degree=2):
 
 def test_streamed_brownian_duality_matches_column_stack():
     noise = make_noise(n_steps=60, n_paths=3000, seed=13)
-    levels = noise.brownian_levels
     cases = [
-        (WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i]),
-        (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, _n: np.sin(levels[:, i])),
-        (WienerIntegral(1.0), lambda i, _n: 1.0),
+        (WienerIntegral(1.0) ** 2, lambda i, b: b),
+        (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, b: np.sin(b)),
+        (WienerIntegral(1.0), lambda i, _b: 1.0),
     ]
     for f, psi in cases:
         got = verify_duality_brownian(f, psi, noise)
@@ -165,7 +167,7 @@ def test_streamed_brownian_duality_matches_column_stack():
 def test_brownian_duality_rejects_a_misshaped_integrand():
     noise = make_noise(n_steps=10, n_paths=100, seed=14)
     with pytest.raises(ValueError):
-        verify_duality_brownian(WienerIntegral(1.0), lambda i, _n: np.ones(99), noise)
+        verify_duality_brownian(WienerIntegral(1.0), lambda i, _b: np.ones(99), noise)
 
 
 @pytest.mark.parametrize("verifier", ["brownian", "jump"])
@@ -190,10 +192,10 @@ def _duality_results(n_paths, n_blocks):
     grid = build_time_grid(1.0, 50)
     noise_b = generate_noise(grid, EMPTY, n_paths=n_paths, seed=5, n_blocks=n_blocks)
     noise_j = generate_noise(grid, ONE_ATOM, n_paths=n_paths, seed=6, n_blocks=n_blocks)
-    levels = noise_b.brownian_levels
     return [
-        verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, _n: levels[:, i], noise_b),
-        verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0 + 0.1 * i, noise_j),
+        verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, b: b, noise_b),
+        verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, c: 1.0 + 0.1 * i + c[q],
+                            noise_j),
     ]
 
 
@@ -207,14 +209,14 @@ def test_duality_does_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
 
 def test_jump_duality_square_case():
     noise = make_noise(n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
-    res = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0, noise)
+    res = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _c: 1.0, noise)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs
 
 
 def test_jump_duality_isometry_case():
     noise = make_noise(n_steps=100, n_paths=50_000, seed=11, levy=ONE_ATOM)
-    res = verify_duality_jump(JumpIntegral(1.0), lambda i, q, _n: 1.0, noise)
+    res = verify_duality_jump(JumpIntegral(1.0), lambda i, q, _c: 1.0, noise)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs + 1e-12
 
@@ -228,7 +230,7 @@ def test_chunked_compensation_equals_the_whole_array():
     assert np.array_equal(f.evaluate(noise),
                           np.einsum("ms,mps->p", vals, noise.compensated_counts))
 
-    def phi(i, q, _n):
+    def phi(i, q, _c):
         return 1.0 + 0.1 * i - 0.2 * q
 
     f_vals = f.evaluate(noise)
@@ -236,46 +238,152 @@ def test_chunked_compensation_equals_the_whole_array():
     lhs = np.zeros(noise.n_paths)
     for q in range(2):
         for i in range(noise.n_steps):
-            lhs += phi(i, q, noise) * noise.compensated_counts[q, :, i]
+            lhs += phi(i, q, None) * noise.compensated_counts[q, :, i]
     lhs *= f_vals
     assert res.lhs == float(lhs.mean())
 
 
-def _brownian_and_counts_engine(noise, f):
-    """The jump-duality projection state before it followed the functional."""
-    return CondExpEngine(
-        FiltrationMode(mode="full"),
-        RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
+def _engine_duality_jump(f, phi, noise, variables):
+    """An earlier ``verify_duality_jump``: a ``CondExpEngine`` on the given
+    variables projects from the bundle's cached levels, and ``phi`` reads
+    the cached ``count_levels``."""
+    engine = CondExpEngine(
+        FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=variables),
         noise, cache_designs=False,
     )
+    n_paths = noise.n_paths
+    counts = noise.count_levels
+    f_vals = f.evaluate(noise)
+    w_t = time_quadrature_weights(noise.grid)
+    lhs_samples = np.zeros(n_paths)
+    rhs_samples = np.zeros(n_paths)
+    for q in range(noise.levy.n_atoms):
+        for i in range(noise.n_steps):
+            phi_i = np.broadcast_to(phi(i, q, counts[:, :, i]), (n_paths,))
+            lhs_samples += phi_i * noise.compensated_counts[q, :, i]
+            proj = engine.project(i, f.evaluate_with_jump(noise, i, q) - f_vals)
+            rhs_samples += phi_i * proj * noise.levy.weights[q] * w_t[i]
+    lhs_samples *= f_vals
+    return DualityResult(
+        name="jump", lhs=float(lhs_samples.mean()), rhs=float(rhs_samples.mean()),
+        se_lhs=float(lhs_samples.std(ddof=1) / np.sqrt(n_paths)),
+        se_rhs=float(rhs_samples.std(ddof=1) / np.sqrt(n_paths)),
+    )
+
+
+TWO_ATOMS = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
+
+
+@pytest.mark.parametrize("f, levy, variables", [
+    (JumpIntegral(1.0) ** 2, ONE_ATOM, ("jump_counts",)),
+    (JumpIntegral(1.0), ONE_ATOM, ("jump_counts",)),
+    (JumpIntegral(lambda t, e: e * (1.0 + t)) ** 2, TWO_ATOMS, ("jump_counts",)),
+    (WienerIntegral(1.0) * JumpIntegral(1.0), ONE_ATOM, ("brownian", "jump_counts")),
+], ids=["jump_square", "jump_isometry", "two_atoms", "mixed"])
+def test_streamed_jump_duality_matches_the_engine_on_cached_levels(f, levy, variables):
+    noise = make_noise(n_steps=40, n_paths=3000, seed=16, levy=levy)
+
+    def phi(i, q, c):
+        return 1.0 + 0.1 * i - 0.2 * q + 0.05 * c[q]
+
+    for integrand in (phi, lambda i, q, _c: 1.0):
+        got = verify_duality_jump(f, integrand, noise)
+        assert got == _engine_duality_jump(f, integrand, noise, variables)
+
+
+def _record_states(monkeypatch):
+    """The state rows of every design the verifiers build, copied per node."""
+    seen = []
+    build = Design.from_rows
+
+    def recording(rows, degree):
+        seen.append(np.array(rows))
+        return build(rows, degree)
+
+    monkeypatch.setattr(malliavin.Design, "from_rows", recording)
+    return seen
 
 
 @pytest.mark.parametrize("f", [JumpIntegral(1.0) ** 2, JumpIntegral(1.0)],
                          ids=["jump_square", "jump_isometry"])
 def test_jump_functional_regresses_on_counts_alone(f, monkeypatch):
-    from volterra_control import malliavin
-
     noise = make_noise(n_steps=20, n_paths=4000, seed=13, levy=ONE_ATOM)
-    assert malliavin._projection_engine(noise, f).regression.variables == ("jump_counts",)
-    counts_only = verify_duality_jump(f, lambda i, q, _n: 1.0, noise)
-    assert "brownian_levels" not in noise.__dict__
-    monkeypatch.setattr(malliavin, "_projection_engine", _brownian_and_counts_engine)
-    both = verify_duality_jump(f, lambda i, q, _n: 1.0, noise)
+    both = _engine_duality_jump(f, lambda i, q, _c: 1.0, noise, ("brownian", "jump_counts"))
+    seen = _record_states(monkeypatch)
+    counts_only = verify_duality_jump(f, lambda i, q, _c: 1.0, noise)
+    # one design per node after the trivial node 0, on N(t) alone
+    assert len(seen) == noise.n_steps - 1
+    for i, state in enumerate(seen, start=1):
+        assert np.array_equal(state, noise.count_levels[:, :, i])
     # E[D F | F_t] is a polynomial in N(t): the Brownian level adds nothing
     assert abs(counts_only.rhs - both.rhs) <= 1e-12 * abs(both.rhs)
     assert counts_only.lhs == both.lhs
 
 
-def test_mixed_functional_regresses_on_both_variables():
-    from volterra_control import malliavin
-
+def test_mixed_functional_regresses_on_both_variables(monkeypatch):
     noise = make_noise(n_steps=20, n_paths=64, seed=14, levy=ONE_ATOM)
-    mixed = WienerIntegral(1.0) * JumpIntegral(1.0)
-    assert malliavin._projection_engine(noise, mixed).regression.variables == (
-        "brownian", "jump_counts")
+    seen = _record_states(monkeypatch)
+    verify_duality_jump(WienerIntegral(1.0) * JumpIntegral(1.0), lambda i, q, _c: 1.0, noise)
+    assert len(seen) == noise.n_steps - 1
+    for i, state in enumerate(seen, start=1):
+        # B(t) first, then the counts
+        assert np.array_equal(state, np.vstack([noise.brownian_levels[:, i],
+                                                noise.count_levels[0, :, i]]))
     # without atoms the Brownian level is the whole state
-    assert malliavin._projection_engine(make_noise(20, 64), Const(1.0)).regression.variables == (
-        "brownian",)
+    seen.clear()
+    no_atoms = make_noise(20, 64)
+    verify_duality_brownian(Const(1.0), lambda i, _b: 1.0, no_atoms)
+    assert len(seen) == no_atoms.n_steps - 1
+    for i, state in enumerate(seen, start=1):
+        assert np.array_equal(state, no_atoms.brownian_levels[None, :, i])
+
+
+@pytest.mark.parametrize("stage, names", [
+    ("brownian_duality", ("brownian_square", "brownian_isometry")),
+    ("jump_duality", ("jump_square", "jump_isometry")),
+])
+def test_c7_stages_form_no_array_of_levels(stage, names, monkeypatch):
+    drawn = []
+
+    def draw_then_trace(*args, **kwargs):
+        drawn.append(generate_noise(*args, **kwargs))
+        # traced from here on: the bundle's own increments and counts are not counted
+        tracemalloc.start()
+        return drawn[-1]
+
+    monkeypatch.setattr(acceptance, "generate_noise", draw_then_trace)
+    n_paths = 20_000
+    try:
+        getattr(acceptance, stage)(names, n_paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (noise,) = drawn
+    # one float array of levels, (n_steps + 1, N), is 32 MB (Brownian) or 16 MB (jump)
+    levels_bytes = (noise.n_steps + 1) * n_paths * 8
+    assert peak < levels_bytes / 4
+    assert "brownian_levels" not in noise.__dict__
+    assert "count_levels" not in noise.__dict__
+
+
+def test_jump_derivative_reads_one_mark_per_node():
+    noise = make_noise(n_steps=100, n_paths=500, seed=17, levy=ONE_ATOM)
+    calls = []
+
+    def h(t, e):
+        calls.append((t, e))
+        return e * (1.0 + t)
+
+    f = JumpIntegral(h)
+    table = f._values(noise)
+    for node in (0, 37, 99):
+        assert np.array_equal(f.evaluate_with_jump(noise, node, 0),
+                              f.evaluate(noise) + table[0, node])
+    calls.clear()
+    verify_duality_jump(JumpIntegral(h) ** 2, lambda i, q, _c: 1.0, noise)
+    # the mark table once for the plain evaluation, then one mark per (node, atom)
+    n, m = noise.n_steps, noise.levy.n_atoms
+    assert len(calls) <= 2 * n * m
 
 
 # --------------------------------------------------------------------------- #

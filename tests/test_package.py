@@ -331,10 +331,8 @@ def test_path_major_bundle_gives_the_same_values():
         engine = CondExpEngine(*engine_spec, bundle)
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
                           None, bundle, engine)
-        levels = bundle.brownian_levels
-        brownian = verify_duality_brownian(WienerIntegral(1.0) ** 2,
-                                           lambda i, _n: levels[:, i], bundle)
-        jump = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _n: 1.0, bundle)
+        brownian = verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, b: b, bundle)
+        jump = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, c: 1.0, bundle)
         return [sweep, log_x, bsde.y, bsde.z, bsde.k,
                 np.array([brownian.lhs, brownian.rhs, jump.lhs, jump.rhs])]
 
