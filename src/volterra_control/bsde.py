@@ -19,6 +19,13 @@ block ``[y, y dB, y (count_q - w_q dt)]`` gives all of them; only ``y`` is
 evaluated back on the paths, and with a generator ``z_i`` and ``k_i`` are
 evaluated on the paths for its call and dropped.
 
+One backward recursion serves two consumers.  It holds the running value
+row, the step's targets and its design, and yields each step's value row
+and coefficients.  ``solve_bsde`` collects them into a :class:`BsdeSolution`;
+the utility cross-check (``recursive_utility_bsde``) keeps only the last
+row, ``Y(0)`` on the paths, so it holds one value row where the collector
+holds ``n + 1``.
+
 ``recursive_utility`` evaluates the log-consumption utility.  Its generator
 is linear in the value, so the integrating-factor representation
 
@@ -32,7 +39,7 @@ independent cross-check (``recursive_utility_bsde``), accurate to O(dt).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -81,8 +88,61 @@ class BsdeSolution:
 
     @property
     def y0_se(self) -> float:
-        n = self.y.shape[0]
-        return float(self.y[:, 0].std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return _mean_se(self.y[:, 0])[1]
+
+
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0.0 for one sample)."""
+    n = samples.shape[0]
+    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(samples.mean()), se
+
+
+def _backward_steps(
+    y_next: np.ndarray,
+    driver: Driver | None,
+    noise: NoiseBundle,
+    engine: CondExpEngine,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, float]]:
+    """The backward recursion from the terminal row ``y_next``, one step at a time.
+
+    Yields ``(i, y_i, z_i, k_i, r2_i)`` for ``i = n-1`` down to 0: the value
+    row on the paths, the coefficients ``(p,)`` of ``z_i`` and ``(m, p)`` of
+    ``k_i`` on node ``i``'s design, and the step's projection R².  Only the
+    running row, the ``(N, 2 + m)`` targets and the step's design are held.
+    ``y_i`` is the next step's running row: a consumer reads it and never
+    writes to it.
+    """
+    grid = noise.grid
+    n, dt = grid.n_steps, grid.dt
+    m = noise.levy.n_atoms
+    w_dt = noise.levy.weights * dt if m else None
+    # one solve per step: columns y, y dB and y (count_q - w_q dt); each
+    # step compensates its own counts, so no float copy of all counts is made
+    targets = np.empty((noise.n_paths, 2 + m), order="F")
+    x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
+
+    for i in range(n - 1, -1, -1):
+        targets[:, 0] = y_next
+        np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
+        for q in range(m):
+            np.subtract(noise.jump_counts[q, :, i], w_dt[q], out=targets[:, 2 + q])
+            targets[:, 2 + q] *= y_next
+        design = engine.design_at(i)
+        coef = design.coefficients(targets)  # (p, 2 + m)
+        z = coef[:, 1] / dt
+        k = coef[:, 2:].T / w_dt[:, None] if m else coef[:, 2:].T
+        y = design.evaluate(coef[:, 0])
+        var = float(np.var(y_next))
+        r2 = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y)) / var
+        if driver is not None:
+            # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
+            zk = np.concatenate([z[None], k]) @ design.phi
+            # the state row is made in the call, so it does not outlive it
+            g = driver(i, grid.nodes[i], x_row(i), y, zk[0], zk[1:] if m else None)
+            y += np.asarray(g, dtype=float) * dt
+        yield i, y, z, k, r2
+        y_next = y
 
 
 def solve_bsde(
@@ -99,55 +159,26 @@ def solve_bsde(
     engine's forward state at the step's node (``engine.x_paths.row(i)``),
     or None when the engine holds no state.
     """
-    grid = noise.grid
-    n, dt = grid.n_steps, grid.dt
+    n = noise.grid.n_steps
     n_paths = noise.n_paths
-    m = noise.levy.n_atoms
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape not in ((), (1,), (n_paths,)):
         raise ValidationError(
             f"terminal needs one value or {n_paths} per-path values, got shape {terminal.shape}"
         )
-    terminal = np.broadcast_to(terminal, (n_paths,)).copy()
-    if not np.all(np.isfinite(terminal)):
-        raise ValidationError("terminal values must be finite")
-
     y = np.empty((n + 1, n_paths))
-    z = np.zeros((n, engine.n_basis))
-    k = np.zeros((n, m, engine.n_basis))
-    r2 = np.zeros(n)
     y[n] = terminal
-    w_dt = noise.levy.weights * dt if m else None
-    # one solve per step: columns y, y dB and y (count_q - w_q dt); each
-    # step compensates its own counts, so no float copy of all counts is made
-    targets = np.empty((n_paths, 2 + m), order="F")
-    x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
-
-    for i in range(n - 1, -1, -1):
-        y_next = y[i + 1]
-        targets[:, 0] = y_next
-        np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
-        for q in range(m):
-            np.subtract(noise.jump_counts[q, :, i], w_dt[q], out=targets[:, 2 + q])
-            targets[:, 2 + q] *= y_next
-        design = engine.design_at(i)
-        coef = design.coefficients(targets)  # (p, 2 + m)
-        p = coef.shape[0]
-        z[i, :p] = coef[:, 1] / dt
-        if m:
-            k[i, :, :p] = coef[:, 2:].T / w_dt[:, None]
-        y_proj = design.evaluate(coef[:, 0])
-        if driver is not None:
-            # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
-            zk = np.concatenate([z[i, None, :p], k[i, :, :p]]) @ design.phi
-            # the state row is made in the call, so it does not outlive it
-            g = driver(i, grid.nodes[i], x_row(i), y_proj, zk[0], zk[1:] if m else None)
-            y[i] = y_proj + np.asarray(g, dtype=float) * dt
-        else:
-            y[i] = y_proj
-        var = float(np.var(y_next))
-        r2[i] = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y_proj)) / var
-    return BsdeSolution(t_nodes=grid.nodes.copy(), y=y.T, z=z, k=k, r_squared=r2)
+    if not np.all(np.isfinite(y[n])):
+        raise ValidationError("terminal values must be finite")
+    z = np.zeros((n, engine.n_basis))
+    k = np.zeros((n, noise.levy.n_atoms, engine.n_basis))
+    r2 = np.zeros(n)
+    for i, y_i, z_i, k_i, r2_i in _backward_steps(y[n], driver, noise, engine):
+        p = z_i.shape[0]
+        y[i], r2[i] = y_i, r2_i
+        z[i, :p] = z_i
+        k[i, :, :p] = k_i
+    return BsdeSolution(t_nodes=noise.grid.nodes.copy(), y=y.T, z=z, k=k, r_squared=r2)
 
 
 # --------------------------------------------------------------------------- #
@@ -199,10 +230,7 @@ def recursive_utility(
     Exact integrating-factor representation of the linear-generator backward
     equation; the state path is read only on ``[0, T)``.
     """
-    legs = _utility_legs(scenario, control, fwd)
-    n = legs.shape[0]
-    se = float(legs.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(legs.mean()), se
+    return _mean_se(_utility_legs(scenario, control, fwd))
 
 
 def recursive_utility_bsde(
@@ -232,5 +260,7 @@ def recursive_utility_bsde(
     # one projection per node: a cached design would never be read again
     engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd,
                            cache_designs=False)
-    sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
-    return sol.y0, sol.y0_se
+    # only Y(0) is read: keep the last value row, not the (n + 1, N) array
+    for _, y, _, _, _ in _backward_steps(np.zeros(noise.n_paths), gen, noise, engine):
+        pass
+    return _mean_se(y)

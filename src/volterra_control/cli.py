@@ -95,6 +95,8 @@ def load_config(path: str) -> ScenarioSpec:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: top-level JSON object expected")
     raw.setdefault("gamma_sign_convention", "discounting")
@@ -188,13 +190,22 @@ def _write_rows(report: RunReport, out_dir: Path, name: str, rows: list[dict]) -
         report.nan_values.append({"file": name, "row": i, "column": key})
 
 
+def _control_number(text: str) -> float:
+    """The number after the colon of ``constant:VALUE`` or ``theta_cstar:THETA``."""
+    value = text.split(":", 1)[1]
+    try:
+        return float(value)
+    except ValueError:
+        raise ValidationError(f"control {text!r}: {value!r} is not a number") from None
+
+
 def _parse_control(text: str, spec: ScenarioSpec) -> ControlFn:
     if text.startswith("constant:"):
-        return ControlFn.constant(float(text.split(":", 1)[1]), spec.grid)
+        return ControlFn.constant(_control_number(text), spec.grid)
     if text == "cstar":
         return ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
     if text.startswith("theta_cstar:"):
-        return ControlFn.theta_cstar(float(text.split(":", 1)[1]), spec.gamma, spec.convention)
+        return ControlFn.theta_cstar(_control_number(text), spec.gamma, spec.convention)
     raise ValidationError(
         f"unknown control {text!r}; use constant:VALUE, cstar or theta_cstar:THETA"
     )
@@ -205,8 +216,8 @@ def _parse_control(text: str, spec: ScenarioSpec) -> ControlFn:
 # --------------------------------------------------------------------------- #
 
 def _cmd_simulate_forward(spec, args, report, out_dir):
-    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
     control = _parse_control(args.control, spec)
+    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
     fwd = simulate_fsvie(spec, noise, control)
     _write_rows(report, out_dir, "forward_curve.csv", mean_quantile_rows(fwd))
     oracle = forward_mean_oracle(spec, control)
@@ -221,8 +232,8 @@ def _cmd_simulate_forward(spec, args, report, out_dir):
 
 
 def _cmd_evaluate_utility(spec, args, report, out_dir):
-    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
     control = _parse_control(args.control, spec)
+    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
     res = performance(spec, control, noise)
     rows = [{"j_mc": res.j, "j_se": res.se}]
     if spec.time_invariant:
@@ -341,6 +352,10 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     code = EXIT_OK
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
         spec = None
         if args.subcommand != "verify-duality":
             spec = load_config(args.config)
@@ -355,6 +370,8 @@ def run(argv=None) -> int:
             report.seed = spec.mc.seed
         else:
             report.seed = args.seed if args.seed is not None else 7
+            if report.seed < 0:
+                raise ValidationError(f"seed must be >= 0, got {report.seed}")
 
         handler = {
             "simulate-forward": lambda: _cmd_simulate_forward(spec, args, report, out_dir),

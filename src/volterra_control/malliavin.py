@@ -302,9 +302,12 @@ def _running_levels(noise: NoiseBundle, rows: slice, brownian: bool, counts: boo
             np.add(c, noise.jump_counts[:, rows, i], out=c)
 
 
-def _project(node: int, targets: np.ndarray, state: list[np.ndarray]):
-    """``E[targets | state]``: the column mean at node 0 (trivial information)."""
-    return targets.mean(axis=0) if node == 0 else Design.from_rows(state, 2).project(targets)
+def _projector(node: int, state: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """``E[. | state]`` at one node, from one design: the column mean at node 0
+    (trivial information)."""
+    if node == 0:
+        return lambda targets: targets.mean(axis=0)
+    return Design.from_rows(state, 2).project
 
 
 def verify_duality_brownian(
@@ -335,7 +338,7 @@ def verify_duality_brownian(
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(n_paths)
     for i, (b, c) in enumerate(_running_levels(noise, slice(None), True, True)):
-        proj = _project(i, f.d_brownian(i).evaluate(noise), ([b] if on_b else []) + list(c))
+        proj = _projector(i, ([b] if on_b else []) + list(c))(f.d_brownian(i).evaluate(noise))
         rhs_samples += proj * np.broadcast_to(psi(i, b), (n_paths,)) * w[i]
     lhs_samples = f.evaluate(noise) * integral
     lhs, se_lhs = _mean_se(lhs_samples)
@@ -368,8 +371,8 @@ def verify_duality_jump(
     def integrate(rows: slice) -> None:
         # the counts are compensated one step of one range at a time, never
         # as a whole float array
-        for q in range(m):
-            for i, (_, c) in enumerate(_running_levels(noise, rows, False, True)):
+        for i, (_, c) in enumerate(_running_levels(noise, rows, False, True)):
+            for q in range(m):
                 comp = np.subtract(noise.jump_counts[q, rows, i], w_dt[q], dtype=float)
                 lhs_samples[rows] += np.broadcast_to(phi(i, q, c), comp.shape) * comp
 
@@ -378,11 +381,12 @@ def verify_duality_jump(
     on_b = _holds_wiener(f)
     w_t = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(n_paths)
-    for q, w in enumerate(noise.levy.weights):
-        for i, (b, c) in enumerate(_running_levels(noise, slice(None), on_b, True)):
+    # node-major: each node's design is built once and serves every atom
+    for i, (b, c) in enumerate(_running_levels(noise, slice(None), on_b, True)):
+        project = _projector(i, ([b] if on_b else []) + list(c))
+        for q, w in enumerate(noise.levy.weights):
             # the jump derivative of f at (i, q), with f evaluated once above
-            d_vals = f.evaluate_with_jump(noise, i, q) - f_vals
-            proj = _project(i, d_vals, ([b] if on_b else []) + list(c))
+            proj = project(f.evaluate_with_jump(noise, i, q) - f_vals)
             rhs_samples += np.broadcast_to(phi(i, q, c), (n_paths,)) * proj * w * w_t[i]
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)

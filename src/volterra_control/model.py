@@ -336,6 +336,8 @@ class McSpec:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValidationError("n_paths must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_blocks < 1 or self.n_paths % self.n_blocks != 0:
             raise ValidationError(
                 f"n_blocks ({self.n_blocks}) must divide n_paths ({self.n_paths})"

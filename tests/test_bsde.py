@@ -398,3 +398,52 @@ def test_solve_bsde_holds_no_path_array_of_z_or_k():
         tracemalloc.stop()
     row = n_paths * 8
     assert peak <= sol.y.nbytes + (n // 2) * row
+
+
+def _utility_case(atoms, n_steps, n_paths, seed):
+    """c* on a time-invariant scenario, full information on X, and its
+    forward paths through node n - 1."""
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": n_steps},
+        "initial": 1.0,
+        "gamma": 1.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 0.2},
+        "levy": {"atoms": atoms},
+        "pi_kernels": [{"kind": "constant", "value": -0.1}] * len(atoms),
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": n_paths, "seed": seed, "n_blocks": 2},
+        "regression": {"degree": 2, "state": ["x"]},
+    })
+    noise = generate_noise(spec.grid, spec.levy, n_paths, seed, 2)
+    cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
+    fwd = simulate_fsvie(spec, noise, cstar, through_node=n_steps - 1)
+    return spec, noise, cstar, fwd
+
+
+@pytest.mark.parametrize("atoms", [[], [[-0.1, 2.0]]], ids=["no_jump", "jump"])
+def test_utility_cross_check_is_the_collected_solve_at_node_0(atoms):
+    spec, noise, cstar, fwd = _utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
+    c = cstar.values(spec.grid)
+    sign = -1.0  # the discounting convention
+
+    def gen(i, t, x, y, z, k):
+        return np.log(c[i] * x) + sign * spec.gamma[i] * y
+
+    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
+    sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
+    assert recursive_utility_bsde(spec, cstar, fwd, noise) == (sol.y0, sol.y0_se)
+
+
+def test_utility_cross_check_holds_one_value_row():
+    # the solve keeps the running value row, never the (n + 1, N) array
+    # of Y, which alone is 65 rows here
+    n, n_paths = 64, 20_000
+    spec, noise, cstar, fwd = _utility_case([[-0.1, 2.0]], n, n_paths, seed=22)
+    tracemalloc.start()
+    try:
+        recursive_utility_bsde(spec, cstar, fwd, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * n_paths * 8

@@ -147,6 +147,35 @@ def test_unknown_flag_exits_2(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", [
+    "config_seed", "seed_flag", "duality_seed", "constant_text", "theta_text",
+    "config_dir", "out_file",
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    if case == "out_file":
+        out.write_text("taken")
+    argv = {
+        "config_seed": ["run-acceptance", "--config",
+                        write_config(tmp_path, mc={"n_paths": 400, "seed": -4, "n_blocks": 8})],
+        "seed_flag": ["check-mp", "--config", str(CONFIG), "--seed", "-1"],
+        "duality_seed": ["verify-duality", "--seed", "-1", "--paths", "400"],
+        "constant_text": ["simulate-forward", "--config", str(CONFIG), "--control", "constant:abc"],
+        "theta_text": ["evaluate-utility", "--config", str(CONFIG),
+                       "--control", "theta_cstar:abc"],
+        "config_dir": ["solve-bsvie", "--config", str(tmp_path)],
+        "out_file": ["optimal-consumption", "--config", str(CONFIG)],
+    }[case] + ["--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    if case != "out_file":
+        assert json.loads((out / "report.json").read_text())["error"]
+    else:
+        assert out.read_text() == "taken"
+
+
 def test_verify_duality_small(tmp_path):
     out = tmp_path / "out"
     code = run(["verify-duality", "--paths", "40000", "--seed", "7", "--out", str(out)])

@@ -246,7 +246,8 @@ def test_chunked_compensation_equals_the_whole_array():
 def _engine_duality_jump(f, phi, noise, variables):
     """An earlier ``verify_duality_jump``: a ``CondExpEngine`` on the given
     variables projects from the bundle's cached levels, and ``phi`` reads
-    the cached ``count_levels``."""
+    the cached ``count_levels``.  Both sides sum node by node, the atoms
+    inside each node, as the verifier does."""
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=variables),
         noise, cache_designs=False,
@@ -257,8 +258,8 @@ def _engine_duality_jump(f, phi, noise, variables):
     w_t = time_quadrature_weights(noise.grid)
     lhs_samples = np.zeros(n_paths)
     rhs_samples = np.zeros(n_paths)
-    for q in range(noise.levy.n_atoms):
-        for i in range(noise.n_steps):
+    for i in range(noise.n_steps):
+        for q in range(noise.levy.n_atoms):
             phi_i = np.broadcast_to(phi(i, q, counts[:, :, i]), (n_paths,))
             lhs_samples += phi_i * noise.compensated_counts[q, :, i]
             proj = engine.project(i, f.evaluate_with_jump(noise, i, q) - f_vals)
@@ -280,15 +281,20 @@ TWO_ATOMS = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
     (JumpIntegral(lambda t, e: e * (1.0 + t)) ** 2, TWO_ATOMS, ("jump_counts",)),
     (WienerIntegral(1.0) * JumpIntegral(1.0), ONE_ATOM, ("brownian", "jump_counts")),
 ], ids=["jump_square", "jump_isometry", "two_atoms", "mixed"])
-def test_streamed_jump_duality_matches_the_engine_on_cached_levels(f, levy, variables):
+def test_streamed_jump_duality_matches_the_engine_on_cached_levels(
+    f, levy, variables, monkeypatch
+):
     noise = make_noise(n_steps=40, n_paths=3000, seed=16, levy=levy)
 
     def phi(i, q, c):
         return 1.0 + 0.1 * i - 0.2 * q + 0.05 * c[q]
 
-    for integrand in (phi, lambda i, q, _c: 1.0):
-        got = verify_duality_jump(f, integrand, noise)
-        assert got == _engine_duality_jump(f, integrand, noise, variables)
+    integrands = (phi, lambda i, q, _c: 1.0)
+    wanted = [_engine_duality_jump(f, g, noise, variables) for g in integrands]
+    seen = _record_states(monkeypatch)
+    assert [verify_duality_jump(f, g, noise) for g in integrands] == wanted
+    # one design per node after the trivial node 0, shared by every atom
+    assert len(seen) == len(integrands) * (noise.n_steps - 1)
 
 
 def _record_states(monkeypatch):
