@@ -12,16 +12,21 @@ products and integer powers.  Both derivative operators act on a tree:
   re-evaluated with one extra jump inserted, minus the plain evaluation.
 
 The duality checkers estimate both sides of the integration-by-parts
-identities on the same noise:
+identities on the same noise.  Their integrands are adapted by signature
+(``psi(step, b)`` and ``phi(step, atom, c)`` read only the levels at
+``t_step``), so by the tower property the conditional expectations drop out
+of the right-hand sides:
 
-    E[ F int Psi dB ]        = E[ int E[D_t F | F_t] Psi(t) dt ]
-    E[ F int int Phi dN~ ]   = E[ int int Phi(t,e) E[D_{t,e} F | F_t] nu(de) dt ]
+    E[ F int Psi dB ]      = E[ int E[D_t F | F_t] Psi(t) dt ]
+                           = E[ int D_t F Psi(t) dt ]
+    E[ F int int Phi dN~ ] = E[ int int Phi(t,e) E[D_{t,e} F | F_t] nu(de) dt ]
+                           = E[ int int Phi(t,e) D_{t,e} F nu(de) dt ]
 
-with the conditional projections regressed on running level rows (no
-bundle forms its array of levels).  The projection state follows the
-functional: the jump counts up to ``t`` when the noise has jump atoms, and
-``B(t)`` when its tree holds a Wiener integral, so a pure jump functional
-regresses on the counts alone.
+Each right-hand side is the mean of its unprojected per-path samples, with
+their standard error.  No projection is needed: a regression on the state
+would leave the mean unchanged and report a standard error below the
+estimator's own.  Both sides read the levels as running rows, so no bundle
+forms its array of levels.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import Design
 from .model import ValidationError, time_quadrature_weights
 from .paths import NoiseBundle, _path_chunks, _run_path_ranges
 
@@ -280,34 +284,15 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n))
 
 
-def _holds_wiener(f: Functional) -> bool:
-    """Whether a ``WienerIntegral`` occurs anywhere in the tree of ``f``."""
-    if isinstance(f, WienerIntegral):
-        return True
-    return any(_holds_wiener(v) for v in vars(f).values() if isinstance(v, Functional))
-
-
-def _running_levels(noise: NoiseBundle, rows: slice, brownian: bool, counts: bool):
-    """Yield ``B(t_i)`` and ``N(t_i)`` ``(m, len)`` of the paths ``rows`` at nodes
-    ``0 .. n - 1`` (``None`` unless asked for), each one running row advanced by
-    the ``np.add`` that sums the bundle's cached levels, so bit for bit theirs."""
-    size = len(range(noise.n_paths)[rows])
-    b = np.zeros(size) if brownian else None
-    c = np.zeros((noise.levy.n_atoms, size)) if counts else None
-    for i in range(noise.n_steps):
-        yield b, c
-        if brownian:
-            np.add(b, noise.d_brownian[rows, i], out=b)
-        if counts:
-            np.add(c, noise.jump_counts[:, rows, i], out=c)
-
-
-def _projector(node: int, state: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """``E[. | state]`` at one node, from one design: the column mean at node 0
-    (trivial information)."""
-    if node == 0:
-        return lambda targets: targets.mean(axis=0)
-    return Design.from_rows(state, 2).project
+def _running_levels(increments: np.ndarray):
+    """Yield the levels ``increments[..., :i].sum(-1)`` at nodes ``0 .. n - 1``:
+    ``B(t_i)`` from ``d_brownian[rows]``, ``N(t_i)`` ``(m, len)`` from
+    ``jump_counts[:, rows]``.  Each is one running row advanced by the
+    ``np.add`` that sums the bundle's cached levels, so bit for bit theirs."""
+    level = np.zeros(increments.shape[:-1])
+    for i in range(increments.shape[-1]):
+        yield level
+        np.add(level, increments[..., i], out=level)
 
 
 def verify_duality_brownian(
@@ -322,7 +307,7 @@ def verify_duality_brownian(
     ``b = B(t_step)`` of the paths at hand (a running row: do not keep it).
     It is called more than once per node (once for the right-hand side, once
     per range of paths for the left-hand side) and from worker threads, so it
-    must be pure.
+    must be pure.  The right-hand side averages ``sum_i w_i D_i F psi_i``.
     """
     n_paths = noise.n_paths
     # psi is read one node at a time, for both sides, and never stored whole;
@@ -330,16 +315,15 @@ def verify_duality_brownian(
     integral = np.zeros(n_paths)
 
     def integrate(rows: slice) -> None:
-        for i, (b, _) in enumerate(_running_levels(noise, rows, True, False)):
+        for i, b in enumerate(_running_levels(noise.d_brownian[rows])):
             integral[rows] += np.broadcast_to(psi(i, b), b.shape) * noise.d_brownian[rows, i]
 
     _run_path_ranges(integrate, n_paths)
-    on_b = noise.levy.n_atoms == 0 or _holds_wiener(f)
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(n_paths)
-    for i, (b, c) in enumerate(_running_levels(noise, slice(None), True, True)):
-        proj = _projector(i, ([b] if on_b else []) + list(c))(f.d_brownian(i).evaluate(noise))
-        rhs_samples += proj * np.broadcast_to(psi(i, b), (n_paths,)) * w[i]
+    for i, b in enumerate(_running_levels(noise.d_brownian)):
+        d_f = f.d_brownian(i).evaluate(noise)
+        rhs_samples += d_f * np.broadcast_to(psi(i, b), (n_paths,)) * w[i]
     lhs_samples = f.evaluate(noise) * integral
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
@@ -358,7 +342,8 @@ def verify_duality_jump(
     left node from the counts ``c = N(t_step)`` ``(m, len)`` of the paths at
     hand (a running array: do not keep it).  It is called more than once per
     (node, atom) (once for the right-hand side, once per range of paths for
-    the left-hand side) and from worker threads, so it must be pure.
+    the left-hand side) and from worker threads, so it must be pure.  The
+    right-hand side averages ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.
     """
     if noise.levy.n_atoms == 0:
         raise ValidationError("jump duality needs at least one atom")
@@ -371,23 +356,20 @@ def verify_duality_jump(
     def integrate(rows: slice) -> None:
         # the counts are compensated one step of one range at a time, never
         # as a whole float array
-        for i, (_, c) in enumerate(_running_levels(noise, rows, False, True)):
+        for i, c in enumerate(_running_levels(noise.jump_counts[:, rows])):
             for q in range(m):
                 comp = np.subtract(noise.jump_counts[q, rows, i], w_dt[q], dtype=float)
                 lhs_samples[rows] += np.broadcast_to(phi(i, q, c), comp.shape) * comp
 
     _run_path_ranges(integrate, n_paths)
     lhs_samples *= f_vals
-    on_b = _holds_wiener(f)
     w_t = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(n_paths)
-    # node-major: each node's design is built once and serves every atom
-    for i, (b, c) in enumerate(_running_levels(noise, slice(None), on_b, True)):
-        project = _projector(i, ([b] if on_b else []) + list(c))
+    for i, c in enumerate(_running_levels(noise.jump_counts)):
         for q, w in enumerate(noise.levy.weights):
             # the jump derivative of f at (i, q), with f evaluated once above
-            proj = project(f.evaluate_with_jump(noise, i, q) - f_vals)
-            rhs_samples += np.broadcast_to(phi(i, q, c), (n_paths,)) * proj * w * w_t[i]
+            d_f = f.evaluate_with_jump(noise, i, q) - f_vals
+            rhs_samples += np.broadcast_to(phi(i, q, c), (n_paths,)) * d_f * w * w_t[i]
     lhs, se_lhs = _mean_se(lhs_samples)
     rhs, se_rhs = _mean_se(rhs_samples)
     return DualityResult(name=name, lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs)

@@ -47,6 +47,14 @@ class KernelDomainError(ValidationError):
     """Kernel evaluated outside the triangle ``0 <= s <= t`` (or off-grid)."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; strings, bools and non-integral numbers are rejected."""
+    numeric = isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)
+    if not numeric or value % 1:  # nan and inf leave a nan remainder
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # --------------------------------------------------------------------------- #
 # Time grid
 # --------------------------------------------------------------------------- #
@@ -61,9 +69,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if int(self.n_steps) != self.n_steps or self.n_steps < 2:
+        object.__setattr__(self, "n_steps", _integer("n_steps", self.n_steps))
+        if self.n_steps < 2:
             raise ValidationError(f"n_steps must be an integer >= 2, got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -190,9 +198,6 @@ class Kernel:
             return self.value
         if self.kind == "exp_decay":
             return self.amplitude * float(np.exp(-self.rate * (t - s)))
-        # table: both arguments must sit on the table's grid
-        if self.table_n <= 0:
-            raise KernelDomainError("table kernel has no grid attached")
         raise KernelDomainError(
             "table kernels are evaluated through at_nodes(); scalar off-grid "
             "queries are not defined"
@@ -481,18 +486,13 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
                 )
 
         filt_raw = raw.get("filtration", {})
-        filtration = FiltrationMode(
-            mode=filt_raw.get("mode", "full"), delay=float(filt_raw.get("delay", 0.0))
-        )
+        filtration = FiltrationMode(filt_raw.get("mode", "full"), float(filt_raw.get("delay", 0.0)))
         mc_raw = raw.get("mc", {})
-        mc = McSpec(
-            n_paths=int(mc_raw.get("n_paths", 100_000)),
-            seed=int(mc_raw.get("seed", 42)),
-            n_blocks=int(mc_raw.get("n_blocks", 8)),
-        )
+        mc = McSpec(**{k: _integer(f"mc.{k}", v) for k, v in mc_raw.items()
+                       if k in ("n_paths", "seed", "n_blocks")})
         reg_raw = raw.get("regression", {})
         regression = RegressionSpec(
-            degree=int(reg_raw.get("degree", 2)),
+            degree=_integer("regression.degree", reg_raw.get("degree", 2)),
             variables=tuple(reg_raw.get("state", ("x",))),
         )
         initial = raw.get("initial")

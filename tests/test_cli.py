@@ -176,6 +176,29 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert out.read_text() == "taken"
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("mc", "seed", "abc"),
+    ("mc", "seed", "7"),
+    ("mc", "seed", 1.5),
+    ("mc", "n_paths", True),
+    ("mc", "n_paths", 2.9),
+    ("mc", "n_blocks", math.nan),
+    ("grid", "n_steps", "ten"),
+    ("grid", "n_steps", math.inf),
+    ("regression", "degree", 2.5),
+])
+def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, section, key, value):
+    raw = json.loads(CONFIG.read_text())
+    raw[section][key] = value
+    out = tmp_path / "out"
+    assert run(["optimal-consumption", "--config", write_config(tmp_path, **raw),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # the message names the field and the value as written
+    assert key in err and repr(value) in err
+
+
 def test_verify_duality_small(tmp_path):
     out = tmp_path / "out"
     code = run(["verify-duality", "--paths", "40000", "--seed", "7", "--out", str(out)])
