@@ -321,50 +321,55 @@ def check_contraction() -> list[CheckResult]:
 def brownian_duality(
     names: tuple[str, ...], n_paths: int = 200_000, seed: int = 7
 ) -> list[DualityResult]:
-    """Draw the C7 Brownian bundle, check the named identities on it, release it.
+    """Check the named identities on the C7 Brownian noise, streamed once.
 
-    The bundle has 200 steps.  ``names`` picks from ``brownian_square``
+    The noise has 200 steps.  ``names`` picks from ``brownian_square``
     (``F = B(T)^2``, ``psi = B``) and ``brownian_isometry`` (``F = B(T)``,
     ``psi = 1``).  The square pairing runs on this finer grid because its
     left-hand side (a discrete stochastic integral against the path level)
     carries an O(dt) bias of size dt that must stay inside the 3-SE band.
+    Each block of the noise is drawn once for all the named identities and
+    dropped after its pass, so the memory grows with ``n_paths`` only.
     """
-    no_jumps = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
-    noise = generate_noise(build_time_grid(1.0, 200), no_jumps, n_paths=n_paths,
-                           seed=seed, n_blocks=math.gcd(n_paths, 8))
     identities = {
         "brownian_square": (WienerIntegral(1.0) ** 2, lambda i, b: b),
         "brownian_isometry": (WienerIntegral(1.0), lambda i, b: 1.0),
     }
-    return [verify_duality_brownian(*identities[name], noise, name=name) for name in names]
+    no_jumps = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+    return verify_duality_brownian(
+        [(name, *identities[name]) for name in names], build_time_grid(1.0, 200), no_jumps,
+        n_paths, seed, math.gcd(n_paths, 8),
+    )
 
 
 def jump_duality(
     names: tuple[str, ...], n_paths: int = 200_000, seed: int = 8
 ) -> list[DualityResult]:
-    """Draw the C7 jump bundle, check the named identities on it, release it.
+    """Check the named identities on the C7 jump noise, streamed once.
 
-    The bundle has 100 steps and one atom (size 1, weight 2); C7 draws it at
-    seed 8, one past the Brownian bundle's.  ``names`` picks from
+    The noise has 100 steps and one atom (size 1, weight 2); C7 draws it at
+    seed 8, one past the Brownian noise's.  ``names`` picks from
     ``jump_square`` (``F = N~(T)^2``) and ``jump_isometry`` (``F = N~(T)``),
-    both with the unit integrand.
+    both with the unit integrand.  As in :func:`brownian_duality`, each block
+    is drawn once for all the named identities.
     """
-    one_atom = LevyMeasure(sizes=np.array([1.0]), weights=np.array([2.0]))
-    noise = generate_noise(build_time_grid(1.0, 100), one_atom, n_paths=n_paths,
-                           seed=seed, n_blocks=math.gcd(n_paths, 8))
     identities = {
         "jump_square": JumpIntegral(1.0) ** 2,
         "jump_isometry": JumpIntegral(1.0),
     }
-    return [verify_duality_jump(identities[name], lambda i, q, c: 1.0, noise, name=name)
-            for name in names]
+    one_atom = LevyMeasure(sizes=np.array([1.0]), weights=np.array([2.0]))
+    return verify_duality_jump(
+        [(name, identities[name], lambda i, q, c: 1.0) for name in names],
+        build_time_grid(1.0, 100), one_atom, n_paths, seed, math.gcd(n_paths, 8),
+    )
 
 
 def check_duality(n_paths: int = 200_000) -> list[CheckResult]:
     """C7: both sides of the two integration-by-parts identities.
 
-    Each bundle is drawn at its default seed, checked and released before
-    the next one is drawn.
+    Each noise is streamed at its default seed, one block at a time, so
+    neither is ever held whole: the stage's memory grows with ``n_paths``,
+    not ``n_steps x n_paths``.
     """
     (res_b,) = brownian_duality(("brownian_square",), n_paths)
     (res_j,) = jump_duality(("jump_square",), n_paths)

@@ -87,7 +87,8 @@ class RunReport:
 # --------------------------------------------------------------------------- #
 
 def load_config(path: str) -> ScenarioSpec:
-    """Parse and validate a JSON scenario file, filling defaults."""
+    """Parse and validate a JSON scenario file; ``validate_scenario`` fills
+    the defaults."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {path}")
@@ -99,11 +100,6 @@ def load_config(path: str) -> ScenarioSpec:
         raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: top-level JSON object expected")
-    raw.setdefault("gamma_sign_convention", "discounting")
-    raw.setdefault("mc", {})
-    raw["mc"].setdefault("n_blocks", 8)
-    raw.setdefault("regression", {})
-    raw["regression"].setdefault("degree", 2)
     return validate_scenario(raw)
 
 
@@ -297,7 +293,8 @@ def _cmd_check_mp(spec, args, report, out_dir):
 
 
 def _cmd_verify_duality(args, report, out_dir):
-    # one bundle at a time: each is released before the next one is drawn
+    # each noise is streamed one block at a time, drawn once for both of its
+    # identities; memory grows with the path count, not steps x paths
     n_paths = 200_000 if args.paths is None else args.paths
     results = (
         acc.brownian_duality(("brownian_square", "brownian_isometry"), n_paths, report.seed)

@@ -25,8 +25,14 @@ of the right-hand sides:
 Each right-hand side is the mean of its unprojected per-path samples, with
 their standard error.  No projection is needed: a regression on the state
 would leave the mean unchanged and report a standard error below the
-estimator's own.  Both sides read the levels as running rows, so no bundle
-forms its array of levels.
+estimator's own.
+
+Every sample is per path, so the checkers never form the noise: they stream
+it from the generator one block at a time (``paths.stream_noise``), run one
+pass per block for all the identities they are given, with both sides
+reading the levels as running rows, and keep only each identity's ``(N,)``
+sample rows.  Their memory grows with ``n_paths``, not ``n_steps x
+n_paths``: one block per worker plus the sample rows.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ValidationError, time_quadrature_weights
-from .paths import NoiseBundle, _path_chunks, _run_path_ranges
+from .model import LevyMeasure, TimeGrid, ValidationError, time_quadrature_weights
+from .paths import NoiseBundle, _path_chunks, stream_noise
 
 __all__ = [
     "Functional",
@@ -109,7 +115,7 @@ class WienerIntegral(Functional):
 
     def __init__(self, f: Callable[[float], float] | np.ndarray | float = 1.0):
         self.f = f
-        self._memo: tuple[weakref.ref, np.ndarray] | None = None
+        self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _values(self, noise: NoiseBundle) -> np.ndarray:
         t = noise.grid.nodes[:-1]
@@ -123,13 +129,13 @@ class WienerIntegral(Functional):
         return vals
 
     def evaluate(self, noise):
-        # one-slot memo: derivative trees re-evaluate the same primitive at
-        # every node of a duality sweep.  It is keyed on the bundle through a
-        # weak reference, because a later bundle can reuse a freed one's id().
-        if self._memo is not None and self._memo[0]() is noise:
-            return self._memo[1]
-        vals = noise.d_brownian @ self._values(noise)
-        self._memo = (weakref.ref(noise), vals)
+        # memo per bundle: derivative trees re-evaluate the same primitive at
+        # every node of a duality pass, and workers pass different blocks at
+        # once.  Its keys are weak, so an entry dies with its bundle and a
+        # later bundle that reuses a freed one's id() is never served it.
+        vals = self._memo.get(noise)
+        if vals is None:
+            vals = self._memo[noise] = noise.d_brownian @ self._values(noise)
         return vals
 
     def evaluate_with_jump(self, noise, node, atom):
@@ -165,7 +171,7 @@ class JumpIntegral(Functional):
 
     def __init__(self, h: Callable[[float, float], float] | float = 1.0):
         self.h = h
-        self._memo: tuple[weakref.ref, np.ndarray] | None = None
+        self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _mark(self, noise: NoiseBundle, node: int, atom: int) -> float:
         h = self.h
@@ -178,15 +184,15 @@ class JumpIntegral(Functional):
     def evaluate(self, noise):
         if noise.levy.n_atoms == 0:
             return np.zeros(noise.n_paths)
-        if self._memo is not None and self._memo[0]() is noise:
-            return self._memo[1]
-        vals = self._values(noise)
-        # compensated one chunk of paths at a time: the bundle never holds a
-        # float copy of its counts
-        out = np.empty(noise.n_paths)
-        for rows in _path_chunks(0, noise.n_paths):
-            out[rows] = np.einsum("ms,mps->p", vals, noise.compensated_rows(rows))
-        self._memo = (weakref.ref(noise), out)
+        out = self._memo.get(noise)
+        if out is None:
+            vals = self._values(noise)
+            # compensated one chunk of paths at a time: the bundle never holds
+            # a float copy of its counts
+            out = np.empty(noise.n_paths)
+            for rows in _path_chunks(0, noise.n_paths):
+                out[rows] = np.einsum("ms,mps->p", vals, noise.compensated_rows(rows))
+            self._memo[noise] = out
         return out
 
     def evaluate_with_jump(self, noise, node, atom):
@@ -278,101 +284,127 @@ class DualityResult:
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    n = samples.shape[0]
-    if n < 2:
-        raise ValidationError("duality needs n_paths >= 2 for a standard error")
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n))
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.shape[0]))
 
 
 def _running_levels(increments: np.ndarray):
     """Yield the levels ``increments[..., :i].sum(-1)`` at nodes ``0 .. n - 1``:
-    ``B(t_i)`` from ``d_brownian[rows]``, ``N(t_i)`` ``(m, len)`` from
-    ``jump_counts[:, rows]``.  Each is one running row advanced by the
-    ``np.add`` that sums the bundle's cached levels, so bit for bit theirs."""
+    ``B(t_i)`` from ``d_brownian``, ``N(t_i)`` ``(m, len)`` from
+    ``jump_counts``.  Each is one running row advanced by the ``np.add`` that
+    sums the bundle's cached levels, so bit for bit theirs."""
     level = np.zeros(increments.shape[:-1])
     for i in range(increments.shape[-1]):
         yield level
         np.add(level, increments[..., i], out=level)
 
 
+# One identity: its name, the functional F and the adapted integrand.
+Identity = tuple[str, Functional, Callable[..., np.ndarray]]
+
+
+def _stream_duality(block_pass, identities: list[Identity], grid: TimeGrid,
+                    levy: LevyMeasure, n_paths: int, seed: int,
+                    n_blocks: int) -> list[DualityResult]:
+    """Run ``block_pass(identities, block, lhs, rhs)`` on each block of the
+    stream, then reduce each identity's ``(N,)`` sample rows once.
+
+    ``lhs`` and ``rhs`` are the block's columns of the ``(k, N)`` sample
+    arrays, one row per identity; the pass fills them.
+    """
+    if n_paths < 2:
+        raise ValidationError(f"duality needs n_paths >= 2 for a standard error, got {n_paths}")
+    lhs = np.empty((len(identities), n_paths))
+    rhs = np.empty((len(identities), n_paths))
+    stream_noise(grid, levy, n_paths, seed, n_blocks,
+                 lambda rows, block: block_pass(identities, block, lhs[:, rows], rhs[:, rows]))
+    results = []
+    for j, (name, _, _) in enumerate(identities):
+        (lhs_mean, se_lhs), (rhs_mean, se_rhs) = _mean_se(lhs[j]), _mean_se(rhs[j])
+        results.append(DualityResult(name=name, lhs=lhs_mean, rhs=rhs_mean,
+                                     se_lhs=se_lhs, se_rhs=se_rhs))
+    return results
+
+
+def _brownian_pass(identities: list[Identity], noise: NoiseBundle,
+                   lhs: np.ndarray, rhs: np.ndarray) -> None:
+    d_b = noise.d_brownian
+    w = time_quadrature_weights(noise.grid)
+    integrals = np.zeros(lhs.shape)
+    rhs[:] = 0.0
+    for i, b in enumerate(_running_levels(d_b)):
+        for j, (_, f, psi) in enumerate(identities):
+            psi_i = np.broadcast_to(psi(i, b), b.shape)
+            integrals[j] += psi_i * d_b[:, i]
+            rhs[j] += f.d_brownian(i).evaluate(noise) * psi_i * w[i]
+    for j, (_, f, _) in enumerate(identities):
+        np.multiply(f.evaluate(noise), integrals[j], out=lhs[j])
+
+
 def verify_duality_brownian(
-    f: Functional,
-    psi: Callable[[int, np.ndarray], np.ndarray],
-    noise: NoiseBundle,
-    name: str = "brownian",
-) -> DualityResult:
-    """Both sides of the Brownian integration-by-parts identity on one noise.
+    identities: list[Identity],
+    grid: TimeGrid,
+    levy: LevyMeasure,
+    n_paths: int,
+    seed: int,
+    n_blocks: int,
+) -> list[DualityResult]:
+    """Both sides of the Brownian integration-by-parts identity for each of
+    ``identities`` ``(name, F, psi)``, on the noise ``generate_noise`` draws
+    with the same arguments, streamed one block at a time.
 
     ``psi(step, b)`` returns the adapted integrand at the left node from
-    ``b = B(t_step)`` of the paths at hand (a running row: do not keep it).
-    It is called more than once per node (once for the right-hand side, once
-    per range of paths for the left-hand side) and from worker threads, so it
-    must be pure.  The right-hand side averages ``sum_i w_i D_i F psi_i``.
+    ``b = B(t_step)`` of the block's paths (a running row: do not keep it).
+    It is called once per node per block, from worker threads, so it must be
+    pure.  The right-hand side averages ``sum_i w_i D_i F psi_i``.
     """
-    n_paths = noise.n_paths
-    # psi is read one node at a time, for both sides, and never stored whole;
-    # the stochastic integral runs on one range of paths per CPU
-    integral = np.zeros(n_paths)
+    return _stream_duality(_brownian_pass, identities, grid, levy, n_paths, seed, n_blocks)
 
-    def integrate(rows: slice) -> None:
-        for i, b in enumerate(_running_levels(noise.d_brownian[rows])):
-            integral[rows] += np.broadcast_to(psi(i, b), b.shape) * noise.d_brownian[rows, i]
 
-    _run_path_ranges(integrate, n_paths)
-    w = time_quadrature_weights(noise.grid)
-    rhs_samples = np.zeros(n_paths)
-    for i, b in enumerate(_running_levels(noise.d_brownian)):
-        d_f = f.d_brownian(i).evaluate(noise)
-        rhs_samples += d_f * np.broadcast_to(psi(i, b), (n_paths,)) * w[i]
-    lhs_samples = f.evaluate(noise) * integral
-    lhs, se_lhs = _mean_se(lhs_samples)
-    rhs, se_rhs = _mean_se(rhs_samples)
-    return DualityResult(name=name, lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs)
+def _jump_pass(identities: list[Identity], noise: NoiseBundle,
+               lhs: np.ndarray, rhs: np.ndarray) -> None:
+    counts = noise.jump_counts
+    weights = noise.levy.weights
+    w_dt = weights * noise.grid.dt
+    w_t = time_quadrature_weights(noise.grid)
+    f_vals = [f.evaluate(noise) for _, f, _ in identities]
+    lhs[:] = 0.0
+    rhs[:] = 0.0
+    for i, c in enumerate(_running_levels(counts)):
+        for q in range(noise.levy.n_atoms):
+            # the counts are compensated one step at a time, never as a
+            # whole float array
+            comp = np.subtract(counts[q, :, i], w_dt[q], dtype=float)
+            for j, (_, f, phi) in enumerate(identities):
+                phi_iq = np.broadcast_to(phi(i, q, c), comp.shape)
+                lhs[j] += phi_iq * comp
+                # the jump derivative of f at (i, q), with f evaluated once above
+                d_f = f.evaluate_with_jump(noise, i, q) - f_vals[j]
+                rhs[j] += phi_iq * d_f * weights[q] * w_t[i]
+    for j, f_val in enumerate(f_vals):
+        lhs[j] *= f_val
 
 
 def verify_duality_jump(
-    f: Functional,
-    phi: Callable[[int, int, np.ndarray], np.ndarray],
-    noise: NoiseBundle,
-    name: str = "jump",
-) -> DualityResult:
-    """Both sides of the jump integration-by-parts identity on one noise.
+    identities: list[Identity],
+    grid: TimeGrid,
+    levy: LevyMeasure,
+    n_paths: int,
+    seed: int,
+    n_blocks: int,
+) -> list[DualityResult]:
+    """Both sides of the jump integration-by-parts identity for each of
+    ``identities`` ``(name, F, phi)``, on the noise ``generate_noise`` draws
+    with the same arguments, streamed one block at a time.
 
     ``phi(step, atom, c)`` returns the adapted two-argument integrand at the
-    left node from the counts ``c = N(t_step)`` ``(m, len)`` of the paths at
-    hand (a running array: do not keep it).  It is called more than once per
-    (node, atom) (once for the right-hand side, once per range of paths for
-    the left-hand side) and from worker threads, so it must be pure.  The
+    left node from the counts ``c = N(t_step)`` ``(m, len)`` of the block's
+    paths (a running array: do not keep it).  It is called once per (node,
+    atom) per block, from worker threads, so it must be pure.  The
     right-hand side averages ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.
     """
-    if noise.levy.n_atoms == 0:
+    if levy.n_atoms == 0:
         raise ValidationError("jump duality needs at least one atom")
-    m = noise.levy.n_atoms
-    n_paths = noise.n_paths
-    f_vals = f.evaluate(noise)
-    w_dt = noise.levy.weights * noise.grid.dt
-    lhs_samples = np.zeros(n_paths)
-
-    def integrate(rows: slice) -> None:
-        # the counts are compensated one step of one range at a time, never
-        # as a whole float array
-        for i, c in enumerate(_running_levels(noise.jump_counts[:, rows])):
-            for q in range(m):
-                comp = np.subtract(noise.jump_counts[q, rows, i], w_dt[q], dtype=float)
-                lhs_samples[rows] += np.broadcast_to(phi(i, q, c), comp.shape) * comp
-
-    _run_path_ranges(integrate, n_paths)
-    lhs_samples *= f_vals
-    w_t = time_quadrature_weights(noise.grid)
-    rhs_samples = np.zeros(n_paths)
-    for i, c in enumerate(_running_levels(noise.jump_counts)):
-        for q, w in enumerate(noise.levy.weights):
-            # the jump derivative of f at (i, q), with f evaluated once above
-            d_f = f.evaluate_with_jump(noise, i, q) - f_vals
-            rhs_samples += np.broadcast_to(phi(i, q, c), (n_paths,)) * d_f * w * w_t[i]
-    lhs, se_lhs = _mean_se(lhs_samples)
-    rhs, se_rhs = _mean_se(rhs_samples)
-    return DualityResult(name=name, lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs)
+    return _stream_duality(_jump_pass, identities, grid, levy, n_paths, seed, n_blocks)
 
 
 def duality_rows(results: list[DualityResult]) -> list[dict]:

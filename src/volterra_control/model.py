@@ -17,7 +17,7 @@ dataclasses and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -299,13 +299,6 @@ class LevyMeasure:
     def n_atoms(self) -> int:
         return int(self.sizes.size)
 
-    def integral(self, f: Callable[[float], float]) -> float:
-        """``sum_m w_m * f(e_m)`` (zero for the empty measure)."""
-        if self.n_atoms == 0:
-            return 0.0
-        vals = np.array([f(e) for e in self.sizes], dtype=float)
-        return float(self.weights @ vals)
-
 
 # --------------------------------------------------------------------------- #
 # Filtration / MC / regression configuration
@@ -463,6 +456,10 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
     else:
         if "grid" not in raw:
             raise ValidationError("missing 'grid' section")
+        for section in ("grid", "levy", "filtration", "mc", "regression"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ValidationError(f"'{section}' section must be a JSON object, "
+                                      f"got {raw[section]!r}")
         g = raw["grid"]
         try:
             grid = build_time_grid(g["horizon"], g["n_steps"])

@@ -16,6 +16,8 @@ The blocks are drawn concurrently, one thread per CPU in the process's
 affinity mask, and the level sums run on one contiguous range of paths per
 thread.  Each thread writes only its own paths, so every value is the same
 whatever the CPU count; with one CPU nothing runs off the calling thread.
+:func:`stream_noise` draws the same blocks in the same workers, but hands
+each to a consumer as a block-sized bundle instead of storing the whole.
 
 Jump times inside a step are not recorded: left-point stepping only needs the
 per-step aggregate counts.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -36,6 +39,7 @@ from .model import LevyMeasure, TimeGrid, ValidationError
 __all__ = [
     "NoiseBundle",
     "generate_noise",
+    "stream_noise",
     "save_noise",
     "load_noise",
 ]
@@ -166,6 +170,39 @@ class NoiseBundle:
         return np.subtract(counts, comp, dtype=float).transpose(0, 2, 1)
 
 
+def _block_streams(n_paths: int, seed: int, n_blocks: int) -> tuple[list, int]:
+    """The child stream of each block, and the paths per block."""
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
+    if n_blocks < 1 or n_paths % n_blocks != 0:
+        raise ValidationError(f"n_blocks ({n_blocks}) must divide n_paths ({n_paths})")
+    return np.random.SeedSequence(seed).spawn(n_blocks), n_paths // n_blocks
+
+
+def _draw_block(child: np.random.SeedSequence, grid: TimeGrid, levy: LevyMeasure,
+                db: np.ndarray, counts: np.ndarray) -> None:
+    """Draw one block's stream into node-major ``db`` ``(n_steps, width)`` and
+    ``counts`` ``(n_atoms, n_steps, width)``.
+
+    The normals come first, then each atom's counts; each is drawn a chunk of
+    paths at a time and written transposed, and a chunk of rows consumes the
+    stream in the same order as one ``(width, n_steps)`` draw.
+    """
+    rng = np.random.Generator(np.random.PCG64(child))
+    n = grid.n_steps
+    sqrt_dt = np.sqrt(grid.dt)
+    chunks = _path_chunks(0, db.shape[1])
+    normals = np.empty((chunks[0].stop, n))  # one chunk's draw, reused
+    for rows in chunks:
+        chunk = normals[:rows.stop - rows.start]
+        rng.standard_normal(out=chunk)
+        np.multiply(chunk.T, sqrt_dt, out=db[:, rows])
+    for q in range(levy.n_atoms):
+        lam = levy.weights[q] * grid.dt
+        for rows in chunks:
+            counts[q, :, rows] = rng.poisson(lam, size=(rows.stop - rows.start, n)).T
+
+
 def generate_noise(
     grid: TimeGrid,
     levy: LevyMeasure,
@@ -180,38 +217,56 @@ def generate_noise(
     byte-identical.  The blocks are drawn concurrently, one thread per CPU in
     the affinity mask; each block consumes only its own stream and writes
     only its own paths, so the result does not depend on the CPU count.
-    Each block is drawn a chunk of paths at a time and each chunk is written
-    transposed into node-major storage; a chunk of rows consumes the stream
-    in the same order as one ``(block, n_steps)`` draw.
     """
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
-    if n_blocks < 1 or n_paths % n_blocks != 0:
-        raise ValidationError(f"n_blocks ({n_blocks}) must divide n_paths ({n_paths})")
-    n = grid.n_steps
-    m = levy.n_atoms
-    block = n_paths // n_blocks
+    children, block = _block_streams(n_paths, seed, n_blocks)
+    n, m = grid.n_steps, levy.n_atoms
     db = np.empty((n, n_paths))
     counts = np.empty((m, n, n_paths), dtype=np.int64)
-    sqrt_dt = np.sqrt(grid.dt)
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
 
     def draw(b: int) -> None:
-        rng = np.random.Generator(np.random.PCG64(children[b]))
-        chunks = _path_chunks(b * block, (b + 1) * block)
-        for rows in chunks:
-            normals = rng.standard_normal(size=(rows.stop - rows.start, n))
-            np.multiply(normals.T, sqrt_dt, out=db[:, rows])
-        for q in range(m):
-            lam = levy.weights[q] * grid.dt
-            for rows in chunks:
-                counts[q, :, rows] = rng.poisson(lam, size=(rows.stop - rows.start, n)).T
+        rows = slice(b * block, (b + 1) * block)
+        _draw_block(children[b], grid, levy, db[:, rows], counts[:, :, rows])
 
     _run_tasks(draw, n_blocks)
     return NoiseBundle(
         grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
         d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
     )
+
+
+def stream_noise(
+    grid: TimeGrid,
+    levy: LevyMeasure,
+    n_paths: int,
+    seed: int,
+    n_blocks: int,
+    consume: Callable[[slice, NoiseBundle], None],
+) -> None:
+    """Hand the bundle ``generate_noise`` draws with the same arguments to
+    ``consume`` one block at a time, without forming it.
+
+    ``consume(rows, block)`` gets the block that holds paths ``rows`` of that
+    bundle as a bundle of its own, bit for bit the same values.  The blocks
+    run in the workers of ``generate_noise``, each of which draws all its
+    blocks into one buffer, so ``consume`` is called from worker threads,
+    must write only to its own ``rows``, and must not keep the block once it
+    returns.  A block carries the stream's ``seed`` and ``n_blocks``.
+    """
+    children, block = _block_streams(n_paths, seed, n_blocks)
+    n, m = grid.n_steps, levy.n_atoms
+    buffers = threading.local()
+
+    def draw(b: int) -> None:
+        if not hasattr(buffers, "db"):
+            buffers.db = np.empty((n, block))
+            buffers.counts = np.empty((m, n, block), dtype=np.int64)
+        _draw_block(children[b], grid, levy, buffers.db, buffers.counts)
+        consume(slice(b * block, (b + 1) * block), NoiseBundle(
+            grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
+            d_brownian=buffers.db.T, jump_counts=buffers.counts.transpose(0, 2, 1),
+        ))
+
+    _run_tasks(draw, n_blocks)
 
 
 # --------------------------------------------------------------------------- #

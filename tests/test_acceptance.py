@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from volterra_control import acceptance as acc
-from volterra_control import control, fsvie
+from volterra_control import control, fsvie, malliavin, paths
 from volterra_control.cli import load_config, run
 from volterra_control.paths import generate_noise
 
@@ -111,23 +111,29 @@ def test_c10_z_time_derivative(martingale_solution):
 
 
 @pytest.mark.parametrize("entry", ["check_duality", "verify-duality"])
-def test_c07_releases_each_bundle_before_drawing_the_next(entry, monkeypatch, tmp_path):
+def test_c07_draws_each_block_once(entry, monkeypatch, tmp_path):
+    # every block of each stage's noise is drawn once, for all the stage's
+    # identities (two per stage through verify-duality), and no whole bundle
     drawn = []
-    alive_at_draw = []
+    draw_block = paths._draw_block
 
-    def tracked_noise(*args, **kwargs):
-        alive_at_draw.append([ref() is not None for ref in drawn])
-        noise = generate_noise(*args, **kwargs)
-        drawn.append(weakref.ref(noise))
-        return noise
+    def tracked_draw(child, grid, levy, db, counts):
+        drawn.append((child.entropy, child.spawn_key, grid.n_steps, levy.n_atoms))
+        draw_block(child, grid, levy, db, counts)
 
-    monkeypatch.setattr(acc, "generate_noise", tracked_noise)
+    def no_bundle(*args, **kwargs):
+        raise AssertionError("C7 drew a whole bundle")
+
+    monkeypatch.setattr(paths, "_draw_block", tracked_draw)
+    monkeypatch.setattr(acc, "generate_noise", no_bundle)
     if entry == "check_duality":
         acc.check_duality(n_paths=400)
     else:
-        run(["verify-duality", "--paths", "400", "--out", str(tmp_path / "out")])
-    # the Brownian bundle, then the jump bundle, each drawn with nothing alive
-    assert alive_at_draw == [[], [False]]
+        assert run(["verify-duality", "--paths", "400", "--out", str(tmp_path / "out")]) == 0
+    # the Brownian stage at seed 7, then the jump stage at seed 8, 8 blocks each
+    brownian, jump = drawn[:8], drawn[8:]
+    assert sorted(brownian) == [(7, (b,), 200, 0) for b in range(8)]
+    assert sorted(jump) == [(8, (b,), 100, 1) for b in range(8)]
 
 
 def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
@@ -149,19 +155,23 @@ def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
 
 
 def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
-    # neither bundle builds its levels: the verifiers keep running level rows
-    drawn = []
+    # neither stage builds levels on the blocks it is streamed: the verifiers
+    # keep running level rows
+    built = []
+    stream = malliavin.stream_noise
 
-    def tracked_noise(*args, **kwargs):
-        drawn.append(generate_noise(*args, **kwargs))
-        return drawn[-1]
+    def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume):
+        def tracked_consume(rows, block):
+            consume(rows, block)
+            built.append((levy.n_atoms, sorted(block.__dict__.keys() & {
+                "brownian_levels", "count_levels", "compensated_counts"})))
 
-    monkeypatch.setattr(acc, "generate_noise", tracked_noise)
+        stream(grid, levy, n_paths, seed, n_blocks, tracked_consume)
+
+    monkeypatch.setattr(malliavin, "stream_noise", tracked_stream)
     acc.check_duality(n_paths=400)
-    brownian, jump = drawn
-    assert "brownian_levels" not in brownian.__dict__
-    assert "brownian_levels" not in jump.__dict__
-    assert "compensated_counts" not in jump.__dict__
+    # the Brownian stage's 8 blocks, then the jump stage's
+    assert built == [(0, [])] * 8 + [(1, [])] * 8
 
 
 def test_main_noise_is_released_before_the_c05_family(s0_small, monkeypatch):

@@ -199,6 +199,22 @@ def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, section,
     assert key in err and repr(value) in err
 
 
+@pytest.mark.parametrize("section, value", [
+    ("grid", [1.0, 10]),
+    ("mc", [1]),
+    ("regression", [2]),
+    ("filtration", "full"),
+    ("levy", [1]),
+])
+def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
+    out = tmp_path / "out"
+    assert run(["optimal-consumption", "--config", write_config(tmp_path, **{section: value}),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"'{section}' section" in err
+
+
 def test_verify_duality_small(tmp_path):
     out = tmp_path / "out"
     code = run(["verify-duality", "--paths", "40000", "--seed", "7", "--out", str(out)])

@@ -1,10 +1,12 @@
+import dataclasses
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from volterra_control import acceptance
+from volterra_control import acceptance, paths
 from volterra_control.condexp import CondExpEngine
 from volterra_control.malliavin import (
     Const,
@@ -28,8 +30,25 @@ ONE_ATOM = LevyMeasure.from_atoms([[1.0, 2.0]])
 
 
 def make_noise(n_steps=100, n_paths=1000, seed=1, levy=EMPTY):
-    grid = build_time_grid(1.0, n_steps)
-    return generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
+    return generate_noise(*stream_args(n_steps, n_paths, seed, levy))
+
+
+def stream_args(n_steps=100, n_paths=1000, seed=1, levy=EMPTY, n_blocks=1):
+    """``(grid, levy, n_paths, seed, n_blocks)``, as the verifiers and
+    ``generate_noise`` take them."""
+    return build_time_grid(1.0, n_steps), levy, n_paths, seed, n_blocks
+
+
+def brownian_duality(f, psi, *args, **kwargs):
+    """The verifier's result for one identity named ``brownian``."""
+    (res,) = verify_duality_brownian([("brownian", f, psi)], *stream_args(*args, **kwargs))
+    return res
+
+
+def jump_duality(f, phi, *args, **kwargs):
+    """The verifier's result for one identity named ``jump``."""
+    (res,) = verify_duality_jump([("jump", f, phi)], *stream_args(*args, **kwargs))
+    return res
 
 
 def _brownian_engine(noise, degree=2):
@@ -102,16 +121,16 @@ def test_wiener_integral_is_brownian_terminal():
 # --------------------------------------------------------------------------- #
 
 def test_brownian_duality_square_case():
-    noise = make_noise(n_steps=200, n_paths=50_000, seed=7)
-    res = verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, b: b, noise)
+    res = brownian_duality(WienerIntegral(1.0) ** 2, lambda i, b: b,
+                           n_steps=200, n_paths=50_000, seed=7)
     assert abs(res.lhs - 1.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 1.0) <= 3 * res.se_rhs
     assert res.gap_in_se <= 3.0
 
 
 def test_brownian_duality_isometry_case():
-    noise = make_noise(n_steps=100, n_paths=50_000, seed=8)
-    res = verify_duality_brownian(WienerIntegral(1.0), lambda i, _b: 1.0, noise)
+    res = brownian_duality(WienerIntegral(1.0), lambda i, _b: 1.0,
+                           n_steps=100, n_paths=50_000, seed=8)
     # the derivative is the constant 1 and so is psi: every right-hand sample
     # is the same sum of quadrature weights, so the right side is exact up to
     # rounding and its SE collapses to float dust
@@ -120,8 +139,7 @@ def test_brownian_duality_isometry_case():
 
 
 def test_brownian_duality_constant_functional():
-    noise = make_noise(n_steps=50, n_paths=20_000, seed=9)
-    res = verify_duality_brownian(Const(4.0), lambda i, _b: 1.0, noise)
+    res = brownian_duality(Const(4.0), lambda i, _b: 1.0, n_steps=50, n_paths=20_000, seed=9)
     assert abs(res.lhs) <= 3 * res.se_lhs
     assert res.rhs == 0.0  # derivative is exactly zero
 
@@ -136,51 +154,76 @@ def _sample_result(name, lhs_samples, rhs_samples):
     )
 
 
+def _per_block(evaluate, noise):
+    """``evaluate(block)`` on each of the bundle's blocks, as a bundle of its
+    own, joined into one ``(N,)`` row.
+
+    The verifiers evaluate ``F`` and its derivatives on the blocks they are
+    streamed: a BLAS matrix-vector product rounds the last rows of a block
+    that is not a multiple of its vector width differently from the same rows
+    inside a longer array.
+    """
+    width = noise.n_paths // noise.n_blocks
+    rows = [slice(b * width, (b + 1) * width) for b in range(noise.n_blocks)]
+    return np.concatenate([
+        evaluate(dataclasses.replace(noise, d_brownian=noise.d_brownian[r],
+                                     jump_counts=noise.jump_counts[:, r]))
+        for r in rows
+    ])
+
+
 def _column_stack_duality_brownian(f, psi, noise):
-    """An unprojected ``verify_duality_brownian``: every psi value stacked
-    into one ``(N, n)`` matrix, from the bundle's cached levels, before either
-    side is formed; the right-hand samples ``sum_i w_i D_i F psi_i`` are
-    summed in a plain loop."""
+    """An unprojected ``verify_duality_brownian`` on a ``generate_noise``
+    bundle: every psi value stacked into one ``(N, n)`` matrix, from the
+    bundle's cached levels, before either side is formed; the stochastic
+    integral and the right-hand samples ``sum_i w_i D_i F psi_i`` are summed
+    in plain loops over the steps."""
     n = noise.n_steps
-    f_vals = f.evaluate(noise)
     levels = noise.brownian_levels
     psi_vals = np.column_stack([np.broadcast_to(psi(i, levels[:, i]), (noise.n_paths,))
                                 for i in range(n)])
-    lhs_samples = f_vals * np.einsum("ps,ps->p", psi_vals, noise.d_brownian)
+    integral = np.zeros(noise.n_paths)
+    for i in range(n):
+        integral += psi_vals[:, i] * noise.d_brownian[:, i]
+    lhs_samples = _per_block(f.evaluate, noise) * integral
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(noise.n_paths)
     for i in range(n):
-        rhs_samples += f.d_brownian(i).evaluate(noise) * psi_vals[:, i] * w[i]
+        rhs_samples += _per_block(f.d_brownian(i).evaluate, noise) * psi_vals[:, i] * w[i]
     return _sample_result("brownian", lhs_samples, rhs_samples)
 
 
+BROWNIAN_CASES = [
+    (WienerIntegral(1.0) ** 2, lambda i, b: b),
+    # sin(b) is not a polynomial in B(t): a projected right-hand side would
+    # not have the raw samples' mean here
+    (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, b: np.sin(b)),
+    (WienerIntegral(1.0), lambda i, _b: 1.0),
+]
+
+
+def _assert_brownian_matches_column_stack(args):
+    # all the cases in one streamed pass, each bit for bit its reference
+    noise = generate_noise(*args)
+    got = verify_duality_brownian(
+        [("brownian", f, psi) for f, psi in BROWNIAN_CASES], *args)
+    assert got == [_column_stack_duality_brownian(f, psi, noise) for f, psi in BROWNIAN_CASES]
+
+
 def test_streamed_brownian_duality_matches_column_stack():
-    noise = make_noise(n_steps=60, n_paths=3000, seed=13)
-    cases = [
-        (WienerIntegral(1.0) ** 2, lambda i, b: b),
-        # sin(b) is not a polynomial in B(t): a projected right-hand side
-        # would not have the raw samples' mean here
-        (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, b: np.sin(b)),
-        (WienerIntegral(1.0), lambda i, _b: 1.0),
-    ]
-    for f, psi in cases:
-        got = verify_duality_brownian(f, psi, noise)
-        ref = _column_stack_duality_brownian(f, psi, noise)
-        for field in ("lhs", "rhs", "se_lhs", "se_rhs"):
-            np.testing.assert_allclose(getattr(got, field), getattr(ref, field), rtol=1e-12,
-                                       atol=1e-15, err_msg=field)
+    _assert_brownian_matches_column_stack(stream_args(60, 3000, 13, n_blocks=3))
 
 
 def test_brownian_duality_rejects_a_misshaped_integrand():
-    noise = make_noise(n_steps=10, n_paths=100, seed=14)
     with pytest.raises(ValueError):
-        verify_duality_brownian(WienerIntegral(1.0), lambda i, _b: np.ones(99), noise)
+        brownian_duality(WienerIntegral(1.0), lambda i, _b: np.ones(99),
+                         n_steps=10, n_paths=100, seed=14)
 
 
 @pytest.mark.parametrize("verifier", ["brownian", "jump"])
 def test_misshaped_integrand_raises_from_a_worker(cpus, verifier):
     cpus(3)
-    noise = make_noise(n_steps=10, n_paths=100, seed=14, levy=ONE_ATOM)
+    args = dict(n_steps=10, n_paths=100, seed=14, levy=ONE_ATOM, n_blocks=4)
     callers = set()
 
     def integrand(*args):
@@ -189,25 +232,28 @@ def test_misshaped_integrand_raises_from_a_worker(cpus, verifier):
 
     with pytest.raises(ValueError):
         if verifier == "brownian":
-            verify_duality_brownian(WienerIntegral(1.0), integrand, noise)
+            brownian_duality(WienerIntegral(1.0), integrand, **args)
         else:
-            verify_duality_jump(JumpIntegral(1.0), integrand, noise)
+            jump_duality(JumpIntegral(1.0), integrand, **args)
     assert callers and threading.main_thread() not in callers
 
 
 def _duality_results(n_paths, n_blocks):
-    grid = build_time_grid(1.0, 50)
-    noise_b = generate_noise(grid, EMPTY, n_paths=n_paths, seed=5, n_blocks=n_blocks)
-    noise_j = generate_noise(grid, ONE_ATOM, n_paths=n_paths, seed=6, n_blocks=n_blocks)
-    return [
-        verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, b: b, noise_b),
-        verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, c: 1.0 + 0.1 * i + c[q],
-                            noise_j),
-    ]
+    """Each verifier's results on its identities, after checking them bit for
+    bit against the references on the ``generate_noise`` bundle."""
+    brownian = stream_args(50, n_paths, 5, EMPTY, n_blocks)
+    _assert_brownian_matches_column_stack(brownian)
+    jump = stream_args(50, n_paths, 6, TWO_ATOMS, n_blocks)
+    _assert_jump_matches_cached_levels(jump)
+    return [verify_duality_brownian([("brownian", f, psi) for f, psi in BROWNIAN_CASES],
+                                    *brownian),
+            verify_duality_jump([("jump", f, phi) for f in JUMP_CASES for phi in JUMP_PHIS],
+                                *jump)]
 
 
 @pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1)])
 def test_duality_does_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
+    # 1667-path blocks end off the BLAS vector width; 7 paths in one block
     cpus(1)
     sequential = _duality_results(n_paths, n_blocks)
     cpus(3)
@@ -215,15 +261,15 @@ def test_duality_does_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
 
 
 def test_jump_duality_square_case():
-    noise = make_noise(n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
-    res = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, _c: 1.0, noise)
+    res = jump_duality(JumpIntegral(1.0) ** 2, lambda i, q, _c: 1.0,
+                       n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs
 
 
 def test_jump_duality_isometry_case():
-    noise = make_noise(n_steps=100, n_paths=50_000, seed=11, levy=ONE_ATOM)
-    res = verify_duality_jump(JumpIntegral(1.0), lambda i, q, _c: 1.0, noise)
+    res = jump_duality(JumpIntegral(1.0), lambda i, q, _c: 1.0,
+                       n_steps=100, n_paths=50_000, seed=11, levy=ONE_ATOM)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs + 1e-12
 
@@ -241,7 +287,7 @@ def test_chunked_compensation_equals_the_whole_array():
         return 1.0 + 0.1 * i - 0.2 * q
 
     f_vals = f.evaluate(noise)
-    res = verify_duality_jump(f, phi, noise)
+    res = jump_duality(f, phi, n_steps=30, n_paths=2500, seed=15, levy=levy)
     lhs = np.zeros(noise.n_paths)
     for q in range(2):
         for i in range(noise.n_steps):
@@ -251,14 +297,14 @@ def test_chunked_compensation_equals_the_whole_array():
 
 
 def _cached_levels_duality_jump(f, phi, noise):
-    """An unprojected ``verify_duality_jump`` on the bundle's cached levels:
-    ``phi`` reads the cached ``count_levels``, the left side the cached
-    ``compensated_counts``, and the right-hand samples are
-    ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  Both sides sum node by
-    node, the atoms inside each node, as the verifier does."""
+    """An unprojected ``verify_duality_jump`` on the cached levels of a
+    ``generate_noise`` bundle: ``phi`` reads the cached ``count_levels``, the
+    left side the cached ``compensated_counts``, and the right-hand samples
+    are ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  Both sides sum
+    node by node, the atoms inside each node, as the verifier does."""
     n_paths = noise.n_paths
     counts = noise.count_levels
-    f_vals = f.evaluate(noise)
+    f_vals = _per_block(f.evaluate, noise)
     w_t = time_quadrature_weights(noise.grid)
     lhs_samples = np.zeros(n_paths)
     rhs_samples = np.zeros(n_paths)
@@ -266,58 +312,89 @@ def _cached_levels_duality_jump(f, phi, noise):
         for q in range(noise.levy.n_atoms):
             phi_i = np.broadcast_to(phi(i, q, counts[:, :, i]), (n_paths,))
             lhs_samples += phi_i * noise.compensated_counts[q, :, i]
-            d_f = f.evaluate_with_jump(noise, i, q) - f_vals
+            d_f = _per_block(lambda block: f.evaluate_with_jump(block, i, q), noise) - f_vals
             rhs_samples += phi_i * d_f * noise.levy.weights[q] * w_t[i]
     lhs_samples *= f_vals
     return _sample_result("jump", lhs_samples, rhs_samples)
 
 
 TWO_ATOMS = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
+JUMP_CASES = [
+    JumpIntegral(1.0) ** 2,
+    JumpIntegral(1.0),
+    JumpIntegral(lambda t, e: e * (1.0 + t)) ** 2,
+    WienerIntegral(1.0) * JumpIntegral(1.0),
+]
+JUMP_PHIS = [lambda i, q, c: 1.0 + 0.1 * i - 0.2 * q + 0.05 * c[q], lambda i, q, _c: 1.0]
+
+
+def _assert_jump_matches_cached_levels(args, cases=JUMP_CASES):
+    # every (F, phi) pair in one streamed pass; all four fields of each, the
+    # standard errors included, bit for bit
+    noise = generate_noise(*args)
+    pairs = [(f, phi) for f in cases for phi in JUMP_PHIS]
+    got = verify_duality_jump([("jump", f, phi) for f, phi in pairs], *args)
+    assert got == [_cached_levels_duality_jump(f, phi, noise) for f, phi in pairs]
 
 
 @pytest.mark.parametrize("f, levy", [
-    (JumpIntegral(1.0) ** 2, ONE_ATOM),
-    (JumpIntegral(1.0), ONE_ATOM),
-    (JumpIntegral(lambda t, e: e * (1.0 + t)) ** 2, TWO_ATOMS),
-    (WienerIntegral(1.0) * JumpIntegral(1.0), ONE_ATOM),
+    (JUMP_CASES[0], ONE_ATOM),
+    (JUMP_CASES[1], ONE_ATOM),
+    (JUMP_CASES[2], TWO_ATOMS),
+    (JUMP_CASES[3], ONE_ATOM),
 ], ids=["jump_square", "jump_isometry", "two_atoms", "mixed"])
 def test_streamed_jump_duality_matches_the_engine_on_cached_levels(f, levy):
-    noise = make_noise(n_steps=40, n_paths=3000, seed=16, levy=levy)
-
-    def phi(i, q, c):
-        return 1.0 + 0.1 * i - 0.2 * q + 0.05 * c[q]
-
-    for g in (phi, lambda i, q, _c: 1.0):
-        # all four fields, the standard errors included, bit for bit
-        assert verify_duality_jump(f, g, noise) == _cached_levels_duality_jump(f, g, noise)
+    _assert_jump_matches_cached_levels(stream_args(40, 3000, 16, levy, n_blocks=3), [f])
 
 
 @pytest.mark.parametrize("stage, names", [
     ("brownian_duality", ("brownian_square", "brownian_isometry")),
     ("jump_duality", ("jump_square", "jump_isometry")),
 ])
-def test_c7_stages_form_no_array_of_levels(stage, names, monkeypatch):
-    drawn = []
-
-    def draw_then_trace(*args, **kwargs):
-        drawn.append(generate_noise(*args, **kwargs))
-        # traced from here on: the bundle's own increments and counts are not counted
-        tracemalloc.start()
-        return drawn[-1]
-
-    monkeypatch.setattr(acceptance, "generate_noise", draw_then_trace)
+def test_c7_stages_hold_less_than_half_a_bundle(cpus, stage, names):
+    # traced from before the draw, so the noise counts: a whole Brownian
+    # bundle's increments at 200 steps x 20k paths are 32 MB, and each stage
+    # holds two workers' 2500-path blocks (4 MB each) plus its sample rows
+    cpus(2)
     n_paths = 20_000
+    getattr(acceptance, stage)(names, 400)  # first-call imports and pools
+    tracemalloc.start()
     try:
         getattr(acceptance, stage)(names, n_paths)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (noise,) = drawn
+    increments_bytes = 200 * n_paths * 8
+    assert peak < increments_bytes / 2
+
+
+@pytest.mark.parametrize("stage, names", [
+    ("brownian_duality", ("brownian_square", "brownian_isometry")),
+    ("jump_duality", ("jump_square", "jump_isometry")),
+])
+def test_c7_stages_form_no_array_of_levels(cpus, stage, names, monkeypatch):
+    # one worker, so one pair of block buffers; traced from before the draw,
+    # everything the stage holds beyond those buffers counts
+    cpus(1)
+    buffers = []
+    draw_block = paths._draw_block
+
+    def tracked_draw(child, grid, levy, db, counts):
+        buffers.append((grid.n_steps, db.nbytes + counts.nbytes))
+        draw_block(child, grid, levy, db, counts)
+
+    monkeypatch.setattr(paths, "_draw_block", tracked_draw)
+    n_paths = 20_000
+    tracemalloc.start()
+    try:
+        getattr(acceptance, stage)(names, n_paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ((n_steps, buffer_bytes),) = set(buffers)
     # one float array of levels, (n_steps + 1, N), is 32 MB (Brownian) or 16 MB (jump)
-    levels_bytes = (noise.n_steps + 1) * n_paths * 8
-    assert peak < levels_bytes / 4
-    assert "brownian_levels" not in noise.__dict__
-    assert "count_levels" not in noise.__dict__
+    levels_bytes = (n_steps + 1) * n_paths * 8
+    assert peak - buffer_bytes < levels_bytes / 4
 
 
 def test_jump_derivative_reads_one_mark_per_node():
@@ -334,8 +411,10 @@ def test_jump_derivative_reads_one_mark_per_node():
         assert np.array_equal(f.evaluate_with_jump(noise, node, 0),
                               f.evaluate(noise) + table[0, node])
     calls.clear()
-    verify_duality_jump(JumpIntegral(h) ** 2, lambda i, q, _c: 1.0, noise)
-    # the mark table once for the plain evaluation, then one mark per (node, atom)
+    jump_duality(JumpIntegral(h) ** 2, lambda i, q, _c: 1.0,
+                 n_steps=100, n_paths=500, seed=17, levy=ONE_ATOM)
+    # one block: the mark table once for the plain evaluation, then one mark
+    # per (node, atom)
     n, m = noise.n_steps, noise.levy.n_atoms
     assert len(calls) <= 2 * n * m
 
@@ -388,3 +467,37 @@ def test_integral_memo_never_serves_another_bundle(monkeypatch):
         jump.evaluate(second),
         np.einsum("ms,mps->p", np.ones((1, 20)), second.compensated_counts),
     )
+
+
+@pytest.mark.parametrize("verifier", ["brownian", "jump"])
+def test_integral_memo_computes_each_block_once(cpus, verifier):
+    # three workers pass their blocks at once; a memo of one slot would be
+    # overwritten by the other workers' blocks and recompute the integral
+    cpus(3)
+    barrier = threading.Barrier(3, timeout=30)
+    computed = []
+
+    class Counted(WienerIntegral if verifier == "brownian" else JumpIntegral):
+        def _values(self, noise):
+            computed.append(noise.n_paths)
+            return super()._values(noise)
+
+    def integrand(i, *args):
+        if i == 0:
+            barrier.wait()  # every worker inside its block before any goes on
+        return 1.0
+
+    args = dict(n_steps=30, n_paths=600, seed=18, levy=ONE_ATOM, n_blocks=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the lock allows
+    try:
+        if verifier == "brownian":
+            got = brownian_duality(Counted(1.0) ** 2, integrand, **args)
+            want = brownian_duality(WienerIntegral(1.0) ** 2, lambda i, b: 1.0, **args)
+        else:
+            got = jump_duality(Counted(1.0) ** 2, integrand, **args)
+            want = jump_duality(JumpIntegral(1.0) ** 2, lambda i, q, c: 1.0, **args)
+    finally:
+        sys.setswitchinterval(interval)
+    assert computed == [100] * 6
+    assert got == want

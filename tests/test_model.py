@@ -158,34 +158,6 @@ def test_table_kernel_wrong_length():
 # discrete jump measure
 # --------------------------------------------------------------------------- #
 
-def test_levy_single_atom_mean():
-    m = LevyMeasure.from_atoms([[-0.1, 0.5]])
-    assert math.isclose(m.integral(lambda e: e), -0.05, rel_tol=1e-14)
-
-
-def test_levy_log_moment():
-    m = LevyMeasure.from_atoms([[-0.1, 0.5]])
-    val = m.integral(lambda e: math.log1p(e) - e)
-    assert math.isclose(val, 0.5 * (math.log(0.9) + 0.1), rel_tol=1e-12)
-
-
-def test_levy_empty_measure():
-    m = LevyMeasure.from_atoms([])
-    assert m.integral(lambda e: e**2) == 0.0
-
-
-def test_levy_integral_linearity():
-    rng = np.random.default_rng(7)
-    m = LevyMeasure.from_atoms([[0.3, 1.2], [-0.4, 0.7], [1.5, 0.1]])
-    for _ in range(20):
-        a, b = rng.normal(size=2)
-        f = lambda e: math.sin(e)
-        g = lambda e: e**2 - 1.0
-        lhs = m.integral(lambda e: a * f(e) + b * g(e))
-        rhs = a * m.integral(f) + b * m.integral(g)
-        assert math.isclose(lhs, rhs, rel_tol=1e-13, abs_tol=1e-13)
-
-
 @pytest.mark.parametrize("atoms", [[[0.0, 1.0]], [[0.5, -1.0]], [[0.5, 0.0]]])
 def test_levy_rejects_degenerate_atoms(atoms):
     with pytest.raises(ValidationError):

@@ -16,12 +16,7 @@ from volterra_control.bsde import solve_bsde
 from volterra_control.condexp import CondExpEngine
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import _simulate_multiplicative, first_variation, simulate_fsvie
-from volterra_control.malliavin import (
-    JumpIntegral,
-    WienerIntegral,
-    verify_duality_brownian,
-    verify_duality_jump,
-)
+from volterra_control.malliavin import JumpIntegral, WienerIntegral
 from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
@@ -331,10 +326,9 @@ def test_path_major_bundle_gives_the_same_values():
         engine = CondExpEngine(*engine_spec, bundle)
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
                           None, bundle, engine)
-        brownian = verify_duality_brownian(WienerIntegral(1.0) ** 2, lambda i, b: b, bundle)
-        jump = verify_duality_jump(JumpIntegral(1.0) ** 2, lambda i, q, c: 1.0, bundle)
-        return [sweep, log_x, bsde.y, bsde.z, bsde.k,
-                np.array([brownian.lhs, brownian.rhs, jump.lhs, jump.rhs])]
+        wiener, jump = WienerIntegral(1.0) ** 2, JumpIntegral(1.0) ** 2
+        return [sweep, log_x, bsde.y, bsde.z, bsde.k, wiener.evaluate(bundle),
+                wiener.d_brownian(5).evaluate(bundle), jump.evaluate_with_jump(bundle, 5, 0)]
 
     want = values(noise)
     for bundle in (built, replaced):

@@ -15,6 +15,7 @@ from volterra_control.paths import (
     generate_noise,
     load_noise,
     save_noise,
+    stream_noise,
 )
 
 GRID = build_time_grid(1.0, 100)
@@ -73,6 +74,29 @@ def test_bundle_and_levels_do_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
     sequential = _bundle_bytes(n_paths, n_blocks)
     cpus(3)
     assert _bundle_bytes(n_paths, n_blocks) == sequential
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+@pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1), (7, 7)])
+def test_streamed_blocks_are_the_bundles_column_slices(cpus, n_cpus, n_paths, n_blocks):
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    noise = generate_noise(GRID, two_atoms, n_paths=n_paths, seed=17, n_blocks=n_blocks)
+    cpus(n_cpus)
+    blocks, buffers = {}, set()
+
+    def consume(rows, block):
+        assert block.n_steps == GRID.n_steps and block.n_blocks == n_blocks
+        blocks[rows.start, rows.stop] = (block.d_brownian.copy(), block.jump_counts.copy())
+        buffers.add(block.d_brownian.__array_interface__["data"][0])
+
+    stream_noise(GRID, two_atoms, n_paths, 17, n_blocks, consume)
+    width = n_paths // n_blocks
+    assert sorted(blocks) == [(b * width, (b + 1) * width) for b in range(n_blocks)]
+    for (start, stop), (d_brownian, jump_counts) in blocks.items():
+        assert np.array_equal(d_brownian, noise.d_brownian[start:stop])
+        assert np.array_equal(jump_counts, noise.jump_counts[:, start:stop])
+    # each worker draws all its blocks into one buffer
+    assert len(buffers) <= min(n_cpus, n_blocks)
 
 
 def test_levels_are_exact_cumulative_sums():
