@@ -47,6 +47,7 @@ from .model import (
     TimeGrid,
     ValidationError,
     build_time_grid,
+    mean_se,
     validate_scenario,
 )
 from .paths import generate_noise
@@ -69,7 +70,6 @@ __all__ = [
     "check_adjoint_reduction",
     "check_z_time_derivative",
     "run_acceptance",
-    "CRITERIA",
 ]
 
 
@@ -254,14 +254,14 @@ def martingale_family_solution(
     return family_statistics(zeta, noise, engine)
 
 
-def check_bsvie_solver(martingale=None) -> list[CheckResult]:
-    """C5: resolvent value within 1% of e; martingale-family coefficient means
-    match the first-index node across the triangle (>= 99% of pairs within
-    3 SE, all within 5 SE)."""
+def check_bsvie_solver(stats: FamilyStatistics) -> list[CheckResult]:
+    """C5: resolvent value within 1% of e; the coefficient means of the
+    martingale family ``stats`` (:func:`martingale_family_solution`) match
+    the first-index node across the triangle (>= 99% of pairs within 3 SE,
+    all within 5 SE)."""
     y0 = float(resolvent_solution(build_time_grid(1.0, 100)).y[0].mean())
     out = [_result("C5", "resolvent_value", y0, math.e, 0.01 * math.e,
                    "terminal 1, generator y, 1% tolerance")]
-    stats = martingale if martingale is not None else martingale_family_solution()
     n, dt = stats.grid.n_steps, stats.grid.dt
     # Means of fitted coefficients equal means of the regression targets, so
     # the sampling error comes from the target dispersion; for a terminal
@@ -386,9 +386,7 @@ def check_forward_solver(scenario: ScenarioSpec, noise) -> list[CheckResult]:
     the weak error on a genuinely two-time-kernel variant."""
     one = ControlFn.constant(1.0, scenario.grid)
     fwd = simulate_fsvie(scenario, noise, one)
-    x_t = fwd.row(fwd.last_node)
-    mean = float(x_t.mean())
-    se = float(x_t.std(ddof=1) / np.sqrt(x_t.shape[0]))
+    mean, se = mean_se(fwd.row(fwd.last_node))
     ref = math.exp(-0.95)
     out = [_result("C8", "terminal_mean", mean, ref, 3.0 * se, f"se={se:.2e}")]
 
@@ -407,7 +405,7 @@ def check_forward_solver(scenario: ScenarioSpec, noise) -> list[CheckResult]:
         })
         nz = generate_noise(spec.grid, spec.levy, n_paths=1, seed=3, n_blocks=1)
         ctrl = ControlFn.constant(1.0, spec.grid)
-        sim = simulate_fsvie(spec, nz, ctrl, scheme="volterra_sum")
+        sim = simulate_fsvie(spec, nz, ctrl)
         oracle = forward_mean_oracle(spec, ctrl)
         errors.append(abs(float(sim.values[0, -1]) - float(oracle[-1])))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
@@ -448,8 +446,9 @@ def check_adjoint_reduction(scenario: ScenarioSpec) -> list[CheckResult]:
     return out
 
 
-def check_z_time_derivative(martingale=None) -> list[CheckResult]:
-    """C10: finite-difference first-index derivative norm near T^2/2.
+def check_z_time_derivative(stats: FamilyStatistics) -> list[CheckResult]:
+    """C10: finite-difference first-index derivative norm near T^2/2, read
+    off the martingale family ``stats``.
 
     The value depends on the grid at a fixed path count: the regression noise
     in each Z coefficient enters the first-index difference divided by dt, so
@@ -461,11 +460,7 @@ def check_z_time_derivative(martingale=None) -> list[CheckResult]:
     and 42 s on a 2-vCPU machine, where its coefficient triangle alone would
     take 12.8 GB.
     """
-    stats = martingale if martingale is not None else martingale_family_solution()
     return [_result("C10", "z_time_derivative_norm", stats.z_derivative_norm, 0.5, 0.05)]
-
-
-CRITERIA = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10")
 
 
 def run_acceptance(scenario: ScenarioSpec) -> list[CheckResult]:

@@ -46,7 +46,7 @@ import numpy as np
 from .condexp import CondExpEngine
 from .controls import ControlFn, discount_curve
 from .fsvie import ForwardPaths
-from .model import ScenarioSpec, ValidationError, time_quadrature_weights
+from .model import ScenarioSpec, ValidationError, mean_se, time_quadrature_weights
 from .paths import NoiseBundle
 
 __all__ = [
@@ -88,14 +88,7 @@ class BsdeSolution:
 
     @property
     def y0_se(self) -> float:
-        return _mean_se(self.y[:, 0])[1]
-
-
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0.0 for one sample)."""
-    n = samples.shape[0]
-    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(samples.mean()), se
+        return mean_se(self.y[:, 0])[1]
 
 
 def _backward_steps(
@@ -230,7 +223,7 @@ def recursive_utility(
     Exact integrating-factor representation of the linear-generator backward
     equation; the state path is read only on ``[0, T)``.
     """
-    return _mean_se(_utility_legs(scenario, control, fwd))
+    return mean_se(_utility_legs(scenario, control, fwd))
 
 
 def recursive_utility_bsde(
@@ -263,4 +256,4 @@ def recursive_utility_bsde(
     # only Y(0) is read: keep the last value row, not the (n + 1, N) array
     for _, y, _, _, _ in _backward_steps(np.zeros(noise.n_paths), gen, noise, engine):
         pass
-    return _mean_se(y)
+    return mean_se(y)

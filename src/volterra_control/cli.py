@@ -41,7 +41,7 @@ from .control import (
 )
 from .fsvie import PositivityBreachError, forward_mean_oracle, mean_quantile_rows, simulate_fsvie
 from .malliavin import duality_rows
-from .model import ScenarioSpec, ValidationError, validate_scenario
+from .model import ScenarioSpec, ValidationError, mean_se, validate_scenario
 from .paths import generate_noise
 
 __all__ = ["main", "run", "load_config", "RunReport"]
@@ -217,9 +217,7 @@ def _cmd_simulate_forward(spec, args, report, out_dir):
     fwd = simulate_fsvie(spec, noise, control)
     _write_rows(report, out_dir, "forward_curve.csv", mean_quantile_rows(fwd))
     oracle = forward_mean_oracle(spec, control)
-    x_t = fwd.values[:, -1]
-    mean = float(x_t.mean())
-    se = float(x_t.std(ddof=1) / np.sqrt(len(x_t))) if len(x_t) > 1 else 0.0
+    mean, se = mean_se(fwd.values[:, -1])
     # smoke tolerance: statistical band plus a first-order discretization allowance
     tol = 4.0 * se + (0.0 if spec.time_invariant else 0.02 * abs(oracle[-1]))
     report.add_check("terminal_mean_vs_oracle", mean, float(oracle[-1]), tol,

@@ -49,7 +49,7 @@ from .fsvie import (
     first_variation,
     simulate_fsvie,
 )
-from .model import ScenarioSpec, TimeGrid, ValidationError
+from .model import ScenarioSpec, TimeGrid, ValidationError, mean_se
 from .paths import NoiseBundle
 
 __all__ = [
@@ -188,11 +188,6 @@ def _control_legs(
     return noise.leg, np.concatenate((log_c, c_int))
 
 
-def _standard_error(samples: np.ndarray) -> float:
-    n = samples.shape[0]
-    return float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-
-
 @dataclass(frozen=True)
 class PerformanceResult:
     j: float
@@ -213,7 +208,8 @@ def performance(
     """
     part, terms = _control_legs(scenario, control, _resolve_noise(scenario, noise))
     shift = float(terms @ _shift_weights(scenario))
-    return PerformanceResult(j=float(part.mean()) + shift, se=_standard_error(part))
+    mean, se = mean_se(part)
+    return PerformanceResult(j=mean + shift, se=se)
 
 
 # the oracle's quadrature grid is this many times finer than the scenario's
@@ -313,13 +309,14 @@ def gateaux_derivative(
     # exactly zero when both displaced controls share the control-free leg
     diff = (parts[+1.0] - parts[-1.0]) / (2.0 * _BUMP_THETA)
     shift_diff = float((terms[+1.0] - terms[-1.0]) @ weights) / (2.0 * _BUMP_THETA)
+    (mean_up, se_up), (mean_dn, se_dn) = mean_se(parts[+1.0]), mean_se(parts[-1.0])
+    mean_diff, se_diff = mean_se(diff)
     return GateauxResult(
-        estimate=float(diff.mean()) + shift_diff,
-        se=float(np.hypot(_standard_error(parts[+1.0]), _standard_error(parts[-1.0]))
-                 / (2.0 * _BUMP_THETA)),
-        se_paired=_standard_error(diff),
-        j_plus=float(parts[+1.0].mean()) + float(terms[+1.0] @ weights),
-        j_minus=float(parts[-1.0].mean()) + float(terms[-1.0] @ weights),
+        estimate=mean_diff + shift_diff,
+        se=float(np.hypot(se_up, se_dn) / (2.0 * _BUMP_THETA)),
+        se_paired=se_diff,
+        j_plus=mean_up + float(terms[+1.0] @ weights),
+        j_minus=mean_dn + float(terms[-1.0] @ weights),
     )
 
 
@@ -391,7 +388,7 @@ def hamiltonian_h1(
         engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
         per_path += engine.project(k, block).sum(axis=1)
     per_path *= x
-    return float(per_path.mean()), _standard_error(per_path)
+    return mean_se(per_path)
 
 
 # --------------------------------------------------------------------------- #

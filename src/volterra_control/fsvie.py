@@ -1,9 +1,9 @@
 """Forward stochastic Volterra simulation, deterministic mean oracle, and
 first-variation (pathwise derivative) processes.
 
-Two stepping engines are available:
+There are two stepping engines, and the kernels choose between them:
 
-* ``multiplicative_exact`` -- for time-invariant kernels the dynamics reduce
+* the exact engine (``_simulate_multiplicative``) -- for time-invariant kernels the dynamics reduce
   to a geometric jump-diffusion; each step applies the exact factor
   ``exp((alpha - c_bar) dt - beta^2 dt / 2 + beta dB) *
   prod_m (1 + pi_m)^count * exp(-w_m pi_m dt)`` with the control's exact
@@ -14,7 +14,7 @@ Two stepping engines are available:
   exponentiated only when a caller asks for ``ForwardPaths.values`` (or, one
   node at a time, for ``ForwardPaths.row``).
 
-* ``volterra_sum`` -- the general left-point scheme for genuinely two-time
+* the sum (``_simulate_volterra``) -- the general left-point scheme for genuinely two-time
   kernels: every node value is the full triangular sum
 
       X(t_i) = xi + sum_{j<i} [ (alpha(t_i,t_j) - c_j) X_j dt
@@ -31,9 +31,10 @@ source that is zero before ``t_k``, so each runs only on the sub-triangle of
 nodes from ``t_k`` on.  A kernel of ``t - s`` alone is the same kernel there,
 so the sub-triangle keeps the lift.
 
-``scheme="auto"`` (default) picks the exact engine whenever the scenario is
-time-invariant.  Positivity of the state is guarded with an abort-never-clamp
-floor when the scenario is of the multiplicative class.
+``simulate_fsvie`` runs the exact engine exactly when the scenario is
+time-invariant (constant initial level included), and the sum otherwise.
+On the exact engine the positivity of the state is guarded with an
+abort-never-clamp floor.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from ._kernels import volterra_sweep
 from .controls import ControlFn
-from .model import ScenarioSpec, TimeGrid, ValidationError
+from .model import ScenarioSpec, TimeGrid, ValidationError, mean_se
 from .paths import NoiseBundle
 
 __all__ = [
@@ -86,7 +87,6 @@ class ForwardPaths:
     grid: TimeGrid
     state: np.ndarray  # (n_paths, last_node + 1), node-major in memory
     log_state: bool
-    scheme: str
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -133,13 +133,6 @@ def _check_control_admissible(c_vals: np.ndarray) -> None:
         raise ValidationError("control must be finite and nonnegative at all left nodes")
 
 
-def _check_positive(x: np.ndarray, floor: float) -> None:
-    bad = x <= floor
-    if bad.any():
-        p, i = np.argwhere(bad)[0]
-        raise PositivityBreachError(p, i, x[p, i])
-
-
 def _check_log_positive(log_x: np.ndarray, floor: float) -> None:
     bad = log_x <= np.log(floor)
     if bad.any():
@@ -158,15 +151,15 @@ def simulate_fsvie(
     control: ControlFn,
     *,
     through_node: int | None = None,
-    scheme: str = "auto",
 ) -> ForwardPaths:
     """Simulate the controlled cash flow on the scenario grid.
 
     ``through_node`` limits the output to nodes ``0 .. through_node``; the
     utility evaluators pass ``n - 1`` because the running utility never reads
     the terminal state (and singular consumption rates drive it to zero
-    there).  On any non-positive value in the multiplicative class the
-    simulation aborts -- values are never clamped.
+    there).  Time-invariant kernels take the exact engine, which aborts on
+    any value at or below the positivity floor -- values are never clamped;
+    two-time kernels take the triangular sum.
     """
     grid = scenario.grid
     n = grid.n_steps
@@ -178,21 +171,13 @@ def simulate_fsvie(
     c_vals = control.values(grid)
     _check_control_admissible(c_vals[:last])
 
-    if scheme == "auto":
-        scheme = "multiplicative_exact" if scenario.time_invariant else "volterra_sum"
-    if scheme == "multiplicative_exact":
-        if not scenario.time_invariant:
-            raise ValidationError("multiplicative_exact requires time-invariant kernels")
+    if scenario.time_invariant:
         c_int = control.step_integrals(grid)[:last]
         log_x = _simulate_multiplicative(scenario, noise, c_int, last)
         _check_log_positive(log_x, POSITIVITY_FLOOR)
-        return ForwardPaths(grid=grid, state=log_x, log_state=True, scheme=scheme)
-    if scheme != "volterra_sum":
-        raise ValidationError(f"unknown scheme {scheme!r}")
+        return ForwardPaths(grid=grid, state=log_x, log_state=True)
     x = _simulate_volterra(scenario, noise, c_vals, last)
-    if scenario.time_invariant:
-        _check_positive(x, POSITIVITY_FLOOR)
-    return ForwardPaths(grid=grid, state=x, log_state=False, scheme=scheme)
+    return ForwardPaths(grid=grid, state=x, log_state=False)
 
 
 def _simulate_multiplicative(
@@ -271,12 +256,13 @@ def forward_mean_oracle(scenario: ScenarioSpec, control: ControlFn) -> np.ndarra
     n, dt = grid.n_steps, grid.dt
     c = control.values(grid)
     xi = scenario.initial_at_nodes
+    alpha = scenario.alpha.at_nodes(grid)
     m = np.empty(n + 1)
     m[0] = xi[0]
     for i in range(1, n + 1):
         # integrand g_j = (alpha(t_i, t_j) - c_j) m_j on j = 0..i, trapezoid;
         # the final sub-interval uses the left value when c(t_i) is unknown.
-        coeff = scenario.alpha.row_at_nodes(grid, i).copy()
+        coeff = alpha[i, : i + 1].copy()
         coeff[:i] -= c[:i]
         if i < n:
             coeff[i] -= c[i]
@@ -354,14 +340,14 @@ def mean_quantile_rows(fwd: ForwardPaths) -> list[dict]:
     """Per-node summary rows ``{t, mean, se, q05, q50, q95}`` for CSV export."""
     t = fwd.grid.nodes[: fwd.last_node + 1]
     x = fwd.values
-    n = x.shape[0]
     qs = np.quantile(x, [0.05, 0.5, 0.95], axis=0)
     rows = []
     for i, ti in enumerate(t):
+        mean, se = mean_se(x[:, i])
         rows.append({
             "t": ti,
-            "mean": float(x[:, i].mean()),
-            "se": float(x[:, i].std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+            "mean": mean,
+            "se": se,
             "q05": float(qs[0, i]),
             "q50": float(qs[1, i]),
             "q95": float(qs[2, i]),

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import LevyMeasure, TimeGrid, ValidationError, time_quadrature_weights
+from .model import LevyMeasure, TimeGrid, ValidationError, mean_se, time_quadrature_weights
 from .paths import NoiseBundle, _path_chunks, stream_noise
 
 __all__ = [
@@ -283,10 +283,6 @@ class DualityResult:
         return abs(self.lhs - self.rhs) / se if se > 0 else 0.0
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.shape[0]))
-
-
 def _running_levels(increments: np.ndarray):
     """Yield the levels ``increments[..., :i].sum(-1)`` at nodes ``0 .. n - 1``:
     ``B(t_i)`` from ``d_brownian``, ``N(t_i)`` ``(m, len)`` from
@@ -319,7 +315,7 @@ def _stream_duality(block_pass, identities: list[Identity], grid: TimeGrid,
                  lambda rows, block: block_pass(identities, block, lhs[:, rows], rhs[:, rows]))
     results = []
     for j, (name, _, _) in enumerate(identities):
-        (lhs_mean, se_lhs), (rhs_mean, se_rhs) = _mean_se(lhs[j]), _mean_se(rhs[j])
+        (lhs_mean, se_lhs), (rhs_mean, se_rhs) = mean_se(lhs[j]), mean_se(rhs[j])
         results.append(DualityResult(name=name, lhs=lhs_mean, rhs=rhs_mean,
                                      se_lhs=se_lhs, se_rhs=se_rhs))
     return results

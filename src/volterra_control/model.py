@@ -34,6 +34,7 @@ __all__ = [
     "build_time_grid",
     "validate_scenario",
     "time_quadrature_weights",
+    "mean_se",
 ]
 
 _REL_TOL = 1e-12
@@ -47,12 +48,29 @@ class KernelDomainError(ValidationError):
     """Kernel evaluated outside the triangle ``0 <= s <= t`` (or off-grid)."""
 
 
+_NUMBERS = (int, np.integer, float, np.floating)
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an int; strings, bools and non-integral numbers are rejected."""
-    numeric = isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)
-    if not numeric or value % 1:  # nan and inf leave a nan remainder
+    # nan and inf leave a nan remainder
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or value % 1:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; strings, bools and non-finite numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS) or not np.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """A list of numbers as a float array, each entry through :func:`_real`."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+    return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(values)], dtype=float)
 
 
 # --------------------------------------------------------------------------- #
@@ -102,6 +120,12 @@ def time_quadrature_weights(grid: TimeGrid) -> np.ndarray:
     return w
 
 
+def mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Mean of one Monte Carlo sample per path and its standard error (0.0 for one path)."""
+    n = samples.shape[0]
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
 # --------------------------------------------------------------------------- #
 # Kernels
 # --------------------------------------------------------------------------- #
@@ -136,18 +160,11 @@ class Kernel:
 
     @staticmethod
     def constant(value: float) -> "Kernel":
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValidationError(f"constant kernel value must be finite, got {value}")
-        return Kernel(kind="constant", value=value)
+        return Kernel(kind="constant", value=_real("constant kernel value", value))
 
     @staticmethod
     def exp_decay(amplitude: float, rate: float) -> "Kernel":
-        amplitude, rate = float(amplitude), float(rate)
-        if not (np.isfinite(amplitude) and np.isfinite(rate)):
-            raise ValidationError(
-                f"exp_decay amplitude and rate must be finite, got {amplitude}, {rate}"
-            )
+        amplitude, rate = _real("exp_decay amplitude", amplitude), _real("exp_decay rate", rate)
         if rate < 0.0:
             raise ValidationError(f"exp_decay rate must be >= 0, got {rate}")
         return Kernel(kind="exp_decay", amplitude=amplitude, rate=rate)
@@ -223,23 +240,6 @@ class Kernel:
             out[idx] = self.table
         return out
 
-    def row_at_nodes(self, grid: TimeGrid, i: int) -> np.ndarray:
-        """Row ``K(t_i, t_j)`` for ``j = 0..i`` without building the matrix."""
-        n = grid.n_steps
-        if not 0 <= i <= n:
-            raise KernelDomainError(f"row index {i} outside the grid")
-        if self.kind == "constant":
-            return np.full(i + 1, self.value)
-        if self.kind == "exp_decay":
-            t = grid.nodes
-            return self.amplitude * np.exp(-self.rate * (t[i] - t[: i + 1]))
-        if self.table_n != n:
-            raise KernelDomainError(
-                f"table kernel built for n={self.table_n}, grid has n={n}"
-            )
-        start = i * (i + 1) // 2
-        return np.asarray(self.table[start : start + i + 1])
-
     def d_first_at_nodes(self, grid: TimeGrid) -> np.ndarray:
         """Matrix of ``dK/dt (t_i, t_j)`` on the triangle.
 
@@ -290,9 +290,10 @@ class LevyMeasure:
         atoms = list(atoms)
         if not atoms:
             return LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
-        arr = np.asarray(atoms, dtype=float)
+        arr = np.asarray(atoms, dtype=object)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValidationError("atoms must be [size, weight] pairs")
+        arr = np.array([_reals(f"levy.atoms[{m}]", atom) for m, atom in enumerate(arr)])
         return LevyMeasure(sizes=arr[:, 0], weights=arr[:, 1])
 
     @property
@@ -416,7 +417,7 @@ def _kernel_from_raw(raw, n_steps: int, field_name: str) -> Kernel:
     if isinstance(raw, Kernel):
         return raw
     if isinstance(raw, (int, float)):
-        return Kernel.constant(float(raw))
+        return Kernel.constant(_real(field_name, raw))
     if not isinstance(raw, dict):
         raise ValidationError(f"{field_name}: expected a kernel object, got {type(raw).__name__}")
     kind = raw.get("kind")
@@ -427,29 +428,30 @@ def _kernel_from_raw(raw, n_steps: int, field_name: str) -> Kernel:
     if kind == "constant":
         if "value" not in raw:
             raise ValidationError(f"{field_name}: constant kernel needs 'value'")
-        return Kernel.constant(raw["value"])
+        return Kernel.constant(_real(f"{field_name}.value", raw["value"]))
     if kind == "exp_decay":
         try:
-            return Kernel.exp_decay(raw["amplitude"], raw["rate"])
+            return Kernel.exp_decay(_real(f"{field_name}.amplitude", raw["amplitude"]),
+                                    _real(f"{field_name}.rate", raw["rate"]))
         except KeyError as exc:
             raise ValidationError(f"{field_name}: exp_decay kernel needs {exc}") from exc
     if kind == "table":
-        values = raw.get("values", raw.get("table"))
-        if values is None:
+        key = "values" if "values" in raw else "table"
+        if raw.get(key) is None:
             raise ValidationError(f"{field_name}: table kernel needs 'values'")
         n = raw.get("n", n_steps)
         if n != n_steps:
             raise ValidationError(f"{field_name}: table n={n} does not match grid n={n_steps}")
-        return Kernel.from_table(values, n_steps)
+        return Kernel.from_table(_reals(f"{field_name}.{key}", raw[key]), n_steps)
     raise ValidationError(f"{field_name}: unknown kernel kind {kind!r}")
 
 
 def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
     """Normalize and validate a scenario given as a dict (JSON shape) or spec.
 
-    Checks: positive initial level, kernels finite on the full grid
-    triangle, one jump kernel per atom with ``1 + pi > 0`` everywhere, a
-    known sign convention, and a consistent Monte Carlo block partition.
+    Checks: finite real fields, integral integer fields, positive initial
+    level, kernels finite on the grid triangle, one jump kernel per atom with
+    ``1 + pi > 0`` everywhere, a known sign convention, a consistent block partition.
     """
     if isinstance(raw, ScenarioSpec):
         spec = raw
@@ -462,7 +464,7 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
                                       f"got {raw[section]!r}")
         g = raw["grid"]
         try:
-            grid = build_time_grid(g["horizon"], g["n_steps"])
+            grid = build_time_grid(_real("grid.horizon", g["horizon"]), g["n_steps"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"grid section malformed: {exc}") from exc
 
@@ -474,16 +476,15 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
             )
         gamma_raw = raw.get("gamma", 0.0)
         if np.isscalar(gamma_raw):
-            gamma = np.full(grid.n_steps + 1, float(gamma_raw))
+            gamma = np.full(grid.n_steps + 1, _real("gamma", gamma_raw))
         else:
-            gamma = np.asarray(gamma_raw, dtype=float)
+            gamma = _reals("gamma", gamma_raw)
             if gamma.shape != (grid.n_steps + 1,):
-                raise ValidationError(
-                    f"gamma table must have {grid.n_steps + 1} node values"
-                )
+                raise ValidationError(f"gamma table must have {grid.n_steps + 1} node values")
 
         filt_raw = raw.get("filtration", {})
-        filtration = FiltrationMode(filt_raw.get("mode", "full"), float(filt_raw.get("delay", 0.0)))
+        filtration = FiltrationMode(filt_raw.get("mode", "full"),
+                                    _real("filtration.delay", filt_raw.get("delay", 0.0)))
         mc_raw = raw.get("mc", {})
         mc = McSpec(**{k: _integer(f"mc.{k}", v) for k, v in mc_raw.items()
                        if k in ("n_paths", "seed", "n_blocks")})
@@ -495,14 +496,13 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
         initial = raw.get("initial")
         if initial is None:
             raise ValidationError("missing 'initial'")
-        if not np.isscalar(initial):
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape != (grid.n_steps + 1,):
-                raise ValidationError("initial table must have one value per node")
+        initial = _real("initial", initial) if np.isscalar(initial) else _reals("initial", initial)
+        if not np.isscalar(initial) and initial.shape != (grid.n_steps + 1,):
+            raise ValidationError("initial table must have one value per node")
 
         spec = ScenarioSpec(
             grid=grid,
-            initial=float(initial) if np.isscalar(initial) else initial,
+            initial=initial,
             alpha=_kernel_from_raw(raw.get("alpha_kernel", 0.0), grid.n_steps, "alpha_kernel"),
             beta=_kernel_from_raw(raw.get("beta_kernel", 0.0), grid.n_steps, "beta_kernel"),
             pi_kernels=tuple(

@@ -13,9 +13,10 @@ handed out as a transposed view with the path-major shape ``(n_paths,
 n_nodes)``.  Readers index ``[:, node]`` as before and get a contiguous row.
 
 The blocks are drawn concurrently, one thread per CPU in the process's
-affinity mask, and the level sums run on one contiguous range of paths per
-thread.  Each thread writes only its own paths, so every value is the same
-whatever the CPU count; with one CPU nothing runs off the calling thread.
+affinity mask.  Each thread writes only its own paths, so every value is the
+same whatever the CPU count; with one CPU nothing runs off the calling
+thread.  The level sums run on the calling thread: a node row is too short
+a task to pay for a thread.
 :func:`stream_noise` draws the same blocks in the same workers, but hands
 each to a consumer as a block-sized bundle instead of storing the whole.
 
@@ -69,12 +70,6 @@ def _run_tasks(fn: Callable[[int], None], k: int) -> None:
         list(pool.map(fn, range(k)))
 
 
-def _run_path_ranges(fn: Callable[[slice], None], n_paths: int) -> None:
-    """Run ``fn(rows)`` on one contiguous range of paths per CPU."""
-    k = min(n_paths, len(os.sched_getaffinity(0)))
-    _run_tasks(lambda t: fn(slice(t * n_paths // k, (t + 1) * n_paths // k)), k)
-
-
 def _path_chunks(start: int, stop: int) -> list[slice]:
     """Paths ``start .. stop - 1`` in chunks of at most ``_CHUNK_ROWS``."""
     return [slice(lo, min(lo + _CHUNK_ROWS, stop)) for lo in range(start, stop, _CHUNK_ROWS)]
@@ -123,35 +118,23 @@ class NoiseBundle:
         return self.d_brownian.shape[1]
 
     # The levels are summed one node row at a time, in the same order as a
-    # cumulative sum, each CPU on its own range of paths; every read and
-    # write is a contiguous row.
+    # cumulative sum; every read and write is a contiguous row.
 
     @cached_property
     def brownian_levels(self) -> np.ndarray:
         """B(t_i) per path, shape (n_paths, n_steps + 1), B(0) = 0."""
         levels = np.empty((self.n_steps + 1, self.n_paths))
         levels[0] = 0.0
-
-        def run(rows: slice) -> None:
-            for i in range(self.n_steps):
-                np.add(levels[i, rows], self.d_brownian[rows, i], out=levels[i + 1, rows])
-
-        _run_path_ranges(run, self.n_paths)
+        for i in range(self.n_steps):
+            np.add(levels[i], self.d_brownian[:, i], out=levels[i + 1])
         return levels.T
 
     @cached_property
     def count_levels(self) -> np.ndarray:
         """Cumulative jump counts N_m(t_i), shape (n_atoms, n_paths, n_steps + 1)."""
-        m = self.levy.n_atoms
-        levels = np.zeros((m, self.n_steps + 1, self.n_paths))
-
-        def run(rows: slice) -> None:
-            for i in range(self.n_steps):
-                np.add(levels[:, i, rows], self.jump_counts[:, rows, i],
-                       out=levels[:, i + 1, rows])
-
-        if m:
-            _run_path_ranges(run, self.n_paths)
+        levels = np.zeros((self.levy.n_atoms, self.n_steps + 1, self.n_paths))
+        for i in range(self.n_steps):
+            np.add(levels[:, i], self.jump_counts[:, :, i], out=levels[:, i + 1])
         return levels.transpose(0, 2, 1)
 
     @cached_property

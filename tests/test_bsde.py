@@ -36,7 +36,7 @@ def brownian_engine(noise, degree=2, mode="full"):
 
 def _given_state(grid, x):
     """The array ``x`` (paths, nodes) as the forward state an engine reads."""
-    return ForwardPaths(grid=grid, state=x, log_state=False, scheme="volterra_sum")
+    return ForwardPaths(grid=grid, state=x, log_state=False)
 
 
 def on_paths(coef, engine, i):

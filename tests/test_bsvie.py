@@ -810,7 +810,7 @@ def test_kept_solver_design_matches_path_valued_oracle():
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian", "x")), noise,
         x_paths=ForwardPaths(grid=noise.grid, state=noise.brownian_levels.copy(),
-                             log_state=False, scheme="volterra_sum"),
+                             log_state=False),
     )
     assert all(engine.design_at(r).solver is not None for r in range(1, 8))
     zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
@@ -823,7 +823,7 @@ def test_drivers_read_the_engine_state_at_their_node(with_state):
     # exp of one row of a log state, and None when the engine holds no state
     noise = make_noise(n_steps=6, n_paths=50, seed=3)
     fwd = ForwardPaths(grid=noise.grid, state=noise.brownian_levels.copy(),
-                       log_state=True, scheme="multiplicative_exact")
+                       log_state=True)
     engine = CondExpEngine(FiltrationMode(mode="full"),
                            RegressionSpec(degree=1, variables=("x", "brownian")), noise,
                            x_paths=fwd if with_state else None)

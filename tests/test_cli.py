@@ -199,6 +199,41 @@ def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, section,
     assert key in err and repr(value) in err
 
 
+ONE_ATOM = {"pi_kernels": [{"kind": "constant", "value": 0.1}]}
+
+
+@pytest.mark.parametrize("overrides, field, value", [
+    ({"grid": {"horizon": "one", "n_steps": 100}}, "grid.horizon", "one"),
+    ({"grid": {"horizon": True, "n_steps": 100}}, "grid.horizon", True),
+    ({"initial": "1"}, "initial", "1"),
+    ({"initial": math.inf}, "initial", math.inf),
+    ({"gamma": "0.5"}, "gamma", "0.5"),
+    ({"gamma": [0.0] * 100 + [False]}, "gamma[100]", False),
+    ({"filtration": {"mode": "delay", "delay": "x"}}, "filtration.delay", "x"),
+    ({"filtration": {"mode": "delay", "delay": math.nan}}, "filtration.delay", math.nan),
+    ({"alpha_kernel": True}, "alpha_kernel", True),
+    ({"alpha_kernel": {"kind": "constant", "value": "0.05"}}, "alpha_kernel.value", "0.05"),
+    ({"beta_kernel": {"kind": "exp_decay", "amplitude": True, "rate": 1.0}},
+     "beta_kernel.amplitude", True),
+    ({"beta_kernel": {"kind": "exp_decay", "amplitude": 0.2, "rate": "1"}},
+     "beta_kernel.rate", "1"),
+    ({"alpha_kernel": {"kind": "table", "values": [0.05] * 5150 + ["x"]}},
+     "alpha_kernel.values[5150]", "x"),
+    ({"levy": {"atoms": [["a", 1]]}, **ONE_ATOM}, "levy.atoms[0][0]", "a"),
+    ({"levy": {"atoms": [[True, 1]]}, **ONE_ATOM}, "levy.atoms[0][0]", True),
+    ({"levy": {"atoms": [[0.1, math.inf]]}, **ONE_ATOM}, "levy.atoms[0][1]", math.inf),
+])
+def test_real_field_that_is_not_a_finite_number_exits_2(tmp_path, capsys, overrides, field,
+                                                        value):
+    out = tmp_path / "out"
+    assert run(["optimal-consumption", "--config", write_config(tmp_path, **overrides),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # the message names the field and the value as written
+    assert f"{field} must be a finite number, got {value!r}" in err
+
+
 @pytest.mark.parametrize("section, value", [
     ("grid", [1.0, 10]),
     ("mc", [1]),

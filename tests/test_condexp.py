@@ -24,7 +24,7 @@ from volterra_control.paths import generate_noise
 
 def _given_state(grid, x):
     """The array ``x`` (paths, nodes) as the forward state an engine reads."""
-    return ForwardPaths(grid=grid, state=x, log_state=False, scheme="volterra_sum")
+    return ForwardPaths(grid=grid, state=x, log_state=False)
 
 
 def _full_engine(states, degree):

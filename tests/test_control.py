@@ -371,7 +371,7 @@ def _unit_state_adjoint(spec):
     """The adjoint on one path with ``X = 1``: at ``gamma = 0`` the ratio is
     ``p = P = 1 - t``."""
     ones = ForwardPaths(grid=spec.grid, state=np.ones((1, spec.grid.n_steps + 1)),
-                        log_state=False, scheme="volterra_sum")
+                        log_state=False)
     return build_adjoint_state(spec, ones)
 
 

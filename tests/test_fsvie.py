@@ -10,8 +10,8 @@ from volterra_control.bsde import _utility_legs
 from volterra_control.controls import ControlFn, discount_curve
 from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
+    ForwardPaths,
     PositivityBreachError,
-    _check_positive,
     _simulate_multiplicative,
     _simulate_volterra,
     first_variation,
@@ -42,6 +42,13 @@ def noise_for(spec, n_paths=2000, seed=42):
     return generate_noise(spec.grid, spec.levy, n_paths, seed, 1)
 
 
+def euler_sum(spec, noise, control):
+    """``X`` from the triangular sum on every node, whatever the kernels: on
+    time-invariant ones it is the arithmetic Euler scheme that the exact
+    engine replaces."""
+    return _simulate_volterra(spec, noise, control.values(spec.grid), spec.grid.n_steps)
+
+
 JUMPY = dict(
     levy={"atoms": [[-0.1, 0.5], [0.25, 1.0]]},
     pi_kernels=[{"kind": "constant", "value": -0.1}, {"kind": "constant", "value": 0.25}],
@@ -57,21 +64,20 @@ def test_no_dynamics_keeps_state_flat():
                          beta_kernel={"kind": "constant", "value": 0.0})
     noise = noise_for(spec, n_paths=16)
     zero = ControlFn.constant(0.0, spec.grid)
-    for scheme in ("multiplicative_exact", "volterra_sum"):
-        fwd = simulate_fsvie(spec, noise, zero, scheme=scheme)
-        assert np.allclose(fwd.values, 1.0, atol=1e-14)
+    assert np.allclose(simulate_fsvie(spec, noise, zero).values, 1.0, atol=1e-14)
+    assert np.allclose(euler_sum(spec, noise, zero), 1.0, atol=1e-14)
 
 
 def test_deterministic_exponential_growth():
     spec = make_scenario(beta_kernel={"kind": "constant", "value": 0.0})
     noise = noise_for(spec, n_paths=4)
     zero = ControlFn.constant(0.0, spec.grid)
-    exact = simulate_fsvie(spec, noise, zero)  # auto: exact stepping
+    exact = simulate_fsvie(spec, noise, zero)
     assert abs(exact.values[0, -1] - math.exp(0.05)) < 1e-12
-    arith = simulate_fsvie(spec, noise, zero, scheme="volterra_sum")
+    arith = euler_sum(spec, noise, zero)
     # left-point recursion (1 + a dt)^n carries an O(dt) defect
-    assert abs(arith.values[0, -1] - (1.0 + 0.05 * 0.01) ** 100) < 1e-12
-    assert abs(arith.values[0, -1] - math.exp(0.05)) < 2e-5
+    assert abs(arith[0, -1] - (1.0 + 0.05 * 0.01) ** 100) < 1e-12
+    assert abs(arith[0, -1] - math.exp(0.05)) < 2e-5
 
 
 def test_terminal_mean_matches_exponential(s0_small, s0_noise):
@@ -87,10 +93,10 @@ def test_linearity_in_initial_level():
     spec2 = make_scenario(initial=2.0, **JUMPY)
     noise = noise_for(spec, n_paths=256)
     one = ControlFn.constant(1.0, spec.grid)
-    for scheme in ("multiplicative_exact", "volterra_sum"):
-        a = simulate_fsvie(spec, noise, one, scheme=scheme)
-        b = simulate_fsvie(spec2, noise, one, scheme=scheme)
-        assert np.allclose(b.values, 2.0 * a.values, rtol=1e-14)
+    a, b = simulate_fsvie(spec, noise, one), simulate_fsvie(spec2, noise, one)
+    assert np.allclose(b.values, 2.0 * a.values, rtol=1e-14)
+    assert np.allclose(euler_sum(spec2, noise, one), 2.0 * euler_sum(spec, noise, one),
+                       rtol=1e-14)
 
 
 # --------------------------------------------------------------------------- #
@@ -131,9 +137,8 @@ def test_volterra_engine_collapses_to_arithmetic_euler():
     spec = make_scenario(**JUMPY)
     noise = noise_for(spec, n_paths=512)
     one = ControlFn.constant(1.0, spec.grid)
-    fwd = simulate_fsvie(spec, noise, one, scheme="volterra_sum")
     ref = _reference_arithmetic(spec, noise, 1.0)
-    assert np.max(np.abs(fwd.values - ref)) < 1e-12
+    assert np.max(np.abs(euler_sum(spec, noise, one) - ref)) < 1e-12
 
 
 def test_exact_engine_matches_geometric_stepping():
@@ -141,9 +146,20 @@ def test_exact_engine_matches_geometric_stepping():
     noise = noise_for(spec, n_paths=512)
     one = ControlFn.constant(1.0, spec.grid)
     fwd = simulate_fsvie(spec, noise, one)
-    assert fwd.scheme == "multiplicative_exact"
     ref = _reference_multiplicative(spec, noise, 1.0)
     assert np.max(np.abs(fwd.values - ref)) < 1e-12
+
+
+def test_the_kernels_choose_the_engine(s0_small, s0_noise):
+    # the exact engine, which keeps log X, exactly when the kernels are
+    # time-invariant; two-time kernels take the triangular sum
+    one = ControlFn.constant(1.0, s0_small.grid)
+    assert simulate_fsvie(s0_small, s0_noise, one).log_state
+    two_time = make_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
+    noise = noise_for(two_time, n_paths=8)
+    fwd = simulate_fsvie(two_time, noise, one)
+    assert not fwd.log_state
+    np.testing.assert_array_equal(fwd.state, euler_sum(two_time, noise, one))
 
 
 def test_exact_engine_peak_is_its_output_plus_a_few_rows():
@@ -232,10 +248,10 @@ def test_log_state_matches_exponentiated_engine(initial, size, weight, gamma, se
     forty = ControlFn.constant(40.0, spec.grid)
     with pytest.raises(PositivityBreachError) as breach:
         simulate_fsvie(spec, noise, forty)
-    with pytest.raises(PositivityBreachError) as old:
-        _check_positive(_exp_of_summed_log_factors(spec, noise, forty, n), POSITIVITY_FLOOR)
-    assert (breach.value.path, breach.value.node) == (old.value.path, old.value.node)
-    assert math.isclose(breach.value.value, old.value.value, rel_tol=1e-12)
+    old = _exp_of_summed_log_factors(spec, noise, forty, n)
+    path, node = np.argwhere(old <= POSITIVITY_FLOOR)[0]
+    assert (breach.value.path, breach.value.node) == (path, node)
+    assert math.isclose(breach.value.value, old[path, node], rel_tol=1e-12)
 
 
 # --------------------------------------------------------------------------- #
@@ -278,7 +294,7 @@ def test_weak_error_shrinks_first_order():
         )
         noise = noise_for(spec, n_paths=1, seed=1)
         ctrl = ControlFn.constant(1.0, spec.grid)
-        fwd = simulate_fsvie(spec, noise, ctrl, scheme="volterra_sum")
+        fwd = simulate_fsvie(spec, noise, ctrl)
         oracle = forward_mean_oracle(spec, ctrl)
         errors.append(abs(fwd.values[0, -1] - oracle[-1]))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -294,23 +310,25 @@ def test_positivity_breach_aborts_with_location():
     noise = noise_for(spec, n_paths=2000, seed=0)
     one = ControlFn.constant(1.0, spec.grid)
     with pytest.raises(PositivityBreachError) as err:
-        simulate_fsvie(spec, noise, one, scheme="volterra_sum")
+        simulate_fsvie(spec, noise, one)
     assert err.value.path >= 0 and err.value.node > 0
 
 
-def test_volterra_sum_breach_reports_the_first_path_major_entry():
+def test_breach_reports_the_first_path_major_entry():
     # the first breach in path order, not in node order: with node-major
     # storage the two differ here, and the report must not change with it
-    spec = make_scenario(beta_kernel={"kind": "constant", "value": 5.0})
+    spec = make_scenario(beta_kernel={"kind": "constant", "value": 6.0})
     noise = noise_for(spec, n_paths=2000, seed=0)
     one = ControlFn.constant(1.0, spec.grid)
-    x = _simulate_volterra(spec, noise, one.values(spec.grid), spec.grid.n_steps)
-    bad = np.ascontiguousarray(x) <= POSITIVITY_FLOOR
+    log_x = _simulate_multiplicative(spec, noise, one.step_integrals(spec.grid),
+                                     spec.grid.n_steps)
+    bad = np.ascontiguousarray(log_x) <= np.log(POSITIVITY_FLOOR)
     path, node = np.argwhere(bad)[0]
     assert tuple(np.argwhere(bad.T)[0][::-1]) != (path, node)
     with pytest.raises(PositivityBreachError) as err:
-        simulate_fsvie(spec, noise, one, scheme="volterra_sum")
-    assert (err.value.path, err.value.node, err.value.value) == (path, node, x[path, node])
+        simulate_fsvie(spec, noise, one)
+    assert (err.value.path, err.value.node) == (path, node)
+    assert err.value.value == np.exp(log_x[path, node])
 
 
 def test_optimal_rate_cannot_reach_terminal_node(s0_small, s0_noise):
@@ -345,7 +363,7 @@ def test_first_variation_is_pathwise_derivative_of_arithmetic_engine():
     spec = make_scenario(**JUMPY)
     noise = noise_for(spec, n_paths=64)
     one = ControlFn.constant(1.0, spec.grid)
-    fwd = simulate_fsvie(spec, noise, one, scheme="volterra_sum")
+    fwd = ForwardPaths(grid=spec.grid, state=euler_sum(spec, noise, one), log_state=False)
     k = 30
     fv = first_variation(spec, noise, one, fwd, k, include_diagonal=False)
     h = 1e-6
@@ -357,9 +375,7 @@ def test_first_variation_is_pathwise_derivative_of_arithmetic_engine():
 
     up = dataclasses.replace(noise, d_brownian=bumped_up)
     dn = dataclasses.replace(noise, d_brownian=bumped_dn)
-    x_up = simulate_fsvie(spec, up, one, scheme="volterra_sum").values
-    x_dn = simulate_fsvie(spec, dn, one, scheme="volterra_sum").values
-    fd = (x_up - x_dn) / (2 * h)
+    fd = (euler_sum(spec, up, one) - euler_sum(spec, dn, one)) / (2 * h)
     assert np.max(np.abs(fd - fv.brownian)) < 1e-7
 
 
@@ -386,7 +402,7 @@ def test_first_variation_jump_direction():
                          pi_kernels=[{"kind": "constant", "value": -0.1}])
     noise = noise_for(spec, n_paths=256)
     one = ControlFn.constant(1.0, spec.grid)
-    fwd = simulate_fsvie(spec, noise, one, scheme="volterra_sum")
+    fwd = simulate_fsvie(spec, noise, one)
     fv = first_variation(spec, noise, one, fwd, 10)
     ratio = fv.jump[0][:, 10:] / fwd.values[:, 10:]
     assert abs(ratio.mean() + 0.1) < 2e-3

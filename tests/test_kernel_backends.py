@@ -273,7 +273,7 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
         return _kernels.volterra_sweep(*args, lift=lift, **kwargs)
 
     monkeypatch.setattr(fsvie, "volterra_sweep", spy)
-    fwd = simulate_fsvie(spec, noise, one, scheme="volterra_sum")
+    fwd = simulate_fsvie(spec, noise, one)
     first_variation(spec, noise, one, fwd, 7)
     assert len(lifts) == 1 + 1 + spec.n_atoms
     if table is None:

@@ -140,7 +140,6 @@ def test_table_kernel_roundtrip():
     mat = k.at_nodes(grid)
     assert mat[0, 0] == 0.0 and mat[2, 1] == 4.0 and mat[3, 3] == 9.0
     assert np.all(mat[np.triu_indices(4, k=1)] == 0.0)
-    assert np.allclose(k.row_at_nodes(grid, 2), [3.0, 4.0, 5.0])
 
 
 def test_table_kernel_scalar_query_raises():

@@ -205,16 +205,26 @@ def test_unset_options_are_found():
     assert unset_options([source], [], frozenset({"C.m.e"})) == ["C.__init__.c", "f.y", "f.z"]
 
 
-# Default arguments that bind a value of the enclosing scope into a closure
-# (``driver(..., _lam=lam)``): they are not options, and no caller sets them.
-CLOSURE_DEFAULTS = frozenset({"driver._lam"})
+# Defaulted parameters that neither the package nor the benchmark sets, each
+# with the reason it stays.  Tests are not callers: a knob that only a test
+# turns is not an option of the program.
+_SIZING = "test sizing: the tests run the check on a smaller, faster input"
+OPTIONS_WITHOUT_CALLER = {
+    "driver._lam": "binds a value of the enclosing scope into a closure; not an option",
+    "check_duality.n_paths": _SIZING,
+    "martingale_family_solution.n_steps": _SIZING,
+    "martingale_family_solution.n_paths": _SIZING,
+    "martingale_family_solution.seed": _SIZING,
+    "first_variation.include_diagonal": "False is the literal pathwise derivative of the "
+                                        "left-point scheme, which a finite-difference test pins",
+}
 
 
 def test_every_optional_parameter_is_set_by_a_caller():
     sources = [p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))]
-    callers = [p.read_text() for d in ("tests", "perfbench")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    assert unset_options(sources, callers, CLOSURE_DEFAULTS) == []
+    callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    # exactly the listed ones: an entry that a caller now sets is stale
+    assert unset_options(sources, callers) == sorted(OPTIONS_WITHOUT_CALLER)
 
 
 def test_import_starts_no_thread():
@@ -266,11 +276,12 @@ def test_every_per_node_array_is_node_major():
         "compensated_counts": noise.compensated_counts,
         "compensated_rows": noise.compensated_rows(slice(3, 40)),
     }
-    for scheme in ("multiplicative_exact", "volterra_sum"):
-        fwd = simulate_fsvie(spec, noise, one, scheme=scheme)
-        arrays[f"{scheme}.state"] = fwd.state
-        arrays[f"{scheme}.values"] = fwd.values
-    fv = first_variation(spec, noise, one, fwd, 5)
+    two_time = _layout_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
+    for engine, scenario in (("exact", spec), ("sum", two_time)):
+        fwd = simulate_fsvie(scenario, noise, one)
+        arrays[f"{engine}.state"] = fwd.state
+        arrays[f"{engine}.values"] = fwd.values
+    fv = first_variation(two_time, noise, one, fwd, 5)
     arrays["first_variation.brownian"] = fv.brownian
     arrays["first_variation.jump"] = fv.jump
     engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
@@ -321,7 +332,7 @@ def test_path_major_bundle_gives_the_same_values():
                    RegressionSpec(degree=2, variables=("brownian", "jump_counts")))
 
     def values(bundle):
-        sweep = simulate_fsvie(two_time, bundle, one, scheme="volterra_sum").state
+        sweep = simulate_fsvie(two_time, bundle, one).state
         log_x = _simulate_multiplicative(spec, bundle, one.step_integrals(spec.grid), 20)
         engine = CondExpEngine(*engine_spec, bundle)
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
