@@ -21,13 +21,11 @@ import numpy as np
 from .bsde import solve_bsde
 from .bsvie import BsvieSolution, FamilyStatistics, family_statistics, solve_bsvie
 from .condexp import CondExpEngine
-from .controls import ControlFn
+from .controls import ControlFn, discount_curve, remaining_value_curve
 from .control import (
     _log_noise_leg,
-    adjoint_product,
     build_adjoint_state,
     gateaux_derivative,
-    lambda_adjoint,
     log_utility_oracle,
     performance,
 )
@@ -426,8 +424,8 @@ def check_adjoint_reduction(scenario: ScenarioSpec) -> list[CheckResult]:
     for gamma_val in (0.0, 1.0):
         grid = scenario.grid
         gamma = np.full(grid.n_steps + 1, gamma_val)
-        lam = lambda_adjoint(gamma, grid, scenario.convention)
-        ref = adjoint_product(gamma, grid, scenario.convention)
+        lam = discount_curve(gamma, grid, scenario.convention)
+        ref = remaining_value_curve(gamma, grid, scenario.convention)
         levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
         noise = generate_noise(grid, levy, n_paths=2048, seed=5, n_blocks=8)
         engine = CondExpEngine(

@@ -11,20 +11,18 @@ generator is evaluated at the left time with the projected value,
 
 The solver follows the generator convention ``Y(t) = E_t[ Y(T) + int_t^T g ]``.
 
-Every conditional expectation at step ``i`` comes out of the regression on
-node ``i``'s conditioning design, so ``z_i`` and ``k_i`` are held as their
-``p`` coefficients on that design (Gobet, Lemor & Warin, Ann. Appl. Probab.
-15, 2005), as the BSVIE triangle is.  One solve of the design against the
-block ``[y, y dB, y (count_q - w_q dt)]`` gives all of them; only ``y`` is
-evaluated back on the paths, and with a generator ``z_i`` and ``k_i`` are
-evaluated on the paths for its call and dropped.
+Each step is the engine's backward regression step
+(:meth:`CondExpEngine.backward_columns`) on the one value row: ``z_i`` and
+``k_i`` come out of the regression on node ``i``'s design and are held as
+their ``p`` coefficients on it (Gobet, Lemor & Warin, Ann. Appl. Probab. 15,
+2005), as the BSVIE triangle is; a BSDE is the one-row case of the BSVIE's
+family recursion.  This module adds the generator (``z_i`` and ``k_i`` are
+evaluated on the paths for its call and dropped) and the step's R².
 
-One backward recursion serves two consumers.  It holds the running value
-row, the step's targets and its design, and yields each step's value row
-and coefficients.  ``solve_bsde`` collects them into a :class:`BsdeSolution`;
-the utility cross-check (``recursive_utility_bsde``) keeps only the last
-row, ``Y(0)`` on the paths, so it holds one value row where the collector
-holds ``n + 1``.
+The recursion serves two consumers.  ``solve_bsde`` collects the steps into
+a :class:`BsdeSolution`; the utility cross-check (``recursive_utility_bsde``)
+keeps only the last row, ``Y(0)`` on the paths, so it holds one value row
+where the collector holds ``n + 1``.
 
 ``recursive_utility`` evaluates the log-consumption utility.  Its generator
 is linear in the value, so the integrating-factor representation
@@ -92,50 +90,36 @@ class BsdeSolution:
 
 
 def _backward_steps(
-    y_next: np.ndarray,
+    terminal: np.ndarray,
     driver: Driver | None,
     noise: NoiseBundle,
     engine: CondExpEngine,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, float]]:
-    """The backward recursion from the terminal row ``y_next``, one step at a time.
+    """The backward recursion from the terminal row, one step at a time.
 
     Yields ``(i, y_i, z_i, k_i, r2_i)`` for ``i = n-1`` down to 0: the value
     row on the paths, the coefficients ``(p,)`` of ``z_i`` and ``(m, p)`` of
-    ``k_i`` on node ``i``'s design, and the step's projection R².  Only the
-    running row, the ``(N, 2 + m)`` targets and the step's design are held.
-    ``y_i`` is the next step's running row: a consumer reads it and never
-    writes to it.
+    ``k_i`` on node ``i``'s design, and the step's projection R²,
+    ``1 - var(y_{i+1} - E_i[y_{i+1}]) / var(y_{i+1})``.  Only the running
+    row, a copy of the previous one and the step's design are held.  ``y_i``
+    is the next step's running row: a consumer reads it and never writes to it.
     """
     grid = noise.grid
-    n, dt = grid.n_steps, grid.dt
-    m = noise.levy.n_atoms
-    w_dt = noise.levy.weights * dt if m else None
-    # one solve per step: columns y, y dB and y (count_q - w_q dt); each
-    # step compensates its own counts, so no float copy of all counts is made
-    targets = np.empty((noise.n_paths, 2 + m), order="F")
     x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
-
-    for i in range(n - 1, -1, -1):
-        targets[:, 0] = y_next
-        np.multiply(y_next, noise.d_brownian[:, i], out=targets[:, 1])
-        for q in range(m):
-            np.subtract(noise.jump_counts[q, :, i], w_dt[q], out=targets[:, 2 + q])
-            targets[:, 2 + q] *= y_next
-        design = engine.design_at(i)
-        coef = design.coefficients(targets)  # (p, 2 + m)
-        z = coef[:, 1] / dt
-        k = coef[:, 2:].T / w_dt[:, None] if m else coef[:, 2:].T
-        y = design.evaluate(coef[:, 0])
+    y = np.array(terminal, dtype=float)[None]
+    y_next = y[0].copy()
+    for i, design, live, z, k in engine.backward_columns(y):
+        y_i = live[0]
         var = float(np.var(y_next))
-        r2 = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y)) / var
+        r2 = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y_i)) / var
         if driver is not None:
             # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
-            zk = np.concatenate([z[None], k]) @ design.phi
+            zk = np.concatenate([z, k[:, 0]]) @ design.phi
             # the state row is made in the call, so it does not outlive it
-            g = driver(i, grid.nodes[i], x_row(i), y, zk[0], zk[1:] if m else None)
-            y += np.asarray(g, dtype=float) * dt
-        yield i, y, z, k, r2
-        y_next = y
+            g = driver(i, grid.nodes[i], x_row(i), y_i, zk[0], zk[1:] if len(k) else None)
+            y_i += np.asarray(g, dtype=float) * grid.dt
+        yield i, y_i, z[0], k[:, 0], r2
+        y_next[...] = y_i
 
 
 def solve_bsde(

@@ -11,11 +11,13 @@ exponentially weighted distance between successive triples drops below a
 relative tolerance.  Without a generator the pass map ignores the frozen
 triple, so one pass reaches the fixed point.
 
-One backward recursion serves every solve.  It steps the running time
-``t_r`` backward for all families at once and hands each finished column
-``(0..r, r)`` to its consumer, as in the BSDE-family view of the equation
-(Bender & Pokalyuk, "Discretization of backward stochastic Volterra integral
-equations", 2013).
+Every solve runs on the engine's backward regression step
+(:meth:`CondExpEngine.backward_columns`): the running time ``t_r`` steps
+backward for all families at once, the families ``0..r`` being the live
+value rows, as in the BSDE-family view of the equation (Bender & Pokalyuk,
+"Discretization of backward stochastic Volterra integral equations", 2013).
+A BSDE is the one-row case of the same step.  Each consumer here adds its
+generator term to the live rows and takes the finished column ``(0..r, r)``.
 
 Every coefficient ``Z(t_i, s_r)`` and ``K(t_i, s_r, e_q)`` comes out of the
 regression at node ``r``, so it is held as its ``p`` coefficients on that
@@ -37,7 +39,7 @@ its coefficients as it is finished and stores no triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -171,52 +173,6 @@ def _terminal_family(zeta: np.ndarray, n_steps: int, n_paths: int) -> np.ndarray
     return zeta.reshape(n_steps + 1, -1)
 
 
-def _family_columns(
-    zeta: np.ndarray,
-    y: np.ndarray,
-    noise: NoiseBundle,
-    engine: CondExpEngine,
-    drift: Callable[[int, Design], np.ndarray] | None,
-) -> Iterator[tuple[int, Design, np.ndarray, np.ndarray]]:
-    """The backward recursion of one pass, one running time at a time.
-
-    ``y`` (``(n+1, N)``) is filled with ``zeta``; row ``i`` then carries
-    family ``i``'s running value until its solve reaches ``t_i``, so ``y``
-    ends as the new diagonal.  The running time ``t_r`` steps backward once
-    for all families ``i <= r``: one product of node ``r``'s design with the
-    running values gives the coefficients of ``y``, ``y dB_r`` and
-    ``y (count_q - w_q dt)``, and only ``y`` is evaluated back on the paths.
-    Unless ``drift`` is None, one call ``drift(r, design)`` adds the
-    generator term of the families ``0..r`` (shape broadcastable to
-    ``(r+1, N)``).
-
-    After each running time ``r`` this yields ``(r, design, z, k)``: the
-    design of node ``r`` and the new coefficient column ``(0..r, r)``, of
-    shape ``(r+1, p)``, with its jump block ``(n_atoms, r+1, p)``;
-    ``drift(r, design)`` has already run.
-    """
-    grid = noise.grid
-    n, dt = grid.n_steps, grid.dt
-    m = noise.levy.n_atoms
-    y[:] = _terminal_family(zeta, n, noise.n_paths)
-    comp = noise.compensated_counts if m else None
-    w_dt = noise.levy.weights[:, None, None] * dt if m else None
-    for r in range(n - 1, -1, -1):
-        design = engine.design_at(r)
-        y_run = y[:r + 1]
-        # contiguous rows of the node-major noise
-        factors = [noise.d_brownian[:, r]] + [comp[q, :, r] for q in range(m)]
-        # (2 + m, r+1, p): coefficients of y, y dB and y (count_q - w_q dt)
-        coef = design.product_coefficients(y_run, factors)
-        np.matmul(coef[0], design.phi, out=y_run)
-        if drift is not None:
-            # the driver reads the frozen triple, never the running values
-            y_run += np.asarray(drift(r, design), dtype=float) * dt
-        z_new = coef[1] / dt
-        k_new = coef[2:] / w_dt if m else coef[2:]
-        yield r, design, z_new, k_new
-
-
 def solve_family_step(
     zeta: np.ndarray,
     driver: VolterraDriver | None,
@@ -240,34 +196,32 @@ def solve_family_step(
     changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and per
     pair ``E[(Z_new - Z_old)^2] + sum_q w_q E[(K_new - K_old)_q^2]``.
     """
-    n = noise.grid.n_steps
+    grid = noise.grid
+    n, dt = grid.n_steps, grid.dt
     m = noise.levy.n_atoms
     families = np.arange(n)[:, None]
     y_frozen = frozen.y.copy()
-    drift = None
-    if driver is not None:
-        # the frozen Z and K columns on the paths, rows [z; k_1; ...; k_m]
-        on_paths = np.empty(((1 + m) * n, noise.n_paths))
-
-        def drift(r: int, design: Design) -> np.ndarray:
-            fam, p = r + 1, design.phi.shape[0]
-            k_coef = _on_design(frozen.k, r, design).transpose(1, 0, 2).reshape(m * fam, p)
-            coef = np.concatenate([_on_design(frozen.z, r, design), k_coef])
+    y = frozen.y
+    y[:] = _terminal_family(zeta, n, noise.n_paths)
+    # the frozen Z and K columns on the paths, rows [z; k_1; ...; k_m]
+    on_paths = np.empty(((1 + m) * n, noise.n_paths)) if driver is not None else None
+    y_sq = np.empty(n + 1)
+    pair_sq = np.empty(_n_pairs(n))
+    for r, design, live, z_new, k_new in engine.backward_columns(y):
+        fam, p = r + 1, design.phi.shape[0]
+        z_old = _on_design(frozen.z, r, design)
+        k_old = _on_design(frozen.k, r, design).transpose(1, 0, 2)
+        if driver is not None:
+            # the driver reads the frozen column r before it is overwritten
+            coef = np.concatenate([z_old, k_old.reshape(m * fam, p)])
             block = np.matmul(coef, design.phi, out=on_paths[:(1 + m) * fam])
             k_col = block[fam:].reshape(m, fam, -1) if m else None
             x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
-            return driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
-
-    y = frozen.y
-    y_sq = np.empty(n + 1)
-    pair_sq = np.empty(_n_pairs(n))
-    # the driver has read the frozen column r before it is yielded: overwrite
-    # it with the new one
-    for r, design, z_new, k_new in _family_columns(zeta, y, noise, engine, drift):
+            g = driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
+            live += np.asarray(g, dtype=float) * dt
         col = _column(r)
-        pair_sq[col] = _replace(_on_design(frozen.z, r, design), z_new, design)
+        pair_sq[col] = _replace(z_old, z_new, design)
         if m:
-            k_old = _on_design(frozen.k, r, design).transpose(1, 0, 2)
             pair_sq[col] += noise.levy.weights @ _replace(k_old, k_new, design)
         y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
     y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
@@ -309,7 +263,8 @@ def family_statistics(
     terms = np.empty(n)
     zero_row = 0.0
     y = np.empty((n + 1, noise.n_paths))
-    for r, design, z, _ in _family_columns(zeta, y, noise, engine, None):
+    y[:] = _terminal_family(zeta, n, noise.n_paths)
+    for r, design, _, z, _ in engine.backward_columns(y):
         z_mean[_column(r)] = z @ design.phi.mean(axis=1)
         zero_row = np.maximum(zero_row, np.max(np.abs(z[0] @ design.phi)))  # keeps a NaN
         # consecutive rows of column r are the pairs (i, r) and (i + 1, r)

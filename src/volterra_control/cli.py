@@ -68,13 +68,14 @@ class RunReport:
     nan_values: list = field(default_factory=list)
     error: str = ""
 
-    def add_check(self, name, value, reference, tolerance, passed):
+    def add_check(self, name, value, reference, tolerance):
+        """Record a check; it passes when ``|value - reference| <= tolerance``."""
         self.checks.append({
             "name": name,
             "value": float(value),
             "reference": float(reference),
             "tolerance": float(tolerance),
-            "passed": bool(passed),
+            "passed": bool(abs(value - reference) <= tolerance),
         })
 
     @property
@@ -220,8 +221,7 @@ def _cmd_simulate_forward(spec, args, report, out_dir):
     mean, se = mean_se(fwd.values[:, -1])
     # smoke tolerance: statistical band plus a first-order discretization allowance
     tol = 4.0 * se + (0.0 if spec.time_invariant else 0.02 * abs(oracle[-1]))
-    report.add_check("terminal_mean_vs_oracle", mean, float(oracle[-1]), tol,
-                     abs(mean - oracle[-1]) <= tol)
+    report.add_check("terminal_mean_vs_oracle", mean, float(oracle[-1]), tol)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -234,7 +234,7 @@ def _cmd_evaluate_utility(spec, args, report, out_dir):
         oracle = log_utility_oracle(spec, control)
         rows[0]["j_oracle"] = oracle
         tol = 5.0 * res.se + 1e-4
-        report.add_check("utility_vs_oracle", res.j, oracle, tol, abs(res.j - oracle) <= tol)
+        report.add_check("utility_vs_oracle", res.j, oracle, tol)
     _write_rows(report, out_dir, "utility.csv", rows)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
@@ -242,8 +242,7 @@ def _cmd_evaluate_utility(spec, args, report, out_dir):
 def _cmd_optimal_consumption(spec, args, report, out_dir):
     _write_rows(report, out_dir, "c_star.csv", consumption_rows(spec))
     adj = build_adjoint_state(spec)
-    report.add_check("first_order_condition", adj.foc_residual(), 0.0, 1e-12,
-                     adj.foc_residual() <= 1e-12)
+    report.add_check("first_order_condition", adj.foc_residual(), 0.0, 1e-12)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -253,13 +252,11 @@ def _cmd_solve_bsvie(spec, args, report, out_dir):
     _write_rows(report, out_dir, "bsvie_diagonal.csv", diagonal_rows(sol))
     y0 = float(sol.y[0].mean())
     fixed_point = (1.0 - spec.grid.dt) ** (-spec.grid.n_steps)  # discrete resolvent identity
-    report.add_check("resolvent_fixed_point", y0, fixed_point, 1e-3 * fixed_point,
-                     abs(y0 - fixed_point) <= 1e-3 * fixed_point)
+    report.add_check("resolvent_fixed_point", y0, fixed_point, 1e-3 * fixed_point)
     # the discrete fixed point sits above e^T by the scheme's first-order gap
     exponential = math.exp(spec.grid.horizon)
     band = abs(fixed_point - exponential) + 1e-3 * exponential
-    report.add_check("resolvent_vs_exponential", y0, exponential, band,
-                     abs(y0 - exponential) <= band)
+    report.add_check("resolvent_vs_exponential", y0, exponential, band)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -273,7 +270,7 @@ def _write_checks(report, out_dir, name, results) -> int:
             "reference": r.reference, "tolerance": r.tolerance,
             "passed": int(r.passed), "detail": r.detail,
         })
-        report.add_check(f"{r.criterion}:{r.name}", r.value, r.reference, r.tolerance, r.passed)
+        report.add_check(f"{r.criterion}:{r.name}", r.value, r.reference, r.tolerance)
     _write_rows(report, out_dir, name, rows)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
@@ -299,11 +296,8 @@ def _cmd_verify_duality(args, report, out_dir):
         + acc.jump_duality(("jump_square", "jump_isometry"), n_paths, report.seed + 1)
     )
     _write_rows(report, out_dir, "duality.csv", duality_rows(results))
-    checks = []
-    for r in results:
-        tol = 3.0 * r.combined_se
-        checks.append(acc.CheckResult("C7", f"{r.name}_sides_agree", r.lhs, r.rhs, tol,
-                                      abs(r.lhs - r.rhs) <= tol))
+    checks = [acc._result("C7", f"{r.name}_sides_agree", r.lhs, r.rhs, 3.0 * r.combined_se)
+              for r in results]
     return _write_checks(report, out_dir, "duality_checks.csv", checks)
 
 

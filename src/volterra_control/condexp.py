@@ -14,25 +14,27 @@ through that Gram matrix.  When the Gram matrix is too ill-conditioned for
 the normal equations, the solve falls back to the pseudo-inverse of the
 design, and beyond that to a small trace-normalized ridge penalty (the
 intercept is never penalized, so sample means are always preserved).
+Trivial information is the intercept design, whose fit is the column mean.
 Targets may be one column ``(N,)`` or a block ``(N, k)``; ``k`` projections
 at one node then cost one matrix product.
 
-A backward solver that keeps coefficients instead of fitted values reads the
-node's design itself (:meth:`CondExpEngine.design_at`); every node outside
-trivial information has the same :attr:`CondExpEngine.n_basis` rows.  The
-coefficients of ``k`` value rows and of their products with a few noise rows
-come from one product of the weighted basis with the values
-(``[phi; phi*f_1; ...] @ y.T``) and one ``p x p`` solve, so no ``(N, k)``
-target block is formed; the path
-mean of a fitted square is the Gram form ``c^T (gram / N) c``, read off the
-basis' triangular factor.  Column means are the regression on the intercept
-alone.
+Both backward solvers run on one regression step,
+:meth:`CondExpEngine.backward_columns`.  It steps ``k`` value rows back one
+node at a time, in place: one product of the node's design with the values
+and the noise increments gives the coefficients of ``y``, ``y dB`` and
+``y (count_q - w_q dt)`` and one ``p x p`` solve finishes them, so no
+``(N, k)`` target block is formed and ``Z`` and ``K`` are held as their ``p``
+coefficients on the node's design (Gobet, Lemor & Warin, Ann. Appl. Probab.
+15, 2005).  Only ``y`` is evaluated back on the paths.  The BSDE steps one
+row; a BSVIE pass steps one row per family.  The path mean of a fitted
+square is the Gram form ``c^T (gram / N) c``, read off the basis'
+triangular factor.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -109,13 +111,6 @@ def _standardise(phi: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _column_means(targets: np.ndarray) -> np.ndarray:
-    """Each target column's sample mean, broadcast to every path."""
-    out = np.empty_like(targets)
-    out[...] = targets.mean(axis=0)
-    return out
-
-
 class Design:
     """A standardized basis ``phi`` (p, N) and the solve of its normal equations.
 
@@ -185,18 +180,26 @@ class Design:
         ``values`` is ``(k, N)`` and each factor ``(N,)``.  Returns
         ``(1 + len(factors), k, p)``: block 0 regresses ``values`` and block
         ``1 + j`` regresses ``values * factors[j]``.  The right-hand sides are
-        one product of the values with the weighted basis (``phi``, or the
-        kept solver).
+        one product of the basis (``phi``, or the kept solver) with the
+        values, the factors multiplied into the narrower operand: the ``k``
+        value rows when ``k < p``, else the ``p`` basis rows.
         """
         base = self.phi if self.solver is None else self.solver
-        p = base.shape[0]
-        weighted = np.empty(((1 + len(factors)) * p, base.shape[1]))
-        weighted[:p] = base
+        p, k, blocks = base.shape[0], len(values), 1 + len(factors)
+        narrow = values if k < p else base
+        rows = len(narrow)
+        weighted = np.empty((blocks * rows, base.shape[1]))
+        weighted[:rows] = narrow
         for j, f in enumerate(factors, start=1):
-            np.multiply(base, f, out=weighted[j * p:(j + 1) * p])
+            np.multiply(narrow, f, out=weighted[j * rows:(j + 1) * rows])
+        if k < p:
+            rhs = base @ weighted.T  # (p, blocks k)
+            if self.solver is None:
+                rhs = np.linalg.solve(self.gram, rhs)
+            return rhs.T.reshape(blocks, k, p)
         # (k, N) @ (N, .) rather than (., N) @ (N, k): the threaded BLAS
         # splits this orientation well and the other one badly
-        rhs = (values @ weighted.T).reshape(len(values), 1 + len(factors), p).transpose(1, 0, 2)
+        rhs = (values @ weighted.T).reshape(k, blocks, p).transpose(1, 0, 2)
         if self.solver is not None:
             return rhs
         return np.linalg.solve(self.gram, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -284,10 +287,6 @@ class CondExpEngine:
                 self._designs[cnode] = design
         return design
 
-    def _trivial_at(self, cnode: int) -> bool:
-        """Whether the information at conditioning node ``cnode`` is trivial."""
-        return self.filtration.mode == "trivial" or cnode == 0
-
     @property
     def n_basis(self) -> int:
         """Rows of the widest design: every node outside trivial information
@@ -307,26 +306,47 @@ class CondExpEngine:
         return len(_monomial_powers(n_vars, self.regression.degree))
 
     def design_at(self, node: int) -> Design:
-        """The design that conditions at ``node``.
-
-        Where :meth:`project` answers with column means (trivial
-        information) this is the intercept design.
-        """
+        """The design that conditions at ``node``: the intercept design where
+        the information is trivial (trivial mode, or conditioning node 0)."""
         cnode = self.conditioning_node(node)
-        if self._trivial_at(cnode):
+        if self.filtration.mode == "trivial" or cnode == 0:
             return Design.intercept(self.noise.n_paths)
         return self._design(cnode)
 
     # -- projections ---------------------------------------------------------
 
     def project(self, node: int, targets: np.ndarray) -> np.ndarray:
-        """Conditional mean of ``targets`` given the node's information.
+        """Conditional mean of ``targets`` (``(N,)`` or ``(N, k)``, each column
+        projected) given the node's information."""
+        return self.design_at(node).project(targets)
 
-        ``targets`` is ``(N,)`` or ``(N, k)``; each column is projected.
-        The information at ``t = 0`` is trivial, so conditioning node 0 gives
-        the column means in every mode.
+    def backward_columns(
+        self, y: np.ndarray
+    ) -> Iterator[tuple[int, Design, np.ndarray, np.ndarray, np.ndarray]]:
+        """One backward regression step per running time ``t_r``, in place on ``y``.
+
+        ``y`` holds ``(k, N)`` value rows at ``t_n``.  At running time ``r``
+        (``n-1`` down to 0) the live rows are ``y[:r + 1]``: a one-row ``y``
+        (the BSDE) always steps its row, an ``(n+1, N)`` family steps the
+        families ``0..r``.  One product of node ``r``'s design with the live
+        rows, ``dB_r`` and the compensated counts gives the coefficients of
+        ``y``, ``y dB_r`` and ``y (count_q - w_q dt)``, and ``E_r[y]`` is
+        evaluated back into the live rows.
+
+        Yields ``(r, design, live, z, k)``: the live rows, to which the
+        consumer adds its generator term in place before the next step, and
+        the coefficients ``z`` ``(rows, p)`` and ``k`` ``(n_atoms, rows, p)``.
         """
-        cnode = self.conditioning_node(node)
-        if self._trivial_at(cnode):
-            return _column_means(targets)
-        return self._design(cnode).project(targets)
+        noise = self.noise
+        dt = self.grid.dt
+        w_dt = noise.levy.weights * dt
+        for r in range(self.grid.n_steps - 1, -1, -1):
+            design = self.design_at(r)
+            live = y[:r + 1]
+            # contiguous node-major rows, compensated one at a time
+            factors = [noise.d_brownian[:, r]] + [
+                np.subtract(noise.jump_counts[q, :, r], w, dtype=float) for q, w in enumerate(w_dt)
+            ]
+            coef = design.product_coefficients(live, factors)
+            np.matmul(coef[0], design.phi, out=live)
+            yield r, design, live, coef[1] / dt, coef[2:] / w_dt[:, None, None]

@@ -2,9 +2,10 @@
 
 The multiplier pipeline for the log-utility consumption problem is analytic:
 
-* ``lambda_adjoint``     -- discount multiplier ``lambda(t)`` (forward ODE);
-* ``adjoint_product``    -- remaining value ``P(t) = int_t^T lambda``;
-* ``build_adjoint_state``-- both, plus the closed-form rate ``c*(t) = lambda(t)/P(t)``.
+``build_adjoint_state`` holds the discount multiplier ``lambda(t)`` and the
+remaining value ``P(t) = int_t^T lambda`` (``controls.discount_curve`` and
+``controls.remaining_value_curve``) with the closed-form rate
+``c*(t) = lambda(t)/P(t)``.
 
 ``performance`` evaluates the objective by Monte Carlo, ``log_utility_oracle``
 by high-resolution deterministic quadrature (time-invariant kernels only),
@@ -39,7 +40,7 @@ import numpy as np
 
 from .bsde import _positive_consumption, _utility_legs, _utility_weights
 from .condexp import CondExpEngine
-from .controls import ControlFn, discount_curve, remaining_value_curve
+from .controls import ControlFn, discount_curve, fine_discount_curve, remaining_value_curve
 from .fsvie import (
     POSITIVITY_FLOOR,
     ForwardPaths,
@@ -54,8 +55,6 @@ from .paths import NoiseBundle
 
 __all__ = [
     "AdjointState",
-    "lambda_adjoint",
-    "adjoint_product",
     "build_adjoint_state",
     "PerformanceResult",
     "performance",
@@ -70,16 +69,6 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # Analytic multiplier pipeline
 # --------------------------------------------------------------------------- #
-
-def lambda_adjoint(gamma: np.ndarray, grid: TimeGrid, convention: str = "discounting") -> np.ndarray:
-    """Discount multiplier on all nodes; ``lambda(0) = 1``."""
-    return discount_curve(np.asarray(gamma, float), grid, convention)
-
-
-def adjoint_product(gamma: np.ndarray, grid: TimeGrid, convention: str = "discounting") -> np.ndarray:
-    """Remaining value ``P(t_i) = sum_{j>=i} lambda(t_j) dt``; ``P(T) = 0``."""
-    return remaining_value_curve(np.asarray(gamma, float), grid, convention)
-
 
 @dataclass(frozen=True, eq=False)
 class AdjointState:
@@ -105,8 +94,8 @@ class AdjointState:
 
 def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None) -> AdjointState:
     grid = scenario.grid
-    lam = lambda_adjoint(scenario.gamma, grid, scenario.convention)
-    big_p = adjoint_product(scenario.gamma, grid, scenario.convention)
+    lam = discount_curve(scenario.gamma, grid, scenario.convention)
+    big_p = remaining_value_curve(scenario.gamma, grid, scenario.convention)
     cstar = lam[:-1] / big_p[:-1]
     return AdjointState(grid=grid, lam=lam, big_p=big_p, cstar=cstar, fwd=fwd)
 
@@ -239,11 +228,7 @@ def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn) -> float:
     pi = scenario.pi_values()
     jump_rate = float(np.dot(scenario.levy.weights, np.log1p(pi) - pi)) if pi.size else 0.0
 
-    gamma_fine = np.interp(s, grid.nodes, scenario.gamma)
-    sign = -1.0 if scenario.convention == "discounting" else 1.0
-    cum_gamma = np.concatenate(([0.0], np.cumsum(0.5 * (gamma_fine[1:] + gamma_fine[:-1]) * ds)))
-    lam = np.exp(sign * cum_gamma)
-
+    lam = fine_discount_curve(scenario.gamma, s, scenario.convention)
     c_vals, cum_c = control.oracle_profile(s)
     drift = alpha - 0.5 * beta * beta + jump_rate
     with np.errstate(divide="ignore", invalid="ignore"):

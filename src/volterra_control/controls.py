@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import TimeGrid, ValidationError
 
-__all__ = ["ControlFn", "discount_curve", "remaining_value_curve"]
+__all__ = ["ControlFn", "discount_curve", "fine_discount_curve", "remaining_value_curve"]
 
 
 def discount_curve(gamma: np.ndarray, grid: TimeGrid, convention: str) -> np.ndarray:
@@ -43,6 +43,17 @@ def remaining_value_curve(gamma: np.ndarray, grid: TimeGrid, convention: str) ->
     out = np.zeros(grid.n_steps + 1)
     out[:-1] = np.cumsum((lam[:-1] * grid.dt)[::-1])[::-1]
     return out
+
+
+def fine_discount_curve(gamma: np.ndarray, s: np.ndarray, convention: str) -> np.ndarray:
+    """``lambda(s) = exp(-+ int_0^s gamma)`` on a uniform fine grid ``s`` with ``s[0] = 0``.
+
+    ``gamma`` holds node values equally spaced on ``[0, s[-1]]``; they are
+    interpolated linearly and integrated by the trapezoid rule.
+    """
+    g = np.interp(s, np.linspace(0.0, s[-1], gamma.shape[0]), gamma)
+    sign = -1.0 if convention == "discounting" else 1.0
+    return np.exp(sign * np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * (s[1] - s[0])))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +161,7 @@ class ControlFn:
             cum = np.concatenate(([0.0], np.cumsum(c[:-1] * ds)))
             return c, cum
         if self.kind == "theta_cstar":
-            gamma_nodes = self.gamma
-            coarse = np.linspace(0.0, s[-1], gamma_nodes.shape[0])
-            gamma_fine = np.interp(s, coarse, gamma_nodes)
-            sign = -1.0 if self.convention == "discounting" else 1.0
-            cumg = np.concatenate(([0.0], np.cumsum(0.5 * (gamma_fine[1:] + gamma_fine[:-1]) * ds)))
-            lam = np.exp(sign * cumg)
+            lam = fine_discount_curve(self.gamma, s, self.convention)
             tail = np.concatenate((np.cumsum((0.5 * (lam[1:] + lam[:-1]) * ds)[::-1])[::-1], [0.0]))
             with np.errstate(divide="ignore"):
                 cstar = np.where(tail > 0.0, lam / np.where(tail > 0, tail, 1.0), np.inf)

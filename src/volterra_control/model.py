@@ -446,6 +446,19 @@ def _kernel_from_raw(raw, n_steps: int, field_name: str) -> Kernel:
     raise ValidationError(f"{field_name}: unknown kernel kind {kind!r}")
 
 
+def _extreme_node_values(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
+    """Values of ``kernel`` on the grid triangle that bound all the others.
+
+    An analytic kernel is monotone in the lag ``t - s``, so its extremes
+    (and any non-finite value) sit at the lags 0 and ``T``: ``K(T, T)`` and
+    ``K(T, 0)``.  Only a table builds the ``(n+1)^2`` node matrix.
+    """
+    if kernel.exponential_form is None:
+        return kernel.at_nodes(grid)[np.tril_indices(grid.n_steps + 1)]
+    t = grid.nodes[-1]
+    return np.array([kernel(t, t), kernel(t, 0.0)])
+
+
 def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
     """Normalize and validate a scenario given as a dict (JSON shape) or spec.
 
@@ -535,11 +548,10 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
     # Kernels must be finite on the whole triangle (a NaN would pass the
     # positivity test below); jump factors must keep the state positive.
     for name, k in (("alpha", spec.alpha), ("beta", spec.beta)):
-        vals = k.at_nodes(spec.grid)
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(_extreme_node_values(k, spec.grid))):
             raise ValidationError(f"{name} kernel produced non-finite values")
     for m, k in enumerate(spec.pi_kernels):
-        vals = k.at_nodes(spec.grid)[np.tril_indices(spec.grid.n_steps + 1)]
+        vals = _extreme_node_values(k, spec.grid)
         if not np.all(np.isfinite(vals)):
             raise ValidationError(f"jump kernel {m} produced non-finite values")
         if np.any(vals <= -1.0 + 1e-12):

@@ -267,12 +267,14 @@ def test_generic_solver_reads_the_log_state_one_row_at_a_time():
 
 
 def _solve_bsde_reference(terminal, driver, noise, engine):
-    """The backward recursion with one projection call per target column."""
+    """The backward recursion with one projection call per target column,
+    and each step's R² ``1 - var(y_{i+1} - E_i[y_{i+1}]) / var(y_{i+1})``."""
     n, dt = noise.grid.n_steps, noise.grid.dt
     m = noise.levy.n_atoms
     y = np.empty((noise.n_paths, n + 1))
     z = np.zeros((noise.n_paths, n))
     k = np.zeros((m, noise.n_paths, n))
+    r2 = np.ones(n)
     y[:, n] = terminal
     comp = noise.compensated_counts
     for i in range(n - 1, -1, -1):
@@ -284,7 +286,9 @@ def _solve_bsde_reference(terminal, driver, noise, engine):
         g = 0.0 if driver is None else driver(
             i, noise.grid.nodes[i], None, y_proj, z[:, i], k[:, :, i] if m else None)
         y[:, i] = y_proj + g * dt
-    return y, z, k
+        if np.var(y_next) > 0.0:
+            r2[i] = 1.0 - np.var(y_next - y_proj) / np.var(y_next)
+    return y, z, k, r2
 
 
 def _assert_matches_path_arrays(sol, engine, y, z, k):
@@ -324,7 +328,28 @@ def test_one_projection_per_step_matches_per_column_calls(
 
     driver = driver if with_driver else None
     sol = solve_bsde(terminal, driver, noise, engine)
-    _assert_matches_path_arrays(sol, engine, *_solve_bsde_reference(terminal, driver, noise, engine))
+    y, z, k, _ = _solve_bsde_reference(terminal, driver, noise, engine)
+    _assert_matches_path_arrays(sol, engine, y, z, k)
+
+
+@pytest.mark.parametrize("mode", ["full", "trivial", "delay"])
+def test_r_squared_matches_per_column_reference(mode):
+    grid = build_time_grid(1.0, 12)
+    noise = generate_noise(grid, LevyMeasure.from_atoms([[-0.1, 2.0]]), n_paths=400, seed=9,
+                           n_blocks=1)
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode, delay=0.25 if mode == "delay" else 0.0),
+        RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise,
+    )
+    terminal = noise.brownian_levels[:, -1] ** 2 + noise.count_levels[0][:, -1]
+
+    def driver(i, t, x, y, z, k):
+        return np.cos(y) + 0.3 * z + 0.1 * k[0]
+
+    sol = solve_bsde(terminal, driver, noise, engine)
+    r2 = _solve_bsde_reference(terminal, driver, noise, engine)[3]
+    assert r2[-1] < 1.0  # the terminal step's fit is not exact
+    np.testing.assert_allclose(sol.r_squared, r2, rtol=0, atol=1e-10)
 
 
 def _solve_bsde_path_major(terminal, driver, noise, engine, x_paths):

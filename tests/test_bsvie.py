@@ -874,6 +874,29 @@ def test_solve_bsvie_memory_grows_with_the_diagonal_not_the_triangle():
     assert peak(path_solve_bsvie, 80) / peak(path_solve_bsvie, 40) > 3.0
 
 
+@pytest.mark.parametrize("mode", ["full", "trivial", "delay"])
+def test_bsde_is_the_one_row_family(mode):
+    # family i of the driver-free family whose every terminal is xi is the
+    # BSDE of xi stepped back to t_i: the diagonal is the BSDE's value and
+    # every pair (i, r) holds the BSDE's z and k at running time r
+    noise = make_noise(n_steps=12, n_paths=400, seed=5, levy=LevyMeasure.from_atoms([[-0.1, 2.0]]))
+    engine = CondExpEngine(
+        FiltrationMode(mode=mode, delay=0.25 if mode == "delay" else 0.0),
+        RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise,
+    )
+    n = noise.grid.n_steps
+    xi = noise.brownian_levels[:, -1] ** 2 + noise.count_levels[0][:, -1]
+    bsde = solve_bsde(xi, None, noise, engine)
+    family = solve_bsvie(np.broadcast_to(xi, (n + 1, noise.n_paths)), None, noise, engine)
+    np.testing.assert_allclose(family.y, bsde.y.T, rtol=0, atol=1e-12 * np.abs(xi).max())
+    for r in range(n):
+        col = _column(r)
+        np.testing.assert_allclose(family.z[col], np.broadcast_to(bsde.z[r], family.z[col].shape),
+                                   rtol=0, atol=1e-12 * np.abs(bsde.z).max())
+        np.testing.assert_allclose(family.k[col], np.broadcast_to(bsde.k[r], family.k[col].shape),
+                                   rtol=0, atol=1e-12 * np.abs(bsde.k).max())
+
+
 @pytest.mark.parametrize("shape", [(9, 7), (9, 10, 2), (8, 10), (9, 1, 1), ()])
 def test_malformed_terminal_family_is_rejected(shape):
     noise = make_noise(n_steps=8, n_paths=10)

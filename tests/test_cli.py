@@ -357,7 +357,7 @@ def test_report_written_on_check_failure(tmp_path, monkeypatch):
     import volterra_control.cli as cli
 
     def broken_handler(spec, args, report, out_dir):
-        report.add_check("always_fails", 1.0, 0.0, 0.5, False)
+        report.add_check("always_fails", 1.0, 0.0, 0.5)
         return cli.EXIT_CHECK_FAILED if not report.all_passed else cli.EXIT_OK
 
     monkeypatch.setitem(cli.__dict__, "_cmd_optimal_consumption", broken_handler)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from volterra_control.condexp import (
     CondExpEngine,
+    Design,
     _basis,
     _monomial_powers,
     _standardise,
@@ -373,3 +374,50 @@ def test_gram_standardisation_matches_two_pass(n_paths, seed, degree, kinds, con
     np.testing.assert_allclose(phi, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
     np.testing.assert_allclose(gram, ref_gram, rtol=0, atol=1e-12 * n_paths)
     assert np.all(phi[0] == 1.0)
+
+
+# --------------------------------------------------------------------------- #
+# product coefficients against per-column least squares
+# --------------------------------------------------------------------------- #
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_paths=st.integers(60, 400),
+    seed=st.integers(0, 2**16),
+    solver=st.sampled_from(["normal", "pinv", "ridge"]),
+    n_factors=st.integers(0, 2),
+    data=st.data(),
+)
+def test_product_coefficients_match_lstsq(n_paths, seed, solver, n_factors, data):
+    # a second state row near the first makes the Gram matrix too
+    # ill-conditioned for the normal equations (pinv) or the design itself
+    # past the ridge threshold
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n_paths)
+    b = {"normal": rng.normal(size=n_paths), "pinv": a + 1e-7 * rng.normal(size=n_paths),
+         "ridge": a + 1e-13 * rng.normal(size=n_paths)}[solver]
+    design = Design.from_rows([a, b], 1)
+    assert (design.solver is not None) == (solver != "normal")
+    assert design.ridged == (solver == "ridge")
+    phi = design.phi.T
+    p = phi.shape[1]
+    k = data.draw(st.integers(1, p + 2))  # values narrower and wider than the basis
+    values = rng.normal(size=(k, n_paths)) + a
+    factors = [rng.normal(size=n_paths) for _ in range(n_factors)]
+    coef = design.product_coefficients(values, factors)
+    assert coef.shape == (1 + n_factors, k, p)
+    if solver == "ridge":
+        # the ridge least-squares solution, one lstsq on the penalty-augmented system
+        penalty = np.eye(p) * np.sqrt(1e-8 * np.trace(phi.T @ phi) / p)
+        penalty[0, 0] = 0.0
+        phi, pad = np.vstack([phi, penalty]), np.zeros(p)
+    else:
+        pad = np.zeros(0)
+    for j, f in enumerate([np.ones(n_paths)] + factors):
+        targets = values * f
+        ref = [np.linalg.lstsq(phi, np.concatenate([t, pad]), rcond=None)[0] for t in targets]
+        # fitted values agree where the coefficients of a near-collinear basis need not
+        atol = {"normal": _tolerance(design.phi.T, targets.T), "pinv": 1e-6 * np.abs(targets).max(),
+                "ridge": 1e-10 * np.abs(targets).max()}[solver]
+        np.testing.assert_allclose(coef[j] @ design.phi, np.array(ref) @ design.phi,
+                                   rtol=0, atol=atol)

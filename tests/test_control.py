@@ -10,15 +10,13 @@ from volterra_control import control as ctl
 from volterra_control.bsde import _utility_legs
 from volterra_control.condexp import CondExpEngine
 from volterra_control.control import (
-    adjoint_product,
     build_adjoint_state,
     gateaux_derivative,
     hamiltonian_h1,
-    lambda_adjoint,
     log_utility_oracle,
     performance,
 )
-from volterra_control.controls import ControlFn, discount_curve
+from volterra_control.controls import ControlFn, discount_curve, remaining_value_curve
 from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
     ForwardPaths,
@@ -58,33 +56,33 @@ def make_scenario(**overrides):
 # --------------------------------------------------------------------------- #
 
 def test_lambda_flat_without_discounting():
-    lam = lambda_adjoint(np.zeros(101), GRID, "discounting")
+    lam = discount_curve(np.zeros(101), GRID, "discounting")
     assert np.all(lam == 1.0)
 
 
 def test_lambda_unit_rate_both_conventions():
     gamma = np.ones(101)
-    lam_d = lambda_adjoint(gamma, GRID, "discounting")
-    lam_p = lambda_adjoint(gamma, GRID, "paper_ode")
+    lam_d = discount_curve(gamma, GRID, "discounting")
+    lam_p = discount_curve(gamma, GRID, "paper_ode")
     assert math.isclose(lam_d[-1], math.exp(-1.0), rel_tol=1e-12)
     assert math.isclose(lam_p[-1], math.exp(1.0), rel_tol=1e-12)
     assert lam_d[0] == 1.0 and lam_p[0] == 1.0
 
 
 def test_remaining_value_linear_decay():
-    big_p = adjoint_product(np.zeros(101), GRID, "discounting")
+    big_p = remaining_value_curve(np.zeros(101), GRID, "discounting")
     assert np.allclose(big_p, 1.0 - GRID.nodes, atol=1e-12)
     assert big_p[-1] == 0.0
 
 
 def test_remaining_value_discounted():
-    big_p = adjoint_product(np.ones(101), GRID, "discounting")
+    big_p = remaining_value_curve(np.ones(101), GRID, "discounting")
     # left-point tail sum of e^{-s} carries an O(dt) offset
     assert abs(big_p[0] - (1.0 - math.exp(-1.0))) < 0.005
 
 
 def test_remaining_value_monotone_for_nonneg_rate():
-    big_p = adjoint_product(np.full(101, 0.7), GRID, "discounting")
+    big_p = remaining_value_curve(np.full(101, 0.7), GRID, "discounting")
     assert np.all(np.diff(big_p) < 0)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,11 +189,50 @@ def test_validate_rejects_jump_killing_positivity():
     {"kind": "exp_decay", "amplitude": -0.1, "rate": math.inf},
     # built past the constructors' checks: validation still sees the NaN
     Kernel(kind="exp_decay", amplitude=-0.1, rate=math.nan),
+    Kernel(kind="exp_decay", amplitude=math.nan, rate=0.5),
 ])
 def test_validate_rejects_non_finite_jump_kernel(kernel):
     raw = dict(S0_RAW, levy={"atoms": [[-0.1, 0.5]]}, pi_kernels=[kernel])
     with pytest.raises(ValidationError, match="finite"):
         validate_scenario(raw)
+
+
+@pytest.mark.parametrize("field", ["alpha_kernel", "beta_kernel"])
+def test_validate_rejects_non_finite_drift_kernel(field):
+    raw = dict(S0_RAW, **{field: Kernel(kind="exp_decay", amplitude=math.nan, rate=0.5)})
+    with pytest.raises(ValidationError, match=f"{field[:-7]} kernel produced non-finite values"):
+        validate_scenario(raw)
+
+
+@pytest.mark.parametrize("kernel, min_pi", [
+    ({"kind": "exp_decay", "amplitude": -1.2, "rate": 1.0}, "-1.2"),
+    # built past the constructor's rate check: the minimum is at the lag T
+    (Kernel(kind="exp_decay", amplitude=-0.5, rate=-1.0), "-1.35914"),
+    ({"kind": "table", "values": [-0.5, -0.5, -1.25] + [-0.1] * 3}, "-1.25"),
+])
+def test_jump_kernel_minimum_over_the_triangle(kernel, min_pi):
+    # an analytic kernel is monotone in the lag, so its minimum is one of
+    # the two extreme lags; a table is read on the whole triangle
+    raw = dict(S0_RAW, grid={"horizon": 1.0, "n_steps": 2}, levy={"atoms": [[-0.1, 0.5]]},
+               pi_kernels=[kernel])
+    with pytest.raises(ValidationError) as err:
+        validate_scenario(raw)
+    assert str(err.value) == f"jump kernel 0: 1 + pi must stay positive, min pi = {min_pi}"
+
+
+def test_validating_analytic_kernels_forms_no_node_matrix():
+    # one (n + 1)^2 node matrix at 2,000 steps is 32 MB
+    raw = dict(S0_RAW, grid={"horizon": 1.0, "n_steps": 2000}, levy={"atoms": [[-0.1, 0.5]]},
+               alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
+               beta_kernel={"kind": "exp_decay", "amplitude": 0.2, "rate": 0.5},
+               pi_kernels=[{"kind": "exp_decay", "amplitude": -0.1, "rate": 0.5}])
+    tracemalloc.start()
+    try:
+        validate_scenario(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_validate_rejects_zero_initial():
