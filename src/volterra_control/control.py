@@ -45,8 +45,7 @@ from .fsvie import (
     POSITIVITY_FLOOR,
     ForwardPaths,
     _check_control_admissible,
-    _check_noise_grid,
-    _simulate_multiplicative,
+    _log_rows,
     first_variation,
     simulate_fsvie,
 )
@@ -108,9 +107,10 @@ def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None)
 class _LogNoiseLeg:
     """What the utility legs read of the log-noise ``L`` of one bundle.
 
-    ``L`` itself (n_paths x n) is not kept: only the per-path leg
-    ``L[:, :n] @ wl``, the per-node minimum of ``L`` over paths (for the
-    positivity floor), and the scenario and bundle it was built from.
+    ``L`` itself (n_paths x n) is never formed: the per-path leg
+    ``sum_i wl_i L[:, i]`` and the per-node minimum of ``L`` over paths (for
+    the positivity floor) are summed as the exact engine hands out its rows,
+    and kept with the scenario and bundle they were built from.
     """
 
     scenario: ScenarioSpec
@@ -123,10 +123,12 @@ def _log_noise_leg(scenario: ScenarioSpec, noise: NoiseBundle) -> _LogNoiseLeg:
     """Sum the log-noise of a time-invariant scenario once: the exact engine
     run with zero step integrals, through the last left node."""
     n = scenario.grid.n_steps
-    _check_noise_grid(scenario.grid, noise)
-    log_noise = _simulate_multiplicative(scenario, noise, np.zeros(n - 1), n - 1)
-    leg = log_noise @ _utility_weights(scenario)
-    return _LogNoiseLeg(scenario=scenario, noise=noise, leg=leg, min_log=log_noise.min(axis=0))
+    wl = _utility_weights(scenario)
+    leg, min_log = np.zeros(noise.n_paths), np.empty(n)
+    for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n - 1), n - 1)):
+        leg += wl[i] * row
+        min_log[i] = row.min()
+    return _LogNoiseLeg(scenario=scenario, noise=noise, leg=leg, min_log=min_log)
 
 
 def _resolve_noise(

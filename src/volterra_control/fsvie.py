@@ -3,16 +3,17 @@ first-variation (pathwise derivative) processes.
 
 There are two stepping engines, and the kernels choose between them:
 
-* the exact engine (``_simulate_multiplicative``) -- for time-invariant kernels the dynamics reduce
+* the exact engine (``_log_rows``) -- for time-invariant kernels the dynamics reduce
   to a geometric jump-diffusion; each step applies the exact factor
   ``exp((alpha - c_bar) dt - beta^2 dt / 2 + beta dB) *
   prod_m (1 + pi_m)^count * exp(-w_m pi_m dt)`` with the control's exact
   per-step integral ``c_bar dt``.  The drift and both martingale factors are
   exact in law, so Monte Carlo means carry no time-discretization bias.
-  The engine sums the log-factors and keeps ``log X``: the utility reads it
-  directly, the positivity floor is checked on it, and ``X`` itself is
-  exponentiated only when a caller asks for ``ForwardPaths.values`` (or, one
-  node at a time, for ``ForwardPaths.row``).
+  The engine is a generator that sums the log-factors into one running row
+  of ``log X``: ``simulate_fsvie`` collects its rows, and one-pass readers
+  (the control-free utility leg, C8) read them as they pass.  The positivity
+  floor is checked on ``log X``, and ``X`` is exponentiated only when a
+  caller asks for ``ForwardPaths.values`` (or, one node at a time, ``.row``).
 
 * the sum (``_simulate_volterra``) -- the general left-point scheme for genuinely two-time
   kernels: every node value is the full triangular sum
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -172,45 +174,39 @@ def simulate_fsvie(
     _check_control_admissible(c_vals[:last])
 
     if scenario.time_invariant:
-        c_int = control.step_integrals(grid)[:last]
-        log_x = _simulate_multiplicative(scenario, noise, c_int, last)
-        _check_log_positive(log_x, POSITIVITY_FLOOR)
-        return ForwardPaths(grid=grid, state=log_x, log_state=True)
+        log_x = np.empty((last + 1, noise.n_paths))
+        for i, row in enumerate(_log_rows(scenario, noise, control.step_integrals(grid), last)):
+            log_x[i] = row
+        _check_log_positive(log_x.T, POSITIVITY_FLOOR)
+        return ForwardPaths(grid=grid, state=log_x.T, log_state=True)
     x = _simulate_volterra(scenario, noise, c_vals, last)
     return ForwardPaths(grid=grid, state=x, log_state=False)
 
 
-def _simulate_multiplicative(
+def _log_rows(
     scenario: ScenarioSpec, noise: NoiseBundle, c_int: np.ndarray, last: int
-) -> np.ndarray:
-    """``log X`` on nodes ``0 .. last`` from the control's step integrals ``c_int``."""
-    dt = scenario.grid.dt
-    alpha = scenario.alpha(0.0, 0.0)
-    beta = scenario.beta(0.0, 0.0)
-    pi = scenario.pi_values()
-    w = scenario.levy.weights
-    xi = float(scenario.initial)
-
-    # log-increments per step, written in place: exact drift + exact
-    # martingale factors; a running sum over the node rows then gives log X
-    drift = alpha * dt - c_int - 0.5 * beta * beta * dt
-    log_x = np.empty((last + 1, noise.n_paths))
-    log_x[0] = np.log(xi)
-    steps = log_x[1:]
-    np.multiply(beta, noise.d_brownian[:, :last].T, out=steps)
-    steps += drift[:, None]
-    for q, log_jump in enumerate(np.log1p(pi)):
-        # one node row at a time: a whole-block product would be a float
-        # temporary the size of the output
-        counts = noise.jump_counts[q, :, :last].T
-        for i in range(last):
-            steps[i] += log_jump * counts[i]
-    if pi.size:
-        steps -= float(np.dot(w, pi)) * dt
-    # row adds in the order of a cumulative sum along each path
+) -> Iterator[np.ndarray]:
+    """``log X(t_i)`` for ``i = 0 .. last`` from the control's step integrals
+    ``c_int``, as one running row of all paths: a consumer reads each row
+    before asking for the next and never writes to it."""
+    if not scenario.time_invariant:
+        raise ValidationError("the exact engine needs time-invariant kernels")
+    _check_noise_grid(scenario.grid, noise)
+    dt, beta, pi = scenario.grid.dt, scenario.beta(0.0, 0.0), scenario.pi_values()
+    log_jumps, compensator = np.log1p(pi), float(np.dot(scenario.levy.weights, pi)) * dt
+    drift = scenario.alpha(0.0, 0.0) * dt - c_int[:last] - 0.5 * beta * beta * dt
+    row = np.full(noise.n_paths, np.log(float(scenario.initial)))
+    step = np.empty(noise.n_paths)
+    yield row
     for i in range(last):
-        log_x[i + 1] += log_x[i]
-    return log_x.T
+        np.multiply(beta, noise.d_brownian[:, i], out=step)
+        step += drift[i]
+        for q, log_jump in enumerate(log_jumps):
+            step += log_jump * noise.jump_counts[q, :, i]
+        if pi.size:
+            step -= compensator
+        row += step
+        yield row
 
 
 def _kernel_matrices(
@@ -250,19 +246,21 @@ def forward_mean_oracle(scenario: ScenarioSpec, control: ControlFn) -> np.ndarra
 
     solved by trapezoidal quadrature (left rectangle on the final interval,
     where the control is not sampled).  The martingale terms do not
-    contribute to the mean.
+    contribute to the mean.  Only a table alpha forms its node matrix.
     """
     grid = scenario.grid
     n, dt = grid.n_steps, grid.dt
     c = control.values(grid)
     xi = scenario.initial_at_nodes
-    alpha = scenario.alpha.at_nodes(grid)
+    t, form = grid.nodes, scenario.alpha.exponential_form
+    alpha = scenario.alpha.at_nodes(grid) if form is None else None
     m = np.empty(n + 1)
     m[0] = xi[0]
     for i in range(1, n + 1):
         # integrand g_j = (alpha(t_i, t_j) - c_j) m_j on j = 0..i, trapezoid;
         # the final sub-interval uses the left value when c(t_i) is unknown.
-        coeff = alpha[i, : i + 1].copy()
+        coeff = alpha[i, : i + 1].copy() if form is None else \
+            form[0] * np.exp(-form[1] * np.maximum(t[i] - t[: i + 1], 0.0))
         coeff[:i] -= c[:i]
         if i < n:
             coeff[i] -= c[i]

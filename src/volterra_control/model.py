@@ -17,6 +17,7 @@ dataclasses and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -95,9 +96,11 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        nodes = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        nodes.flags.writeable = False  # computed once per grid and shared
+        return nodes
 
 
 def build_time_grid(horizon: float, n_steps: int) -> TimeGrid:

@@ -27,8 +27,8 @@ per-step aggregate counts.
 from __future__ import annotations
 
 import os
+import queue
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -230,24 +230,29 @@ def stream_noise(
 
     ``consume(rows, block)`` gets the block that holds paths ``rows`` of that
     bundle as a bundle of its own, bit for bit the same values.  The blocks
-    run in the workers of ``generate_noise``, each of which draws all its
-    blocks into one buffer, so ``consume`` is called from worker threads,
-    must write only to its own ``rows``, and must not keep the block once it
-    returns.  A block carries the stream's ``seed`` and ``n_blocks``.
+    run in the workers of ``generate_noise``, so ``consume`` is called from
+    worker threads, must write only to its own ``rows``, and must not keep
+    the block once it returns.  A block carries the stream's ``seed`` and
+    ``n_blocks``.  Each block takes a free pair of block buffers and gives
+    it back; the call allocates one pair per worker, on the calling thread,
+    so no worker thread's malloc arena ever holds a buffer.
     """
     children, block = _block_streams(n_paths, seed, n_blocks)
     n, m = grid.n_steps, levy.n_atoms
-    buffers = threading.local()
+    free = queue.SimpleQueue()
+    for _ in range(min(n_blocks, len(os.sched_getaffinity(0)))):  # the workers of _run_tasks
+        free.put((np.empty((n, block)), np.empty((m, n, block), dtype=np.int64)))
 
     def draw(b: int) -> None:
-        if not hasattr(buffers, "db"):
-            buffers.db = np.empty((n, block))
-            buffers.counts = np.empty((m, n, block), dtype=np.int64)
-        _draw_block(children[b], grid, levy, buffers.db, buffers.counts)
-        consume(slice(b * block, (b + 1) * block), NoiseBundle(
-            grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-            d_brownian=buffers.db.T, jump_counts=buffers.counts.transpose(0, 2, 1),
-        ))
+        db, counts = free.get()
+        try:
+            _draw_block(children[b], grid, levy, db, counts)
+            consume(slice(b * block, (b + 1) * block), NoiseBundle(
+                grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
+                d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
+            ))
+        finally:
+            free.put((db, counts))
 
     _run_tasks(draw, n_blocks)
 

@@ -8,6 +8,7 @@ reference path count (1e5); the two-time family solve runs at its own scale
 """
 
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 from volterra_control import acceptance as acc
 from volterra_control import control, fsvie, malliavin, paths
 from volterra_control.cli import load_config, run
+from volterra_control.controls import ControlFn
+from volterra_control.model import mean_se, validate_scenario
 from volterra_control.paths import generate_noise
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
@@ -152,6 +155,47 @@ def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
                + acc.check_necessary_mp(s0_small, log_noise))
     assert calls == []
     _assert_all(results)
+
+
+def test_c08_terminal_mean_is_the_simulated_terminal_row(s0_small, s0_noise):
+    one = ControlFn.constant(1.0, s0_small.grid)
+    terminal = fsvie.simulate_fsvie(s0_small, s0_noise, one).row(s0_small.grid.n_steps)
+    mean, se = mean_se(terminal)
+    result = acc.check_forward_solver(s0_small, s0_noise)[0]
+    assert (result.name, result.value, result.tolerance) == ("terminal_mean", mean, 3.0 * se)
+
+
+def test_c08_reports_the_simulators_breach():
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": 100}, "initial": 1.0, "gamma": 0.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 6.0},
+        "levy": {"atoms": []}, "pi_kernels": [], "filtration": {"mode": "trivial"},
+        "mc": {"n_paths": 2000, "seed": 0, "n_blocks": 1},
+    })
+    noise = generate_noise(spec.grid, spec.levy, 2000, 0, 1)
+    breaches = []
+    one = ControlFn.constant(1.0, spec.grid)
+    for evaluate in (lambda: fsvie.simulate_fsvie(spec, noise, one),
+                     lambda: acc.check_forward_solver(spec, noise)):
+        with pytest.raises(fsvie.PositivityBreachError) as err:
+            evaluate()
+        breaches.append((err.value.path, err.value.node, err.value.value))
+    assert breaches[0] == breaches[1]
+
+
+def test_log_leg_and_c08_never_form_the_state(s0_small, s0_noise):
+    # both read the exact engine one node row at a time: neither forms a
+    # (n_paths, n + 1) state beside the noise
+    control._log_noise_leg(s0_small, s0_noise)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        control._log_noise_leg(s0_small, s0_noise)
+        acc.check_forward_solver(s0_small, s0_noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * (s0_noise.d_brownian.nbytes + s0_noise.jump_counts.nbytes)
 
 
 def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):

@@ -321,6 +321,25 @@ def test_control_free_leg_matches_simulated_legs(initial, atoms, gamma, bump, se
         _breach(lambda: simulate_fsvie(spec, noise, bumped_up, through_node=n - 1))
 
 
+def test_log_noise_leg_is_read_off_the_zero_control_rows():
+    # two atoms and a discount: the leg is summed row by row as the exact
+    # engine hands the rows out, so it is the simulated zero-control leg up
+    # to the order of the sum, and the per-node minimum is the same bits
+    spec = make_scenario(
+        initial=1.7, gamma=0.4, levy={"atoms": [[-0.1, 0.5], [0.25, 1.0]]},
+        pi_kernels=[{"kind": "constant", "value": -0.1}, {"kind": "constant", "value": 0.25}],
+    )
+    n = spec.grid.n_steps
+    noise = generate_noise(spec.grid, spec.levy, 3000, 11, 3)
+    log_noise = ctl._log_noise_leg(spec, noise)
+    zero = simulate_fsvie(spec, noise, ControlFn.constant(0.0, spec.grid), through_node=n - 1)
+    np.testing.assert_array_equal(log_noise.min_log, zero.state.min(axis=0))
+    # log(1) = 0: the unit rate adds nothing to the simulated leg
+    legs = _utility_legs(spec, ControlFn.constant(1.0, spec.grid), zero)
+    scale = np.abs(zero.state) @ ctl._utility_weights(spec)
+    assert np.all(np.abs(log_noise.leg - legs) <= 1e-14 * scale)
+
+
 def test_log_noise_leg_serves_only_its_own_scenario(s0_small, s0_noise):
     log_noise = ctl._log_noise_leg(s0_small, s0_noise)
     with pytest.raises(ValidationError):

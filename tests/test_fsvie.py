@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,13 +13,18 @@ from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
     ForwardPaths,
     PositivityBreachError,
-    _simulate_multiplicative,
+    _log_rows,
     _simulate_volterra,
     first_variation,
     forward_mean_oracle,
     simulate_fsvie,
 )
-from volterra_control.model import ValidationError, time_quadrature_weights, validate_scenario
+from volterra_control.model import (
+    Kernel,
+    ValidationError,
+    time_quadrature_weights,
+    validate_scenario,
+)
 from volterra_control.paths import generate_noise
 
 
@@ -162,6 +168,34 @@ def test_the_kernels_choose_the_engine(s0_small, s0_noise):
     np.testing.assert_array_equal(fwd.state, euler_sum(two_time, noise, one))
 
 
+def _collected_log_x(spec, noise, c_int, last):
+    """The exact engine's rows stacked as ``simulate_fsvie`` stacks them:
+    ``log X`` path-major, node-major in memory."""
+    log_x = np.empty((last + 1, noise.n_paths))
+    for i, row in enumerate(_log_rows(spec, noise, c_int, last)):
+        log_x[i] = row
+    return log_x.T
+
+
+def _whole_block_log_x(spec, noise, c_int, last):
+    """``log X`` as the exact engine made it before it handed out rows: the
+    log-increments of all steps as one block, then a running sum over the
+    node rows."""
+    dt, beta, pi = spec.grid.dt, spec.beta(0.0, 0.0), spec.pi_values()
+    steps = beta * noise.d_brownian[:, :last].T + (spec.alpha(0.0, 0.0) * dt - c_int[:last]
+                                                   - 0.5 * beta * beta * dt)[:, None]
+    for q, log_jump in enumerate(np.log1p(pi)):
+        steps += log_jump * noise.jump_counts[q, :, :last].T
+    if pi.size:
+        steps -= float(np.dot(spec.levy.weights, pi)) * dt
+    ref = np.empty((last + 1, noise.n_paths))
+    ref[0] = np.log(float(spec.initial))
+    ref[1:] = steps
+    for i in range(last):
+        ref[i + 1] += ref[i]
+    return ref.T
+
+
 def test_exact_engine_peak_is_its_output_plus_a_few_rows():
     # the jump log-factors go in one node row at a time: a whole-block
     # product with the counts would be a float array the size of the output
@@ -171,24 +205,41 @@ def test_exact_engine_peak_is_its_output_plus_a_few_rows():
     c_int = ControlFn.constant(1.0, spec.grid).step_integrals(spec.grid)
     tracemalloc.start()
     try:
-        log_x = _simulate_multiplicative(spec, noise, c_int, n)
+        log_x = _collected_log_x(spec, noise, c_int, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= log_x.nbytes + 4 * noise.n_paths * 8
     # the same elementwise sums as the whole-block product, in the same order
-    dt, beta, pi = spec.grid.dt, spec.beta(0.0, 0.0), spec.pi_values()
-    steps = beta * noise.d_brownian.T + (spec.alpha(0.0, 0.0) * dt - c_int
-                                         - 0.5 * beta * beta * dt)[:, None]
-    for q, log_jump in enumerate(np.log1p(pi)):
-        steps += log_jump * noise.jump_counts[q].T
-    steps -= float(np.dot(spec.levy.weights, pi)) * dt
-    ref = np.empty((n + 1, noise.n_paths))
-    ref[0] = np.log(float(spec.initial))
-    ref[1:] = steps
-    for i in range(n):
-        ref[i + 1] += ref[i]
-    np.testing.assert_array_equal(log_x, ref.T)
+    np.testing.assert_array_equal(log_x, _whole_block_log_x(spec, noise, c_int, n))
+
+
+def test_exact_engine_rows_are_the_whole_block_columns():
+    # two atoms: every row the generator hands out is bit for bit the column
+    # of the whole-block engine, and only a few rows are ever held
+    spec = make_scenario(**JUMPY)
+    n = spec.grid.n_steps
+    noise = noise_for(spec, n_paths=5_000)
+    one = ControlFn.constant(1.0, spec.grid)
+    c_int = one.step_integrals(spec.grid)
+    ref = _whole_block_log_x(spec, noise, c_int, n)
+    tracemalloc.start()
+    try:
+        for i, row in enumerate(_log_rows(spec, noise, c_int, n)):
+            assert np.array_equal(row, ref[:, i])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert i == n
+    assert peak <= 5 * noise.n_paths * 8  # a few rows, not the 101-row state
+    np.testing.assert_array_equal(simulate_fsvie(spec, noise, one).state, ref)
+
+
+def test_exact_engine_rejects_two_time_kernels():
+    spec = make_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
+    noise = noise_for(spec, n_paths=4)
+    with pytest.raises(ValidationError):
+        next(_log_rows(spec, noise, np.zeros(spec.grid.n_steps), spec.grid.n_steps))
 
 
 def _exp_of_summed_log_factors(spec, noise, control, last):
@@ -283,6 +334,27 @@ def test_mean_oracle_grid_refinement_self_check():
     assert abs(m_c[-1] / m_f[-1] - 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("alpha", [{"kind": "constant", "value": 0.05},
+                                   {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0}])
+def test_mean_oracle_reads_alpha_one_row_at_a_time(alpha):
+    # bit for bit the oracle of alpha's node matrix, which a table kernel of
+    # the same values reads, without forming the 2001 x 2001 matrix
+    spec = make_scenario(grid={"horizon": 1.0, "n_steps": 2000}, alpha_kernel=alpha,
+                         mc={"n_paths": 1, "seed": 1, "n_blocks": 1})
+    grid = spec.grid
+    control = ControlFn.constant(1.0, grid)
+    tracemalloc.start()
+    try:
+        m = forward_mean_oracle(spec, control)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    lower = spec.alpha.at_nodes(grid)[np.tril_indices(grid.n_steps + 1)]
+    table = dataclasses.replace(spec, alpha=Kernel.from_table(lower, grid.n_steps))
+    np.testing.assert_array_equal(m, forward_mean_oracle(table, control))
+
+
 def test_weak_error_shrinks_first_order():
     errors = []
     for n in (25, 50, 100, 200):
@@ -320,8 +392,7 @@ def test_breach_reports_the_first_path_major_entry():
     spec = make_scenario(beta_kernel={"kind": "constant", "value": 6.0})
     noise = noise_for(spec, n_paths=2000, seed=0)
     one = ControlFn.constant(1.0, spec.grid)
-    log_x = _simulate_multiplicative(spec, noise, one.step_integrals(spec.grid),
-                                     spec.grid.n_steps)
+    log_x = _collected_log_x(spec, noise, one.step_integrals(spec.grid), spec.grid.n_steps)
     bad = np.ascontiguousarray(log_x) <= np.log(POSITIVITY_FLOOR)
     path, node = np.argwhere(bad)[0]
     assert tuple(np.argwhere(bad.T)[0][::-1]) != (path, node)

@@ -36,6 +36,15 @@ def test_grid_nodes_uniform_partition():
     assert np.allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_grid_nodes_are_computed_once_and_read_only():
+    grid = build_time_grid(1.0, 4)
+    assert grid.nodes is grid.nodes
+    with pytest.raises(ValueError):
+        grid.nodes[1] = 0.3
+    assert grid.nodes.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert grid == build_time_grid(1.0, 4) and hash(grid) == hash(build_time_grid(1.0, 4))
+
+
 def test_grid_dt():
     assert build_time_grid(2.0, 2).dt == 1.0
 

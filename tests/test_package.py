@@ -15,7 +15,7 @@ import volterra_control
 from volterra_control.bsde import solve_bsde
 from volterra_control.condexp import CondExpEngine
 from volterra_control.controls import ControlFn
-from volterra_control.fsvie import _simulate_multiplicative, first_variation, simulate_fsvie
+from volterra_control.fsvie import first_variation, simulate_fsvie
 from volterra_control.malliavin import JumpIntegral, WienerIntegral
 from volterra_control.model import (
     FiltrationMode,
@@ -333,7 +333,7 @@ def test_path_major_bundle_gives_the_same_values():
 
     def values(bundle):
         sweep = simulate_fsvie(two_time, bundle, one).state
-        log_x = _simulate_multiplicative(spec, bundle, one.step_integrals(spec.grid), 20)
+        log_x = simulate_fsvie(spec, bundle, one, through_node=20).state
         engine = CondExpEngine(*engine_spec, bundle)
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
                           None, bundle, engine)

@@ -1,12 +1,17 @@
 import dataclasses
 import math
 import struct
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volterra_control import paths
 from volterra_control.model import LevyMeasure, ValidationError, build_time_grid
 from volterra_control.paths import (
     _CHUNK_ROWS,
@@ -95,8 +100,83 @@ def test_streamed_blocks_are_the_bundles_column_slices(cpus, n_cpus, n_paths, n_
     for (start, stop), (d_brownian, jump_counts) in blocks.items():
         assert np.array_equal(d_brownian, noise.d_brownian[start:stop])
         assert np.array_equal(jump_counts, noise.jump_counts[:, start:stop])
-    # each worker draws all its blocks into one buffer
+    # each block is drawn into one of a buffer pair per worker
     assert len(buffers) <= min(n_cpus, n_blocks)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_stream_noise_allocates_its_buffers_once_per_call(cpus, monkeypatch, n_cpus):
+    # a pair of block buffers per worker, allocated before the first block is
+    # drawn, and the same pairs live at every block: no block or worker
+    # allocates a buffer of its own
+    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+    n_blocks, width = 6, 2 * _CHUNK_ROWS
+    row_bytes = GRID.n_steps * width * 8  # above any one chunk's draw
+    cpus(n_cpus)
+    seen = []
+
+    def buffers():
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, paths.__file__, domain=np.lib.tracemalloc_domain)])
+        return sorted((t.size, t.traceback[0].lineno) for t in snapshot.traces
+                      if t.size >= row_bytes)
+
+    run_tasks = paths._run_tasks
+
+    def run_after_allocation(fn, k):
+        seen.append(buffers())
+        run_tasks(fn, k)
+
+    monkeypatch.setattr(paths, "_run_tasks", run_after_allocation)
+    tracemalloc.start()
+    try:
+        stream_noise(GRID, two_atoms, n_blocks * width, 17, n_blocks,
+                     lambda rows, block: seen.append(buffers()))
+    finally:
+        tracemalloc.stop()
+    pairs = min(n_cpus, n_blocks)
+    assert [size for size, _ in seen[0]] == [row_bytes] * pairs + [2 * row_bytes] * pairs
+    assert seen == [seen[0]] * (1 + n_blocks)
+
+
+def test_stream_noise_buffers_are_never_shared(cpus):
+    # more workers than cores, switching often: no two blocks in flight share
+    # a buffer, and every block keeps the bundle's values while in use
+    n_blocks, width = 24, 50
+    noise = generate_noise(SHORT, ONE_ATOM, n_paths=n_blocks * width, seed=3, n_blocks=n_blocks)
+    cpus(6)
+    lock, in_use, done, errors = threading.Lock(), set(), [], []
+
+    def consume(rows, block):
+        buffer = block.d_brownian.__array_interface__["data"][0]
+        with lock:
+            assert buffer not in in_use
+            in_use.add(buffer)
+        time.sleep(0.002)
+        assert np.array_equal(block.d_brownian, noise.d_brownian[rows])
+        assert np.array_equal(block.jump_counts, noise.jump_counts[:, rows])
+        with lock:
+            in_use.remove(buffer)
+            done.append(rows.start)
+
+    def run():
+        try:
+            stream_noise(SHORT, ONE_ATOM, n_blocks * width, 3, n_blocks, consume)
+        except BaseException as exc:  # re-raised on the test's thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    if errors:
+        raise errors[0]
+    assert sorted(done) == [b * width for b in range(n_blocks)]
 
 
 def test_levels_are_exact_cumulative_sums():
