@@ -4,6 +4,7 @@ Subpackage map:
 
 * ``model``     -- grids, kernels, jump measures, scenario validation
 * ``paths``     -- seeded Brownian/jump noise generation
+* ``_kernels``  -- the triangular sweep of the two-time scheme
 * ``fsvie``     -- forward simulation, mean oracle, first variations
 * ``condexp``   -- regression-based conditional expectations
 * ``bsde``      -- backward solver and the recursive-utility evaluator
@@ -12,7 +13,7 @@ Subpackage map:
 * ``controls``  -- consumption-rate controls
 * ``control``   -- multipliers, memory Hamiltonian, performance, bump derivatives
 * ``acceptance``-- reference-scenario acceptance checks
-* ``cli``       -- command-line entry point
+* ``cli``       -- command line: one writer for every subcommand's tables and checks
 """
 
 __version__ = "0.1.0"

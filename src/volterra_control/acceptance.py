@@ -2,9 +2,13 @@
 
 Every check returns :class:`CheckResult` records with the measured value,
 the reference, the tolerance actually enforced, and the outcome.  The same
-functions back the pytest acceptance suite and the CLI (``run-acceptance``,
-``check-mp``, ``verify-duality`` and ``solve-bsvie``), so the two always
-agree.
+functions back the pytest acceptance suite and every CLI subcommand, so the
+two always agree.  Beside the reference-scenario criteria stand the rows that
+generalise them to any scenario, which the subcommands other than
+``run-acceptance`` and ``check-mp`` report: C1's first-order condition
+(``optimal-consumption``), C2's utility oracle (``evaluate-utility``), C5's
+discrete resolvent (``solve-bsvie``), C7's two sides of each identity
+(``verify-duality``) and C8's terminal-mean oracle (``simulate-forward``).
 
 The reference scenario is fixed: horizon 1, 100 steps, unit initial level,
 zero discount rate, constant drift/diffusion loadings 0.05 / 0.2, no jump
@@ -23,13 +27,15 @@ from .bsvie import BsvieSolution, FamilyStatistics, family_statistics, solve_bsv
 from .condexp import CondExpEngine
 from .controls import ControlFn, discount_curve, remaining_value_curve
 from .control import (
+    AdjointState,
+    PerformanceResult,
     _log_noise_leg,
     build_adjoint_state,
     gateaux_derivative,
     log_utility_oracle,
     performance,
 )
-from .fsvie import POSITIVITY_FLOOR, _log_rows, forward_mean_oracle, simulate_fsvie
+from .fsvie import POSITIVITY_FLOOR, ForwardPaths, _log_rows, forward_mean_oracle, simulate_fsvie
 from .malliavin import (
     DualityResult,
     JumpIntegral,
@@ -54,17 +60,22 @@ __all__ = [
     "CheckResult",
     "require_reference_scenario",
     "check_closed_form_optimum",
+    "check_first_order_condition",
     "check_value_oracle",
+    "check_utility_oracle",
     "check_optimality_ranking",
     "check_necessary_mp",
     "resolvent_solution",
     "martingale_family_solution",
     "check_bsvie_solver",
+    "check_resolvent_fixed_point",
     "check_contraction",
     "brownian_duality",
     "jump_duality",
     "check_duality",
+    "check_sides_agree",
     "check_forward_solver",
+    "check_terminal_mean",
     "check_adjoint_reduction",
     "check_z_time_derivative",
     "run_acceptance",
@@ -130,13 +141,17 @@ def check_closed_form_optimum(scenario: ScenarioSpec) -> list[CheckResult]:
     adj = build_adjoint_state(scenario)
     target = 1.0 / (1.0 - grid.nodes[:-1])
     gap = float(np.max(np.abs(adj.cstar - target)))
-    out = [
+    return [
         _result("C1", "optimal_rate_nodes", gap, 0.0, 1e-12,
                 "max |c*(t_i) - 1/(1-t_i)| over left nodes"),
-        _result("C1", "first_order_condition", adj.foc_residual(), 0.0, 1e-12,
-                "max |c* P - lambda|"),
-    ]
-    return out
+    ] + check_first_order_condition(adj)
+
+
+def check_first_order_condition(adj: AdjointState) -> list[CheckResult]:
+    """C1 on any scenario: the rate ``c* = lambda / P`` of the multipliers
+    ``adj`` satisfies ``c* P = lambda`` to machine precision."""
+    return [_result("C1", "first_order_condition", adj.foc_residual(), 0.0, 1e-12,
+                    "max |c* P - lambda|")]
 
 
 def check_value_oracle(scenario: ScenarioSpec, noise) -> list[CheckResult]:
@@ -160,6 +175,19 @@ def check_value_oracle(scenario: ScenarioSpec, noise) -> list[CheckResult]:
                 f"se={res_star.se:.2e}"),
         _result("C2", "J_optimal_se_cap", res_star.se, 0.0, 0.01),
     ]
+
+
+def check_utility_oracle(
+    scenario: ScenarioSpec, control: ControlFn, res: PerformanceResult
+) -> list[CheckResult]:
+    """C2 on any scenario: the Monte Carlo objective ``res`` of ``control``
+    within 5 SE + 1e-4 of the quadrature oracle.  Only time-invariant
+    kernels have an oracle; on others there is no row."""
+    if not scenario.time_invariant:
+        return []
+    oracle = log_utility_oracle(scenario, control)
+    return [_result("C2", "utility_vs_oracle", res.j, oracle, 5.0 * res.se + 1e-4,
+                    f"se={res.se:.2e}")]
 
 
 def check_optimality_ranking(scenario: ScenarioSpec, noise) -> list[CheckResult]:
@@ -281,6 +309,23 @@ def check_bsvie_solver(stats: FamilyStatistics) -> list[CheckResult]:
     return out
 
 
+def check_resolvent_fixed_point(sol: BsvieSolution) -> list[CheckResult]:
+    """C5 on any grid: the resolvent value ``sol`` (:func:`resolvent_solution`)
+    at t = 0 within 0.1% of the discrete fixed point ``(1 - dt)^-n``, and
+    near ``e^T`` within the scheme's first-order gap plus 0.1%."""
+    grid = sol.grid
+    y0 = float(sol.y[0].mean())
+    fixed_point = (1.0 - grid.dt) ** (-grid.n_steps)
+    exponential = math.exp(grid.horizon)
+    return [
+        _result("C5", "resolvent_fixed_point", y0, fixed_point, 1e-3 * fixed_point,
+                "discrete resolvent identity (1 - dt)^-n"),
+        _result("C5", "resolvent_vs_exponential", y0, exponential,
+                abs(fixed_point - exponential) + 1e-3 * exponential,
+                "e^T, widened by the gap |(1 - dt)^-n - e^T|"),
+    ]
+
+
 def check_contraction() -> list[CheckResult]:
     """C6: fixed-point distances decay monotonically (ratio <= 0.9) down to
     the deterministic noise floor for the Lipschitz-1 generator sin(y)."""
@@ -379,6 +424,13 @@ def check_duality(n_paths: int = 200_000) -> list[CheckResult]:
     ]
 
 
+def check_sides_agree(results: list[DualityResult]) -> list[CheckResult]:
+    """C7 without the closed forms: the two sides of each identity in
+    ``results`` within 3 of their standard errors taken in quadrature."""
+    return [_result("C7", f"{r.name}_sides_agree", r.lhs, r.rhs, 3.0 * r.combined_se)
+            for r in results]
+
+
 def check_forward_solver(scenario: ScenarioSpec, noise) -> list[CheckResult]:
     """C8: terminal mean on the reference scenario, read off the exact engine's
     rows as they pass (``simulate_fsvie`` runs only to report a breach), plus
@@ -421,6 +473,19 @@ def check_forward_solver(scenario: ScenarioSpec, noise) -> list[CheckResult]:
         f"errors={['%.3e' % e for e in errors]} ratios={['%.2f' % r for r in ratios]}",
     ))
     return out
+
+
+def check_terminal_mean(
+    scenario: ScenarioSpec, fwd: ForwardPaths, control: ControlFn
+) -> list[CheckResult]:
+    """C8 on any scenario: the terminal mean of the paths ``fwd`` of
+    ``control`` within 4 SE of the deterministic mean oracle, widened on
+    two-time kernels by 2% of the oracle for the scheme's first-order
+    discretization error."""
+    oracle = float(forward_mean_oracle(scenario, control)[-1])
+    mean, se = mean_se(fwd.values[:, -1])
+    tol = 4.0 * se + (0.0 if scenario.time_invariant else 0.02 * abs(oracle))
+    return [_result("C8", "terminal_mean_vs_oracle", mean, oracle, tol, f"se={se:.2e}")]
 
 
 def check_adjoint_reduction(scenario: ScenarioSpec) -> list[CheckResult]:

@@ -54,8 +54,6 @@ __all__ = [
     "solve_bsvie",
     "FamilyStatistics",
     "family_statistics",
-    "iteration_rows",
-    "diagonal_rows",
 ]
 
 # generator signature: g(i, r, y, z, k, x), called once per running time r
@@ -322,13 +320,3 @@ def solve_bsvie(
         iteration_log=tuple(log),
     )
 
-
-def iteration_rows(sol: BsvieSolution) -> list[dict]:
-    return [{"pass": p + 1, "weighted_distance": d} for p, d in enumerate(sol.iteration_log)]
-
-
-def diagonal_rows(sol: BsvieSolution) -> list[dict]:
-    return [
-        {"t": float(t), "y_mean": float(sol.y[i].mean())}
-        for i, t in enumerate(sol.grid.nodes)
-    ]

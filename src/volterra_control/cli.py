@@ -2,18 +2,20 @@
 
 Subcommands
 -----------
-* ``simulate-forward``     -- forward paths, mean/quantile curve CSV.
-* ``solve-bsvie``          -- resolvent fixed-point solve on the config grid.
-* ``evaluate-utility``     -- Monte Carlo objective with oracle cross-check.
-* ``optimal-consumption``  -- closed-form rate and multiplier curves.
+* ``simulate-forward``     -- forward paths, mean/quantile curve CSV (C8).
+* ``solve-bsvie``          -- resolvent fixed-point solve on the config grid (C5).
+* ``evaluate-utility``     -- Monte Carlo objective with oracle cross-check (C2).
+* ``optimal-consumption``  -- closed-form rate and multiplier curves (C1).
 * ``check-mp``             -- maximum-principle checks C1, C3, C4 (reference
   scenario only).
 * ``verify-duality``       -- the C7 identities plus two isometries.
 * ``run-acceptance``       -- the full acceptance suite.
 
-Every run writes CSV outputs plus a JSON run report (emitted even when a
-check fails).  Exit codes: 0 all checks pass, 2 validation/usage error,
-3 numerical check failure, 4 non-convergence.
+Every check comes from :mod:`acceptance`.  A handler returns its tables and
+its checks; :func:`run` alone writes the tables, prints one ``PASS``/``FAIL``
+line per check, writes the checks table and the JSON run report (emitted
+even when a check fails) and sets the exit code: 0 all checks pass,
+2 validation/usage error, 3 numerical check failure, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -30,17 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acc
-from .bsvie import ConvergenceError, diagonal_rows, iteration_rows
+from .bsvie import BsvieSolution, ConvergenceError
 from .controls import ControlFn
-from .control import (
-    _log_noise_leg,
-    build_adjoint_state,
-    consumption_rows,
-    log_utility_oracle,
-    performance,
-)
-from .fsvie import PositivityBreachError, forward_mean_oracle, mean_quantile_rows, simulate_fsvie
-from .malliavin import duality_rows
+from .control import AdjointState, _log_noise_leg, build_adjoint_state, performance
+from .fsvie import ForwardPaths, PositivityBreachError, simulate_fsvie
+from .malliavin import DualityResult
 from .model import ScenarioSpec, ValidationError, mean_se, validate_scenario
 from .paths import generate_noise
 
@@ -67,20 +63,6 @@ class RunReport:
     checks: list = field(default_factory=list)
     nan_values: list = field(default_factory=list)
     error: str = ""
-
-    def add_check(self, name, value, reference, tolerance):
-        """Record a check; it passes when ``|value - reference| <= tolerance``."""
-        self.checks.append({
-            "name": name,
-            "value": float(value),
-            "reference": float(reference),
-            "tolerance": float(tolerance),
-            "passed": bool(abs(value - reference) <= tolerance),
-        })
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
 
 
 # --------------------------------------------------------------------------- #
@@ -179,14 +161,6 @@ def emit_csv(rows: list[dict], path: str) -> list[tuple[int, str]]:
     return nan_cells
 
 
-def _write_rows(report: RunReport, out_dir: Path, name: str, rows: list[dict]) -> None:
-    path = out_dir / name
-    nan_cells = emit_csv(rows, str(path))
-    report.outputs.append(str(path))
-    for i, key in nan_cells:
-        report.nan_values.append({"file": name, "row": i, "column": key})
-
-
 def _control_number(text: str) -> float:
     """The number after the colon of ``constant:VALUE`` or ``theta_cstar:THETA``."""
     value = text.split(":", 1)[1]
@@ -209,100 +183,133 @@ def _parse_control(text: str, spec: ScenarioSpec) -> ControlFn:
 
 
 # --------------------------------------------------------------------------- #
-# Subcommand handlers (each returns an exit code and fills the report)
+# Output tables
 # --------------------------------------------------------------------------- #
 
-def _cmd_simulate_forward(spec, args, report, out_dir):
-    control = _parse_control(args.control, spec)
-    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
-    fwd = simulate_fsvie(spec, noise, control)
-    _write_rows(report, out_dir, "forward_curve.csv", mean_quantile_rows(fwd))
-    oracle = forward_mean_oracle(spec, control)
-    mean, se = mean_se(fwd.values[:, -1])
-    # smoke tolerance: statistical band plus a first-order discretization allowance
-    tol = 4.0 * se + (0.0 if spec.time_invariant else 0.02 * abs(oracle[-1]))
-    report.add_check("terminal_mean_vs_oracle", mean, float(oracle[-1]), tol)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _cmd_evaluate_utility(spec, args, report, out_dir):
-    control = _parse_control(args.control, spec)
-    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
-    res = performance(spec, control, noise)
-    rows = [{"j_mc": res.j, "j_se": res.se}]
-    if spec.time_invariant:
-        oracle = log_utility_oracle(spec, control)
-        rows[0]["j_oracle"] = oracle
-        tol = 5.0 * res.se + 1e-4
-        report.add_check("utility_vs_oracle", res.j, oracle, tol)
-    _write_rows(report, out_dir, "utility.csv", rows)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _cmd_optimal_consumption(spec, args, report, out_dir):
-    _write_rows(report, out_dir, "c_star.csv", consumption_rows(spec))
-    adj = build_adjoint_state(spec)
-    report.add_check("first_order_condition", adj.foc_residual(), 0.0, 1e-12)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _cmd_solve_bsvie(spec, args, report, out_dir):
-    sol = acc.resolvent_solution(spec.grid)
-    _write_rows(report, out_dir, "iteration_log.csv", iteration_rows(sol))
-    _write_rows(report, out_dir, "bsvie_diagonal.csv", diagonal_rows(sol))
-    y0 = float(sol.y[0].mean())
-    fixed_point = (1.0 - spec.grid.dt) ** (-spec.grid.n_steps)  # discrete resolvent identity
-    report.add_check("resolvent_fixed_point", y0, fixed_point, 1e-3 * fixed_point)
-    # the discrete fixed point sits above e^T by the scheme's first-order gap
-    exponential = math.exp(spec.grid.horizon)
-    band = abs(fixed_point - exponential) + 1e-3 * exponential
-    report.add_check("resolvent_vs_exponential", y0, exponential, band)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
-
-
-def _write_checks(report, out_dir, name, results) -> int:
-    """Print, report and tabulate acceptance check records."""
+def _mean_quantile_rows(fwd: ForwardPaths) -> list[dict]:
+    """Per-node summary rows ``{t, mean, se, q05, q50, q95}`` of the forward state."""
+    x = fwd.values
+    qs = np.quantile(x, [0.05, 0.5, 0.95], axis=0)
     rows = []
-    for r in results:
-        print(r.line())
-        rows.append({
-            "criterion": r.criterion, "name": r.name, "value": r.value,
-            "reference": r.reference, "tolerance": r.tolerance,
-            "passed": int(r.passed), "detail": r.detail,
-        })
-        report.add_check(f"{r.criterion}:{r.name}", r.value, r.reference, r.tolerance)
-    _write_rows(report, out_dir, name, rows)
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    for i, ti in enumerate(fwd.grid.nodes[: fwd.last_node + 1]):
+        mean, se = mean_se(x[:, i])
+        rows.append({"t": ti, "mean": mean, "se": se,
+                     "q05": float(qs[0, i]), "q50": float(qs[1, i]), "q95": float(qs[2, i])})
+    return rows
 
 
-def _cmd_check_mp(spec, args, report, out_dir):
+def _consumption_rows(adj: AdjointState) -> list[dict]:
+    """Rows ``{t, lambda, P, c_star}`` over the left nodes."""
+    return [
+        {"t": float(adj.grid.nodes[i]), "lambda": float(adj.lam[i]),
+         "P": float(adj.big_p[i]), "c_star": float(adj.cstar[i])}
+        for i in range(adj.grid.n_steps)
+    ]
+
+
+def _iteration_rows(sol: BsvieSolution) -> list[dict]:
+    return [{"pass": p + 1, "weighted_distance": d} for p, d in enumerate(sol.iteration_log)]
+
+
+def _diagonal_rows(sol: BsvieSolution) -> list[dict]:
+    return [{"t": float(t), "y_mean": float(sol.y[i].mean())} for i, t in enumerate(sol.grid.nodes)]
+
+
+def _duality_rows(results: list[DualityResult]) -> list[dict]:
+    return [{"identity": r.name, "lhs": r.lhs, "rhs": r.rhs, "se_lhs": r.se_lhs,
+             "se_rhs": r.se_rhs, "gap_over_se": abs(r.lhs - r.rhs) / r.combined_se
+             if r.combined_se > 0 else 0.0} for r in results]
+
+
+# --------------------------------------------------------------------------- #
+# Subcommand handlers: each returns its tables (file name -> rows) and the
+# acceptance checks it ran; ``run`` writes, prints and judges them all
+# --------------------------------------------------------------------------- #
+
+def _main_noise(spec):
+    return generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
+
+
+def _cmd_simulate_forward(spec, args):
+    control = _parse_control(args.control, spec)
+    fwd = simulate_fsvie(spec, _main_noise(spec), control)
+    return ({"forward_curve.csv": _mean_quantile_rows(fwd)},
+            acc.check_terminal_mean(spec, fwd, control))
+
+
+def _cmd_evaluate_utility(spec, args):
+    control = _parse_control(args.control, spec)
+    res = performance(spec, control, _main_noise(spec))
+    checks = acc.check_utility_oracle(spec, control, res)
+    row = {"j_mc": res.j, "j_se": res.se}
+    if checks:
+        row["j_oracle"] = checks[0].reference
+    return {"utility.csv": [row]}, checks
+
+
+def _cmd_optimal_consumption(spec, args):
+    adj = build_adjoint_state(spec)
+    return {"c_star.csv": _consumption_rows(adj)}, acc.check_first_order_condition(adj)
+
+
+def _cmd_solve_bsvie(spec, args):
+    sol = acc.resolvent_solution(spec.grid)
+    tables = {"iteration_log.csv": _iteration_rows(sol), "bsvie_diagonal.csv": _diagonal_rows(sol)}
+    return tables, acc.check_resolvent_fixed_point(sol)
+
+
+def _cmd_check_mp(spec, args):
     acc.require_reference_scenario(spec)
-    noise = generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
     # every control of C3 and C4 is a shift of one control-free leg
-    log_noise = _log_noise_leg(spec, noise)
-    _write_rows(report, out_dir, "c_star.csv", consumption_rows(spec))
-    results = (acc.check_closed_form_optimum(spec)
-               + acc.check_optimality_ranking(spec, log_noise)
-               + acc.check_necessary_mp(spec, log_noise))
-    return _write_checks(report, out_dir, "mp_checks.csv", results)
+    log_noise = _log_noise_leg(spec, _main_noise(spec))
+    checks = (acc.check_closed_form_optimum(spec)
+              + acc.check_optimality_ranking(spec, log_noise)
+              + acc.check_necessary_mp(spec, log_noise))
+    return {"c_star.csv": _consumption_rows(build_adjoint_state(spec))}, checks
 
 
-def _cmd_verify_duality(args, report, out_dir):
+def _cmd_verify_duality(spec, args):
     # each noise is streamed one block at a time, drawn once for both of its
     # identities; memory grows with the path count, not steps x paths
     n_paths = 200_000 if args.paths is None else args.paths
     results = (
-        acc.brownian_duality(("brownian_square", "brownian_isometry"), n_paths, report.seed)
-        + acc.jump_duality(("jump_square", "jump_isometry"), n_paths, report.seed + 1)
+        acc.brownian_duality(("brownian_square", "brownian_isometry"), n_paths, args.seed)
+        + acc.jump_duality(("jump_square", "jump_isometry"), n_paths, args.seed + 1)
     )
-    _write_rows(report, out_dir, "duality.csv", duality_rows(results))
-    checks = [acc._result("C7", f"{r.name}_sides_agree", r.lhs, r.rhs, 3.0 * r.combined_se)
-              for r in results]
-    return _write_checks(report, out_dir, "duality_checks.csv", checks)
+    return {"duality.csv": _duality_rows(results)}, acc.check_sides_agree(results)
 
 
-def _cmd_run_acceptance(spec, args, report, out_dir):
-    return _write_checks(report, out_dir, "acceptance_results.csv", acc.run_acceptance(spec))
+def _cmd_run_acceptance(spec, args):
+    return {}, acc.run_acceptance(spec)
+
+
+# the checks table each subcommand writes, in the acceptance_results.csv layout
+_CHECKS_CSV = {
+    "simulate-forward": "forward_checks.csv",
+    "solve-bsvie": "bsvie_checks.csv",
+    "evaluate-utility": "utility_checks.csv",
+    "optimal-consumption": "consumption_checks.csv",
+    "check-mp": "mp_checks.csv",
+    "verify-duality": "duality_checks.csv",
+    "run-acceptance": "acceptance_results.csv",
+}
+
+
+def _write(report: RunReport, out_dir: Path, tables: dict, checks: list) -> int:
+    """Print one line per check, record the checks and write every table, the
+    checks table last; the exit code says whether every check passed."""
+    for r in checks:
+        print(r.line())
+        report.checks.append({"name": f"{r.criterion}:{r.name}", "value": r.value,
+                              "reference": r.reference, "tolerance": r.tolerance,
+                              "passed": r.passed})
+    check_rows = [{**asdict(r), "passed": int(r.passed)} for r in checks]
+    for name, rows in {**tables, _CHECKS_CSV[report.subcommand]: check_rows}.items():
+        path = out_dir / name
+        for i, key in emit_csv(rows, str(path)):
+            report.nan_values.append({"file": name, "row": i, "column": key})
+        report.outputs.append(str(path))
+    return EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
 
 
 # --------------------------------------------------------------------------- #
@@ -315,15 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and optimal control of stochastic Volterra cash-flow models",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    names = [
-        "simulate-forward", "solve-bsvie", "evaluate-utility",
-        "optimal-consumption", "check-mp", "verify-duality", "run-acceptance",
-    ]
-    for name in names:
+    for name in _CHECKS_CSV:
         p = sub.add_parser(name)
         if name != "verify-duality":
             p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=7 if name == "verify-duality" else None,
+                       help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override the path count")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--convention", choices=["discounting", "paper_ode"], default=None)
@@ -358,20 +362,11 @@ def run(argv=None) -> int:
             report.scenario_hash = scenario_hash(spec)
             report.seed = spec.mc.seed
         else:
-            report.seed = args.seed if args.seed is not None else 7
+            report.seed = args.seed
             if report.seed < 0:
                 raise ValidationError(f"seed must be >= 0, got {report.seed}")
-
-        handler = {
-            "simulate-forward": lambda: _cmd_simulate_forward(spec, args, report, out_dir),
-            "solve-bsvie": lambda: _cmd_solve_bsvie(spec, args, report, out_dir),
-            "evaluate-utility": lambda: _cmd_evaluate_utility(spec, args, report, out_dir),
-            "optimal-consumption": lambda: _cmd_optimal_consumption(spec, args, report, out_dir),
-            "check-mp": lambda: _cmd_check_mp(spec, args, report, out_dir),
-            "verify-duality": lambda: _cmd_verify_duality(args, report, out_dir),
-            "run-acceptance": lambda: _cmd_run_acceptance(spec, args, report, out_dir),
-        }[args.subcommand]
-        code = handler()
+        handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
+        code = _write(report, out_dir, *handler(spec, args))
     except tuple(_ERROR_EXIT_CODES) as exc:
         report.error = str(exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -118,6 +118,7 @@ class Design:
     :data:`_GRAM_COND_LIMIT` the normal equations would lose the digits the
     design still has, so the ``p x N`` pseudo-inverse (or, past
     :data:`_COND_LIMIT` on the design, the ridge solve) is kept as well.
+    :meth:`product_coefficients` is the one solve of every regression.
     """
 
     __slots__ = ("phi", "gram", "solver", "condition_number", "ridged", "factor")
@@ -148,18 +149,9 @@ class Design:
         else:
             self.solver = np.linalg.pinv(phi.T)
 
-    def coefficients(self, targets: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients, ``(p,)`` or ``(p, k)`` like the targets."""
-        if self.solver is not None:
-            return self.solver @ targets
-        return np.linalg.solve(self.gram, self.phi @ targets)
-
     def evaluate(self, coef: np.ndarray) -> np.ndarray:
         """Fitted values ``(N,)`` or ``(N, k)`` of per-row coefficients."""
         return (coef.T @ self.phi).T
-
-    def project(self, targets: np.ndarray) -> np.ndarray:
-        return self.evaluate(self.coefficients(targets))
 
     @classmethod
     def from_rows(cls, rows: Sequence[np.ndarray], degree: int) -> "Design":
@@ -318,7 +310,10 @@ class CondExpEngine:
     def project(self, node: int, targets: np.ndarray) -> np.ndarray:
         """Conditional mean of ``targets`` (``(N,)`` or ``(N, k)``, each column
         projected) given the node's information."""
-        return self.design_at(node).project(targets)
+        design = self.design_at(node)
+        columns = targets.reshape(len(targets), -1)
+        coef = design.product_coefficients(columns.T, [])[0]
+        return design.evaluate(coef.T).reshape(targets.shape)
 
     def backward_columns(
         self, y: np.ndarray

@@ -61,7 +61,6 @@ __all__ = [
     "GateauxResult",
     "gateaux_derivative",
     "hamiltonian_h1",
-    "consumption_rows",
 ]
 
 
@@ -377,21 +376,3 @@ def hamiltonian_h1(
     per_path *= x
     return mean_se(per_path)
 
-
-# --------------------------------------------------------------------------- #
-# CSV row helpers
-# --------------------------------------------------------------------------- #
-
-def consumption_rows(scenario: ScenarioSpec) -> list[dict]:
-    """Rows ``{t, lambda, P, c_star}`` over the left nodes."""
-    grid = scenario.grid
-    adj = build_adjoint_state(scenario)
-    rows = []
-    for i in range(grid.n_steps):
-        rows.append({
-            "t": float(grid.nodes[i]),
-            "lambda": float(adj.lam[i]),
-            "P": float(adj.big_p[i]),
-            "c_star": float(adj.cstar[i]),
-        })
-    return rows

@@ -48,7 +48,7 @@ import numpy as np
 
 from ._kernels import volterra_sweep
 from .controls import ControlFn
-from .model import ScenarioSpec, TimeGrid, ValidationError, mean_se
+from .model import ScenarioSpec, TimeGrid, ValidationError
 from .paths import NoiseBundle
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "simulate_fsvie",
     "forward_mean_oracle",
     "first_variation",
-    "mean_quantile_rows",
 ]
 
 POSITIVITY_FLOOR = 1e-12
@@ -333,21 +332,3 @@ def first_variation(
         run(p_nodes[q, :, k], jumps[q])
     return FirstVariation(grid=grid, node=k, brownian=brown.T, jump=jumps.transpose(0, 2, 1))
 
-
-def mean_quantile_rows(fwd: ForwardPaths) -> list[dict]:
-    """Per-node summary rows ``{t, mean, se, q05, q50, q95}`` for CSV export."""
-    t = fwd.grid.nodes[: fwd.last_node + 1]
-    x = fwd.values
-    qs = np.quantile(x, [0.05, 0.5, 0.95], axis=0)
-    rows = []
-    for i, ti in enumerate(t):
-        mean, se = mean_se(x[:, i])
-        rows.append({
-            "t": ti,
-            "mean": mean,
-            "se": se,
-            "q05": float(qs[0, i]),
-            "q50": float(qs[1, i]),
-            "q95": float(qs[2, i]),
-        })
-    return rows

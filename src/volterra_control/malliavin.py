@@ -57,7 +57,6 @@ __all__ = [
     "DualityResult",
     "verify_duality_brownian",
     "verify_duality_jump",
-    "duality_rows",
 ]
 
 
@@ -277,11 +276,6 @@ class DualityResult:
     def combined_se(self) -> float:
         return float(np.hypot(self.se_lhs, self.se_rhs))
 
-    @property
-    def gap_in_se(self) -> float:
-        se = self.combined_se
-        return abs(self.lhs - self.rhs) / se if se > 0 else 0.0
-
 
 def _running_levels(increments: np.ndarray):
     """Yield the levels ``increments[..., :i].sum(-1)`` at nodes ``0 .. n - 1``:
@@ -402,16 +396,3 @@ def verify_duality_jump(
         raise ValidationError("jump duality needs at least one atom")
     return _stream_duality(_jump_pass, identities, grid, levy, n_paths, seed, n_blocks)
 
-
-def duality_rows(results: list[DualityResult]) -> list[dict]:
-    return [
-        {
-            "identity": r.name,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "se_lhs": r.se_lhs,
-            "se_rhs": r.se_rhs,
-            "gap_over_se": r.gap_in_se,
-        }
-        for r in results
-    ]

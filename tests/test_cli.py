@@ -1,11 +1,24 @@
+import csv
+import io
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
+from volterra_control.acceptance import (
+    CheckResult,
+    brownian_duality,
+    jump_duality,
+    resolvent_solution,
+)
 from volterra_control.cli import emit_csv, load_config, run, scenario_hash
-from volterra_control.model import ValidationError
+from volterra_control.control import build_adjoint_state, log_utility_oracle, performance
+from volterra_control.controls import ControlFn
+from volterra_control.fsvie import forward_mean_oracle, simulate_fsvie
+from volterra_control.model import ValidationError, mean_se
+from volterra_control.paths import generate_noise
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
 CHECKS_HEADER = "criterion,name,value,reference,tolerance,passed,detail"
@@ -348,7 +361,7 @@ def test_solve_bsvie_coarse_grid_exits_0(tmp_path):
     out = tmp_path / "out"
     assert run(["solve-bsvie", "--config", cfg, "--out", str(out)]) == 0
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-    band = checks["resolvent_vs_exponential"]["tolerance"]
+    band = checks["C5:resolvent_vs_exponential"]["tolerance"]
     assert band == pytest.approx(abs(0.975**-40 - math.e) + 1e-3 * math.e)
 
 
@@ -356,9 +369,8 @@ def test_report_written_on_check_failure(tmp_path, monkeypatch):
     # force a failing check through an impossible tolerance
     import volterra_control.cli as cli
 
-    def broken_handler(spec, args, report, out_dir):
-        report.add_check("always_fails", 1.0, 0.0, 0.5)
-        return cli.EXIT_CHECK_FAILED if not report.all_passed else cli.EXIT_OK
+    def broken_handler(spec, args):
+        return {}, [CheckResult("C1", "always_fails", 1.0, 0.0, 0.5, passed=False)]
 
     monkeypatch.setitem(cli.__dict__, "_cmd_optimal_consumption", broken_handler)
     out = tmp_path / "out"
@@ -376,3 +388,133 @@ def test_simulate_forward_singular_control_exits_3(tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert "positivity" in report["error"]
+
+
+# --------------------------------------------------------------------------- #
+# one check writer: every subcommand prints, records and tabulates its checks
+# --------------------------------------------------------------------------- #
+
+SMALL_MC = {"n_paths": 4000, "seed": 42, "n_blocks": 8}
+TWO_TIME = {"alpha_kernel": {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0}}
+
+
+# each subcommand's arguments at small sizes, and the checks table it writes
+WRITER_CASES = {
+    "simulate-forward": (["--paths", "4000"], "forward_checks.csv"),
+    "solve-bsvie": ([], "bsvie_checks.csv"),
+    "evaluate-utility": (["--paths", "4000", "--control", "cstar"], "utility_checks.csv"),
+    "optimal-consumption": ([], "consumption_checks.csv"),
+    "check-mp": (["--paths", "4000"], "mp_checks.csv"),
+    "verify-duality": (["--paths", "4000"], "duality_checks.csv"),
+    "run-acceptance": (["--paths", "4000"], "acceptance_results.csv"),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(WRITER_CASES))
+def test_every_subcommand_prints_records_and_tabulates_each_check(tmp_path, capsys, subcommand):
+    flags, checks_csv = WRITER_CASES[subcommand]
+    out = tmp_path / "out"
+    config = [] if subcommand == "verify-duality" else ["--config", str(CONFIG)]
+    code = run([subcommand] + flags + config + ["--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    checks = report["checks"]
+    assert checks and not report["error"]
+    assert code == (0 if all(c["passed"] for c in checks) else 3)
+    assert all(re.fullmatch(r"C\d+:[\w.]+", c["name"]) for c in checks)
+    # stdout is one line per recorded check, and nothing else
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(checks)
+    for line, c in zip(lines, checks):
+        status = "PASS" if c["passed"] else "FAIL"
+        assert line.startswith(f"{c['name'].replace(':', ' ', 1)}: {status} value=")
+    # the checks table holds the same rows, and is the last output written
+    assert report["outputs"][-1] == str(out / checks_csv)
+    with open(out / checks_csv, newline="") as f:
+        text = f.read()
+    assert text.splitlines()[0] == CHECKS_HEADER
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [f"{r['criterion']}:{r['name']}" for r in rows] == [c["name"] for c in checks]
+    for r, c in zip(rows, checks):
+        assert (float(r["value"]), float(r["reference"]), float(r["tolerance"])) == (
+            c["value"], c["reference"], c["tolerance"])
+        assert r["passed"] == str(int(c["passed"]))
+
+
+def test_evaluate_utility_off_oracle_prints_its_fail_line(tmp_path, capsys):
+    # at gamma = 0.5 the continuous oracle prices a trapezoid tail of c*, the
+    # simulation the grid's left-point tail; the gap exceeds the 5-SE band at
+    # 100k paths, so the run exits 3, and it says why on stdout
+    out = tmp_path / "out"
+    code = run(["evaluate-utility", "--config", write_config(tmp_path, gamma=0.5),
+                "--control", "cstar", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().out.startswith("C2 utility_vs_oracle: FAIL value=")
+    (check,) = json.loads((out / "report.json").read_text())["checks"]
+    assert check["name"] == "C2:utility_vs_oracle" and not check["passed"]
+
+
+# The subcommand checks that generalise an acceptance criterion: each test
+# recomputes the check's formula from the package's primitives and pins its
+# value, reference and tolerance bit for bit.
+
+def _reported(argv, out):
+    run(argv + ["--out", str(out)])
+    return {c["name"]: (c["value"], c["reference"], c["tolerance"])
+            for c in json.loads((out / "report.json").read_text())["checks"]}
+
+
+def _main_noise(spec):
+    return generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
+
+
+@pytest.mark.parametrize("kernels", [{}, TWO_TIME], ids=["one_time", "two_time"])
+def test_simulate_forward_check_keeps_its_band(tmp_path, kernels):
+    cfg = write_config(tmp_path, mc=SMALL_MC, **kernels)
+    spec = load_config(cfg)
+    one = ControlFn.constant(1.0, spec.grid)
+    mean, se = mean_se(simulate_fsvie(spec, _main_noise(spec), one).values[:, -1])
+    oracle = forward_mean_oracle(spec, one)
+    # 4 SE, plus a first-order discretization allowance on two-time kernels
+    tol = 4.0 * se + (0.0 if spec.time_invariant else 0.02 * abs(oracle[-1]))
+    assert _reported(["simulate-forward", "--config", cfg], tmp_path / "out") == {
+        "C8:terminal_mean_vs_oracle": (mean, float(oracle[-1]), tol)}
+
+
+def test_evaluate_utility_check_keeps_its_band(tmp_path):
+    cfg = write_config(tmp_path, mc=SMALL_MC)
+    spec = load_config(cfg)
+    cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
+    res = performance(spec, cstar, _main_noise(spec))
+    oracle = log_utility_oracle(spec, cstar)
+    assert _reported(["evaluate-utility", "--config", cfg, "--control", "cstar"],
+                     tmp_path / "out") == {
+        "C2:utility_vs_oracle": (res.j, oracle, 5.0 * res.se + 1e-4)}
+
+
+def test_optimal_consumption_check_keeps_its_band(tmp_path):
+    residual = build_adjoint_state(load_config(str(CONFIG))).foc_residual()
+    assert _reported(["optimal-consumption", "--config", str(CONFIG)], tmp_path / "out") == {
+        "C1:first_order_condition": (residual, 0.0, 1e-12)}
+
+
+@pytest.mark.parametrize("n_steps", [40, 100])
+def test_solve_bsvie_checks_keep_their_bands(tmp_path, n_steps):
+    cfg = write_config(tmp_path, grid={"horizon": 1.0, "n_steps": n_steps})
+    grid = load_config(cfg).grid
+    y0 = float(resolvent_solution(grid).y[0].mean())
+    fixed_point = (1.0 - grid.dt) ** (-grid.n_steps)  # discrete resolvent identity
+    exponential = math.exp(grid.horizon)
+    band = abs(fixed_point - exponential) + 1e-3 * exponential
+    assert _reported(["solve-bsvie", "--config", cfg], tmp_path / "out") == {
+        "C5:resolvent_fixed_point": (y0, fixed_point, 1e-3 * fixed_point),
+        "C5:resolvent_vs_exponential": (y0, exponential, band),
+    }
+
+
+def test_verify_duality_checks_keep_their_bands(tmp_path):
+    results = (brownian_duality(("brownian_square", "brownian_isometry"), 4000, 3)
+               + jump_duality(("jump_square", "jump_isometry"), 4000, 4))
+    assert _reported(["verify-duality", "--paths", "4000", "--seed", "3"], tmp_path / "out") == {
+        f"C7:{r.name}_sides_agree": (r.lhs, r.rhs, 3.0 * r.combined_se)
+        for r in results
+    }

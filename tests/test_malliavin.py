@@ -125,7 +125,7 @@ def test_brownian_duality_square_case():
                            n_steps=200, n_paths=50_000, seed=7)
     assert abs(res.lhs - 1.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 1.0) <= 3 * res.se_rhs
-    assert res.gap_in_se <= 3.0
+    assert abs(res.lhs - res.rhs) <= 3.0 * res.combined_se
 
 
 def test_brownian_duality_isometry_case():

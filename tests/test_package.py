@@ -4,6 +4,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -38,6 +39,19 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"volterra_control.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_every_module_is_named_in_the_readme_table_and_the_package_map():
+    """Each module has a README table row of at most 400 characters (what it
+    does and the invariant a reader needs; history belongs in CHANGES) and a
+    line in the package docstring's map."""
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `")]
+    tabled = {name for row in rows for name in re.findall(r"`(\w+)`", row.split(" | ")[0])}
+    mapped = set(re.findall(r"^\* ``(\w+)``", volterra_control.__doc__, flags=re.M))
+    assert [m for m in MODULES if m not in tabled] == []
+    assert [m for m in MODULES if m not in mapped] == []
+    assert [row[:40] for row in rows if len(row) > 400] == []
 
 
 def _all_node(tree: ast.Module) -> ast.Assign | None:
