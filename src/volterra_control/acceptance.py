@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .controls import ControlFn, discount_curve, remaining_value_curve
 from .control import (
     AdjointState,
     PerformanceResult,
-    _log_noise_leg,
+    _LogNoiseLeg,
+    _streamed_log_noise_leg,
     build_adjoint_state,
     gateaux_derivative,
     log_utility_oracle,
@@ -54,7 +56,7 @@ from .model import (
     mean_se,
     validate_scenario,
 )
-from .paths import generate_noise
+from .paths import NoiseBundle, generate_noise
 
 __all__ = [
     "CheckResult",
@@ -262,7 +264,8 @@ def martingale_family_solution(
     generator.
 
     The family is reduced column by column as it is solved, so no
-    ``n(n+1)/2 x N`` coefficient triangle is stored.
+    ``n(n+1)/2 x N`` coefficient triangle is stored, and its terminal is
+    stepped in place as the diagonal, so it is not copied either.
     """
     grid = build_time_grid(1.0, n_steps)
     levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
@@ -371,7 +374,7 @@ def brownian_duality(
     ``psi = 1``).  The square pairing runs on this finer grid because its
     left-hand side (a discrete stochastic integral against the path level)
     carries an O(dt) bias of size dt that must stay inside the 3-SE band.
-    Each block of the noise is drawn once for all the named identities and
+    Each piece of the noise is drawn once for all the named identities and
     dropped after its pass, so the memory grows with ``n_paths`` only.
     """
     identities = {
@@ -393,7 +396,7 @@ def jump_duality(
     The noise has 100 steps and one atom (size 1, weight 2); C7 draws it at
     seed 8, one past the Brownian noise's.  ``names`` picks from
     ``jump_square`` (``F = N~(T)^2``) and ``jump_isometry`` (``F = N~(T)``),
-    both with the unit integrand.  As in :func:`brownian_duality`, each block
+    both with the unit integrand.  As in :func:`brownian_duality`, each piece
     is drawn once for all the named identities.
     """
     identities = {
@@ -410,9 +413,11 @@ def jump_duality(
 def check_duality(n_paths: int = 200_000) -> list[CheckResult]:
     """C7: both sides of the two integration-by-parts identities.
 
-    Each noise is streamed at its default seed, one block at a time, so
-    neither is ever held whole: the stage's memory grows with ``n_paths``,
-    not ``n_steps x n_paths``.
+    Each noise is streamed at its default seed in pieces of a few chunks of
+    paths, so neither is ever held whole: the stage's memory grows with
+    ``n_paths``, not ``n_steps x n_paths``.  The Brownian stage holds one
+    piece of normals per worker; the jump stage holds a block's normals (its
+    functionals may read them) and one piece of counts per worker.
     """
     (res_b,) = brownian_duality(("brownian_square",), n_paths)
     (res_j,) = jump_duality(("jump_square",), n_paths)
@@ -431,18 +436,63 @@ def check_sides_agree(results: list[DualityResult]) -> list[CheckResult]:
             for r in results]
 
 
-def check_forward_solver(scenario: ScenarioSpec, noise) -> list[CheckResult]:
+@dataclass(frozen=True, eq=False)
+class _UnitRateTerminal:
+    """What C8 reads of the main noise: ``log X(T)`` per path under the unit
+    rate and the lowest ``log X`` over every path and node.  ``bundle()``
+    gives that noise (drawn again, where it was streamed) for the simulator
+    to name a breach."""
+
+    log_x: np.ndarray  # (n_paths,)
+    lowest: float
+    bundle: Callable[[], NoiseBundle]
+
+
+def _unit_rate_rows(scenario: ScenarioSpec, noise: NoiseBundle, log_x: np.ndarray) -> float:
+    """Write ``log X(T)`` of ``noise``'s paths under the unit rate into
+    ``log_x`` and return their lowest ``log X`` over every node, read off
+    the exact engine's rows as they pass."""
+    grid = scenario.grid
+    lowest = math.inf
+    for row in _log_rows(scenario, noise, ControlFn.constant(1.0, grid).step_integrals(grid),
+                         grid.n_steps):
+        lowest = min(lowest, float(row.min()))
+    log_x[:] = row
+    return lowest
+
+
+def _main_noise_pass(scenario: ScenarioSpec) -> tuple[_LogNoiseLeg, _UnitRateTerminal]:
+    """C2-C4's control-free leg of the scenario's own noise and what C8 reads
+    of it, from one streamed pass: both are per path or a minimum, so the
+    noise is never formed whole.  Only a breach of the positivity floor
+    draws it again, for the simulator to name."""
+    log_x, lowest = np.empty(scenario.mc.n_paths), []
+
+    def unit_rate(rows: slice, piece: NoiseBundle) -> None:
+        lowest.append(_unit_rate_rows(scenario, piece, log_x[rows]))
+
+    log_noise = _streamed_log_noise_leg(scenario, unit_rate)
+    return log_noise, _UnitRateTerminal(log_x=log_x, lowest=min(lowest), bundle=log_noise.bundle)
+
+
+def check_forward_solver(
+    scenario: ScenarioSpec, noise: NoiseBundle | _UnitRateTerminal
+) -> list[CheckResult]:
     """C8: terminal mean on the reference scenario, read off the exact engine's
     rows as they pass (``simulate_fsvie`` runs only to report a breach), plus
-    first-order shrink of the weak error on a genuinely two-time-kernel variant."""
+    first-order shrink of the weak error on a genuinely two-time-kernel variant.
+
+    ``noise`` is the main bundle or what C8 reads of it, which
+    :func:`run_acceptance` streams together with C2-C4's leg."""
     grid = scenario.grid
-    one = ControlFn.constant(1.0, grid)
-    lowest = math.inf
-    for log_x in _log_rows(scenario, noise, one.step_integrals(grid), grid.n_steps):
-        lowest = min(lowest, float(log_x.min()))
-    if lowest <= math.log(POSITIVITY_FLOOR):
-        simulate_fsvie(scenario, noise, one)  # raises, naming the first breach
-    mean, se = mean_se(np.exp(log_x))
+    if isinstance(noise, NoiseBundle):
+        log_x = np.empty(noise.n_paths)
+        noise = _UnitRateTerminal(log_x=log_x, lowest=_unit_rate_rows(scenario, noise, log_x),
+                                  bundle=lambda bundle=noise: bundle)
+    if noise.lowest <= math.log(POSITIVITY_FLOOR):
+        # raises, naming the first breach
+        simulate_fsvie(scenario, noise.bundle(), ControlFn.constant(1.0, grid))
+    mean, se = mean_se(np.exp(noise.log_x))
     ref = math.exp(-0.95)
     out = [_result("C8", "terminal_mean", mean, ref, 3.0 * se, f"se={se:.2e}")]
 
@@ -533,23 +583,27 @@ def check_z_time_derivative(stats: FamilyStatistics) -> list[CheckResult]:
 
 
 def run_acceptance(scenario: ScenarioSpec) -> list[CheckResult]:
-    """Run the full acceptance suite against the reference scenario."""
+    """Run the full acceptance suite against the reference scenario.
+
+    The main noise is streamed once, for C2-C4's control-free leg and C8's
+    terminal row together: every value they read is per path or a minimum,
+    so it is never held whole, and only a breach of the positivity floor
+    draws it again, for the simulator to name.  C7 streams its two noises
+    in pieces the same way.  The C5 family, C6 and C9 draw their smaller
+    bundles whole.
+    """
     require_reference_scenario(scenario)
-    mc = scenario.mc
-    noise = generate_noise(scenario.grid, scenario.levy, n_paths=mc.n_paths,
-                           seed=mc.seed, n_blocks=mc.n_blocks)
-    # C2-C4 evaluate every control as a shift of one control-free leg
-    log_noise = _log_noise_leg(scenario, noise)
+    # C2-C4 evaluate every control as a shift of one control-free leg, and
+    # C8 reads the unit rate's terminal row off the same pass
+    log_noise, terminal = _main_noise_pass(scenario)
     results: list[CheckResult] = []
     results += check_closed_form_optimum(scenario)
     results += check_value_oracle(scenario, log_noise)
     results += check_optimality_ranking(scenario, log_noise)
     results += check_necessary_mp(scenario, log_noise)
-    # C8 is the last reader of the main noise; run it now so the bundle is
-    # released before the C5 family and C7 (reported in criterion order); like
-    # the C2-C4 leg it reads the state one node row at a time, never whole
-    forward = check_forward_solver(scenario, noise)
-    del noise, log_noise
+    # the last reader of the main noise, reported in criterion order
+    forward = check_forward_solver(scenario, terminal)
+    del log_noise, terminal
     martingale = martingale_family_solution()
     results += check_bsvie_solver(martingale)
     results += check_contraction()

@@ -33,7 +33,8 @@ overwrites it with the new column and records the per-pair squared change as
 a Gram form of the coefficient change, from which the weighted distance is
 formed.  Only the ``(n+1, N)`` frozen diagonal is copied.
 :func:`family_statistics` reduces each column of a driver-free family from
-its coefficients as it is finished and stores no triangle.
+its coefficients as it is finished and stores no triangle; it steps a
+path-valued terminal in place as the diagonal.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ def family_statistics(
     terms are Gram forms of consecutive coefficient differences, and only
     row 0 is evaluated on the paths, for its maximum.
 
+    A writable, C-contiguous ``(n+1, N)`` float64 ``zeta`` is that diagonal:
+    it is stepped in place and overwritten, as :func:`solve_family_step`
+    overwrites ``frozen``, so no copy of the terminal is made.  Any other
+    ``zeta`` (a deterministic family, another dtype or layout, a read-only
+    array) is copied into a new diagonal first; the statistics are the same.
+
     ``z_derivative_norm`` is the finite-difference estimate of
     ``E int int (dZ/dt)^2 ds dt``: first-index differences within each
     column (pairs with ``j >= i + 1``), left-point quadrature in both time
@@ -260,8 +267,10 @@ def family_statistics(
     z_mean = np.empty(_n_pairs(n))
     terms = np.empty(n)
     zero_row = 0.0
-    y = np.empty((n + 1, noise.n_paths))
-    y[:] = _terminal_family(zeta, n, noise.n_paths)
+    y = _terminal_family(zeta, n, noise.n_paths)
+    if not (isinstance(zeta, np.ndarray) and zeta.shape == (n + 1, noise.n_paths)
+            and zeta.dtype == np.float64 and zeta.flags.writeable and zeta.flags.c_contiguous):
+        y = np.broadcast_to(y, (n + 1, noise.n_paths)).copy()
     for r, design, _, z, _ in engine.backward_columns(y):
         z_mean[_column(r)] = z @ design.phi.mean(axis=1)
         zero_row = np.maximum(zero_row, np.max(np.abs(z[0] @ design.phi)))  # keeps a NaN

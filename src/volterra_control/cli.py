@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from . import acceptance as acc
 from .bsvie import BsvieSolution, ConvergenceError
 from .controls import ControlFn
-from .control import AdjointState, _log_noise_leg, build_adjoint_state, performance
+from .control import AdjointState, _streamed_log_noise_leg, build_adjoint_state, performance
 from .fsvie import ForwardPaths, PositivityBreachError, simulate_fsvie
 from .malliavin import DualityResult
 from .model import ScenarioSpec, ValidationError, mean_se, validate_scenario
@@ -133,20 +133,23 @@ def _format_cell(value) -> tuple[str, bool]:
     return text, False
 
 
-def emit_csv(rows: list[dict], path: str) -> list[tuple[int, str]]:
+def emit_csv(
+    rows: list[dict], path: str, columns: list[str] | None = None
+) -> list[tuple[int, str]]:
     """Write rectangular rows; header always present; '.' decimal separator.
 
+    The header is ``columns`` or, without them, the first row's keys, so a
+    table whose layout is fixed keeps its header when it has no rows.
     Returns the positions of any NaN cells so callers can flag them.
     """
     path = Path(path)
     nan_cells: list[tuple[int, str]] = []
-    if rows:
-        header = list(rows[0].keys())
-        for r in rows:
-            if list(r.keys()) != header:
-                raise ValidationError("CSV rows must share one column set")
-    else:
-        header = []
+    if columns is None:
+        columns = list(rows[0].keys()) if rows else []
+    header = list(columns)
+    for r in rows:
+        if list(r.keys()) != header:
+            raise ValidationError("CSV rows must share one column set")
     lines = [",".join(header)]
     for i, row in enumerate(rows):
         cells = []
@@ -260,8 +263,9 @@ def _cmd_solve_bsvie(spec, args):
 
 def _cmd_check_mp(spec, args):
     acc.require_reference_scenario(spec)
-    # every control of C3 and C4 is a shift of one control-free leg
-    log_noise = _log_noise_leg(spec, _main_noise(spec))
+    # every control of C3 and C4 is a shift of one control-free leg, summed
+    # in one streamed pass: the main noise is never formed whole
+    log_noise = _streamed_log_noise_leg(spec)
     checks = (acc.check_closed_form_optimum(spec)
               + acc.check_optimality_ranking(spec, log_noise)
               + acc.check_necessary_mp(spec, log_noise))
@@ -269,7 +273,7 @@ def _cmd_check_mp(spec, args):
 
 
 def _cmd_verify_duality(spec, args):
-    # each noise is streamed one block at a time, drawn once for both of its
+    # each noise is streamed in pieces, drawn once for both of its
     # identities; memory grows with the path count, not steps x paths
     n_paths = 200_000 if args.paths is None else args.paths
     results = (
@@ -304,9 +308,11 @@ def _write(report: RunReport, out_dir: Path, tables: dict, checks: list) -> int:
                               "reference": r.reference, "tolerance": r.tolerance,
                               "passed": r.passed})
     check_rows = [{**asdict(r), "passed": int(r.passed)} for r in checks]
-    for name, rows in {**tables, _CHECKS_CSV[report.subcommand]: check_rows}.items():
+    checks_table = _CHECKS_CSV[report.subcommand]
+    for name, rows in {**tables, checks_table: check_rows}.items():
         path = out_dir / name
-        for i, key in emit_csv(rows, str(path)):
+        columns = [f.name for f in fields(acc.CheckResult)] if name == checks_table else None
+        for i, key in emit_csv(rows, str(path), columns):
             report.nan_values.append({"file": name, "row": i, "column": key})
         report.outputs.append(str(path))
     return EXIT_OK if all(r.passed for r in checks) else EXIT_CHECK_FAILED
@@ -324,13 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _CHECKS_CSV:
         p = sub.add_parser(name)
-        if name != "verify-duality":
+        if name != "verify-duality":  # the one subcommand that reads no scenario
             p.add_argument("--config", required=True, help="scenario JSON file")
+            p.add_argument("--convention", choices=["discounting", "paper_ode"], default=None)
         p.add_argument("--seed", type=int, default=7 if name == "verify-duality" else None,
                        help="override the config seed")
         p.add_argument("--paths", type=int, default=None, help="override the path count")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--convention", choices=["discounting", "paper_ode"], default=None)
         if name in ("simulate-forward", "evaluate-utility"):
             p.add_argument("--control", default="constant:1.0",
                            help="constant:VALUE | cstar | theta_cstar:THETA")

@@ -35,6 +35,7 @@ zero.  Two-time kernels simulate every control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .fsvie import (
     simulate_fsvie,
 )
 from .model import ScenarioSpec, TimeGrid, ValidationError, mean_se
-from .paths import NoiseBundle
+from .paths import NoiseBundle, generate_noise, stream_noise
 
 __all__ = [
     "AdjointState",
@@ -109,31 +110,80 @@ class _LogNoiseLeg:
     ``L`` itself (n_paths x n) is never formed: the per-path leg
     ``sum_i wl_i L[:, i]`` and the per-node minimum of ``L`` over paths (for
     the positivity floor) are summed as the exact engine hands out its rows,
-    and kept with the scenario and bundle they were built from.
+    and kept with the scenario they were built for.  The bundle is not kept:
+    ``n_paths``, ``seed`` and ``n_blocks`` say which one ``generate_noise``
+    draws on the scenario's grid and measure, and :meth:`bundle` draws it
+    again, bit for bit, for the simulator to name a breach.
     """
 
     scenario: ScenarioSpec
-    noise: NoiseBundle
+    n_paths: int
+    seed: int
+    n_blocks: int
     leg: np.ndarray  # (n_paths,)
     min_log: np.ndarray  # (n,) over nodes 0 .. n-1
 
+    def bundle(self) -> NoiseBundle:
+        return generate_noise(self.scenario.grid, self.scenario.levy, self.n_paths,
+                              self.seed, self.n_blocks)
 
-def _log_noise_leg(scenario: ScenarioSpec, noise: NoiseBundle) -> _LogNoiseLeg:
-    """Sum the log-noise of a time-invariant scenario once: the exact engine
-    run with zero step integrals, through the last left node."""
+
+def _sum_log_noise(scenario: ScenarioSpec, noise: NoiseBundle, leg: np.ndarray) -> np.ndarray:
+    """Sum the control-free leg of ``noise``'s paths into ``leg`` and return
+    the per-node minimum of their log-noise: the exact engine run with zero
+    step integrals, through the last left node.  Every value is per path or
+    a minimum, so it does not depend on how the paths are split."""
     n = scenario.grid.n_steps
     wl = _utility_weights(scenario)
-    leg, min_log = np.zeros(noise.n_paths), np.empty(n)
+    leg[:] = 0.0
+    min_log = np.empty(n)
     for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n - 1), n - 1)):
         leg += wl[i] * row
         min_log[i] = row.min()
-    return _LogNoiseLeg(scenario=scenario, noise=noise, leg=leg, min_log=min_log)
+    return min_log
+
+
+def _log_noise_leg(scenario: ScenarioSpec, noise: NoiseBundle) -> _LogNoiseLeg:
+    """The control-free leg of a time-invariant scenario on a bundle that
+    ``generate_noise`` drew, summed once."""
+    leg = np.empty(noise.n_paths)
+    min_log = _sum_log_noise(scenario, noise, leg)
+    return _LogNoiseLeg(scenario=scenario, n_paths=noise.n_paths, seed=noise.seed,
+                        n_blocks=noise.n_blocks, leg=leg, min_log=min_log)
+
+
+def _streamed_log_noise_leg(
+    scenario: ScenarioSpec, also: Callable[[slice, NoiseBundle], None] | None = None
+) -> _LogNoiseLeg:
+    """The control-free leg of the scenario's own noise (its ``mc`` block),
+    summed in one pass of ``stream_noise``, so the bundle is never formed.
+
+    ``also(rows, piece)``, when given, reads every piece after the leg: it is
+    called from the stream's worker threads, as a ``stream_noise`` consumer.
+    """
+    mc = scenario.mc
+    leg, mins = np.empty(mc.n_paths), []
+
+    def consume(rows: slice, piece: NoiseBundle) -> None:
+        mins.append(_sum_log_noise(scenario, piece, leg[rows]))
+        if also is not None:
+            also(rows, piece)
+
+    stream_noise(scenario.grid, scenario.levy, mc.n_paths, mc.seed, mc.n_blocks, consume)
+    return _LogNoiseLeg(scenario=scenario, n_paths=mc.n_paths, seed=mc.seed,
+                        n_blocks=mc.n_blocks, leg=leg, min_log=np.min(mins, axis=0))
 
 
 def _resolve_noise(
     scenario: ScenarioSpec, noise: NoiseBundle | _LogNoiseLeg
 ) -> NoiseBundle | _LogNoiseLeg:
-    """The bundle's control-free leg when the scenario is time-invariant."""
+    """The bundle's control-free leg when the scenario is time-invariant.
+
+    The leg does not keep the bundle: a control that reaches the positivity
+    floor is simulated on the bundle ``generate_noise`` draws again from the
+    bundle's ``seed`` and ``n_blocks``, which is this one when it came from
+    ``generate_noise`` (or a file of one).
+    """
     if isinstance(noise, NoiseBundle) and scenario.time_invariant:
         return _log_noise_leg(scenario, noise)
     return noise
@@ -173,7 +223,7 @@ def _control_legs(
     np.cumsum(c_int, out=spent[1:])
     if np.any(noise.min_log - spent <= np.log(POSITIVITY_FLOOR)):
         # some path crosses the floor: the simulator reports where
-        return _control_legs(scenario, control, noise.noise)
+        return _control_legs(scenario, control, noise.bundle())
     log_c = np.log(_positive_consumption(scenario, control))
     return noise.leg, np.concatenate((log_c, c_int))
 

@@ -28,11 +28,14 @@ would leave the mean unchanged and report a standard error below the
 estimator's own.
 
 Every sample is per path, so the checkers never form the noise: they stream
-it from the generator one block at a time (``paths.stream_noise``), run one
-pass per block for all the identities they are given, with both sides
-reading the levels as running rows, and keep only each identity's ``(N,)``
-sample rows.  Their memory grows with ``n_paths``, not ``n_steps x
-n_paths``: one block per worker plus the sample rows.
+it from the generator in pieces of a few chunks of paths
+(``paths.stream_noise``), run one pass per piece for all the identities they
+are given, with both sides reading the levels as running rows, and keep only
+each identity's ``(N,)`` sample rows.  Their memory grows with ``n_paths``,
+not ``n_steps x n_paths``: one piece's buffers per worker (with jumps, the
+block's normals too) plus the sample rows.  The Brownian derivative trees
+are built once per check, and deterministic nodes evaluate to scalars, so a
+piece costs its numpy work and little else.
 """
 
 from __future__ import annotations
@@ -61,9 +64,13 @@ __all__ = [
 
 
 class Functional:
-    """Base node of the composition tree."""
+    """Base node of the composition tree.
 
-    def evaluate(self, noise: NoiseBundle) -> np.ndarray:
+    ``evaluate`` returns one value per path of ``noise``, or a scalar for a
+    deterministic node (a constant, a derivative of a Wiener integral).
+    """
+
+    def evaluate(self, noise: NoiseBundle) -> np.ndarray | float:
         raise NotImplementedError
 
     def evaluate_with_jump(self, noise: NoiseBundle, node: int, atom: int) -> np.ndarray:
@@ -100,10 +107,10 @@ class Const(Functional):
     value: float
 
     def evaluate(self, noise):
-        return np.full(noise.n_paths, self.value)
+        return self.value
 
     def evaluate_with_jump(self, noise, node, atom):
-        return self.evaluate(noise)
+        return self.value
 
     def d_brownian(self, node):
         return Const(0.0)
@@ -156,10 +163,10 @@ class _NodeConst(Functional):
         self.fn = fn
 
     def evaluate(self, noise):
-        return np.full(noise.n_paths, self.fn(noise))
+        return self.fn(noise)
 
     def evaluate_with_jump(self, noise, node, atom):
-        return self.evaluate(noise)
+        return self.fn(noise)
 
     def d_brownian(self, node):
         return Const(0.0)
@@ -254,10 +261,9 @@ class Power(Functional):
     def d_brownian(self, node):
         if self.exponent == 1:
             return self.base.d_brownian(node)
-        return Product(
-            Product(Const(float(self.exponent)), Power(self.base, self.exponent - 1)),
-            self.base.d_brownian(node),
-        )
+        # the base itself for a square: a first power would copy its values
+        rest = self.base if self.exponent == 2 else Power(self.base, self.exponent - 1)
+        return Product(Product(Const(float(self.exponent)), rest), self.base.d_brownian(node))
 
 
 # --------------------------------------------------------------------------- #
@@ -292,13 +298,13 @@ def _running_levels(increments: np.ndarray):
 Identity = tuple[str, Functional, Callable[..., np.ndarray]]
 
 
-def _stream_duality(block_pass, identities: list[Identity], grid: TimeGrid,
+def _stream_duality(piece_pass, identities: list[Identity], grid: TimeGrid,
                     levy: LevyMeasure, n_paths: int, seed: int,
                     n_blocks: int) -> list[DualityResult]:
-    """Run ``block_pass(identities, block, lhs, rhs)`` on each block of the
-    stream, then reduce each identity's ``(N,)`` sample rows once.
+    """Run ``piece_pass(piece, lhs, rhs)`` on each piece of the stream, then
+    reduce each identity's ``(N,)`` sample rows once.
 
-    ``lhs`` and ``rhs`` are the block's columns of the ``(k, N)`` sample
+    ``lhs`` and ``rhs`` are the piece's columns of the ``(k, N)`` sample
     arrays, one row per identity; the pass fills them.
     """
     if n_paths < 2:
@@ -306,7 +312,7 @@ def _stream_duality(block_pass, identities: list[Identity], grid: TimeGrid,
     lhs = np.empty((len(identities), n_paths))
     rhs = np.empty((len(identities), n_paths))
     stream_noise(grid, levy, n_paths, seed, n_blocks,
-                 lambda rows, block: block_pass(identities, block, lhs[:, rows], rhs[:, rows]))
+                 lambda rows, piece: piece_pass(piece, lhs[:, rows], rhs[:, rows]))
     results = []
     for j, (name, _, _) in enumerate(identities):
         (lhs_mean, se_lhs), (rhs_mean, se_rhs) = mean_se(lhs[j]), mean_se(rhs[j])
@@ -315,17 +321,24 @@ def _stream_duality(block_pass, identities: list[Identity], grid: TimeGrid,
     return results
 
 
-def _brownian_pass(identities: list[Identity], noise: NoiseBundle,
-                   lhs: np.ndarray, rhs: np.ndarray) -> None:
+def _checked(value, shape: tuple[int, ...]):
+    """An integrand value, which must be a scalar or one value per path."""
+    if np.shape(value) not in ((), (1,), shape):
+        raise ValueError(f"integrand of shape {np.shape(value)} for {shape[0]} paths")
+    return value
+
+
+def _brownian_pass(identities: list[Identity], derivatives: list[list[Functional]],
+                   noise: NoiseBundle, lhs: np.ndarray, rhs: np.ndarray) -> None:
     d_b = noise.d_brownian
     w = time_quadrature_weights(noise.grid)
     integrals = np.zeros(lhs.shape)
     rhs[:] = 0.0
     for i, b in enumerate(_running_levels(d_b)):
-        for j, (_, f, psi) in enumerate(identities):
-            psi_i = np.broadcast_to(psi(i, b), b.shape)
+        for j, (_, _, psi) in enumerate(identities):
+            psi_i = _checked(psi(i, b), b.shape)
             integrals[j] += psi_i * d_b[:, i]
-            rhs[j] += f.d_brownian(i).evaluate(noise) * psi_i * w[i]
+            rhs[j] += derivatives[j][i].evaluate(noise) * psi_i * w[i]
     for j, (_, f, _) in enumerate(identities):
         np.multiply(f.evaluate(noise), integrals[j], out=lhs[j])
 
@@ -340,14 +353,19 @@ def verify_duality_brownian(
 ) -> list[DualityResult]:
     """Both sides of the Brownian integration-by-parts identity for each of
     ``identities`` ``(name, F, psi)``, on the noise ``generate_noise`` draws
-    with the same arguments, streamed one block at a time.
+    with the same arguments, streamed in pieces.
 
     ``psi(step, b)`` returns the adapted integrand at the left node from
-    ``b = B(t_step)`` of the block's paths (a running row: do not keep it).
-    It is called once per node per block, from worker threads, so it must be
-    pure.  The right-hand side averages ``sum_i w_i D_i F psi_i``.
+    ``b = B(t_step)`` of the piece's paths (a running row: do not keep it),
+    a scalar or one value per path.  It is called once per node per piece,
+    from worker threads, so it must be pure.  The right-hand side averages
+    ``sum_i w_i D_i F psi_i``; each derivative tree ``D_i F`` is built once
+    per call and evaluated on every piece.
     """
-    return _stream_duality(_brownian_pass, identities, grid, levy, n_paths, seed, n_blocks)
+    derivatives = [[f.d_brownian(i) for i in range(grid.n_steps)] for _, f, _ in identities]
+    return _stream_duality(
+        lambda piece, lhs, rhs: _brownian_pass(identities, derivatives, piece, lhs, rhs),
+        identities, grid, levy, n_paths, seed, n_blocks)
 
 
 def _jump_pass(identities: list[Identity], noise: NoiseBundle,
@@ -365,7 +383,7 @@ def _jump_pass(identities: list[Identity], noise: NoiseBundle,
             # whole float array
             comp = np.subtract(counts[q, :, i], w_dt[q], dtype=float)
             for j, (_, f, phi) in enumerate(identities):
-                phi_iq = np.broadcast_to(phi(i, q, c), comp.shape)
+                phi_iq = _checked(phi(i, q, c), comp.shape)
                 lhs[j] += phi_iq * comp
                 # the jump derivative of f at (i, q), with f evaluated once above
                 d_f = f.evaluate_with_jump(noise, i, q) - f_vals[j]
@@ -384,15 +402,19 @@ def verify_duality_jump(
 ) -> list[DualityResult]:
     """Both sides of the jump integration-by-parts identity for each of
     ``identities`` ``(name, F, phi)``, on the noise ``generate_noise`` draws
-    with the same arguments, streamed one block at a time.
+    with the same arguments, streamed in pieces.
 
     ``phi(step, atom, c)`` returns the adapted two-argument integrand at the
-    left node from the counts ``c = N(t_step)`` ``(m, len)`` of the block's
-    paths (a running array: do not keep it).  It is called once per (node,
-    atom) per block, from worker threads, so it must be pure.  The
-    right-hand side averages ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.
+    left node from the counts ``c = N(t_step)`` ``(m, len)`` of the piece's
+    paths (a running array: do not keep it), a scalar or one value per
+    path.  It is called once per (node, atom) per piece, from worker
+    threads, so it must be pure.  The right-hand side averages
+    ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  ``F`` may read the
+    Brownian noise too: each piece carries its paths' normals.
     """
     if levy.n_atoms == 0:
         raise ValidationError("jump duality needs at least one atom")
-    return _stream_duality(_jump_pass, identities, grid, levy, n_paths, seed, n_blocks)
+    return _stream_duality(
+        lambda piece, lhs, rhs: _jump_pass(identities, piece, lhs, rhs),
+        identities, grid, levy, n_paths, seed, n_blocks)
 

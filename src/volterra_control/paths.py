@@ -18,7 +18,10 @@ same whatever the CPU count; with one CPU nothing runs off the calling
 thread.  The level sums run on the calling thread: a node row is too short
 a task to pay for a thread.
 :func:`stream_noise` draws the same blocks in the same workers, but hands
-each to a consumer as a block-sized bundle instead of storing the whole.
+them to a consumer in pieces, each a bundle of its own, instead of storing
+the whole: a block whose last drawn segment is larger than a few chunks'
+worth of buffer is handed out a few chunks of paths at a time, as that
+segment is drawn.
 
 Jump times inside a step are not recorded: left-point stepping only needs the
 per-step aggregate counts.
@@ -31,7 +34,7 @@ import queue
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,6 +52,8 @@ _MAGIC = b"VCNB0001"
 # paths per chunk wherever noise is drawn, compensated, saved or loaded a
 # chunk at a time
 _CHUNK_ROWS = 1024
+# about the most bytes a piece of ``stream_noise`` draws its last segment into
+_PIECE_BYTES = 12 << 20
 
 
 def _run_tasks(fn: Callable[[int], None], k: int) -> None:
@@ -78,10 +83,11 @@ def _path_chunks(start: int, stop: int) -> list[slice]:
 def _node_major(a: np.ndarray) -> np.ndarray:
     """``a`` (shape ``(..., n_paths, n_nodes)``) as a view of node-major storage.
 
-    An array stored that way already is returned as it is; any other is
-    copied once into node-major memory.
+    An array whose node rows are contiguous already is returned as it is (a
+    column slice of node-major storage is one); any other is copied once
+    into node-major memory.
     """
-    if not a.swapaxes(-1, -2).flags.c_contiguous:
+    if a.shape[-2] > 1 and a.strides[-2] != a.itemsize:
         a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
     return a
 
@@ -162,28 +168,43 @@ def _block_streams(n_paths: int, seed: int, n_blocks: int) -> tuple[list, int]:
     return np.random.SeedSequence(seed).spawn(n_blocks), n_paths // n_blocks
 
 
-def _draw_block(child: np.random.SeedSequence, grid: TimeGrid, levy: LevyMeasure,
-                db: np.ndarray, counts: np.ndarray) -> None:
-    """Draw one block's stream into node-major ``db`` ``(n_steps, width)`` and
-    ``counts`` ``(n_atoms, n_steps, width)``.
+def _draw_block(child: np.random.SeedSequence, grid: TimeGrid, levy: LevyMeasure, block: int,
+                segments: list[np.ndarray], width: int) -> Iterator[slice]:
+    """Draw one block's stream, ``block`` paths wide, into ``segments``: the
+    node-major normals ``(n_steps, block)``, then each atom's counts.
 
-    The normals come first, then each atom's counts; each is drawn a chunk of
-    paths at a time and written transposed, and a chunk of rows consumes the
-    stream in the same order as one ``(width, n_steps)`` draw.
+    Every segment but the last is written whole.  The last one -- the
+    normals without atoms, else the last atom's counts -- is drawn ``width``
+    paths at a time into the leading columns of its array, which need be
+    only one piece wide; after each piece the generator yields the block's
+    paths that piece holds.  Each segment is drawn a chunk of paths at a
+    time and written transposed, and a chunk of rows consumes the stream in
+    the same order as one ``(block, n_steps)`` draw, so the values do not
+    depend on ``width``.
     """
     rng = np.random.Generator(np.random.PCG64(child))
-    n = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
-    chunks = _path_chunks(0, db.shape[1])
-    normals = np.empty((chunks[0].stop, n))  # one chunk's draw, reused
-    for rows in chunks:
-        chunk = normals[:rows.stop - rows.start]
-        rng.standard_normal(out=chunk)
-        np.multiply(chunk.T, sqrt_dt, out=db[:, rows])
-    for q in range(levy.n_atoms):
-        lam = levy.weights[q] * grid.dt
-        for rows in chunks:
-            counts[q, :, rows] = rng.poisson(lam, size=(rows.stop - rows.start, n)).T
+    normals = np.empty((min(block, _CHUNK_ROWS), grid.n_steps))  # one chunk's draw, reused
+
+    def draw(segment: int, out: np.ndarray) -> None:
+        # segment 0 is the normals, segment q + 1 atom q's counts
+        if segment == 0:
+            chunk = normals[:out.shape[1]]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk.T, sqrt_dt, out=out)
+        else:
+            lam = levy.weights[segment - 1] * grid.dt
+            out[...] = rng.poisson(lam, size=out.shape[::-1]).T
+
+    last = len(segments) - 1
+    for segment, out in enumerate(segments[:last]):
+        for rows in _path_chunks(0, block):
+            draw(segment, out[:, rows])
+    for start in range(0, block, width):
+        piece = slice(start, min(start + width, block))
+        for rows in _path_chunks(piece.start, piece.stop):
+            draw(last, segments[last][:, rows.start - start:rows.stop - start])
+        yield piece
 
 
 def generate_noise(
@@ -208,13 +229,24 @@ def generate_noise(
 
     def draw(b: int) -> None:
         rows = slice(b * block, (b + 1) * block)
-        _draw_block(children[b], grid, levy, db[:, rows], counts[:, :, rows])
+        for _ in _draw_block(children[b], grid, levy, block,
+                             [db[:, rows], *counts[:, :, rows]], block):
+            pass
 
     _run_tasks(draw, n_blocks)
     return NoiseBundle(
         grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
         d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
     )
+
+
+def _piece_width(block: int, path_bytes: int) -> int:
+    """Paths per piece of a ``block``-path block whose last segment takes
+    ``path_bytes`` per path: the block split evenly, in whole chunks, into
+    as few pieces as keep a piece's buffer within about ``_PIECE_BYTES``."""
+    pieces = -(-block * path_bytes // _PIECE_BYTES)
+    chunks = -(-block // (pieces * _CHUNK_ROWS))
+    return min(block, chunks * _CHUNK_ROWS)
 
 
 def stream_noise(
@@ -226,33 +258,52 @@ def stream_noise(
     consume: Callable[[slice, NoiseBundle], None],
 ) -> None:
     """Hand the bundle ``generate_noise`` draws with the same arguments to
-    ``consume`` one block at a time, without forming it.
+    ``consume`` one piece at a time, without forming it.
 
-    ``consume(rows, block)`` gets the block that holds paths ``rows`` of that
-    bundle as a bundle of its own, bit for bit the same values.  The blocks
-    run in the workers of ``generate_noise``, so ``consume`` is called from
-    worker threads, must write only to its own ``rows``, and must not keep
-    the block once it returns.  A block carries the stream's ``seed`` and
-    ``n_blocks``.  Each block takes a free pair of block buffers and gives
-    it back; the call allocates one pair per worker, on the calling thread,
-    so no worker thread's malloc arena ever holds a buffer.
+    ``consume(rows, piece)`` gets the paths ``rows`` of that bundle as a
+    bundle of their own, bit for bit the same values; the pieces cover every
+    path once, and each lies inside one block.  A block whose last segment
+    (the normals without atoms, else the last atom's counts) fits
+    ``_PIECE_BYTES`` is one piece.  A larger one is split evenly into pieces
+    of whole chunks, each handed out as soon as its part of the last segment
+    is drawn; what the block draws before that segment (the normals, when
+    there are atoms, and every other atom's counts) is held for the whole
+    block.
+
+    The pieces run in the workers of ``generate_noise``, so ``consume`` is
+    called from worker threads, must write only to its own ``rows``, and
+    must not keep the piece once it returns.  A piece carries the stream's
+    ``seed`` and ``n_blocks``.  Each block takes a free set of buffers and
+    gives it back; the call allocates one set per worker, on the calling
+    thread, so no worker thread's malloc arena ever holds a buffer.
     """
     children, block = _block_streams(n_paths, seed, n_blocks)
     n, m = grid.n_steps, levy.n_atoms
+    width = _piece_width(block, 8 * n)
     free = queue.SimpleQueue()
     for _ in range(min(n_blocks, len(os.sched_getaffinity(0)))):  # the workers of _run_tasks
-        free.put((np.empty((n, block)), np.empty((m, n, block), dtype=np.int64)))
+        # the normals (one piece wide when they are the last segment), the
+        # counts of every atom but the last, held whole, and a piece's counts,
+        # into which the last atom's are drawn
+        free.put((np.empty((n, block if m else width)),
+                  np.empty((max(m - 1, 0), n, block), dtype=np.int64),
+                  np.empty((m, n, width), dtype=np.int64)))
 
     def draw(b: int) -> None:
-        db, counts = free.get()
+        db, head, counts = free.get()
         try:
-            _draw_block(children[b], grid, levy, db, counts)
-            consume(slice(b * block, (b + 1) * block), NoiseBundle(
-                grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-                d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
-            ))
+            segments = [db, *head, counts[m - 1]] if m else [db]
+            for piece in _draw_block(children[b], grid, levy, block, segments, width):
+                w = piece.stop - piece.start
+                if m > 1:
+                    counts[:m - 1, :, :w] = head[:, :, piece]
+                consume(slice(b * block + piece.start, b * block + piece.stop), NoiseBundle(
+                    grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
+                    d_brownian=db[:, piece if m else slice(w)].T,
+                    jump_counts=counts[:, :, :w].transpose(0, 2, 1),
+                ))
         finally:
-            free.put((db, counts))
+            free.put((db, head, counts))
 
     _run_tasks(draw, n_blocks)
 

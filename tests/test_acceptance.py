@@ -9,7 +9,6 @@ reference path count (1e5); the two-time family solve runs at its own scale
 
 import pathlib
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -120,9 +119,9 @@ def test_c07_draws_each_block_once(entry, monkeypatch, tmp_path):
     drawn = []
     draw_block = paths._draw_block
 
-    def tracked_draw(child, grid, levy, db, counts):
+    def tracked_draw(child, grid, levy, *args):
         drawn.append((child.entropy, child.spawn_key, grid.n_steps, levy.n_atoms))
-        draw_block(child, grid, levy, db, counts)
+        return draw_block(child, grid, levy, *args)
 
     def no_bundle(*args, **kwargs):
         raise AssertionError("C7 drew a whole bundle")
@@ -199,42 +198,121 @@ def test_log_leg_and_c08_never_form_the_state(s0_small, s0_noise):
 
 
 def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
-    # neither stage builds levels on the blocks it is streamed: the verifiers
-    # keep running level rows
+    # neither stage builds levels on the pieces it is streamed: the verifiers
+    # keep running level rows.  A piece buffer of 100 steps x one chunk
+    # splits every 2048-path block of both stages into two 1024-path pieces.
+    monkeypatch.setattr(paths, "_PIECE_BYTES", paths._CHUNK_ROWS * 100 * 8)
     built = []
     stream = malliavin.stream_noise
 
     def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume):
-        def tracked_consume(rows, block):
-            consume(rows, block)
-            built.append((levy.n_atoms, sorted(block.__dict__.keys() & {
+        def tracked_consume(rows, piece):
+            consume(rows, piece)
+            built.append((levy.n_atoms, rows.stop - rows.start, sorted(piece.__dict__.keys() & {
                 "brownian_levels", "count_levels", "compensated_counts"})))
 
         stream(grid, levy, n_paths, seed, n_blocks, tracked_consume)
 
     monkeypatch.setattr(malliavin, "stream_noise", tracked_stream)
-    acc.check_duality(n_paths=400)
-    # the Brownian stage's 8 blocks, then the jump stage's
-    assert built == [(0, [])] * 8 + [(1, [])] * 8
+    acc.check_duality(n_paths=8 * 2048)
+    # the Brownian stage's 16 pieces, then the jump stage's
+    assert built == [(0, 1024, [])] * 16 + [(1, 1024, [])] * 16
 
 
-def test_main_noise_is_released_before_the_c05_family(s0_small, monkeypatch):
-    drawn, alive = [], []
+def _draws_of(monkeypatch):
+    """Record the path count of every whole bundle drawn through the
+    modules that draw the main noise, and every stream of it."""
+    drawn, streamed = [], []
 
+    def tracked_noise(grid, levy, n_paths, seed, n_blocks=8):
+        drawn.append(n_paths)
+        return generate_noise(grid, levy, n_paths, seed, n_blocks)
+
+    stream = paths.stream_noise
+
+    def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume):
+        streamed.append((n_paths, seed, n_blocks))
+        stream(grid, levy, n_paths, seed, n_blocks, consume)
+
+    for module in (acc, control):
+        monkeypatch.setattr(module, "generate_noise", tracked_noise)
+    monkeypatch.setattr(control, "stream_noise", tracked_stream)
+    return drawn, streamed
+
+
+def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, monkeypatch):
+    # the main noise is streamed once for C2-C4 and C8, and no stage up to
+    # the C5 family (after the last reader of the main noise) draws it
+    # whole; C8's weak-error grids draw one path each
     class Stop(Exception):
         pass
 
-    def tracked_noise(*args, **kwargs):
-        noise = generate_noise(*args, **kwargs)
-        drawn.append(weakref.ref(noise))
-        return noise
-
     def family_solution():
-        alive.append(drawn[0]() is not None)
         raise Stop
 
-    monkeypatch.setattr(acc, "generate_noise", tracked_noise)
+    drawn, streamed = _draws_of(monkeypatch)
     monkeypatch.setattr(acc, "martingale_family_solution", family_solution)
     with pytest.raises(Stop):
         acc.run_acceptance(s0_small)
-    assert alive == [False]
+    mc = s0_small.mc
+    assert streamed == [(mc.n_paths, mc.seed, mc.n_blocks)]
+    assert drawn == [1] * 4
+
+
+def test_streamed_leg_is_the_bundles_leg(scenario, reference_log_noise):
+    # every value of the leg is per path or a minimum: streaming changes no bit
+    streamed = control._streamed_log_noise_leg(scenario)
+    assert np.array_equal(streamed.leg, reference_log_noise.leg)
+    assert np.array_equal(streamed.min_log, reference_log_noise.min_log)
+    assert (streamed.n_paths, streamed.seed, streamed.n_blocks) == (
+        reference_log_noise.n_paths, reference_log_noise.seed, reference_log_noise.n_blocks)
+
+
+def test_streamed_s0_stage_holds_a_fraction_of_the_bundle(s0_small, cpus):
+    # traced from before the draw: one worker holds one 2500-path block, a
+    # chunk's draw and the (N,) leg and terminal rows
+    cpus(1)
+
+    def stage():
+        log_noise, terminal = acc._main_noise_pass(s0_small)
+        return acc.check_forward_solver(s0_small, terminal)
+
+    stage()  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        forward = stage()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in forward)
+    bundle_bytes = s0_small.grid.n_steps * s0_small.mc.n_paths * 8
+    assert peak < 0.25 * bundle_bytes
+
+
+def test_streamed_s0_stage_names_the_simulators_breach(monkeypatch):
+    # beta = 6 breaches the floor under the unit rate: C8's streamed pass
+    # draws the noise again and the simulator names the first breach, and
+    # so does the leg for a control that takes a path to the floor
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": 100}, "initial": 1.0, "gamma": 0.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 6.0},
+        "levy": {"atoms": []}, "pi_kernels": [], "filtration": {"mode": "trivial"},
+        "mc": {"n_paths": 2000, "seed": 0, "n_blocks": 4},
+    })
+    noise = generate_noise(spec.grid, spec.levy, 2000, 0, 4)
+    n = spec.grid.n_steps
+    one = ControlFn.constant(1.0, spec.grid)
+
+    def breach(evaluate):
+        with pytest.raises(fsvie.PositivityBreachError) as err:
+            evaluate()
+        return err.value.path, err.value.node, err.value.value
+
+    log_noise, terminal = acc._main_noise_pass(spec)
+    drawn, _ = _draws_of(monkeypatch)
+    assert breach(lambda: acc.check_forward_solver(spec, terminal)) == \
+        breach(lambda: fsvie.simulate_fsvie(spec, noise, one))
+    assert breach(lambda: control.performance(spec, one, log_noise)) == \
+        breach(lambda: fsvie.simulate_fsvie(spec, noise, one, through_node=n - 1))
+    assert drawn == [2000, 2000]  # each drew the streamed bundle again for the simulator

@@ -426,7 +426,7 @@ def test_z_derivative_norm_for_linear_family():
     noise = make_noise(n_steps=50, n_paths=20_000, seed=29)
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
-    val = family_statistics(zeta, noise, brownian_engine(noise)).z_derivative_norm
+    val = family_statistics(zeta.copy(), noise, brownian_engine(noise)).z_derivative_norm
     assert abs(val - 0.5) < 0.1
     tri = _triangle_family(zeta, noise, brownian_engine(noise))
     assert math.isclose(val, _triangle_z_derivative_norm(tri, noise.grid), rel_tol=1e-10)
@@ -451,7 +451,7 @@ def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, m
     zeta = weights[:, None] * noise.d_brownian.sum(axis=1)[None, :] + np.sin(weights)[:, None]
     if zero_first_row:
         zeta[0] = 0.0
-    stats = family_statistics(zeta, noise, engine)
+    stats = family_statistics(zeta.copy(), noise, engine)
     z_mean, zero_row, norm = _triangle_statistics(_triangle_family(zeta, noise, engine), noise.grid)
     assert stats.grid is noise.grid and stats.n_paths == n_paths
     # the coefficients reorder the regression's sums: equal to rounding
@@ -460,6 +460,26 @@ def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, m
     assert math.isclose(stats.z_derivative_norm, norm, rel_tol=1e-10, abs_tol=1e-12)
     if zero_first_row:
         assert stats.zero_row_max == zero_row == 0.0
+
+
+def test_family_statistics_step_a_writable_terminal_in_place():
+    # the same statistics, bit for bit, whether the terminal is the diagonal
+    # stepped in place or is copied into a new one first
+    noise = make_noise(n_steps=12, n_paths=300, seed=31)
+    engine = brownian_engine(noise)
+    zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+    copies = {"read-only": zeta.copy(), "column-major": np.asfortranarray(zeta)}
+    copies["read-only"].flags.writeable = False
+    in_place = zeta.copy()
+    stats = family_statistics(in_place, noise, engine)
+    assert not np.array_equal(in_place, zeta)  # overwritten: it was the diagonal
+    for name, terminal in copies.items():
+        before = terminal.copy()
+        got = family_statistics(terminal, noise, engine)
+        assert np.array_equal(terminal, before), name  # copied, left as it was
+        assert np.array_equal(got.z_mean, stats.z_mean), name
+        assert got.zero_row_max == stats.zero_row_max, name
+        assert got.z_derivative_norm == stats.z_derivative_norm, name
 
 
 def test_a_nan_in_row_zero_reaches_its_maximum():
@@ -475,11 +495,13 @@ def _peak_bytes(solve, n_steps, n_paths):
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian",)), noise,
         cache_designs=False,
     )
-    zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+    b_total = noise.d_brownian.sum(axis=1)
     noise.brownian_levels  # the regression state belongs to the bundle, not to the solve
     tracemalloc.start()
     try:
-        solve(zeta, noise, engine)
+        # the terminal is traced: family_statistics steps it in place as its
+        # (n+1, N) diagonal
+        solve(noise.grid.nodes[:, None] * b_total[None, :], noise, engine)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

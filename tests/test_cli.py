@@ -440,6 +440,31 @@ def test_every_subcommand_prints_records_and_tabulates_each_check(tmp_path, caps
         assert r["passed"] == str(int(c["passed"]))
 
 
+def test_checks_table_without_a_check_keeps_its_header(tmp_path, capsys):
+    # two-time kernels have no utility oracle, so evaluate-utility runs no
+    # check; its checks table is still the header of the layout
+    out = tmp_path / "out"
+    config = write_config(tmp_path, mc=SMALL_MC, **TWO_TIME)
+    assert run(["evaluate-utility", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["checks"] == []
+    assert capsys.readouterr().out == ""
+    assert (out / "utility_checks.csv").read_bytes() == (CHECKS_HEADER + "\r\n").encode()
+
+
+def test_convention_is_a_usage_error_where_no_scenario_is_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-duality", "--paths", "400", "--convention", "paper_ode",
+             "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--convention" in capsys.readouterr().err
+    assert not out.exists()
+    # every subcommand that reads --config still takes it
+    config = write_config(tmp_path)
+    assert run(["optimal-consumption", "--config", config, "--convention", "paper_ode",
+                "--out", str(out)]) == 0
+
+
 def test_evaluate_utility_off_oracle_prints_its_fail_line(tmp_path, capsys):
     # at gamma = 0.5 the continuous oracle prices a trapezoid tail of c*, the
     # simulation the grid's left-point tail; the gap exceeds the 5-SE band at

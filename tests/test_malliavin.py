@@ -154,30 +154,37 @@ def _sample_result(name, lhs_samples, rhs_samples):
     )
 
 
-def _per_block(evaluate, noise):
-    """``evaluate(block)`` on each of the bundle's blocks, as a bundle of its
-    own, joined into one ``(N,)`` row.
+def _pieces(noise):
+    """The bundle cut as the verifiers are streamed it: the paths of each
+    piece ``stream_noise`` hands out, as a bundle of its own that views the
+    bundle's columns.
 
-    The verifiers evaluate ``F`` and its derivatives on the blocks they are
-    streamed: a BLAS matrix-vector product rounds the last rows of a block
-    that is not a multiple of its vector width differently from the same rows
-    inside a longer array.
+    The verifiers evaluate ``F`` and its derivatives on those pieces: a BLAS
+    matrix-vector product rounds the last rows of a piece that is not a
+    multiple of its vector width differently from the same rows inside a
+    longer array.  Built once per bundle, so each integral's memo serves
+    every evaluation on a piece.
     """
-    width = noise.n_paths // noise.n_blocks
-    rows = [slice(b * width, (b + 1) * width) for b in range(noise.n_blocks)]
-    return np.concatenate([
-        evaluate(dataclasses.replace(noise, d_brownian=noise.d_brownian[r],
-                                     jump_counts=noise.jump_counts[:, r]))
-        for r in rows
-    ])
+    rows = []
+    paths.stream_noise(noise.grid, noise.levy, noise.n_paths, noise.seed, noise.n_blocks,
+                       lambda r, piece: rows.append(r))
+    return [dataclasses.replace(noise, d_brownian=noise.d_brownian[r],
+                                jump_counts=noise.jump_counts[:, r])
+            for r in sorted(rows, key=lambda r: r.start)]
 
 
-def _column_stack_duality_brownian(f, psi, noise):
+def _per_piece(evaluate, pieces):
+    """``evaluate(piece)`` on each of ``pieces``, joined into one ``(N,)`` row."""
+    return np.concatenate([np.broadcast_to(evaluate(piece), (piece.n_paths,))
+                           for piece in pieces])
+
+
+def _column_stack_duality_brownian(f, psi, noise, pieces):
     """An unprojected ``verify_duality_brownian`` on a ``generate_noise``
-    bundle: every psi value stacked into one ``(N, n)`` matrix, from the
-    bundle's cached levels, before either side is formed; the stochastic
-    integral and the right-hand samples ``sum_i w_i D_i F psi_i`` are summed
-    in plain loops over the steps."""
+    bundle and its ``pieces``: every psi value stacked into one ``(N, n)``
+    matrix, from the bundle's cached levels, before either side is formed;
+    the stochastic integral and the right-hand samples
+    ``sum_i w_i D_i F psi_i`` are summed in plain loops over the steps."""
     n = noise.n_steps
     levels = noise.brownian_levels
     psi_vals = np.column_stack([np.broadcast_to(psi(i, levels[:, i]), (noise.n_paths,))
@@ -185,11 +192,11 @@ def _column_stack_duality_brownian(f, psi, noise):
     integral = np.zeros(noise.n_paths)
     for i in range(n):
         integral += psi_vals[:, i] * noise.d_brownian[:, i]
-    lhs_samples = _per_block(f.evaluate, noise) * integral
+    lhs_samples = _per_piece(f.evaluate, pieces) * integral
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(noise.n_paths)
     for i in range(n):
-        rhs_samples += _per_block(f.d_brownian(i).evaluate, noise) * psi_vals[:, i] * w[i]
+        rhs_samples += _per_piece(f.d_brownian(i).evaluate, pieces) * psi_vals[:, i] * w[i]
     return _sample_result("brownian", lhs_samples, rhs_samples)
 
 
@@ -205,9 +212,11 @@ BROWNIAN_CASES = [
 def _assert_brownian_matches_column_stack(args):
     # all the cases in one streamed pass, each bit for bit its reference
     noise = generate_noise(*args)
+    pieces = _pieces(noise)
     got = verify_duality_brownian(
         [("brownian", f, psi) for f, psi in BROWNIAN_CASES], *args)
-    assert got == [_column_stack_duality_brownian(f, psi, noise) for f, psi in BROWNIAN_CASES]
+    assert got == [_column_stack_duality_brownian(f, psi, noise, pieces)
+                   for f, psi in BROWNIAN_CASES]
 
 
 def test_streamed_brownian_duality_matches_column_stack():
@@ -260,6 +269,17 @@ def test_duality_does_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
     assert _duality_results(n_paths, n_blocks) == sequential
 
 
+def test_duality_on_split_blocks_matches_the_references(monkeypatch):
+    # a piece buffer of one chunk at 50 steps: every 1667-path block is
+    # streamed as a 1024-path piece and a 643-path one, and both verifiers
+    # still match their references bit for bit
+    monkeypatch.setattr(paths, "_PIECE_BYTES", paths._CHUNK_ROWS * 50 * 8)
+    brownian = stream_args(50, 10002, 5, EMPTY, 6)
+    assert [p.n_paths for p in _pieces(generate_noise(*brownian))] == [1024, 643] * 6
+    _assert_brownian_matches_column_stack(brownian)
+    _assert_jump_matches_cached_levels(stream_args(50, 10002, 6, TWO_ATOMS, 6))
+
+
 def test_jump_duality_square_case():
     res = jump_duality(JumpIntegral(1.0) ** 2, lambda i, q, _c: 1.0,
                        n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
@@ -296,7 +316,7 @@ def test_chunked_compensation_equals_the_whole_array():
     assert res.lhs == float(lhs.mean())
 
 
-def _cached_levels_duality_jump(f, phi, noise):
+def _cached_levels_duality_jump(f, phi, noise, pieces):
     """An unprojected ``verify_duality_jump`` on the cached levels of a
     ``generate_noise`` bundle: ``phi`` reads the cached ``count_levels``, the
     left side the cached ``compensated_counts``, and the right-hand samples
@@ -304,7 +324,7 @@ def _cached_levels_duality_jump(f, phi, noise):
     node by node, the atoms inside each node, as the verifier does."""
     n_paths = noise.n_paths
     counts = noise.count_levels
-    f_vals = _per_block(f.evaluate, noise)
+    f_vals = _per_piece(f.evaluate, pieces)
     w_t = time_quadrature_weights(noise.grid)
     lhs_samples = np.zeros(n_paths)
     rhs_samples = np.zeros(n_paths)
@@ -312,7 +332,7 @@ def _cached_levels_duality_jump(f, phi, noise):
         for q in range(noise.levy.n_atoms):
             phi_i = np.broadcast_to(phi(i, q, counts[:, :, i]), (n_paths,))
             lhs_samples += phi_i * noise.compensated_counts[q, :, i]
-            d_f = _per_block(lambda block: f.evaluate_with_jump(block, i, q), noise) - f_vals
+            d_f = _per_piece(lambda piece: f.evaluate_with_jump(piece, i, q), pieces) - f_vals
             rhs_samples += phi_i * d_f * noise.levy.weights[q] * w_t[i]
     lhs_samples *= f_vals
     return _sample_result("jump", lhs_samples, rhs_samples)
@@ -332,9 +352,10 @@ def _assert_jump_matches_cached_levels(args, cases=JUMP_CASES):
     # every (F, phi) pair in one streamed pass; all four fields of each, the
     # standard errors included, bit for bit
     noise = generate_noise(*args)
+    pieces = _pieces(noise)
     pairs = [(f, phi) for f in cases for phi in JUMP_PHIS]
     got = verify_duality_jump([("jump", f, phi) for f, phi in pairs], *args)
-    assert got == [_cached_levels_duality_jump(f, phi, noise) for f, phi in pairs]
+    assert got == [_cached_levels_duality_jump(f, phi, noise, pieces) for f, phi in pairs]
 
 
 @pytest.mark.parametrize("f, levy", [
@@ -379,9 +400,11 @@ def test_c7_stages_form_no_array_of_levels(cpus, stage, names, monkeypatch):
     buffers = []
     draw_block = paths._draw_block
 
-    def tracked_draw(child, grid, levy, db, counts):
-        buffers.append((grid.n_steps, db.nbytes + counts.nbytes))
-        draw_block(child, grid, levy, db, counts)
+    def tracked_draw(child, grid, levy, block, segments, width):
+        # the segments a block is drawn into are all of its buffers: with at
+        # most one atom there are no counts to copy into a piece
+        buffers.append((grid.n_steps, sum(segment.nbytes for segment in segments)))
+        return draw_block(child, grid, levy, block, segments, width)
 
     monkeypatch.setattr(paths, "_draw_block", tracked_draw)
     n_paths = 20_000

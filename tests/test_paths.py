@@ -81,62 +81,82 @@ def test_bundle_and_levels_do_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
     assert _bundle_bytes(n_paths, n_blocks) == sequential
 
 
+TWO_ATOMS = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
+
+
 @pytest.mark.parametrize("n_cpus", [1, 3])
 @pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1), (7, 7)])
-def test_streamed_blocks_are_the_bundles_column_slices(cpus, n_cpus, n_paths, n_blocks):
-    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
-    noise = generate_noise(GRID, two_atoms, n_paths=n_paths, seed=17, n_blocks=n_blocks)
-    cpus(n_cpus)
-    blocks, buffers = {}, set()
-
-    def consume(rows, block):
-        assert block.n_steps == GRID.n_steps and block.n_blocks == n_blocks
-        blocks[rows.start, rows.stop] = (block.d_brownian.copy(), block.jump_counts.copy())
-        buffers.add(block.d_brownian.__array_interface__["data"][0])
-
-    stream_noise(GRID, two_atoms, n_paths, 17, n_blocks, consume)
+def test_streamed_blocks_are_the_bundles_column_slices(cpus, monkeypatch, n_cpus, n_paths,
+                                                       n_blocks):
+    # a piece buffer of one chunk: each 1667-path block goes out as a
+    # 1024-path piece and a 643-path one, whichever segment is drawn last
+    monkeypatch.setattr(paths, "_PIECE_BYTES", _CHUNK_ROWS * GRID.n_steps * 8)
     width = n_paths // n_blocks
-    assert sorted(blocks) == [(b * width, (b + 1) * width) for b in range(n_blocks)]
-    for (start, stop), (d_brownian, jump_counts) in blocks.items():
-        assert np.array_equal(d_brownian, noise.d_brownian[start:stop])
-        assert np.array_equal(jump_counts, noise.jump_counts[:, start:stop])
-    # each block is drawn into one of a buffer pair per worker
-    assert len(buffers) <= min(n_cpus, n_blocks)
+    pieces = [(lo, min(lo + _CHUNK_ROWS, width)) for lo in range(0, width, _CHUNK_ROWS)]
+    for levy in (EMPTY, ONE_ATOM, TWO_ATOMS):
+        cpus(1)
+        noise = generate_noise(GRID, levy, n_paths=n_paths, seed=17, n_blocks=n_blocks)
+        cpus(n_cpus)
+        got = {}
+
+        def consume(rows, piece):
+            assert piece.n_steps == GRID.n_steps and piece.n_blocks == n_blocks
+            # node rows are contiguous: views of the buffers, not copies
+            assert piece.d_brownian.strides[0] == 8
+            assert levy.n_atoms == 0 or piece.jump_counts.strides[1] == 8
+            got[rows.start, rows.stop] = (piece.d_brownian.copy(), piece.jump_counts.copy())
+
+        stream_noise(GRID, levy, n_paths, 17, n_blocks, consume)
+        # every path once, each block in its chunk-aligned pieces
+        assert sorted(got) == [(b * width + lo, b * width + hi)
+                               for b in range(n_blocks) for lo, hi in pieces]
+        for (start, stop), (d_brownian, jump_counts) in got.items():
+            assert np.array_equal(d_brownian, noise.d_brownian[start:stop])
+            assert np.array_equal(jump_counts, noise.jump_counts[:, start:stop])
 
 
 @pytest.mark.parametrize("n_cpus", [1, 3])
 def test_stream_noise_allocates_its_buffers_once_per_call(cpus, monkeypatch, n_cpus):
-    # a pair of block buffers per worker, allocated before the first block is
-    # drawn, and the same pairs live at every block: no block or worker
-    # allocates a buffer of its own
-    two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
-    n_blocks, width = 6, 2 * _CHUNK_ROWS
-    row_bytes = GRID.n_steps * width * 8  # above any one chunk's draw
+    # one set of buffers per worker, allocated before the first block is
+    # drawn, and the same sets live at every piece: no block, piece or worker
+    # allocates a buffer of its own.  Blocks of four chunks go out in pieces
+    # of two: the normals are whole-block where atoms follow them, and so are
+    # the counts of every atom but the last.
+    n_blocks, width, n = 6, 4 * _CHUNK_ROWS, GRID.n_steps
+    monkeypatch.setattr(paths, "_PIECE_BYTES", 2 * _CHUNK_ROWS * n * 8)
+    chunk_bytes = _CHUNK_ROWS * n * 8  # below the buffers, as is one chunk's draw
     cpus(n_cpus)
-    seen = []
+    pairs = min(n_cpus, n_blocks)
+    expected = {
+        EMPTY: [2 * chunk_bytes],  # the normals, one piece wide
+        ONE_ATOM: [2 * chunk_bytes, 4 * chunk_bytes],  # a piece of counts, whole normals
+        TWO_ATOMS: [4 * chunk_bytes] * 3,  # whole normals and first counts, two pieces
+    }
 
     def buffers():
         snapshot = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(True, paths.__file__, domain=np.lib.tracemalloc_domain)])
         return sorted((t.size, t.traceback[0].lineno) for t in snapshot.traces
-                      if t.size >= row_bytes)
+                      if t.size > chunk_bytes)
 
     run_tasks = paths._run_tasks
 
-    def run_after_allocation(fn, k):
-        seen.append(buffers())
-        run_tasks(fn, k)
+    for levy, sizes in expected.items():
+        seen = []
 
-    monkeypatch.setattr(paths, "_run_tasks", run_after_allocation)
-    tracemalloc.start()
-    try:
-        stream_noise(GRID, two_atoms, n_blocks * width, 17, n_blocks,
-                     lambda rows, block: seen.append(buffers()))
-    finally:
-        tracemalloc.stop()
-    pairs = min(n_cpus, n_blocks)
-    assert [size for size, _ in seen[0]] == [row_bytes] * pairs + [2 * row_bytes] * pairs
-    assert seen == [seen[0]] * (1 + n_blocks)
+        def run_after_allocation(fn, k):
+            seen.append(buffers())
+            run_tasks(fn, k)
+
+        monkeypatch.setattr(paths, "_run_tasks", run_after_allocation)
+        tracemalloc.start()
+        try:
+            stream_noise(GRID, levy, n_blocks * width, 17, n_blocks,
+                         lambda rows, piece: seen.append(buffers()))
+        finally:
+            tracemalloc.stop()
+        assert [size for size, _ in seen[0]] == sorted(sizes * pairs)
+        assert seen == [seen[0]] * (1 + 2 * n_blocks)
 
 
 def test_stream_noise_buffers_are_never_shared(cpus):
