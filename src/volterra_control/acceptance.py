@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .bsde import solve_bsde
@@ -37,7 +35,7 @@ from .control import (
     log_utility_oracle,
     performance,
 )
-from .fsvie import POSITIVITY_FLOOR, ForwardPaths, _log_rows, forward_mean_oracle, simulate_fsvie
+from .fsvie import ForwardPaths, forward_mean_oracle, simulate_fsvie
 from .malliavin import (
     DualityResult,
     JumpIntegral,
@@ -56,7 +54,7 @@ from .model import (
     mean_se,
     validate_scenario,
 )
-from .paths import NoiseBundle, generate_noise
+from .paths import generate_noise
 
 __all__ = [
     "CheckResult",
@@ -244,7 +242,7 @@ def resolvent_solution(grid: TimeGrid) -> BsvieSolution:
     The problem is path-constant, so a few hundred paths carry it exactly.
     """
     n_paths = 256
-    levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+    levy = LevyMeasure.from_atoms([])
     noise = generate_noise(grid, levy, n_paths=n_paths, seed=11, n_blocks=1)
     engine = CondExpEngine(FiltrationMode(mode="trivial"), RegressionSpec(), noise)
     zeta = np.ones((grid.n_steps + 1, n_paths))
@@ -268,7 +266,7 @@ def martingale_family_solution(
     stepped in place as the diagonal, so it is not copied either.
     """
     grid = build_time_grid(1.0, n_steps)
-    levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+    levy = LevyMeasure.from_atoms([])
     noise = generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=8)
     # without a generator the solve is one pass, one projection per node, so
     # a cached design would never be read again
@@ -333,7 +331,7 @@ def check_contraction() -> list[CheckResult]:
     """C6: fixed-point distances decay monotonically (ratio <= 0.9) down to
     the deterministic noise floor for the Lipschitz-1 generator sin(y)."""
     grid = build_time_grid(1.0, 50)
-    levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+    levy = LevyMeasure.from_atoms([])
     noise = generate_noise(grid, levy, n_paths=4096, seed=77, n_blocks=8)
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian",)), noise
@@ -381,7 +379,7 @@ def brownian_duality(
         "brownian_square": (WienerIntegral(1.0) ** 2, lambda i, b: b),
         "brownian_isometry": (WienerIntegral(1.0), lambda i, b: 1.0),
     }
-    no_jumps = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+    no_jumps = LevyMeasure.from_atoms([])
     return verify_duality_brownian(
         [(name, *identities[name]) for name in names], build_time_grid(1.0, 200), no_jumps,
         n_paths, seed, math.gcd(n_paths, 8),
@@ -436,63 +434,24 @@ def check_sides_agree(results: list[DualityResult]) -> list[CheckResult]:
             for r in results]
 
 
-@dataclass(frozen=True, eq=False)
-class _UnitRateTerminal:
-    """What C8 reads of the main noise: ``log X(T)`` per path under the unit
-    rate and the lowest ``log X`` over every path and node.  ``bundle()``
-    gives that noise (drawn again, where it was streamed) for the simulator
-    to name a breach."""
+def check_forward_solver(scenario: ScenarioSpec, log_noise: _LogNoiseLeg) -> list[CheckResult]:
+    """C8: terminal mean on the reference scenario, plus first-order shrink of
+    the weak error on a genuinely two-time-kernel variant.
 
-    log_x: np.ndarray  # (n_paths,)
-    lowest: float
-    bundle: Callable[[], NoiseBundle]
-
-
-def _unit_rate_rows(scenario: ScenarioSpec, noise: NoiseBundle, log_x: np.ndarray) -> float:
-    """Write ``log X(T)`` of ``noise``'s paths under the unit rate into
-    ``log_x`` and return their lowest ``log X`` over every node, read off
-    the exact engine's rows as they pass."""
+    The unit rate's ``log X(T)`` is the control-free leg's terminal row
+    shifted by the rate's spend, ``L_n - C_n`` (see :mod:`control`), so C8
+    reads the pass :func:`run_acceptance` streams for C2-C4.  If the shifted
+    minimum reaches the positivity floor, ``simulate_fsvie`` runs on the
+    leg's bundle to name the breach."""
     grid = scenario.grid
-    lowest = math.inf
-    for row in _log_rows(scenario, noise, ControlFn.constant(1.0, grid).step_integrals(grid),
-                         grid.n_steps):
-        lowest = min(lowest, float(row.min()))
-    log_x[:] = row
-    return lowest
-
-
-def _main_noise_pass(scenario: ScenarioSpec) -> tuple[_LogNoiseLeg, _UnitRateTerminal]:
-    """C2-C4's control-free leg of the scenario's own noise and what C8 reads
-    of it, from one streamed pass: both are per path or a minimum, so the
-    noise is never formed whole.  Only a breach of the positivity floor
-    draws it again, for the simulator to name."""
-    log_x, lowest = np.empty(scenario.mc.n_paths), []
-
-    def unit_rate(rows: slice, piece: NoiseBundle) -> None:
-        lowest.append(_unit_rate_rows(scenario, piece, log_x[rows]))
-
-    log_noise = _streamed_log_noise_leg(scenario, unit_rate)
-    return log_noise, _UnitRateTerminal(log_x=log_x, lowest=min(lowest), bundle=log_noise.bundle)
-
-
-def check_forward_solver(
-    scenario: ScenarioSpec, noise: NoiseBundle | _UnitRateTerminal
-) -> list[CheckResult]:
-    """C8: terminal mean on the reference scenario, read off the exact engine's
-    rows as they pass (``simulate_fsvie`` runs only to report a breach), plus
-    first-order shrink of the weak error on a genuinely two-time-kernel variant.
-
-    ``noise`` is the main bundle or what C8 reads of it, which
-    :func:`run_acceptance` streams together with C2-C4's leg."""
-    grid = scenario.grid
-    if isinstance(noise, NoiseBundle):
-        log_x = np.empty(noise.n_paths)
-        noise = _UnitRateTerminal(log_x=log_x, lowest=_unit_rate_rows(scenario, noise, log_x),
-                                  bundle=lambda bundle=noise: bundle)
-    if noise.lowest <= math.log(POSITIVITY_FLOOR):
-        # raises, naming the first breach
-        simulate_fsvie(scenario, noise.bundle(), ControlFn.constant(1.0, grid))
-    mean, se = mean_se(np.exp(noise.log_x))
+    one = ControlFn.constant(1.0, grid)
+    spent = log_noise.spend(scenario, one.step_integrals(grid))
+    if spent is None:
+        # a bundle simulates: the simulator names the first breach
+        terminal = simulate_fsvie(scenario, log_noise.bundle(), one).values[:, -1]
+    else:
+        terminal = np.exp(log_noise.terminal - spent[-1])
+    mean, se = mean_se(terminal)
     ref = math.exp(-0.95)
     out = [_result("C8", "terminal_mean", mean, ref, 3.0 * se, f"se={se:.2e}")]
 
@@ -547,7 +506,7 @@ def check_adjoint_reduction(scenario: ScenarioSpec) -> list[CheckResult]:
         gamma = np.full(grid.n_steps + 1, gamma_val)
         lam = discount_curve(gamma, grid, scenario.convention)
         ref = remaining_value_curve(gamma, grid, scenario.convention)
-        levy = LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+        levy = LevyMeasure.from_atoms([])
         noise = generate_noise(grid, levy, n_paths=2048, seed=5, n_blocks=8)
         engine = CondExpEngine(
             FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian",)), noise
@@ -585,25 +544,25 @@ def check_z_time_derivative(stats: FamilyStatistics) -> list[CheckResult]:
 def run_acceptance(scenario: ScenarioSpec) -> list[CheckResult]:
     """Run the full acceptance suite against the reference scenario.
 
-    The main noise is streamed once, for C2-C4's control-free leg and C8's
-    terminal row together: every value they read is per path or a minimum,
-    so it is never held whole, and only a breach of the positivity floor
-    draws it again, for the simulator to name.  C7 streams its two noises
+    The main noise is streamed once, into the control-free log-noise leg
+    that C2-C4 and C8 all read: every control they evaluate is a shift of
+    it, and every value it keeps is per path or a minimum, so the noise is
+    never held whole.  Only a breach of the positivity floor draws it again,
+    for the simulator to name.  C7 streams its two noises
     in pieces the same way.  The C5 family, C6 and C9 draw their smaller
     bundles whole.
     """
     require_reference_scenario(scenario)
-    # C2-C4 evaluate every control as a shift of one control-free leg, and
-    # C8 reads the unit rate's terminal row off the same pass
-    log_noise, terminal = _main_noise_pass(scenario)
+    # C2-C4 and C8 evaluate every control as a shift of one control-free leg
+    log_noise = _streamed_log_noise_leg(scenario)
     results: list[CheckResult] = []
     results += check_closed_form_optimum(scenario)
     results += check_value_oracle(scenario, log_noise)
     results += check_optimality_ranking(scenario, log_noise)
     results += check_necessary_mp(scenario, log_noise)
     # the last reader of the main noise, reported in criterion order
-    forward = check_forward_solver(scenario, terminal)
-    del log_noise, terminal
+    forward = check_forward_solver(scenario, log_noise)
+    del log_noise
     martingale = martingale_family_solution()
     results += check_bsvie_solver(martingale)
     results += check_contraction()

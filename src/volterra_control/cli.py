@@ -242,7 +242,10 @@ def _cmd_simulate_forward(spec, args):
 
 def _cmd_evaluate_utility(spec, args):
     control = _parse_control(args.control, spec)
-    res = performance(spec, control, _main_noise(spec))
+    # a time-invariant scenario streams its control-free leg, so the main
+    # noise is never formed whole; two-time kernels simulate on the bundle
+    noise = _streamed_log_noise_leg(spec) if spec.time_invariant else _main_noise(spec)
+    res = performance(spec, control, noise)
     checks = acc.check_utility_oracle(spec, control, res)
     row = {"j_mc": res.j, "j_se": res.se}
     if checks:
@@ -322,6 +325,10 @@ def _write(report: RunReport, out_dir: Path, tables: dict, checks: list) -> int:
 # Entry point
 # --------------------------------------------------------------------------- #
 
+# the subcommands that read no Monte Carlo field, and so take no --seed or --paths
+_READS_NO_MC = ("optimal-consumption", "solve-bsvie")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volterra-control",
@@ -333,9 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "verify-duality":  # the one subcommand that reads no scenario
             p.add_argument("--config", required=True, help="scenario JSON file")
             p.add_argument("--convention", choices=["discounting", "paper_ode"], default=None)
-        p.add_argument("--seed", type=int, default=7 if name == "verify-duality" else None,
-                       help="override the config seed")
-        p.add_argument("--paths", type=int, default=None, help="override the path count")
+        if name not in _READS_NO_MC:
+            p.add_argument("--seed", type=int, default=7 if name == "verify-duality" else None,
+                           help="override the config seed")
+            p.add_argument("--paths", type=int, default=None, help="override the path count")
         p.add_argument("--out", default="out", help="output directory")
         if name in ("simulate-forward", "evaluate-utility"):
             p.add_argument("--control", default="constant:1.0",
@@ -358,11 +366,11 @@ def run(argv=None) -> int:
         spec = None
         if args.subcommand != "verify-duality":
             spec = load_config(args.config)
-            if args.seed is not None:
-                spec = spec.with_mc(seed=args.seed)
-            if args.paths is not None:
-                spec = spec.with_mc(n_paths=args.paths,
-                                    n_blocks=math.gcd(args.paths, spec.mc.n_blocks))
+            seed, n_paths = getattr(args, "seed", None), getattr(args, "paths", None)
+            if seed is not None:
+                spec = spec.with_mc(seed=seed)
+            if n_paths is not None:
+                spec = spec.with_mc(n_paths=n_paths, n_blocks=math.gcd(n_paths, spec.mc.n_blocks))
             if args.convention is not None:
                 spec = validate_scenario(replace(spec, convention=args.convention))
             report.scenario_hash = scenario_hash(spec)

@@ -24,9 +24,12 @@ where the log-noise ``L`` (log xi plus the summed Brownian, drift and jump
 log-factors) is the same for every control.  Each path's utility leg is then
 the control-free ``L @ wl`` plus the deterministic ``(log c - C) @ wl``
 (Merton 1971: under log utility the objective separates into a noise term
-and a control term).  ``L`` is summed once per noise bundle; every control
-is a shift of that one leg, and the state is simulated again only for a
-control whose shifted minimum reaches the positivity floor, so the
+and a control term), and its terminal state is ``L_n - C_n``.
+``_streamed_log_noise_leg`` sums ``L`` once, in one streamed pass of the
+scenario's noise, into the leg, its per-node minimum and its terminal row;
+C2-C4 and C8 read every control as a shift of that one pass.  The rule is:
+a leg shifts, a bundle simulates.  A control whose shifted minimum reaches
+the positivity floor is simulated on the leg's bundle, drawn again, so the
 simulator reports the breach.  The two displaced objectives of a bump share
 the leg, so their difference is deterministic and ``se_paired`` is exactly
 zero.  Two-time kernels simulate every control.
@@ -35,7 +38,6 @@ zero.  Two-time kernels simulate every control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -105,88 +107,76 @@ def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None)
 
 @dataclass(frozen=True, eq=False)
 class _LogNoiseLeg:
-    """What the utility legs read of the log-noise ``L`` of one bundle.
+    """What the utility legs and C8 read of the log-noise ``L`` of the
+    scenario's own noise (its ``mc`` block), the exact engine run with zero
+    step integrals through the horizon.
 
-    ``L`` itself (n_paths x n) is never formed: the per-path leg
-    ``sum_i wl_i L[:, i]`` and the per-node minimum of ``L`` over paths (for
-    the positivity floor) are summed as the exact engine hands out its rows,
-    and kept with the scenario they were built for.  The bundle is not kept:
-    ``n_paths``, ``seed`` and ``n_blocks`` say which one ``generate_noise``
-    draws on the scenario's grid and measure, and :meth:`bundle` draws it
-    again, bit for bit, for the simulator to name a breach.
+    ``L`` itself (n_paths x (n+1)) is never formed: the per-path leg
+    ``sum_i wl_i L[:, i]``, the per-node minimum of ``L`` over paths (for the
+    positivity floor) and the terminal row ``L[:, n]`` are kept as the
+    stream hands out its pieces.  A control shifts them by its spend
+    (:meth:`spend`); only a control that takes a path to the floor is
+    simulated, on :meth:`bundle`, for the simulator to name the breach.
     """
 
     scenario: ScenarioSpec
-    n_paths: int
-    seed: int
-    n_blocks: int
     leg: np.ndarray  # (n_paths,)
-    min_log: np.ndarray  # (n,) over nodes 0 .. n-1
+    min_log: np.ndarray  # (n+1,) over nodes 0 .. n
+    terminal: np.ndarray  # (n_paths,) L at node n
 
     def bundle(self) -> NoiseBundle:
-        return generate_noise(self.scenario.grid, self.scenario.levy, self.n_paths,
-                              self.seed, self.n_blocks)
+        """The scenario's noise, drawn whole by ``generate_noise``, bit for
+        bit the values the leg was summed from."""
+        mc = self.scenario.mc
+        return generate_noise(self.scenario.grid, self.scenario.levy, mc.n_paths, mc.seed,
+                              mc.n_blocks)
+
+    def spend(self, scenario: ScenarioSpec, c_int: np.ndarray) -> np.ndarray | None:
+        """The spend ``C_i = sum_{j<i} c_int_j`` at nodes ``0 .. len(c_int)``
+        of a control with step integrals ``c_int``, or ``None`` when the
+        shifted minimum ``min_log - C`` reaches the positivity floor by then:
+        the one floor test of every reader of the leg."""
+        if scenario is not self.scenario:
+            raise ValidationError("log-noise leg was built for another scenario")
+        spent = np.zeros(c_int.size + 1)
+        np.cumsum(c_int, out=spent[1:])
+        if np.any(self.min_log[: spent.size] - spent <= np.log(POSITIVITY_FLOOR)):
+            return None
+        return spent
 
 
-def _sum_log_noise(scenario: ScenarioSpec, noise: NoiseBundle, leg: np.ndarray) -> np.ndarray:
-    """Sum the control-free leg of ``noise``'s paths into ``leg`` and return
-    the per-node minimum of their log-noise: the exact engine run with zero
-    step integrals, through the last left node.  Every value is per path or
-    a minimum, so it does not depend on how the paths are split."""
+def _sum_log_noise(
+    scenario: ScenarioSpec, noise: NoiseBundle, leg: np.ndarray, terminal: np.ndarray
+) -> np.ndarray:
+    """Sum the control-free leg of ``noise``'s paths into ``leg``, write their
+    log-noise at the horizon into ``terminal`` and return its per-node
+    minimum: the exact engine run with zero step integrals through node
+    ``n``.  Every value is per path or a minimum, so it does not depend on
+    how the paths are split."""
     n = scenario.grid.n_steps
     wl = _utility_weights(scenario)
     leg[:] = 0.0
-    min_log = np.empty(n)
-    for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n - 1), n - 1)):
-        leg += wl[i] * row
+    min_log = np.empty(n + 1)
+    for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n), n)):
+        if i < n:
+            leg += wl[i] * row
         min_log[i] = row.min()
+    terminal[:] = row
     return min_log
 
 
-def _log_noise_leg(scenario: ScenarioSpec, noise: NoiseBundle) -> _LogNoiseLeg:
-    """The control-free leg of a time-invariant scenario on a bundle that
-    ``generate_noise`` drew, summed once."""
-    leg = np.empty(noise.n_paths)
-    min_log = _sum_log_noise(scenario, noise, leg)
-    return _LogNoiseLeg(scenario=scenario, n_paths=noise.n_paths, seed=noise.seed,
-                        n_blocks=noise.n_blocks, leg=leg, min_log=min_log)
-
-
-def _streamed_log_noise_leg(
-    scenario: ScenarioSpec, also: Callable[[slice, NoiseBundle], None] | None = None
-) -> _LogNoiseLeg:
+def _streamed_log_noise_leg(scenario: ScenarioSpec) -> _LogNoiseLeg:
     """The control-free leg of the scenario's own noise (its ``mc`` block),
-    summed in one pass of ``stream_noise``, so the bundle is never formed.
-
-    ``also(rows, piece)``, when given, reads every piece after the leg: it is
-    called from the stream's worker threads, as a ``stream_noise`` consumer.
-    """
+    summed in one pass of ``stream_noise``, so the bundle is never formed."""
     mc = scenario.mc
-    leg, mins = np.empty(mc.n_paths), []
+    leg, terminal, mins = np.empty(mc.n_paths), np.empty(mc.n_paths), []
 
     def consume(rows: slice, piece: NoiseBundle) -> None:
-        mins.append(_sum_log_noise(scenario, piece, leg[rows]))
-        if also is not None:
-            also(rows, piece)
+        mins.append(_sum_log_noise(scenario, piece, leg[rows], terminal[rows]))
 
     stream_noise(scenario.grid, scenario.levy, mc.n_paths, mc.seed, mc.n_blocks, consume)
-    return _LogNoiseLeg(scenario=scenario, n_paths=mc.n_paths, seed=mc.seed,
-                        n_blocks=mc.n_blocks, leg=leg, min_log=np.min(mins, axis=0))
-
-
-def _resolve_noise(
-    scenario: ScenarioSpec, noise: NoiseBundle | _LogNoiseLeg
-) -> NoiseBundle | _LogNoiseLeg:
-    """The bundle's control-free leg when the scenario is time-invariant.
-
-    The leg does not keep the bundle: a control that reaches the positivity
-    floor is simulated on the bundle ``generate_noise`` draws again from the
-    bundle's ``seed`` and ``n_blocks``, which is this one when it came from
-    ``generate_noise`` (or a file of one).
-    """
-    if isinstance(noise, NoiseBundle) and scenario.time_invariant:
-        return _log_noise_leg(scenario, noise)
-    return noise
+    return _LogNoiseLeg(scenario=scenario, leg=leg, min_log=np.min(mins, axis=0),
+                        terminal=terminal)
 
 
 def _shift_weights(scenario: ScenarioSpec) -> np.ndarray:
@@ -206,22 +196,20 @@ def _control_legs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path utility legs of ``control`` as ``part + terms @ _shift_weights``.
 
-    On a control-free leg ``part`` is that shared leg and ``terms`` are the
-    control's ``(log c, c_int)``.  Otherwise the state is simulated through
-    the last left node, ``part`` holds the whole legs and ``terms`` are zero.
+    A leg shifts: ``part`` is the shared control-free leg and ``terms`` are
+    the control's ``(log c, c_int)``.  A bundle simulates: the state runs
+    through the last left node, ``part`` holds the whole legs and ``terms``
+    are zero.  A control that takes the leg to the positivity floor is
+    simulated on the leg's bundle, so the simulator names the breach.
     """
     grid = scenario.grid
     n = grid.n_steps
     if isinstance(noise, NoiseBundle):
         fwd = simulate_fsvie(scenario, noise, control, through_node=n - 1)
         return _utility_legs(scenario, control, fwd), np.zeros(2 * n - 1)
-    if noise.scenario is not scenario:
-        raise ValidationError("log-noise leg was built for another scenario")
     _check_control_admissible(control.values(grid)[: n - 1])
     c_int = control.step_integrals(grid)[: n - 1]
-    spent = np.zeros(n)
-    np.cumsum(c_int, out=spent[1:])
-    if np.any(noise.min_log - spent <= np.log(POSITIVITY_FLOOR)):
+    if noise.spend(scenario, c_int) is None:
         # some path crosses the floor: the simulator reports where
         return _control_legs(scenario, control, noise.bundle())
     log_c = np.log(_positive_consumption(scenario, control))
@@ -239,14 +227,14 @@ def performance(
 ) -> PerformanceResult:
     """Monte Carlo recursive-utility objective ``J = Y(0)`` and its standard error.
 
-    ``noise`` is a bundle or, for a time-invariant scenario, its control-free
-    log-noise leg (``_log_noise_leg``), which callers evaluating several
-    controls on one bundle build once.  On that leg ``J`` is the leg's mean
-    plus the control's deterministic shift, and ``se`` is the leg's, the same
-    for every control.  Two-time kernels simulate the state through the last
-    left node.
+    ``noise`` is a bundle, on which the state is simulated through the last
+    left node, or, for a time-invariant scenario, the control-free log-noise
+    leg of its own noise (``_streamed_log_noise_leg``), which callers
+    evaluating several controls build once.  On that leg ``J`` is the leg's
+    mean plus the control's deterministic shift, and ``se`` is the leg's, the
+    same for every control.
     """
-    part, terms = _control_legs(scenario, control, _resolve_noise(scenario, noise))
+    part, terms = _control_legs(scenario, control, noise)
     shift = float(terms @ _shift_weights(scenario))
     mean, se = mean_se(part)
     return PerformanceResult(j=mean + shift, se=se)
@@ -320,14 +308,13 @@ def gateaux_derivative(
     the bump interval.
 
     Both displaced objectives are evaluated on the same noise, a bundle or
-    its control-free log-noise leg (see ``performance``).  The reported
+    a control-free log-noise leg (see ``performance``).  The reported
     ``se`` propagates the two objective standard errors as if they were
     independent measurements; ``se_paired`` is the standard error of the
-    per-path differences.  On the exact engine both objectives share one
-    leg, so the difference is the difference of their deterministic shifts
-    and ``se_paired`` is exactly zero.
+    per-path differences.  On a leg both objectives share it, so the
+    difference is the difference of their deterministic shifts and
+    ``se_paired`` is exactly zero.
     """
-    noise = _resolve_noise(scenario, noise)
     if bump_height == 0.0:
         base = performance(scenario, control, noise)
         return GateauxResult(estimate=0.0, se=0.0, se_paired=0.0, j_plus=base.j, j_minus=base.j)

@@ -355,6 +355,18 @@ def load_noise(path: str) -> NoiseBundle:
 
         n, n_paths, seed, n_blocks, m = struct.unpack("<5q", read(40))
         (horizon,) = struct.unpack("<d", read(8))
+        # the header's counts, and the file size they imply, are checked
+        # before any array is allocated from them
+        if n < 2 or n_paths < 1 or n_blocks < 1 or m < 0:
+            raise ValidationError(f"{path}: header counts n_steps={n}, n_paths={n_paths}, "
+                                  f"n_blocks={n_blocks}, n_atoms={m} are out of range")
+        grid = TimeGrid(horizon=horizon, n_steps=n)
+        expected = fh.tell() + 8 * (2 * m + n * n_paths * (1 + m))
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            problem = "truncated noise bundle file" if actual < expected else "trailing bytes"
+            raise ValidationError(f"{path}: {problem}: its header promises {expected} bytes, "
+                                  f"the file holds {actual}")
         sizes = np.frombuffer(read(8 * m), dtype="<f8")
         weights = np.frombuffer(read(8 * m), dtype="<f8")
         db = np.empty((n, n_paths))
@@ -362,9 +374,7 @@ def load_noise(path: str) -> NoiseBundle:
         counts = np.empty((m, n, n_paths), dtype=np.int64)
         for q in range(m):
             read_rows(counts[q], "<i8")
-    grid = TimeGrid(horizon=horizon, n_steps=int(n))
-    levy = LevyMeasure(sizes=sizes.copy(), weights=weights.copy()) if m else \
-        LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
+    levy = LevyMeasure.from_atoms(np.column_stack((sizes, weights)))
     return NoiseBundle(
         grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
         d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),

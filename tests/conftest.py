@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from volterra_control import acceptance, cli, control, paths
 from volterra_control.cli import load_config
 from volterra_control.paths import generate_noise
 
@@ -44,3 +45,29 @@ def cpus(monkeypatch):
         monkeypatch.setattr(threading.Thread, "start", no_thread if n == 1 else real_start)
 
     return set_count
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Record the path count of every whole bundle drawn through the modules
+    that draw the main noise, and the ``(n_paths, seed, n_blocks)`` of every
+    stream of it.
+
+    Returns the two lists, ``(drawn, streamed)``; they fill as the test runs.
+    """
+    drawn, streamed = [], []
+
+    def tracked_noise(grid, levy, n_paths, seed, n_blocks=8):
+        drawn.append(n_paths)
+        return generate_noise(grid, levy, n_paths, seed, n_blocks)
+
+    stream = paths.stream_noise
+
+    def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume):
+        streamed.append((n_paths, seed, n_blocks))
+        stream(grid, levy, n_paths, seed, n_blocks, consume)
+
+    for module in (acceptance, cli, control):
+        monkeypatch.setattr(module, "generate_noise", tracked_noise)
+    monkeypatch.setattr(control, "stream_noise", tracked_stream)
+    return drawn, streamed

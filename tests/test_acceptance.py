@@ -37,9 +37,9 @@ def reference_noise(scenario):
 
 
 @pytest.fixture(scope="module")
-def reference_log_noise(scenario, reference_noise):
-    """The control-free leg that ``run_acceptance`` hands to C2-C4."""
-    return control._log_noise_leg(scenario, reference_noise)
+def reference_log_noise(scenario):
+    """The control-free leg that ``run_acceptance`` hands to C2-C4 and C8."""
+    return control._streamed_log_noise_leg(scenario)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +100,8 @@ def test_c07_duality_identities():
     _assert_all(acc.check_duality())
 
 
-def test_c08_forward_solver(scenario, reference_noise):
-    _assert_all(acc.check_forward_solver(scenario, reference_noise))
+def test_c08_forward_solver(scenario, reference_log_noise):
+    _assert_all(acc.check_forward_solver(scenario, reference_log_noise))
 
 
 def test_c09_adjoint_reduction(scenario):
@@ -138,7 +138,7 @@ def test_c07_draws_each_block_once(entry, monkeypatch, tmp_path):
     assert sorted(jump) == [(8, (b,), 100, 1) for b in range(8)]
 
 
-def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
+def test_c02_to_c04_never_simulate_the_state(s0_small, monkeypatch):
     calls = []
     simulate = fsvie.simulate_fsvie
 
@@ -148,7 +148,7 @@ def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
 
     for module in (fsvie, control, acc):
         monkeypatch.setattr(module, "simulate_fsvie", counted)
-    log_noise = control._log_noise_leg(s0_small, s0_noise)
+    log_noise = control._streamed_log_noise_leg(s0_small)
     results = (acc.check_value_oracle(s0_small, log_noise)
                + acc.check_optimality_ranking(s0_small, log_noise)
                + acc.check_necessary_mp(s0_small, log_noise))
@@ -157,11 +157,21 @@ def test_c02_to_c04_never_simulate_the_state(s0_small, s0_noise, monkeypatch):
 
 
 def test_c08_terminal_mean_is_the_simulated_terminal_row(s0_small, s0_noise):
-    one = ControlFn.constant(1.0, s0_small.grid)
-    terminal = fsvie.simulate_fsvie(s0_small, s0_noise, one).row(s0_small.grid.n_steps)
-    mean, se = mean_se(terminal)
-    result = acc.check_forward_solver(s0_small, s0_noise)[0]
-    assert (result.name, result.value, result.tolerance) == ("terminal_mean", mean, 3.0 * se)
+    # C8 reads log X(T) = L_n - C_n off the control-free leg; the simulator
+    # sums the same steps with the rate inside each, so the two agree per
+    # path up to the order of the sum (2.2e-15 seen at s0, seed 42)
+    grid, n = s0_small.grid, s0_small.grid.n_steps
+    one = ControlFn.constant(1.0, grid)
+    fwd = fsvie.simulate_fsvie(s0_small, s0_noise, one)
+    assert fwd.log_state
+    log_noise = control._streamed_log_noise_leg(s0_small)
+    log_x = log_noise.terminal - np.sum(one.step_integrals(grid))
+    assert np.max(np.abs(log_x - fwd.state[:, n])) <= 1e-14
+    mean, se = mean_se(fwd.row(n))
+    result = acc.check_forward_solver(s0_small, log_noise)[0]
+    assert result.name == "terminal_mean"
+    assert abs(result.value - mean) <= 1e-14 * mean
+    assert abs(result.tolerance - 3.0 * se) <= 1e-12 * se
 
 
 def test_c08_reports_the_simulators_breach():
@@ -173,10 +183,11 @@ def test_c08_reports_the_simulators_breach():
         "mc": {"n_paths": 2000, "seed": 0, "n_blocks": 1},
     })
     noise = generate_noise(spec.grid, spec.levy, 2000, 0, 1)
+    log_noise = control._streamed_log_noise_leg(spec)
     breaches = []
     one = ControlFn.constant(1.0, spec.grid)
     for evaluate in (lambda: fsvie.simulate_fsvie(spec, noise, one),
-                     lambda: acc.check_forward_solver(spec, noise)):
+                     lambda: acc.check_forward_solver(spec, log_noise)):
         with pytest.raises(fsvie.PositivityBreachError) as err:
             evaluate()
         breaches.append((err.value.path, err.value.node, err.value.value))
@@ -184,13 +195,20 @@ def test_c08_reports_the_simulators_breach():
 
 
 def test_log_leg_and_c08_never_form_the_state(s0_small, s0_noise):
-    # both read the exact engine one node row at a time: neither forms a
-    # (n_paths, n + 1) state beside the noise
-    control._log_noise_leg(s0_small, s0_noise)  # first-call imports and caches
+    # the leg reads the exact engine one node row at a time, and C8 shifts
+    # the leg's terminal row: neither forms a (n_paths, n + 1) state beside
+    # the noise
+    log_noise = control._streamed_log_noise_leg(s0_small)
+    leg, terminal = np.empty(s0_noise.n_paths), np.empty(s0_noise.n_paths)
+
+    def stage():
+        control._sum_log_noise(s0_small, s0_noise, leg, terminal)
+        acc.check_forward_solver(s0_small, log_noise)
+
+    stage()  # first-call imports and caches
     tracemalloc.start()
     try:
-        control._log_noise_leg(s0_small, s0_noise)
-        acc.check_forward_solver(s0_small, s0_noise)
+        stage()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -219,28 +237,7 @@ def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
     assert built == [(0, 1024, [])] * 16 + [(1, 1024, [])] * 16
 
 
-def _draws_of(monkeypatch):
-    """Record the path count of every whole bundle drawn through the
-    modules that draw the main noise, and every stream of it."""
-    drawn, streamed = [], []
-
-    def tracked_noise(grid, levy, n_paths, seed, n_blocks=8):
-        drawn.append(n_paths)
-        return generate_noise(grid, levy, n_paths, seed, n_blocks)
-
-    stream = paths.stream_noise
-
-    def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume):
-        streamed.append((n_paths, seed, n_blocks))
-        stream(grid, levy, n_paths, seed, n_blocks, consume)
-
-    for module in (acc, control):
-        monkeypatch.setattr(module, "generate_noise", tracked_noise)
-    monkeypatch.setattr(control, "stream_noise", tracked_stream)
-    return drawn, streamed
-
-
-def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, monkeypatch):
+def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, draws, monkeypatch):
     # the main noise is streamed once for C2-C4 and C8, and no stage up to
     # the C5 family (after the last reader of the main noise) draws it
     # whole; C8's weak-error grids draw one path each
@@ -250,7 +247,7 @@ def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, monkeypatch):
     def family_solution():
         raise Stop
 
-    drawn, streamed = _draws_of(monkeypatch)
+    drawn, streamed = draws
     monkeypatch.setattr(acc, "martingale_family_solution", family_solution)
     with pytest.raises(Stop):
         acc.run_acceptance(s0_small)
@@ -259,13 +256,16 @@ def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, monkeypatch):
     assert drawn == [1] * 4
 
 
-def test_streamed_leg_is_the_bundles_leg(scenario, reference_log_noise):
+def test_streamed_leg_is_the_bundles_leg(scenario, reference_noise, reference_log_noise):
     # every value of the leg is per path or a minimum: streaming changes no bit
-    streamed = control._streamed_log_noise_leg(scenario)
-    assert np.array_equal(streamed.leg, reference_log_noise.leg)
-    assert np.array_equal(streamed.min_log, reference_log_noise.min_log)
-    assert (streamed.n_paths, streamed.seed, streamed.n_blocks) == (
-        reference_log_noise.n_paths, reference_log_noise.seed, reference_log_noise.n_blocks)
+    leg, terminal = np.empty(reference_noise.n_paths), np.empty(reference_noise.n_paths)
+    min_log = control._sum_log_noise(scenario, reference_noise, leg, terminal)
+    assert np.array_equal(reference_log_noise.leg, leg)
+    assert np.array_equal(reference_log_noise.min_log, min_log)
+    assert np.array_equal(reference_log_noise.terminal, terminal)
+    # and the bundle the leg draws for a breach is the one it was summed from
+    again = reference_log_noise.bundle()
+    assert np.array_equal(again.d_brownian, reference_noise.d_brownian)
 
 
 def test_streamed_s0_stage_holds_a_fraction_of_the_bundle(s0_small, cpus):
@@ -274,8 +274,7 @@ def test_streamed_s0_stage_holds_a_fraction_of_the_bundle(s0_small, cpus):
     cpus(1)
 
     def stage():
-        log_noise, terminal = acc._main_noise_pass(s0_small)
-        return acc.check_forward_solver(s0_small, terminal)
+        return acc.check_forward_solver(s0_small, control._streamed_log_noise_leg(s0_small))
 
     stage()  # first-call imports and caches
     tracemalloc.start()
@@ -289,10 +288,10 @@ def test_streamed_s0_stage_holds_a_fraction_of_the_bundle(s0_small, cpus):
     assert peak < 0.25 * bundle_bytes
 
 
-def test_streamed_s0_stage_names_the_simulators_breach(monkeypatch):
-    # beta = 6 breaches the floor under the unit rate: C8's streamed pass
-    # draws the noise again and the simulator names the first breach, and
-    # so does the leg for a control that takes a path to the floor
+def test_streamed_s0_stage_names_the_simulators_breach(draws):
+    # beta = 6 breaches the floor under the unit rate: C8 draws the streamed
+    # noise again and the simulator names the first breach, and so does the
+    # leg for any control that takes a path to the floor
     spec = validate_scenario({
         "grid": {"horizon": 1.0, "n_steps": 100}, "initial": 1.0, "gamma": 0.0,
         "alpha_kernel": {"kind": "constant", "value": 0.05},
@@ -309,9 +308,9 @@ def test_streamed_s0_stage_names_the_simulators_breach(monkeypatch):
             evaluate()
         return err.value.path, err.value.node, err.value.value
 
-    log_noise, terminal = acc._main_noise_pass(spec)
-    drawn, _ = _draws_of(monkeypatch)
-    assert breach(lambda: acc.check_forward_solver(spec, terminal)) == \
+    log_noise = control._streamed_log_noise_leg(spec)
+    drawn, _ = draws
+    assert breach(lambda: acc.check_forward_solver(spec, log_noise)) == \
         breach(lambda: fsvie.simulate_fsvie(spec, noise, one))
     assert breach(lambda: control.performance(spec, one, log_noise)) == \
         breach(lambda: fsvie.simulate_fsvie(spec, noise, one, through_node=n - 1))

@@ -14,7 +14,12 @@ from volterra_control.acceptance import (
     resolvent_solution,
 )
 from volterra_control.cli import emit_csv, load_config, run, scenario_hash
-from volterra_control.control import build_adjoint_state, log_utility_oracle, performance
+from volterra_control.control import (
+    _streamed_log_noise_leg,
+    build_adjoint_state,
+    log_utility_oracle,
+    performance,
+)
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import forward_mean_oracle, simulate_fsvie
 from volterra_control.model import ValidationError, mean_se
@@ -465,6 +470,41 @@ def test_convention_is_a_usage_error_where_no_scenario_is_read(tmp_path, capsys)
                 "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("flag", [["--paths", "7"], ["--seed", "3"]], ids=["paths", "seed"])
+@pytest.mark.parametrize("subcommand", ["optimal-consumption", "solve-bsvie"])
+def test_monte_carlo_flags_are_a_usage_error_where_no_mc_field_is_read(
+        tmp_path, capsys, subcommand, flag):
+    # neither subcommand reads the Monte Carlo block, so a path count or a
+    # seed could change nothing but the report's hash and seed
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--config", str(CONFIG)] + flag + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_utility_streams_the_leg_of_a_time_invariant_scenario(tmp_path, draws):
+    # the s0 objective is a shift of the control-free leg, summed in one
+    # streamed pass: no whole bundle is drawn, and the values are those of
+    # the leg summed on the whole bundle
+    drawn, streamed = draws
+    out = tmp_path / "out"
+    assert run(["evaluate-utility", "--config", str(CONFIG), "--control", "cstar",
+                "--out", str(out)]) == 0
+    spec = load_config(str(CONFIG))
+    assert streamed == [(spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)]
+    assert drawn == []
+    assert (out / "utility.csv").read_bytes() == (
+        b"j_mc,j_se,j_oracle\r\n"
+        b"0.015380638787480395,0.0003652686731783409,0.014999984999999336\r\n")
+    # two-time kernels simulate on the whole bundle, drawn once
+    del streamed[:]
+    config = write_config(tmp_path, mc=SMALL_MC, **TWO_TIME)
+    assert run(["evaluate-utility", "--config", config, "--out", str(tmp_path / "two")]) == 0
+    assert (drawn, streamed) == ([SMALL_MC["n_paths"]], [])
+
+
 def test_evaluate_utility_off_oracle_prints_its_fail_line(tmp_path, capsys):
     # at gamma = 0.5 the continuous oracle prices a trapezoid tail of c*, the
     # simulation the grid's left-point tail; the gap exceeds the 5-SE band at
@@ -509,7 +549,7 @@ def test_evaluate_utility_check_keeps_its_band(tmp_path):
     cfg = write_config(tmp_path, mc=SMALL_MC)
     spec = load_config(cfg)
     cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
-    res = performance(spec, cstar, _main_noise(spec))
+    res = performance(spec, cstar, _streamed_log_noise_leg(spec))
     oracle = log_utility_oracle(spec, cstar)
     assert _reported(["evaluate-utility", "--config", cfg, "--control", "cstar"],
                      tmp_path / "out") == {

@@ -284,9 +284,10 @@ def test_control_free_leg_matches_simulated_legs(initial, atoms, gamma, bump, se
         levy={"atoms": [list(a) for a in atoms]},
         pi_kernels=[{"kind": "constant", "value": size} for size, _ in atoms],
     )
+    spec = spec.with_mc(n_paths=64, seed=seed, n_blocks=1)
     grid, n = spec.grid, spec.grid.n_steps
     noise = generate_noise(grid, spec.levy, 64, seed, 1)
-    log_noise = ctl._log_noise_leg(spec, noise)
+    log_noise = ctl._streamed_log_noise_leg(spec)
     table = ControlFn.table(np.random.default_rng(seed).uniform(0.05, 3.0, n))
     start, length, height = bump
     length = min(length, 1.0 - start)
@@ -307,8 +308,9 @@ def test_control_free_leg_matches_simulated_legs(initial, atoms, gamma, bump, se
     assert abs(g.j_minus - minus.mean()) <= 1e-13 * size_minus.mean()
 
     # the constant rate at which the lowest path first reaches log(floor)
+    # before the horizon
     critical = float(np.min(
-        (log_noise.min_log[1:] - np.log(POSITIVITY_FLOOR)) / (np.arange(1, n) * grid.dt)))
+        (log_noise.min_log[1:n] - np.log(POSITIVITY_FLOOR)) / (np.arange(1, n) * grid.dt)))
     above = ControlFn.constant(critical * (1.0 + 1e-6), grid)
     assert _breach(lambda: performance(spec, above, log_noise)) == \
         _breach(lambda: simulate_fsvie(spec, noise, above, through_node=n - 1))
@@ -324,24 +326,28 @@ def test_control_free_leg_matches_simulated_legs(initial, atoms, gamma, bump, se
 def test_log_noise_leg_is_read_off_the_zero_control_rows():
     # two atoms and a discount: the leg is summed row by row as the exact
     # engine hands the rows out, so it is the simulated zero-control leg up
-    # to the order of the sum, and the per-node minimum is the same bits
+    # to the order of the sum; the per-node minimum through the horizon and
+    # the terminal row are the same bits
     spec = make_scenario(
         initial=1.7, gamma=0.4, levy={"atoms": [[-0.1, 0.5], [0.25, 1.0]]},
         pi_kernels=[{"kind": "constant", "value": -0.1}, {"kind": "constant", "value": 0.25}],
+        mc={"n_paths": 3000, "seed": 11, "n_blocks": 3},
     )
     n = spec.grid.n_steps
     noise = generate_noise(spec.grid, spec.levy, 3000, 11, 3)
-    log_noise = ctl._log_noise_leg(spec, noise)
-    zero = simulate_fsvie(spec, noise, ControlFn.constant(0.0, spec.grid), through_node=n - 1)
+    log_noise = ctl._streamed_log_noise_leg(spec)
+    zero = simulate_fsvie(spec, noise, ControlFn.constant(0.0, spec.grid))
+    assert zero.log_state and zero.last_node == n
     np.testing.assert_array_equal(log_noise.min_log, zero.state.min(axis=0))
+    np.testing.assert_array_equal(log_noise.terminal, zero.state[:, n])
     # log(1) = 0: the unit rate adds nothing to the simulated leg
     legs = _utility_legs(spec, ControlFn.constant(1.0, spec.grid), zero)
-    scale = np.abs(zero.state) @ ctl._utility_weights(spec)
+    scale = np.abs(zero.state[:, :n]) @ ctl._utility_weights(spec)
     assert np.all(np.abs(log_noise.leg - legs) <= 1e-14 * scale)
 
 
-def test_log_noise_leg_serves_only_its_own_scenario(s0_small, s0_noise):
-    log_noise = ctl._log_noise_leg(s0_small, s0_noise)
+def test_log_noise_leg_serves_only_its_own_scenario(s0_small):
+    log_noise = ctl._streamed_log_noise_leg(s0_small)
     with pytest.raises(ValidationError):
         performance(s0_small.with_mc(n_paths=20_000), ControlFn.constant(1.0, s0_small.grid),
                     log_noise)

@@ -381,6 +381,20 @@ def test_load_rejects_foreign_files(tmp_path):
         load_noise(str(path))
 
 
+@pytest.mark.parametrize("n_paths, n_atoms", [(-1, 0), (8, -1), (2**40, 0)],
+                         ids=["negative-paths", "negative-atoms", "huge-paths"])
+def test_load_checks_the_header_before_allocating(tmp_path, n_paths, n_atoms):
+    # a header whose counts are out of range, or promise more data than the
+    # file holds, is rejected before any array is sized from it
+    path = tmp_path / "bundle.bin"
+    path.write_bytes(b"".join([
+        b"VCNB0001", struct.pack("<5q", SHORT.n_steps, n_paths, 0, 1, n_atoms),
+        struct.pack("<d", SHORT.horizon), bytes(8 * SHORT.n_steps * 8),
+    ]))
+    with pytest.raises(ValidationError):
+        load_noise(str(path))
+
+
 @pytest.mark.parametrize("n_paths, keep", [(8, 20), (8, 60), (8, -8), (2100, 80_000),
                                            (2100, -8)],
                          ids=["header", "atoms", "counts", "chunked-increments", "chunked-counts"])
