@@ -441,17 +441,11 @@ def check_forward_solver(scenario: ScenarioSpec, log_noise: _LogNoiseLeg) -> lis
     The unit rate's ``log X(T)`` is the control-free leg's terminal row
     shifted by the rate's spend, ``L_n - C_n`` (see :mod:`control`), so C8
     reads the pass :func:`run_acceptance` streams for C2-C4.  If the shifted
-    minimum reaches the positivity floor, ``simulate_fsvie`` runs on the
-    leg's bundle to name the breach."""
+    minimum reaches the positivity floor, the spend names the breach, as
+    ``simulate_fsvie`` would."""
     grid = scenario.grid
-    one = ControlFn.constant(1.0, grid)
-    spent = log_noise.spend(scenario, one.step_integrals(grid))
-    if spent is None:
-        # a bundle simulates: the simulator names the first breach
-        terminal = simulate_fsvie(scenario, log_noise.bundle(), one).values[:, -1]
-    else:
-        terminal = np.exp(log_noise.terminal - spent[-1])
-    mean, se = mean_se(terminal)
+    spent = log_noise.spend(scenario, ControlFn.constant(1.0, grid).step_integrals(grid))
+    mean, se = mean_se(np.exp(log_noise.terminal - spent[-1]))
     ref = math.exp(-0.95)
     out = [_result("C8", "terminal_mean", mean, ref, 3.0 * se, f"se={se:.2e}")]
 
@@ -492,7 +486,7 @@ def check_terminal_mean(
     two-time kernels by 2% of the oracle for the scheme's first-order
     discretization error."""
     oracle = float(forward_mean_oracle(scenario, control)[-1])
-    mean, se = mean_se(fwd.values[:, -1])
+    mean, se = mean_se(fwd.row(fwd.last_node))
     tol = 4.0 * se + (0.0 if scenario.time_invariant else 0.02 * abs(oracle))
     return [_result("C8", "terminal_mean_vs_oracle", mean, oracle, tol, f"se={se:.2e}")]
 
@@ -547,10 +541,9 @@ def run_acceptance(scenario: ScenarioSpec) -> list[CheckResult]:
     The main noise is streamed once, into the control-free log-noise leg
     that C2-C4 and C8 all read: every control they evaluate is a shift of
     it, and every value it keeps is per path or a minimum, so the noise is
-    never held whole.  Only a breach of the positivity floor draws it again,
-    for the simulator to name.  C7 streams its two noises
-    in pieces the same way.  The C5 family, C6 and C9 draw their smaller
-    bundles whole.
+    never held whole, and a breach of the positivity floor is named off the
+    leg without drawing it again.  C7 streams its two noises in pieces the
+    same way.  The C5 family, C6 and C9 draw their smaller bundles whole.
     """
     require_reference_scenario(scenario)
     # C2-C4 and C8 evaluate every control as a shift of one control-free leg

@@ -42,8 +42,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .condexp import CondExpEngine
-from .controls import ControlFn, discount_curve
-from .fsvie import ForwardPaths
+from .controls import ControlFn, _discount_sign, discount_curve
+from .fsvie import ForwardPaths, _check_floor
 from .model import ScenarioSpec, ValidationError, mean_se, time_quadrature_weights
 from .paths import NoiseBundle
 
@@ -177,26 +177,32 @@ def _positive_consumption(scenario: ScenarioSpec, control: ControlFn) -> np.ndar
     return c
 
 
+def _positive_state(fwd: ForwardPaths, n: int) -> None:
+    """Hold the rows ``0 .. n-1`` of a sum state to the positivity floor; the
+    exact engine held its log state there as it simulated it."""
+    if fwd.last_node < n - 1:
+        raise ValidationError("forward paths must reach node n-1 for the utility integral")
+    if not fwd.log_state:
+        x = fwd.state[:, :n]
+        low = x.argmin(axis=0)
+        _check_floor(x[low, np.arange(n)], low)
+
+
 def _utility_legs(
     scenario: ScenarioSpec, control: ControlFn, fwd: ForwardPaths
 ) -> np.ndarray:
     """Per-path integral ``int_0^T lambda log(c X)`` on the node quadrature.
 
-    On a log state (the exact engine, whose simulation already checked the
-    positivity floor) this is ``log X @ wl + log c @ wl`` and takes no log.
+    On a log state (the exact engine) this is ``log X @ wl + log c @ wl``
+    and takes no log.
     """
-    grid = scenario.grid
-    n = grid.n_steps
-    if fwd.last_node < n - 1:
-        raise ValidationError("forward paths must reach node n-1 for the utility integral")
+    n = scenario.grid.n_steps
     c = _positive_consumption(scenario, control)
+    _positive_state(fwd, n)
     wl = _utility_weights(scenario)
     if fwd.log_state:
         return fwd.state[:, :n] @ wl + float(np.log(c) @ wl)
-    x = fwd.values[:, :n]
-    if np.any(x <= 0.0):
-        raise ValidationError("utility requires strictly positive state paths")
-    return np.log(c[None, :] * x) @ wl
+    return np.log(c[None, :] * fwd.values[:, :n]) @ wl
 
 
 def recursive_utility(
@@ -220,19 +226,12 @@ def recursive_utility_bsde(
 
     O(dt)-accurate; used to validate the closed form, not to report values.
     """
-    grid = scenario.grid
-    n = grid.n_steps
-    c = control.values(grid)
-    gamma = scenario.gamma
-    sign = -1.0 if scenario.convention == "discounting" else 1.0
-    if fwd.last_node < n - 1:
-        raise ValidationError("forward paths must reach node n-1")
+    c = _positive_consumption(scenario, control)
+    _positive_state(fwd, scenario.grid.n_steps)
+    rate = _discount_sign(scenario.convention) * scenario.gamma
 
     def gen(i, t, x_i, y, z, k):
-        consumption = c[i] * x_i
-        if np.any(consumption <= 0.0):
-            raise ValidationError("nonpositive consumption value inside generator")
-        return np.log(consumption) + sign * gamma[i] * y
+        return np.log(c[i] * x_i) + rate[i] * y
 
     # one projection per node: a cached design would never be read again
     engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd,

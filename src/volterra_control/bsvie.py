@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .condexp import CondExpEngine, Design
-from .model import LevyMeasure, TimeGrid, ValidationError
+from .model import LevyMeasure, TimeGrid, ValidationError, trapezoid_weights
 from .paths import NoiseBundle
 
 __all__ = [
@@ -133,8 +133,7 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w:
     are summed first index by first index.
     """
     n, dt = grid.n_steps, grid.dt
-    w_t = np.full(n + 1, dt)
-    w_t[0] = w_t[-1] = 0.5 * dt
+    w_t = trapezoid_weights(n + 1, dt)
     e_t = np.exp(beta_w * grid.nodes)
     firsts = np.arange(n) * (np.arange(n) + 1) // 2  # flat index of pair (0, r)
     total = 0.0

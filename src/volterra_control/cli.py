@@ -190,14 +190,15 @@ def _parse_control(text: str, spec: ScenarioSpec) -> ControlFn:
 # --------------------------------------------------------------------------- #
 
 def _mean_quantile_rows(fwd: ForwardPaths) -> list[dict]:
-    """Per-node summary rows ``{t, mean, se, q05, q50, q95}`` of the forward state."""
-    x = fwd.values
-    qs = np.quantile(x, [0.05, 0.5, 0.95], axis=0)
+    """Per-node summary rows ``{t, mean, se, q05, q50, q95}`` of the forward
+    state, read one node row at a time."""
     rows = []
     for i, ti in enumerate(fwd.grid.nodes[: fwd.last_node + 1]):
-        mean, se = mean_se(x[:, i])
+        x = fwd.row(i)
+        mean, se = mean_se(x)
+        q05, q50, q95 = np.quantile(x, [0.05, 0.5, 0.95])
         rows.append({"t": ti, "mean": mean, "se": se,
-                     "q05": float(qs[0, i]), "q50": float(qs[1, i]), "q95": float(qs[2, i])})
+                     "q05": float(q05), "q50": float(q50), "q95": float(q95)})
     return rows
 
 

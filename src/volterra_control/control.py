@@ -26,13 +26,13 @@ the control-free ``L @ wl`` plus the deterministic ``(log c - C) @ wl``
 (Merton 1971: under log utility the objective separates into a noise term
 and a control term), and its terminal state is ``L_n - C_n``.
 ``_streamed_log_noise_leg`` sums ``L`` once, in one streamed pass of the
-scenario's noise, into the leg, its per-node minimum and its terminal row;
-C2-C4 and C8 read every control as a shift of that one pass.  The rule is:
-a leg shifts, a bundle simulates.  A control whose shifted minimum reaches
-the positivity floor is simulated on the leg's bundle, drawn again, so the
-simulator reports the breach.  The two displaced objectives of a bump share
-the leg, so their difference is deterministic and ``se_paired`` is exactly
-zero.  Two-time kernels simulate every control.
+scenario's noise, into the leg, its per-node minimum and that minimum's
+path, and its terminal row; C2-C4 and C8 read every control as a shift of
+that one pass.  The rule is: a leg shifts and names its breach, at the
+path and node the simulator would name, so the noise is never drawn again.
+The two displaced objectives of a bump share the leg, so their difference
+is deterministic and ``se_paired`` is exactly zero.  Two-time kernels
+simulate every control on a bundle.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ from .bsde import _positive_consumption, _utility_legs, _utility_weights
 from .condexp import CondExpEngine
 from .controls import ControlFn, discount_curve, fine_discount_curve, remaining_value_curve
 from .fsvie import (
-    POSITIVITY_FLOOR,
     ForwardPaths,
     _check_control_admissible,
+    _check_floor,
     _log_rows,
     first_variation,
     simulate_fsvie,
 )
-from .model import ScenarioSpec, TimeGrid, ValidationError, mean_se
-from .paths import NoiseBundle, generate_noise, stream_noise
+from .model import ScenarioSpec, TimeGrid, ValidationError, mean_se, trapezoid_weights
+from .paths import NoiseBundle, stream_noise
 
 __all__ = [
     "AdjointState",
@@ -97,7 +97,7 @@ def build_adjoint_state(scenario: ScenarioSpec, fwd: ForwardPaths | None = None)
     grid = scenario.grid
     lam = discount_curve(scenario.gamma, grid, scenario.convention)
     big_p = remaining_value_curve(scenario.gamma, grid, scenario.convention)
-    cstar = lam[:-1] / big_p[:-1]
+    cstar = ControlFn.theta_cstar(1.0, scenario.gamma, scenario.convention).values(grid)
     return AdjointState(grid=grid, lam=lam, big_p=big_p, cstar=cstar, fwd=fwd)
 
 
@@ -112,71 +112,69 @@ class _LogNoiseLeg:
     step integrals through the horizon.
 
     ``L`` itself (n_paths x (n+1)) is never formed: the per-path leg
-    ``sum_i wl_i L[:, i]``, the per-node minimum of ``L`` over paths (for the
-    positivity floor) and the terminal row ``L[:, n]`` are kept as the
-    stream hands out its pieces.  A control shifts them by its spend
-    (:meth:`spend`); only a control that takes a path to the floor is
-    simulated, on :meth:`bundle`, for the simulator to name the breach.
+    ``sum_i wl_i L[:, i]``, the per-node minimum of ``L`` over paths and
+    the path it lies on (the lowest index on ties), and the terminal row
+    ``L[:, n]`` are kept as the stream hands out its pieces.  A control
+    shifts them by its spend (:meth:`spend`), which also holds the shifted
+    minimum to the positivity floor.
     """
 
     scenario: ScenarioSpec
     leg: np.ndarray  # (n_paths,)
     min_log: np.ndarray  # (n+1,) over nodes 0 .. n
+    low_path: np.ndarray  # (n+1,) int, the path of each min_log
     terminal: np.ndarray  # (n_paths,) L at node n
 
-    def bundle(self) -> NoiseBundle:
-        """The scenario's noise, drawn whole by ``generate_noise``, bit for
-        bit the values the leg was summed from."""
-        mc = self.scenario.mc
-        return generate_noise(self.scenario.grid, self.scenario.levy, mc.n_paths, mc.seed,
-                              mc.n_blocks)
-
-    def spend(self, scenario: ScenarioSpec, c_int: np.ndarray) -> np.ndarray | None:
+    def spend(self, scenario: ScenarioSpec, c_int: np.ndarray) -> np.ndarray:
         """The spend ``C_i = sum_{j<i} c_int_j`` at nodes ``0 .. len(c_int)``
-        of a control with step integrals ``c_int``, or ``None`` when the
-        shifted minimum ``min_log - C`` reaches the positivity floor by then:
+        of a control with step integrals ``c_int``; raises where the shifted
+        minimum ``exp(min_log - C)`` reaches the positivity floor by then,
         the one floor test of every reader of the leg."""
         if scenario is not self.scenario:
             raise ValidationError("log-noise leg was built for another scenario")
         spent = np.zeros(c_int.size + 1)
         np.cumsum(c_int, out=spent[1:])
-        if np.any(self.min_log[: spent.size] - spent <= np.log(POSITIVITY_FLOOR)):
-            return None
+        _check_floor(np.exp(self.min_log[: spent.size] - spent), self.low_path[: spent.size])
         return spent
 
 
 def _sum_log_noise(
     scenario: ScenarioSpec, noise: NoiseBundle, leg: np.ndarray, terminal: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sum the control-free leg of ``noise``'s paths into ``leg``, write their
     log-noise at the horizon into ``terminal`` and return its per-node
-    minimum: the exact engine run with zero step integrals through node
-    ``n``.  Every value is per path or a minimum, so it does not depend on
-    how the paths are split."""
+    minimum and the path of each minimum (the lowest on ties): the exact
+    engine run with zero step integrals through node ``n``.  Every value is
+    per path or a minimum, so it does not depend on how the paths are split."""
     n = scenario.grid.n_steps
     wl = _utility_weights(scenario)
     leg[:] = 0.0
-    min_log = np.empty(n + 1)
+    min_log, low_path = np.empty(n + 1), np.empty(n + 1, dtype=np.intp)
     for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n), n)):
         if i < n:
             leg += wl[i] * row
-        min_log[i] = row.min()
+        low_path[i] = row.argmin()
+        min_log[i] = row[low_path[i]]
     terminal[:] = row
-    return min_log
+    return min_log, low_path
 
 
 def _streamed_log_noise_leg(scenario: ScenarioSpec) -> _LogNoiseLeg:
     """The control-free leg of the scenario's own noise (its ``mc`` block),
     summed in one pass of ``stream_noise``, so the bundle is never formed."""
     mc = scenario.mc
-    leg, terminal, mins = np.empty(mc.n_paths), np.empty(mc.n_paths), []
+    leg, terminal, pieces = np.empty(mc.n_paths), np.empty(mc.n_paths), {}
 
     def consume(rows: slice, piece: NoiseBundle) -> None:
-        mins.append(_sum_log_noise(scenario, piece, leg[rows], terminal[rows]))
+        min_log, low_path = _sum_log_noise(scenario, piece, leg[rows], terminal[rows])
+        pieces[rows.start] = min_log, low_path + rows.start
 
     stream_noise(scenario.grid, scenario.levy, mc.n_paths, mc.seed, mc.n_blocks, consume)
-    return _LogNoiseLeg(scenario=scenario, leg=leg, min_log=np.min(mins, axis=0),
-                        terminal=terminal)
+    # in path order, so that a tie between pieces goes to the lowest path
+    mins, lows = map(np.array, zip(*(pieces[start] for start in sorted(pieces))))
+    low_path = lows[mins.argmin(axis=0), np.arange(mins.shape[1])]
+    return _LogNoiseLeg(scenario=scenario, leg=leg, min_log=mins.min(axis=0),
+                        low_path=low_path, terminal=terminal)
 
 
 def _shift_weights(scenario: ScenarioSpec) -> np.ndarray:
@@ -197,10 +195,10 @@ def _control_legs(
     """Per-path utility legs of ``control`` as ``part + terms @ _shift_weights``.
 
     A leg shifts: ``part`` is the shared control-free leg and ``terms`` are
-    the control's ``(log c, c_int)``.  A bundle simulates: the state runs
-    through the last left node, ``part`` holds the whole legs and ``terms``
-    are zero.  A control that takes the leg to the positivity floor is
-    simulated on the leg's bundle, so the simulator names the breach.
+    the control's ``(log c, c_int)``; a control that takes the leg to the
+    positivity floor raises there (:meth:`_LogNoiseLeg.spend`).  A bundle
+    simulates: the state runs through the last left node, ``part`` holds
+    the whole legs and ``terms`` are zero.
     """
     grid = scenario.grid
     n = grid.n_steps
@@ -209,9 +207,7 @@ def _control_legs(
         return _utility_legs(scenario, control, fwd), np.zeros(2 * n - 1)
     _check_control_admissible(control.values(grid)[: n - 1])
     c_int = control.step_integrals(grid)[: n - 1]
-    if noise.spend(scenario, c_int) is None:
-        # some path crosses the floor: the simulator reports where
-        return _control_legs(scenario, control, noise.bundle())
+    noise.spend(scenario, c_int)
     log_c = np.log(_positive_consumption(scenario, control))
     return noise.leg, np.concatenate((log_c, c_int))
 
@@ -324,9 +320,6 @@ def gateaux_derivative(
     parts, terms = {}, {}
     for sgn in (+1.0, -1.0):
         ctrl = ControlFn.bump(control, bump_start, bump_len, sgn * _BUMP_THETA * bump_height)
-        vals = ctrl.values(scenario.grid)
-        if np.any(vals <= 0.0):
-            raise ValidationError("bumped control loses positivity; reduce bump_height")
         parts[sgn], terms[sgn] = _control_legs(scenario, ctrl, noise)
     weights = _shift_weights(scenario)
     # exactly zero when both displaced controls share the control-free leg
@@ -389,8 +382,7 @@ def hamiltonian_h1(
     if gradients and (noise is None or control is None or fwd is None):
         raise ValidationError("kernel time-derivative terms need noise, control and paths")
     # trapezoid weights on [t_k, T]
-    w = np.full(n + 1 - k, grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
+    w = trapezoid_weights(n + 1 - k, grid.dt)
     big_p = adjoint.big_p
     per_path = np.zeros(adjoint.fwd.n_paths)
     for j, s in enumerate(range(k, n + 1)):

@@ -25,16 +25,18 @@ from .model import TimeGrid, ValidationError
 __all__ = ["ControlFn", "discount_curve", "fine_discount_curve", "remaining_value_curve"]
 
 
-def discount_curve(gamma: np.ndarray, grid: TimeGrid, convention: str) -> np.ndarray:
-    """Multiplier ``lambda(t_i) = exp(-+ sum_{j<i} gamma_j dt)`` on all nodes.
+def _discount_sign(convention: str) -> float:
+    """The sign of the discount rate in the exponent: ``discounting`` uses
+    the negative one, ``paper_ode`` the positive one."""
+    return -1.0 if convention == "discounting" else 1.0
 
-    ``discounting`` uses the negative exponent, ``paper_ode`` the positive
-    one; both satisfy ``lambda(0) = 1``.
-    """
-    sign = -1.0 if convention == "discounting" else 1.0
+
+def discount_curve(gamma: np.ndarray, grid: TimeGrid, convention: str) -> np.ndarray:
+    """Multiplier ``lambda(t_i) = exp(-+ sum_{j<i} gamma_j dt)`` on all nodes,
+    signed by ``convention``; ``lambda(0) = 1``."""
     cum = np.zeros(grid.n_steps + 1)
     np.cumsum(gamma[:-1] * grid.dt, out=cum[1:])
-    return np.exp(sign * cum)
+    return np.exp(_discount_sign(convention) * cum)
 
 
 def remaining_value_curve(gamma: np.ndarray, grid: TimeGrid, convention: str) -> np.ndarray:
@@ -52,8 +54,8 @@ def fine_discount_curve(gamma: np.ndarray, s: np.ndarray, convention: str) -> np
     interpolated linearly and integrated by the trapezoid rule.
     """
     g = np.interp(s, np.linspace(0.0, s[-1], gamma.shape[0]), gamma)
-    sign = -1.0 if convention == "discounting" else 1.0
-    return np.exp(sign * np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * (s[1] - s[0])))))
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * (s[1] - s[0]))))
+    return np.exp(_discount_sign(convention) * cum)
 
 
 @dataclass(frozen=True, eq=False)

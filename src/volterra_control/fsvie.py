@@ -11,9 +11,9 @@ There are two stepping engines, and the kernels choose between them:
   exact in law, so Monte Carlo means carry no time-discretization bias.
   The engine is a generator that sums the log-factors into one running row
   of ``log X``: ``simulate_fsvie`` collects its rows, and one-pass readers
-  (the control-free utility leg, C8) read them as they pass.  The positivity
-  floor is checked on ``log X``, and ``X`` is exponentiated only when a
-  caller asks for ``ForwardPaths.values`` (or, one node at a time, ``.row``).
+  (the control-free utility leg, C8) read them as they pass.  ``X`` is
+  exponentiated only when a caller asks for ``ForwardPaths.values`` (or,
+  one node at a time, ``.row``).
 
 * the sum (``_simulate_volterra``) -- the general left-point scheme for genuinely two-time
   kernels: every node value is the full triangular sum
@@ -34,8 +34,11 @@ so the sub-triangle keeps the lift.
 
 ``simulate_fsvie`` runs the exact engine exactly when the scenario is
 time-invariant (constant initial level included), and the sum otherwise.
-On the exact engine the positivity of the state is guarded with an
-abort-never-clamp floor.
+
+The log utility needs a positive state.  One abort-never-clamp rule,
+``_check_floor``, guards it for the exact engine, the control-free utility
+leg (``control``) and the utility readers of a sum state (``bsde``): each
+hands it the per-node minimum of ``X`` and its path.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ import numpy as np
 
 from ._kernels import volterra_sweep
 from .controls import ControlFn
-from .model import ScenarioSpec, TimeGrid, ValidationError
+from .model import (ScenarioSpec, TimeGrid, ValidationError, time_quadrature_weights,
+                    trapezoid_weights)
 from .paths import NoiseBundle
 
 __all__ = [
@@ -64,7 +68,8 @@ POSITIVITY_FLOOR = 1e-12
 
 
 class PositivityBreachError(RuntimeError):
-    """State left the positive domain; reports the first offending (path, node)."""
+    """State left the positive domain: ``node`` is the first node whose lowest
+    ``X``, ``value``, is at or below the floor, on ``path`` (the lowest on ties)."""
 
     def __init__(self, path: int, node: int, value: float):
         self.path = int(path)
@@ -134,11 +139,14 @@ def _check_control_admissible(c_vals: np.ndarray) -> None:
         raise ValidationError("control must be finite and nonnegative at all left nodes")
 
 
-def _check_log_positive(log_x: np.ndarray, floor: float) -> None:
-    bad = log_x <= np.log(floor)
-    if bad.any():
-        p, i = np.argwhere(bad)[0]
-        raise PositivityBreachError(p, i, np.exp(log_x[p, i]))
+def _check_floor(x_min: np.ndarray, low_path: np.ndarray) -> None:
+    """The positivity floor: ``x_min[i]`` is the lowest ``X`` at node ``i``
+    and ``low_path[i]`` its path.  Raises at the first node at or below
+    ``POSITIVITY_FLOOR``; values are never clamped."""
+    bad = np.flatnonzero(x_min <= POSITIVITY_FLOOR)
+    if bad.size:
+        i = bad[0]
+        raise PositivityBreachError(low_path[i], i, x_min[i])
 
 
 def _check_noise_grid(grid: TimeGrid, noise: NoiseBundle) -> None:
@@ -176,7 +184,8 @@ def simulate_fsvie(
         log_x = np.empty((last + 1, noise.n_paths))
         for i, row in enumerate(_log_rows(scenario, noise, control.step_integrals(grid), last)):
             log_x[i] = row
-        _check_log_positive(log_x.T, POSITIVITY_FLOOR)
+        low = log_x.argmin(axis=1)
+        _check_floor(np.exp(log_x[np.arange(last + 1), low]), low)
         return ForwardPaths(grid=grid, state=log_x.T, log_state=True)
     x = _simulate_volterra(scenario, noise, c_vals, last)
     return ForwardPaths(grid=grid, state=x, log_state=False)
@@ -263,16 +272,12 @@ def forward_mean_oracle(scenario: ScenarioSpec, control: ControlFn) -> np.ndarra
         coeff[:i] -= c[:i]
         if i < n:
             coeff[i] -= c[i]
-            w = np.full(i + 1, dt)
-            w[0] = w[i] = 0.5 * dt
+            w = trapezoid_weights(i + 1, dt)
             known = float(np.dot(w[:i], coeff[:i] * m[:i]))
             m[i] = (xi[i] + known) / (1.0 - w[i] * coeff[i])
         else:
             # trapezoid on [0, t_{n-1}], left rectangle on the last step
-            w = np.full(i, dt)
-            w[0] = 0.5 * dt
-            w[i - 1] = 1.5 * dt
-            m[i] = xi[i] + float(np.dot(w, coeff[:i] * m[:i]))
+            m[i] = xi[i] + float(np.dot(time_quadrature_weights(grid), coeff[:i] * m[:i]))
     return m
 
 

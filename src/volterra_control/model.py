@@ -34,6 +34,7 @@ __all__ = [
     "ScenarioSpec",
     "build_time_grid",
     "validate_scenario",
+    "trapezoid_weights",
     "time_quadrature_weights",
     "mean_se",
 ]
@@ -108,6 +109,14 @@ def build_time_grid(horizon: float, n_steps: int) -> TimeGrid:
     return TimeGrid(horizon=float(horizon), n_steps=n_steps)
 
 
+def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
+    """Trapezoid weights over ``n_nodes`` nodes ``dt`` apart: ``dt`` inside,
+    ``dt / 2`` at both ends."""
+    w = np.full(n_nodes, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
+
+
 def time_quadrature_weights(grid: TimeGrid) -> np.ndarray:
     """Weights over nodes ``t_0 .. t_{n-1}`` integrating samples over ``[0, T]``.
 
@@ -116,10 +125,8 @@ def time_quadrature_weights(grid: TimeGrid) -> np.ndarray:
     never sampling ``t = T`` (integrands such as the optimal consumption rate
     blow up there).
     """
-    n, dt = grid.n_steps, grid.dt
-    w = np.full(n, dt)
-    w[0] = 0.5 * dt
-    w[-1] = 1.5 * dt
+    w = trapezoid_weights(grid.n_steps, grid.dt)
+    w[-1] += grid.dt
     return w
 
 

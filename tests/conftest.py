@@ -67,7 +67,7 @@ def draws(monkeypatch):
         streamed.append((n_paths, seed, n_blocks))
         stream(grid, levy, n_paths, seed, n_blocks, consume)
 
-    for module in (acceptance, cli, control):
+    for module in (acceptance, cli):
         monkeypatch.setattr(module, "generate_noise", tracked_noise)
     monkeypatch.setattr(control, "stream_noise", tracked_stream)
     return drawn, streamed

@@ -7,6 +7,7 @@ reference path count (1e5); the two-time family solve runs at its own scale
 (see the module docstrings).
 """
 
+import math
 import pathlib
 import tracemalloc
 
@@ -191,7 +192,9 @@ def test_c08_reports_the_simulators_breach():
         with pytest.raises(fsvie.PositivityBreachError) as err:
             evaluate()
         breaches.append((err.value.path, err.value.node, err.value.value))
-    assert breaches[0] == breaches[1]
+    # the leg's value is exp(min_log - C), the simulator's the summed row
+    assert breaches[0][:2] == breaches[1][:2]
+    assert math.isclose(breaches[0][2], breaches[1][2], rel_tol=1e-12)
 
 
 def test_log_leg_and_c08_never_form_the_state(s0_small, s0_noise):
@@ -259,13 +262,11 @@ def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, draws, monkeypa
 def test_streamed_leg_is_the_bundles_leg(scenario, reference_noise, reference_log_noise):
     # every value of the leg is per path or a minimum: streaming changes no bit
     leg, terminal = np.empty(reference_noise.n_paths), np.empty(reference_noise.n_paths)
-    min_log = control._sum_log_noise(scenario, reference_noise, leg, terminal)
+    min_log, low_path = control._sum_log_noise(scenario, reference_noise, leg, terminal)
     assert np.array_equal(reference_log_noise.leg, leg)
     assert np.array_equal(reference_log_noise.min_log, min_log)
+    assert np.array_equal(reference_log_noise.low_path, low_path)
     assert np.array_equal(reference_log_noise.terminal, terminal)
-    # and the bundle the leg draws for a breach is the one it was summed from
-    again = reference_log_noise.bundle()
-    assert np.array_equal(again.d_brownian, reference_noise.d_brownian)
 
 
 def test_streamed_s0_stage_holds_a_fraction_of_the_bundle(s0_small, cpus):
@@ -289,9 +290,9 @@ def test_streamed_s0_stage_holds_a_fraction_of_the_bundle(s0_small, cpus):
 
 
 def test_streamed_s0_stage_names_the_simulators_breach(draws):
-    # beta = 6 breaches the floor under the unit rate: C8 draws the streamed
-    # noise again and the simulator names the first breach, and so does the
-    # leg for any control that takes a path to the floor
+    # beta = 6 breaches the floor under the unit rate: C8 and the leg name
+    # the path and node the simulator names, off the stream's minima, and
+    # draw no noise after the stream
     spec = validate_scenario({
         "grid": {"horizon": 1.0, "n_steps": 100}, "initial": 1.0, "gamma": 0.0,
         "alpha_kernel": {"kind": "constant", "value": 0.05},
@@ -308,10 +309,16 @@ def test_streamed_s0_stage_names_the_simulators_breach(draws):
             evaluate()
         return err.value.path, err.value.node, err.value.value
 
+    def assert_same(leg_breach, simulated):
+        assert leg_breach[:2] == simulated[:2]
+        assert math.isclose(leg_breach[2], simulated[2], rel_tol=1e-12)
+
     log_noise = control._streamed_log_noise_leg(spec)
-    drawn, _ = draws
-    assert breach(lambda: acc.check_forward_solver(spec, log_noise)) == \
-        breach(lambda: fsvie.simulate_fsvie(spec, noise, one))
-    assert breach(lambda: control.performance(spec, one, log_noise)) == \
-        breach(lambda: fsvie.simulate_fsvie(spec, noise, one, through_node=n - 1))
-    assert drawn == [2000, 2000]  # each drew the streamed bundle again for the simulator
+    drawn, streamed = draws
+    assert_same(breach(lambda: acc.check_forward_solver(spec, log_noise)),
+                breach(lambda: fsvie.simulate_fsvie(spec, noise, one)))
+    assert_same(breach(lambda: control.performance(spec, one, log_noise)),
+                breach(lambda: fsvie.simulate_fsvie(spec, noise, one, through_node=n - 1)))
+    # the lowest path at the first node to reach the floor
+    assert breach(lambda: control.performance(spec, one, log_noise))[:2] == (936, 66)
+    assert streamed == [(2000, 0, 4)] and drawn == []

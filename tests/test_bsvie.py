@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from volterra_control import bsvie
 from volterra_control.bsde import solve_bsde
 from volterra_control.bsvie import (
     BsvieTriple,
@@ -301,6 +302,41 @@ def test_resolvent_value_and_discrete_identity():
     # exponential weight is smallest
     assert abs(y0 - (1.0 - noise.grid.dt) ** (-n)) < 1e-7
     assert abs(y0 - math.e) < 0.01 * math.e
+
+
+def _hand_weighted_sum(y_sq, pair_sq, grid, beta_w):
+    """``_weighted_sum`` with its trapezoid weights in ``t`` built by hand."""
+    n, dt = grid.n_steps, grid.dt
+    w_t = np.full(n + 1, dt)
+    w_t[0] = w_t[-1] = 0.5 * dt
+    e_t = np.exp(beta_w * grid.nodes)
+    firsts = np.arange(n) * (np.arange(n) + 1) // 2
+    total = 0.0
+    for i in range(n + 1):
+        inner = y_sq[i] * e_t[i]
+        if i < n:
+            inner += float(e_t[i:n] @ pair_sq[firsts[i:] + i]) * dt
+        total += w_t[i] * inner
+    return total
+
+
+def test_contraction_log_is_the_hand_built_trapezoid(monkeypatch):
+    # the C6 fixed point at a smaller size: its distance log is the same
+    # bits when the norm builds its weights by hand
+    noise = make_noise(n_steps=20, n_paths=512, seed=77)
+    zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+
+    def driver(i, r, y_frozen, z, k, x):
+        return np.sin(y_frozen)
+
+    def log():
+        sol = solve_bsvie(zeta, driver, noise, brownian_engine(noise), beta_w=20.0,
+                          tol=1e-13, max_iter=60)
+        return np.array(sol.iteration_log)
+
+    shared = log()
+    monkeypatch.setattr(bsvie, "_weighted_sum", _hand_weighted_sum)
+    np.testing.assert_array_equal(shared, log())
 
 
 def test_diagonal_consistency_at_the_fixed_point():

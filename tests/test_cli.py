@@ -5,7 +5,10 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_control.acceptance import (
     CheckResult,
@@ -13,7 +16,7 @@ from volterra_control.acceptance import (
     jump_duality,
     resolvent_solution,
 )
-from volterra_control.cli import emit_csv, load_config, run, scenario_hash
+from volterra_control.cli import _scenario_dict, emit_csv, load_config, run, scenario_hash
 from volterra_control.control import (
     _streamed_log_noise_leg,
     build_adjoint_state,
@@ -21,8 +24,8 @@ from volterra_control.control import (
     performance,
 )
 from volterra_control.controls import ControlFn
-from volterra_control.fsvie import forward_mean_oracle, simulate_fsvie
-from volterra_control.model import ValidationError, mean_se
+from volterra_control.fsvie import POSITIVITY_FLOOR, forward_mean_oracle, simulate_fsvie
+from volterra_control.model import ValidationError, mean_se, validate_scenario
 from volterra_control.paths import generate_noise
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
@@ -113,6 +116,54 @@ def test_scenario_hash_tracks_semantic_changes(tmp_path):
     assert scenario_hash(changed) != scenario_hash(base)
     reseeded = base.with_mc(seed=43)
     assert scenario_hash(reseeded) != scenario_hash(base)
+
+
+def _raw_kernel(kind, rng, n_steps, scale):
+    if kind == "constant":
+        return {"kind": "constant", "value": scale * rng.uniform(-1.0, 1.0)}
+    if kind == "exp_decay":
+        return {"kind": "exp_decay", "amplitude": scale * rng.uniform(-1.0, 1.0),
+                "rate": rng.uniform(0.0, 3.0)}
+    size = (n_steps + 1) * (n_steps + 2) // 2
+    return {"kind": "table", "values": (scale * rng.uniform(-1.0, 1.0, size)).tolist()}
+
+
+_KINDS = st.sampled_from(["constant", "exp_decay", "table"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_steps=st.integers(2, 6),
+    alpha=_KINDS,
+    beta=_KINDS,
+    pi=st.lists(_KINDS, min_size=1, max_size=2),
+    per_node=st.booleans(),
+    mode=st.sampled_from(["trivial", "full", "delay"]),
+    convention=st.sampled_from(["discounting", "paper_ode"]),
+    seed=st.integers(0, 2**16),
+)
+def test_scenario_dict_round_trips_the_hash(n_steps, alpha, beta, pi, per_node, mode,
+                                            convention, seed):
+    # _scenario_dict inverts validate_scenario on every field the hash reads
+    rng = np.random.default_rng(seed)
+    nodes = n_steps + 1
+    spec = validate_scenario({
+        "grid": {"horizon": rng.uniform(0.5, 2.0), "n_steps": n_steps},
+        "initial": rng.uniform(0.5, 2.0, nodes).tolist() if per_node else rng.uniform(0.5, 2.0),
+        "gamma": rng.uniform(0.0, 1.0, nodes).tolist() if per_node else rng.uniform(0.0, 1.0),
+        "alpha_kernel": _raw_kernel(alpha, rng, n_steps, 0.5),
+        "beta_kernel": _raw_kernel(beta, rng, n_steps, 0.5),
+        "levy": {"atoms": [[rng.uniform(0.05, 0.5) * rng.choice([-1, 1]), rng.uniform(0.1, 3.0)]
+                           for _ in pi]},
+        "pi_kernels": [_raw_kernel(kind, rng, n_steps, 0.3) for kind in pi],
+        "filtration": {"mode": mode, "delay": rng.uniform(0.01, 0.5) if mode == "delay" else 0.0},
+        "gamma_sign_convention": convention,
+        "mc": {"n_paths": int(rng.integers(1, 1000)), "seed": int(rng.integers(0, 2**31)),
+               "n_blocks": 1},
+        "regression": {"degree": int(rng.integers(1, 4)), "state": ["x", "brownian"]},
+    })
+    again = validate_scenario(json.loads(json.dumps(_scenario_dict(spec))))
+    assert scenario_hash(again) == scenario_hash(spec)
 
 
 # --------------------------------------------------------------------------- #
@@ -393,6 +444,25 @@ def test_simulate_forward_singular_control_exits_3(tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert "positivity" in report["error"]
+
+
+def test_evaluate_utility_names_the_breach_of_a_two_time_state(tmp_path, capsys):
+    # a two-time beta of amplitude 3 takes paths non-positive: the utility
+    # holds the sum state to the one positivity floor, which names the
+    # lowest path at the first node to reach it (exit 3)
+    cfg = write_config(tmp_path, grid={"horizon": 1.0, "n_steps": 50},
+                       beta_kernel={"kind": "exp_decay", "amplitude": 3.0, "rate": 0.5},
+                       mc={"n_paths": 2000, "seed": 1, "n_blocks": 4})
+    code = run(["evaluate-utility", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3
+    spec = load_config(cfg)
+    n = spec.grid.n_steps
+    noise = generate_noise(spec.grid, spec.levy, 2000, 1, 4)
+    x = simulate_fsvie(spec, noise, ControlFn.constant(1.0, spec.grid), through_node=n - 1).values
+    node = np.flatnonzero(x.min(axis=0) <= POSITIVITY_FLOOR)[0]
+    path = x[:, node].argmin()
+    err = capsys.readouterr().err
+    assert f"error: state positivity breached at path={path}, node={node}: X=" in err
 
 
 # --------------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from volterra_control.fsvie import (
 from volterra_control.model import (
     ValidationError,
     build_time_grid,
+    mean_se,
     time_quadrature_weights,
     validate_scenario,
 )
@@ -267,6 +268,13 @@ def _breach(evaluate):
     return err.value.path, err.value.node, err.value.value
 
 
+def _assert_same_breach(leg_breach, simulated):
+    """Path and node exactly; the leg's value is ``exp(min_log - C)``, the
+    simulator's its summed row, so the two agree up to rounding."""
+    assert leg_breach[:2] == simulated[:2]
+    assert math.isclose(leg_breach[2], simulated[2], rel_tol=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     initial=st.floats(0.2, 5.0).filter(lambda v: v != 1.0),
@@ -312,22 +320,23 @@ def test_control_free_leg_matches_simulated_legs(initial, atoms, gamma, bump, se
     critical = float(np.min(
         (log_noise.min_log[1:n] - np.log(POSITIVITY_FLOOR)) / (np.arange(1, n) * grid.dt)))
     above = ControlFn.constant(critical * (1.0 + 1e-6), grid)
-    assert _breach(lambda: performance(spec, above, log_noise)) == \
-        _breach(lambda: simulate_fsvie(spec, noise, above, through_node=n - 1))
+    _assert_same_breach(_breach(lambda: performance(spec, above, log_noise)),
+                        _breach(lambda: simulate_fsvie(spec, noise, above, through_node=n - 1)))
     below = ControlFn.constant(critical * (1.0 - 1e-6), grid)
     legs, size = _simulated_legs(spec, below, noise)
     assert abs(performance(spec, below, log_noise).j - legs.mean()) <= 1e-13 * size.mean()
     # the upward leg of a bump over the whole horizon crosses the floor
     bumped_up = ControlFn.bump(below, 0.0, 1.0, 1e-3 * critical)
-    assert _breach(lambda: gateaux_derivative(spec, below, 0.0, 1.0, critical, log_noise)) == \
-        _breach(lambda: simulate_fsvie(spec, noise, bumped_up, through_node=n - 1))
+    _assert_same_breach(
+        _breach(lambda: gateaux_derivative(spec, below, 0.0, 1.0, critical, log_noise)),
+        _breach(lambda: simulate_fsvie(spec, noise, bumped_up, through_node=n - 1)))
 
 
 def test_log_noise_leg_is_read_off_the_zero_control_rows():
     # two atoms and a discount: the leg is summed row by row as the exact
     # engine hands the rows out, so it is the simulated zero-control leg up
-    # to the order of the sum; the per-node minimum through the horizon and
-    # the terminal row are the same bits
+    # to the order of the sum; the per-node minimum through the horizon, its
+    # path and the terminal row are the same bits
     spec = make_scenario(
         initial=1.7, gamma=0.4, levy={"atoms": [[-0.1, 0.5], [0.25, 1.0]]},
         pi_kernels=[{"kind": "constant", "value": -0.1}, {"kind": "constant", "value": 0.25}],
@@ -339,6 +348,7 @@ def test_log_noise_leg_is_read_off_the_zero_control_rows():
     zero = simulate_fsvie(spec, noise, ControlFn.constant(0.0, spec.grid))
     assert zero.log_state and zero.last_node == n
     np.testing.assert_array_equal(log_noise.min_log, zero.state.min(axis=0))
+    np.testing.assert_array_equal(log_noise.low_path, zero.state.argmin(axis=0))
     np.testing.assert_array_equal(log_noise.terminal, zero.state[:, n])
     # log(1) = 0: the unit rate adds nothing to the simulated leg
     legs = _utility_legs(spec, ControlFn.constant(1.0, spec.grid), zero)
@@ -414,6 +424,24 @@ def test_memory_hamiltonian_linear_in_state():
         beta_kernel={"kind": "constant", "value": 0.0},
     )
     assert hamiltonian_h1(0, 0.0, None, _unit_state_adjoint(spec), spec)[0] == 0.0
+
+
+def test_memory_hamiltonian_weights_are_the_hand_built_trapezoid():
+    # no gradient terms: the estimate is the drift part, contracted in the
+    # Hamiltonian's order with trapezoid weights built by hand
+    spec = make_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
+                         gamma=0.3)
+    grid, n, k = spec.grid, spec.grid.n_steps, 7
+    noise = generate_noise(grid, spec.levy, 500, 3, 1)
+    fwd = simulate_fsvie(spec, noise, ControlFn.constant(1.0, grid))
+    adj = build_adjoint_state(spec, fwd)
+    w = np.full(n + 1 - k, grid.dt)
+    w[0] = w[-1] = 0.5 * grid.dt
+    col_a = spec.alpha.d_first_at_nodes(grid)[k:, k]
+    per_path = np.zeros(fwd.n_paths)
+    for j, s in enumerate(range(k, n + 1)):
+        per_path += adj.big_p[s] / fwd.row(s) * (w[j] * col_a[j])
+    assert hamiltonian_h1(k, 1.3, fwd, adj, spec) == mean_se(per_path * 1.3)
 
 
 def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):

@@ -300,7 +300,9 @@ def test_log_state_matches_exponentiated_engine(initial, size, weight, gamma, se
     with pytest.raises(PositivityBreachError) as breach:
         simulate_fsvie(spec, noise, forty)
     old = _exp_of_summed_log_factors(spec, noise, forty, n)
-    path, node = np.argwhere(old <= POSITIVITY_FLOOR)[0]
+    low = old.argmin(axis=0)
+    node = np.flatnonzero(old[low, np.arange(n + 1)] <= POSITIVITY_FLOOR)[0]
+    path = low[node]
     assert (breach.value.path, breach.value.node) == (path, node)
     assert math.isclose(breach.value.value, old[path, node], rel_tol=1e-12)
 
@@ -355,6 +357,40 @@ def test_mean_oracle_reads_alpha_one_row_at_a_time(alpha):
     np.testing.assert_array_equal(m, forward_mean_oracle(table, control))
 
 
+def _hand_weighted_mean_oracle(scenario, control):
+    """The mean oracle with its trapezoid weights built by hand, in the
+    oracle's dot order: the reference for the shared weights helper."""
+    grid = scenario.grid
+    n, dt = grid.n_steps, grid.dt
+    c, xi, alpha = control.values(grid), scenario.initial_at_nodes, scenario.alpha.at_nodes(grid)
+    m = np.empty(n + 1)
+    m[0] = xi[0]
+    for i in range(1, n + 1):
+        coeff = alpha[i, : i + 1].copy()
+        coeff[:i] -= c[:i]
+        if i < n:
+            coeff[i] -= c[i]
+            w = np.full(i + 1, dt)
+            w[0] = w[i] = 0.5 * dt
+            m[i] = (xi[i] + float(np.dot(w[:i], coeff[:i] * m[:i]))) / (1.0 - w[i] * coeff[i])
+        else:
+            w = np.full(i, dt)
+            w[0] = 0.5 * dt
+            w[i - 1] = 1.5 * dt
+            m[i] = xi[i] + float(np.dot(w, coeff[:i] * m[:i]))
+    return m
+
+
+@pytest.mark.parametrize("alpha", [{"kind": "exp_decay", "amplitude": 0.3, "rate": 2.0},
+                                   {"kind": "table", "values": list(np.linspace(-0.2, 0.4, 231))}])
+def test_mean_oracle_weights_are_the_hand_built_trapezoid(alpha):
+    spec = make_scenario(grid={"horizon": 1.0, "n_steps": 20}, alpha_kernel=alpha,
+                         initial=list(np.linspace(1.0, 2.0, 21)))
+    control = ControlFn.table(np.linspace(0.5, 1.5, 20))
+    np.testing.assert_array_equal(forward_mean_oracle(spec, control),
+                                  _hand_weighted_mean_oracle(spec, control))
+
+
 def test_weak_error_shrinks_first_order():
     errors = []
     for n in (25, 50, 100, 200):
@@ -386,16 +422,19 @@ def test_positivity_breach_aborts_with_location():
     assert err.value.path >= 0 and err.value.node > 0
 
 
-def test_breach_reports_the_first_path_major_entry():
-    # the first breach in path order, not in node order: with node-major
-    # storage the two differ here, and the report must not change with it
+def test_breach_reports_the_lowest_path_at_the_first_node():
+    # the first node whose lowest path reaches the floor, and that path; the
+    # first breach in path order (the lowest path that ever breaches, at its
+    # first breaching node) is another entry here
     spec = make_scenario(beta_kernel={"kind": "constant", "value": 6.0})
     noise = noise_for(spec, n_paths=2000, seed=0)
     one = ControlFn.constant(1.0, spec.grid)
-    log_x = _collected_log_x(spec, noise, one.step_integrals(spec.grid), spec.grid.n_steps)
-    bad = np.ascontiguousarray(log_x) <= np.log(POSITIVITY_FLOOR)
-    path, node = np.argwhere(bad)[0]
-    assert tuple(np.argwhere(bad.T)[0][::-1]) != (path, node)
+    n = spec.grid.n_steps
+    log_x = _collected_log_x(spec, noise, one.step_integrals(spec.grid), n)
+    bad = log_x <= np.log(POSITIVITY_FLOOR)
+    node = np.flatnonzero(bad.any(axis=0))[0]
+    path = np.flatnonzero(log_x[:, node] == log_x[:, node].min())[0]
+    assert tuple(np.argwhere(np.ascontiguousarray(bad))[0]) != (path, node)
     with pytest.raises(PositivityBreachError) as err:
         simulate_fsvie(spec, noise, one)
     assert (err.value.path, err.value.node) == (path, node)
