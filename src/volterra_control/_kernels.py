@@ -61,7 +61,9 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None, l
     c : (n_steps,) consumption values at left nodes.
     db : (N, n_steps) Brownian increments.
     p_nodes : (m, n_nodes, n_nodes) jump kernel matrices (m may be 0).
-    cj : (m, N, n_steps) compensated jump counts (count - w*dt).
+    cj : (m, N, n_steps) compensated jump counts (count - w*dt), as
+        ``NoiseBundle.compensated_rows`` makes them for the steps swept; the
+        sweep reads one node's ``cj[:, :, j]`` at a time.
     dt : step size.
     out : optional (n_nodes, N) C-ordered array the state is written into.
     lift : optional ``2 + m`` ``(amplitude, rate)`` pairs, for alpha, beta

@@ -13,8 +13,9 @@ and ``gateaux_derivative`` estimates directional derivatives by a central
 difference under common random numbers.  ``hamiltonian_h1`` is the memory
 part of the Hamiltonian (kernel time-derivatives against projected adjoint
 gradients).  Projection is linear, so it contracts the gradients with their
-quadrature weights first, reading the state one node row at a time, and then
-projects one column per noise direction.
+quadrature weights first, reading the state one node row at a time and each
+noise direction's first variation as ``first_variation`` hands it out, and
+then projects one column per noise direction.
 
 For time-invariant kernels the exact engine gives
 
@@ -361,9 +362,12 @@ def hamiltonian_h1(
     Brownian direction and the exact difference ``P/(X + dX) - P/X`` for a
     jump.  Conditional expectation is linear, so each gradient is contracted
     with its quadrature weights first, one node row of ``X`` and of the first
-    variations at a time, and the ``(N, 1 + m)`` block of contracted
-    gradients is projected once onto the information at ``t``.  Zero exactly
-    when every kernel is constant in its first argument.
+    variation at a time, as ``first_variation`` hands out each noise
+    direction, so no second direction is ever held; the ``(N, 1 + m)`` block
+    of contracted gradients is then projected once onto the information at
+    ``t``.  Both ``adjoint.fwd`` and, when there are gradient terms, ``fwd``
+    must reach the horizon.  Zero exactly when every kernel is constant in
+    its first argument.
     """
     grid = scenario.grid
     n = grid.n_steps
@@ -381,6 +385,8 @@ def hamiltonian_h1(
         raise ValidationError("memory Hamiltonian needs paths through the horizon")
     if gradients and (noise is None or control is None or fwd is None):
         raise ValidationError("kernel time-derivative terms need noise, control and paths")
+    if gradients and fwd.last_node < n:
+        raise ValidationError("kernel time-derivative terms need paths through the horizon")
     # trapezoid weights on [t_k, T]
     w = trapezoid_weights(n + 1 - k, grid.dt)
     big_p = adjoint.big_p
@@ -389,17 +395,24 @@ def hamiltonian_h1(
         per_path += big_p[s] / adjoint.fwd.row(s) * (w[j] * col_a[j])
 
     if gradients:
-        fv = first_variation(scenario, noise, control, fwd, k)
         # weights of the Brownian column and, scaled by w_q, of each jump column
         weights = np.stack([w * col_b] + [
             wq * w * col for wq, col in zip(scenario.levy.weights, cols_p)
         ])
         block = np.zeros((fwd.n_paths, len(weights)), order="F")
-        for j, s in enumerate(range(k, n + 1)):
-            x_s, p_s = fwd.row(s), big_p[s]
-            block[:, 0] += -p_s * fv.brownian[:, s] / x_s**2 * weights[0, j]
-            for q, jump in enumerate(fv.jump, start=1):
-                block[:, q] += (p_s / (x_s + jump[:, s]) - p_s / x_s) * weights[q, j]
+
+        def contract(direction: int, rows: np.ndarray) -> None:
+            # rows[j] is the first variation at node k + j; the direction's
+            # gradient of p is contracted into its column, row by row
+            col = block[:, direction]
+            for j, s in enumerate(range(k, n + 1)):
+                x_s, p_s = fwd.row(s), big_p[s]
+                if direction == 0:
+                    col += -p_s * rows[j] / x_s**2 * weights[0, j]
+                else:
+                    col += (p_s / (x_s + rows[j]) - p_s / x_s) * weights[direction, j]
+
+        first_variation(scenario, noise, control, fwd, k, contract)
         engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
         per_path += engine.project(k, block).sum(axis=1)
     per_path *= x

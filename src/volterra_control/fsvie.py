@@ -13,7 +13,8 @@ There are two stepping engines, and the kernels choose between them:
   of ``log X``: ``simulate_fsvie`` collects its rows, and one-pass readers
   (the control-free utility leg, C8) read them as they pass.  ``X`` is
   exponentiated only when a caller asks for ``ForwardPaths.values`` (or,
-  one node at a time, ``.row``).
+  one node at a time, ``.row``).  ``_log_row_means`` gives the exact mean
+  of each row, the bias-free reference of the engine's Monte Carlo means.
 
 * the sum (``_simulate_volterra``) -- the general left-point scheme for genuinely two-time
   kernels: every node value is the full triangular sum
@@ -30,7 +31,12 @@ There are two stepping engines, and the kernels choose between them:
 The first variations at ``t_k`` solve the same linear recursion with a
 source that is zero before ``t_k``, so each runs only on the sub-triangle of
 nodes from ``t_k`` on.  A kernel of ``t - s`` alone is the same kernel there,
-so the sub-triangle keeps the lift.
+so the sub-triangle keeps the lift.  ``first_variation`` hands them out one
+noise direction at a time, in one reused buffer.  Each sweep runs on the
+kernel's unit source column, broadcast over paths: the recursion is linear
+and ``X(t_k)`` is constant on each path, so the buffer is then scaled by
+``X(t_k)`` in place, and no per-path source is formed.  Each sweep
+compensates only the jump counts of the steps it reads, for that call.
 
 ``simulate_fsvie`` runs the exact engine exactly when the scenario is
 time-invariant (constant initial level included), and the sum otherwise.
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,7 +64,6 @@ from .paths import NoiseBundle
 __all__ = [
     "PositivityBreachError",
     "ForwardPaths",
-    "FirstVariation",
     "simulate_fsvie",
     "forward_mean_oracle",
     "first_variation",
@@ -114,22 +119,6 @@ class ForwardPaths:
     @property
     def last_node(self) -> int:
         return self.state.shape[1] - 1
-
-
-@dataclass(frozen=True, eq=False)
-class FirstVariation:
-    """Pathwise derivatives of the state with respect to the noise at ``t_k``.
-
-    ``brownian[p, i]`` approximates the derivative of ``X(t_i)`` with respect
-    to a Brownian perturbation at ``t_k``; ``jump[m, p, i]`` the response to
-    one extra jump of atom ``m`` at ``t_k``.  Both vanish for ``i < k``.
-    Both are stored node-major, as the state is.
-    """
-
-    grid: TimeGrid
-    node: int
-    brownian: np.ndarray  # (n_paths, n_nodes), node-major in memory
-    jump: np.ndarray  # (n_atoms, n_paths, n_nodes), node-major in memory
 
 
 def _check_control_admissible(c_vals: np.ndarray) -> None:
@@ -217,6 +206,26 @@ def _log_rows(
         yield row
 
 
+def _log_row_means(scenario: ScenarioSpec, c_int: np.ndarray, last: int) -> np.ndarray:
+    """The exact means ``E[log X(t_i)]``, ``i = 0 .. last``, of the rows
+    ``_log_rows`` hands out for the step integrals ``c_int``:
+
+        log xi + i (alpha - beta^2 / 2 + sum_q w_q (log1p pi_q - pi_q)) dt - C_i,
+
+    with the spend ``C_i = sum_{j<i} c_int_j``.  Each step's Brownian factor
+    has mean zero and each count mean ``w_q dt``, so this is the grid's own
+    reference for the engine's Monte Carlo means, with no discretization gap.
+    """
+    if not scenario.time_invariant:
+        raise ValidationError("the exact engine needs time-invariant kernels")
+    dt, beta, pi = scenario.grid.dt, scenario.beta(0.0, 0.0), scenario.pi_values()
+    rate = scenario.alpha(0.0, 0.0) - 0.5 * beta * beta + float(
+        np.dot(scenario.levy.weights, np.log1p(pi) - pi))
+    spent = np.zeros(last + 1)
+    np.cumsum(c_int[:last], out=spent[1:])
+    return np.log(float(scenario.initial)) + np.arange(last + 1) * (rate * dt) - spent
+
+
 def _kernel_matrices(
     scenario: ScenarioSpec, last: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
@@ -243,7 +252,7 @@ def _simulate_volterra(
     )
     return volterra_sweep(
         source, a_nodes, c_vals[:last], b_nodes, noise.d_brownian[:, :last],
-        p_nodes, noise.compensated_counts[:, :, :last], scenario.grid.dt, lift=lift,
+        p_nodes, noise.compensated_rows(steps=slice(last)), scenario.grid.dt, lift=lift,
     )
 
 
@@ -287,15 +296,25 @@ def first_variation(
     control: ControlFn,
     fwd: ForwardPaths,
     node: int,
+    consume: Callable[[int, np.ndarray], None],
     include_diagonal: bool = True,
-) -> FirstVariation:
-    """Linearized response of the state to a noise perturbation at ``t_k``.
+) -> None:
+    """Linearized response of the state to a noise perturbation at ``t_k``,
+    handed to ``consume`` one noise direction at a time.
 
     Solves the linear two-time recursion obtained by differentiating the
     state equation: the Brownian direction starts from
     ``beta(t_i, t_k) X(t_k)`` and the jump direction of atom ``m`` from
     ``pi_m(t_i, t_k) X(t_k)``; both propagate through the same triangular
     dynamics as the state itself.  Values vanish for ``i < k``.
+
+    ``consume(direction, rows)`` is called for direction 0, the Brownian
+    one, then ``1 + m`` for atom ``m = 0 .. n_atoms - 1``.  ``rows`` is
+    node-major, shape ``(last + 1 - start, n_paths)`` with ``last =
+    fwd.last_node``: ``rows[j]`` is the response at node ``start + j``, where
+    ``start`` is ``k`` with the diagonal and ``k + 1`` without.  It is one
+    buffer, reused for every direction: read it before returning, and keep
+    no reference to it.
 
     ``include_diagonal`` keeps the left-limit convention (the response at the
     differentiation node itself is ``beta(t_k, t_k) X(t_k)``); with it off
@@ -313,27 +332,20 @@ def first_variation(
     last = fwd.last_node
 
     a_nodes, b_nodes, p_nodes, lift = _kernel_matrices(scenario, last)
-    xk = fwd.row(k)
-    # The source, and with it the state, is zero below ``start``: sweep only
-    # the sub-triangle of nodes ``start .. last``.
+    # The source, and with it the response, is zero below ``start``: sweep
+    # only the sub-triangle of nodes ``start .. last``.
     start = k if include_diagonal else k + 1
     a_sub, b_sub = a_nodes[start:, start:], b_nodes[start:, start:]
     p_sub = p_nodes[:, start:, start:]
     c_sub = control.values(grid)[start:last]
     db = noise.d_brownian[:, start:last]
-    cj = noise.compensated_counts[:, :, start:last]
-
-    def run(source_col: np.ndarray, out: np.ndarray) -> None:
-        # out is node-major (last + 1, N): the sweep fills its rows from
-        # ``start`` on in place, and the rows below stay zero
-        source = source_col[start:, None] * xk[None, :]
-        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt,
-                       out=out[start:], lift=lift)
-
-    brown = np.zeros((last + 1, fwd.n_paths))
-    run(b_nodes[:, k], brown)
-    jumps = np.zeros((scenario.n_atoms, last + 1, fwd.n_paths))
-    for q in range(scenario.n_atoms):
-        run(p_nodes[q, :, k], jumps[q])
-    return FirstVariation(grid=grid, node=k, brownian=brown.T, jump=jumps.transpose(0, 2, 1))
-
+    cj = noise.compensated_rows(steps=slice(start, last))
+    xk = fwd.row(k)
+    rows = np.empty((last + 1 - start, fwd.n_paths))
+    for direction, col in enumerate([b_nodes[:, k], *p_nodes[:, :, k]]):
+        # linear in the source, and X(t_k) is constant on each path: sweep
+        # the unit source column, then scale by X(t_k)
+        source = np.broadcast_to(col[start:, None], rows.shape)
+        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt, out=rows, lift=lift)
+        rows *= xk
+        consume(direction, rows)

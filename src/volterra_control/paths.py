@@ -100,8 +100,8 @@ class NoiseBundle:
     and read through the path-major shapes below (see the module docstring):
     ``d_brownian[:, i]`` and ``jump_counts[q, :, i]`` are contiguous rows.
     Arrays passed in another layout, as ``dataclasses.replace`` may pass
-    them, are stored node-major on construction.  The derived arrays are
-    cached; treat them as read-only.
+    them, are stored node-major on construction.  The levels are cached;
+    treat them as read-only.
     """
 
     grid: TimeGrid
@@ -143,19 +143,17 @@ class NoiseBundle:
             np.add(levels[:, i], self.jump_counts[:, :, i], out=levels[:, i + 1])
         return levels.transpose(0, 2, 1)
 
-    @cached_property
-    def compensated_counts(self) -> np.ndarray:
-        """Per-step compensated counts ``count - w_m * dt``, shape (m, n_paths, n_steps)."""
-        return self.compensated_rows(slice(None))
+    def compensated_rows(
+        self, rows: slice = slice(None), steps: slice = slice(None)
+    ) -> np.ndarray:
+        """Compensated counts ``count - w_m * dt`` on the paths ``rows`` and
+        the steps ``steps``, shape ``(m, n_rows, n_taken_steps)``, node-major.
 
-    def compensated_rows(self, rows: slice) -> np.ndarray:
-        """``compensated_counts[:, rows]``, computed without the whole array.
-
-        Not cached: readers that need one sum over the steps call it one
-        chunk of paths at a time.
+        Not cached: each reader compensates only the paths and steps it
+        reads, for that call, so no float copy of the counts outlives it.
         """
         comp = self.levy.weights[:, None, None] * self.grid.dt
-        counts = self.jump_counts.transpose(0, 2, 1)[:, :, rows]
+        counts = self.jump_counts.transpose(0, 2, 1)[:, steps, rows]
         return np.subtract(counts, comp, dtype=float).transpose(0, 2, 1)
 
 

@@ -2,10 +2,12 @@ import os
 import pathlib
 import threading
 
+import numpy as np
 import pytest
 
 from volterra_control import acceptance, cli, control, paths
 from volterra_control.cli import load_config
+from volterra_control.fsvie import first_variation
 from volterra_control.paths import generate_noise
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -26,6 +28,28 @@ def s0_small(s0):
 def s0_noise(s0_small):
     spec = s0_small
     return generate_noise(spec.grid, spec.levy, spec.mc.n_paths, spec.mc.seed, spec.mc.n_blocks)
+
+
+@pytest.fixture(scope="session")
+def directions():
+    """``directions(scenario, noise, control, fwd, node, include_diagonal=True)``
+    collects the first variations ``first_variation`` hands out, Brownian
+    first, each copied into a path-major ``(n_paths, last_node + 1)`` array
+    that is zero at the nodes below the rows handed out."""
+
+    def collect(scenario, noise, control, fwd, node, include_diagonal=True):
+        out = []
+
+        def consume(direction, rows):
+            assert direction == len(out)
+            full = np.zeros((fwd.last_node + 1, fwd.n_paths))
+            full[full.shape[0] - rows.shape[0]:] = rows
+            out.append(full.T)
+
+        first_variation(scenario, noise, control, fwd, node, consume, include_diagonal)
+        return out
+
+    return collect
 
 
 @pytest.fixture

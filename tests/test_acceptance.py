@@ -230,7 +230,7 @@ def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
         def tracked_consume(rows, piece):
             consume(rows, piece)
             built.append((levy.n_atoms, rows.stop - rows.start, sorted(piece.__dict__.keys() & {
-                "brownian_levels", "count_levels", "compensated_counts"})))
+                "brownian_levels", "count_levels"})))
 
         stream(grid, levy, n_paths, seed, n_blocks, tracked_consume)
 

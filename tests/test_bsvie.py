@@ -113,7 +113,7 @@ def path_family_columns(zeta, y, noise, engine, drift):
     n, dt = noise.grid.n_steps, noise.grid.dt
     n_paths, m = noise.n_paths, noise.levy.n_atoms
     zeta = np.asarray(zeta, dtype=float)
-    comp = noise.compensated_counts if m else None
+    comp = noise.compensated_rows() if m else None
     w_dt = noise.levy.weights[:, None, None] * dt if m else None
     kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
     y[:] = zeta.reshape(n + 1, -1)
@@ -566,7 +566,7 @@ def _family_step_reference(zeta, driver, frozen, noise, engine):
     n, dt = noise.grid.n_steps, noise.grid.dt
     m = noise.levy.n_atoms
     out = path_zeros(n, noise.n_paths, m)
-    comp = noise.compensated_counts
+    comp = noise.compensated_rows()
     out.y[n] = zeta[n]
     for i in range(n):
         y_run = zeta[i].copy()
@@ -722,7 +722,7 @@ def _ref_family_step(zeta, driver, frozen, noise, engine):
     n, dt = noise.grid.n_steps, noise.grid.dt
     n_paths, m = noise.n_paths, noise.levy.n_atoms
     out = path_zeros(n, n_paths, m)
-    comp = noise.compensated_counts
+    comp = noise.compensated_rows()
     w_dt = noise.levy.weights * dt
     kinds = 2 + m
     out.y[:] = zeta
@@ -916,8 +916,8 @@ def test_solve_bsvie_memory_grows_with_the_diagonal_not_the_triangle():
             RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise,
         )
         zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
-        # the regression state and the compensated counts belong to the bundle
-        noise.brownian_levels, noise.count_levels, noise.compensated_counts
+        # the regression state belongs to the bundle
+        noise.brownian_levels, noise.count_levels
         tracemalloc.start()
         try:
             solve(zeta, _reading_driver, noise, engine, tol=1e-6, max_iter=20)

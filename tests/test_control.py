@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volterra_control import _kernels
+from volterra_control import acceptance as acc
 from volterra_control import control as ctl
 from volterra_control.bsde import _utility_legs
 from volterra_control.condexp import CondExpEngine
 from volterra_control.control import (
+    PerformanceResult,
     build_adjoint_state,
     gateaux_derivative,
     hamiltonian_h1,
@@ -21,7 +24,6 @@ from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
     ForwardPaths,
     PositivityBreachError,
-    first_variation,
     simulate_fsvie,
 )
 from volterra_control.model import (
@@ -249,6 +251,22 @@ def test_performance_tracks_exact_discrete_mean(s0_small, s0_noise):
     assert abs(res.j - exact) <= 3 * res.se
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("rate", ["cstar", "one"])
+def test_exact_discrete_mean_is_the_no_jump_objective(gamma, rate):
+    spec = make_scenario(gamma=gamma)
+    control = (ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
+               if rate == "cstar" else ControlFn.constant(1.0, spec.grid))
+    # the reference evaluate-utility gates on, read off its check
+    (row,) = acc.check_utility_exact_mean(spec, control, PerformanceResult(j=0.0, se=0.0))
+    exact = row.reference
+    assert math.isclose(exact, _discrete_mean_objective(spec, control), rel_tol=1e-12)
+    if gamma == 0.0:
+        # without discounting the continuous oracle and the grid's exact
+        # mean price the same control
+        assert abs(exact - log_utility_oracle(spec, control)) < 1e-4
+
+
 def _simulated_legs(spec, control, noise):
     """The utility legs from one simulation of the state, and the size of
     their summed terms: the leg sums ``L`` and the spent ``C`` apart, so
@@ -444,6 +462,30 @@ def test_memory_hamiltonian_weights_are_the_hand_built_trapezoid():
     assert hamiltonian_h1(k, 1.3, fwd, adj, spec) == mean_se(per_path * 1.3)
 
 
+def _outer_product_first_variations(scenario, noise, control, fwd, k):
+    """The first variations at ``t_k`` with the diagonal, Brownian first,
+    each path-major ``(n_paths, last + 1)``: the whole triangle swept
+    directly, on the source ``column * X(t_k)`` from node ``k`` on."""
+    grid = scenario.grid
+    last = fwd.last_node
+    a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
+    b_nodes = scenario.beta.at_nodes(grid)[: last + 1, : last + 1]
+    p_nodes = np.zeros((scenario.n_atoms, last + 1, last + 1))
+    for q, ker in enumerate(scenario.pi_kernels):
+        p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
+    counts = noise.jump_counts[:, :, :last]
+    cj = counts - scenario.levy.weights[:, None, None] * grid.dt
+    xk = fwd.values[:, k]
+
+    def run(column):
+        source = np.zeros((last + 1, fwd.n_paths))
+        source[k:] = column[k:, None] * xk[None, :]
+        return _kernels.volterra_sweep(source, a_nodes, control.values(grid)[:last], b_nodes,
+                                       noise.d_brownian[:, :last], p_nodes, cj, grid.dt)
+
+    return [run(b_nodes[:, k])] + [run(p_nodes[q, :, k]) for q in range(scenario.n_atoms)]
+
+
 def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
     """Projected stochastic gradients of the adjoint ratio ``p = P / X``,
     one projected column per node and direction.
@@ -453,10 +495,11 @@ def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
     jump direction the exact difference ``P/(X + dX) - P/X`` is used.  Both
     are projected onto the information at the differentiation node.  Keys:
     ``brownian`` (n_paths, n_nodes) and ``jump`` (n_atoms, n_paths, n_nodes);
-    columns before the node are zero.
+    columns before the node are zero.  The first variations come from
+    ``_outer_product_first_variations``, not from ``first_variation``.
     """
     k = int(node)
-    fv = first_variation(scenario, noise, control, fwd, k)
+    brownian, *jumps = _outer_product_first_variations(scenario, noise, control, fwd, k)
     last = fwd.last_node
     x = fwd.values
     big_p = adjoint.big_p[: last + 1]
@@ -468,10 +511,10 @@ def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
     width = last + 1 - k
     p_tail, x_tail = big_p[None, cols], x[:, cols]
     block = np.empty((n_paths, (1 + m) * width), order="F")
-    block[:, :width] = -p_tail * fv.brownian[:, cols] / x_tail**2
+    block[:, :width] = -p_tail * brownian[:, cols] / x_tail**2
     for q in range(m):
         block[:, (q + 1) * width:(q + 2) * width] = (
-            p_tail / (x_tail + fv.jump[q][:, cols]) - p_tail / x_tail
+            p_tail / (x_tail + jumps[q][:, cols]) - p_tail / x_tail
         )
     block = engine.project(k, block)
     out_b = np.zeros((n_paths, last + 1))
@@ -554,34 +597,39 @@ def test_memory_hamiltonian_matches_project_then_contract(
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * want[1] * np.sqrt(n_paths))
 
 
-def test_memory_hamiltonian_holds_no_path_array_but_the_first_variation(monkeypatch):
-    # an (N, n+1) array of P/X, of the gradients or of their projections
-    # would break the bound; the first variation's output and work space
-    # are not counted
+@pytest.mark.parametrize("k", [0, 20])
+def test_memory_hamiltonian_peak_is_one_direction_and_its_counts(k):
+    # the whole call, sweeps included: the first variation handed out one
+    # direction at a time (one (n + 1 - k, N) buffer) and the compensated
+    # counts of the steps it sweeps.  Two directions held at once, an
+    # outer-product source, or an (N, n+1) array of P/X or of the
+    # gradients would break the bound.
     spec = _h1_scenario(40, 5000, 7, "exp_decay", 1, "full")
     noise = generate_noise(spec.grid, spec.levy, 5000, 7, 1)
     one = ControlFn.constant(1.0, spec.grid)
     fwd = simulate_fsvie(spec, noise, one)
     adj = build_adjoint_state(spec, fwd)
-    hamiltonian_h1(0, 1.0, fwd, adj, spec, noise, one)  # first-call imports
-    marks = {}
-
-    def measured_first_variation(*args):
-        marks["before"] = tracemalloc.get_traced_memory()[1]
-        fv = first_variation(*args)
-        marks["held"] = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        return fv
-
-    monkeypatch.setattr(ctl, "first_variation", measured_first_variation)
+    hamiltonian_h1(k, 1.0, fwd, adj, spec, noise, one)  # first-call imports
     tracemalloc.start()
     try:
-        hamiltonian_h1(0, 1.0, fwd, adj, spec, noise, one)
-        after = tracemalloc.get_traced_memory()[1] - marks["held"]
+        hamiltonian_h1(k, 1.0, fwd, adj, spec, noise, one)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    path_array = fwd.state.nbytes
-    assert marks["before"] < 0.25 * path_array and after < 0.25 * path_array
+    direction = (spec.grid.n_steps + 1 - k) * 5000 * 8
+    assert peak < 2.75 * direction
+
+
+def test_memory_hamiltonian_rejects_gradient_paths_short_of_the_horizon():
+    # the adjoint reaches the horizon but the paths the first variations
+    # run on stop a node short: a ValidationError, not an IndexError
+    spec = _h1_scenario(20, 400, 3, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 400, 3, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    adj = build_adjoint_state(spec, simulate_fsvie(spec, noise, one))
+    short = simulate_fsvie(spec, noise, one, through_node=19)
+    with pytest.raises(ValidationError, match="through the horizon"):
+        hamiltonian_h1(5, 1.0, short, adj, spec, noise, one)
 
 
 def test_adjoint_gradient_projection_matches_shortcut(s0_small):

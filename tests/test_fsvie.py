@@ -13,6 +13,7 @@ from volterra_control.fsvie import (
     POSITIVITY_FLOOR,
     ForwardPaths,
     PositivityBreachError,
+    _log_row_means,
     _log_rows,
     _simulate_volterra,
     first_variation,
@@ -465,17 +466,36 @@ def test_negative_control_rejected():
         simulate_fsvie(spec, noise, ControlFn.constant(-0.5, spec.grid))
 
 
+def test_log_row_means_are_the_exact_engine_means():
+    # with jumps and a time-varying spend: every node's Monte Carlo mean of
+    # log X within 4 SE of its exact mean, and node 0 exact
+    spec = make_scenario(**JUMPY)
+    noise = noise_for(spec, n_paths=20_000)
+    control = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
+    c_int = control.step_integrals(spec.grid)
+    n = spec.grid.n_steps
+    want = _log_row_means(spec, c_int, n - 1)
+    log_x = simulate_fsvie(spec, noise, control, through_node=n - 1).state
+    mean = log_x.mean(axis=0)
+    se = log_x.std(axis=0, ddof=1) / math.sqrt(noise.n_paths)
+    assert want[0] == mean[0] == 0.0
+    assert np.all(np.abs(mean[1:] - want[1:]) <= 4.0 * se[1:])
+    with pytest.raises(ValidationError):
+        _log_row_means(make_scenario(
+            alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0}), c_int, n - 1)
+
+
 # --------------------------------------------------------------------------- #
 # first variation
 # --------------------------------------------------------------------------- #
 
-def test_first_variation_is_pathwise_derivative_of_arithmetic_engine():
+def test_first_variation_is_pathwise_derivative_of_arithmetic_engine(directions):
     spec = make_scenario(**JUMPY)
     noise = noise_for(spec, n_paths=64)
     one = ControlFn.constant(1.0, spec.grid)
     fwd = ForwardPaths(grid=spec.grid, state=euler_sum(spec, noise, one), log_state=False)
     k = 30
-    fv = first_variation(spec, noise, one, fwd, k, include_diagonal=False)
+    brownian = directions(spec, noise, one, fwd, k, include_diagonal=False)[0]
     h = 1e-6
     bumped_up = noise.d_brownian.copy()
     bumped_up[:, k] += h
@@ -486,36 +506,63 @@ def test_first_variation_is_pathwise_derivative_of_arithmetic_engine():
     up = dataclasses.replace(noise, d_brownian=bumped_up)
     dn = dataclasses.replace(noise, d_brownian=bumped_dn)
     fd = (euler_sum(spec, up, one) - euler_sum(spec, dn, one)) / (2 * h)
-    assert np.max(np.abs(fd - fv.brownian)) < 1e-7
+    assert np.max(np.abs(fd - brownian)) < 1e-7
 
 
 def test_first_variation_vanishes_before_the_node():
-    spec = make_scenario()
+    # the rows handed out start at the node (one later without the
+    # diagonal): nothing before it is formed
+    spec = make_scenario(**JUMPY)
     noise = noise_for(spec, n_paths=32)
     one = ControlFn.constant(1.0, spec.grid)
     fwd = simulate_fsvie(spec, noise, one)
-    fv = first_variation(spec, noise, one, fwd, 40)
-    assert np.all(fv.brownian[:, :40] == 0.0)
+    for diagonal, start in ((True, 40), (False, 41)):
+        shapes = []
+        first_variation(spec, noise, one, fwd, 40, lambda d, rows: shapes.append(rows.shape),
+                        include_diagonal=diagonal)
+        assert shapes == [(101 - start, 32)] * (1 + spec.n_atoms)
 
 
-def test_first_variation_ratio_recovers_diffusion_loading(s0_small, s0_noise):
+def test_first_variation_ratio_recovers_diffusion_loading(s0_small, s0_noise, directions):
     one = ControlFn.constant(1.0, s0_small.grid)
     fwd = simulate_fsvie(s0_small, s0_noise, one)
-    fv = first_variation(s0_small, s0_noise, one, fwd, 25)
-    ratio = fv.brownian[:, 25:] / fwd.values[:, 25:]
+    (brownian,) = directions(s0_small, s0_noise, one, fwd, 25)
+    ratio = brownian[:, 25:] / fwd.values[:, 25:]
     assert abs(ratio.mean() - 0.2) < 2e-3
     assert np.max(np.abs(ratio - 0.2)) < 0.02
 
 
-def test_first_variation_jump_direction():
+def test_first_variation_jump_direction(directions):
     spec = make_scenario(levy={"atoms": [[-0.1, 0.5]]},
                          pi_kernels=[{"kind": "constant", "value": -0.1}])
     noise = noise_for(spec, n_paths=256)
     one = ControlFn.constant(1.0, spec.grid)
     fwd = simulate_fsvie(spec, noise, one)
-    fv = first_variation(spec, noise, one, fwd, 10)
-    ratio = fv.jump[0][:, 10:] / fwd.values[:, 10:]
+    _, jump = directions(spec, noise, one, fwd, 10)
+    ratio = jump[:, 10:] / fwd.values[:, 10:]
     assert abs(ratio.mean() + 0.1) < 2e-3
+
+
+def test_first_variation_hands_out_the_directions_in_order():
+    # Brownian, then atom 0 .. m - 1, all in one reused buffer
+    spec = make_scenario(**JUMPY)
+    noise = noise_for(spec, n_paths=16)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    seen = []
+    first_variation(spec, noise, one, fwd, 20, lambda d, rows: seen.append((d, id(rows))))
+    assert [d for d, _ in seen] == list(range(1 + spec.n_atoms)) and spec.n_atoms == 2
+    assert len({buffer for _, buffer in seen}) == 1
+
+
+def test_first_variation_without_atoms_hands_out_the_brownian_direction_alone():
+    spec = make_scenario()
+    noise = noise_for(spec, n_paths=16)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    seen = []
+    first_variation(spec, noise, one, fwd, 20, lambda d, rows: seen.append(d))
+    assert seen == [0]
 
 
 def test_first_variation_rejects_terminal_node():
@@ -523,4 +570,5 @@ def test_first_variation_rejects_terminal_node():
     noise = noise_for(spec, n_paths=8)
     fwd = simulate_fsvie(spec, noise, ControlFn.constant(1.0, spec.grid))
     with pytest.raises(ValidationError):
-        first_variation(spec, noise, ControlFn.constant(1.0, spec.grid), fwd, 100)
+        first_variation(spec, noise, ControlFn.constant(1.0, spec.grid), fwd, 100,
+                        lambda direction, rows: None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from volterra_control import _kernels, fsvie
 from volterra_control.controls import ControlFn
-from volterra_control.fsvie import FirstVariation, first_variation, simulate_fsvie
+from volterra_control.fsvie import first_variation, simulate_fsvie
 from volterra_control.model import Kernel, build_time_grid, validate_scenario
 from volterra_control.paths import generate_noise
 
@@ -71,7 +71,9 @@ def test_sweep_matches_direct_recursion_across_blocks(n_atoms, n_paths, n_nodes,
 # --------------------------------------------------------------------------- #
 
 def _full_triangle_first_variation(scenario, noise, control, fwd, k, include_diagonal):
-    """Every sweep over the whole triangle, with the source zero below ``start``."""
+    """Every sweep over the whole triangle, with the outer-product source
+    ``column * X(t_k)`` zero below ``start``: the Brownian direction, then
+    one per atom, each node-major ``(last + 1, n_paths)``."""
     grid = scenario.grid
     last = fwd.last_node
     a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
@@ -80,7 +82,7 @@ def _full_triangle_first_variation(scenario, noise, control, fwd, k, include_dia
     p_nodes = np.zeros((m, last + 1, last + 1))
     for q, ker in enumerate(scenario.pi_kernels):
         p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
-    cj = noise.compensated_counts[:, :, :last]
+    cj = noise.compensated_rows()[:, :, :last]
     c_vals = control.values(grid)[:last]
     db = noise.d_brownian[:, :last]
     xk = fwd.values[:, k]
@@ -89,12 +91,10 @@ def _full_triangle_first_variation(scenario, noise, control, fwd, k, include_dia
     def run(source_col):
         source = np.zeros((last + 1, fwd.n_paths))
         source[start:, :] = source_col[start:, None] * xk[None, :]
-        return _kernels.volterra_sweep(source, a_nodes, c_vals, b_nodes, db, p_nodes, cj, grid.dt)
+        return _kernels.volterra_sweep(
+            source, a_nodes, c_vals, b_nodes, db, p_nodes, cj, grid.dt).T
 
-    jumps = np.zeros((m, fwd.n_paths, last + 1))
-    for q in range(m):
-        jumps[q] = run(p_nodes[q][:, k])
-    return FirstVariation(grid=grid, node=k, brownian=run(b_nodes[:, k]), jump=jumps)
+    return [run(b_nodes[:, k])] + [run(p_nodes[q][:, k]) for q in range(m)]
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +123,21 @@ def two_time_case():
 @pytest.mark.parametrize("include_diagonal", [True, False])
 @pytest.mark.parametrize("k", [0, 68, 69])
 def test_first_variation_matches_full_triangle(two_time_case, k, include_diagonal):
+    # each direction's rows, swept on the unit source and scaled by X(t_k),
+    # against the whole triangle swept on the outer-product source
     spec, noise, control, fwd = two_time_case
-    got = first_variation(spec, noise, control, fwd, k, include_diagonal)
     want = _full_triangle_first_variation(spec, noise, control, fwd, k, include_diagonal)
     start = k if include_diagonal else k + 1
-    assert not got.brownian[:, :start].any() and not got.jump[:, :, :start].any()
-    np.testing.assert_allclose(got.brownian, want.brownian, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(got.jump, want.jump, rtol=1e-12, atol=1e-14)
+    got = []
+
+    def consume(direction, rows):
+        assert rows.shape == (fwd.last_node + 1 - start, fwd.n_paths)
+        np.testing.assert_allclose(rows, want[direction][start:], rtol=1e-12, atol=1e-14)
+        got.append(direction)
+
+    first_variation(spec, noise, control, fwd, k, consume, include_diagonal)
+    assert got == [0, 1, 2]
+    assert not any(w[:start].any() for w in want)
 
 
 # --------------------------------------------------------------------------- #
@@ -274,7 +282,7 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
 
     monkeypatch.setattr(fsvie, "volterra_sweep", spy)
     fwd = simulate_fsvie(spec, noise, one)
-    first_variation(spec, noise, one, fwd, 7)
+    first_variation(spec, noise, one, fwd, 7, lambda direction, rows: None)
     assert len(lifts) == 1 + 1 + spec.n_atoms
     if table is None:
         assert lifts == [((0.05, 1.5), (0.2, 0.7), (-0.1, 0.5), (0.25, 0.0))] * len(lifts)
@@ -284,6 +292,6 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
     assert lift is None
     want = _kernels.volterra_sweep(
         np.ones((n + 1, noise.n_paths)), a, one.values(spec.grid)[:n], b,
-        noise.d_brownian, p, noise.compensated_counts, spec.grid.dt,
+        noise.d_brownian, p, noise.compensated_rows(), spec.grid.dt,
     )
     np.testing.assert_array_equal(fwd.state, want)

@@ -300,8 +300,8 @@ def test_chunked_compensation_equals_the_whole_array():
     noise = make_noise(n_steps=30, n_paths=2500, seed=15, levy=levy)
     f = JumpIntegral(lambda t, e: e * (1.0 + t))
     vals = f._values(noise)
-    assert np.array_equal(f.evaluate(noise),
-                          np.einsum("ms,mps->p", vals, noise.compensated_counts))
+    comp = noise.compensated_rows()
+    assert np.array_equal(f.evaluate(noise), np.einsum("ms,mps->p", vals, comp))
 
     def phi(i, q, _c):
         return 1.0 + 0.1 * i - 0.2 * q
@@ -311,7 +311,7 @@ def test_chunked_compensation_equals_the_whole_array():
     lhs = np.zeros(noise.n_paths)
     for q in range(2):
         for i in range(noise.n_steps):
-            lhs += phi(i, q, None) * noise.compensated_counts[q, :, i]
+            lhs += phi(i, q, None) * comp[q, :, i]
     lhs *= f_vals
     assert res.lhs == float(lhs.mean())
 
@@ -319,11 +319,11 @@ def test_chunked_compensation_equals_the_whole_array():
 def _cached_levels_duality_jump(f, phi, noise, pieces):
     """An unprojected ``verify_duality_jump`` on the cached levels of a
     ``generate_noise`` bundle: ``phi`` reads the cached ``count_levels``, the
-    left side the cached ``compensated_counts``, and the right-hand samples
+    left side the whole ``compensated_rows()``, and the right-hand samples
     are ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  Both sides sum
     node by node, the atoms inside each node, as the verifier does."""
     n_paths = noise.n_paths
-    counts = noise.count_levels
+    counts, comp = noise.count_levels, noise.compensated_rows()
     f_vals = _per_piece(f.evaluate, pieces)
     w_t = time_quadrature_weights(noise.grid)
     lhs_samples = np.zeros(n_paths)
@@ -331,7 +331,7 @@ def _cached_levels_duality_jump(f, phi, noise, pieces):
     for i in range(noise.n_steps):
         for q in range(noise.levy.n_atoms):
             phi_i = np.broadcast_to(phi(i, q, counts[:, :, i]), (n_paths,))
-            lhs_samples += phi_i * noise.compensated_counts[q, :, i]
+            lhs_samples += phi_i * comp[q, :, i]
             d_f = _per_piece(lambda piece: f.evaluate_with_jump(piece, i, q), pieces) - f_vals
             rhs_samples += phi_i * d_f * noise.levy.weights[q] * w_t[i]
     lhs_samples *= f_vals
@@ -488,7 +488,7 @@ def test_integral_memo_never_serves_another_bundle(monkeypatch):
     assert np.array_equal(wiener.evaluate(second), second.d_brownian @ np.ones(20))
     assert np.array_equal(
         jump.evaluate(second),
-        np.einsum("ms,mps->p", np.ones((1, 20)), second.compensated_counts),
+        np.einsum("ms,mps->p", np.ones((1, 20)), second.compensated_rows()),
     )
 
 

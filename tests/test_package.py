@@ -287,17 +287,20 @@ def test_every_per_node_array_is_node_major():
         "jump_counts": noise.jump_counts,
         "brownian_levels": noise.brownian_levels,
         "count_levels": noise.count_levels,
-        "compensated_counts": noise.compensated_counts,
-        "compensated_rows": noise.compensated_rows(slice(3, 40)),
+        "compensated_rows": noise.compensated_rows(),
+        "compensated_rows.part": noise.compensated_rows(slice(3, 40), slice(2, 9)),
     }
     two_time = _layout_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
     for engine, scenario in (("exact", spec), ("sum", two_time)):
         fwd = simulate_fsvie(scenario, noise, one)
         arrays[f"{engine}.state"] = fwd.state
         arrays[f"{engine}.values"] = fwd.values
-    fv = first_variation(two_time, noise, one, fwd, 5)
-    arrays["first_variation.brownian"] = fv.brownian
-    arrays["first_variation.jump"] = fv.jump
+
+    def consume(direction, rows):
+        # node-major rows, viewed path-major as every other array
+        arrays[f"first_variation.{direction}"] = rows.T
+
+    first_variation(two_time, noise, one, fwd, 5, consume)
     engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
     sol = solve_bsde(noise.brownian_levels[:, -1] ** 2, None, noise, engine)
     arrays["bsde.y"] = sol.y
