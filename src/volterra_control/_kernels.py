@@ -7,7 +7,8 @@ The state recursion
                               + B[i, j] * U[p, j] * dB[p, j]
                               + U[p, j] * sum_m P[m, i, j] * CJ[m, p, j] )
 
-runs on one of two paths.
+runs on one of two paths.  ``CJ`` are the jump drivers: ``fsvie`` passes
+the counts as drawn and folds the compensator ``-w_m dt`` into the drift.
 
 *Blocked path* (any kernels, given as matrices), O(n_steps^2 * n_paths):
 blocked forward substitution (level-3 BLAS).  The products
@@ -17,8 +18,8 @@ the stacked coefficients ``[(A - c) dt, B, P_m]``, and the rows inside a
 block run one at a time over the block's own earlier rows.  Only the order
 of the sums differs from the direct recursion.
 
-*Lifted path* (every kernel ``a * exp(-r (t - s))``, given as its
-``(a, r)`` pair; a constant kernel and the consumption term are rate 0),
+*Lifted path* (every kernel ``a * exp(-r (t - s))``, given as its ``(a, r)``
+pair, the drift as a sum of them; a constant kernel and ``c`` are rate 0),
 O(n_steps * n_paths): on a uniform grid the triangular sum is an exact
 finite-dimensional Markovian lift,
 
@@ -61,14 +62,14 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None, l
     c : (n_steps,) consumption values at left nodes.
     db : (N, n_steps) Brownian increments.
     p_nodes : (m, n_nodes, n_nodes) jump kernel matrices (m may be 0).
-    cj : (m, N, n_steps) compensated jump counts (count - w*dt), as
-        ``NoiseBundle.compensated_rows`` makes them for the steps swept; the
-        sweep reads one node's ``cj[:, :, j]`` at a time.
+    cj : (m, N, n_steps) jump drivers, read one node's ``cj[:, :, j]`` at a
+        time; ``fsvie`` passes the integer counts as drawn, with the
+        compensator folded into ``a_nodes``.
     dt : step size.
     out : optional (n_nodes, N) C-ordered array the state is written into.
-    lift : optional ``2 + m`` ``(amplitude, rate)`` pairs, for alpha, beta
-        and each ``pi_m``, when every kernel is ``amplitude * exp(-rate *
-        (t - s))`` on a uniform grid of step ``dt``.  The sweep then runs the
+    lift : optional, when every kernel is ``amplitude * exp(-rate * (t - s))``
+        on a uniform grid of step ``dt``: the drift's ``(amplitude, rate)``
+        pairs, then beta's and each ``pi_m``'s pair.  The sweep then runs the
         exact O(n_steps * N) recursion and does not read the kernel matrices.
 
     Returns the (N, n_nodes) state as a view of node-major storage (``out.T``
@@ -111,12 +112,13 @@ def _lifted_sweep(source, c, db, cj, dt, lift, u):
     """The exponential-kernel recursion of the module docstring, into ``u``."""
     n_nodes, n_paths = source.shape
     n_steps = n_nodes - 1
-    (a_alpha, r_alpha), (a_beta, r_beta), *pis = lift
+    drift, (a_beta, r_beta), *pis = lift
     # per distinct rate: the drift amplitude and the (amplitude, atom) of
     # each noise driver, atom -1 standing for the Brownian increment; rate 0
     # always exists, because it carries the consumption term
     groups = {0.0: [0.0, []]}
-    groups.setdefault(float(r_alpha), [0.0, []])[0] += a_alpha
+    for amp, rate in drift:
+        groups.setdefault(float(rate), [0.0, []])[0] += amp
     for q, (amp, rate) in enumerate([(a_beta, r_beta), *pis], start=-1):
         groups.setdefault(float(rate), [0.0, []])[1].append((amp, q))
     rates = list(groups)

@@ -35,8 +35,7 @@ so the sub-triangle keeps the lift.  ``first_variation`` hands them out one
 noise direction at a time, in one reused buffer.  Each sweep runs on the
 kernel's unit source column, broadcast over paths: the recursion is linear
 and ``X(t_k)`` is constant on each path, so the buffer is then scaled by
-``X(t_k)`` in place, and no per-path source is formed.  Each sweep
-compensates only the jump counts of the steps it reads, for that call.
+``X(t_k)`` in place, and no per-path source is formed.
 
 ``simulate_fsvie`` runs the exact engine exactly when the scenario is
 time-invariant (constant initial level included), and the sum otherwise.
@@ -229,18 +228,24 @@ def _log_row_means(scenario: ScenarioSpec, c_int: np.ndarray, last: int) -> np.n
 def _kernel_matrices(
     scenario: ScenarioSpec, last: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
-    """``alpha``, ``beta`` and the stacked ``pi_m`` at nodes ``0 .. last``,
-    and the sweep's ``lift``: their ``(amplitude, rate)`` pairs, or ``None``
-    when any of them is a table."""
-    grid = scenario.grid
+    """The sweep's drift ``alpha - sum_m w_m pi_m``, ``beta`` and the stacked
+    ``pi_m`` at nodes ``0 .. last``, and its ``lift``: the drift's ``(amplitude,
+    rate)`` pairs, alpha's and ``(-w_m a_m, r_m)`` per atom, then beta's and each
+    ``pi_m``'s, or ``None`` when any kernel is a table.  The drift carries the
+    compensator ``-w_m dt`` of ``N~``, so the sweep reads the counts as drawn."""
+    grid, weights = scenario.grid, scenario.levy.weights
     a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
     b_nodes = scenario.beta.at_nodes(grid)[: last + 1, : last + 1]
     p_nodes = np.zeros((scenario.n_atoms, last + 1, last + 1))
     for q, ker in enumerate(scenario.pi_kernels):
         p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
-    kernels = (scenario.alpha, scenario.beta, *scenario.pi_kernels)
-    lift = tuple(k.exponential_form for k in kernels)
-    return a_nodes, b_nodes, p_nodes, None if None in lift else lift
+        a_nodes -= weights[q] * p_nodes[q]
+    alpha, beta, *pis = (k.exponential_form for k in
+                         (scenario.alpha, scenario.beta, *scenario.pi_kernels))
+    if None in (alpha, beta, *pis):
+        return a_nodes, b_nodes, p_nodes, None
+    drift = (alpha, *((-float(w) * a, r) for w, (a, r) in zip(weights, pis)))
+    return a_nodes, b_nodes, p_nodes, (drift, beta, *pis)
 
 
 def _simulate_volterra(
@@ -252,7 +257,7 @@ def _simulate_volterra(
     )
     return volterra_sweep(
         source, a_nodes, c_vals[:last], b_nodes, noise.d_brownian[:, :last],
-        p_nodes, noise.compensated_rows(steps=slice(last)), scenario.grid.dt, lift=lift,
+        p_nodes, noise.jump_counts[:, :, :last], scenario.grid.dt, lift=lift,
     )
 
 
@@ -339,7 +344,7 @@ def first_variation(
     p_sub = p_nodes[:, start:, start:]
     c_sub = control.values(grid)[start:last]
     db = noise.d_brownian[:, start:last]
-    cj = noise.compensated_rows(steps=slice(start, last))
+    cj = noise.jump_counts[:, :, start:last]
     xk = fwd.row(k)
     rows = np.empty((last + 1 - start, fwd.n_paths))
     for direction, col in enumerate([b_nodes[:, k], *p_nodes[:, :, k]]):

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .model import LevyMeasure, TimeGrid, ValidationError, mean_se, time_quadrature_weights
-from .paths import NoiseBundle, _path_chunks, stream_noise
+from .paths import NoiseBundle, stream_noise
 
 __all__ = [
     "Functional",
@@ -193,11 +193,10 @@ class JumpIntegral(Functional):
         out = self._memo.get(noise)
         if out is None:
             vals = self._values(noise)
-            # compensated one chunk of paths at a time: the bundle never holds
-            # a float copy of its counts
-            out = np.empty(noise.n_paths)
-            for rows in _path_chunks(0, noise.n_paths):
-                out[rows] = np.einsum("ms,mps->p", vals, noise.compensated_rows(rows))
+            # the counts as drawn (einsum casts them a buffer at a time), less
+            # the deterministic compensator dt sum_q w_q sum_s h_{q,s}
+            out = np.einsum("ms,mps->p", vals, noise.jump_counts)
+            out -= noise.grid.dt * float(noise.levy.weights @ vals.sum(axis=1))
             self._memo[noise] = out
         return out
 

@@ -68,6 +68,13 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _list(name: str, value) -> list:
+    """``value`` as a list; null, a bare string or a number is rejected."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
 def _reals(name: str, values) -> np.ndarray:
     """A list of numbers as a float array, each entry through :func:`_real`."""
     if not isinstance(values, (list, tuple, np.ndarray)):
@@ -491,8 +498,8 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"grid section malformed: {exc}") from exc
 
-        levy = LevyMeasure.from_atoms(raw.get("levy", {}).get("atoms", []))
-        pi_raw = raw.get("pi_kernels", [])
+        levy = LevyMeasure.from_atoms(_list("levy.atoms", raw.get("levy", {}).get("atoms", [])))
+        pi_raw = _list("pi_kernels", raw.get("pi_kernels", []))
         if len(pi_raw) != levy.n_atoms:
             raise ValidationError(
                 f"pi_kernels has {len(pi_raw)} entries for {levy.n_atoms} atoms"
@@ -514,7 +521,7 @@ def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
         reg_raw = raw.get("regression", {})
         regression = RegressionSpec(
             degree=_integer("regression.degree", reg_raw.get("degree", 2)),
-            variables=tuple(reg_raw.get("state", ("x",))),
+            variables=tuple(_list("regression.state", reg_raw.get("state", ["x"]))),
         )
         initial = raw.get("initial")
         if initial is None:

@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 _MAGIC = b"VCNB0001"
-# paths per chunk wherever noise is drawn, compensated, saved or loaded a
-# chunk at a time
+# paths per chunk wherever noise is drawn, saved or loaded a chunk at a time
 _CHUNK_ROWS = 1024
 # about the most bytes a piece of ``stream_noise`` draws its last segment into
 _PIECE_BYTES = 12 << 20
@@ -142,19 +141,6 @@ class NoiseBundle:
         for i in range(self.n_steps):
             np.add(levels[:, i], self.jump_counts[:, :, i], out=levels[:, i + 1])
         return levels.transpose(0, 2, 1)
-
-    def compensated_rows(
-        self, rows: slice = slice(None), steps: slice = slice(None)
-    ) -> np.ndarray:
-        """Compensated counts ``count - w_m * dt`` on the paths ``rows`` and
-        the steps ``steps``, shape ``(m, n_rows, n_taken_steps)``, node-major.
-
-        Not cached: each reader compensates only the paths and steps it
-        reads, for that call, so no float copy of the counts outlives it.
-        """
-        comp = self.levy.weights[:, None, None] * self.grid.dt
-        counts = self.jump_counts.transpose(0, 2, 1)[:, steps, rows]
-        return np.subtract(counts, comp, dtype=float).transpose(0, 2, 1)
 
 
 def _block_streams(n_paths: int, seed: int, n_blocks: int) -> tuple[list, int]:

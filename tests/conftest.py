@@ -13,6 +13,13 @@ from volterra_control.paths import generate_noise
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
+def compensated(noise):
+    """The compensated counts ``count - w_m dt`` of ``noise`` as one float
+    array, shape ``(n_atoms, n_paths, n_steps)``: the plain reference for
+    tests of the readers of ``N~``, none of which forms it."""
+    return noise.jump_counts - noise.levy.weights[:, None, None] * noise.grid.dt
+
+
 @pytest.fixture(scope="session")
 def s0():
     return load_config(str(CONFIG_DIR / "s0.json"))

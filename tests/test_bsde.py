@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import compensated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,7 +144,7 @@ def test_martingale_coefficient_noise_shrinks_with_paths():
 def test_jump_coefficient_for_compensated_count_terminal():
     levy = LevyMeasure.from_atoms([[1.0, 2.0]])
     noise = generate_noise(GRID, levy, n_paths=20_000, seed=7, n_blocks=8)
-    terminal = noise.compensated_rows()[0].sum(axis=1)
+    terminal = compensated(noise)[0].sum(axis=1)
     engine = CondExpEngine(
         FiltrationMode(mode="full"),
         RegressionSpec(degree=2, variables=("brownian", "jump_counts")),
@@ -276,7 +277,7 @@ def _solve_bsde_reference(terminal, driver, noise, engine):
     k = np.zeros((m, noise.n_paths, n))
     r2 = np.ones(n)
     y[:, n] = terminal
-    comp = noise.compensated_rows()
+    comp = compensated(noise)
     for i in range(n - 1, -1, -1):
         y_next = y[:, i + 1]
         y_proj = engine.project(i, y_next)
@@ -360,7 +361,7 @@ def _solve_bsde_path_major(terminal, driver, noise, engine, x_paths):
     z = np.zeros((noise.n_paths, n))
     k = np.zeros((m, noise.n_paths, n))
     y[:, n] = terminal
-    comp = noise.compensated_rows()
+    comp = compensated(noise)
     targets = np.empty((noise.n_paths, 2 + m), order="F")
     for i in range(n - 1, -1, -1):
         y_next = y[:, i + 1]

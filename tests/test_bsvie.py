@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import compensated
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -113,7 +114,7 @@ def path_family_columns(zeta, y, noise, engine, drift):
     n, dt = noise.grid.n_steps, noise.grid.dt
     n_paths, m = noise.n_paths, noise.levy.n_atoms
     zeta = np.asarray(zeta, dtype=float)
-    comp = noise.compensated_rows() if m else None
+    comp = compensated(noise) if m else None
     w_dt = noise.levy.weights[:, None, None] * dt if m else None
     kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
     y[:] = zeta.reshape(n + 1, -1)
@@ -566,7 +567,7 @@ def _family_step_reference(zeta, driver, frozen, noise, engine):
     n, dt = noise.grid.n_steps, noise.grid.dt
     m = noise.levy.n_atoms
     out = path_zeros(n, noise.n_paths, m)
-    comp = noise.compensated_rows()
+    comp = compensated(noise)
     out.y[n] = zeta[n]
     for i in range(n):
         y_run = zeta[i].copy()
@@ -722,7 +723,7 @@ def _ref_family_step(zeta, driver, frozen, noise, engine):
     n, dt = noise.grid.n_steps, noise.grid.dt
     n_paths, m = noise.n_paths, noise.levy.n_atoms
     out = path_zeros(n, n_paths, m)
-    comp = noise.compensated_rows()
+    comp = compensated(noise)
     w_dt = noise.levy.weights * dt
     kinds = 2 + m
     out.y[:] = zeta

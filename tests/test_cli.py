@@ -320,6 +320,26 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value)
     assert f"'{section}' section" in err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"levy": {"atoms": 5}}, "levy.atoms"),
+    ({"levy": {"atoms": None}}, "levy.atoms"),
+    ({"levy": {"atoms": "[[0.1, 1.0]]"}}, "levy.atoms"),
+    ({"pi_kernels": 3}, "pi_kernels"),
+    ({"pi_kernels": None}, "pi_kernels"),
+    ({"pi_kernels": "ab"}, "pi_kernels"),
+    ({"regression": {"degree": 2, "state": 5}}, "regression.state"),
+    ({"regression": {"degree": 2, "state": None}}, "regression.state"),
+    ({"regression": {"degree": 2, "state": "log_x"}}, "regression.state"),
+])
+def test_list_field_that_is_not_a_list_exits_2(tmp_path, capsys, overrides, field):
+    out = tmp_path / "out"
+    assert run(["evaluate-utility", "--config", write_config(tmp_path, **overrides),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{field} must be a list" in err
+
+
 def test_verify_duality_small(tmp_path):
     out = tmp_path / "out"
     code = run(["verify-duality", "--paths", "40000", "--seed", "7", "--out", str(out)])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import compensated
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +83,7 @@ def _full_triangle_first_variation(scenario, noise, control, fwd, k, include_dia
     p_nodes = np.zeros((m, last + 1, last + 1))
     for q, ker in enumerate(scenario.pi_kernels):
         p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
-    cj = noise.compensated_rows()[:, :, :last]
+    cj = compensated(noise)[:, :, :last]
     c_vals = control.values(grid)[:last]
     db = noise.d_brownian[:, :last]
     xk = fwd.values[:, k]
@@ -211,7 +212,8 @@ def test_lifted_sweep_matches_blocked_sweep(pairs, n_steps, n_paths, direction, 
         c, db, cj = c[start:], db[:, start:], cj[:, :, start:]
     want = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt)
     out = np.full(source.shape, np.nan) if with_out else None
-    got = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt, out=out, lift=pairs)
+    lift = ((pairs[0],), *pairs[1:])
+    got = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt, out=out, lift=lift)
     assert got.shape == want.shape
     if with_out:
         assert got.base is out
@@ -222,9 +224,10 @@ def test_lifted_sweep_peak_is_its_output_plus_a_row_per_rate():
     # rates {0, 0.5, 1}: the lift keeps three running rows and one scratch
     # row; the blocked sweep holds an (n_steps, 2 + m, N) driver buffer
     pairs = [(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5), (0.1, 0.0)]
+    lift = ((pairs[0],), *pairs[1:])
     n_steps, n_paths, rates = 100, 20_000, 3
     args = _exponential_problem(pairs, n_steps, n_paths, seed=0)
-    _kernels.volterra_sweep(*_exponential_problem(pairs, 3, 2, seed=0), lift=pairs)
+    _kernels.volterra_sweep(*_exponential_problem(pairs, 3, 2, seed=0), lift=lift)
     row = n_paths * 8
     output = (n_steps + 1) * row
 
@@ -236,14 +239,14 @@ def test_lifted_sweep_peak_is_its_output_plus_a_row_per_rate():
         finally:
             tracemalloc.stop()
 
-    assert peak(pairs) <= output + (rates + 2) * row
+    assert peak(lift) <= output + (rates + 2) * row
     assert peak(None) >= output + n_steps * len(pairs) * row
 
 
-@pytest.fixture(scope="module")
-def exponential_case():
-    spec = validate_scenario({
-        "grid": {"horizon": 1.0, "n_steps": 30},
+def _exponential_scenario(n_steps, n_paths, seed):
+    """Two-time kernels, two atoms at different rates, one of them a constant pi."""
+    return validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": n_steps},
         "initial": 1.0,
         "gamma": 0.0,
         "alpha_kernel": {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.5},
@@ -254,8 +257,29 @@ def exponential_case():
             {"kind": "constant", "value": 0.25},
         ],
         "filtration": {"mode": "trivial"},
-        "mc": {"n_paths": 16, "seed": 5, "n_blocks": 1},
+        "mc": {"n_paths": n_paths, "seed": seed, "n_blocks": 1},
     })
+
+
+def test_sum_engine_peak_is_its_state_and_a_few_rows():
+    # the lift reads the counts as drawn: no float copy of them, (m, N, n)
+    # or any part of it, is formed next to the (n + 1, N) state
+    spec = _exponential_scenario(100, 10_000, 5)
+    noise = generate_noise(spec.grid, spec.levy, 10_000, 5, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    simulate_fsvie(spec, noise, one, through_node=3)  # first-call imports
+    tracemalloc.start()
+    try:
+        simulate_fsvie(spec, noise, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (spec.grid.n_steps + 1) * noise.n_paths * 8
+
+
+@pytest.fixture(scope="module")
+def exponential_case():
+    spec = _exponential_scenario(30, 16, 5)
     return spec, generate_noise(spec.grid, spec.levy, 16, 5, 1)
 
 
@@ -285,13 +309,17 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
     first_variation(spec, noise, one, fwd, 7, lambda direction, rows: None)
     assert len(lifts) == 1 + 1 + spec.n_atoms
     if table is None:
-        assert lifts == [((0.05, 1.5), (0.2, 0.7), (-0.1, 0.5), (0.25, 0.0))] * len(lifts)
-        return
-    assert lifts == [None] * len(lifts)
-    a, b, p, lift = fsvie._kernel_matrices(spec, n)
-    assert lift is None
-    want = _kernels.volterra_sweep(
-        np.ones((n + 1, noise.n_paths)), a, one.values(spec.grid)[:n], b,
-        noise.d_brownian, p, noise.compensated_rows(), spec.grid.dt,
+        # the drift: alpha's pair and -w_m times each pi_m's (w = 0.5, 1)
+        drift = ((0.05, 1.5), (0.05, 0.5), (-0.25, 0.0))
+        assert lifts == [(drift, (0.2, 0.7), (-0.1, 0.5), (0.25, 0.0))] * len(lifts)
+    else:
+        assert lifts == [None] * len(lifts)
+    # either path against the plain recursion on alpha as it is and the
+    # compensated counts, the compensator left out of the drift
+    grid = spec.grid
+    p = np.array([k.at_nodes(grid) for k in spec.pi_kernels])
+    want = _direct_recursion(
+        np.ones((n + 1, noise.n_paths)), spec.alpha.at_nodes(grid), one.values(grid)[:n],
+        spec.beta.at_nodes(grid), noise.d_brownian, p, compensated(noise), grid.dt,
     )
-    np.testing.assert_array_equal(fwd.state, want)
+    np.testing.assert_allclose(fwd.state, want, rtol=1e-12, atol=0)

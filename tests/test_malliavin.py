@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import compensated
 
 from volterra_control import acceptance, paths
 from volterra_control.condexp import CondExpEngine
@@ -294,14 +295,19 @@ def test_jump_duality_isometry_case():
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs + 1e-12
 
 
-def test_chunked_compensation_equals_the_whole_array():
-    # three chunks of paths, two atoms, a mark that depends on time and size
+def test_jump_integral_equals_the_compensated_sum():
+    # two atoms, a mark that depends on time and size: the counts as drawn
+    # less the deterministic compensator, against the compensated counts.
+    # Relative to the largest value too: a path whose terms cancel to near
+    # zero keeps their rounding.
     levy = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
     noise = make_noise(n_steps=30, n_paths=2500, seed=15, levy=levy)
     f = JumpIntegral(lambda t, e: e * (1.0 + t))
     vals = f._values(noise)
-    comp = noise.compensated_rows()
-    assert np.array_equal(f.evaluate(noise), np.einsum("ms,mps->p", vals, comp))
+    comp = compensated(noise)
+    want = np.einsum("ms,mps->p", vals, comp)
+    np.testing.assert_allclose(f.evaluate(noise), want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
 
     def phi(i, q, _c):
         return 1.0 + 0.1 * i - 0.2 * q
@@ -319,11 +325,11 @@ def test_chunked_compensation_equals_the_whole_array():
 def _cached_levels_duality_jump(f, phi, noise, pieces):
     """An unprojected ``verify_duality_jump`` on the cached levels of a
     ``generate_noise`` bundle: ``phi`` reads the cached ``count_levels``, the
-    left side the whole ``compensated_rows()``, and the right-hand samples
+    left side the whole ``compensated(noise)``, and the right-hand samples
     are ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  Both sides sum
     node by node, the atoms inside each node, as the verifier does."""
     n_paths = noise.n_paths
-    counts, comp = noise.count_levels, noise.compensated_rows()
+    counts, comp = noise.count_levels, compensated(noise)
     f_vals = _per_piece(f.evaluate, pieces)
     w_t = time_quadrature_weights(noise.grid)
     lhs_samples = np.zeros(n_paths)
@@ -486,10 +492,7 @@ def test_integral_memo_never_serves_another_bundle(monkeypatch):
     wiener.evaluate(first)
     jump.evaluate(first)
     assert np.array_equal(wiener.evaluate(second), second.d_brownian @ np.ones(20))
-    assert np.array_equal(
-        jump.evaluate(second),
-        np.einsum("ms,mps->p", np.ones((1, 20)), second.compensated_rows()),
-    )
+    assert np.array_equal(jump.evaluate(second), JumpIntegral(1.0).evaluate(second))
 
 
 @pytest.mark.parametrize("verifier", ["brownian", "jump"])

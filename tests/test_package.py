@@ -287,8 +287,6 @@ def test_every_per_node_array_is_node_major():
         "jump_counts": noise.jump_counts,
         "brownian_levels": noise.brownian_levels,
         "count_levels": noise.count_levels,
-        "compensated_rows": noise.compensated_rows(),
-        "compensated_rows.part": noise.compensated_rows(slice(3, 40), slice(2, 9)),
     }
     two_time = _layout_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
     for engine, scenario in (("exact", spec), ("sum", two_time)):

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import compensated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +69,7 @@ def _bundle_bytes(n_paths, n_blocks):
     two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
     noise = generate_noise(GRID, two_atoms, n_paths=n_paths, seed=17, n_blocks=n_blocks)
     return [a.tobytes() for a in (noise.d_brownian, noise.jump_counts, noise.brownian_levels,
-                                  noise.count_levels, noise.compensated_rows())]
+                                  noise.count_levels, compensated(noise))]
 
 
 @pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1), (7, 7)])
@@ -308,12 +309,12 @@ def _bundle_with_counts(counts_at_step):
 def _mark_sum(bundle, path, step):
     """``sum_m e_m (count_m - w_m dt)`` over one step: the compensated jump
     integral of ``f(e) = e``."""
-    return float(bundle.levy.sizes @ bundle.compensated_rows()[:, path, step])
+    return float(bundle.levy.sizes @ compensated(bundle)[:, path, step])
 
 
 def test_compensated_sum_empty_measure():
     noise = generate_noise(GRID, EMPTY, n_paths=4, seed=1, n_blocks=1)
-    assert noise.compensated_rows().shape == (0, 4, GRID.n_steps)
+    assert compensated(noise).shape == (0, 4, GRID.n_steps)
     assert _mark_sum(noise, 0, 0) == 0.0
 
 
@@ -329,7 +330,7 @@ def test_compensated_sum_one_jump():
 
 def test_compensated_sums_are_centred():
     noise = generate_noise(GRID, ONE_ATOM, n_paths=50_000, seed=5, n_blocks=8)
-    comp = noise.compensated_rows()[0]
+    comp = compensated(noise)[0]
     step_mean = comp[:, 13].mean()
     se = comp[:, 13].std(ddof=1) / math.sqrt(noise.n_paths)
     assert abs(step_mean) <= 3 * se
