@@ -14,8 +14,8 @@ difference under common random numbers.  ``hamiltonian_h1`` is the memory
 part of the Hamiltonian (kernel time-derivatives against projected adjoint
 gradients).  Projection is linear, so it contracts the gradients with their
 quadrature weights first, reading the state one node row at a time and each
-noise direction's first variation as ``first_variation`` hands it out, and
-then projects one column per noise direction.
+noise direction's first variation as ``first_variation`` hands it out, adds
+every direction into one column and projects that column once.
 
 For time-invariant kernels the exact engine gives
 
@@ -265,7 +265,7 @@ def log_utility_oracle(scenario: ScenarioSpec, control: ControlFn) -> float:
     jump_rate = float(np.dot(scenario.levy.weights, np.log1p(pi) - pi)) if pi.size else 0.0
 
     lam = fine_discount_curve(scenario.gamma, s, scenario.convention)
-    c_vals, cum_c = control.oracle_profile(s)
+    c_vals, cum_c = control.oracle_profile(s, grid)
     drift = alpha - 0.5 * beta * beta + jump_rate
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = lam * (np.log(c_vals) + np.log(float(scenario.initial)) + drift * s - cum_c)
@@ -363,20 +363,24 @@ def hamiltonian_h1(
     jump.  Conditional expectation is linear, so each gradient is contracted
     with its quadrature weights first, one node row of ``X`` and of the first
     variation at a time, as ``first_variation`` hands out each noise
-    direction, so no second direction is ever held; the ``(N, 1 + m)`` block
-    of contracted gradients is then projected once onto the information at
-    ``t``.  Both ``adjoint.fwd`` and, when there are gradient terms, ``fwd``
-    must reach the horizon.  Zero exactly when every kernel is constant in
-    its first argument.
+    direction, so no second direction is ever held; every direction is
+    added into one ``(N,)`` column, which is then projected once onto the
+    information at ``t``.  Both ``adjoint.fwd`` and, when there are gradient
+    terms, ``fwd`` must reach the horizon.  Zero exactly when every kernel is
+    constant in its first argument, and at ``node = n``, where the integral
+    over ``[T, T]`` is empty.
     """
     grid = scenario.grid
     n = grid.n_steps
     k = int(node)
+    if not 0 <= k <= n:
+        raise ValidationError(f"memory Hamiltonian node must satisfy 0 <= node <= n = {n}, "
+                              f"got {node}")
     col_a = scenario.alpha.d_first_at_nodes(grid)[k:, k]
     col_b = scenario.beta.d_first_at_nodes(grid)[k:, k]
     cols_p = [kk.d_first_at_nodes(grid)[k:, k] for kk in scenario.pi_kernels]
     gradients = bool(np.any(col_b)) or any(np.any(c) for c in cols_p)
-    if not np.any(col_a) and not gradients:
+    if k == n or (not np.any(col_a) and not gradients):
         return 0.0, 0.0
 
     if adjoint.fwd is None:
@@ -395,26 +399,26 @@ def hamiltonian_h1(
         per_path += big_p[s] / adjoint.fwd.row(s) * (w[j] * col_a[j])
 
     if gradients:
-        # weights of the Brownian column and, scaled by w_q, of each jump column
+        # weights of the Brownian direction and, scaled by w_q, of each jump
         weights = np.stack([w * col_b] + [
             wq * w * col for wq, col in zip(scenario.levy.weights, cols_p)
         ])
-        block = np.zeros((fwd.n_paths, len(weights)), order="F")
+        column = np.zeros(fwd.n_paths)
 
         def contract(direction: int, rows: np.ndarray) -> None:
             # rows[j] is the first variation at node k + j; the direction's
-            # gradient of p is contracted into its column, row by row
-            col = block[:, direction]
+            # gradient of p is contracted into the one column, row by row
             for j, s in enumerate(range(k, n + 1)):
                 x_s, p_s = fwd.row(s), big_p[s]
                 if direction == 0:
-                    col += -p_s * rows[j] / x_s**2 * weights[0, j]
+                    gradient = -p_s * rows[j] / x_s**2
                 else:
-                    col += (p_s / (x_s + rows[j]) - p_s / x_s) * weights[direction, j]
+                    gradient = p_s / (x_s + rows[j]) - p_s / x_s
+                np.add(column, gradient * weights[direction, j], out=column)
 
         first_variation(scenario, noise, control, fwd, k, contract)
         engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
-        per_path += engine.project(k, block).sum(axis=1)
+        per_path += engine.project(k, column)
     per_path *= x
     return mean_se(per_path)
 

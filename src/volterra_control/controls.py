@@ -143,22 +143,19 @@ class ControlFn:
             return self.base.step_integrals(grid) + self.bump_height * self._bump_overlap(grid)
         raise ValidationError(f"unknown control kind {self.kind!r}")
 
-    def oracle_profile(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def oracle_profile(self, s: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         """``(c(s), int_0^s c)`` on a fine grid for high-resolution quadrature.
 
-        ``s`` must be uniform with ``s[0] = 0``; the last entry of the
+        ``s`` must be uniform on ``[0, grid.horizon]``; the last entry of the
         cumulative integral may be ``+inf`` for rates diverging at the
         horizon.
         """
         ds = s[1] - s[0]
         if self.kind == "table":
-            # piecewise-constant (left) extension of the node table; a table
-            # of length L covers L steps of the coarse grid (length L + 1
-            # tables carry an unused terminal value)
-            vals = self.table_values
-            n_coarse = vals.shape[0]
-            coarse_dt = s[-1] / n_coarse
-            idx = np.minimum((s / coarse_dt + 1e-9).astype(int), n_coarse - 1)
+            # piecewise-constant (left) extension of the node values on the
+            # grid's n steps (a table of n + 1 values has an unused terminal one)
+            vals = self.values(grid)
+            idx = np.minimum((s / grid.dt + 1e-9).astype(int), grid.n_steps - 1)
             c = vals[idx]
             cum = np.concatenate(([0.0], np.cumsum(c[:-1] * ds)))
             return c, cum
@@ -170,7 +167,7 @@ class ControlFn:
                 cum_cstar = -np.log(tail / tail[0])
             return self.theta * cstar, self.theta * cum_cstar
         if self.kind == "bump":
-            c0, cum0 = self.base.oracle_profile(s)
+            c0, cum0 = self.base.oracle_profile(s, grid)
             a, b = self.bump_start, self.bump_start + self.bump_len
             ind = ((s >= a - 1e-12) & (s < b - 1e-12)).astype(float)
             overlap = np.clip(np.minimum(s, b) - a, 0.0, None)

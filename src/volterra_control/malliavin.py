@@ -2,11 +2,12 @@
 
 Functionals are composition trees over three primitives -- constants, Wiener
 integrals ``int f dB`` with deterministic integrands, and compensated jump
-integrals ``int int h dN~`` with deterministic marks -- combined by sums,
-products and integer powers.  Both derivative operators act on a tree:
+integrals ``int int h dN~`` with deterministic marks -- combined by products
+and integer powers.  Both derivatives are evaluations on the paths of a
+noise bundle, as they are random variables in the duality:
 
-* the Brownian derivative at a node follows the linear chain rule and is
-  returned as another tree;
+* the Brownian derivative ``f.d_brownian(noise, node)`` is ``D_{t_node} F``
+  by the chain rule, a scalar where it is deterministic;
 * the jump derivative at ``(node, atom)`` is the difference form
   ``f.evaluate_with_jump(noise, node, atom) - f.evaluate(noise)``: the tree
   re-evaluated with one extra jump inserted, minus the plain evaluation.
@@ -33,9 +34,9 @@ it from the generator in pieces of a few chunks of paths
 are given, with both sides reading the levels as running rows, and keep only
 each identity's ``(N,)`` sample rows.  Their memory grows with ``n_paths``,
 not ``n_steps x n_paths``: one piece's buffers per worker (with jumps, the
-block's normals too) plus the sample rows.  The Brownian derivative trees
-are built once per check, and deterministic nodes evaluate to scalars, so a
-piece costs its numpy work and little else.
+block's normals too) plus the sample rows.  Deterministic nodes and
+derivatives evaluate to scalars, so a piece costs its numpy work and little
+else.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "Const",
     "WienerIntegral",
     "JumpIntegral",
-    "Sum",
     "Product",
     "Power",
     "DualityResult",
@@ -66,8 +66,9 @@ __all__ = [
 class Functional:
     """Base node of the composition tree.
 
-    ``evaluate`` returns one value per path of ``noise``, or a scalar for a
-    deterministic node (a constant, a derivative of a Wiener integral).
+    ``evaluate`` and ``d_brownian`` return one value per path of ``noise``,
+    or a scalar where the value is deterministic (a constant, the derivative
+    of a Wiener integral).
     """
 
     def evaluate(self, noise: NoiseBundle) -> np.ndarray | float:
@@ -77,29 +78,15 @@ class Functional:
         """Evaluate with one extra jump of ``atom`` inserted at ``node``."""
         raise NotImplementedError
 
-    def d_brownian(self, node: int) -> "Functional":
-        """Chain-rule derivative with respect to the Brownian noise at a node."""
+    def d_brownian(self, noise: NoiseBundle, node: int) -> np.ndarray | float:
+        """``D_{t_node} F`` on the paths of ``noise``, by the chain rule."""
         raise NotImplementedError
 
-    # operator sugar keeps test code readable
-    def __add__(self, other):
-        return Sum(self, _wrap(other))
-
-    def __radd__(self, other):
-        return Sum(_wrap(other), self)
-
-    def __mul__(self, other):
-        return Product(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return Product(_wrap(other), self)
+    def __mul__(self, other: "Functional"):
+        return Product(self, other)
 
     def __pow__(self, k: int):
         return Power(self, k)
-
-
-def _wrap(v) -> "Functional":
-    return v if isinstance(v, Functional) else Const(float(v))
 
 
 @dataclass
@@ -112,33 +99,27 @@ class Const(Functional):
     def evaluate_with_jump(self, noise, node, atom):
         return self.value
 
-    def d_brownian(self, node):
-        return Const(0.0)
+    def d_brownian(self, noise, node):
+        return 0.0
 
 
 class WienerIntegral(Functional):
     """``int_0^T f(t) dB(t)`` with a deterministic integrand on left nodes."""
 
-    def __init__(self, f: Callable[[float], float] | np.ndarray | float = 1.0):
+    def __init__(self, f: Callable[[float], float] | float = 1.0):
         self.f = f
         self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _values(self, noise: NoiseBundle) -> np.ndarray:
-        t = noise.grid.nodes[:-1]
         if callable(self.f):
-            return np.array([float(self.f(ti)) for ti in t])
-        if np.isscalar(self.f):
-            return np.full(noise.n_steps, float(self.f))
-        vals = np.asarray(self.f, dtype=float)
-        if vals.shape[0] != noise.n_steps:
-            raise ValidationError("integrand table must have one value per step")
-        return vals
+            return np.array([float(self.f(ti)) for ti in noise.grid.nodes[:-1]])
+        return np.full(noise.n_steps, float(self.f))
 
     def evaluate(self, noise):
-        # memo per bundle: derivative trees re-evaluate the same primitive at
-        # every node of a duality pass, and workers pass different blocks at
-        # once.  Its keys are weak, so an entry dies with its bundle and a
-        # later bundle that reuses a freed one's id() is never served it.
+        # memo per bundle: a power's derivative reads its base at every node
+        # of a duality pass, and workers pass different blocks at once.  Its
+        # keys are weak, so an entry dies with its bundle and a later bundle
+        # that reuses a freed one's id() is never served it.
         vals = self._memo.get(noise)
         if vals is None:
             vals = self._memo[noise] = noise.d_brownian @ self._values(noise)
@@ -147,29 +128,9 @@ class WienerIntegral(Functional):
     def evaluate_with_jump(self, noise, node, atom):
         return self.evaluate(noise)  # a jump does not move the Brownian path
 
-    def d_brownian(self, node):
+    def d_brownian(self, noise, node):
         f = self.f
-        if callable(f):
-            return _NodeConst(lambda noise: float(f(noise.grid.nodes[node])))
-        if np.isscalar(f):
-            return Const(float(f))
-        return _NodeConst(lambda noise, _v=np.asarray(f, float), _n=node: float(_v[_n]))
-
-
-class _NodeConst(Functional):
-    """Deterministic value resolved against the noise grid at evaluation time."""
-
-    def __init__(self, fn: Callable[[NoiseBundle], float]):
-        self.fn = fn
-
-    def evaluate(self, noise):
-        return self.fn(noise)
-
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.fn(noise)
-
-    def d_brownian(self, node):
-        return Const(0.0)
+        return float(f(noise.grid.nodes[node]) if callable(f) else f)
 
 
 class JumpIntegral(Functional):
@@ -203,24 +164,8 @@ class JumpIntegral(Functional):
     def evaluate_with_jump(self, noise, node, atom):
         return self.evaluate(noise) + self._mark(noise, node, atom)
 
-    def d_brownian(self, node):
-        return Const(0.0)
-
-
-@dataclass
-class Sum(Functional):
-    left: Functional
-    right: Functional
-
-    def evaluate(self, noise):
-        return self.left.evaluate(noise) + self.right.evaluate(noise)
-
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.left.evaluate_with_jump(noise, node, atom) + \
-            self.right.evaluate_with_jump(noise, node, atom)
-
-    def d_brownian(self, node):
-        return Sum(self.left.d_brownian(node), self.right.d_brownian(node))
+    def d_brownian(self, noise, node):
+        return 0.0
 
 
 @dataclass
@@ -235,11 +180,10 @@ class Product(Functional):
         return self.left.evaluate_with_jump(noise, node, atom) * \
             self.right.evaluate_with_jump(noise, node, atom)
 
-    def d_brownian(self, node):
-        return Sum(
-            Product(self.left.d_brownian(node), self.right),
-            Product(self.left, self.right.d_brownian(node)),
-        )
+    def d_brownian(self, noise, node):
+        left, right = self.left, self.right
+        return (left.d_brownian(noise, node) * right.evaluate(noise)
+                + left.evaluate(noise) * right.d_brownian(noise, node))
 
 
 @dataclass
@@ -257,12 +201,13 @@ class Power(Functional):
     def evaluate_with_jump(self, noise, node, atom):
         return self.base.evaluate_with_jump(noise, node, atom) ** self.exponent
 
-    def d_brownian(self, node):
-        if self.exponent == 1:
-            return self.base.d_brownian(node)
-        # the base itself for a square: a first power would copy its values
-        rest = self.base if self.exponent == 2 else Power(self.base, self.exponent - 1)
-        return Product(Product(Const(float(self.exponent)), rest), self.base.d_brownian(node))
+    def d_brownian(self, noise, node):
+        k, base = self.exponent, self.base
+        if k == 1:
+            return base.d_brownian(noise, node)
+        # the base itself for a square, not a copy of its values
+        rest = base.evaluate(noise) if k == 2 else base.evaluate(noise) ** (k - 1)
+        return (float(k) * rest) * base.d_brownian(noise, node)
 
 
 # --------------------------------------------------------------------------- #
@@ -327,17 +272,17 @@ def _checked(value, shape: tuple[int, ...]):
     return value
 
 
-def _brownian_pass(identities: list[Identity], derivatives: list[list[Functional]],
-                   noise: NoiseBundle, lhs: np.ndarray, rhs: np.ndarray) -> None:
+def _brownian_pass(identities: list[Identity], noise: NoiseBundle,
+                   lhs: np.ndarray, rhs: np.ndarray) -> None:
     d_b = noise.d_brownian
     w = time_quadrature_weights(noise.grid)
     integrals = np.zeros(lhs.shape)
     rhs[:] = 0.0
     for i, b in enumerate(_running_levels(d_b)):
-        for j, (_, _, psi) in enumerate(identities):
+        for j, (_, f, psi) in enumerate(identities):
             psi_i = _checked(psi(i, b), b.shape)
             integrals[j] += psi_i * d_b[:, i]
-            rhs[j] += derivatives[j][i].evaluate(noise) * psi_i * w[i]
+            rhs[j] += f.d_brownian(noise, i) * psi_i * w[i]
     for j, (_, f, _) in enumerate(identities):
         np.multiply(f.evaluate(noise), integrals[j], out=lhs[j])
 
@@ -358,12 +303,11 @@ def verify_duality_brownian(
     ``b = B(t_step)`` of the piece's paths (a running row: do not keep it),
     a scalar or one value per path.  It is called once per node per piece,
     from worker threads, so it must be pure.  The right-hand side averages
-    ``sum_i w_i D_i F psi_i``; each derivative tree ``D_i F`` is built once
-    per call and evaluated on every piece.
+    ``sum_i w_i D_i F psi_i``, with ``D_i F = F.d_brownian(piece, i)``
+    evaluated on the piece's paths.
     """
-    derivatives = [[f.d_brownian(i) for i in range(grid.n_steps)] for _, f, _ in identities]
     return _stream_duality(
-        lambda piece, lhs, rhs: _brownian_pass(identities, derivatives, piece, lhs, rhs),
+        lambda piece, lhs, rhs: _brownian_pass(identities, piece, lhs, rhs),
         identities, grid, levy, n_paths, seed, n_blocks)
 
 

@@ -368,10 +368,12 @@ class RegressionSpec:
     def __post_init__(self) -> None:
         if self.degree < 1 or self.degree > 8:
             raise ValidationError("regression degree must be in [1, 8]")
-        allowed = {"x", "log_x", "brownian", "jump_counts"}
+        # a tuple, not a set: an entry that is a list or an object is
+        # compared, not hashed
+        allowed = ("x", "log_x", "brownian", "jump_counts")
         for v in self.variables:
             if v not in allowed:
-                raise ValidationError(f"unknown regression state variable {v!r}")
+                raise ValidationError(f"regression.state entry {v!r} is not one of {allowed}")
 
 
 # --------------------------------------------------------------------------- #

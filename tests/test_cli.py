@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,6 +188,17 @@ def test_optimal_consumption_outputs(tmp_path):
     assert report["checks"] and all(c["passed"] for c in report["checks"])
 
 
+def test_module_entry_point_runs_a_subcommand(tmp_path):
+    # ``python -m volterra_control`` in a fresh interpreter, as users start it
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-m", "volterra_control", "optimal-consumption",
+                           "--config", str(CONFIG), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "c_star" in (out / "c_star.csv").read_text().splitlines()[0].split(",")
+
+
 def test_corrupted_config_exits_2(tmp_path):
     path = write_config(
         tmp_path,
@@ -338,6 +352,18 @@ def test_list_field_that_is_not_a_list_exits_2(tmp_path, capsys, overrides, fiel
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{field} must be a list" in err
+
+
+@pytest.mark.parametrize("entry", [["x"], {"x": 1}])
+def test_regression_state_entry_that_is_not_a_name_exits_2(tmp_path, capsys, entry):
+    # an unhashable entry is named as written, not a TypeError
+    overrides = {"regression": {"degree": 2, "state": [entry]}}
+    out = tmp_path / "out"
+    assert run(["evaluate-utility", "--config", write_config(tmp_path, **overrides),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"regression.state entry {entry!r}" in err
 
 
 def test_verify_duality_small(tmp_path):

@@ -155,6 +155,18 @@ def test_oracle_with_jump_atom():
     assert abs(val - expected) < 2e-5
 
 
+def test_oracle_reads_a_table_on_the_grids_steps(s0):
+    # a table of n + 1 values carries an unused terminal value: the oracle
+    # reads it on the grid's n steps, as ``values`` and ``step_integrals`` do
+    grid = s0.grid
+    rates = 0.5 + grid.nodes[:-1]
+    short, long = ControlFn.table(rates), ControlFn.table(np.append(rates, 123.0))
+    assert np.array_equal(short.step_integrals(grid), long.step_integrals(grid))
+    assert log_utility_oracle(s0, short) == log_utility_oracle(s0, long)
+    bumps = [ControlFn.bump(base, 0.4, 0.1, 0.3) for base in (short, long)]
+    assert log_utility_oracle(s0, bumps[0]) == log_utility_oracle(s0, bumps[1])
+
+
 def test_oracle_rejects_two_time_kernels():
     spec = make_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
     with pytest.raises(ValidationError):
@@ -618,6 +630,30 @@ def test_memory_hamiltonian_peak_is_one_direction(k):
         tracemalloc.stop()
     direction = (spec.grid.n_steps + 1 - k) * 5000 * 8
     assert peak < 1.75 * direction
+
+
+@pytest.mark.parametrize("node", [-1, -150, 21])
+def test_memory_hamiltonian_rejects_a_node_off_the_grid(node):
+    spec = _h1_scenario(20, 400, 3, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 400, 3, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    with pytest.raises(ValidationError, match="0 <= node <= n = 20"):
+        hamiltonian_h1(node, 1.0, fwd, build_adjoint_state(spec, fwd), spec, noise, one)
+
+
+def test_memory_hamiltonian_is_zero_at_the_horizon():
+    # the integral over [t_n, T] is empty: zero with gradient terms, and with
+    # the drift term alone
+    spec = _h1_scenario(20, 400, 3, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 400, 3, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    assert hamiltonian_h1(20, 1.0, fwd, build_adjoint_state(spec, fwd), spec, noise, one) \
+        == (0.0, 0.0)
+    drift_only = make_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0})
+    n = drift_only.grid.n_steps
+    assert hamiltonian_h1(n, 1.0, None, _unit_state_adjoint(drift_only), drift_only) == (0.0, 0.0)
 
 
 def test_memory_hamiltonian_rejects_gradient_paths_short_of_the_horizon():

@@ -21,6 +21,7 @@ from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
     RegressionSpec,
+    ValidationError,
     build_time_grid,
     time_quadrature_weights,
 )
@@ -65,28 +66,48 @@ def _brownian_engine(noise, degree=2):
 
 def test_brownian_derivative_of_unit_integrand():
     noise = make_noise()
-    d = WienerIntegral(1.0).d_brownian(37)
-    assert np.allclose(d.evaluate(noise), 1.0)
+    assert np.allclose(WienerIntegral(1.0).d_brownian(noise, 37), 1.0)
 
 
 def test_brownian_derivative_chain_rule_square():
     noise = make_noise()
     w = WienerIntegral(1.0)
-    d = (w**2).d_brownian(10)
-    assert np.allclose(d.evaluate(noise), 2.0 * w.evaluate(noise), atol=1e-12)
+    d = (w**2).d_brownian(noise, 10)
+    assert np.allclose(d, 2.0 * w.evaluate(noise), atol=1e-12)
 
 
 def test_brownian_derivative_of_constant_is_zero():
     noise = make_noise()
-    assert np.allclose(Const(5.0).d_brownian(3).evaluate(noise), 0.0)
+    assert np.allclose(Const(5.0).d_brownian(noise, 3), 0.0)
+
+
+def test_brownian_derivative_of_a_product():
+    # D_t (W1 W2) = f1(t) W2 + W1 f2(t), with f1 = 1 and f2(t) = 1 + t
+    noise = make_noise()
+    w1, w2 = WienerIntegral(1.0), WienerIntegral(lambda t: 1.0 + t)
+    for i in (0, 37, 99):
+        t_i = noise.grid.nodes[i]
+        want = 1.0 * w2.evaluate(noise) + w1.evaluate(noise) * (1.0 + t_i)
+        assert np.array_equal((w1 * w2).d_brownian(noise, i), want)
+
+
+def test_brownian_derivative_of_a_first_power_is_the_bases():
+    noise = make_noise()
+    w = WienerIntegral(lambda t: 1.0 + t)
+    assert (w**1).d_brownian(noise, 37) == w.d_brownian(noise, 37) == 1.0 + noise.grid.nodes[37]
+
+
+def test_power_exponent_above_four_is_rejected():
+    with pytest.raises(ValidationError, match="1..4"):
+        WienerIntegral(1.0) ** 5
 
 
 def test_derivative_of_adapted_functional_vanishes_later():
     # integrand supported on [0, 0.5): derivative at later nodes is zero
     noise = make_noise()
     w = WienerIntegral(lambda t: 1.0 if t < 0.5 else 0.0)
-    assert np.allclose(w.d_brownian(70).evaluate(noise), 0.0)
-    assert np.allclose((w**2).d_brownian(70).evaluate(noise), 0.0)
+    assert np.allclose(w.d_brownian(noise, 70), 0.0)
+    assert np.allclose((w**2).d_brownian(noise, 70), 0.0)
 
 
 def _jump_difference(f, noise, node, atom):
@@ -197,7 +218,8 @@ def _column_stack_duality_brownian(f, psi, noise, pieces):
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(noise.n_paths)
     for i in range(n):
-        rhs_samples += _per_piece(f.d_brownian(i).evaluate, pieces) * psi_vals[:, i] * w[i]
+        d_f = _per_piece(lambda piece: f.d_brownian(piece, i), pieces)
+        rhs_samples += d_f * psi_vals[:, i] * w[i]
     return _sample_result("brownian", lhs_samples, rhs_samples)
 
 
@@ -207,6 +229,10 @@ BROWNIAN_CASES = [
     # not have the raw samples' mean here
     (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, b: np.sin(b)),
     (WienerIntegral(1.0), lambda i, _b: 1.0),
+    (WienerIntegral(1.0) * WienerIntegral(lambda t: 1.0 + t), lambda i, b: b),
+    # the cases run without atoms: the jump integral is zero on every path,
+    # and so are both sides
+    (WienerIntegral(1.0) * JumpIntegral(1.0), lambda i, b: b),
 ]
 
 
@@ -286,6 +312,11 @@ def test_jump_duality_square_case():
                        n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs
+
+
+def test_jump_duality_without_atoms_is_rejected():
+    with pytest.raises(ValidationError, match="at least one atom"):
+        jump_duality(JumpIntegral(1.0), lambda i, q, _c: 1.0, n_steps=10, n_paths=100, seed=11)
 
 
 def test_jump_duality_isometry_case():
@@ -462,7 +493,7 @@ def clark_ocone_reconstruction(f, noise, degree=2):
     engine = _brownian_engine(noise, degree)
     recon = np.full(noise.n_paths, f_vals.mean())
     for i in range(noise.n_steps):
-        proj = engine.project(i, f.d_brownian(i).evaluate(noise))
+        proj = engine.project(i, f.d_brownian(noise, i))
         recon += proj * noise.d_brownian[:, i]
     return recon
 

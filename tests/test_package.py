@@ -354,7 +354,7 @@ def test_path_major_bundle_gives_the_same_values():
                           None, bundle, engine)
         wiener, jump = WienerIntegral(1.0) ** 2, JumpIntegral(1.0) ** 2
         return [sweep, log_x, bsde.y, bsde.z, bsde.k, wiener.evaluate(bundle),
-                wiener.d_brownian(5).evaluate(bundle), jump.evaluate_with_jump(bundle, 5, 0)]
+                wiener.d_brownian(bundle, 5), jump.evaluate_with_jump(bundle, 5, 0)]
 
     want = values(noise)
     for bundle in (built, replaced):
