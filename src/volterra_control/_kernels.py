@@ -31,11 +31,16 @@ every driver whose kernel has that rate.  This is the scheme itself, not an
 approximation of it: only rounding differs from the blocked path.  The decay
 factor never exceeds 1, so large ``r * T`` underflows rather than overflows.
 
-Both paths build the state node-major and return it as a transposed view
-with the path-major shape ``(N, n_nodes)``, no copy made.  The increments and
-counts are read one node at a time, ``db[:, j]`` and ``cj[:, :, j]``:
-contiguous rows for the node-major views of ``paths``, strided reads (still
-correct) for path-major arrays.
+Both paths form the rows in node order.  By default they build the state
+node-major and return it as a transposed view with the path-major shape
+``(N, n_nodes)``, no copy made.  A caller that reads each node row once
+passes ``consume`` instead: the sweep calls ``consume(i, row)`` as row ``i``
+is finished.  The lift then keeps no state at all, only its per-rate rows
+``H``, one running row and one temporary; the blocked path hands out the
+rows of the state it forms anyway.  The increments and counts are read one
+node at a time, ``db[:, j]`` and ``cj[:, :, j]``: contiguous rows for the
+node-major views of ``paths``, strided reads (still correct) for path-major
+arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ _BLOCK = 32
 NUMBA_ENABLED = False
 
 
-def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None, lift=None):
+def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, consume=None, lift=None):
     """Triangular sweep of the left-point Volterra scheme.
 
     Parameters
@@ -66,22 +71,41 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None, l
         time; ``fsvie`` passes the integer counts as drawn, with the
         compensator folded into ``a_nodes``.
     dt : step size.
-    out : optional (n_nodes, N) C-ordered array the state is written into.
+    consume : optional ``consume(i, row)``, called for ``i = 0 .. n_nodes - 1``
+        in order with the finished ``(N,)`` row of node ``i``.  The sweep
+        reads ``row`` again after the call and may reuse its memory for the
+        next node: read it before returning, never write to it, and keep no
+        reference to it.
     lift : optional, when every kernel is ``amplitude * exp(-rate * (t - s))``
         on a uniform grid of step ``dt``: the drift's ``(amplitude, rate)``
         pairs, then beta's and each ``pi_m``'s pair.  The sweep then runs the
         exact O(n_steps * N) recursion and does not read the kernel matrices.
 
-    Returns the (N, n_nodes) state as a view of node-major storage (``out.T``
-    when ``out`` is given).
+    Returns the (N, n_nodes) state as a view of node-major storage, or
+    ``None`` when ``consume`` is given.
     """
     n_nodes, n_paths = source.shape
-    u = np.empty((n_nodes, n_paths)) if out is None else out
-    if n_nodes == 0:
-        return u.T
+    if lift is not None and consume is not None:
+        # the lift reads back only the latest row: one running buffer holds it
+        u, rows = None, [np.empty(n_paths)] * n_nodes
+    else:
+        u = rows = np.empty((n_nodes, n_paths))
     if lift is not None:
-        _lifted_sweep(source, c, db, cj, dt, lift, u)
-        return u.T
+        rows = _lifted_rows(source, c, db, cj, dt, lift, rows)
+    else:
+        rows = _blocked_rows(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, u)
+    for i, row in enumerate(rows):
+        if consume is not None:
+            consume(i, row)
+    return None if consume is not None else u.T
+
+
+def _blocked_rows(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, u):
+    """The blocked forward substitution of the module docstring, into ``u``:
+    yields each row ``u[i]`` once it is final, in node order."""
+    n_nodes, n_paths = source.shape
+    if n_nodes == 0:
+        return
     n_steps = n_nodes - 1
     m = p_nodes.shape[0]
     width = 2 + m
@@ -101,15 +125,17 @@ def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, out=None, l
         for i in range(s, e):
             if i > s:
                 u[i] += coef[i, s * width : i * width] @ flat[s * width : i * width]
+            yield u[i]
             if i < n_steps:
                 drivers[i, 0] = u[i]
                 np.multiply(u[i], db[:, i], out=drivers[i, 1])
                 np.multiply(u[i], cj[:, :, i], out=drivers[i, 2:])
-    return u.T
 
 
-def _lifted_sweep(source, c, db, cj, dt, lift, u):
-    """The exponential-kernel recursion of the module docstring, into ``u``."""
+def _lifted_rows(source, c, db, cj, dt, lift, rows):
+    """The exponential-kernel recursion of the module docstring: yields row
+    ``i``, formed in ``rows[i]``, in node order; the recursion reads it
+    again once the caller asks for the next."""
     n_nodes, n_paths = source.shape
     n_steps = n_nodes - 1
     drift, (a_beta, r_beta), *pis = lift
@@ -125,11 +151,11 @@ def _lifted_sweep(source, c, db, cj, dt, lift, u):
     decay = [math.exp(-r * dt) for r in rates]
     h = np.zeros((len(rates), n_paths))
     tmp = np.empty(n_paths)
-    for i in range(n_nodes):
-        row = u[i]
+    for i, row in enumerate(rows):
         np.add(source[i], h[0], out=row)
         for hr in h[1:]:
             row += hr
+        yield row
         if i == n_steps:
             break
         for hr, r, d in zip(h, rates, decay):

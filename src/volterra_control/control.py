@@ -13,9 +13,9 @@ and ``gateaux_derivative`` estimates directional derivatives by a central
 difference under common random numbers.  ``hamiltonian_h1`` is the memory
 part of the Hamiltonian (kernel time-derivatives against projected adjoint
 gradients).  Projection is linear, so it contracts the gradients with their
-quadrature weights first, reading the state one node row at a time and each
-noise direction's first variation as ``first_variation`` hands it out, adds
-every direction into one column and projects that column once.
+quadrature weights first, reading the state and the first variations one
+node row at a time, as ``first_variation`` hands each row out, adds every
+direction into one column and projects that column once.
 
 For time-invariant kernels the exact engine gives
 
@@ -362,13 +362,14 @@ def hamiltonian_h1(
     Brownian direction and the exact difference ``P/(X + dX) - P/X`` for a
     jump.  Conditional expectation is linear, so each gradient is contracted
     with its quadrature weights first, one node row of ``X`` and of the first
-    variation at a time, as ``first_variation`` hands out each noise
-    direction, so no second direction is ever held; every direction is
-    added into one ``(N,)`` column, which is then projected once onto the
-    information at ``t``.  Both ``adjoint.fwd`` and, when there are gradient
-    terms, ``fwd`` must reach the horizon.  Zero exactly when every kernel is
-    constant in its first argument, and at ``node = n``, where the integral
-    over ``[T, T]`` is empty.
+    variation at a time, as ``first_variation`` hands out each row, so no
+    direction is held whole (on the lift, none is ever formed); every
+    direction is added into one ``(N,)`` column, which is then projected
+    once onto the information at ``t``.  Both ``adjoint.fwd`` and, when
+    there are gradient terms, ``fwd`` must reach the horizon, and ``noise``
+    must be the bundle ``fwd`` was simulated on.  Zero exactly when every
+    kernel is constant in its first argument, and at ``node = n``, where the
+    integral over ``[T, T]`` is empty.
     """
     grid = scenario.grid
     n = grid.n_steps
@@ -405,16 +406,15 @@ def hamiltonian_h1(
         ])
         column = np.zeros(fwd.n_paths)
 
-        def contract(direction: int, rows: np.ndarray) -> None:
-            # rows[j] is the first variation at node k + j; the direction's
-            # gradient of p is contracted into the one column, row by row
-            for j, s in enumerate(range(k, n + 1)):
-                x_s, p_s = fwd.row(s), big_p[s]
-                if direction == 0:
-                    gradient = -p_s * rows[j] / x_s**2
-                else:
-                    gradient = p_s / (x_s + rows[j]) - p_s / x_s
-                np.add(column, gradient * weights[direction, j], out=column)
+        def contract(direction: int, s: int, row: np.ndarray) -> None:
+            # row is the first variation at node s; its gradient of p is
+            # contracted into the one column
+            x_s, p_s = fwd.row(s), big_p[s]
+            if direction == 0:
+                gradient = -p_s * row / x_s**2
+            else:
+                gradient = p_s / (x_s + row) - p_s / x_s
+            np.add(column, gradient * weights[direction, s - k], out=column)
 
         first_variation(scenario, noise, control, fwd, k, contract)
         engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)

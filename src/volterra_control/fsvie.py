@@ -32,10 +32,12 @@ The first variations at ``t_k`` solve the same linear recursion with a
 source that is zero before ``t_k``, so each runs only on the sub-triangle of
 nodes from ``t_k`` on.  A kernel of ``t - s`` alone is the same kernel there,
 so the sub-triangle keeps the lift.  ``first_variation`` hands them out one
-noise direction at a time, in one reused buffer.  Each sweep runs on the
-kernel's unit source column, broadcast over paths: the recursion is linear
-and ``X(t_k)`` is constant on each path, so the buffer is then scaled by
-``X(t_k)`` in place, and no per-path source is formed.
+noise direction at a time and, within it, one node row at a time, as the
+sweep finishes each row.  Each sweep runs on the kernel's unit source
+column, broadcast over paths: the recursion is linear and ``X(t_k)`` is
+constant on each path, so each row is scaled by ``X(t_k)`` into one reused
+``(N,)`` buffer, and no per-path source is formed.  On the lift no
+direction is ever held whole.
 
 ``simulate_fsvie`` runs the exact engine exactly when the scenario is
 time-invariant (constant initial level included), and the sum otherwise.
@@ -301,11 +303,11 @@ def first_variation(
     control: ControlFn,
     fwd: ForwardPaths,
     node: int,
-    consume: Callable[[int, np.ndarray], None],
+    consume: Callable[[int, int, np.ndarray], None],
     include_diagonal: bool = True,
 ) -> None:
     """Linearized response of the state to a noise perturbation at ``t_k``,
-    handed to ``consume`` one noise direction at a time.
+    handed to ``consume`` one node row at a time.
 
     Solves the linear two-time recursion obtained by differentiating the
     state equation: the Brownian direction starts from
@@ -313,13 +315,14 @@ def first_variation(
     ``pi_m(t_i, t_k) X(t_k)``; both propagate through the same triangular
     dynamics as the state itself.  Values vanish for ``i < k``.
 
-    ``consume(direction, rows)`` is called for direction 0, the Brownian
-    one, then ``1 + m`` for atom ``m = 0 .. n_atoms - 1``.  ``rows`` is
-    node-major, shape ``(last + 1 - start, n_paths)`` with ``last =
-    fwd.last_node``: ``rows[j]`` is the response at node ``start + j``, where
-    ``start`` is ``k`` with the diagonal and ``k + 1`` without.  It is one
-    buffer, reused for every direction: read it before returning, and keep
-    no reference to it.
+    ``consume(direction, node, row)`` is called for direction 0, the
+    Brownian one, then ``1 + m`` for atom ``m = 0 .. n_atoms - 1``; within a
+    direction for ``node = start .. fwd.last_node`` in order, where
+    ``start`` is ``k`` with the diagonal and ``k + 1`` without.  ``row`` is
+    the ``(n_paths,)`` response at ``node``.  It is one buffer, reused for
+    every row of every direction: read it before returning, and keep no
+    reference to it.  ``noise`` must be the bundle ``fwd`` was simulated on,
+    on the scenario's grid.
 
     ``include_diagonal`` keeps the left-limit convention (the response at the
     differentiation node itself is ``beta(t_k, t_k) X(t_k)``); with it off
@@ -334,6 +337,10 @@ def first_variation(
         raise ValidationError("differentiation node must satisfy 0 <= k < n")
     if fwd.last_node < k:
         raise ValidationError("forward paths do not reach the differentiation node")
+    _check_noise_grid(grid, noise)
+    if noise.n_paths != fwd.n_paths:
+        raise ValidationError(f"noise has {noise.n_paths} paths but the forward paths "
+                              f"have {fwd.n_paths}")
     last = fwd.last_node
 
     a_nodes, b_nodes, p_nodes, lift = _kernel_matrices(scenario, last)
@@ -346,11 +353,15 @@ def first_variation(
     db = noise.d_brownian[:, start:last]
     cj = noise.jump_counts[:, :, start:last]
     xk = fwd.row(k)
-    rows = np.empty((last + 1 - start, fwd.n_paths))
+    scaled = np.empty(fwd.n_paths)
+
+    def scale(i: int, row: np.ndarray) -> None:
+        # the sweep reads its row again: scale it into ``scaled``, not in place
+        np.multiply(row, xk, out=scaled)
+        consume(direction, start + i, scaled)
+
     for direction, col in enumerate([b_nodes[:, k], *p_nodes[:, :, k]]):
         # linear in the source, and X(t_k) is constant on each path: sweep
-        # the unit source column, then scale by X(t_k)
-        source = np.broadcast_to(col[start:, None], rows.shape)
-        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt, out=rows, lift=lift)
-        rows *= xk
-        consume(direction, rows)
+        # the unit source column, then scale each row by X(t_k)
+        source = np.broadcast_to(col[start:, None], (last + 1 - start, fwd.n_paths))
+        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt, scale, lift=lift)

@@ -41,20 +41,20 @@ def s0_noise(s0_small):
 def directions():
     """``directions(scenario, noise, control, fwd, node, include_diagonal=True)``
     collects the first variations ``first_variation`` hands out, Brownian
-    first, each copied into a path-major ``(n_paths, last_node + 1)`` array
-    that is zero at the nodes below the rows handed out."""
+    first, each row copied into a path-major ``(n_paths, last_node + 1)``
+    array that is zero at the nodes below the rows handed out."""
 
     def collect(scenario, noise, control, fwd, node, include_diagonal=True):
         out = []
 
-        def consume(direction, rows):
-            assert direction == len(out)
-            full = np.zeros((fwd.last_node + 1, fwd.n_paths))
-            full[full.shape[0] - rows.shape[0]:] = rows
-            out.append(full.T)
+        def consume(direction, i, row):
+            if direction == len(out):
+                out.append(np.zeros((fwd.last_node + 1, fwd.n_paths)))
+            assert direction == len(out) - 1
+            out[direction][i] = row
 
         first_variation(scenario, noise, control, fwd, node, consume, include_diagonal)
-        return out
+        return [full.T for full in out]
 
     return collect
 

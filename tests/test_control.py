@@ -610,12 +610,14 @@ def test_memory_hamiltonian_matches_project_then_contract(
 
 
 @pytest.mark.parametrize("k", [0, 20])
-def test_memory_hamiltonian_peak_is_one_direction(k):
-    # the whole call, sweeps included: the first variation handed out one
-    # direction at a time, one (n + 1 - k, N) buffer; the sweeps read the
-    # counts as drawn.  Two directions held at once, a float copy of the
-    # counts, an outer-product source, or an (N, n+1) array of P/X or of
-    # the gradients would break the bound.
+def test_memory_hamiltonian_peak_is_a_few_rows(k):
+    # the whole call, sweeps included: the first variations reach the
+    # contraction one node row at a time and the lifted sweeps keep no
+    # state; the sweeps read the counts as drawn.  The peak, about 14 rows
+    # at either k, is the lift's running rows, the gradient's temporaries,
+    # the regression design and the node matrices.  One (n + 1 - k, N)
+    # direction, a float copy of the counts, an outer-product source, or an
+    # (N, n+1) array of P/X or of the gradients would break the bound.
     spec = _h1_scenario(40, 5000, 7, "exp_decay", 1, "full")
     noise = generate_noise(spec.grid, spec.levy, 5000, 7, 1)
     one = ControlFn.constant(1.0, spec.grid)
@@ -628,8 +630,7 @@ def test_memory_hamiltonian_peak_is_one_direction(k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    direction = (spec.grid.n_steps + 1 - k) * 5000 * 8
-    assert peak < 1.75 * direction
+    assert peak < 18 * 5000 * 8
 
 
 @pytest.mark.parametrize("node", [-1, -150, 21])
@@ -640,6 +641,28 @@ def test_memory_hamiltonian_rejects_a_node_off_the_grid(node):
     fwd = simulate_fsvie(spec, noise, one)
     with pytest.raises(ValidationError, match="0 <= node <= n = 20"):
         hamiltonian_h1(node, 1.0, fwd, build_adjoint_state(spec, fwd), spec, noise, one)
+
+
+def test_memory_hamiltonian_rejects_noise_on_another_grid():
+    # increments of a 40-step grid would be read as if they were the
+    # scenario's 20 steps
+    spec = _h1_scenario(20, 400, 3, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 400, 3, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    fine = generate_noise(build_time_grid(1.0, 40), spec.levy, 400, 3, 1)
+    with pytest.raises(ValidationError, match="noise grid does not match scenario grid"):
+        hamiltonian_h1(5, 1.0, fwd, build_adjoint_state(spec, fwd), spec, fine, one)
+
+
+def test_memory_hamiltonian_rejects_noise_of_another_path_count():
+    spec = _h1_scenario(20, 400, 3, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 400, 3, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    fewer = generate_noise(spec.grid, spec.levy, 200, 3, 1)
+    with pytest.raises(ValidationError, match="noise has 200 paths but the forward paths have 400"):
+        hamiltonian_h1(5, 1.0, fwd, build_adjoint_state(spec, fwd), spec, fewer, one)
 
 
 def test_memory_hamiltonian_is_zero_at_the_horizon():

@@ -517,10 +517,12 @@ def test_first_variation_vanishes_before_the_node():
     one = ControlFn.constant(1.0, spec.grid)
     fwd = simulate_fsvie(spec, noise, one)
     for diagonal, start in ((True, 40), (False, 41)):
-        shapes = []
-        first_variation(spec, noise, one, fwd, 40, lambda d, rows: shapes.append(rows.shape),
+        seen = []
+        first_variation(spec, noise, one, fwd, 40,
+                        lambda d, i, row: seen.append((d, i, row.shape)),
                         include_diagonal=diagonal)
-        assert shapes == [(101 - start, 32)] * (1 + spec.n_atoms)
+        assert seen == [(d, i, (32,)) for d in range(1 + spec.n_atoms)
+                        for i in range(start, 101)]
 
 
 def test_first_variation_ratio_recovers_diffusion_loading(s0_small, s0_noise, directions):
@@ -544,15 +546,20 @@ def test_first_variation_jump_direction(directions):
 
 
 def test_first_variation_hands_out_the_directions_in_order():
-    # Brownian, then atom 0 .. m - 1, all in one reused buffer
-    spec = make_scenario(**JUMPY)
-    noise = noise_for(spec, n_paths=16)
-    one = ControlFn.constant(1.0, spec.grid)
-    fwd = simulate_fsvie(spec, noise, one)
-    seen = []
-    first_variation(spec, noise, one, fwd, 20, lambda d, rows: seen.append((d, id(rows))))
-    assert [d for d, _ in seen] == list(range(1 + spec.n_atoms)) and spec.n_atoms == 2
-    assert len({buffer for _, buffer in seen}) == 1
+    # Brownian, then atom 0 .. m - 1, each node by node, all in one reused
+    # (N,) buffer, on the lift and, with a table kernel, on the blocked path
+    lifted = make_scenario(alpha_kernel={"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
+                           **JUMPY)
+    table = lifted.beta.at_nodes(lifted.grid)[np.tril_indices(101)]
+    blocked = validate_scenario(dataclasses.replace(lifted, beta=Kernel.from_table(table, 100)))
+    for spec in (lifted, blocked):
+        noise = noise_for(spec, n_paths=16)
+        one = ControlFn.constant(1.0, spec.grid)
+        fwd = simulate_fsvie(spec, noise, one)
+        seen = []
+        first_variation(spec, noise, one, fwd, 20, lambda d, i, row: seen.append((d, i, row)))
+        assert [(d, i) for d, i, _ in seen] == [(d, i) for d in range(3) for i in range(20, 101)]
+        assert all(row is seen[0][2] and row.shape == (16,) for *_, row in seen)
 
 
 def test_first_variation_without_atoms_hands_out_the_brownian_direction_alone():
@@ -561,8 +568,8 @@ def test_first_variation_without_atoms_hands_out_the_brownian_direction_alone():
     one = ControlFn.constant(1.0, spec.grid)
     fwd = simulate_fsvie(spec, noise, one)
     seen = []
-    first_variation(spec, noise, one, fwd, 20, lambda d, rows: seen.append(d))
-    assert seen == [0]
+    first_variation(spec, noise, one, fwd, 20, lambda d, i, row: seen.append(d))
+    assert set(seen) == {0} and len(seen) == 81
 
 
 def test_first_variation_rejects_terminal_node():
@@ -571,4 +578,4 @@ def test_first_variation_rejects_terminal_node():
     fwd = simulate_fsvie(spec, noise, ControlFn.constant(1.0, spec.grid))
     with pytest.raises(ValidationError):
         first_variation(spec, noise, ControlFn.constant(1.0, spec.grid), fwd, 100,
-                        lambda direction, rows: None)
+                        lambda direction, i, row: None)

@@ -131,13 +131,13 @@ def test_first_variation_matches_full_triangle(two_time_case, k, include_diagona
     start = k if include_diagonal else k + 1
     got = []
 
-    def consume(direction, rows):
-        assert rows.shape == (fwd.last_node + 1 - start, fwd.n_paths)
-        np.testing.assert_allclose(rows, want[direction][start:], rtol=1e-12, atol=1e-14)
-        got.append(direction)
+    def consume(direction, i, row):
+        assert row.shape == (fwd.n_paths,)
+        np.testing.assert_allclose(row, want[direction][i], rtol=1e-12, atol=1e-14)
+        got.append((direction, i))
 
     first_variation(spec, noise, control, fwd, k, consume, include_diagonal)
-    assert got == [0, 1, 2]
+    assert got == [(d, i) for d in range(3) for i in range(start, fwd.last_node + 1)]
     assert not any(w[:start].any() for w in want)
 
 
@@ -187,19 +187,18 @@ _PAIRS = st.tuples(st.integers(-500, 500).map(lambda k: k / 1000),
     direction=st.integers(-1, 2),
     at=st.floats(0.0, 1.0),
     diagonal=st.booleans(),
-    with_out=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(pairs=[(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5), (0.3, 50.0)], n_steps=200,
-         n_paths=40, direction=-1, at=0.0, diagonal=True, with_out=True, seed=1)
+         n_paths=40, direction=-1, at=0.0, diagonal=True, seed=1)
 @example(pairs=[(0.5, 50.0), (0.4, 0.0), (-0.3, 50.0)], n_steps=400,
-         n_paths=40, direction=1, at=0.25, diagonal=True, with_out=True, seed=2)
+         n_paths=40, direction=1, at=0.25, diagonal=True, seed=2)
 @example(pairs=[(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5)], n_steps=400,
-         n_paths=40, direction=0, at=0.5, diagonal=False, with_out=True, seed=3)
+         n_paths=40, direction=0, at=0.5, diagonal=False, seed=3)
 @example(pairs=[(0.05, 0.0), (0.2, 0.0)], n_steps=10, n_paths=3,
-         direction=0, at=1.0, diagonal=False, with_out=True, seed=4)  # one node
+         direction=0, at=1.0, diagonal=False, seed=4)  # one node
 def test_lifted_sweep_matches_blocked_sweep(pairs, n_steps, n_paths, direction, at,
-                                            diagonal, with_out, seed):
+                                            diagonal, seed):
     source, a, c, b, db, p, cj, dt = _exponential_problem(pairs, n_steps, n_paths, seed)
     if direction >= 0:
         # the sub-triangle first_variation sweeps, with its source
@@ -210,19 +209,34 @@ def test_lifted_sweep_matches_blocked_sweep(pairs, n_steps, n_paths, direction, 
         source = column[:, None] * xk[None, :]
         a, b, p = a[start:, start:], b[start:, start:], p[:, start:, start:]
         c, db, cj = c[start:], db[:, start:], cj[:, :, start:]
-    want = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt)
-    out = np.full(source.shape, np.nan) if with_out else None
+    args = source, a, c, b, db, p, cj, dt
     lift = ((pairs[0],), *pairs[1:])
-    got = _kernels.volterra_sweep(source, a, c, b, db, p, cj, dt, out=out, lift=lift)
+    want = _kernels.volterra_sweep(*args)
+    got = _kernels.volterra_sweep(*args, lift=lift)
     assert got.shape == want.shape
-    if with_out:
-        assert got.base is out
     _assert_rows_close(got, want, source)
+    # the rows handed to a consumer are the returned state, bit for bit
+    assert np.array_equal(_consumed_rows(args, None), want)
+    assert np.array_equal(_consumed_rows(args, lift), got)
+
+
+def _consumed_rows(args, lift):
+    """The rows ``volterra_sweep`` hands to ``consume``, copied into the
+    path-major shape of the state it returns without one."""
+    rows = []
+
+    def consume(i, row):
+        assert i == len(rows) and row.shape == (args[0].shape[1],)
+        rows.append(row.copy())
+
+    assert _kernels.volterra_sweep(*args, consume, lift=lift) is None
+    return np.array(rows).reshape(args[0].shape).T
 
 
 def test_lifted_sweep_peak_is_its_output_plus_a_row_per_rate():
     # rates {0, 0.5, 1}: the lift keeps three running rows and one scratch
-    # row; the blocked sweep holds an (n_steps, 2 + m, N) driver buffer
+    # row, and handing its rows to a consumer, one output row instead of the
+    # state; the blocked sweep holds an (n_steps, 2 + m, N) driver buffer
     pairs = [(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5), (0.1, 0.0)]
     lift = ((pairs[0],), *pairs[1:])
     n_steps, n_paths, rates = 100, 20_000, 3
@@ -231,15 +245,17 @@ def test_lifted_sweep_peak_is_its_output_plus_a_row_per_rate():
     row = n_paths * 8
     output = (n_steps + 1) * row
 
-    def peak(lift):
+    def peak(lift, consume=None):
         tracemalloc.start()
         try:
-            _kernels.volterra_sweep(*args, lift=lift)
+            _kernels.volterra_sweep(*args, consume, lift=lift)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert peak(lift) <= output + (rates + 2) * row
+    # and a few small objects (the row list, the generator), far below a row
+    assert peak(lift, lambda i, row: None) < (rates + 3) * row
     assert peak(None) >= output + n_steps * len(pairs) * row
 
 
@@ -277,6 +293,26 @@ def test_sum_engine_peak_is_its_state_and_a_few_rows():
     assert peak < 1.25 * (spec.grid.n_steps + 1) * noise.n_paths * 8
 
 
+@pytest.mark.parametrize("k", [0, 50])
+def test_first_variation_peak_is_a_few_rows_on_the_lift(k):
+    # rates {0, 0.5, 0.7, 1.5}: four running rows, one scratch row, the
+    # sweep's row and the scaled row handed out, next to the (n + 1)^2 node
+    # matrices (about two rows here).  No (n + 1 - k, N) direction is formed,
+    # so the bound holds at every k.
+    spec = _exponential_scenario(100, 20_000, 5)
+    noise = generate_noise(spec.grid, spec.levy, 20_000, 5, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    first_variation(spec, noise, one, fwd, 99, lambda d, i, row: None)  # first-call imports
+    tracemalloc.start()
+    try:
+        first_variation(spec, noise, one, fwd, k, lambda d, i, row: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * noise.n_paths * 8
+
+
 @pytest.fixture(scope="module")
 def exponential_case():
     spec = _exponential_scenario(30, 16, 5)
@@ -306,7 +342,7 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
 
     monkeypatch.setattr(fsvie, "volterra_sweep", spy)
     fwd = simulate_fsvie(spec, noise, one)
-    first_variation(spec, noise, one, fwd, 7, lambda direction, rows: None)
+    first_variation(spec, noise, one, fwd, 7, lambda direction, i, row: None)
     assert len(lifts) == 1 + 1 + spec.n_atoms
     if table is None:
         # the drift: alpha's pair and -w_m times each pi_m's (w = 0.5, 1)

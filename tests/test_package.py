@@ -294,11 +294,14 @@ def test_every_per_node_array_is_node_major():
         arrays[f"{engine}.state"] = fwd.state
         arrays[f"{engine}.values"] = fwd.values
 
-    def consume(direction, rows):
-        # node-major rows, viewed path-major as every other array
-        arrays[f"first_variation.{direction}"] = rows.T
+    def consume(direction, i, row):
+        # one contiguous row of all paths per node, as a node-major array
+        # stores it
+        rows.append(row.shape == (noise.n_paths,) and row.flags.c_contiguous)
 
+    rows = []
     first_variation(two_time, noise, one, fwd, 5, consume)
+    assert rows and all(rows)
     engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
     sol = solve_bsde(noise.brownian_levels[:, -1] ** 2, None, noise, engine)
     arrays["bsde.y"] = sol.y
