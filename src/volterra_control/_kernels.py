@@ -7,10 +7,11 @@ The state recursion
                               + B[i, j] * U[p, j] * dB[p, j]
                               + U[p, j] * sum_m P[m, i, j] * CJ[m, p, j] )
 
-runs on one of two paths.  ``CJ`` are the jump drivers: ``fsvie`` passes
-the counts as drawn and folds the compensator ``-w_m dt`` into the drift.
+runs on one of two paths, picked by the form the kernels come in.  ``CJ``
+are the jump drivers: ``fsvie`` passes the counts as drawn and folds the
+compensator ``-w_m dt`` into the drift.
 
-*Blocked path* (any kernels, given as matrices), O(n_steps^2 * n_paths):
+*Blocked path* (any kernels, given as node matrices), O(n_steps^2 * n_paths):
 blocked forward substitution (level-3 BLAS).  The products
 ``U_j * [1, dB_j, CJ_{m,j}]`` are kept node-major, each block of ``_BLOCK``
 rows receives everything from earlier blocks through one matrix product with
@@ -19,9 +20,9 @@ block run one at a time over the block's own earlier rows.  Only the order
 of the sums differs from the direct recursion.
 
 *Lifted path* (every kernel ``a * exp(-r (t - s))``, given as its ``(a, r)``
-pair, the drift as a sum of them; a constant kernel and ``c`` are rate 0),
-O(n_steps * n_paths): on a uniform grid the triangular sum is an exact
-finite-dimensional Markovian lift,
+pair, never as a matrix, the drift as a sum of them; a constant kernel and
+``c`` are rate 0), O(n_steps * n_paths): on a uniform grid the triangular
+sum is an exact finite-dimensional Markovian lift,
 
     sum_{j < i} exp(-r (t_i - t_j)) g_j = H_i,   H_0 = 0,
     H_{i+1} = exp(-r dt) (H_i + g_i),
@@ -57,41 +58,42 @@ _BLOCK = 32
 NUMBA_ENABLED = False
 
 
-def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, consume=None, lift=None):
+def volterra_sweep(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, consume=None):
     """Triangular sweep of the left-point Volterra scheme.
 
     Parameters
     ----------
     source : (n_nodes, N) per-node inhomogeneity (a broadcast view is fine).
-    a_nodes, b_nodes : (n_nodes, n_nodes) kernel matrices at grid nodes.
+    a_nodes, b_nodes, p_nodes : the drift, beta and the m jump kernels (m
+        may be 0).  Node matrices, ``(n_nodes, n_nodes)`` and ``(m, n_nodes,
+        n_nodes)``, take the blocked path.  When every kernel is ``amplitude
+        * exp(-rate * (t - s))`` on a uniform grid of step ``dt``, their
+        ``(amplitude, rate)`` pairs take the lift: the drift as ``(k, 2)``
+        (the sum of k terms), beta as ``(2,)`` and the atoms as ``(m, 2)``.
     c : (n_steps,) consumption values at left nodes.
     db : (N, n_steps) Brownian increments.
-    p_nodes : (m, n_nodes, n_nodes) jump kernel matrices (m may be 0).
     cj : (m, N, n_steps) jump drivers, read one node's ``cj[:, :, j]`` at a
         time; ``fsvie`` passes the integer counts as drawn, with the
-        compensator folded into ``a_nodes``.
+        compensator folded into the drift.
     dt : step size.
     consume : optional ``consume(i, row)``, called for ``i = 0 .. n_nodes - 1``
         in order with the finished ``(N,)`` row of node ``i``.  The sweep
         reads ``row`` again after the call and may reuse its memory for the
         next node: read it before returning, never write to it, and keep no
         reference to it.
-    lift : optional, when every kernel is ``amplitude * exp(-rate * (t - s))``
-        on a uniform grid of step ``dt``: the drift's ``(amplitude, rate)``
-        pairs, then beta's and each ``pi_m``'s pair.  The sweep then runs the
-        exact O(n_steps * N) recursion and does not read the kernel matrices.
 
     Returns the (N, n_nodes) state as a view of node-major storage, or
     ``None`` when ``consume`` is given.
     """
     n_nodes, n_paths = source.shape
-    if lift is not None and consume is not None:
+    lift = np.ndim(b_nodes) == 1
+    if lift and consume is not None:
         # the lift reads back only the latest row: one running buffer holds it
         u, rows = None, [np.empty(n_paths)] * n_nodes
     else:
         u = rows = np.empty((n_nodes, n_paths))
-    if lift is not None:
-        rows = _lifted_rows(source, c, db, cj, dt, lift, rows)
+    if lift:
+        rows = _lifted_rows(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, rows)
     else:
         rows = _blocked_rows(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, u)
     for i, row in enumerate(rows):
@@ -132,20 +134,19 @@ def _blocked_rows(source, a_nodes, c, b_nodes, db, p_nodes, cj, dt, u):
                 np.multiply(u[i], cj[:, :, i], out=drivers[i, 2:])
 
 
-def _lifted_rows(source, c, db, cj, dt, lift, rows):
-    """The exponential-kernel recursion of the module docstring: yields row
-    ``i``, formed in ``rows[i]``, in node order; the recursion reads it
-    again once the caller asks for the next."""
+def _lifted_rows(source, drift, c, beta, db, pis, cj, dt, rows):
+    """The exponential-kernel recursion of the module docstring on the pairs:
+    yields row ``i``, formed in ``rows[i]``, in node order; the recursion
+    reads it again once the caller asks for the next."""
     n_nodes, n_paths = source.shape
     n_steps = n_nodes - 1
-    drift, (a_beta, r_beta), *pis = lift
     # per distinct rate: the drift amplitude and the (amplitude, atom) of
     # each noise driver, atom -1 standing for the Brownian increment; rate 0
     # always exists, because it carries the consumption term
     groups = {0.0: [0.0, []]}
     for amp, rate in drift:
         groups.setdefault(float(rate), [0.0, []])[0] += amp
-    for q, (amp, rate) in enumerate([(a_beta, r_beta), *pis], start=-1):
+    for q, (amp, rate) in enumerate([beta, *pis], start=-1):
         groups.setdefault(float(rate), [0.0, []])[1].append((amp, q))
     rates = list(groups)
     decay = [math.exp(-r * dt) for r in rates]

@@ -74,7 +74,6 @@ class BsdeSolution:
     zero.  ``design.evaluate(z[i][:p])`` gives ``z_i`` on the paths.
     """
 
-    t_nodes: np.ndarray
     y: np.ndarray  # (n_paths, n_steps + 1), node-major in memory
     z: np.ndarray  # (n_steps, n_basis), coefficients of z_i
     k: np.ndarray  # (n_steps, n_atoms, n_basis), coefficients of k_i
@@ -155,7 +154,7 @@ def solve_bsde(
         y[i], r2[i] = y_i, r2_i
         z[i, :p] = z_i
         k[i, :, :p] = k_i
-    return BsdeSolution(t_nodes=noise.grid.nodes.copy(), y=y.T, z=z, k=k, r_squared=r2)
+    return BsdeSolution(y=y.T, z=z, k=k, r_squared=r2)
 
 
 # --------------------------------------------------------------------------- #

@@ -357,7 +357,8 @@ def hamiltonian_h1(
         x int_t^T [ dalpha/ds(s,t) p(s) + dbeta/ds(s,t) E_t[D_t p(s)]
                     + sum_q w_q dpi_q/ds(s,t) E_t[D_{t,q} p(s)] ] ds,
 
-    trapezoid quadrature in the running time.  The stochastic gradients of
+    trapezoid quadrature in the running time, on the kernel derivative
+    columns ``d_first_column(grid, node)``.  The stochastic gradients of
     ``p`` come from the first variations of ``fwd``: ``-P V / X^2`` in the
     Brownian direction and the exact difference ``P/(X + dX) - P/X`` for a
     jump.  Conditional expectation is linear, so each gradient is contracted
@@ -377,11 +378,13 @@ def hamiltonian_h1(
     if not 0 <= k <= n:
         raise ValidationError(f"memory Hamiltonian node must satisfy 0 <= node <= n = {n}, "
                               f"got {node}")
-    col_a = scenario.alpha.d_first_at_nodes(grid)[k:, k]
-    col_b = scenario.beta.d_first_at_nodes(grid)[k:, k]
-    cols_p = [kk.d_first_at_nodes(grid)[k:, k] for kk in scenario.pi_kernels]
+    if k == n:
+        return 0.0, 0.0
+    col_a = scenario.alpha.d_first_column(grid, k)
+    col_b = scenario.beta.d_first_column(grid, k)
+    cols_p = [kk.d_first_column(grid, k) for kk in scenario.pi_kernels]
     gradients = bool(np.any(col_b)) or any(np.any(c) for c in cols_p)
-    if k == n or (not np.any(col_a) and not gradients):
+    if not np.any(col_a) and not gradients:
         return 0.0, 0.0
 
     if adjoint.fwd is None:

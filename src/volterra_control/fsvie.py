@@ -23,21 +23,24 @@ There are two stepping engines, and the kernels choose between them:
                                  + beta(t_i,t_j) X_j dB_j
                                  + X_j * sum_m pi_m(t_i,t_j) (count - w dt) ].
 
-  The sum runs as the sweep of ``_kernels``: when every kernel is
-  ``a * exp(-r (t - s))`` (``constant`` included, as rate 0) as the exact
-  Markovian lift, one running row per distinct rate, in O(n * N); with any
-  ``table`` kernel as the blocked triangular sum, in O(n^2 * N).
+  The sum runs as the sweep of ``_kernels``, handed the kernels in the one
+  form they have.  When every kernel is ``a * exp(-r (t - s))`` (``constant``
+  included, as rate 0), as its ``(a, r)`` pair, and no node matrix is formed:
+  the exact Markovian lift, one running row per distinct rate, in O(n * N).
+  With any ``table`` kernel, as node matrices: the blocked triangular sum,
+  in O(n^2 * N).
 
 The first variations at ``t_k`` solve the same linear recursion with a
 source that is zero before ``t_k``, so each runs only on the sub-triangle of
 nodes from ``t_k`` on.  A kernel of ``t - s`` alone is the same kernel there,
-so the sub-triangle keeps the lift.  ``first_variation`` hands them out one
-noise direction at a time and, within it, one node row at a time, as the
-sweep finishes each row.  Each sweep runs on the kernel's unit source
-column, broadcast over paths: the recursion is linear and ``X(t_k)`` is
-constant on each path, so each row is scaled by ``X(t_k)`` into one reused
-``(N,)`` buffer, and no per-path source is formed.  On the lift no
-direction is ever held whole.
+so the sub-triangle keeps the pairs and the lift.  ``first_variation`` hands
+them out one noise direction at a time and, within it, one node row at a
+time, as the sweep finishes each row.  Each sweep runs on the unit source
+column ``K(t_i, t_k)``, read from the kernel (``Kernel.column``) and
+broadcast over paths: the recursion is linear and ``X(t_k)`` is constant on
+each path, so each row is scaled by ``X(t_k)`` into one reused ``(N,)``
+buffer, and no per-path source is formed.  On the lift no direction is ever
+held whole.
 
 ``simulate_fsvie`` runs the exact engine exactly when the scenario is
 time-invariant (constant initial level included), and the sum otherwise.
@@ -227,39 +230,39 @@ def _log_row_means(scenario: ScenarioSpec, c_int: np.ndarray, last: int) -> np.n
     return np.log(float(scenario.initial)) + np.arange(last + 1) * (rate * dt) - spent
 
 
-def _kernel_matrices(
-    scenario: ScenarioSpec, last: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+def _sweep_kernels(scenario: ScenarioSpec, start: int, last: int) -> tuple:
     """The sweep's drift ``alpha - sum_m w_m pi_m``, ``beta`` and the stacked
-    ``pi_m`` at nodes ``0 .. last``, and its ``lift``: the drift's ``(amplitude,
-    rate)`` pairs, alpha's and ``(-w_m a_m, r_m)`` per atom, then beta's and each
-    ``pi_m``'s, or ``None`` when any kernel is a table.  The drift carries the
-    compensator ``-w_m dt`` of ``N~``, so the sweep reads the counts as drawn."""
+    ``pi_m`` on nodes ``start .. last``: the node matrices of that triangle,
+    or, when every kernel is exponential, their ``(amplitude, rate)`` pairs,
+    the same on every triangle (the drift's: alpha's and ``(-w_m a_m, r_m)``
+    per atom).  The drift carries the compensator ``-w_m dt`` of ``N~``, so
+    the sweep reads the counts as drawn."""
     grid, weights = scenario.grid, scenario.levy.weights
-    a_nodes = scenario.alpha.at_nodes(grid)[: last + 1, : last + 1]
-    b_nodes = scenario.beta.at_nodes(grid)[: last + 1, : last + 1]
-    p_nodes = np.zeros((scenario.n_atoms, last + 1, last + 1))
+    forms = [k.exponential_form for k in (scenario.alpha, scenario.beta, *scenario.pi_kernels)]
+    if None not in forms:
+        alpha, beta, *pis = forms
+        drift = [alpha, *((-float(w) * a, r) for w, (a, r) in zip(weights, pis))]
+        return np.array(drift), np.array(beta), np.array(pis).reshape(-1, 2)
+    cut = slice(start, last + 1)
+    a_nodes = scenario.alpha.at_nodes(grid)[cut, cut]
+    b_nodes = scenario.beta.at_nodes(grid)[cut, cut]
+    p_nodes = np.zeros((scenario.n_atoms, last + 1 - start, last + 1 - start))
     for q, ker in enumerate(scenario.pi_kernels):
-        p_nodes[q] = ker.at_nodes(grid)[: last + 1, : last + 1]
+        p_nodes[q] = ker.at_nodes(grid)[cut, cut]
         a_nodes -= weights[q] * p_nodes[q]
-    alpha, beta, *pis = (k.exponential_form for k in
-                         (scenario.alpha, scenario.beta, *scenario.pi_kernels))
-    if None in (alpha, beta, *pis):
-        return a_nodes, b_nodes, p_nodes, None
-    drift = (alpha, *((-float(w) * a, r) for w, (a, r) in zip(weights, pis)))
-    return a_nodes, b_nodes, p_nodes, (drift, beta, *pis)
+    return a_nodes, b_nodes, p_nodes
 
 
 def _simulate_volterra(
     scenario: ScenarioSpec, noise: NoiseBundle, c_vals: np.ndarray, last: int
 ) -> np.ndarray:
-    a_nodes, b_nodes, p_nodes, lift = _kernel_matrices(scenario, last)
+    a, b, p = _sweep_kernels(scenario, 0, last)
     source = np.broadcast_to(
         scenario.initial_at_nodes[: last + 1, None], (last + 1, noise.n_paths)
     )
     return volterra_sweep(
-        source, a_nodes, c_vals[:last], b_nodes, noise.d_brownian[:, :last],
-        p_nodes, noise.jump_counts[:, :, :last], scenario.grid.dt, lift=lift,
+        source, a, c_vals[:last], b, noise.d_brownian[:, :last],
+        p, noise.jump_counts[:, :, :last], scenario.grid.dt,
     )
 
 
@@ -343,12 +346,10 @@ def first_variation(
                               f"have {fwd.n_paths}")
     last = fwd.last_node
 
-    a_nodes, b_nodes, p_nodes, lift = _kernel_matrices(scenario, last)
     # The source, and with it the response, is zero below ``start``: sweep
     # only the sub-triangle of nodes ``start .. last``.
     start = k if include_diagonal else k + 1
-    a_sub, b_sub = a_nodes[start:, start:], b_nodes[start:, start:]
-    p_sub = p_nodes[:, start:, start:]
+    a, b, p = _sweep_kernels(scenario, start, last)
     c_sub = control.values(grid)[start:last]
     db = noise.d_brownian[:, start:last]
     cj = noise.jump_counts[:, :, start:last]
@@ -360,8 +361,9 @@ def first_variation(
         np.multiply(row, xk, out=scaled)
         consume(direction, start + i, scaled)
 
-    for direction, col in enumerate([b_nodes[:, k], *p_nodes[:, :, k]]):
+    for direction, kernel in enumerate([scenario.beta, *scenario.pi_kernels]):
         # linear in the source, and X(t_k) is constant on each path: sweep
-        # the unit source column, then scale each row by X(t_k)
-        source = np.broadcast_to(col[start:, None], (last + 1 - start, fwd.n_paths))
-        volterra_sweep(source, a_sub, c_sub, b_sub, db, p_sub, cj, grid.dt, scale, lift=lift)
+        # the kernel's unit source column, then scale each row by X(t_k)
+        col = kernel.column(grid, k)[start - k: last + 1 - k]
+        source = np.broadcast_to(col[:, None], (col.size, fwd.n_paths))
+        volterra_sweep(source, a, c_sub, b, db, p, cj, grid.dt, scale)

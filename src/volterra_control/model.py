@@ -161,9 +161,10 @@ class Kernel:
     ``constant`` and ``exp_decay`` have an analytic first-argument derivative;
     ``table`` falls back to finite differences along the first index.  Both
     are ``amplitude * exp(-rate * (t - s))`` (``constant`` with rate 0), which
-    ``exponential_form`` reports; the forward sweep then runs as an exact
-    Markovian lift in O(n_steps * n_paths) instead of the triangular sum.
-    Their parameters must be finite.
+    ``exponential_form`` reports; the forward sweep takes that pair, forms
+    no node matrix and runs as an exact Markovian lift in O(n_steps *
+    n_paths).  Their parameters must be finite.  On a grid, ``column`` and
+    ``d_first_column`` read one column of the triangle, ``at_nodes`` all.
     """
 
     kind: str
@@ -228,55 +229,49 @@ class Kernel:
             raise KernelDomainError(f"kernel evaluated outside triangle: t={t}, s={s}")
         if s < -_REL_TOL:
             raise KernelDomainError(f"kernel evaluated at negative time s={s}")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "exp_decay":
-            return self.amplitude * float(np.exp(-self.rate * (t - s)))
+        form = self.exponential_form
+        if form is not None:
+            return form[0] * float(np.exp(-form[1] * (t - s)))
         raise KernelDomainError(
-            "table kernels are evaluated through at_nodes(); scalar off-grid "
-            "queries are not defined"
+            "table kernels are evaluated on their grid through column() or "
+            "at_nodes(); scalar off-grid queries are not defined"
         )
 
     def at_nodes(self, grid: TimeGrid) -> np.ndarray:
         """Matrix ``M[i, j] = K(t_i, t_j)`` for ``j <= i``; zeros above."""
-        n = grid.n_steps
+        n, form, t = grid.n_steps, self.exponential_form, grid.nodes
+        if form is not None:
+            return np.tril(form[0] * np.exp(-form[1] * np.maximum(t[:, None] - t, 0.0)))
         out = np.zeros((n + 1, n + 1))
-        if self.kind == "constant":
-            out[np.tril_indices(n + 1)] = self.value
-        elif self.kind == "exp_decay":
-            t = grid.nodes
-            diff = t[:, None] - t[None, :]
-            vals = self.amplitude * np.exp(-self.rate * np.maximum(diff, 0.0))
-            out = np.tril(vals)
-        else:
-            if self.table_n != n:
-                raise KernelDomainError(
-                    f"table kernel built for n={self.table_n}, grid has n={n}"
-                )
-            idx = np.tril_indices(n + 1)
-            out[idx] = self.table
+        out[np.tril_indices(n + 1)] = self._table_values(grid)
         return out
 
-    def d_first_at_nodes(self, grid: TimeGrid) -> np.ndarray:
-        """Matrix of ``dK/dt (t_i, t_j)`` on the triangle.
+    def _table_values(self, grid: TimeGrid) -> np.ndarray:
+        if self.table_n != grid.n_steps:
+            raise KernelDomainError(
+                f"table kernel built for n={self.table_n}, grid has n={grid.n_steps}"
+            )
+        return self.table
 
-        Analytic for constant / exp_decay; first-index finite differences for
-        table kind (central where both neighbours stay inside the triangle).
-        """
-        n, dt = grid.n_steps, grid.dt
-        if self.kind == "constant":
-            return np.zeros((n + 1, n + 1))
+    def column(self, grid: TimeGrid, k: int) -> np.ndarray:
+        """``K(t_i, t_k)`` for ``i = k .. n``: column ``k`` of ``at_nodes``
+        from the diagonal down, without the matrix."""
+        form, t = self.exponential_form, grid.nodes[k:]
+        if form is not None:
+            return form[0] * np.exp(-form[1] * (t - t[0]))
+        # row i of the flat triangle starts at i (i + 1) / 2
+        i = np.arange(k, grid.n_steps + 1)
+        return self._table_values(grid)[i * (i + 1) // 2 + k]
+
+    def d_first_column(self, grid: TimeGrid, k: int) -> np.ndarray:
+        """``dK/dt (t_i, t_k)`` for ``i = k .. n``: analytic for constant /
+        exp_decay, first-index finite differences for table kind (forward on
+        the diagonal, central below it, backward on the last row)."""
         if self.kind == "exp_decay":
-            return -self.rate * self.at_nodes(grid)
-        vals = self.at_nodes(grid)
-        out = np.zeros((n + 1, n + 1))
-        # central below the diagonal of rows 1..n-1, forward on the diagonal,
-        # backward on the last row
-        out[1:n] = np.tril((vals[2:] - vals[:-2]) / (2 * dt))
-        d = np.arange(n)
-        out[d, d] = (vals[d + 1, d] - vals[d, d]) / dt
-        out[n, :n] = (vals[n, :n] - vals[n - 1, :n]) / dt
-        return out
+            return -self.rate * self.column(grid, k)
+        if self.kind == "table" and k < grid.n_steps:
+            return np.gradient(self.column(grid, k), grid.dt)
+        return np.zeros(grid.n_steps + 1 - k)
 
 
 # --------------------------------------------------------------------------- #
@@ -470,10 +465,10 @@ def _extreme_node_values(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
 
     An analytic kernel is monotone in the lag ``t - s``, so its extremes
     (and any non-finite value) sit at the lags 0 and ``T``: ``K(T, T)`` and
-    ``K(T, 0)``.  Only a table builds the ``(n+1)^2`` node matrix.
+    ``K(T, 0)``.  A table gives its flat triangle.
     """
     if kernel.exponential_form is None:
-        return kernel.at_nodes(grid)[np.tril_indices(grid.n_steps + 1)]
+        return kernel._table_values(grid)
     t = grid.nodes[-1]
     return np.array([kernel(t, t), kernel(t, 0.0)])
 

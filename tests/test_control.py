@@ -467,7 +467,7 @@ def test_memory_hamiltonian_weights_are_the_hand_built_trapezoid():
     adj = build_adjoint_state(spec, fwd)
     w = np.full(n + 1 - k, grid.dt)
     w[0] = w[-1] = 0.5 * grid.dt
-    col_a = spec.alpha.d_first_at_nodes(grid)[k:, k]
+    col_a = spec.alpha.d_first_column(grid, k)
     per_path = np.zeros(fwd.n_paths)
     for j, s in enumerate(range(k, n + 1)):
         per_path += adj.big_p[s] / fwd.row(s) * (w[j] * col_a[j])
@@ -542,9 +542,9 @@ def _h1_project_then_contract(node, x, fwd, adjoint, scenario, noise, control):
     every gradient column projected on its own, then the quadrature."""
     grid = scenario.grid
     n, k = grid.n_steps, node
-    col_a = scenario.alpha.d_first_at_nodes(grid)[k:, k]
-    col_b = scenario.beta.d_first_at_nodes(grid)[k:, k]
-    cols_p = [kk.d_first_at_nodes(grid)[k:, k] for kk in scenario.pi_kernels]
+    col_a = scenario.alpha.d_first_column(grid, k)
+    col_b = scenario.beta.d_first_column(grid, k)
+    cols_p = [kk.d_first_column(grid, k) for kk in scenario.pi_kernels]
     w = np.full(n + 1 - k, grid.dt)
     w[0] = w[-1] = 0.5 * grid.dt
     p_paths = adjoint.big_p[None, :] / adjoint.fwd.values
@@ -613,9 +613,9 @@ def test_memory_hamiltonian_matches_project_then_contract(
 def test_memory_hamiltonian_peak_is_a_few_rows(k):
     # the whole call, sweeps included: the first variations reach the
     # contraction one node row at a time and the lifted sweeps keep no
-    # state; the sweeps read the counts as drawn.  The peak, about 14 rows
-    # at either k, is the lift's running rows, the gradient's temporaries,
-    # the regression design and the node matrices.  One (n + 1 - k, N)
+    # state; the sweeps read the counts as drawn.  The peak, about 12 rows
+    # at either k, is the lift's running rows, the gradient's temporaries
+    # and the regression design; no node matrix is formed.  One (n + 1 - k, N)
     # direction, a float copy of the counts, an outer-product source, or an
     # (N, n+1) array of P/X or of the gradients would break the bound.
     spec = _h1_scenario(40, 5000, 7, "exp_decay", 1, "full")

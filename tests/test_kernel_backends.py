@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from volterra_control import _kernels, fsvie
 from volterra_control.controls import ControlFn
-from volterra_control.fsvie import first_variation, simulate_fsvie
+from volterra_control.control import build_adjoint_state, hamiltonian_h1
+from volterra_control.fsvie import first_variation, forward_mean_oracle, simulate_fsvie
 from volterra_control.model import Kernel, build_time_grid, validate_scenario
 from volterra_control.paths import generate_noise
 
@@ -160,6 +161,14 @@ def _exponential_problem(pairs, n_steps, n_paths, seed):
     return source, a, c, b, db, p, cj, grid.dt
 
 
+def _as_pairs(args, pairs):
+    """``args`` with the kernels handed over as their ``(amplitude, rate)``
+    pairs instead: the drift ``(1, 2)``, beta ``(2,)``, the atoms ``(m, 2)``."""
+    source, _, c, _, db, _, cj, dt = args
+    drift, beta, pis = np.array(pairs[:1]), np.array(pairs[1]), np.array(pairs[2:])
+    return source, drift, c, beta, db, pis.reshape(-1, 2), cj, dt
+
+
 def _assert_rows_close(got, want, source, rtol=1e-13):
     # Relative to the largest magnitude in the node's row, the rows before it
     # and its source row: the terms row i sums.  First variations cross zero,
@@ -210,17 +219,17 @@ def test_lifted_sweep_matches_blocked_sweep(pairs, n_steps, n_paths, direction, 
         a, b, p = a[start:, start:], b[start:, start:], p[:, start:, start:]
         c, db, cj = c[start:], db[:, start:], cj[:, :, start:]
     args = source, a, c, b, db, p, cj, dt
-    lift = ((pairs[0],), *pairs[1:])
+    lifted = _as_pairs(args, pairs)
     want = _kernels.volterra_sweep(*args)
-    got = _kernels.volterra_sweep(*args, lift=lift)
+    got = _kernels.volterra_sweep(*lifted)
     assert got.shape == want.shape
     _assert_rows_close(got, want, source)
     # the rows handed to a consumer are the returned state, bit for bit
-    assert np.array_equal(_consumed_rows(args, None), want)
-    assert np.array_equal(_consumed_rows(args, lift), got)
+    assert np.array_equal(_consumed_rows(args), want)
+    assert np.array_equal(_consumed_rows(lifted), got)
 
 
-def _consumed_rows(args, lift):
+def _consumed_rows(args):
     """The rows ``volterra_sweep`` hands to ``consume``, copied into the
     path-major shape of the state it returns without one."""
     rows = []
@@ -229,7 +238,7 @@ def _consumed_rows(args, lift):
         assert i == len(rows) and row.shape == (args[0].shape[1],)
         rows.append(row.copy())
 
-    assert _kernels.volterra_sweep(*args, consume, lift=lift) is None
+    assert _kernels.volterra_sweep(*args, consume) is None
     return np.array(rows).reshape(args[0].shape).T
 
 
@@ -238,25 +247,25 @@ def test_lifted_sweep_peak_is_its_output_plus_a_row_per_rate():
     # row, and handing its rows to a consumer, one output row instead of the
     # state; the blocked sweep holds an (n_steps, 2 + m, N) driver buffer
     pairs = [(0.05, 1.0), (0.2, 0.5), (-0.1, 0.5), (0.1, 0.0)]
-    lift = ((pairs[0],), *pairs[1:])
     n_steps, n_paths, rates = 100, 20_000, 3
     args = _exponential_problem(pairs, n_steps, n_paths, seed=0)
-    _kernels.volterra_sweep(*_exponential_problem(pairs, 3, 2, seed=0), lift=lift)
+    lifted = _as_pairs(args, pairs)
+    _kernels.volterra_sweep(*_as_pairs(_exponential_problem(pairs, 3, 2, seed=0), pairs))
     row = n_paths * 8
     output = (n_steps + 1) * row
 
-    def peak(lift, consume=None):
+    def peak(args, consume=None):
         tracemalloc.start()
         try:
-            _kernels.volterra_sweep(*args, consume, lift=lift)
+            _kernels.volterra_sweep(*args, consume)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(lift) <= output + (rates + 2) * row
+    assert peak(lifted) <= output + (rates + 2) * row
     # and a few small objects (the row list, the generator), far below a row
-    assert peak(lift, lambda i, row: None) < (rates + 3) * row
-    assert peak(None) >= output + n_steps * len(pairs) * row
+    assert peak(lifted, lambda i, row: None) < (rates + 3) * row
+    assert peak(args) >= output + n_steps * len(pairs) * row
 
 
 def _exponential_scenario(n_steps, n_paths, seed):
@@ -296,9 +305,10 @@ def test_sum_engine_peak_is_its_state_and_a_few_rows():
 @pytest.mark.parametrize("k", [0, 50])
 def test_first_variation_peak_is_a_few_rows_on_the_lift(k):
     # rates {0, 0.5, 0.7, 1.5}: four running rows, one scratch row, the
-    # sweep's row and the scaled row handed out, next to the (n + 1)^2 node
-    # matrices (about two rows here).  No (n + 1 - k, N) direction is formed,
-    # so the bound holds at every k.
+    # sweep's row and the scaled row handed out; it reads 7.46 rows at both
+    # k.  The kernels reach the sweep as pairs, so no (n + 1)^2 node matrix
+    # is formed, nor any (n + 1 - k, N) direction: the bound holds at every
+    # k and every n.
     spec = _exponential_scenario(100, 20_000, 5)
     noise = generate_noise(spec.grid, spec.levy, 20_000, 5, 1)
     one = ControlFn.constant(1.0, spec.grid)
@@ -310,7 +320,7 @@ def test_first_variation_peak_is_a_few_rows_on_the_lift(k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * noise.n_paths * 8
+    assert peak < 8 * noise.n_paths * 8
 
 
 @pytest.fixture(scope="module")
@@ -334,22 +344,24 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
         spec = replace(spec, **{table: as_table(getattr(spec, table))})
     spec = validate_scenario(spec)
     one = ControlFn.constant(1.0, spec.grid)
-    lifts = []
+    kernels = []
 
-    def spy(*args, lift=None, **kwargs):
-        lifts.append(lift)
-        return _kernels.volterra_sweep(*args, lift=lift, **kwargs)
+    def spy(*args, **kwargs):
+        kernels.append(args[1:7:2])
+        return _kernels.volterra_sweep(*args, **kwargs)
 
     monkeypatch.setattr(fsvie, "volterra_sweep", spy)
     fwd = simulate_fsvie(spec, noise, one)
     first_variation(spec, noise, one, fwd, 7, lambda direction, i, row: None)
-    assert len(lifts) == 1 + 1 + spec.n_atoms
-    if table is None:
-        # the drift: alpha's pair and -w_m times each pi_m's (w = 0.5, 1)
-        drift = ((0.05, 1.5), (0.05, 0.5), (-0.25, 0.0))
-        assert lifts == [(drift, (0.2, 0.7), (-0.1, 0.5), (0.25, 0.0))] * len(lifts)
-    else:
-        assert lifts == [None] * len(lifts)
+    assert len(kernels) == 1 + 1 + spec.n_atoms
+    for drift, beta, pis in kernels:
+        if table is None:
+            # the drift: alpha's pair and -w_m times each pi_m's (w = 0.5, 1)
+            assert np.array_equal(drift, [(0.05, 1.5), (0.05, 0.5), (-0.25, 0.0)])
+            assert np.array_equal(beta, (0.2, 0.7))
+            assert np.array_equal(pis, [(-0.1, 0.5), (0.25, 0.0)])
+        else:
+            assert beta.ndim == 2 and pis.shape[1:] == beta.shape == drift.shape
     # either path against the plain recursion on alpha as it is and the
     # compensated counts, the compensator left out of the drift
     grid = spec.grid
@@ -359,3 +371,78 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
         spec.beta.at_nodes(grid), noise.d_brownian, p, compensated(noise), grid.dt,
     )
     np.testing.assert_allclose(fwd.state, want, rtol=1e-12, atol=0)
+
+
+def _no_node_matrix(kernel, grid):
+    raise AssertionError(f"a {kernel.kind} kernel formed its node matrix")
+
+
+@pytest.mark.parametrize("table", [None, "beta"])
+def test_exponential_kernels_form_no_node_matrix(exponential_case, table, monkeypatch):
+    # every forward caller of the sweep, with at_nodes raising: exponential
+    # kernels reach the sweep as (amplitude, rate) pairs only.  With one
+    # table kernel, every sweep still gets node matrices (the blocked path).
+    spec, noise = exponential_case
+    n = spec.grid.n_steps
+    if table is None:
+        monkeypatch.setattr(Kernel, "at_nodes", _no_node_matrix)
+    else:
+        lower = spec.beta.at_nodes(spec.grid)[np.tril_indices(n + 1)]
+        spec = validate_scenario(replace(spec, beta=Kernel.from_table(lower, n)))
+    beta_ndims = []
+
+    def spy(*args, **kwargs):
+        beta_ndims.append(np.ndim(args[3]))
+        return _kernels.volterra_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(fsvie, "volterra_sweep", spy)
+    one = ControlFn.constant(1.0, spec.grid)
+    simulate_fsvie(spec, noise, one, through_node=n - 1)
+    fwd = simulate_fsvie(spec, noise, one)
+    for diagonal in (True, False):
+        first_variation(spec, noise, one, fwd, 7, lambda d, i, row: None, diagonal)
+    adj = build_adjoint_state(spec, fwd)
+    assert hamiltonian_h1(n // 2, 1.0, fwd, adj, spec, noise, one)[0] != 0.0
+    assert hamiltonian_h1(n, 1.0, fwd, adj, spec, noise, one) == (0.0, 0.0)
+    forward_mean_oracle(spec, one)
+    # two states, then one sweep per direction in each first_variation call
+    assert beta_ndims == [1 if table is None else 2] * (2 + 3 * (1 + spec.n_atoms))
+
+
+def test_two_time_peaks_stay_near_the_state():
+    # The benchmark's two-time kernels at 1000 steps x 200 paths: with the
+    # kernels as pairs, simulate_fsvie holds its (n + 1, N) state and a few
+    # rows (1.02 states), and H1 at n / 2 adds 0.04 states on top.  Forming
+    # the (n + 1)^2 node matrices read 35.7 and 50.7 states.
+    n, n_paths = 1000, 200
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": n},
+        "initial": 1.0,
+        "gamma": 0.0,
+        "alpha_kernel": {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
+        "beta_kernel": {"kind": "exp_decay", "amplitude": 0.2, "rate": 0.5},
+        "levy": {"atoms": [[-0.1, 0.5]]},
+        "pi_kernels": [{"kind": "exp_decay", "amplitude": -0.1, "rate": 0.5}],
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": n_paths, "seed": 1, "n_blocks": 1},
+        "regression": {"degree": 2, "state": ["x"]},
+    })
+    noise = generate_noise(spec.grid, spec.levy, n_paths, 1, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    state = (n + 1) * n_paths * 8
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate_fsvie(spec, noise, one, through_node=3)  # first-call imports
+    fwd, sim_peak = peak(lambda: simulate_fsvie(spec, noise, one))
+    adj = build_adjoint_state(spec, fwd)
+    hamiltonian_h1(n - 1, 1.0, fwd, adj, spec, noise, one)
+    _, h1_peak = peak(lambda: hamiltonian_h1(n // 2, 1.0, fwd, adj, spec, noise, one))
+    assert sim_peak < 1.1 * state
+    assert h1_peak < 0.1 * state

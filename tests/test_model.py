@@ -107,7 +107,7 @@ def test_exp_decay_derivative_matches_finite_differences():
     grid = build_time_grid(1.0, 10)
     i, j = 8, 3
     t, s = grid.nodes[i], grid.nodes[j]
-    exact = k.d_first_at_nodes(grid)[i, j]
+    exact = k.d_first_column(grid, j)[i - j]
 
     def defect(h):
         return abs((k(t + h, s) - k(t - h, s)) / (2 * h) - exact)
@@ -135,12 +135,32 @@ def _table_derivative_loop(vals, n, dt):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 10, 57])
 def test_table_derivative_matches_elementwise_loop(n):
+    # every column, k = n (a single zero) included
     grid = build_time_grid(1.3, n)
     rng = np.random.default_rng(n)
     k = Kernel.from_table(rng.normal(size=(n + 1) * (n + 2) // 2), n)
-    got = k.d_first_at_nodes(grid)
-    assert np.array_equal(got, _table_derivative_loop(k.at_nodes(grid), n, grid.dt))
-    assert np.all(got[np.triu_indices(n + 1, k=1)] == 0.0)
+    want = _table_derivative_loop(k.at_nodes(grid), n, grid.dt)
+    for col in range(n + 1):
+        assert np.array_equal(k.d_first_column(grid, col), want[col:, col])
+
+
+@pytest.mark.parametrize("kind", ["constant", "exp_decay", "table"])
+def test_column_readers_are_the_node_matrix_columns(kind):
+    # bit for bit: the sweep's sources and H1's derivatives read columns
+    # where they once sliced them out of the node matrices
+    n = 23
+    grid = build_time_grid(1.7, n)
+    rng = np.random.default_rng(5)
+    k = {"constant": Kernel.constant(-0.3),
+         "exp_decay": Kernel.exp_decay(0.4, 2.3),
+         "table": Kernel.from_table(rng.normal(size=(n + 1) * (n + 2) // 2), n)}[kind]
+    vals = k.at_nodes(grid)
+    d_first = {"constant": np.zeros((n + 1, n + 1)),
+               "exp_decay": -k.rate * vals,
+               "table": _table_derivative_loop(vals, n, grid.dt)}[kind]
+    for col in range(n):
+        assert np.array_equal(k.column(grid, col), vals[col:, col])
+        assert np.array_equal(k.d_first_column(grid, col), d_first[col:, col])
 
 
 def test_table_kernel_roundtrip():
@@ -156,6 +176,14 @@ def test_table_kernel_scalar_query_raises():
     k = Kernel.from_table(np.zeros(10), 3)
     with pytest.raises(KernelDomainError):
         k(0.5, 0.25)
+
+
+def test_table_kernel_on_another_grid_raises():
+    k = Kernel.from_table(np.zeros(10), 3)
+    grid = build_time_grid(1.0, 4)
+    for read in (k.at_nodes, lambda g: k.column(g, 1), lambda g: k.d_first_column(g, 1)):
+        with pytest.raises(KernelDomainError, match="built for n=3"):
+            read(grid)
 
 
 def test_table_kernel_wrong_length():
