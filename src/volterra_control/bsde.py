@@ -79,14 +79,6 @@ class BsdeSolution:
     k: np.ndarray  # (n_steps, n_atoms, n_basis), coefficients of k_i
     r_squared: np.ndarray  # (n_steps,) projection diagnostic per step
 
-    @property
-    def y0(self) -> float:
-        return float(self.y[:, 0].mean())
-
-    @property
-    def y0_se(self) -> float:
-        return mean_se(self.y[:, 0])[1]
-
 
 def _backward_steps(
     terminal: np.ndarray,

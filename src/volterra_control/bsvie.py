@@ -11,7 +11,7 @@ exponentially weighted distance between successive triples drops below a
 relative tolerance.  Without a generator the pass map ignores the frozen
 triple, so one pass reaches the fixed point.
 
-Every solve runs on the engine's backward regression step
+A pass runs on the engine's backward regression step
 (:meth:`CondExpEngine.backward_columns`): the running time ``t_r`` steps
 backward for all families at once, the families ``0..r`` being the live
 value rows, as in the BSDE-family view of the equation (Bender & Pokalyuk,
@@ -32,9 +32,9 @@ evaluates the frozen column ``r`` on the paths only to call the driver, then
 overwrites it with the new column and records the per-pair squared change as
 a Gram form of the coefficient change, from which the weighted distance is
 formed.  Only the ``(n+1, N)`` frozen diagonal is copied.
-:func:`family_statistics` reduces each column of a driver-free family from
-its coefficients as it is finished and stores no triangle; it steps a
-path-valued terminal in place as the diagonal.
+:func:`family_statistics` runs its own loop on a driver-free family: after
+the first step each family is a fitted value on the previous node's design,
+so it is carried as those coefficients, and the terminal is only read.
 """
 
 from __future__ import annotations
@@ -240,21 +240,18 @@ class FamilyStatistics:
 def family_statistics(
     zeta: np.ndarray, noise: NoiseBundle, engine: CondExpEngine
 ) -> FamilyStatistics:
-    """Solve the driver-free family and reduce each column as it is finished.
+    """Solve the driver-free family as coefficients and reduce each column.
 
-    Without a generator one pass is the solution, and each running-time
-    column ``(0..r, r)`` is final when the backward step leaves it, so the
-    statistics are formed column by column from its coefficients and no
-    triangle is stored: the memory is the ``(n+1, N)`` diagonal plus one
-    node's design.  Each pair's ``Z`` mean is ``c . mean(phi)``, the C10
+    Without a generator one pass is the solution, and after its first step
+    every family is a fitted value ``c . phi`` on the previous node's design.
+    Least squares is linear, so each later step regresses that design's
+    basis rows and their ``dB_r`` products onto node ``r``'s design and maps
+    the families' coefficients through the result (Glasserman & Yu, "regression
+    now or regression later?", 2004).  The terminal is read once, never
+    written, and the cost is O(n N p^2 + n^2 p^2), not the O(n^2 N p) of
+    path-valued rows.  Each pair's ``Z`` mean is ``c . mean(phi)``, the C10
     terms are Gram forms of consecutive coefficient differences, and only
     row 0 is evaluated on the paths, for its maximum.
-
-    A writable, C-contiguous ``(n+1, N)`` float64 ``zeta`` is that diagonal:
-    it is stepped in place and overwritten, as :func:`solve_family_step`
-    overwrites ``frozen``, so no copy of the terminal is made.  Any other
-    ``zeta`` (a deterministic family, another dtype or layout, a read-only
-    array) is copied into a new diagonal first; the statistics are the same.
 
     ``z_derivative_norm`` is the finite-difference estimate of
     ``E int int (dZ/dt)^2 ds dt``: first-index differences within each
@@ -267,10 +264,14 @@ def family_statistics(
     terms = np.empty(n)
     zero_row = 0.0
     y = _terminal_family(zeta, n, noise.n_paths)
-    if not (isinstance(zeta, np.ndarray) and zeta.shape == (n + 1, noise.n_paths)
-            and zeta.dtype == np.float64 and zeta.flags.writeable and zeta.flags.c_contiguous):
-        y = np.broadcast_to(y, (n + 1, noise.n_paths)).copy()
-    for r, design, _, z, _ in engine.backward_columns(y):
+    # contiguous rows regress bit for bit alike; C-contiguous input is not copied
+    rows = np.ascontiguousarray(np.broadcast_to(y[:n], (n, noise.n_paths)))
+    for r in range(n - 1, -1, -1):
+        design = engine.design_at(r)
+        step = design.product_coefficients(rows, [noise.d_brownian[:, r]])
+        # after the terminal step the rows are the last basis: map the families through it
+        coef = step if r == n - 1 else coef[:r + 1] @ step
+        rows, z, coef = design.phi, coef[1] / dt, coef[0]
         z_mean[_column(r)] = z @ design.phi.mean(axis=1)
         zero_row = np.maximum(zero_row, np.max(np.abs(z[0] @ design.phi)))  # keeps a NaN
         # consecutive rows of column r are the pairs (i, r) and (i + 1, r)
@@ -301,7 +302,8 @@ def solve_bsvie(
     they hit the floating-point / regression floor.  Without a generator the
     map is constant: the solve stops after one pass and logs a second
     distance of exactly zero.  Raises :class:`ConvergenceError` (carrying the distance log)
-    after ``max_iter`` passes without convergence, and
+    after ``max_iter`` passes without convergence or at a distance that is
+    not finite (``exp(beta_w t)`` overflows past ``t = 709 / beta_w``), and
     :class:`ValidationError` when ``max_iter < 1``.
     """
     if max_iter < 1:
@@ -316,6 +318,9 @@ def solve_bsvie(
         if driver is None:
             log.append(0.0)
             break
+        if not np.isfinite(log[-1]):
+            raise ConvergenceError(f"weighted distance {log[-1]} after pass {len(log)} is not "
+                                   f"finite (beta_w {beta_w:g}, horizon {grid.horizon:g})", log)
         if log[-1] <= tol * max(log[0], 1e-300):
             break
     else:

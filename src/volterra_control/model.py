@@ -96,9 +96,11 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        object.__setattr__(self, "n_steps", _integer("n_steps", self.n_steps))
-        if self.n_steps < 2:
-            raise ValidationError(f"n_steps must be an integer >= 2, got {self.n_steps}")
+        raw = self.n_steps
+        object.__setattr__(self, "n_steps", _integer("grid.n_steps", raw))
+        # an integral 1e308 would otherwise reach numpy as an array dimension
+        if not 2 <= self.n_steps <= 10**7:
+            raise ValidationError(f"grid.n_steps must be an integer from 2 to 10**7, got {raw!r}")
 
     @property
     def dt(self) -> float:

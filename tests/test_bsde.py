@@ -21,6 +21,7 @@ from volterra_control.model import (
     RegressionSpec,
     ValidationError,
     build_time_grid,
+    mean_se,
     validate_scenario,
 )
 from volterra_control.paths import generate_noise
@@ -83,7 +84,7 @@ def test_terminal_square_recovers_variance():
     sol = solve_bsde(terminal, None, noise, brownian_engine(noise))
     # projections preserve means, so the estimator error is the terminal SE
     se = terminal.std(ddof=1) / math.sqrt(noise.n_paths)
-    assert abs(sol.y0 - 1.0) <= 3 * se
+    assert abs(mean_se(sol.y[:, 0])[0] - 1.0) <= 3 * se
 
 
 def test_linear_generator_matches_discrete_compounding():
@@ -94,8 +95,9 @@ def test_linear_generator_matches_discrete_compounding():
         return y
 
     sol = solve_bsde(np.ones(64), gen, noise, engine)
-    assert abs(sol.y0 - (1.0 + GRID.dt) ** GRID.n_steps) < 1e-12
-    assert abs(sol.y0 - math.e) < 0.02 * math.e
+    y0 = mean_se(sol.y[:, 0])[0]
+    assert abs(y0 - (1.0 + GRID.dt) ** GRID.n_steps) < 1e-12
+    assert abs(y0 - math.e) < 0.02 * math.e
 
 
 def test_comparison_in_the_terminal_value():
@@ -105,7 +107,7 @@ def test_comparison_in_the_terminal_value():
     lo = solve_bsde(terminal, None, noise, engine)
     hi = solve_bsde(terminal + 0.5, None, noise, engine)
     se = 0.5 / math.sqrt(noise.n_paths)
-    assert hi.y0 - lo.y0 >= 0.5 - 3 * se
+    assert mean_se(hi.y[:, 0])[0] - mean_se(lo.y[:, 0])[0] >= 0.5 - 3 * se
 
 
 def test_martingale_coefficient_for_deterministic_integrand():
@@ -458,7 +460,7 @@ def test_utility_cross_check_is_the_collected_solve_at_node_0(atoms):
 
     engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
     sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
-    assert recursive_utility_bsde(spec, cstar, fwd, noise) == (sol.y0, sol.y0_se)
+    assert recursive_utility_bsde(spec, cstar, fwd, noise) == mean_se(sol.y[:, 0])
 
 
 def test_utility_cross_check_holds_one_value_row():

@@ -469,26 +469,47 @@ def test_z_derivative_norm_for_linear_family():
     assert math.isclose(val, _triangle_z_derivative_norm(tri, noise.grid), rel_tol=1e-10)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     n_steps=st.integers(2, 30),
     n_paths=st.integers(2, 400),
     seed=st.integers(0, 2**16),
-    mode=st.sampled_from(["full", "trivial"]),
+    mode=st.sampled_from(["full", "trivial", "delay", "ridge"]),
+    n_atoms=st.integers(0, 1),
     zero_first_row=st.booleans(),
+    deterministic=st.booleans(),
 )
-def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, mode, zero_first_row):
-    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed)
+def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, mode, n_atoms,
+                                                       zero_first_row, deterministic):
+    if mode == "ridge":
+        n_paths = max(n_paths, 8)  # fewer paths than basis rows take the pseudo-inverse
+    levy = LevyMeasure.from_atoms([[-0.1, 2.0]] * n_atoms)
+    noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=seed, levy=levy)
+    variables, x_paths = ("brownian",), None
+    if mode == "ridge":
+        # a state row that repeats the Brownian level: the Gram matrix is
+        # singular, so every design past node 0 is ridge-rescued
+        variables = ("brownian", "x")
+        x_paths = ForwardPaths(grid=noise.grid, state=noise.brownian_levels.copy(),
+                               log_state=False)
     engine = CondExpEngine(
-        FiltrationMode(mode=mode), RegressionSpec(degree=2, variables=("brownian",)), noise,
+        FiltrationMode(mode="full" if mode == "ridge" else mode, delay=0.25),
+        RegressionSpec(degree=2, variables=variables), noise, x_paths=x_paths,
         cache_designs=False,
     )
+    assert engine.design_at(n_steps - 1).ridged == (mode == "ridge")
     weights = np.random.default_rng(seed).normal(size=n_steps + 1)
     weights[0] = 0.0 if zero_first_row else weights[0]
-    zeta = weights[:, None] * noise.d_brownian.sum(axis=1)[None, :] + np.sin(weights)[:, None]
+    if deterministic:
+        # an (n+1, 1) family: one value per node, no path dimension
+        zeta = np.sin(weights)[:, None]
+    else:
+        zeta = weights[:, None] * noise.d_brownian.sum(axis=1)[None, :] + np.sin(weights)[:, None]
+        if n_atoms:
+            zeta += weights[:, None] * noise.count_levels[0][:, -1]
     if zero_first_row:
         zeta[0] = 0.0
-    stats = family_statistics(zeta.copy(), noise, engine)
+    stats = family_statistics(zeta, noise, engine)
     z_mean, zero_row, norm = _triangle_statistics(_triangle_family(zeta, noise, engine), noise.grid)
     assert stats.grid is noise.grid and stats.n_paths == n_paths
     # the coefficients reorder the regression's sums: equal to rounding
@@ -499,21 +520,21 @@ def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, m
         assert stats.zero_row_max == zero_row == 0.0
 
 
-def test_family_statistics_step_a_writable_terminal_in_place():
-    # the same statistics, bit for bit, whether the terminal is the diagonal
-    # stepped in place or is copied into a new one first
+def test_family_statistics_leave_every_terminal_layout_as_it_was():
+    # the terminal is read-only input: no layout is written to, and every
+    # layout gives the same statistics, bit for bit
     noise = make_noise(n_steps=12, n_paths=300, seed=31)
     engine = brownian_engine(noise)
     zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
-    copies = {"read-only": zeta.copy(), "column-major": np.asfortranarray(zeta)}
+    copies = {"writable": zeta.copy(), "read-only": zeta.copy(),
+              "column-major": np.asfortranarray(zeta),
+              "strided": np.repeat(zeta, 2, axis=1)[:, ::2]}
     copies["read-only"].flags.writeable = False
-    in_place = zeta.copy()
-    stats = family_statistics(in_place, noise, engine)
-    assert not np.array_equal(in_place, zeta)  # overwritten: it was the diagonal
+    stats = family_statistics(zeta.copy(), noise, engine)
     for name, terminal in copies.items():
         before = terminal.copy()
         got = family_statistics(terminal, noise, engine)
-        assert np.array_equal(terminal, before), name  # copied, left as it was
+        assert np.array_equal(terminal, before), name  # read, left as it was
         assert np.array_equal(got.z_mean, stats.z_mean), name
         assert got.zero_row_max == stats.zero_row_max, name
         assert got.z_derivative_norm == stats.z_derivative_norm, name
@@ -526,19 +547,20 @@ def test_a_nan_in_row_zero_reaches_its_maximum():
     assert math.isnan(family_statistics(zeta, noise, trivial_engine(noise)).zero_row_max)
 
 
-def _peak_bytes(solve, n_steps, n_paths):
+def _peak_bytes(solve, n_steps, n_paths, traced_terminal=True):
     noise = make_noise(n_steps=n_steps, n_paths=n_paths, seed=37)
     engine = CondExpEngine(
         FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=("brownian",)), noise,
         cache_designs=False,
     )
-    b_total = noise.d_brownian.sum(axis=1)
+    terminal = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+    terminal.flags.writeable = False  # passed untraced, a solve that wrote it would raise
     noise.brownian_levels  # the regression state belongs to the bundle, not to the solve
     tracemalloc.start()
     try:
-        # the terminal is traced: family_statistics steps it in place as its
-        # (n+1, N) diagonal
-        solve(noise.grid.nodes[:, None] * b_total[None, :], noise, engine)
+        # a traced terminal is copied inside the trace, so its (n+1, N)
+        # values count as a caller's freshly built terminal does
+        solve(terminal.copy() if traced_terminal else terminal, noise, engine)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,6 +578,15 @@ def test_streamed_family_memory_is_linear_in_steps_and_paths():
     tri_more_steps = _peak_bytes(_triangle_family, 80, 1000)
     assert tri_more_steps / tri_base > 3.0
     assert more_steps < 80 * 81 // 2 * 1000 * 8
+
+
+def test_family_memory_above_a_read_only_terminal_is_flat_in_steps():
+    # the terminal is read in place at the first step and never copied, and
+    # the families live as coefficients: above the input, the peak is two
+    # nodes' designs, whatever the number of steps
+    base = _peak_bytes(family_statistics, 40, 4000, traced_terminal=False)
+    more_steps = _peak_bytes(family_statistics, 80, 4000, traced_terminal=False)
+    assert more_steps < 1.2 * base
 
 
 # --------------------------------------------------------------------------- #

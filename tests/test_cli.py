@@ -269,6 +269,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     ("mc", "n_blocks", math.nan),
     ("grid", "n_steps", "ten"),
     ("grid", "n_steps", math.inf),
+    ("grid", "n_steps", 1e308),  # integral, but no grid that size fits in memory
     ("regression", "degree", 2.5),
 ])
 def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, section, key, value):
@@ -467,6 +468,18 @@ def test_solve_bsvie_coarse_grid_exits_0(tmp_path):
     band = checks["C5:resolvent_vs_exponential"]["tolerance"]
     assert band == pytest.approx(abs(0.975**-40 - math.e) + 1e-3 * math.e)
 
+
+
+@pytest.mark.parametrize("horizon, code", [(30.0, 3), (40.0, 4), (800.0, 4)])
+def test_solve_bsvie_with_overflowing_weights_does_not_converge(tmp_path, capsys, horizon, code):
+    # the weights exp(20 t) overflow past t = 35: an infinite first distance
+    # is no convergence, so the run exits 4 before any check reads the solve
+    cfg = write_config(tmp_path, grid={"horizon": horizon, "n_steps": 100})
+    out = tmp_path / "out"
+    assert run(["solve-bsvie", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("weighted distance inf after pass 1 is not finite" in err) == (code == 4)
 
 def test_report_written_on_check_failure(tmp_path, monkeypatch):
     # force a failing check through an impossible tolerance
