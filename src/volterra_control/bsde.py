@@ -16,13 +16,11 @@ Each step is the engine's backward regression step
 ``k_i`` come out of the regression on node ``i``'s design and are held as
 their ``p`` coefficients on it (Gobet, Lemor & Warin, Ann. Appl. Probab. 15,
 2005), as the BSVIE triangle is; a BSDE is the one-row case of the BSVIE's
-family recursion.  This module adds the generator (``z_i`` and ``k_i`` are
-evaluated on the paths for its call and dropped) and the step's R².
-
-The recursion serves two consumers.  ``solve_bsde`` collects the steps into
-a :class:`BsdeSolution`; the utility cross-check (``recursive_utility_bsde``)
-keeps only the last row, ``Y(0)`` on the paths, so it holds one value row
-where the collector holds ``n + 1``.
+family recursion.  ``solve_bsde`` adds the generator (``z_i`` and ``k_i``
+are evaluated on the paths for its call and dropped) and the step's R².
+The utility cross-check (``recursive_utility_bsde``) iterates the same step
+with its generator written inline; it reads neither ``z_i``, ``k_i`` nor
+R², and holds one value row where ``solve_bsde`` holds ``n + 1``.
 
 ``recursive_utility`` evaluates the log-consumption utility.  Its generator
 is linear in the value, so the integrating-factor representation
@@ -37,7 +35,7 @@ independent cross-check (``recursive_utility_bsde``), accurate to O(dt).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -80,39 +78,6 @@ class BsdeSolution:
     r_squared: np.ndarray  # (n_steps,) projection diagnostic per step
 
 
-def _backward_steps(
-    terminal: np.ndarray,
-    driver: Driver | None,
-    noise: NoiseBundle,
-    engine: CondExpEngine,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, float]]:
-    """The backward recursion from the terminal row, one step at a time.
-
-    Yields ``(i, y_i, z_i, k_i, r2_i)`` for ``i = n-1`` down to 0: the value
-    row on the paths, the coefficients ``(p,)`` of ``z_i`` and ``(m, p)`` of
-    ``k_i`` on node ``i``'s design, and the step's projection R²,
-    ``1 - var(y_{i+1} - E_i[y_{i+1}]) / var(y_{i+1})``.  Only the running
-    row, a copy of the previous one and the step's design are held.  ``y_i``
-    is the next step's running row: a consumer reads it and never writes to it.
-    """
-    grid = noise.grid
-    x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
-    y = np.array(terminal, dtype=float)[None]
-    y_next = y[0].copy()
-    for i, design, live, z, k in engine.backward_columns(y):
-        y_i = live[0]
-        var = float(np.var(y_next))
-        r2 = 1.0 if var == 0.0 else 1.0 - float(np.var(y_next - y_i)) / var
-        if driver is not None:
-            # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
-            zk = np.concatenate([z, k[:, 0]]) @ design.phi
-            # the state row is made in the call, so it does not outlive it
-            g = driver(i, grid.nodes[i], x_row(i), y_i, zk[0], zk[1:] if len(k) else None)
-            y_i += np.asarray(g, dtype=float) * grid.dt
-        yield i, y_i, z[0], k[:, 0], r2
-        y_next[...] = y_i
-
-
 def solve_bsde(
     terminal: np.ndarray,
     driver: Driver | None,
@@ -127,8 +92,8 @@ def solve_bsde(
     engine's forward state at the step's node (``engine.x_paths.row(i)``),
     or None when the engine holds no state.
     """
-    n = noise.grid.n_steps
-    n_paths = noise.n_paths
+    grid = noise.grid
+    n, n_paths = grid.n_steps, noise.n_paths
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape not in ((), (1,), (n_paths,)):
         raise ValidationError(
@@ -141,11 +106,21 @@ def solve_bsde(
     z = np.zeros((n, engine.n_basis))
     k = np.zeros((n, noise.levy.n_atoms, engine.n_basis))
     r2 = np.zeros(n)
-    for i, y_i, z_i, k_i, r2_i in _backward_steps(y[n], driver, noise, engine):
-        p = z_i.shape[0]
-        y[i], r2[i] = y_i, r2_i
-        z[i, :p] = z_i
-        k[i, :, :p] = k_i
+    x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
+    # the running value row, stepped in place; y[i + 1] is its previous value
+    for i, design, live, z_i, k_i in engine.backward_columns(y[n:].copy()):
+        y_i = live[0]
+        # R² = 1 - var(y_{i+1} - E_i[y_{i+1}]) / var(y_{i+1}), before the generator
+        var = float(np.var(y[i + 1]))
+        r2[i] = 1.0 if var == 0.0 else 1.0 - float(np.var(y[i + 1] - y_i)) / var
+        if driver is not None:
+            # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
+            zk = np.concatenate([z_i, k_i[:, 0]]) @ design.phi
+            # the state row is made in the call, so it does not outlive it
+            g = driver(i, grid.nodes[i], x_row(i), y_i, zk[0], zk[1:] if len(k_i) else None)
+            y_i += np.asarray(g, dtype=float) * grid.dt
+        p = z_i.shape[1]
+        y[i], z[i, :p], k[i, :, :p] = y_i, z_i[0], k_i[:, 0]
     return BsdeSolution(y=y.T, z=z, k=k, r_squared=r2)
 
 
@@ -213,21 +188,26 @@ def recursive_utility_bsde(
     fwd: ForwardPaths,
     noise: NoiseBundle,
 ) -> tuple[float, float]:
-    """Cross-check: the same utility through the generic explicit-Euler solver.
+    """Cross-check: the same utility through the explicit-Euler BSDE solve.
 
+    The regression step of :func:`solve_bsde` with the generator
+    ``log(c X) + rate * y`` added inline, so ``Y(0)`` is ``solve_bsde``'s at
+    node 0, bit for bit.  ``Y(0)`` is constant on the paths; its SE is that
+    of the per-path explicit-Euler sums ``S`` stepped in the same loop, whose
+    mean is ``Y(0)`` because every projection keeps the intercept.
     O(dt)-accurate; used to validate the closed form, not to report values.
     """
     c = _positive_consumption(scenario, control)
     _positive_state(fwd, scenario.grid.n_steps)
     rate = _discount_sign(scenario.convention) * scenario.gamma
-
-    def gen(i, t, x_i, y, z, k):
-        return np.log(c[i] * x_i) + rate[i] * y
-
+    dt = noise.grid.dt
     # one projection per node: a cached design would never be read again
     engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd,
                            cache_designs=False)
-    # only Y(0) is read: keep the last value row, not the (n + 1, N) array
-    for _, y, _, _, _ in _backward_steps(np.zeros(noise.n_paths), gen, noise, engine):
-        pass
-    return mean_se(y)
+    # only Y(0) is read: keep the running value row, not the (n + 1, N) array
+    s = np.zeros(noise.n_paths)
+    for i, _, live, _, _ in engine.backward_columns(np.zeros((1, noise.n_paths))):
+        term = np.log(c[i] * fwd.row(i))
+        live += (term + rate[i] * live) * dt
+        s += (term + rate[i] * s) * dt
+    return mean_se(live[0])[0], mean_se(s)[1]

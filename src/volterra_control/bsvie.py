@@ -134,7 +134,10 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w:
     """
     n, dt = grid.n_steps, grid.dt
     w_t = trapezoid_weights(n + 1, dt)
-    e_t = np.exp(beta_w * grid.nodes)
+    # past t = 709 / beta_w a weight is infinite; so is the distance, which
+    # solve_bsvie reports as non-convergence
+    with np.errstate(over="ignore"):
+        e_t = np.exp(beta_w * grid.nodes)
     firsts = np.arange(n) * (np.arange(n) + 1) // 2  # flat index of pair (0, r)
     total = 0.0
     for i in range(n + 1):

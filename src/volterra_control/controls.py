@@ -96,9 +96,14 @@ class ControlFn:
     # -- evaluation ----------------------------------------------------------
 
     def _cstar_nodes(self, grid: TimeGrid) -> np.ndarray:
-        lam = discount_curve(self.gamma, grid, self.convention)
-        big_p = remaining_value_curve(self.gamma, grid, self.convention)
-        return lam[:-1] / big_p[:-1]
+        # a discount that overflows, or a remaining value of 0, leaves no c*
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lam = discount_curve(self.gamma, grid, self.convention)
+            big_p = remaining_value_curve(self.gamma, grid, self.convention)
+            c = lam[:-1] / big_p[:-1]
+        if not np.isfinite(c).all():
+            raise ValidationError("c* is not finite on this grid: gamma or grid.horizon is out of range")
+        return c
 
     def values(self, grid: TimeGrid) -> np.ndarray:
         """Node values at ``t_0 .. t_{n-1}``."""

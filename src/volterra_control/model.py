@@ -347,8 +347,9 @@ class McSpec:
     n_blocks: int = 8
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be >= 1")
+        # an integral 1e308 would otherwise reach numpy as an array dimension
+        if not 1 <= self.n_paths <= 10**9:
+            raise ValidationError("mc.n_paths must be an integer from 1 to 10**9")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.n_blocks < 1 or self.n_paths % self.n_blocks != 0:

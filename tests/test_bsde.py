@@ -460,7 +460,24 @@ def test_utility_cross_check_is_the_collected_solve_at_node_0(atoms):
 
     engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
     sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
-    assert recursive_utility_bsde(spec, cstar, fwd, noise) == mean_se(sol.y[:, 0])
+    y0, _ = recursive_utility_bsde(spec, cstar, fwd, noise)
+    assert y0 == sol.y[:, 0].mean()
+
+
+@pytest.mark.parametrize("atoms", [[], [[-0.1, 2.0]]], ids=["no_jump", "jump"])
+def test_utility_cross_check_se_is_the_spread_of_the_euler_sums(atoms):
+    # Y(0) is one value on every path; the per-path explicit-Euler sums
+    # S_i = S_{i+1} + (log(c_i X_i) + rate_i S_{i+1}) dt carry its spread,
+    # and their mean is Y(0) because every projection keeps the intercept
+    spec, noise, cstar, fwd = _utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
+    c, x, dt = cstar.values(spec.grid), fwd.values, spec.grid.dt
+    sign = -1.0  # the discounting convention
+    s = np.zeros(noise.n_paths)
+    for i in range(spec.grid.n_steps - 1, -1, -1):
+        s = s + (np.log(c[i] * x[:, i]) + sign * spec.gamma[i] * s) * dt
+    y0, se = recursive_utility_bsde(spec, cstar, fwd, noise)
+    assert se == pytest.approx(s.std(ddof=1) / np.sqrt(noise.n_paths), rel=1e-12, abs=0.0)
+    assert y0 == pytest.approx(s.mean(), rel=1e-12, abs=0.0)
 
 
 def test_utility_cross_check_holds_one_value_row():

@@ -284,6 +284,56 @@ def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, section,
     assert key in err and repr(value) in err
 
 
+# every field of s0 that a config sets, and values no field accepts as is;
+# each size stays small (8 steps x 64 paths), and a path or step count is
+# hostile only above its bound, so no case allocates more than a few MB
+HOSTILE_FIELDS = [
+    "grid", "grid.horizon", "grid.n_steps", "initial", "gamma", "alpha_kernel",
+    "alpha_kernel.value", "beta_kernel.kind", "beta_kernel.value", "levy.atoms", "pi_kernels",
+    "filtration.mode", "filtration.delay", "gamma_sign_convention", "mc.n_paths", "mc.seed",
+    "mc.n_blocks", "regression.degree", "regression.state",
+]
+HOSTILE_VALUES = [None, "x", [], [1.0], {}, True, 0, -1, 1.5, 2, 3, 1e308, -1e308, 1e-320,
+                  [[0.1, 1.0]], [[[1.0]]]]
+HOSTILE_RUNS = [["simulate-forward"], ["evaluate-utility", "--control", "cstar"],
+                ["optimal-consumption"], ["solve-bsvie"]]
+
+
+@pytest.mark.parametrize("field", HOSTILE_FIELDS)
+def test_hostile_config_meets_a_documented_exit(tmp_path, field):
+    base = json.loads(CONFIG.read_text())
+    base["grid"]["n_steps"] = 8
+    base["mc"] = {"n_paths": 64, "seed": 42, "n_blocks": 8}
+    *sections, key = field.split(".")
+    wrong = []
+    for value in HOSTILE_VALUES:
+        raw = json.loads(json.dumps(base))
+        node = raw
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(raw))
+        for argv in HOSTILE_RUNS:
+            case = f"{field}={value!r} {argv[0]}"
+            out = tmp_path / "out"
+            try:
+                code = run([argv[0], "--config", str(cfg), "--out", str(out)] + argv[1:])
+            except Exception as exc:  # an escape is the failure this test looks for
+                wrong.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            report = json.loads((out / "report.json").read_text())
+            if code not in (0, 2, 3, 4):
+                wrong.append(f"{case}: exit {code}")
+            elif code == 2 and not any(name in report["error"] for name in (field, *field.split("."))):
+                wrong.append(f"{case}: the error names no field: {report['error']}")
+            elif code == 0:
+                wrong += [f"{case}: {c['name']} passes on a value that is not finite"
+                          for c in report["checks"]
+                          if not all(map(math.isfinite, (c["value"], c["reference"], c["tolerance"])))]
+    assert not wrong, "\n".join(wrong)
+
+
 ONE_ATOM = {"pi_kernels": [{"kind": "constant", "value": 0.1}]}
 
 
@@ -460,16 +510,30 @@ def test_solve_bsvie_subcommand(tmp_path):
 
 
 def test_solve_bsvie_coarse_grid_exits_0(tmp_path):
-    # at 40 steps the discrete fixed point (1 - dt)^-n is 1.3% above e^T
+    # at 40 steps the discrete fixed point (1 - dt)^-n is 1.3% above e^T;
+    # Y(0) must lie between the two, each widened by 0.1%
     cfg = write_config(tmp_path, grid={"horizon": 1.0, "n_steps": 40})
     out = tmp_path / "out"
     assert run(["solve-bsvie", "--config", cfg, "--out", str(out)]) == 0
     checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
-    band = checks["C5:resolvent_vs_exponential"]["tolerance"]
-    assert band == pytest.approx(abs(0.975**-40 - math.e) + 1e-3 * math.e)
+    row = checks["C5:resolvent_vs_exponential"]
+    low, high = 0.999 * math.e, 1.001 * 0.975**-40
+    assert (row["reference"], row["tolerance"]) == pytest.approx(((low + high) / 2, (high - low) / 2))
+
+
+def test_resolvent_vs_exponential_fails_far_from_both_references(tmp_path):
+    # at horizon 30 the relative stopping test in the exp(20 t) norm stops
+    # at Y(0) ~ 1e9, far below e^30 ~ 1e13 and (1 - dt)^-n ~ 3e15
+    cfg = write_config(tmp_path, grid={"horizon": 30.0, "n_steps": 100})
+    out = tmp_path / "out"
+    assert run(["solve-bsvie", "--config", cfg, "--out", str(out)]) == 3
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    row = checks["C5:resolvent_vs_exponential"]
+    assert row["value"] < math.exp(30.0) and row["passed"] is False
 
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("horizon, code", [(30.0, 3), (40.0, 4), (800.0, 4)])
 def test_solve_bsvie_with_overflowing_weights_does_not_converge(tmp_path, capsys, horizon, code):
     # the weights exp(20 t) overflow past t = 35: an infinite first distance
@@ -707,10 +771,12 @@ def test_solve_bsvie_checks_keep_their_bands(tmp_path, n_steps):
     y0 = float(resolvent_solution(grid).y[0].mean())
     fixed_point = (1.0 - grid.dt) ** (-grid.n_steps)  # discrete resolvent identity
     exponential = math.exp(grid.horizon)
-    band = abs(fixed_point - exponential) + 1e-3 * exponential
+    # between e^T and the fixed point, each widened by 0.1%
+    low = min(exponential, fixed_point) * (1.0 - 1e-3)
+    high = max(exponential, fixed_point) * (1.0 + 1e-3)
     assert _reported(["solve-bsvie", "--config", cfg], tmp_path / "out") == {
         "C5:resolvent_fixed_point": (y0, fixed_point, 1e-3 * fixed_point),
-        "C5:resolvent_vs_exponential": (y0, exponential, band),
+        "C5:resolvent_vs_exponential": (y0, (low + high) / 2, (high - low) / 2),
     }
 
 
