@@ -302,13 +302,12 @@ def check_bsvie_solver(stats: FamilyStatistics) -> list[CheckResult]:
     # Means of fitted coefficients equal means of the regression targets, so
     # the sampling error comes from the target dispersion; for a terminal
     # t_i * B(T) the target t_i * B(s+dt) dB / dt has variance
-    # t_i^2 (t_s/dt + 2), which gives the per-pair standard error.  Pairs
-    # (i, j) with 1 <= i <= j run first index by first index.
-    i, j = np.triu_indices(n)
-    i, j = i[n:], j[n:]
-    t_i, t_s = stats.grid.nodes[i], stats.grid.nodes[j]
-    se = t_i * np.sqrt((t_s / dt + 2.0) / stats.n_paths)
-    zs = np.abs(stats.z_mean[j * (j + 1) // 2 + i] - t_i) / se
+    # t_i^2 (t_s/dt + 2), which gives the per-pair standard error.  Column
+    # s_j holds the pairs (1..j, j); the pair (0, j) has zero mean and SE.
+    t = stats.grid.nodes
+    zs = np.concatenate([np.abs(stats.z_mean[j][1:] - t[1:j + 1])
+                         / (t[1:j + 1] * np.sqrt((t[j] / dt + 2.0) / stats.n_paths))
+                         for j in range(1, n)])
     frac3 = float(np.mean(zs <= 3.0))
     out.append(_result("C5", "martingale_z_within_3se", frac3, 1.0, 0.01,
                        f"{(zs > 3).sum()} of {zs.size} pairs beyond 3 SE"))

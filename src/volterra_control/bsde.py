@@ -13,14 +13,14 @@ The solver follows the generator convention ``Y(t) = E_t[ Y(T) + int_t^T g ]``.
 
 Each step is the engine's backward regression step
 (:meth:`CondExpEngine.backward_columns`) on the one value row: ``z_i`` and
-``k_i`` come out of the regression on node ``i``'s design and are held as
-their ``p`` coefficients on it (Gobet, Lemor & Warin, Ann. Appl. Probab. 15,
-2005), as the BSVIE triangle is; a BSDE is the one-row case of the BSVIE's
-family recursion.  ``solve_bsde`` adds the generator (``z_i`` and ``k_i``
-are evaluated on the paths for its call and dropped) and the step's R².
-The utility cross-check (``recursive_utility_bsde``) iterates the same step
-with its generator written inline; it reads neither ``z_i``, ``k_i`` nor
-R², and holds one value row where ``solve_bsde`` holds ``n + 1``.
+``k_i`` come out of the regression on node ``i``'s design as one block of
+coefficients as wide as that design (Gobet, Lemor & Warin, Ann. Appl.
+Probab. 15, 2005), as every BSVIE column does; a BSDE is the one-row case of
+the BSVIE's family recursion.  ``solve_bsde`` keeps the block, evaluates it
+on the paths for the generator only, and adds the step's R².  The utility
+cross-check (``recursive_utility_bsde``) iterates the same step with its
+generator written inline; it reads neither ``z_i``, ``k_i`` nor R², and
+holds one value row where ``solve_bsde`` holds ``n + 1``.
 
 ``recursive_utility`` evaluates the log-consumption utility.  Its generator
 is linear in the value, so the integrating-factor representation
@@ -64,17 +64,15 @@ class BsdeSolution:
 
     ``y`` lives on the paths; the solver stores it node-major, so each
     backward step reads and writes contiguous rows, and the field is a
-    transposed view with the path-major shape below.  ``z[i]`` and
-    ``k[i, q]`` are the coefficients of ``z_i`` and ``k_i,q`` on the design
-    that conditions at node ``i`` (``CondExpEngine.design_at(i)``), as wide
-    as the engine's widest design (``CondExpEngine.n_basis``); a narrower
-    design (the intercept) uses the leading entries and leaves the rest
-    zero.  ``design.evaluate(z[i][:p])`` gives ``z_i`` on the paths.
+    transposed view with the path-major shape below.  ``z[i]`` and ``k[i]``
+    are the coefficients of ``z_i`` and ``k_i`` on the design that
+    conditions at node ``i`` (``CondExpEngine.design_at(i)``), as wide as
+    that design: ``design.evaluate(z[i])`` gives ``z_i`` on the paths.
     """
 
     y: np.ndarray  # (n_paths, n_steps + 1), node-major in memory
-    z: np.ndarray  # (n_steps, n_basis), coefficients of z_i
-    k: np.ndarray  # (n_steps, n_atoms, n_basis), coefficients of k_i
+    z: list[np.ndarray]  # per step i: (p_i,), coefficients of z_i
+    k: list[np.ndarray]  # per step i: (n_atoms, p_i), coefficients of k_i
     r_squared: np.ndarray  # (n_steps,) projection diagnostic per step
 
 
@@ -103,25 +101,25 @@ def solve_bsde(
     y[n] = terminal
     if not np.all(np.isfinite(y[n])):
         raise ValidationError("terminal values must be finite")
-    z = np.zeros((n, engine.n_basis))
-    k = np.zeros((n, noise.levy.n_atoms, engine.n_basis))
+    blocks = [None] * n  # per step: [z_i; k_i] on the step's design, (1 + n_atoms, p)
     r2 = np.zeros(n)
     x_row = engine.x_paths.row if engine.x_paths is not None else lambda i: None
     # the running value row, stepped in place; y[i + 1] is its previous value
-    for i, design, live, z_i, k_i in engine.backward_columns(y[n:].copy()):
-        y_i = live[0]
+    for i, design, live, zk in engine.backward_columns(y[n:].copy()):
+        y_i, blocks[i] = live[0], zk[:, 0]
         # R² = 1 - var(y_{i+1} - E_i[y_{i+1}]) / var(y_{i+1}), before the generator
         var = float(np.var(y[i + 1]))
         r2[i] = 1.0 if var == 0.0 else 1.0 - float(np.var(y[i + 1] - y_i)) / var
         if driver is not None:
-            # z_i and k_i on the paths for this call only: rows [z; k_1; ...]
-            zk = np.concatenate([z_i, k_i[:, 0]]) @ design.phi
-            # the state row is made in the call, so it does not outlive it
-            g = driver(i, grid.nodes[i], x_row(i), y_i, zk[0], zk[1:] if len(k_i) else None)
+            # z_i and k_i on the paths for this call only; the state row is
+            # made in the call, so it does not outlive it
+            on_paths = blocks[i] @ design.phi
+            g = driver(i, grid.nodes[i], x_row(i), y_i, on_paths[0],
+                       on_paths[1:] if len(on_paths) > 1 else None)
             y_i += np.asarray(g, dtype=float) * grid.dt
-        p = z_i.shape[1]
-        y[i], z[i, :p], k[i, :, :p] = y_i, z_i[0], k_i[:, 0]
-    return BsdeSolution(y=y.T, z=z, k=k, r_squared=r2)
+        y[i] = y_i
+    return BsdeSolution(y=y.T, z=[b[0] for b in blocks], k=[b[1:] for b in blocks],
+                        r_squared=r2)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,7 +204,7 @@ def recursive_utility_bsde(
                            cache_designs=False)
     # only Y(0) is read: keep the running value row, not the (n + 1, N) array
     s = np.zeros(noise.n_paths)
-    for i, _, live, _, _ in engine.backward_columns(np.zeros((1, noise.n_paths))):
+    for i, _, live, _ in engine.backward_columns(np.zeros((1, noise.n_paths))):
         term = np.log(c[i] * fwd.row(i))
         live += (term + rate[i] * live) * dt
         s += (term + rate[i] * s) * dt

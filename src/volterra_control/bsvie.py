@@ -23,18 +23,18 @@ Every coefficient ``Z(t_i, s_r)`` and ``K(t_i, s_r, e_q)`` comes out of the
 regression at node ``r``, so it is held as its ``p`` coefficients on that
 node's conditioning design (the intercept alone where the engine answers with
 column means), as in regression-based BSDE schemes (Gobet, Lemor & Warin,
-Ann. Appl. Probab. 15, 2005).  The triangle is running-time-major: pair
-``(i, r)`` for ``i <= r <= n-1`` lives at flat index ``r(r+1)/2 + i``, so the
-pairs ``(0..r, r)`` that one backward step reads and writes form one
-contiguous ``(r+1, p)`` block.  Only the diagonal ``Y`` lives on the paths.
-A pass of :func:`solve_bsvie` runs in place on one triangle: step ``r``
-evaluates the frozen column ``r`` on the paths only to call the driver, then
-overwrites it with the new column and records the per-pair squared change as
-a Gram form of the coefficient change, from which the weighted distance is
-formed.  Only the ``(n+1, N)`` frozen diagonal is copied.
-:func:`family_statistics` runs its own loop on a driver-free family: after
-the first step each family is a fitted value on the previous node's design,
-so it is carried as those coefficients, and the terminal is only read.
+Ann. Appl. Probab. 15, 2005).  An iterate keeps, per running time ``r``, the
+step's ``(1 + n_atoms, r + 1, p)`` block for the pairs ``(0..r, r)``: ``Z``
+in slot 0, then each atom's ``K``, as wide as node ``r``'s design.  Only
+the diagonal ``Y`` lives on the paths.  A pass of :func:`solve_bsvie` runs
+in place on one iterate: step ``r`` evaluates the frozen block on the paths
+only to call the driver, then replaces it with the new block and records
+the per-pair squared change as a Gram form of the coefficient change, from
+which the weighted distance is formed.  Only the ``(n+1, N)`` frozen
+diagonal is copied.  :func:`family_statistics` runs its own loop on a
+driver-free family: after the first step each family is a fitted value on
+the previous node's design, so it is carried as those coefficients, and the
+terminal is only read.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import CondExpEngine, Design
+from .condexp import CondExpEngine
 from .model import LevyMeasure, TimeGrid, ValidationError, trapezoid_weights
 from .paths import NoiseBundle
 
@@ -76,37 +76,21 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
 
 
-def _n_pairs(n_steps: int) -> int:
-    return n_steps * (n_steps + 1) // 2
-
-
-def _column(r: int) -> slice:
-    """Flat rows of the running-time column ``(0..r, r)``."""
-    first = r * (r + 1) // 2
-    return slice(first, first + r + 1)
-
-
 @dataclass
 class BsvieTriple:
-    """One iterate: diagonal values plus the triangle of regression coefficients.
+    """One iterate: diagonal values plus, per running time ``r``, the
+    coefficient block of the pairs ``(0..r, r)`` on node ``r``'s design.
 
-    Row ``r(r+1)/2 + i`` holds the coefficients of pair ``(i, r)`` on the
-    conditioning design of node ``r``.  The triangle is as wide as the
-    engine's widest design (:attr:`CondExpEngine.n_basis`); a narrower design
-    (the intercept) uses the leading entries and leaves the rest zero.
+    ``blocks[r]`` is ``(1 + n_atoms, r + 1, p)``: ``Z`` in slot 0 and atom
+    ``q``'s ``K`` in slot ``1 + q``.  The zero iterate holds no blocks.
     """
 
     y: np.ndarray  # (n_steps + 1, n_paths), diagonal values on the paths
-    z: np.ndarray  # (n_pairs, n_basis), coefficients of Z
-    k: np.ndarray  # (n_pairs, n_atoms, n_basis), coefficients of K
+    blocks: list[np.ndarray | None]  # per running time r, None where zero
 
     @staticmethod
-    def zeros(n_steps: int, n_paths: int, n_atoms: int, n_basis: int) -> "BsvieTriple":
-        return BsvieTriple(
-            y=np.zeros((n_steps + 1, n_paths)),
-            z=np.zeros((_n_pairs(n_steps), n_basis)),
-            k=np.zeros((_n_pairs(n_steps), n_atoms, n_basis)),
-        )
+    def zeros(n_steps: int, n_paths: int) -> "BsvieTriple":
+        return BsvieTriple(y=np.zeros((n_steps + 1, n_paths)), blocks=[None] * n_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +98,12 @@ class BsvieSolution:
     grid: TimeGrid
     levy: LevyMeasure
     y: np.ndarray  # (n_steps + 1, n_paths), diagonal values
-    z: np.ndarray  # (n_pairs, n_basis), coefficients of Z, as in BsvieTriple
-    k: np.ndarray  # (n_pairs, n_atoms, n_basis), coefficients of K
+    z: list[np.ndarray]  # per running time r: (r + 1, p_r), coefficients of Z
+    k: list[np.ndarray]  # per running time r: (n_atoms, r + 1, p_r), coefficients of K
     iteration_log: tuple[float, ...]
 
 
-def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w: float) -> float:
+def _weighted_sum(y_sq: np.ndarray, pair_sq: list, grid: TimeGrid, beta_w: float) -> float:
     """The exponentially weighted norm of per-node and per-pair squares.
 
     Monte Carlo estimate of
@@ -128,8 +112,8 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w:
                     + int_t^T e^{b s} int K(t,s,e)^2 nu(de) ds ] dt
 
     with trapezoid quadrature in ``t`` and left-point in ``s``.  ``y_sq``
-    holds ``E[Y^2]`` per node and ``pair_sq`` holds
-    ``E[Z^2] + sum_q w_q E[K_q^2]`` in the flat triangle layout; the terms
+    holds ``E[Y^2]`` per node and ``pair_sq[r]`` holds
+    ``E[Z^2] + sum_q w_q E[K_q^2]`` for the pairs ``(0..r, r)``; the terms
     are summed first index by first index.
     """
     n, dt = grid.n_steps, grid.dt
@@ -138,28 +122,17 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: np.ndarray, grid: TimeGrid, beta_w:
     # solve_bsvie reports as non-convergence
     with np.errstate(over="ignore"):
         e_t = np.exp(beta_w * grid.nodes)
-    firsts = np.arange(n) * (np.arange(n) + 1) // 2  # flat index of pair (0, r)
+    # first index i reads one contiguous row: a strided read rounds differently
+    rows = np.zeros((n, n))
+    for r, col in enumerate(pair_sq):
+        rows[:r + 1, r] = col
     total = 0.0
     for i in range(n + 1):
         inner = y_sq[i] * e_t[i]
         if i < n:
-            inner += float(e_t[i:n] @ pair_sq[firsts[i:] + i]) * dt
+            inner += float(e_t[i:n] @ rows[i, i:]) * dt
         total += w_t[i] * inner
     return total
-
-
-def _on_design(triangle: np.ndarray, r: int, design: Design) -> np.ndarray:
-    """Column ``r`` of a coefficient triangle ``(n_pairs, ..., n_basis)``,
-    cut to the width of node ``r``'s design (a view)."""
-    return triangle[_column(r), ..., :design.phi.shape[0]]
-
-
-def _replace(old: np.ndarray, new: np.ndarray, design: Design) -> np.ndarray:
-    """Overwrite coefficient rows ``old`` with ``new``; return the path mean
-    of each row's squared change."""
-    sq = design.mean_squares(new - old)
-    old[...] = new
-    return sq
 
 
 def _terminal_family(zeta: np.ndarray, n_steps: int, n_paths: int) -> np.ndarray:
@@ -180,22 +153,23 @@ def solve_family_step(
     frozen: BsvieTriple,
     noise: NoiseBundle,
     engine: CondExpEngine,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """One pass, in place: solve the node-indexed family of backward SDEs.
 
     For each node ``t_i`` the backward SDE on ``[t_i, T]`` has terminal
     ``zeta(t_i)`` and the running-time generator evaluated on the frozen
-    triple; the new diagonal value is the solve at ``t_i`` and the triangle
-    rows are the extracted coefficients.  The running time ``t_r`` steps
+    triple; the new diagonal value is the solve at ``t_i`` and the blocks
+    hold the extracted coefficients.  The running time ``t_r`` steps
     backward once for all families: every family ``i <= r`` advances
     together, with one regression product and one driver call per node.
-    The driver receives the frozen column evaluated on the paths and the
+    The driver receives the frozen block evaluated on the paths and the
     engine's forward state at ``t_r`` (``engine.x_paths.row(r)``, or None
     when the engine holds no state).
 
     ``frozen`` is overwritten with the new iterate.  Returns the squared
-    changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and per
-    pair ``E[(Z_new - Z_old)^2] + sum_q w_q E[(K_new - K_old)_q^2]``.
+    changes ``(y_sq, pair_sq)``: per node ``E[(Y_new - Y_old)^2]`` and, per
+    running time ``r``, the ``(r + 1,)`` pair terms
+    ``E[(Z_new - Z_old)^2] + sum_q w_q E[(K_new - K_old)_q^2]``.
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
@@ -204,26 +178,24 @@ def solve_family_step(
     y_frozen = frozen.y.copy()
     y = frozen.y
     y[:] = _terminal_family(zeta, n, noise.n_paths)
-    # the frozen Z and K columns on the paths, rows [z; k_1; ...; k_m]
+    # the frozen Z and K blocks on the paths, rows [z; k_1; ...; k_m]
     on_paths = np.empty(((1 + m) * n, noise.n_paths)) if driver is not None else None
     y_sq = np.empty(n + 1)
-    pair_sq = np.empty(_n_pairs(n))
-    for r, design, live, z_new, k_new in engine.backward_columns(y):
-        fam, p = r + 1, design.phi.shape[0]
-        z_old = _on_design(frozen.z, r, design)
-        k_old = _on_design(frozen.k, r, design).transpose(1, 0, 2)
+    pair_sq = [None] * n
+    for r, design, live, zk in engine.backward_columns(y):
+        fam = r + 1
+        old = frozen.blocks[r] if frozen.blocks[r] is not None else np.zeros_like(zk)
         if driver is not None:
-            # the driver reads the frozen column r before it is overwritten
-            coef = np.concatenate([z_old, k_old.reshape(m * fam, p)])
-            block = np.matmul(coef, design.phi, out=on_paths[:(1 + m) * fam])
+            # the driver reads the frozen block r before it is replaced
+            block = np.matmul(old.reshape((1 + m) * fam, -1), design.phi,
+                              out=on_paths[:(1 + m) * fam])
             k_col = block[fam:].reshape(m, fam, -1) if m else None
             x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
             g = driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
             live += np.asarray(g, dtype=float) * dt
-        col = _column(r)
-        pair_sq[col] = _replace(z_old, z_new, design)
-        if m:
-            pair_sq[col] += noise.levy.weights @ _replace(k_old, k_new, design)
+        sq = design.mean_squares(zk - old)
+        pair_sq[r] = sq[0] + noise.levy.weights @ sq[1:]
+        frozen.blocks[r] = zk
         y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
     y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
     return y_sq, pair_sq
@@ -235,7 +207,7 @@ class FamilyStatistics:
 
     grid: TimeGrid
     n_paths: int
-    z_mean: np.ndarray  # (n_pairs,) per-pair path means of Z, triangle layout
+    z_mean: list[np.ndarray]  # per running time r: (r+1,) path means of Z(t_0..t_r, s_r)
     zero_row_max: float  # largest |Z(t_0, s_r)| over paths and running times
     z_derivative_norm: float  # C10's first-index derivative norm of Z
 
@@ -263,7 +235,7 @@ def family_statistics(
     """
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
-    z_mean = np.empty(_n_pairs(n))
+    z_mean = [None] * n
     terms = np.empty(n)
     zero_row = 0.0
     y = _terminal_family(zeta, n, noise.n_paths)
@@ -275,7 +247,7 @@ def family_statistics(
         # after the terminal step the rows are the last basis: map the families through it
         coef = step if r == n - 1 else coef[:r + 1] @ step
         rows, z, coef = design.phi, coef[1] / dt, coef[0]
-        z_mean[_column(r)] = z @ design.phi.mean(axis=1)
+        z_mean[r] = z @ design.phi.mean(axis=1)
         zero_row = np.maximum(zero_row, np.max(np.abs(z[0] @ design.phi)))  # keeps a NaN
         # consecutive rows of column r are the pairs (i, r) and (i + 1, r)
         terms[r] = float(design.mean_squares(np.diff(z, axis=0) / dt).sum()) * dt * dt
@@ -313,7 +285,7 @@ def solve_bsvie(
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     grid = noise.grid
     n = grid.n_steps
-    current = BsvieTriple.zeros(n, noise.n_paths, noise.levy.n_atoms, engine.n_basis)
+    current = BsvieTriple.zeros(n, noise.n_paths)
     log: list[float] = []
     for _ in range(max_iter):
         squares = solve_family_step(zeta, driver, current, noise, engine)
@@ -332,7 +304,7 @@ def solve_bsvie(
             f"tolerance {tol:.1e} relative)", log,
         )
     return BsvieSolution(
-        grid=grid, levy=noise.levy, y=current.y, z=current.z, k=current.k,
-        iteration_log=tuple(log),
+        grid=grid, levy=noise.levy, y=current.y, z=[b[0] for b in current.blocks],
+        k=[b[1:] for b in current.blocks], iteration_log=tuple(log),
     )
 

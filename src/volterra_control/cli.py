@@ -391,7 +391,9 @@ def run(argv=None) -> int:
             if report.seed < 0:
                 raise ValidationError(f"seed must be >= 0, got {report.seed}")
         handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
-        code = _write(report, out_dir, *handler(spec, args))
+        # an overflow is inf or nan, which a check (exit 3) or solver (4) rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = _write(report, out_dir, *handler(spec, args))
     except tuple(_ERROR_EXIT_CODES) as exc:
         report.error = str(exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -18,17 +18,18 @@ Trivial information is the intercept design, whose fit is the column mean.
 Targets may be one column ``(N,)`` or a block ``(N, k)``; ``k`` projections
 at one node then cost one matrix product.
 
-Both backward solvers run on one regression step,
+Both backward solvers step values back through
 :meth:`CondExpEngine.backward_columns`.  It steps ``k`` value rows back one
 node at a time, in place: one product of the node's design with the values
 and the noise increments gives the coefficients of ``y``, ``y dB`` and
 ``y (count_q - w_q dt)`` and one ``p x p`` solve finishes them, so no
-``(N, k)`` target block is formed and ``Z`` and ``K`` are held as their ``p``
-coefficients on the node's design (Gobet, Lemor & Warin, Ann. Appl. Probab.
-15, 2005).  Only ``y`` is evaluated back on the paths.  The BSDE steps one
-row; a BSVIE pass steps one row per family.  The path mean of a fitted
-square is the Gram form ``c^T (gram / N) c``, read off the basis'
-triangular factor.
+``(N, k)`` target block is formed; ``Z`` and ``K`` come out as one
+``(1 + n_atoms, k, p)`` block on the node's own design (Gobet, Lemor &
+Warin, Ann. Appl. Probab. 15, 2005).  Only ``y`` is evaluated back on the
+paths.  The BSDE steps one row, a BSVIE pass one row per family; the
+driver-free BSVIE family runs its own loop on ``product_coefficients``.
+The path mean of a fitted square is the Gram form ``c^T (gram / N) c``,
+read off the basis' triangular factor.
 """
 
 from __future__ import annotations
@@ -279,24 +280,6 @@ class CondExpEngine:
                 self._designs[cnode] = design
         return design
 
-    @property
-    def n_basis(self) -> int:
-        """Rows of the widest design: every node outside trivial information
-        regresses on the same monomials of the state, the rest on the
-        intercept alone.  The state variables are counted from the spec, as
-        :meth:`_state_rows` would return them, without reading any node."""
-        if self.filtration.mode == "trivial":
-            return 1
-        n_vars = 0
-        for var in self.regression.variables:
-            if var in ("x", "log_x"):
-                n_vars += self.x_paths is not None
-            elif var == "brownian":
-                n_vars += 1
-            elif var == "jump_counts":
-                n_vars += self.noise.levy.n_atoms
-        return len(_monomial_powers(n_vars, self.regression.degree))
-
     def design_at(self, node: int) -> Design:
         """The design that conditions at ``node``: the intercept design where
         the information is trivial (trivial mode, or conditioning node 0)."""
@@ -317,7 +300,7 @@ class CondExpEngine:
 
     def backward_columns(
         self, y: np.ndarray
-    ) -> Iterator[tuple[int, Design, np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[int, Design, np.ndarray, np.ndarray]]:
         """One backward regression step per running time ``t_r``, in place on ``y``.
 
         ``y`` holds ``(k, N)`` value rows at ``t_n``.  At running time ``r``
@@ -328,13 +311,15 @@ class CondExpEngine:
         ``y``, ``y dB_r`` and ``y (count_q - w_q dt)``, and ``E_r[y]`` is
         evaluated back into the live rows.
 
-        Yields ``(r, design, live, z, k)``: the live rows, to which the
+        Yields ``(r, design, live, zk)``: the live rows, to which the
         consumer adds its generator term in place before the next step, and
-        the coefficients ``z`` ``(rows, p)`` and ``k`` ``(n_atoms, rows, p)``.
+        the coefficient block ``zk`` ``(1 + n_atoms, rows, p)`` on the
+        design, ``Z`` in slot 0 and atom ``q``'s ``K`` in slot ``1 + q``.
         """
         noise = self.noise
         dt = self.grid.dt
         w_dt = noise.levy.weights * dt
+        scale = np.concatenate([[dt], w_dt])[:, None, None]
         for r in range(self.grid.n_steps - 1, -1, -1):
             design = self.design_at(r)
             live = y[:r + 1]
@@ -344,4 +329,4 @@ class CondExpEngine:
             ]
             coef = design.product_coefficients(live, factors)
             np.matmul(coef[0], design.phi, out=live)
-            yield r, design, live, coef[1] / dt, coef[2:] / w_dt[:, None, None]
+            yield r, design, live, coef[1:] / scale

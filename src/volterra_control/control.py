@@ -148,14 +148,16 @@ def _sum_log_noise(
     engine run with zero step integrals through node ``n``.  Every value is
     per path or a minimum, so it does not depend on how the paths are split."""
     n = scenario.grid.n_steps
-    wl = _utility_weights(scenario)
-    leg[:] = 0.0
-    min_log, low_path = np.empty(n + 1), np.empty(n + 1, dtype=np.intp)
-    for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n), n)):
-        if i < n:
-            leg += wl[i] * row
-        low_path[i] = row.argmin()
-        min_log[i] = row[low_path[i]]
+    # stream workers miss the caller's np.errstate; an overflow fails a check
+    with np.errstate(over="ignore", invalid="ignore"):
+        wl = _utility_weights(scenario)
+        leg[:] = 0.0
+        min_log, low_path = np.empty(n + 1), np.empty(n + 1, dtype=np.intp)
+        for i, row in enumerate(_log_rows(scenario, noise, np.zeros(n), n)):
+            if i < n:
+                leg += wl[i] * row
+            low_path[i] = row.argmin()
+            min_log[i] = row[low_path[i]]
     terminal[:] = row
     return min_log, low_path
 

@@ -42,10 +42,9 @@ def _given_state(grid, x):
 
 
 def on_paths(coef, engine, i):
-    """Coefficients held for step ``i`` (``(n_basis,)`` or ``(..., n_basis)``)
-    evaluated on the paths through the design that conditions at node ``i``."""
-    design = engine.design_at(i)
-    return design.evaluate(coef[..., :design.phi.shape[0]].T).T
+    """Coefficients held for step ``i`` (``(p,)`` or ``(..., p)``) evaluated
+    on the paths through the design that conditions at node ``i``."""
+    return engine.design_at(i).evaluate(coef.T).T
 
 
 def z_paths(sol, engine):
@@ -61,7 +60,7 @@ def k_paths(sol, engine):
 def test_null_solution_is_exactly_zero():
     noise = generate_noise(GRID, EMPTY, n_paths=256, seed=1, n_blocks=1)
     sol = solve_bsde(np.zeros(256), None, noise, brownian_engine(noise))
-    assert np.all(sol.y == 0.0) and np.all(sol.z == 0.0)
+    assert np.all(sol.y == 0.0) and all(np.all(z == 0.0) for z in sol.z)
 
 
 @pytest.mark.parametrize("shape", [(7,), (10, 2), (10, 1), (1, 10)])
@@ -297,8 +296,9 @@ def _solve_bsde_reference(terminal, driver, noise, engine):
 def _assert_matches_path_arrays(sol, engine, y, z, k):
     """The held coefficients, evaluated on the paths, are the path arrays."""
     tol = {"rtol": 1e-12, "atol": 1e-12 * np.abs(y).max()}
-    n, n_basis = sol.z.shape
-    assert sol.k.shape == (n, k.shape[0], n_basis) and n_basis == engine.n_basis
+    widths = [engine.design_at(i).phi.shape[0] for i in range(len(sol.z))]
+    assert [z.shape for z in sol.z] == [(p,) for p in widths]
+    assert [a.shape for a in sol.k] == [(k.shape[0], p) for p in widths]
     np.testing.assert_allclose(sol.y, y, **tol)
     np.testing.assert_allclose(z_paths(sol, engine), z, **tol)
     np.testing.assert_allclose(k_paths(sol, engine), k, **tol)
@@ -396,7 +396,8 @@ def test_node_major_storage_matches_path_major_loop():
 
     sol = solve_bsde(terminal, driver, noise, engine)
     assert sol.y.shape == (500, 31) and np.swapaxes(sol.y, 0, 1).flags.c_contiguous
-    assert sol.z.shape == (30, 3) and sol.k.shape == (30, 1, 3)
+    # node 0 conditions on trivial information: the intercept alone
+    assert [z.shape for z in sol.z] == [(1,)] + [(3,)] * 29
     _assert_matches_path_arrays(
         sol, engine, *_solve_bsde_path_major(terminal, driver, noise, engine, x_paths))
 

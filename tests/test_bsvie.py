@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,6 @@ from volterra_control.bsde import solve_bsde
 from volterra_control.bsvie import (
     BsvieTriple,
     ConvergenceError,
-    _column,
-    _on_design,
-    _replace,
     _weighted_sum,
     family_statistics,
     solve_bsvie,
@@ -49,56 +47,63 @@ def make_noise(n_steps=100, n_paths=256, seed=11, levy=EMPTY):
     return generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
 
 
-def pair_index(n_steps, i, j):
-    """Flat index of the triangle pair ``(t_i, s_j)``, ``i <= j <= n-1``."""
-    assert 0 <= i <= j < n_steps
-    return j * (j + 1) // 2 + i
+def zero_columns(n_steps):
+    """Per-column pair squares of the zero triple, ``(r + 1,)`` per running time."""
+    return [np.zeros(r + 1) for r in range(n_steps)]
 
 
-def coefficient_zeros(noise, engine):
-    """The zero iterate, its triangle as wide as the widest design."""
-    return BsvieTriple.zeros(noise.grid.n_steps, noise.n_paths, noise.levy.n_atoms, engine.n_basis)
+def solution_blocks(sol):
+    """A solution's ``z`` and ``k`` as the ``(1 + n_atoms, r + 1, p)`` block per column."""
+    return [np.concatenate([z[None], k]) for z, k in zip(sol.z, sol.k)]
 
 
-def on_paths(z, k, engine):
-    """A coefficient triangle evaluated on the paths: ``(n_pairs, N)`` and
-    ``(n_pairs, n_atoms, N)``."""
-    n = engine.grid.n_steps
-    z_paths = np.empty((z.shape[0], engine.noise.n_paths))
-    k_paths = np.empty((k.shape[0], k.shape[1], engine.noise.n_paths))
-    for r in range(n):
-        design = engine.design_at(r)
-        z_paths[_column(r)] = _on_design(z, r, design) @ design.phi
-        k_paths[_column(r)] = _on_design(k, r, design) @ design.phi
-    return z_paths, k_paths
+def random_triple(noise, engine, rng):
+    """A triple of normal draws, each block as wide as its node's design."""
+    n, m = noise.grid.n_steps, noise.levy.n_atoms
+    return BsvieTriple(
+        y=rng.normal(size=(n + 1, noise.n_paths)),
+        blocks=[rng.normal(size=(1 + m, r + 1, engine.design_at(r).phi.shape[0]))
+                for r in range(n)],
+    )
+
+
+def on_paths(blocks, engine):
+    """Coefficient blocks evaluated on the paths, ``(1 + n_atoms, r + 1, N)`` per column."""
+    out = []
+    for r, block in enumerate(blocks):
+        phi = engine.design_at(r).phi
+        out.append((block.reshape(-1, phi.shape[0]) @ phi).reshape(*block.shape[:-1], -1))
+    return out
+
+
+def assert_columns_close(got, want, **tol):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, **tol)
 
 
 # --------------------------------------------------------------------------- #
 # the path-valued oracle
 # --------------------------------------------------------------------------- #
 # The recursion, pass and weighted norm below are the solver this module had
-# before the triangle held regression coefficients: every target is formed on
+# before the blocks held regression coefficients: every target is formed on
 # the paths, projected through ``engine.project`` and stored evaluated, and
-# each squared change is a path mean.
+# each squared change is a path mean.  A path-valued triple holds, per running
+# time ``r``, the ``(1 + n_atoms, r + 1, N)`` block of ``Z`` and ``K`` on the paths.
 
 def path_zeros(n_steps, n_paths, n_atoms):
-    n_pairs = n_steps * (n_steps + 1) // 2
     return BsvieTriple(
         y=np.zeros((n_steps + 1, n_paths)),
-        z=np.zeros((n_pairs, n_paths)),
-        k=np.zeros((n_pairs, n_atoms, n_paths)),
+        blocks=[np.zeros((1 + n_atoms, r + 1, n_paths)) for r in range(n_steps)],
     )
 
 
-def weighted_norm(y, z, k, grid, levy, beta_w):
+def weighted_norm(y, blocks, grid, levy, beta_w):
     """Exponentially weighted squared norm of a path-valued triple."""
-    n = grid.n_steps
-    pair_sq = np.empty(n * (n + 1) // 2)
-    for r in range(n):
-        col = _column(r)
-        pair_sq[col] = np.mean(z[col] ** 2, axis=1)
-        if k.shape[1]:
-            pair_sq[col] += levy.weights @ np.mean(k[col].transpose(1, 0, 2) ** 2, axis=2)
+    pair_sq = []
+    for block in blocks:
+        sq = np.mean(block**2, axis=2)
+        pair_sq.append(sq[0] + levy.weights @ sq[1:])
     return _weighted_sum(np.mean(y**2, axis=1), pair_sq, grid, beta_w)
 
 
@@ -115,7 +120,7 @@ def path_family_columns(zeta, y, noise, engine, drift):
     n_paths, m = noise.n_paths, noise.levy.n_atoms
     zeta = np.asarray(zeta, dtype=float)
     comp = compensated(noise) if m else None
-    w_dt = noise.levy.weights[:, None, None] * dt if m else None
+    scale = np.concatenate([[dt], noise.levy.weights * dt])[:, None, None]
     kinds = 2 + m  # target kinds per family: y, y dB, y (count_q - w_q dt)
     y[:] = zeta.reshape(n + 1, -1)
     for r in range(n - 1, -1, -1):
@@ -133,12 +138,9 @@ def path_family_columns(zeta, y, noise, engine, drift):
             y_run[:] = proj[:fam]
         else:
             np.add(proj[:fam], np.asarray(drift(r), dtype=float) * dt, out=y_run)
-        z_new = proj[fam:2 * fam]
-        z_new /= dt
-        k_new = proj[2 * fam:].reshape(m, fam, n_paths)
-        if m:
-            k_new /= w_dt
-        yield r, z_new, k_new
+        zk_new = proj[fam:].reshape(1 + m, fam, n_paths)
+        zk_new /= scale
+        yield r, zk_new
 
 
 def path_family_step(zeta, driver, frozen, noise, engine):
@@ -150,27 +152,24 @@ def path_family_step(zeta, driver, frozen, noise, engine):
     drift = None
     if driver is not None:
         def drift(r):
-            col = _column(r)
-            k_col = frozen.k[col].transpose(1, 0, 2) if m else None
+            block = frozen.blocks[r]
             x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
-            return driver(families[:r + 1], r, y_frozen[r], frozen.z[col], k_col, x_r)
+            return driver(families[:r + 1], r, y_frozen[r], block[0],
+                          block[1:] if m else None, x_r)
 
     y = frozen.y
     y_sq = np.empty(n + 1)
-    pair_sq = np.empty(n * (n + 1) // 2)
-    for r, z_new, k_new in path_family_columns(zeta, y, noise, engine, drift):
-        col = _column(r)
-        pair_sq[col] = _path_replace(frozen.z[col], z_new)
-        if m:
-            pair_sq[col] += noise.levy.weights @ _path_replace(
-                frozen.k[col].transpose(1, 0, 2), k_new)
+    pair_sq = [None] * n
+    for r, zk_new in path_family_columns(zeta, y, noise, engine, drift):
+        sq = _path_replace(frozen.blocks[r], zk_new)
+        pair_sq[r] = sq[0] + noise.levy.weights @ sq[1:]
         y_sq[r] = np.mean((y[r] - y_frozen[r]) ** 2)
     y_sq[n] = np.mean((y[n] - y_frozen[n]) ** 2)
     return y_sq, pair_sq
 
 
 def path_solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-6, max_iter=50):
-    """The fixed-point loop on a path-valued triangle; returns it and the log."""
+    """The fixed-point loop on a path-valued triple; returns it and the log."""
     grid = noise.grid
     current = path_zeros(grid.n_steps, noise.n_paths, noise.levy.n_atoms)
     log, scale = [], None
@@ -181,7 +180,7 @@ def path_solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-6, max_ite
             log.append(0.0)
             break
         if scale is None:
-            scale = max(weighted_norm(current.y, current.z, current.k, grid, noise.levy, beta_w),
+            scale = max(weighted_norm(current.y, current.blocks, grid, noise.levy, beta_w),
                         1e-300)
         if log[-1] <= tol * scale:
             break
@@ -195,32 +194,19 @@ def path_solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-6, max_ite
 def test_weighted_norm_of_constant_value():
     grid = build_time_grid(1.0, 100)
     # E[Y^2] = 1 at every node, no coefficient terms
-    assert math.isclose(_weighted_sum(np.ones(101), np.zeros(5050), grid, 0.0), 1.0,
+    assert math.isclose(_weighted_sum(np.ones(101), zero_columns(100), grid, 0.0), 1.0,
                         rel_tol=1e-12)
 
 
 def test_weighted_norm_exponential_weight():
     grid = build_time_grid(1.0, 100)
-    val = _weighted_sum(np.ones(101), np.zeros(5050), grid, 2.0)
+    val = _weighted_sum(np.ones(101), zero_columns(100), grid, 2.0)
     assert abs(val - (math.e**2 - 1.0) / 2.0) < 1e-3
 
 
 def test_weighted_norm_zero_triple():
     grid = build_time_grid(1.0, 10)
-    assert _weighted_sum(np.zeros(11), np.zeros(55), grid, 5.0) == 0.0
-
-
-def test_pair_index_layout():
-    n = 5
-    seen = set()
-    for j in range(n):
-        # running-time-major: the column (0..j, j) is one contiguous block
-        col = _column(j)
-        assert col.stop - col.start == j + 1
-        for i in range(j + 1):
-            assert col.start + i == pair_index(n, i, j)
-            seen.add(col.start + i)
-    assert seen == set(range(n * (n + 1) // 2))
+    assert _weighted_sum(np.zeros(11), zero_columns(10), grid, 5.0) == 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -232,14 +218,16 @@ def test_family_step_deterministic_terminal():
     n = 20
     zeta = np.broadcast_to(noise.grid.nodes[:, None], (21, noise.n_paths)).copy()
     engine = trivial_engine(noise)
-    out = coefficient_zeros(noise, engine)
-    assert out.z.shape == (n * (n + 1) // 2, 1)  # trivial mode: the intercept alone
+    out = BsvieTriple.zeros(n, noise.n_paths)
+    assert out.blocks == [None] * n  # the zero iterate holds no blocks
     solve_family_step(zeta, None, out, noise, engine)
+    # trivial mode: every block is the intercept alone
+    assert [b.shape for b in out.blocks] == [(1, r + 1, 1) for r in range(n)]
     # deterministic terminal: the diagonal reproduces it exactly and the
     # coefficient rows are pure sample noise around zero
     assert np.allclose(out.y, zeta, atol=1e-14)
     se = 1.0 / math.sqrt(noise.n_paths * noise.grid.dt)
-    assert np.max(np.abs(out.z)) < 5 * se
+    assert max(np.max(np.abs(b)) for b in out.blocks) < 5 * se
 
 
 def test_family_step_ignores_frozen_when_driver_is_zero_function():
@@ -247,16 +235,18 @@ def test_family_step_ignores_frozen_when_driver_is_zero_function():
     n = 15
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
-    a = coefficient_zeros(noise, brownian_engine(noise))
-    b = coefficient_zeros(noise, brownian_engine(noise))
-    assert a.z.shape == (n * (n + 1) // 2, 3)
+    a = BsvieTriple.zeros(n, noise.n_paths)
+    b = BsvieTriple.zeros(n, noise.n_paths)
 
     def driver(i, r, y_frozen, z, k, x):
         return y_frozen  # frozen y stays identically zero
 
     solve_family_step(zeta, driver, a, noise, brownian_engine(noise))
     solve_family_step(zeta, None, b, noise, brownian_engine(noise))
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
+    # node 0 conditions on trivial information, every later node on (1, B, B^2)
+    assert [blk.shape for blk in a.blocks] == [(1, r + 1, 1 if r == 0 else 3) for r in range(n)]
+    assert np.array_equal(a.y, b.y)
+    assert all(np.array_equal(p, q) for p, q in zip(a.blocks, b.blocks))
 
 
 def test_family_step_martingale_terminal_tracks_brownian():
@@ -265,7 +255,7 @@ def test_family_step_martingale_terminal_tracks_brownian():
     b_levels = noise.brownian_levels
     zeta = noise.grid.nodes[:, None] * b_levels[:, -1][None, :]
     engine = brownian_engine(noise)
-    out = coefficient_zeros(noise, engine)
+    out = BsvieTriple.zeros(n, noise.n_paths)
     solve_family_step(zeta, None, out, noise, engine)
     # diagonal close to t_i * B(t_i) pathwise (iterated-regression error)
     gaps = out.y - noise.grid.nodes[:, None] * b_levels.T
@@ -311,12 +301,14 @@ def _hand_weighted_sum(y_sq, pair_sq, grid, beta_w):
     w_t = np.full(n + 1, dt)
     w_t[0] = w_t[-1] = 0.5 * dt
     e_t = np.exp(beta_w * grid.nodes)
-    firsts = np.arange(n) * (np.arange(n) + 1) // 2
+    rows = np.zeros((n, n))
+    for r, col in enumerate(pair_sq):
+        rows[:r + 1, r] = col
     total = 0.0
     for i in range(n + 1):
         inner = y_sq[i] * e_t[i]
         if i < n:
-            inner += float(e_t[i:n] @ pair_sq[firsts[i:] + i]) * dt
+            inner += float(e_t[i:n] @ rows[i, i:]) * dt
         total += w_t[i] * inner
     return total
 
@@ -350,7 +342,7 @@ def test_diagonal_consistency_at_the_fixed_point():
 
     engine = trivial_engine(noise)
     sol = solve_bsvie(zeta, driver, noise, engine, beta_w=20.0, tol=1e-21, max_iter=60)
-    re_solved = BsvieTriple(y=sol.y.copy(), z=sol.z.copy(), k=sol.k.copy())
+    re_solved = BsvieTriple(y=sol.y.copy(), blocks=solution_blocks(sol))
     solve_family_step(zeta, driver, re_solved, noise, engine)
     assert np.max(np.abs(re_solved.y - sol.y)) < 1e-10
 
@@ -369,20 +361,20 @@ def test_uniqueness_from_different_starting_triple():
     a = solve_bsvie(zeta, driver, noise, engine, tol=tol, max_iter=60)
     # the same fixed-point loop from a warm triple, stopped by the same rule
     # relative to its own first iterate
-    b = coefficient_zeros(noise, engine)
+    b = BsvieTriple.zeros(n, noise.n_paths)
     b.y += 1.0
     scale_b = None
     for _ in range(60):
         squares = solve_family_step(zeta, driver, b, noise, engine)
         if scale_b is None:
-            scale_b = weighted_norm(b.y, *on_paths(b.z, b.k, engine), noise.grid, EMPTY, 20.0)
+            scale_b = weighted_norm(b.y, on_paths(b.blocks, engine), noise.grid, EMPTY, 20.0)
         if _weighted_sum(*squares, noise.grid, 20.0) <= tol * scale_b:
             break
     else:
         pytest.fail("no convergence from the warm triple")
-    (a_z, a_k), (b_z, b_k) = on_paths(a.z, a.k, engine), on_paths(b.z, b.k, engine)
-    diff = weighted_norm(a.y - b.y, a_z - b_z, a_k - b_k, noise.grid, EMPTY, 20.0)
-    scale = weighted_norm(a.y, a_z, a_k, noise.grid, EMPTY, 20.0)
+    a_zk, b_zk = on_paths(solution_blocks(a), engine), on_paths(b.blocks, engine)
+    diff = weighted_norm(a.y - b.y, [p - q for p, q in zip(a_zk, b_zk)], noise.grid, EMPTY, 20.0)
+    scale = weighted_norm(a.y, a_zk, noise.grid, EMPTY, 20.0)
     assert diff <= 2 * tol * scale
 
 
@@ -441,15 +433,14 @@ def _triangle_z_derivative_norm(tri, grid):
     n, dt = grid.n_steps, grid.dt
     total = 0.0
     for j in range(1, n):
-        fd = np.diff(tri.z[_column(j)], axis=0) / dt
+        fd = np.diff(tri.blocks[j][0], axis=0) / dt
         total += float(np.mean(fd**2, axis=1).sum()) * dt * dt
     return total
 
 
 def _triangle_statistics(tri, grid):
-    n = grid.n_steps
-    z_mean = np.array([tri.z[pair_index(n, i, j)].mean() for j in range(n) for i in range(j + 1)])
-    zero_row = max(float(np.max(np.abs(tri.z[pair_index(n, 0, j)]))) for j in range(n))
+    z_mean = [block[0].mean(axis=1) for block in tri.blocks]
+    zero_row = max(float(np.max(np.abs(block[0, 0]))) for block in tri.blocks)
     return z_mean, zero_row, _triangle_z_derivative_norm(tri, grid)
 
 
@@ -513,7 +504,7 @@ def test_streamed_family_statistics_equal_the_triangle(n_steps, n_paths, seed, m
     z_mean, zero_row, norm = _triangle_statistics(_triangle_family(zeta, noise, engine), noise.grid)
     assert stats.grid is noise.grid and stats.n_paths == n_paths
     # the coefficients reorder the regression's sums: equal to rounding
-    np.testing.assert_allclose(stats.z_mean, z_mean, rtol=1e-10, atol=1e-12)
+    assert_columns_close(stats.z_mean, z_mean, rtol=1e-10, atol=1e-12)
     assert math.isclose(stats.zero_row_max, zero_row, rel_tol=1e-10, abs_tol=1e-12)
     assert math.isclose(stats.z_derivative_norm, norm, rel_tol=1e-10, abs_tol=1e-12)
     if zero_first_row:
@@ -535,7 +526,7 @@ def test_family_statistics_leave_every_terminal_layout_as_it_was():
         before = terminal.copy()
         got = family_statistics(terminal, noise, engine)
         assert np.array_equal(terminal, before), name  # read, left as it was
-        assert np.array_equal(got.z_mean, stats.z_mean), name
+        assert all(np.array_equal(a, b) for a, b in zip(got.z_mean, stats.z_mean)), name
         assert got.zero_row_max == stats.zero_row_max, name
         assert got.z_derivative_norm == stats.z_derivative_norm, name
 
@@ -603,12 +594,13 @@ def _family_step_reference(zeta, driver, frozen, noise, engine):
     for i in range(n):
         y_run = zeta[i].copy()
         for r in range(n - 1, i - 1, -1):
-            idx = pair_index(n, i, r)
+            out_r, frozen_r = out.blocks[r], frozen.blocks[r]
             y_proj = engine.project(r, y_run)
-            out.z[idx] = engine.project(r, y_run * noise.d_brownian[:, r]) / dt
+            out_r[0, i] = engine.project(r, y_run * noise.d_brownian[:, r]) / dt
             for q in range(m):
-                out.k[idx, q] = engine.project(r, y_run * comp[q, :, r]) / (noise.levy.weights[q] * dt)
-            g = driver(i, r, frozen.y[r], frozen.z[idx], frozen.k[idx], None)
+                w_dt = noise.levy.weights[q] * dt
+                out_r[1 + q, i] = engine.project(r, y_run * comp[q, :, r]) / w_dt
+            g = driver(i, r, frozen.y[r], frozen_r[0, i], frozen_r[1:, i], None)
             y_run = y_proj + g * dt
         out.y[i] = y_run
     return out
@@ -634,16 +626,14 @@ def test_batched_family_step_matches_per_family_loop(n_steps, n_paths, seed, wei
         noise,
     )
     rng = np.random.default_rng(seed)
-    got = coefficient_zeros(noise, engine)
-    for a in (got.y, got.z, got.k):
-        a[...] = rng.normal(size=a.shape)
+    got = random_triple(noise, engine, rng)
     # the reference reads the frozen triple on the paths
-    frozen = BsvieTriple(got.y.copy(), *on_paths(got.z, got.k, engine))
+    frozen = BsvieTriple(got.y.copy(), on_paths(got.blocks, engine))
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :] + 0.1 * noise.count_levels[0][:, -1]
     solve_family_step(zeta, _jump_driver, got, noise, engine)
     ref = _family_step_reference(zeta, _jump_driver, frozen, noise, engine)
-    for a, b in ((got.y, ref.y), *zip(on_paths(got.z, got.k, engine), (ref.z, ref.k))):
+    for a, b in ((got.y, ref.y), *zip(on_paths(got.blocks, engine), ref.blocks)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
@@ -657,9 +647,9 @@ def _weighted_norm_reference(a, b, grid, levy, beta_w):
     for i in range(n + 1):
         inner = float(np.mean((a.y[i] - b.y[i]) ** 2)) * e_t[i]
         for j in range(i, n):
-            idx = pair_index(n, i, j)
-            zsq = float(np.mean((a.z[idx] - b.z[idx]) ** 2))
-            ksq = float(np.dot(levy.weights, np.mean((a.k[idx] - b.k[idx]) ** 2, axis=1)))
+            zsq = float(np.mean((a.blocks[j][0, i] - b.blocks[j][0, i]) ** 2))
+            ksq = float(np.dot(levy.weights,
+                               np.mean((a.blocks[j][1:, i] - b.blocks[j][1:, i]) ** 2, axis=1)))
             inner += e_t[j] * (zsq + ksq) * dt
         total += w_t[i] * inner
     return total
@@ -667,19 +657,12 @@ def _weighted_norm_reference(a, b, grid, levy, beta_w):
 
 def _gram_distance(a, b, engine, beta_w):
     """The weighted distance of two coefficient triples, formed as a pass
-    forms it: ``_replace`` per column, then ``_weighted_sum``."""
+    forms it: Gram forms of each block's change, then ``_weighted_sum``."""
     grid, levy = engine.grid, engine.noise.levy
-    n = grid.n_steps
-    old = BsvieTriple(a.y, a.z.copy(), a.k.copy())
-    pair_sq = np.empty(n * (n + 1) // 2)
-    for r in range(n):
-        design = engine.design_at(r)
-        col = _column(r)
-        pair_sq[col] = _replace(_on_design(old.z, r, design), _on_design(b.z, r, design), design)
-        if levy.n_atoms:
-            pair_sq[col] += levy.weights @ _replace(
-                _on_design(old.k, r, design).transpose(1, 0, 2),
-                _on_design(b.k, r, design).transpose(1, 0, 2), design)
+    pair_sq = []
+    for r, (old, new) in enumerate(zip(a.blocks, b.blocks)):
+        sq = engine.design_at(r).mean_squares(new - old)
+        pair_sq.append(sq[0] + levy.weights @ sq[1:])
     return _weighted_sum(np.mean((a.y - b.y) ** 2, axis=1), pair_sq, grid, beta_w)
 
 
@@ -701,17 +684,11 @@ def test_weighted_norm_matches_pairwise_loop(n_steps, n_paths, n_atoms, beta_w, 
     )
     rng = np.random.default_rng(seed)
 
-    def triple():
-        out = coefficient_zeros(noise, engine)
-        for a in (out.y, out.z, out.k):
-            a[...] = rng.normal(size=a.shape)
-        return out
-
     def paths(t):
-        return BsvieTriple(t.y, *on_paths(t.z, t.k, engine))
+        return BsvieTriple(t.y, on_paths(t.blocks, engine))
 
-    a, b = triple(), triple()
-    zero = coefficient_zeros(noise, engine)
+    a, b = random_triple(noise, engine, rng), random_triple(noise, engine, rng)
+    zero = BsvieTriple(np.zeros_like(a.y), [np.zeros_like(block) for block in a.blocks])
     expected = _weighted_norm_reference(paths(a), paths(b), noise.grid, levy, beta_w)
     assert math.isclose(_gram_distance(a, b, engine, beta_w), expected, rel_tol=1e-12)
     plain = _weighted_norm_reference(paths(a), paths(zero), noise.grid, levy, beta_w)
@@ -727,6 +704,13 @@ def test_weighted_norm_matches_pairwise_loop(n_steps, n_paths, n_atoms, beta_w, 
 
 def _ref_index(n, i, j):
     return i * n - (i * (i - 1)) // 2 + (j - i)
+
+
+def _ref_zeros(n, n_paths, m):
+    """A path-valued triple stored first-index-major: pair ``(i, j)`` at row ``_ref_index``."""
+    n_pairs = n * (n + 1) // 2
+    return SimpleNamespace(y=np.zeros((n + 1, n_paths)), z=np.zeros((n_pairs, n_paths)),
+                           k=np.zeros((n_pairs, m, n_paths)))
 
 
 def _ref_weighted_norm(y, z, k, grid, levy, beta_w, base=None):
@@ -753,7 +737,7 @@ def _ref_weighted_norm(y, z, k, grid, levy, beta_w, base=None):
 def _ref_family_step(zeta, driver, frozen, noise, engine):
     n, dt = noise.grid.n_steps, noise.grid.dt
     n_paths, m = noise.n_paths, noise.levy.n_atoms
-    out = path_zeros(n, n_paths, m)
+    out = _ref_zeros(n, n_paths, m)
     comp = compensated(noise)
     w_dt = noise.levy.weights * dt
     kinds = 2 + m
@@ -782,7 +766,7 @@ def _ref_family_step(zeta, driver, frozen, noise, engine):
 
 def _ref_solve_bsvie(zeta, driver, noise, engine, beta_w, tol, max_iter):
     grid, levy = noise.grid, noise.levy
-    current = path_zeros(grid.n_steps, noise.n_paths, levy.n_atoms)
+    current = _ref_zeros(grid.n_steps, noise.n_paths, levy.n_atoms)
     log, scale = [], None
     for _ in range(max_iter):
         new = _ref_family_step(zeta, driver, current, noise, engine)
@@ -831,13 +815,12 @@ def test_in_place_solver_matches_two_triangle_reference(
     assert np.all(np.abs(got - want) <= bound), (got, want)
     scale = np.abs(ref.z).max() + np.abs(ref.k).max()
     np.testing.assert_allclose(sol.y, ref.y, rtol=1e-12, atol=1e-12 * np.abs(ref.y).max())
-    z, k = on_paths(sol.z, sol.k, engine)
+    zk = on_paths(solution_blocks(sol), engine)
     for i in range(n_steps):
         for j in range(i, n_steps):
             idx = _ref_index(n_steps, i, j)
-            got = pair_index(n_steps, i, j)
-            np.testing.assert_allclose(z[got], ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(k[got], ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(zk[j][0, i], ref.z[idx], rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(zk[j][1:, i], ref.k[idx], rtol=1e-12, atol=1e-12 * scale)
 
 
 # --------------------------------------------------------------------------- #
@@ -852,14 +835,16 @@ def _reading_driver(i, r, y, z, k, x):
 
 def _assert_passes_match_oracle(zeta, driver, noise, engine, passes=3):
     """``passes`` in-place passes from the zero triple, against the oracle's."""
-    got = coefficient_zeros(noise, engine)
+    got = BsvieTriple.zeros(noise.grid.n_steps, noise.n_paths)
     ref = path_zeros(noise.grid.n_steps, noise.n_paths, noise.levy.n_atoms)
+    tol = {"rtol": 1e-10, "atol": 1e-12}
     for _ in range(passes):
-        squares = solve_family_step(zeta, driver, got, noise, engine)
-        ref_squares = path_family_step(zeta, driver, ref, noise, engine)
-        z, k = on_paths(got.z, got.k, engine)
-        for a, b in ((got.y, ref.y), (z, ref.z), (k, ref.k), *zip(squares, ref_squares)):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+        (y_sq, pair_sq) = solve_family_step(zeta, driver, got, noise, engine)
+        (ref_y_sq, ref_pair_sq) = path_family_step(zeta, driver, ref, noise, engine)
+        np.testing.assert_allclose(got.y, ref.y, **tol)
+        np.testing.assert_allclose(y_sq, ref_y_sq, **tol)
+        assert_columns_close(on_paths(got.blocks, engine), ref.blocks, **tol)
+        assert_columns_close(pair_sq, ref_pair_sq, **tol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -979,12 +964,14 @@ def test_bsde_is_the_one_row_family(mode):
     bsde = solve_bsde(xi, None, noise, engine)
     family = solve_bsvie(np.broadcast_to(xi, (n + 1, noise.n_paths)), None, noise, engine)
     np.testing.assert_allclose(family.y, bsde.y.T, rtol=0, atol=1e-12 * np.abs(xi).max())
+    z_scale = max(np.abs(z).max() for z in bsde.z)
+    k_scale = max(np.abs(k).max() for k in bsde.k)
     for r in range(n):
-        col = _column(r)
-        np.testing.assert_allclose(family.z[col], np.broadcast_to(bsde.z[r], family.z[col].shape),
-                                   rtol=0, atol=1e-12 * np.abs(bsde.z).max())
-        np.testing.assert_allclose(family.k[col], np.broadcast_to(bsde.k[r], family.k[col].shape),
-                                   rtol=0, atol=1e-12 * np.abs(bsde.k).max())
+        np.testing.assert_allclose(family.z[r], np.broadcast_to(bsde.z[r], family.z[r].shape),
+                                   rtol=0, atol=1e-12 * z_scale)
+        np.testing.assert_allclose(family.k[r],
+                                   np.broadcast_to(bsde.k[r][:, None], family.k[r].shape),
+                                   rtol=0, atol=1e-12 * k_scale)
 
 
 @pytest.mark.parametrize("shape", [(9, 7), (9, 10, 2), (8, 10), (9, 1, 1), ()])
@@ -1003,5 +990,6 @@ def test_deterministic_terminal_family_is_accepted(shape):
     per_path = np.broadcast_to(noise.grid.nodes[:, None], (9, 10))
     sol = solve_bsvie(zeta, None, noise, trivial_engine(noise))
     ref = solve_bsvie(per_path, None, noise, trivial_engine(noise))
-    assert np.array_equal(sol.y, ref.y) and np.array_equal(sol.z, ref.z)
+    assert np.array_equal(sol.y, ref.y)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.z, ref.z))
 

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volterra_control.bsde import solve_bsde
+from volterra_control.bsvie import solve_bsvie
 from volterra_control.condexp import (
     CondExpEngine,
     Design,
@@ -154,25 +156,10 @@ def test_delay_lags_the_conditioning_node():
     assert engine.conditioning_node(3) == 0
 
 
-def test_n_basis_is_the_width_of_every_design_but_the_intercept():
-    grid = build_time_grid(1.0, 8)
-    noise = generate_noise(grid, LevyMeasure.from_atoms([[0.1, 1.0], [-0.2, 2.0]]), 200, 3, 1)
-    x_paths = _given_state(grid, np.exp(noise.brownian_levels))
-    reg = RegressionSpec(degree=2, variables=("log_x", "brownian", "jump_counts"))
-    for mode, delay, width in (("full", 0.0, math.comb(4 + 2, 2)),
-                               ("delay", 0.25, math.comb(4 + 2, 2)), ("trivial", 0.0, 1)):
-        engine = CondExpEngine(FiltrationMode(mode=mode, delay=delay), reg, noise, x_paths)
-        assert engine.n_basis == width
-        widths = {engine.design_at(r).phi.shape[0] for r in range(grid.n_steps + 1)}
-        assert max(widths) == width and widths <= {1, width}
-    # without the forward state the x rows drop out
-    engine = CondExpEngine(FiltrationMode(mode="full"), reg, noise)
-    assert engine.n_basis == math.comb(3 + 2, 2) == engine.design_at(5).phi.shape[0]
-
-
-def test_n_basis_on_a_state_that_stops_before_the_horizon():
-    # the utility evaluators simulate through node n - 1 only: counting the
-    # state variables must not read node n
+def test_stored_blocks_are_as_wide_as_their_design():
+    # the utility evaluators simulate through node n - 1 only: every design
+    # the solvers read stops there, and each step keeps its Z/K block at the
+    # width of its own design, the intercept alone where information is trivial
     spec = validate_scenario({
         "grid": {"horizon": 1.0, "n_steps": 10},
         "initial": 1.0,
@@ -185,15 +172,33 @@ def test_n_basis_on_a_state_that_stops_before_the_horizon():
         "mc": {"n_paths": 200, "seed": 4, "n_blocks": 1},
         "regression": {"degree": 2, "state": ["x", "jump_counts"]},
     })
+    n = spec.grid.n_steps
     noise = generate_noise(spec.grid, spec.levy, 200, 4, 1)
     one = ControlFn.constant(1.0, spec.grid)
-    fwd = simulate_fsvie(spec, noise, one, through_node=9)
-    assert fwd.log_state and fwd.last_node == 9
-    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
-    assert engine.n_basis == math.comb(2 + 2, 2)
-    assert "values" not in vars(fwd)  # counted without forming X
-    for node in range(1, 10):
-        assert engine.design_at(node).phi.shape[0] == engine.n_basis
+    fwd = simulate_fsvie(spec, noise, one, through_node=n - 1)
+    assert fwd.log_state and fwd.last_node == n - 1
+    terminal = noise.brownian_levels[:, -1] + noise.count_levels[0][:, -1]
+
+    def driver(i, r, y, z, k, x):
+        return 0.1 * z + 0.1 * k[0]
+
+    for mode in ("full", "delay", "trivial"):
+        engine = CondExpEngine(FiltrationMode(mode=mode, delay=0.25), spec.regression, noise,
+                               x_paths=fwd)
+        widths = [engine.design_at(r).phi.shape[0] for r in range(n)]
+        trivial = [mode == "trivial" or engine.conditioning_node(r) == 0 for r in range(n)]
+        assert [w == 1 for w in widths] == trivial
+        assert set(widths) == ({1} if mode == "trivial" else {1, math.comb(2 + 2, 2)})
+        bsde = solve_bsde(terminal, None, noise, engine)
+        assert [z.shape for z in bsde.z] == [(w,) for w in widths]
+        assert [k.shape for k in bsde.k] == [(1, w) for w in widths]
+        # a second pass reads the first pass's blocks at their width
+        sol = solve_bsvie(spec.grid.nodes[:, None] * terminal, driver, noise, engine, tol=0.5)
+        assert len(sol.iteration_log) >= 2
+        assert [z.shape for z in sol.z] == [(r + 1, w) for r, w in enumerate(widths)]
+        assert [k.shape for k in sol.k] == [(1, r + 1, w) for r, w in enumerate(widths)]
+    assert "values" not in vars(fwd)  # the designs read X one row at a time
+    for node in range(n):
         # one exponentiated row is the row of the whole exponentiated state
         np.testing.assert_array_equal(fwd.row(node), np.exp(fwd.state)[:, node])
 

@@ -306,9 +306,10 @@ def test_every_per_node_array_is_node_major():
     sol = solve_bsde(noise.brownian_levels[:, -1] ** 2, None, noise, engine)
     arrays["bsde.y"] = sol.y
     assert [name for name, a in arrays.items() if not _node_major(a)] == []
-    # the BSDE holds z and k as regression coefficients, one row per step
-    n, p = spec.grid.n_steps, engine.n_basis
-    assert sol.z.shape == (n, p) and sol.k.shape == (n, spec.n_atoms, p)
+    # the BSDE holds z and k as regression coefficients on each step's design
+    widths = [engine.design_at(i).phi.shape[0] for i in range(spec.grid.n_steps)]
+    assert [z.shape for z in sol.z] == [(p,) for p in widths]
+    assert [k.shape for k in sol.k] == [(spec.n_atoms, p) for p in widths]
 
 
 def test_generate_noise_peak_is_its_output_plus_chunk_buffers():
@@ -356,7 +357,7 @@ def test_path_major_bundle_gives_the_same_values():
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
                           None, bundle, engine)
         wiener, jump = WienerIntegral(1.0) ** 2, JumpIntegral(1.0) ** 2
-        return [sweep, log_x, bsde.y, bsde.z, bsde.k, wiener.evaluate(bundle),
+        return [sweep, log_x, bsde.y, *bsde.z, *bsde.k, wiener.evaluate(bundle),
                 wiener.d_brownian(bundle, 5), jump.evaluate_with_jump(bundle, 5, 0)]
 
     want = values(noise)
