@@ -156,6 +156,54 @@ def test_delay_lags_the_conditioning_node():
     assert engine.conditioning_node(3) == 0
 
 
+def test_n_basis_is_the_width_of_every_design_but_the_intercept():
+    # the number of basis functions is the width of every design at a node
+    # that sees information; a node that sees none keeps the intercept alone
+    grid = build_time_grid(1.0, 8)
+    noise = generate_noise(grid, LevyMeasure.from_atoms([[0.1, 1.0], [-0.2, 2.0]]), 200, 3, 1)
+    x_paths = _given_state(grid, np.exp(noise.brownian_levels))
+    reg = RegressionSpec(degree=2, variables=("log_x", "brownian", "jump_counts"))
+    for mode, delay, width in (("full", 0.0, math.comb(4 + 2, 2)),
+                               ("delay", 0.25, math.comb(4 + 2, 2)), ("trivial", 0.0, 1)):
+        engine = CondExpEngine(FiltrationMode(mode=mode, delay=delay), reg, noise, x_paths)
+        widths = [engine.design_at(r).phi.shape[0] for r in range(grid.n_steps + 1)]
+        assert max(widths) == width and set(widths) <= {1, width}
+        for r, w in enumerate(widths):
+            sees_none = mode == "trivial" or engine.conditioning_node(r) == 0
+            assert (w == 1) == sees_none
+    # without the forward state the x rows drop out
+    engine = CondExpEngine(FiltrationMode(mode="full"), reg, noise)
+    assert engine.design_at(5).phi.shape[0] == math.comb(3 + 2, 2)
+
+
+def test_n_basis_on_a_state_that_stops_before_the_horizon():
+    # the utility evaluators simulate through node n - 1 only: building the
+    # designs must not read node n
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": 10},
+        "initial": 1.0,
+        "gamma": 0.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 0.2},
+        "levy": {"atoms": [[-0.1, 2.0]]},
+        "pi_kernels": [{"kind": "constant", "value": -0.1}],
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": 200, "seed": 4, "n_blocks": 1},
+        "regression": {"degree": 2, "state": ["x", "jump_counts"]},
+    })
+    noise = generate_noise(spec.grid, spec.levy, 200, 4, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one, through_node=9)
+    assert fwd.log_state and fwd.last_node == 9
+    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
+    for node in range(1, 10):
+        assert engine.design_at(node).phi.shape[0] == math.comb(2 + 2, 2)
+    assert "values" not in vars(fwd)  # designed without forming X
+    for node in range(1, 10):
+        # one exponentiated row is the row of the whole exponentiated state
+        np.testing.assert_array_equal(fwd.row(node), np.exp(fwd.state)[:, node])
+
+
 def test_stored_blocks_are_as_wide_as_their_design():
     # the utility evaluators simulate through node n - 1 only: every design
     # the solvers read stops there, and each step keeps its Z/K block at the
