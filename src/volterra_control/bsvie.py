@@ -8,8 +8,7 @@ and the frozen-argument generator; the new diagonal and triangle are read off
 those solves.  Iteration proceeds under common random numbers (one fixed
 noise bundle), which makes the pass map deterministic, and stops when the
 exponentially weighted distance between successive triples drops below a
-relative tolerance.  Without a generator the pass map ignores the frozen
-triple, so one pass reaches the fixed point.
+relative tolerance.
 
 A pass runs on the engine's backward regression step
 (:meth:`CondExpEngine.backward_columns`): the running time ``t_r`` steps
@@ -31,7 +30,7 @@ in place on one iterate: step ``r`` evaluates the frozen block on the paths
 only to call the driver, then replaces it with the new block and records
 the per-pair squared change as a Gram form of the coefficient change, from
 which the weighted distance is formed.  Only the ``(n+1, N)`` frozen
-diagonal is copied.  :func:`family_statistics` runs its own loop on a
+diagonal is copied.  :func:`family_statistics` is the solver for a
 driver-free family: after the first step each family is a fitted value on
 the previous node's design, so it is carried as those coefficients, and the
 terminal is only read.
@@ -149,7 +148,7 @@ def _terminal_family(zeta: np.ndarray, n_steps: int, n_paths: int) -> np.ndarray
 
 def solve_family_step(
     zeta: np.ndarray,
-    driver: VolterraDriver | None,
+    driver: VolterraDriver,
     frozen: BsvieTriple,
     noise: NoiseBundle,
     engine: CondExpEngine,
@@ -179,20 +178,19 @@ def solve_family_step(
     y = frozen.y
     y[:] = _terminal_family(zeta, n, noise.n_paths)
     # the frozen Z and K blocks on the paths, rows [z; k_1; ...; k_m]
-    on_paths = np.empty(((1 + m) * n, noise.n_paths)) if driver is not None else None
+    on_paths = np.empty(((1 + m) * n, noise.n_paths))
     y_sq = np.empty(n + 1)
     pair_sq = [None] * n
     for r, design, live, zk in engine.backward_columns(y):
         fam = r + 1
         old = frozen.blocks[r] if frozen.blocks[r] is not None else np.zeros_like(zk)
-        if driver is not None:
-            # the driver reads the frozen block r before it is replaced
-            block = np.matmul(old.reshape((1 + m) * fam, -1), design.phi,
-                              out=on_paths[:(1 + m) * fam])
-            k_col = block[fam:].reshape(m, fam, -1) if m else None
-            x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
-            g = driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
-            live += np.asarray(g, dtype=float) * dt
+        # the driver reads the frozen block r before it is replaced
+        block = np.matmul(old.reshape((1 + m) * fam, -1), design.phi,
+                          out=on_paths[:(1 + m) * fam])
+        k_col = block[fam:].reshape(m, fam, -1) if m else None
+        x_r = engine.x_paths.row(r) if engine.x_paths is not None else None
+        g = driver(families[:fam], r, y_frozen[r], block[:fam], k_col, x_r)
+        live += np.asarray(g, dtype=float) * dt
         sq = design.mean_squares(zk - old)
         pair_sq[r] = sq[0] + noise.levy.weights @ sq[1:]
         frozen.blocks[r] = zk
@@ -260,7 +258,7 @@ def family_statistics(
 
 def solve_bsvie(
     zeta: np.ndarray,
-    driver: VolterraDriver | None,
+    driver: VolterraDriver,
     noise: NoiseBundle,
     engine: CondExpEngine,
     *,
@@ -274,11 +272,12 @@ def solve_bsvie(
     which is the first pass's distance from the zero triple.  The
     noise bundle is fixed across passes (common random numbers), so the map
     is deterministic and the recorded distances contract geometrically until
-    they hit the floating-point / regression floor.  Without a generator the
-    map is constant: the solve stops after one pass and logs a second
-    distance of exactly zero.  Raises :class:`ConvergenceError` (carrying the distance log)
-    after ``max_iter`` passes without convergence or at a distance that is
-    not finite (``exp(beta_w t)`` overflows past ``t = 709 / beta_w``), and
+    they hit the floating-point / regression floor; a zero driver stops
+    after the second pass, at a distance of exactly zero (a driver-free
+    family is :func:`family_statistics`' to solve).  Raises
+    :class:`ConvergenceError` (carrying the distance log) after ``max_iter``
+    passes without convergence or at a distance that is not finite
+    (``exp(beta_w t)`` overflows past ``t = 709 / beta_w``), and
     :class:`ValidationError` when ``max_iter < 1``.
     """
     if max_iter < 1:
@@ -290,9 +289,6 @@ def solve_bsvie(
     for _ in range(max_iter):
         squares = solve_family_step(zeta, driver, current, noise, engine)
         log.append(_weighted_sum(*squares, grid, beta_w))
-        if driver is None:
-            log.append(0.0)
-            break
         if not np.isfinite(log[-1]):
             raise ConvergenceError(f"weighted distance {log[-1]} after pass {len(log)} is not "
                                    f"finite (beta_w {beta_w:g}, horizon {grid.horizon:g})", log)

@@ -221,10 +221,11 @@ class CondExpEngine:
     price as matrix products.  ``project`` takes targets of shape ``(N,)`` or
     ``(N, k)`` and returns the same shape.
 
-    ``x_paths`` is the forward state the ``x`` and ``log_x`` variables read.
-    A design reads it one node row at a time (:meth:`ForwardPaths.row`), so
-    the exact engine's log state is exponentiated one row per design and the
-    engine never forms the whole array of ``X``.
+    ``x_paths`` is the forward state the ``x`` and ``log_x`` variables read;
+    without it, a design that declares either raises.  A design reads it
+    one node row at a time (:meth:`ForwardPaths.row`), so the exact engine's
+    log state is exponentiated one row per design and the engine never
+    forms the whole array of ``X``.
     """
 
     def __init__(
@@ -252,7 +253,8 @@ class CondExpEngine:
         for var in self.regression.variables:
             if var in ("x", "log_x"):
                 if self.x_paths is None:
-                    continue
+                    raise ValidationError(f"regression state {var!r} needs forward paths; "
+                                          "the engine holds none")
                 x = self.x_paths.row(node)
                 rows.append(x if var == "x" else np.log(x))
             elif var == "brownian":

@@ -70,7 +70,7 @@ class ControlFn:
     bump_len: float = 0.0
     bump_height: float = 0.0
 
-    # -- constructors -------------------------------------------------------
+    # -- factories ----------------------------------------------------------
 
     @staticmethod
     def constant(value: float, grid: TimeGrid) -> "ControlFn":

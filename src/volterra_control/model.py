@@ -176,7 +176,7 @@ class Kernel:
     table: np.ndarray | None = None  # flattened lower triangle, row-major
     table_n: int = 0
 
-    # -- constructors -------------------------------------------------------
+    # -- factories ----------------------------------------------------------
 
     @staticmethod
     def constant(value: float) -> "Kernel":

@@ -4,8 +4,11 @@ A :class:`NoiseBundle` holds, per path and per step, the Brownian increment
 over ``(t_i, t_{i+1}]`` and the number of jumps of each atom landing in that
 interval.  Generation is split into blocks with one independent child stream
 per block (``numpy.random.SeedSequence.spawn``), so the result is
-bit-reproducible for a fixed ``(seed, n_paths, grid, n_blocks)`` regardless
-of how the blocks are later consumed.
+bit-reproducible for a fixed ``(seed, n_paths, grid, n_blocks)`` and numpy
+version, regardless of how the blocks are later consumed.  A bundle is
+regenerated from those arguments, never stored.  numpy does not promise the
+same normal and Poisson draws across versions (NEP 19), so across versions
+the committed value ledger (``tests/acceptance_values.json``) is the check.
 
 Every per-path, per-node array of the package has one layout, owned here:
 it is stored node-major, one contiguous row of all paths per node, and
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import os
 import queue
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
@@ -44,12 +46,9 @@ __all__ = [
     "NoiseBundle",
     "generate_noise",
     "stream_noise",
-    "save_noise",
-    "load_noise",
 ]
 
-_MAGIC = b"VCNB0001"
-# paths per chunk wherever noise is drawn, saved or loaded a chunk at a time
+# paths per chunk wherever noise is drawn a chunk at a time
 _CHUNK_ROWS = 1024
 # about the most bytes a piece of ``stream_noise`` draws its last segment into
 _PIECE_BYTES = 12 << 20
@@ -99,14 +98,12 @@ class NoiseBundle:
     and read through the path-major shapes below (see the module docstring):
     ``d_brownian[:, i]`` and ``jump_counts[q, :, i]`` are contiguous rows.
     Arrays passed in another layout, as ``dataclasses.replace`` may pass
-    them, are stored node-major on construction.  The levels are cached;
-    treat them as read-only.
+    them, are stored node-major when the bundle is made.  The levels are
+    cached; treat them as read-only.
     """
 
     grid: TimeGrid
     levy: LevyMeasure
-    seed: int
-    n_blocks: int
     d_brownian: np.ndarray  # (n_paths, n_steps), variance dt each
     jump_counts: np.ndarray  # (n_atoms, n_paths, n_steps), int64
 
@@ -218,10 +215,8 @@ def generate_noise(
             pass
 
     _run_tasks(draw, n_blocks)
-    return NoiseBundle(
-        grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-        d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
-    )
+    return NoiseBundle(grid=grid, levy=levy, d_brownian=db.T,
+                       jump_counts=counts.transpose(0, 2, 1))
 
 
 def _piece_width(block: int, path_bytes: int) -> int:
@@ -256,10 +251,9 @@ def stream_noise(
 
     The pieces run in the workers of ``generate_noise``, so ``consume`` is
     called from worker threads, must write only to its own ``rows``, and
-    must not keep the piece once it returns.  A piece carries the stream's
-    ``seed`` and ``n_blocks``.  Each block takes a free set of buffers and
-    gives it back; the call allocates one set per worker, on the calling
-    thread, so no worker thread's malloc arena ever holds a buffer.
+    must not keep the piece once it returns.  Each block takes a free set of
+    buffers and gives it back; the call allocates one set per worker, on the
+    calling thread, so no worker thread's malloc arena ever holds a buffer.
     """
     children, block = _block_streams(n_paths, seed, n_blocks)
     n, m = grid.n_steps, levy.n_atoms
@@ -282,84 +276,10 @@ def stream_noise(
                 if m > 1:
                     counts[:m - 1, :, :w] = head[:, :, piece]
                 consume(slice(b * block + piece.start, b * block + piece.stop), NoiseBundle(
-                    grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-                    d_brownian=db[:, piece if m else slice(w)].T,
+                    grid=grid, levy=levy, d_brownian=db[:, piece if m else slice(w)].T,
                     jump_counts=counts[:, :, :w].transpose(0, 2, 1),
                 ))
         finally:
             free.put((db, head, counts))
 
     _run_tasks(draw, n_blocks)
-
-
-# --------------------------------------------------------------------------- #
-# Binary dump / restore (regression-test fixture format)
-# --------------------------------------------------------------------------- #
-# Layout (little-endian): magic, then int64 {n_steps, n_paths, seed, n_blocks,
-# n_atoms}, float64 horizon, float64 atom sizes, float64 atom weights, the
-# float64 increment matrix, and the int64 jump-count array.  The arrays are
-# written path-major, one path after another, and moved a chunk of paths at
-# a time between the file and the bundle's node-major storage.
-
-def save_noise(bundle: NoiseBundle, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(
-            "<5q", bundle.n_steps, bundle.n_paths, bundle.seed,
-            bundle.n_blocks, bundle.levy.n_atoms,
-        ))
-        fh.write(struct.pack("<d", bundle.grid.horizon))
-        fh.write(np.ascontiguousarray(bundle.levy.sizes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.levy.weights, dtype="<f8").tobytes())
-        for rows in _path_chunks(0, bundle.n_paths):
-            fh.write(np.ascontiguousarray(bundle.d_brownian[rows], dtype="<f8").tobytes())
-        for counts in bundle.jump_counts:
-            for rows in _path_chunks(0, bundle.n_paths):
-                fh.write(np.ascontiguousarray(counts[rows], dtype="<i8").tobytes())
-
-
-def load_noise(path: str) -> NoiseBundle:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValidationError(f"{path}: not a noise bundle file")
-
-        def read(n_bytes: int) -> bytes:
-            data = fh.read(n_bytes)
-            if len(data) != n_bytes:
-                raise ValidationError(f"{path}: truncated noise bundle file")
-            return data
-
-        def read_rows(out: np.ndarray, dtype: str) -> None:
-            # out is node-major (n_steps, n_paths); the file holds its transpose
-            for rows in _path_chunks(0, out.shape[1]):
-                width = rows.stop - rows.start
-                chunk = np.frombuffer(read(8 * width * n), dtype=dtype)
-                out[:, rows] = chunk.reshape(width, n).T
-
-        n, n_paths, seed, n_blocks, m = struct.unpack("<5q", read(40))
-        (horizon,) = struct.unpack("<d", read(8))
-        # the header's counts, and the file size they imply, are checked
-        # before any array is allocated from them
-        if n < 2 or n_paths < 1 or n_blocks < 1 or m < 0:
-            raise ValidationError(f"{path}: header counts n_steps={n}, n_paths={n_paths}, "
-                                  f"n_blocks={n_blocks}, n_atoms={m} are out of range")
-        grid = TimeGrid(horizon=horizon, n_steps=n)
-        expected = fh.tell() + 8 * (2 * m + n * n_paths * (1 + m))
-        actual = os.fstat(fh.fileno()).st_size
-        if actual != expected:
-            problem = "truncated noise bundle file" if actual < expected else "trailing bytes"
-            raise ValidationError(f"{path}: {problem}: its header promises {expected} bytes, "
-                                  f"the file holds {actual}")
-        sizes = np.frombuffer(read(8 * m), dtype="<f8")
-        weights = np.frombuffer(read(8 * m), dtype="<f8")
-        db = np.empty((n, n_paths))
-        read_rows(db, "<f8")
-        counts = np.empty((m, n, n_paths), dtype=np.int64)
-        for q in range(m):
-            read_rows(counts[q], "<i8")
-    levy = LevyMeasure.from_atoms(np.column_stack((sizes, weights)))
-    return NoiseBundle(
-        grid=grid, levy=levy, seed=int(seed), n_blocks=int(n_blocks),
-        d_brownian=db.T, jump_counts=counts.transpose(0, 2, 1),
-    )

@@ -7,9 +7,11 @@ reference path count (1e5); the two-time family solve runs at its own scale
 (see the module docstrings).
 """
 
+import csv
 import json
 import math
 import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -23,15 +25,24 @@ from volterra_control.model import mean_se, validate_scenario
 from volterra_control.paths import generate_noise
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
-# value, reference and tolerance of every run-acceptance row on configs/s0.json
-# at repr precision; after a change meant to move them, regenerate with
+# value, reference and tolerance of every run-acceptance row on configs/s0.json,
+# and the SUBCOMMAND_PINS outputs, at repr precision; after a change meant to
+# move them, regenerate with
 #     PYTHONPATH=src python tests/test_acceptance.py
 PINNED = pathlib.Path(__file__).with_name("acceptance_values.json")
-# rows whose value is a rounding error of O(1) numbers: pinned to an absolute
+# values that are a rounding error of O(1) numbers: pinned to an absolute
 # floor, where a relative bound would pin the rounding itself
 ROUNDING_ROWS = {"C1:optimal_rate_nodes", "C1:first_order_condition",
                  "C5:martingale_zero_terminal_row",
-                 "C9:product_adjoint_gamma_0", "C9:product_adjoint_gamma_1"}
+                 "C9:product_adjoint_gamma_0", "C9:product_adjoint_gamma_1",
+                 "verify-duality:brownian_isometry:se_rhs",
+                 "verify-duality:jump_isometry:se_rhs"}
+# subcommand runs whose CSV outputs (written at 17 significant digits, so
+# read back exactly) are pinned beside the rows
+SUBCOMMAND_PINS = {
+    "solve-bsvie": ["--config", str(CONFIG)],
+    "verify-duality": ["--paths", "20000"],
+}
 
 
 def _pinned_fields(r):
@@ -69,19 +80,47 @@ def _assert_all(results):
     assert not failed, "; ".join(r.line() for r in failed)
 
 
+def _subcommand_values(subcommand, out):
+    """The pinned outputs of one ``SUBCOMMAND_PINS`` run, keyed as in the ledger."""
+    assert run([subcommand, *SUBCOMMAND_PINS[subcommand], "--out", str(out)]) == 0
+
+    def table(name):
+        with open(out / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    if subcommand == "solve-bsvie":
+        return {"solve-bsvie": {
+            "y0": float(table("bsvie_diagonal.csv")[0]["y_mean"]),
+            "weighted_distance": [float(r["weighted_distance"])
+                                  for r in table("iteration_log.csv")],
+        }}
+    return {f"verify-duality:{r['identity']}": {
+        field: float(r[field]) for field in ("lhs", "rhs", "se_lhs", "se_rhs")}
+        for r in table("duality.csv")}
+
+
+def _assert_ledger(values):
+    """Each ``key -> {field: value or list}`` holds its pinned value at relative 1e-12."""
+    pinned = json.loads(PINNED.read_text())
+    moved = []
+    for key, fields in values.items():
+        for field, got in fields.items():
+            want = pinned[key][field]
+            floor = 1e-12 if {key, f"{key}:{field}"} & ROUNDING_ROWS else 0.0
+            if isinstance(want, list):
+                same = len(got) == len(want) and all(
+                    math.isclose(a, b, rel_tol=1e-12, abs_tol=floor) for a, b in zip(got, want))
+            else:
+                same = math.isclose(got, want, rel_tol=1e-12, abs_tol=floor)
+            if not same:
+                moved.append(f"{key} {field}: {got!r} != pinned {want!r}")
+    assert not moved, "\n".join(moved)
+
+
 def _assert_pinned(results):
     """Every row passes and holds the pinned value, reference and tolerance."""
     _assert_all(results)
-    pinned = json.loads(PINNED.read_text())
-    moved = []
-    for r in results:
-        key = f"{r.criterion}:{r.name}"
-        floor = 1e-12 if key in ROUNDING_ROWS else 0.0
-        for field, got in _pinned_fields(r).items():
-            want = pinned[key][field]
-            if not math.isclose(got, want, rel_tol=1e-12, abs_tol=floor):
-                moved.append(f"{key} {field}: {got!r} != pinned {want!r}")
-    assert not moved, "\n".join(moved)
+    _assert_ledger({f"{r.criterion}:{r.name}": _pinned_fields(r) for r in results})
 
 
 def test_c01_closed_form_optimum(scenario):
@@ -140,6 +179,11 @@ def test_c09_adjoint_reduction(scenario):
 
 def test_c10_z_time_derivative(martingale_solution):
     _assert_pinned(acc.check_z_time_derivative(martingale_solution))
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_PINS))
+def test_subcommand_outputs_hold_their_pins(subcommand, tmp_path):
+    _assert_ledger(_subcommand_values(subcommand, tmp_path))
 
 
 @pytest.mark.parametrize("entry", ["check_duality", "verify-duality"])
@@ -355,6 +399,9 @@ def test_streamed_s0_stage_names_the_simulators_breach(draws):
 
 if __name__ == "__main__":
     rows = acc.run_acceptance(load_config(str(CONFIG)))
-    PINNED.write_text(json.dumps({f"{r.criterion}:{r.name}": _pinned_fields(r) for r in rows},
-                                 indent=1) + "\n")
-    print(f"wrote {len(rows)} rows to {PINNED}")
+    ledger = {f"{r.criterion}:{r.name}": _pinned_fields(r) for r in rows}
+    with tempfile.TemporaryDirectory() as tmp:
+        for subcommand in SUBCOMMAND_PINS:
+            ledger.update(_subcommand_values(subcommand, pathlib.Path(tmp) / subcommand))
+    PINNED.write_text(json.dumps(ledger, indent=1) + "\n")
+    print(f"wrote {len(rows)} rows and {len(SUBCOMMAND_PINS)} subcommands' outputs to {PINNED}")

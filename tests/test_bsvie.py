@@ -47,6 +47,10 @@ def make_noise(n_steps=100, n_paths=256, seed=11, levy=EMPTY):
     return generate_noise(grid, levy, n_paths=n_paths, seed=seed, n_blocks=1)
 
 
+def zero_driver(i, r, y, z, k, x):
+    return 0.0
+
+
 def zero_columns(n_steps):
     """Per-column pair squares of the zero triple, ``(r + 1,)`` per running time."""
     return [np.zeros(r + 1) for r in range(n_steps)]
@@ -220,7 +224,7 @@ def test_family_step_deterministic_terminal():
     engine = trivial_engine(noise)
     out = BsvieTriple.zeros(n, noise.n_paths)
     assert out.blocks == [None] * n  # the zero iterate holds no blocks
-    solve_family_step(zeta, None, out, noise, engine)
+    solve_family_step(zeta, zero_driver, out, noise, engine)
     # trivial mode: every block is the intercept alone
     assert [b.shape for b in out.blocks] == [(1, r + 1, 1) for r in range(n)]
     # deterministic terminal: the diagonal reproduces it exactly and the
@@ -242,7 +246,7 @@ def test_family_step_ignores_frozen_when_driver_is_zero_function():
         return y_frozen  # frozen y stays identically zero
 
     solve_family_step(zeta, driver, a, noise, brownian_engine(noise))
-    solve_family_step(zeta, None, b, noise, brownian_engine(noise))
+    solve_family_step(zeta, zero_driver, b, noise, brownian_engine(noise))
     # node 0 conditions on trivial information, every later node on (1, B, B^2)
     assert [blk.shape for blk in a.blocks] == [(1, r + 1, 1 if r == 0 else 3) for r in range(n)]
     assert np.array_equal(a.y, b.y)
@@ -256,7 +260,7 @@ def test_family_step_martingale_terminal_tracks_brownian():
     zeta = noise.grid.nodes[:, None] * b_levels[:, -1][None, :]
     engine = brownian_engine(noise)
     out = BsvieTriple.zeros(n, noise.n_paths)
-    solve_family_step(zeta, None, out, noise, engine)
+    solve_family_step(zeta, zero_driver, out, noise, engine)
     # diagonal close to t_i * B(t_i) pathwise (iterated-regression error)
     gaps = out.y - noise.grid.nodes[:, None] * b_levels.T
     rms = math.sqrt(float(np.mean(gaps**2)))
@@ -270,12 +274,13 @@ def test_family_step_martingale_terminal_tracks_brownian():
 # --------------------------------------------------------------------------- #
 
 def test_zero_generator_converges_in_one_pass():
+    # the second pass repeats the first bit for bit
     noise = make_noise(n_steps=30, n_paths=2000, seed=3)
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :]
-    sol = solve_bsvie(zeta, None, noise, brownian_engine(noise), tol=1e-9)
+    sol = solve_bsvie(zeta, zero_driver, noise, brownian_engine(noise), tol=1e-9)
     assert len(sol.iteration_log) == 2
-    assert sol.iteration_log[1] <= 1e-12
+    assert sol.iteration_log[1] == 0.0
 
 
 def test_resolvent_value_and_discrete_identity():
@@ -414,7 +419,7 @@ def test_max_iter_below_one_is_rejected(max_iter):
     noise = make_noise(n_steps=5, n_paths=16, seed=23)
     zeta = np.ones((6, noise.n_paths))
     with pytest.raises(ValidationError, match="max_iter"):
-        solve_bsvie(zeta, None, noise, trivial_engine(noise), max_iter=max_iter)
+        solve_bsvie(zeta, zero_driver, noise, trivial_engine(noise), max_iter=max_iter)
 
 
 # --------------------------------------------------------------------------- #
@@ -755,9 +760,6 @@ def _ref_family_step(zeta, driver, frozen, noise, engine):
         out.z[rows] = proj[fam:2 * fam] / dt
         for q in range(m):
             out.k[rows, q] = proj[(2 + q) * fam:(3 + q) * fam] / w_dt[q]
-        if driver is None:
-            y_run[:] = proj[:fam]
-            continue
         for i, idx in enumerate(rows):
             g = driver(i, r, frozen.y[r], frozen.z[idx], frozen.k[idx] if m else None, None)
             y_run[i] = proj[i] + np.asarray(g, dtype=float) * dt
@@ -799,12 +801,12 @@ def test_in_place_solver_matches_two_triangle_reference(
     )
     b_total = noise.d_brownian.sum(axis=1)
     zeta = noise.grid.nodes[:, None] * b_total[None, :] + 0.1 * noise.count_levels[0][:, -1]
-    driver = _jump_driver if with_driver else None
+    driver = _jump_driver if with_driver else zero_driver
     sol = solve_bsvie(zeta, driver, noise, engine, beta_w=5.0, tol=1e-10, max_iter=40)
     ref, log = _ref_solve_bsvie(zeta, driver, noise, engine, 5.0, 1e-10, 40)
-    if driver is None:
-        # the reference runs the second pass that repeats the first
-        assert log[1] == 0.0
+    if not with_driver:
+        # the second pass repeats the first
+        assert log[1] == sol.iteration_log[1] == 0.0
     assert len(sol.iteration_log) == len(log)
     # distance k is the square of the change between two iterates that each
     # carry rounding of a few eps times their size, so it carries rounding of
@@ -873,7 +875,8 @@ def test_coefficient_recursion_matches_path_valued_oracle(
             + np.sin(noise.grid.nodes)[:, None])
     if n_atoms:
         zeta = zeta + 0.1 * noise.count_levels[0][:, -1]
-    _assert_passes_match_oracle(zeta, _reading_driver if with_driver else None, noise, engine)
+    _assert_passes_match_oracle(zeta, _reading_driver if with_driver else zero_driver, noise,
+                                engine)
 
 
 def test_kept_solver_design_matches_path_valued_oracle():
@@ -896,12 +899,14 @@ def test_kept_solver_design_matches_path_valued_oracle():
 def test_drivers_read_the_engine_state_at_their_node(with_state):
     # both backward solvers hand their driver the engine's state row, the
     # exp of one row of a log state, and None when the engine holds no state
+    # (and so regresses on the Brownian level alone)
     noise = make_noise(n_steps=6, n_paths=50, seed=3)
     fwd = ForwardPaths(grid=noise.grid, state=noise.brownian_levels.copy(),
                        log_state=True)
     engine = CondExpEngine(FiltrationMode(mode="full"),
-                           RegressionSpec(degree=1, variables=("x", "brownian")), noise,
-                           x_paths=fwd if with_state else None)
+                           RegressionSpec(degree=1, variables=("x", "brownian") if with_state
+                                          else ("brownian",)),
+                           noise, x_paths=fwd if with_state else None)
     seen = {}
 
     def bsde_driver(i, t, x, y, z, k):
@@ -962,7 +967,7 @@ def test_bsde_is_the_one_row_family(mode):
     n = noise.grid.n_steps
     xi = noise.brownian_levels[:, -1] ** 2 + noise.count_levels[0][:, -1]
     bsde = solve_bsde(xi, None, noise, engine)
-    family = solve_bsvie(np.broadcast_to(xi, (n + 1, noise.n_paths)), None, noise, engine)
+    family = solve_bsvie(np.broadcast_to(xi, (n + 1, noise.n_paths)), zero_driver, noise, engine)
     np.testing.assert_allclose(family.y, bsde.y.T, rtol=0, atol=1e-12 * np.abs(xi).max())
     z_scale = max(np.abs(z).max() for z in bsde.z)
     k_scale = max(np.abs(k).max() for k in bsde.k)
@@ -978,7 +983,7 @@ def test_bsde_is_the_one_row_family(mode):
 def test_malformed_terminal_family_is_rejected(shape):
     noise = make_noise(n_steps=8, n_paths=10)
     with pytest.raises(ValidationError, match="terminal family"):
-        solve_bsvie(np.ones(shape), None, noise, trivial_engine(noise))
+        solve_bsvie(np.ones(shape), zero_driver, noise, trivial_engine(noise))
     with pytest.raises(ValidationError, match="terminal family"):
         family_statistics(np.ones(shape), noise, trivial_engine(noise))
 
@@ -988,8 +993,8 @@ def test_deterministic_terminal_family_is_accepted(shape):
     noise = make_noise(n_steps=8, n_paths=10)
     zeta = noise.grid.nodes.reshape(shape)
     per_path = np.broadcast_to(noise.grid.nodes[:, None], (9, 10))
-    sol = solve_bsvie(zeta, None, noise, trivial_engine(noise))
-    ref = solve_bsvie(per_path, None, noise, trivial_engine(noise))
+    sol = solve_bsvie(zeta, zero_driver, noise, trivial_engine(noise))
+    ref = solve_bsvie(per_path, zero_driver, noise, trivial_engine(noise))
     assert np.array_equal(sol.y, ref.y)
     assert all(np.array_equal(a, b) for a, b in zip(sol.z, ref.z))
 

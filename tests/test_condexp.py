@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
     RegressionSpec,
+    ValidationError,
     build_time_grid,
     validate_scenario,
 )
@@ -171,9 +173,18 @@ def test_n_basis_is_the_width_of_every_design_but_the_intercept():
         for r, w in enumerate(widths):
             sees_none = mode == "trivial" or engine.conditioning_node(r) == 0
             assert (w == 1) == sees_none
-    # without the forward state the x rows drop out
-    engine = CondExpEngine(FiltrationMode(mode="full"), reg, noise)
-    assert engine.design_at(5).phi.shape[0] == math.comb(3 + 2, 2)
+
+
+@pytest.mark.parametrize("variables", [("x", "brownian"), ("x",),
+                                       ("log_x", "brownian", "jump_counts")])
+def test_a_declared_state_without_forward_paths_is_rejected(variables):
+    # an engine without forward paths cannot read x: it says which variable,
+    # rather than regressing on the rest of the state
+    noise = generate_noise(build_time_grid(1.0, 8), LevyMeasure.from_atoms([[0.1, 1.0]]), 200, 3, 1)
+    engine = CondExpEngine(FiltrationMode(mode="full"),
+                           RegressionSpec(degree=2, variables=variables), noise)
+    with pytest.raises(ValidationError, match=repr(variables[0])):
+        engine.design_at(5)
 
 
 def test_n_basis_on_a_state_that_stops_before_the_horizon():

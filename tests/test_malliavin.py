@@ -176,10 +176,10 @@ def _sample_result(name, lhs_samples, rhs_samples):
     )
 
 
-def _pieces(noise):
-    """The bundle cut as the verifiers are streamed it: the paths of each
-    piece ``stream_noise`` hands out, as a bundle of its own that views the
-    bundle's columns.
+def _pieces(noise, args):
+    """The bundle ``generate_noise(*args)`` cut as the verifiers are streamed
+    it: the paths of each piece ``stream_noise`` hands out, as a bundle of
+    its own that views the bundle's columns.
 
     The verifiers evaluate ``F`` and its derivatives on those pieces: a BLAS
     matrix-vector product rounds the last rows of a piece that is not a
@@ -188,8 +188,7 @@ def _pieces(noise):
     every evaluation on a piece.
     """
     rows = []
-    paths.stream_noise(noise.grid, noise.levy, noise.n_paths, noise.seed, noise.n_blocks,
-                       lambda r, piece: rows.append(r))
+    paths.stream_noise(*args, lambda r, piece: rows.append(r))
     return [dataclasses.replace(noise, d_brownian=noise.d_brownian[r],
                                 jump_counts=noise.jump_counts[:, r])
             for r in sorted(rows, key=lambda r: r.start)]
@@ -239,7 +238,7 @@ BROWNIAN_CASES = [
 def _assert_brownian_matches_column_stack(args):
     # all the cases in one streamed pass, each bit for bit its reference
     noise = generate_noise(*args)
-    pieces = _pieces(noise)
+    pieces = _pieces(noise, args)
     got = verify_duality_brownian(
         [("brownian", f, psi) for f, psi in BROWNIAN_CASES], *args)
     assert got == [_column_stack_duality_brownian(f, psi, noise, pieces)
@@ -302,7 +301,7 @@ def test_duality_on_split_blocks_matches_the_references(monkeypatch):
     # still match their references bit for bit
     monkeypatch.setattr(paths, "_PIECE_BYTES", paths._CHUNK_ROWS * 50 * 8)
     brownian = stream_args(50, 10002, 5, EMPTY, 6)
-    assert [p.n_paths for p in _pieces(generate_noise(*brownian))] == [1024, 643] * 6
+    assert [p.n_paths for p in _pieces(generate_noise(*brownian), brownian)] == [1024, 643] * 6
     _assert_brownian_matches_column_stack(brownian)
     _assert_jump_matches_cached_levels(stream_args(50, 10002, 6, TWO_ATOMS, 6))
 
@@ -389,7 +388,7 @@ def _assert_jump_matches_cached_levels(args, cases=JUMP_CASES):
     # every (F, phi) pair in one streamed pass; all four fields of each, the
     # standard errors included, bit for bit
     noise = generate_noise(*args)
-    pieces = _pieces(noise)
+    pieces = _pieces(noise, args)
     pairs = [(f, phi) for f in cases for phi in JUMP_PHIS]
     got = verify_duality_jump([("jump", f, phi) for f, phi in pairs], *args)
     assert got == [_cached_levels_duality_jump(f, phi, noise, pieces) for f, phi in pairs]

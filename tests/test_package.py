@@ -150,16 +150,10 @@ def test_uncalled_exports_are_found():
     assert uncalled_exports(modules, ["a.k()\n"]) == ["a.g"]
 
 
-# ``save_noise``/``load_noise`` let users store a noise bundle and reuse it.
-# No module calls them, but the north star of ROADMAP.md names the
-# truncated-file case that ``load_noise`` rejects, so both stay public.
-EXPORTS_WITHOUT_CALLER = ["paths.load_noise", "paths.save_noise"]
-
-
 def test_every_export_has_a_caller():
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))}
     callers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert uncalled_exports(modules, callers) == EXPORTS_WITHOUT_CALLER
+    assert uncalled_exports(modules, callers) == []
 
 
 def unset_options(sources: list[str], callers: list[str],
@@ -341,7 +335,7 @@ def test_path_major_bundle_gives_the_same_values():
     mc = spec.mc
     noise = generate_noise(spec.grid, spec.levy, mc.n_paths, mc.seed, mc.n_blocks)
     built = NoiseBundle(
-        grid=noise.grid, levy=noise.levy, seed=noise.seed, n_blocks=noise.n_blocks,
+        grid=noise.grid, levy=noise.levy,
         d_brownian=np.ascontiguousarray(noise.d_brownian),
         jump_counts=np.ascontiguousarray(noise.jump_counts),
     )

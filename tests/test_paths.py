@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import struct
 import sys
 import threading
 import time
@@ -16,11 +15,8 @@ from volterra_control import paths
 from volterra_control.model import LevyMeasure, ValidationError, build_time_grid
 from volterra_control.paths import (
     _CHUNK_ROWS,
-    _MAGIC,
     NoiseBundle,
     generate_noise,
-    load_noise,
-    save_noise,
     stream_noise,
 )
 
@@ -101,7 +97,7 @@ def test_streamed_blocks_are_the_bundles_column_slices(cpus, monkeypatch, n_cpus
         got = {}
 
         def consume(rows, piece):
-            assert piece.n_steps == GRID.n_steps and piece.n_blocks == n_blocks
+            assert piece.n_steps == GRID.n_steps
             # node rows are contiguous: views of the buffers, not copies
             assert piece.d_brownian.strides[0] == 8
             assert levy.n_atoms == 0 or piece.jump_counts.strides[1] == 8
@@ -255,8 +251,7 @@ def test_path_major_arrays_are_stored_node_major():
     two_atoms = LevyMeasure.from_atoms([[-0.1, 2.0], [0.3, 0.5]])
     noise = generate_noise(GRID, two_atoms, n_paths=40, seed=8, n_blocks=2)
     db, counts = np.ascontiguousarray(noise.d_brownian), np.ascontiguousarray(noise.jump_counts)
-    built = NoiseBundle(grid=GRID, levy=two_atoms, seed=8, n_blocks=2,
-                        d_brownian=db, jump_counts=counts)
+    built = NoiseBundle(grid=GRID, levy=two_atoms, d_brownian=db, jump_counts=counts)
     replaced = dataclasses.replace(noise, d_brownian=db)
     for bundle in (built, replaced):
         assert bundle.d_brownian.T.flags.c_contiguous
@@ -300,10 +295,7 @@ def _bundle_with_counts(counts_at_step):
     levy = LevyMeasure.from_atoms([[-0.1, 0.5]])
     counts = np.zeros((1, 1, 2), dtype=np.int64)
     counts[0, 0, 0] = counts_at_step
-    return NoiseBundle(
-        grid=grid, levy=levy, seed=0, n_blocks=1,
-        d_brownian=np.zeros((1, 2)), jump_counts=counts,
-    )
+    return NoiseBundle(grid=grid, levy=levy, d_brownian=np.zeros((1, 2)), jump_counts=counts)
 
 
 def _mark_sum(bundle, path, step):
@@ -341,72 +333,3 @@ def test_compensated_sums_are_centred():
     var = totals.var(ddof=1)
     se_var = var * math.sqrt(2.0 / (noise.n_paths - 1))  # rough normal bound
     assert abs(var - 2.0) <= 4 * se_var
-
-
-def _file_bytes(noise, db, counts):
-    """The noise file format, built from path-major arrays."""
-    levy = noise.levy
-    return b"".join([
-        _MAGIC,
-        struct.pack("<5q", db.shape[1], db.shape[0], noise.seed, noise.n_blocks, levy.n_atoms),
-        struct.pack("<d", noise.grid.horizon),
-        levy.sizes.astype("<f8").tobytes(), levy.weights.astype("<f8").tobytes(),
-        db.astype("<f8").tobytes(), counts.astype("<i8").tobytes(),
-    ])
-
-
-def test_dump_restore_roundtrip(tmp_path):
-    # 2100 paths span three chunks of the file; the format is path-major
-    cases = [(64, [[-0.1, 2.0]]), (2100, [[-0.1, 2.0], [0.3, 0.5]]), (7, [])]
-    for n_paths, atoms in cases:
-        noise = generate_noise(SHORT, LevyMeasure.from_atoms(atoms), n_paths=n_paths, seed=21,
-                               n_blocks=1)
-        path = tmp_path / f"bundle{n_paths}.bin"
-        save_noise(noise, str(path))
-        db, counts = np.ascontiguousarray(noise.d_brownian), np.ascontiguousarray(noise.jump_counts)
-        assert path.read_bytes() == _file_bytes(noise, db, counts)
-        back = load_noise(str(path))
-        assert back.seed == noise.seed and back.n_blocks == noise.n_blocks
-        assert back.grid.n_steps == noise.grid.n_steps
-        assert back.d_brownian.T.flags.c_contiguous
-        assert back.jump_counts.transpose(0, 2, 1).flags.c_contiguous
-        assert np.array_equal(back.d_brownian, noise.d_brownian)
-        assert np.array_equal(back.jump_counts, noise.jump_counts)
-        assert np.array_equal(back.levy.sizes, noise.levy.sizes)
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a bundle")
-    with pytest.raises(ValidationError):
-        load_noise(str(path))
-
-
-@pytest.mark.parametrize("n_paths, n_atoms", [(-1, 0), (8, -1), (2**40, 0)],
-                         ids=["negative-paths", "negative-atoms", "huge-paths"])
-def test_load_checks_the_header_before_allocating(tmp_path, n_paths, n_atoms):
-    # a header whose counts are out of range, or promise more data than the
-    # file holds, is rejected before any array is sized from it
-    path = tmp_path / "bundle.bin"
-    path.write_bytes(b"".join([
-        b"VCNB0001", struct.pack("<5q", SHORT.n_steps, n_paths, 0, 1, n_atoms),
-        struct.pack("<d", SHORT.horizon), bytes(8 * SHORT.n_steps * 8),
-    ]))
-    with pytest.raises(ValidationError):
-        load_noise(str(path))
-
-
-@pytest.mark.parametrize("n_paths, keep", [(8, 20), (8, 60), (8, -8), (2100, 80_000),
-                                           (2100, -8)],
-                         ids=["header", "atoms", "counts", "chunked-increments", "chunked-counts"])
-def test_load_rejects_truncated_files(tmp_path, n_paths, keep):
-    # cut inside the integer header, inside the atom sizes, and eight bytes
-    # short of the end of the jump counts; a 2100-path file is read in three
-    # chunks, and is cut inside its second chunk of increments or its last
-    # chunk of counts
-    noise = generate_noise(SHORT, ONE_ATOM, n_paths=n_paths, seed=2, n_blocks=1)
-    path = tmp_path / "bundle.bin"
-    save_noise(noise, str(path))
-    path.write_bytes(path.read_bytes()[:keep])
-    with pytest.raises(ValidationError, match="truncated"):
-        load_noise(str(path))
