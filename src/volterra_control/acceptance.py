@@ -423,8 +423,8 @@ def check_duality(n_paths: int = 200_000) -> list[CheckResult]:
     Each noise is streamed at its default seed in pieces of a few chunks of
     paths, so neither is ever held whole: the stage's memory grows with
     ``n_paths``, not ``n_steps x n_paths``.  The Brownian stage holds one
-    piece of normals per worker; the jump stage holds a block's normals (its
-    functionals may read them) and one piece of counts per worker.
+    piece of normals per worker; the jump stage holds one piece of counts
+    per worker and no normals, since neither of its functionals reads them.
     """
     (res_b,) = brownian_duality(("brownian_square",), n_paths)
     (res_j,) = jump_duality(("jump_square",), n_paths)

@@ -274,9 +274,13 @@ class CondExpEngine:
         if design is None:
             rows = self._state_rows(cnode)
             if not rows:
-                raise ValidationError(
-                    "no regression state available; declare state variables or use trivial mode"
-                )
+                declared = self.regression.variables
+                if not declared:
+                    raise ValidationError("no regression state declared; declare state "
+                                          "variables or use trivial mode")
+                # only jump_counts yields no row: one per atom
+                raise ValidationError(f"regression state {list(declared)} has no rows: the "
+                                      "Levy measure has no atoms to count")
             design = Design.from_rows(rows, self.regression.degree)
             if self.cache_designs:
                 self._designs[cnode] = design

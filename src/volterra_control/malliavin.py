@@ -33,10 +33,12 @@ it from the generator in pieces of a few chunks of paths
 (``paths.stream_noise``), run one pass per piece for all the identities they
 are given, with both sides reading the levels as running rows, and keep only
 each identity's ``(N,)`` sample rows.  Their memory grows with ``n_paths``,
-not ``n_steps x n_paths``: one piece's buffers per worker (with jumps, the
-block's normals too) plus the sample rows.  Deterministic nodes and
-derivatives evaluate to scalars, so a piece costs its numpy work and little
-else.
+not ``n_steps x n_paths``: one piece's buffers per worker plus the sample
+rows.  With jumps, a block's normals are held only when some identity's
+``F`` reads them (:attr:`Functional.reads_brownian`); otherwise they are
+drawn and dropped a chunk at a time, and the pieces carry a NaN broadcast in
+their place.  Deterministic nodes and derivatives evaluate to scalars, so a
+piece costs its numpy work and little else.
 """
 
 from __future__ import annotations
@@ -68,8 +70,12 @@ class Functional:
 
     ``evaluate`` and ``d_brownian`` return one value per path of ``noise``,
     or a scalar where the value is deterministic (a constant, the derivative
-    of a Wiener integral).
+    of a Wiener integral).  ``reads_brownian`` says whether ``evaluate``
+    reads the Brownian increments; a functional that does not declare it is
+    taken to read them.
     """
+
+    reads_brownian = True
 
     def evaluate(self, noise: NoiseBundle) -> np.ndarray | float:
         raise NotImplementedError
@@ -92,6 +98,8 @@ class Functional:
 @dataclass
 class Const(Functional):
     value: float
+
+    reads_brownian = False
 
     def evaluate(self, noise):
         return self.value
@@ -136,6 +144,8 @@ class WienerIntegral(Functional):
 class JumpIntegral(Functional):
     """``int_0^T int h(t, e) dN~`` with deterministic marks on left nodes."""
 
+    reads_brownian = False
+
     def __init__(self, h: Callable[[float, float], float] | float = 1.0):
         self.h = h
         self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -173,6 +183,10 @@ class Product(Functional):
     left: Functional
     right: Functional
 
+    @property
+    def reads_brownian(self) -> bool:
+        return self.left.reads_brownian or self.right.reads_brownian
+
     def evaluate(self, noise):
         return self.left.evaluate(noise) * self.right.evaluate(noise)
 
@@ -194,6 +208,10 @@ class Power(Functional):
     def __post_init__(self):
         if not (1 <= int(self.exponent) <= 4):
             raise ValidationError("power exponent limited to 1..4")
+
+    @property
+    def reads_brownian(self) -> bool:
+        return self.base.reads_brownian
 
     def evaluate(self, noise):
         return self.base.evaluate(noise) ** self.exponent
@@ -243,20 +261,22 @@ Identity = tuple[str, Functional, Callable[..., np.ndarray]]
 
 
 def _stream_duality(piece_pass, identities: list[Identity], grid: TimeGrid,
-                    levy: LevyMeasure, n_paths: int, seed: int,
-                    n_blocks: int) -> list[DualityResult]:
+                    levy: LevyMeasure, n_paths: int, seed: int, n_blocks: int,
+                    store_brownian: bool = True) -> list[DualityResult]:
     """Run ``piece_pass(piece, lhs, rhs)`` on each piece of the stream, then
     reduce each identity's ``(N,)`` sample rows once.
 
     ``lhs`` and ``rhs`` are the piece's columns of the ``(k, N)`` sample
-    arrays, one row per identity; the pass fills them.
+    arrays, one row per identity; the pass fills them.  ``store_brownian``
+    is handed to ``stream_noise``.
     """
     if n_paths < 2:
         raise ValidationError(f"duality needs n_paths >= 2 for a standard error, got {n_paths}")
     lhs = np.empty((len(identities), n_paths))
     rhs = np.empty((len(identities), n_paths))
     stream_noise(grid, levy, n_paths, seed, n_blocks,
-                 lambda rows, piece: piece_pass(piece, lhs[:, rows], rhs[:, rows]))
+                 lambda rows, piece: piece_pass(piece, lhs[:, rows], rhs[:, rows]),
+                 store_brownian)
     results = []
     for j, (name, _, _) in enumerate(identities):
         (lhs_mean, se_lhs), (rhs_mean, se_rhs) = mean_se(lhs[j]), mean_se(rhs[j])
@@ -353,11 +373,15 @@ def verify_duality_jump(
     path.  It is called once per (node, atom) per piece, from worker
     threads, so it must be pure.  The right-hand side averages
     ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  ``F`` may read the
-    Brownian noise too: each piece carries its paths' normals.
+    Brownian noise too: the pieces carry their paths' normals when some
+    identity's ``F.reads_brownian`` holds.  When none does, the normals are
+    drawn and dropped, and the pieces carry a NaN broadcast in their place,
+    so a functional that reads them while declaring it does not gets NaN.
     """
     if levy.n_atoms == 0:
         raise ValidationError("jump duality needs at least one atom")
     return _stream_duality(
         lambda piece, lhs, rhs: _jump_pass(identities, piece, lhs, rhs),
-        identities, grid, levy, n_paths, seed, n_blocks)
+        identities, grid, levy, n_paths, seed, n_blocks,
+        any(f.reads_brownian for _, f, _ in identities))
 

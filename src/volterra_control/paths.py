@@ -24,7 +24,8 @@ a task to pay for a thread.
 them to a consumer in pieces, each a bundle of its own, instead of storing
 the whole: a block whose last drawn segment is larger than a few chunks'
 worth of buffer is handed out a few chunks of paths at a time, as that
-segment is drawn.
+segment is drawn.  A consumer that reads no Brownian increment can have the
+normals drawn and dropped, so that no block holds them.
 
 Jump times inside a step are not recorded: left-point stepping only needs the
 per-step aggregate counts.
@@ -82,10 +83,11 @@ def _node_major(a: np.ndarray) -> np.ndarray:
     """``a`` (shape ``(..., n_paths, n_nodes)``) as a view of node-major storage.
 
     An array whose node rows are contiguous already is returned as it is (a
-    column slice of node-major storage is one); any other is copied once
-    into node-major memory.
+    column slice of node-major storage is one), and so is a broadcast along
+    the paths, which holds no rows to lay out; any other is copied once into
+    node-major memory.
     """
-    if a.shape[-2] > 1 and a.strides[-2] != a.itemsize:
+    if a.shape[-2] > 1 and a.strides[-2] not in (0, a.itemsize):
         a = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
     return a
 
@@ -150,7 +152,7 @@ def _block_streams(n_paths: int, seed: int, n_blocks: int) -> tuple[list, int]:
 
 
 def _draw_block(child: np.random.SeedSequence, grid: TimeGrid, levy: LevyMeasure, block: int,
-                segments: list[np.ndarray], width: int) -> Iterator[slice]:
+                segments: list[np.ndarray | None], width: int) -> Iterator[slice]:
     """Draw one block's stream, ``block`` paths wide, into ``segments``: the
     node-major normals ``(n_steps, block)``, then each atom's counts.
 
@@ -161,30 +163,33 @@ def _draw_block(child: np.random.SeedSequence, grid: TimeGrid, levy: LevyMeasure
     paths that piece holds.  Each segment is drawn a chunk of paths at a
     time and written transposed, and a chunk of rows consumes the stream in
     the same order as one ``(block, n_steps)`` draw, so the values do not
-    depend on ``width``.
+    depend on ``width``.  A normals segment that is ``None`` is still drawn,
+    a chunk at a time into one reused chunk buffer, and dropped, so the
+    counts are the same.
     """
     rng = np.random.Generator(np.random.PCG64(child))
     sqrt_dt = np.sqrt(grid.dt)
     normals = np.empty((min(block, _CHUNK_ROWS), grid.n_steps))  # one chunk's draw, reused
 
-    def draw(segment: int, out: np.ndarray) -> None:
+    def draw(segment: int, out: np.ndarray | None, rows: slice) -> None:
         # segment 0 is the normals, segment q + 1 atom q's counts
         if segment == 0:
-            chunk = normals[:out.shape[1]]
+            chunk = normals[:rows.stop - rows.start]
             rng.standard_normal(out=chunk)
-            np.multiply(chunk.T, sqrt_dt, out=out)
+            if out is not None:
+                np.multiply(chunk.T, sqrt_dt, out=out[:, rows])
         else:
             lam = levy.weights[segment - 1] * grid.dt
-            out[...] = rng.poisson(lam, size=out.shape[::-1]).T
+            out[:, rows] = rng.poisson(lam, size=(rows.stop - rows.start, grid.n_steps)).T
 
     last = len(segments) - 1
     for segment, out in enumerate(segments[:last]):
         for rows in _path_chunks(0, block):
-            draw(segment, out[:, rows])
+            draw(segment, out, rows)
     for start in range(0, block, width):
         piece = slice(start, min(start + width, block))
         for rows in _path_chunks(piece.start, piece.stop):
-            draw(last, segments[last][:, rows.start - start:rows.stop - start])
+            draw(last, segments[last], slice(rows.start - start, rows.stop - start))
         yield piece
 
 
@@ -235,6 +240,7 @@ def stream_noise(
     seed: int,
     n_blocks: int,
     consume: Callable[[slice, NoiseBundle], None],
+    store_brownian: bool = True,
 ) -> None:
     """Hand the bundle ``generate_noise`` draws with the same arguments to
     ``consume`` one piece at a time, without forming it.
@@ -249,6 +255,11 @@ def stream_noise(
     there are atoms, and every other atom's counts) is held for the whole
     block.
 
+    Without ``store_brownian`` the normals are drawn and dropped a chunk at
+    a time, so no block holds them and the counts stay the same; each
+    piece's ``d_brownian`` is then a read-only NaN broadcast of its shape,
+    so a consumer that reads it anyway gets NaN, not a value.
+
     The pieces run in the workers of ``generate_noise``, so ``consume`` is
     called from worker threads, must write only to its own ``rows``, and
     must not keep the piece once it returns.  Each block takes a free set of
@@ -260,10 +271,10 @@ def stream_noise(
     width = _piece_width(block, 8 * n)
     free = queue.SimpleQueue()
     for _ in range(min(n_blocks, len(os.sched_getaffinity(0)))):  # the workers of _run_tasks
-        # the normals (one piece wide when they are the last segment), the
-        # counts of every atom but the last, held whole, and a piece's counts,
-        # into which the last atom's are drawn
-        free.put((np.empty((n, block if m else width)),
+        # the normals (one piece wide when they are the last segment, none
+        # when they are dropped), the counts of every atom but the last, held
+        # whole, and a piece's counts, into which the last atom's are drawn
+        free.put((np.empty((n, block if m else width)) if store_brownian else None,
                   np.empty((max(m - 1, 0), n, block), dtype=np.int64),
                   np.empty((m, n, width), dtype=np.int64)))
 
@@ -276,7 +287,9 @@ def stream_noise(
                 if m > 1:
                     counts[:m - 1, :, :w] = head[:, :, piece]
                 consume(slice(b * block + piece.start, b * block + piece.stop), NoiseBundle(
-                    grid=grid, levy=levy, d_brownian=db[:, piece if m else slice(w)].T,
+                    grid=grid, levy=levy,
+                    d_brownian=(db[:, piece if m else slice(w)].T if store_brownian
+                                else np.broadcast_to(np.nan, (w, n))),
                     jump_counts=counts[:, :, :w].transpose(0, 2, 1),
                 ))
         finally:

@@ -7,10 +7,12 @@ reference path count (1e5); the two-time family solve runs at its own scale
 (see the module docstrings).
 """
 
+import argparse
 import csv
 import json
 import math
 import pathlib
+import sys
 import tempfile
 import tracemalloc
 
@@ -29,6 +31,8 @@ CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
 # and the SUBCOMMAND_PINS outputs, at repr precision; after a change meant to
 # move them, regenerate with
 #     PYTHONPATH=src python tests/test_acceptance.py
+# and with --check, compare without writing: each value's move is printed,
+# relative and in ulps, and the script exits 1 if any value moved
 PINNED = pathlib.Path(__file__).with_name("acceptance_values.json")
 # values that are a rounding error of O(1) numbers: pinned to an absolute
 # floor, where a relative bound would pin the rounding itself
@@ -296,21 +300,24 @@ def test_c07_jump_bundle_never_builds_brownian_levels(monkeypatch):
     # keep running level rows.  A piece buffer of 100 steps x one chunk
     # splits every 2048-path block of both stages into two 1024-path pieces.
     monkeypatch.setattr(paths, "_PIECE_BYTES", paths._CHUNK_ROWS * 100 * 8)
-    built = []
+    built, stored = [], []
     stream = malliavin.stream_noise
 
-    def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume):
+    def tracked_stream(grid, levy, n_paths, seed, n_blocks, consume, store_brownian=True):
         def tracked_consume(rows, piece):
             consume(rows, piece)
             built.append((levy.n_atoms, rows.stop - rows.start, sorted(piece.__dict__.keys() & {
                 "brownian_levels", "count_levels"})))
 
-        stream(grid, levy, n_paths, seed, n_blocks, tracked_consume)
+        stored.append(store_brownian)
+        stream(grid, levy, n_paths, seed, n_blocks, tracked_consume, store_brownian)
 
     monkeypatch.setattr(malliavin, "stream_noise", tracked_stream)
     acc.check_duality(n_paths=8 * 2048)
     # the Brownian stage's 16 pieces, then the jump stage's
     assert built == [(0, 1024, [])] * 16 + [(1, 1024, [])] * 16
+    # the jump stage's functionals read no normals, so it holds none
+    assert stored == [True, False]
 
 
 def test_run_acceptance_never_draws_an_s0_sized_bundle(s0_small, draws, monkeypatch):
@@ -397,11 +404,73 @@ def test_streamed_s0_stage_names_the_simulators_breach(draws):
     assert streamed == [(2000, 0, 4)] and drawn == []
 
 
-if __name__ == "__main__":
+def _ulps(a: float, b: float) -> int:
+    """The number of doubles from ``b`` to ``a``."""
+    # the bit patterns of the doubles, the negative ones mirrored below
+    # zero, are in the doubles' order
+    ia, ib = (int(i) if i >= 0 else -(int(i) & (2**63 - 1))
+              for i in np.array([a, b], dtype=float).view(np.int64))
+    return abs(ia - ib)
+
+
+def _moves(ledger, pinned):
+    """``(key, field, relative move, move in ulps)`` of every pinned value,
+    the largest over a list's entries.  A value on one side only, or a list
+    of another length, has moved without bound."""
+    moves = []
+    for key in sorted(ledger.keys() | pinned.keys()):
+        got, want = ledger.get(key, {}), pinned.get(key, {})
+        for field in sorted(got.keys() | want.keys()):
+            xs, ys = (v if isinstance(v, list) else [v] for v in (got.get(field), want.get(field)))
+            if None in xs + ys or len(xs) != len(ys):
+                moves.append((key, field, math.inf, math.inf))
+                continue
+            pairs = list(zip(xs, ys))
+            rel = max((abs(x - y) / abs(y) if y else (0.0 if x == y else math.inf)
+                       for x, y in pairs), default=0.0)
+            moves.append((key, field, rel, max((_ulps(x, y) for x, y in pairs), default=0)))
+    return moves
+
+
+def test_ledger_moves_count_the_doubles_between():
+    up = float(np.nextafter(1.0, 2.0))
+    assert _ulps(up, 1.0) == _ulps(1.0, up) == 1
+    assert _ulps(-0.0, 0.0) == 0
+    assert _ulps(float(np.nextafter(0.0, -1.0)), float(np.nextafter(0.0, 1.0))) == 2
+    pinned = {"a": {"value": 1.0, "log": [2.0, 4.0]}, "b": {"value": 0.0}}
+    ledger = {"a": {"value": up, "log": [2.0, 4.0 + 2 * np.spacing(4.0)]}, "c": {"value": 1.0}}
+    assert _moves(ledger, pinned) == [
+        ("a", "log", 2 * np.spacing(4.0) / 4.0, 2),
+        ("a", "value", up - 1.0, 1),
+        ("b", "value", math.inf, math.inf),
+        ("c", "value", math.inf, math.inf),
+    ]
+
+
+def _ledger():
+    """Every pinned output, computed afresh and keyed as in the ledger."""
     rows = acc.run_acceptance(load_config(str(CONFIG)))
     ledger = {f"{r.criterion}:{r.name}": _pinned_fields(r) for r in rows}
     with tempfile.TemporaryDirectory() as tmp:
         for subcommand in SUBCOMMAND_PINS:
             ledger.update(_subcommand_values(subcommand, pathlib.Path(tmp) / subcommand))
+    return ledger
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Regenerate the value ledger " + PINNED.name)
+    parser.add_argument("--check", action="store_true",
+                        help="recompute the ledger without writing it, print each pinned "
+                             "value's largest move, relative and in ulps, and exit 1 if any "
+                             "value moved")
+    check = parser.parse_args().check
+    ledger = _ledger()
+    if check:
+        moves = _moves(ledger, json.loads(PINNED.read_text()))
+        for key, field, rel, ulps in moves:
+            print(f"{key} {field}: relative {rel:.3g}, {ulps} ulps")
+        moved = sum(1 for *_, ulps in moves if ulps)
+        print(f"{moved} of {len(moves)} pinned values moved")
+        sys.exit(1 if moved else 0)
     PINNED.write_text(json.dumps(ledger, indent=1) + "\n")
-    print(f"wrote {len(rows)} rows and {len(SUBCOMMAND_PINS)} subcommands' outputs to {PINNED}")
+    print(f"wrote {len(ledger)} pinned entries to {PINNED}")

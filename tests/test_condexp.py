@@ -187,6 +187,25 @@ def test_a_declared_state_without_forward_paths_is_rejected(variables):
         engine.design_at(5)
 
 
+@pytest.mark.parametrize("variables", [("jump_counts",), ("jump_counts", "jump_counts")])
+def test_a_state_of_counts_without_atoms_names_its_variables(variables):
+    # the counts of a measure without atoms are no row at all: the error
+    # names the declared state and why it is empty
+    noise = generate_noise(build_time_grid(1.0, 8), LevyMeasure.from_atoms([]), 200, 3, 1)
+    engine = CondExpEngine(FiltrationMode(mode="full"),
+                           RegressionSpec(degree=2, variables=variables), noise)
+    with pytest.raises(ValidationError, match=r"\['jump_counts'.*no atoms"):
+        engine.design_at(5)
+
+
+def test_an_empty_state_outside_trivial_mode_is_rejected():
+    noise = generate_noise(build_time_grid(1.0, 8), LevyMeasure.from_atoms([]), 200, 3, 1)
+    engine = CondExpEngine(FiltrationMode(mode="full"), RegressionSpec(degree=2, variables=()),
+                           noise)
+    with pytest.raises(ValidationError, match="no regression state declared"):
+        engine.design_at(5)
+
+
 def test_n_basis_on_a_state_that_stops_before_the_horizon():
     # the utility evaluators simulate through node n - 1 only: building the
     # designs must not read node n

@@ -13,6 +13,8 @@ from volterra_control.malliavin import (
     Const,
     DualityResult,
     JumpIntegral,
+    Power,
+    Product,
     WienerIntegral,
     verify_duality_brownian,
     verify_duality_jump,
@@ -438,8 +440,10 @@ def test_c7_stages_form_no_array_of_levels(cpus, stage, names, monkeypatch):
 
     def tracked_draw(child, grid, levy, block, segments, width):
         # the segments a block is drawn into are all of its buffers: with at
-        # most one atom there are no counts to copy into a piece
-        buffers.append((grid.n_steps, sum(segment.nbytes for segment in segments)))
+        # most one atom there are no counts to copy into a piece, and normals
+        # that are dropped (a None segment) are no buffer
+        buffers.append((grid.n_steps, sum(segment.nbytes for segment in segments
+                                          if segment is not None)))
         return draw_block(child, grid, levy, block, segments, width)
 
     monkeypatch.setattr(paths, "_draw_block", tracked_draw)
@@ -454,6 +458,52 @@ def test_c7_stages_form_no_array_of_levels(cpus, stage, names, monkeypatch):
     # one float array of levels, (n_steps + 1, N), is 32 MB (Brownian) or 16 MB (jump)
     levels_bytes = (n_steps + 1) * n_paths * 8
     assert peak - buffer_bytes < levels_bytes / 4
+
+
+def test_c7_jump_stage_holds_no_block_of_normals(cpus):
+    # one worker, traced from before the draw: beyond its piece of counts
+    # the stage holds less than one block's normals, which neither of its
+    # functionals reads.  At 10k-path blocks a block's normals (8 MB) stand
+    # well above what the stage holds besides: one chunk's normals and
+    # counts as drawn (1.6 MB) and the sample rows (2.6 MB).
+    cpus(1)
+    n_paths, n_steps = 80_000, 100
+    block = n_paths // 8  # one piece: a block's counts fit the piece buffer
+    tracemalloc.start()
+    try:
+        acceptance.jump_duality(("jump_square", "jump_isometry"), n_paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counts_bytes = normals_bytes = n_steps * block * 8
+    assert peak - counts_bytes < normals_bytes
+
+
+@pytest.mark.parametrize("f, reads", [
+    (Const(2.0), False),
+    (WienerIntegral(1.0), True),
+    (JumpIntegral(1.0), False),
+    (JumpIntegral(1.0) * Const(2.0), False),
+    (JumpIntegral(1.0) * WienerIntegral(1.0), True),
+    (WienerIntegral(1.0) * JumpIntegral(1.0), True),
+    (Power(JumpIntegral(1.0), 2), False),
+    (Power(WienerIntegral(1.0), 3), True),
+    (Power(Const(1.0) * WienerIntegral(1.0), 2), True),
+])
+def test_reads_brownian_holds_where_a_wiener_integral_is_evaluated(f, reads):
+    assert f.reads_brownian is reads
+
+
+def test_a_functional_that_hides_its_brownian_read_gets_nan(monkeypatch):
+    # a wrong property drops the normals F reads: the pieces' NaN increments
+    # poison both sides instead of passing unseen
+    f = WienerIntegral(1.0) * JumpIntegral(1.0)
+    args = dict(n_steps=20, n_paths=600, seed=5, levy=ONE_ATOM, n_blocks=2)
+    res = jump_duality(f, lambda i, q, _c: 1.0, **args)
+    assert np.isfinite([res.lhs, res.rhs, res.se_lhs, res.se_rhs]).all()
+    monkeypatch.setattr(Product, "reads_brownian", property(lambda self: False))
+    res = jump_duality(f, lambda i, q, _c: 1.0, **args)
+    assert np.isnan([res.lhs, res.rhs, res.se_lhs, res.se_rhs]).all()
 
 
 def test_jump_derivative_reads_one_mark_per_node():

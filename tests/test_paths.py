@@ -112,6 +112,30 @@ def test_streamed_blocks_are_the_bundles_column_slices(cpus, monkeypatch, n_cpus
             assert np.array_equal(jump_counts, noise.jump_counts[:, start:stop])
 
 
+@pytest.mark.parametrize("levy", [EMPTY, ONE_ATOM, TWO_ATOMS], ids=["empty", "one", "two"])
+def test_streamed_pieces_without_normals_keep_the_counts(cpus, monkeypatch, levy):
+    # the normals are drawn and dropped, so the counts and the pieces are
+    # those of the stored stream; each piece's increments are a read-only
+    # NaN broadcast, kept as the zero-stride view it is, not copied
+    monkeypatch.setattr(paths, "_PIECE_BYTES", _CHUNK_ROWS * GRID.n_steps * 8)
+    cpus(2)
+    noise = generate_noise(GRID, levy, n_paths=6000, seed=17, n_blocks=2)
+    got = {}
+
+    def consume(rows, piece):
+        d_b = piece.d_brownian
+        assert d_b.shape == (rows.stop - rows.start, GRID.n_steps)
+        assert d_b.strides == (0, 0) and not d_b.flags.writeable and np.isnan(d_b).all()
+        got[rows.start, rows.stop] = piece.jump_counts.copy()
+
+    stored = []
+    stream_noise(GRID, levy, 6000, 17, 2, lambda rows, piece: stored.append(rows.start))
+    stream_noise(GRID, levy, 6000, 17, 2, consume, store_brownian=False)
+    assert sorted(start for start, _ in got) == sorted(stored)
+    for (start, stop), jump_counts in got.items():
+        assert np.array_equal(jump_counts, noise.jump_counts[:, start:stop])
+
+
 @pytest.mark.parametrize("n_cpus", [1, 3])
 def test_stream_noise_allocates_its_buffers_once_per_call(cpus, monkeypatch, n_cpus):
     # one set of buffers per worker, allocated before the first block is
