@@ -17,10 +17,7 @@ Each step is the engine's backward regression step
 coefficients as wide as that design (Gobet, Lemor & Warin, Ann. Appl.
 Probab. 15, 2005), as every BSVIE column does; a BSDE is the one-row case of
 the BSVIE's family recursion.  ``solve_bsde`` keeps the block, evaluates it
-on the paths for the generator only, and adds the step's R².  The utility
-cross-check (``recursive_utility_bsde``) iterates the same step with its
-generator written inline; it reads neither ``z_i``, ``k_i`` nor R², and
-holds one value row where ``solve_bsde`` holds ``n + 1``.
+on the paths for the generator only, and adds the step's R².
 
 ``recursive_utility`` evaluates the log-consumption utility.  Its generator
 is linear in the value, so the integrating-factor representation
@@ -28,8 +25,10 @@ is linear in the value, so the integrating-factor representation
     Y(0) = E[ int_0^T lambda(s) * log(c(s) X(s)) ds ]
 
 is exact; it is computed with a second-order node quadrature that never
-samples the horizon.  The generic explicit-Euler solve is kept as an
-independent cross-check (``recursive_utility_bsde``), accurate to O(dt).
+samples the horizon.  ``recursive_utility_bsde`` is an independent O(dt)
+cross-check: every projection keeps the intercept, so for this affine
+generator ``solve_bsde``'s ``Y(0)`` is the mean of the per-path explicit-Euler
+sums, to rounding, and the cross-check steps those sums alone.
 """
 
 from __future__ import annotations
@@ -88,8 +87,9 @@ def solve_bsde(
     ``(1,)`` or ``(N,)``; any other shape raises :class:`ValidationError`.
     A ``None`` driver means a zero generator.  The driver's ``x`` is the
     engine's forward state at the step's node (``engine.x_paths.row(i)``),
-    or None when the engine holds no state.
+    or None when the engine holds no state.  ``engine`` must be built on ``noise``.
     """
+    engine.check_noise(noise)
     grid = noise.grid
     n, n_paths = grid.n_steps, noise.n_paths
     terminal = np.asarray(terminal, dtype=float)
@@ -181,31 +181,23 @@ def recursive_utility(
 
 
 def recursive_utility_bsde(
-    scenario: ScenarioSpec,
-    control: ControlFn,
-    fwd: ForwardPaths,
-    noise: NoiseBundle,
+    scenario: ScenarioSpec, control: ControlFn, fwd: ForwardPaths, noise: NoiseBundle
 ) -> tuple[float, float]:
-    """Cross-check: the same utility through the explicit-Euler BSDE solve.
+    """Cross-check: the mean and SE of the per-path explicit-Euler sums
+    ``S_i = S_{i+1} + (log(c_i X_i) + rate_i S_{i+1}) dt`` from ``S_n = 0``.
 
-    The regression step of :func:`solve_bsde` with the generator
-    ``log(c X) + rate * y`` added inline, so ``Y(0)`` is ``solve_bsde``'s at
-    node 0, bit for bit.  ``Y(0)`` is constant on the paths; its SE is that
-    of the per-path explicit-Euler sums ``S`` stepped in the same loop, whose
-    mean is ``Y(0)`` because every projection keeps the intercept.
-    O(dt)-accurate; used to validate the closed form, not to report values.
+    ``noise`` is read only to check that it is ``fwd``'s bundle: its path
+    count, on the scenario's grid.  O(dt)-accurate; used to validate the
+    closed form, not to report values.
     """
+    grid = scenario.grid
+    if noise.n_paths != fwd.n_paths or noise.grid != grid:
+        raise ValidationError("the noise bundle does not match the forward paths and grid")
     c = _positive_consumption(scenario, control)
-    _positive_state(fwd, scenario.grid.n_steps)
+    _positive_state(fwd, grid.n_steps)
     rate = _discount_sign(scenario.convention) * scenario.gamma
-    dt = noise.grid.dt
-    # one projection per node: a cached design would never be read again
-    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd,
-                           cache_designs=False)
-    # only Y(0) is read: keep the running value row, not the (n + 1, N) array
-    s = np.zeros(noise.n_paths)
-    for i, _, live, _ in engine.backward_columns(np.zeros((1, noise.n_paths))):
+    s = np.zeros(fwd.n_paths)
+    for i in range(grid.n_steps - 1, -1, -1):
         term = np.log(c[i] * fwd.row(i))
-        live += (term + rate[i] * live) * dt
-        s += (term + rate[i] * s) * dt
-    return mean_se(live[0])[0], mean_se(s)[1]
+        s += (term + rate[i] * s) * grid.dt
+    return mean_se(s)

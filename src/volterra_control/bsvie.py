@@ -170,6 +170,7 @@ def solve_family_step(
     running time ``r``, the ``(r + 1,)`` pair terms
     ``E[(Z_new - Z_old)^2] + sum_q w_q E[(K_new - K_old)_q^2]``.
     """
+    engine.check_noise(noise)
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
     m = noise.levy.n_atoms
@@ -231,6 +232,7 @@ def family_statistics(
     column (pairs with ``j >= i + 1``), left-point quadrature in both time
     variables, summed over running times ``1..n-1`` in increasing order.
     """
+    engine.check_noise(noise)
     grid = noise.grid
     n, dt = grid.n_steps, grid.dt
     z_mean = [None] * n
@@ -278,7 +280,7 @@ def solve_bsvie(
     :class:`ConvergenceError` (carrying the distance log) after ``max_iter``
     passes without convergence or at a distance that is not finite
     (``exp(beta_w t)`` overflows past ``t = 709 / beta_w``), and
-    :class:`ValidationError` when ``max_iter < 1``.
+    :class:`ValidationError` when ``max_iter < 1`` or ``engine`` is not on ``noise``.
     """
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")

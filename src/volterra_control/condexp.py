@@ -244,6 +244,11 @@ class CondExpEngine:
         self.grid: TimeGrid = noise.grid
         self._designs: dict[int, Design] = {}
 
+    def check_noise(self, noise: NoiseBundle) -> None:
+        """Raise unless ``noise`` is the bundle the engine's designs are built on."""
+        if noise is not self.noise:
+            raise ValidationError("the regression engine was built on another noise bundle")
+
     # -- state assembly ------------------------------------------------------
 
     def _state_rows(self, node: int) -> list[np.ndarray]:

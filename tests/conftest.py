@@ -7,7 +7,9 @@ import pytest
 
 from volterra_control import acceptance, cli, control, paths
 from volterra_control.cli import load_config
-from volterra_control.fsvie import first_variation
+from volterra_control.controls import ControlFn
+from volterra_control.fsvie import first_variation, simulate_fsvie
+from volterra_control.model import validate_scenario
 from volterra_control.paths import generate_noise
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -18,6 +20,27 @@ def compensated(noise):
     array, shape ``(n_atoms, n_paths, n_steps)``: the plain reference for
     tests of the readers of ``N~``, none of which forms it."""
     return noise.jump_counts - noise.levy.weights[:, None, None] * noise.grid.dt
+
+
+def utility_case(atoms, n_steps, n_paths, seed):
+    """c* on a time-invariant scenario, full information on X, and its
+    forward paths through node n - 1."""
+    spec = validate_scenario({
+        "grid": {"horizon": 1.0, "n_steps": n_steps},
+        "initial": 1.0,
+        "gamma": 1.0,
+        "alpha_kernel": {"kind": "constant", "value": 0.05},
+        "beta_kernel": {"kind": "constant", "value": 0.2},
+        "levy": {"atoms": atoms},
+        "pi_kernels": [{"kind": "constant", "value": -0.1}] * len(atoms),
+        "filtration": {"mode": "full"},
+        "mc": {"n_paths": n_paths, "seed": seed, "n_blocks": 2},
+        "regression": {"degree": 2, "state": ["x"]},
+    })
+    noise = generate_noise(spec.grid, spec.levy, n_paths, seed, 2)
+    cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
+    fwd = simulate_fsvie(spec, noise, cstar, through_node=n_steps - 1)
+    return spec, noise, cstar, fwd
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import utility_case
 
 from volterra_control import acceptance as acc
-from volterra_control import control, fsvie, malliavin, paths
+from volterra_control import bsde, control, fsvie, malliavin, paths
 from volterra_control.cli import load_config, run
 from volterra_control.controls import ControlFn
 from volterra_control.model import mean_se, validate_scenario
@@ -28,8 +29,8 @@ from volterra_control.paths import generate_noise
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "s0.json"
 # value, reference and tolerance of every run-acceptance row on configs/s0.json,
-# and the SUBCOMMAND_PINS outputs, at repr precision; after a change meant to
-# move them, regenerate with
+# the SUBCOMMAND_PINS outputs and the UTILITY_CASES values, at repr precision;
+# after a change meant to move them, regenerate with
 #     PYTHONPATH=src python tests/test_acceptance.py
 # and with --check, compare without writing: each value's move is printed,
 # relative and in ulps, and the script exits 1 if any value moved
@@ -42,11 +43,22 @@ ROUNDING_ROWS = {"C1:optimal_rate_nodes", "C1:first_order_condition",
                  "verify-duality:brownian_isometry:se_rhs",
                  "verify-duality:jump_isometry:se_rhs"}
 # subcommand runs whose CSV outputs (written at 17 significant digits, so
-# read back exactly) are pinned beside the rows
+# read back exactly) are pinned beside the rows; evaluate-utility reads
+# TWO_TIME_UTILITY, written beside its output directory
 SUBCOMMAND_PINS = {
     "solve-bsvie": ["--config", str(CONFIG)],
     "verify-duality": ["--paths", "20000"],
+    "evaluate-utility": ["--control", "cstar"],
 }
+# s0 with a two-time drift kernel and discounting, at a small size
+TWO_TIME_UTILITY = {
+    "grid": {"horizon": 1.0, "n_steps": 50},
+    "gamma": 0.5,
+    "alpha_kernel": {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
+    "mc": {"n_paths": 4000, "seed": 42, "n_blocks": 8},
+}
+# the utility pair on the BSDE tests' cases: 20 steps x 2000 paths, seed 21
+UTILITY_CASES = {"no_jump": [], "jump": [[-0.1, 2.0]]}
 
 
 def _pinned_fields(r):
@@ -86,7 +98,12 @@ def _assert_all(results):
 
 def _subcommand_values(subcommand, out):
     """The pinned outputs of one ``SUBCOMMAND_PINS`` run, keyed as in the ledger."""
-    assert run([subcommand, *SUBCOMMAND_PINS[subcommand], "--out", str(out)]) == 0
+    args = SUBCOMMAND_PINS[subcommand]
+    if subcommand == "evaluate-utility":
+        config = out.parent / "two_time_utility.json"
+        config.write_text(json.dumps({**json.loads(CONFIG.read_text()), **TWO_TIME_UTILITY}))
+        args = [*args, "--config", str(config)]
+    assert run([subcommand, *args, "--out", str(out)]) == 0
 
     def table(name):
         with open(out / name, newline="") as fh:
@@ -98,9 +115,26 @@ def _subcommand_values(subcommand, out):
             "weighted_distance": [float(r["weighted_distance"])
                                   for r in table("iteration_log.csv")],
         }}
+    if subcommand == "evaluate-utility":
+        (row,) = table("utility.csv")
+        return {"evaluate-utility": {field: float(v) for field, v in row.items()}}
     return {f"verify-duality:{r['identity']}": {
         field: float(r[field]) for field in ("lhs", "rhs", "se_lhs", "se_rhs")}
         for r in table("duality.csv")}
+
+
+def _utility_values():
+    """``(y0, se)`` of the closed-form utility and of its Euler cross-check
+    on each of ``UTILITY_CASES``, keyed as in the ledger."""
+    values = {}
+    for name, atoms in UTILITY_CASES.items():
+        spec, noise, cstar, fwd = utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
+        for key, (y0, se) in (
+            ("recursive_utility", bsde.recursive_utility(spec, cstar, fwd)),
+            ("recursive_utility_bsde", bsde.recursive_utility_bsde(spec, cstar, fwd, noise)),
+        ):
+            values[f"{key}:{name}"] = {"y0": y0, "se": se}
+    return values
 
 
 def _assert_ledger(values):
@@ -187,7 +221,11 @@ def test_c10_z_time_derivative(martingale_solution):
 
 @pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_PINS))
 def test_subcommand_outputs_hold_their_pins(subcommand, tmp_path):
-    _assert_ledger(_subcommand_values(subcommand, tmp_path))
+    _assert_ledger(_subcommand_values(subcommand, tmp_path / subcommand))
+
+
+def test_utility_pair_holds_its_pins():
+    _assert_ledger(_utility_values())
 
 
 @pytest.mark.parametrize("entry", ["check_duality", "verify-duality"])
@@ -454,6 +492,7 @@ def _ledger():
     with tempfile.TemporaryDirectory() as tmp:
         for subcommand in SUBCOMMAND_PINS:
             ledger.update(_subcommand_values(subcommand, pathlib.Path(tmp) / subcommand))
+    ledger.update(_utility_values())
     return ledger
 
 

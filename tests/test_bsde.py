@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import compensated
+from conftest import compensated, utility_case
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,7 @@ from volterra_control.bsde import (
     recursive_utility_bsde,
     solve_bsde,
 )
-from volterra_control.condexp import CondExpEngine
+from volterra_control.condexp import CondExpEngine, Design
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import ForwardPaths, simulate_fsvie
 from volterra_control.model import (
@@ -429,48 +429,31 @@ def test_solve_bsde_holds_no_path_array_of_z_or_k():
     assert peak <= sol.y.nbytes + (n // 2) * row
 
 
-def _utility_case(atoms, n_steps, n_paths, seed):
-    """c* on a time-invariant scenario, full information on X, and its
-    forward paths through node n - 1."""
-    spec = validate_scenario({
-        "grid": {"horizon": 1.0, "n_steps": n_steps},
-        "initial": 1.0,
-        "gamma": 1.0,
-        "alpha_kernel": {"kind": "constant", "value": 0.05},
-        "beta_kernel": {"kind": "constant", "value": 0.2},
-        "levy": {"atoms": atoms},
-        "pi_kernels": [{"kind": "constant", "value": -0.1}] * len(atoms),
-        "filtration": {"mode": "full"},
-        "mc": {"n_paths": n_paths, "seed": seed, "n_blocks": 2},
-        "regression": {"degree": 2, "state": ["x"]},
-    })
-    noise = generate_noise(spec.grid, spec.levy, n_paths, seed, 2)
-    cstar = ControlFn.theta_cstar(1.0, spec.gamma, spec.convention)
-    fwd = simulate_fsvie(spec, noise, cstar, through_node=n_steps - 1)
-    return spec, noise, cstar, fwd
-
-
 @pytest.mark.parametrize("atoms", [[], [[-0.1, 2.0]]], ids=["no_jump", "jump"])
 def test_utility_cross_check_is_the_collected_solve_at_node_0(atoms):
-    spec, noise, cstar, fwd = _utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
+    # the Euler sums' mean is the regression solve's Y(0) under every
+    # filtration, since every projection keeps the intercept; the two sum
+    # in different orders, so they agree to rounding, not bit for bit
+    spec, noise, cstar, fwd = utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
     c = cstar.values(spec.grid)
     sign = -1.0  # the discounting convention
 
     def gen(i, t, x, y, z, k):
         return np.log(c[i] * x) + sign * spec.gamma[i] * y
 
-    engine = CondExpEngine(spec.filtration, spec.regression, noise, x_paths=fwd)
-    sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
     y0, _ = recursive_utility_bsde(spec, cstar, fwd, noise)
-    assert y0 == sol.y[:, 0].mean()
+    for filtration in (spec.filtration, FiltrationMode(mode="delay", delay=0.25),
+                       FiltrationMode(mode="trivial")):
+        engine = CondExpEngine(filtration, spec.regression, noise, x_paths=fwd)
+        sol = solve_bsde(np.zeros(noise.n_paths), gen, noise, engine)
+        assert y0 == pytest.approx(sol.y[:, 0].mean(), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("atoms", [[], [[-0.1, 2.0]]], ids=["no_jump", "jump"])
 def test_utility_cross_check_se_is_the_spread_of_the_euler_sums(atoms):
-    # Y(0) is one value on every path; the per-path explicit-Euler sums
-    # S_i = S_{i+1} + (log(c_i X_i) + rate_i S_{i+1}) dt carry its spread,
-    # and their mean is Y(0) because every projection keeps the intercept
-    spec, noise, cstar, fwd = _utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
+    # the per-path explicit-Euler sums
+    # S_i = S_{i+1} + (log(c_i X_i) + rate_i S_{i+1}) dt give Y(0) and its SE
+    spec, noise, cstar, fwd = utility_case(atoms, n_steps=20, n_paths=2000, seed=21)
     c, x, dt = cstar.values(spec.grid), fwd.values, spec.grid.dt
     sign = -1.0  # the discounting convention
     s = np.zeros(noise.n_paths)
@@ -481,15 +464,37 @@ def test_utility_cross_check_se_is_the_spread_of_the_euler_sums(atoms):
     assert y0 == pytest.approx(s.mean(), rel=1e-12, abs=0.0)
 
 
-def test_utility_cross_check_holds_one_value_row():
-    # the solve keeps the running value row, never the (n + 1, N) array
-    # of Y, which alone is 65 rows here
+def test_utility_cross_check_holds_one_value_row(monkeypatch):
+    # the cross-check steps the running Euler sums and a few temporary rows:
+    # it builds no regression design and never holds an (n + 1, N) array
     n, n_paths = 64, 20_000
-    spec, noise, cstar, fwd = _utility_case([[-0.1, 2.0]], n, n_paths, seed=22)
+    spec, noise, cstar, fwd = utility_case([[-0.1, 2.0]], n, n_paths, seed=22)
+
+    def no_design(*args):
+        raise AssertionError("the utility cross-check built a regression design")
+
+    monkeypatch.setattr(Design, "__init__", no_design)
     tracemalloc.start()
     try:
         recursive_utility_bsde(spec, cstar, fwd, noise)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * n_paths * 8
+    assert peak <= 5 * n_paths * 8
+
+
+@pytest.mark.parametrize(("n_steps", "n_paths"), [(20, 1000), (10, 2000)], ids=["paths", "grid"])
+def test_utility_cross_check_rejects_noise_of_another_simulation(n_steps, n_paths):
+    # the forward paths are 20 steps x 2000 paths
+    spec, _, cstar, fwd = utility_case([[-0.1, 2.0]], n_steps=20, n_paths=2000, seed=21)
+    foreign = generate_noise(build_time_grid(1.0, n_steps), spec.levy, n_paths, 21, 2)
+    with pytest.raises(ValidationError, match="does not match"):
+        recursive_utility_bsde(spec, cstar, fwd, foreign)
+
+
+def test_solve_bsde_rejects_an_engine_on_another_bundle():
+    # an engine on 1000 paths cannot step a 2000-path bundle's increments
+    noise = generate_noise(GRID, EMPTY, 2000, 1, 1)
+    engine = brownian_engine(generate_noise(GRID, EMPTY, 1000, 2, 1))
+    with pytest.raises(ValidationError, match="another noise bundle"):
+        solve_bsde(np.ones(2000), None, noise, engine)

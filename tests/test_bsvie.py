@@ -422,6 +422,27 @@ def test_max_iter_below_one_is_rejected(max_iter):
         solve_bsvie(zeta, zero_driver, noise, trivial_engine(noise), max_iter=max_iter)
 
 
+def _family_solve_entry(entry, zeta, noise, engine):
+    if entry == "solve_family_step":
+        n = noise.grid.n_steps
+        return solve_family_step(zeta, zero_driver, BsvieTriple.zeros(n, noise.n_paths),
+                                 noise, engine)
+    if entry == "solve_bsvie":
+        return solve_bsvie(zeta, zero_driver, noise, engine)
+    return family_statistics(zeta, noise, engine)
+
+
+@pytest.mark.parametrize("entry", ["solve_family_step", "solve_bsvie", "family_statistics"])
+def test_an_engine_on_another_bundle_is_rejected(entry):
+    # two bundles of the same shape: the other one's designs would regress
+    # this one's increments silently, on an unrelated sample of paths
+    noise, other = make_noise(10, 2000, seed=1), make_noise(10, 2000, seed=2)
+    zeta = noise.grid.nodes[:, None] * noise.d_brownian.sum(axis=1)[None, :]
+    _family_solve_entry(entry, zeta, noise, brownian_engine(noise))
+    with pytest.raises(ValidationError, match="another noise bundle"):
+        _family_solve_entry(entry, zeta, noise, brownian_engine(other))
+
+
 # --------------------------------------------------------------------------- #
 # the streamed driver-free family against the stored triangle
 # --------------------------------------------------------------------------- #

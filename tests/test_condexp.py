@@ -415,6 +415,53 @@ def test_near_collinear_design_takes_the_ridge_path():
 
 
 # --------------------------------------------------------------------------- #
+# the backward step keeps every path mean
+# --------------------------------------------------------------------------- #
+# Every design keeps the intercept, and the ridge leaves it unpenalized, so a
+# step's fitted values have the path mean of the rows it was handed.  The
+# utility cross-check (bsde.recursive_utility_bsde) rests on this: for its
+# affine generator the solve's Y(0) is the mean of the per-path Euler sums.
+
+def _mean_keeping_engine(case, noise):
+    if case == "ridge":
+        # a constant x centres to a zero row: every design past node 0 is
+        # singular, and the ridge rescues it
+        x = np.full(noise.brownian_levels.shape, 3.0)
+        return CondExpEngine(FiltrationMode(mode="full"),
+                             RegressionSpec(degree=1, variables=("brownian", "x")), noise,
+                             x_paths=_given_state(noise.grid, x))
+    return CondExpEngine(FiltrationMode(mode=case, delay=0.25),
+                         RegressionSpec(degree=2, variables=("brownian", "jump_counts")), noise)
+
+
+@pytest.mark.parametrize("n_rows", ["one", "family"])
+@pytest.mark.parametrize("case", ["full", "delay", "trivial", "ridge"])
+def test_backward_columns_keep_the_path_mean_of_every_live_row(case, n_rows):
+    n_steps, n_paths = 8, 400
+    noise = generate_noise(build_time_grid(1.0, n_steps), LevyMeasure.from_atoms([[-0.1, 2.0]]),
+                           n_paths, 6, 1)
+    engine = _mean_keeping_engine(case, noise)
+    rng = np.random.default_rng(6)
+    rows = 1 if n_rows == "one" else n_steps + 1
+    b_end = noise.brownian_levels[:, -1]
+    y = b_end ** 2 + noise.count_levels[0, :, -1] + rng.normal(size=(rows, n_paths))
+    handed = y.mean(axis=1)
+    conditioning, ridged = [], []
+    for r, design, live, _ in engine.backward_columns(y):
+        np.testing.assert_allclose(live.mean(axis=1), handed[:len(live)], rtol=0,
+                                   atol=1e-12 * np.abs(live).max())
+        conditioning.append(design.phi.shape[0] > 1)
+        ridged.append(design.ridged)
+        # a state-dependent generator term, so each step is handed new rows
+        live += np.sin(noise.brownian_levels[:, r]) * rng.uniform(0.5, 1.5, size=(len(live), 1))
+        handed = live.mean(axis=1)
+    # node 0 always conditions on nothing; delay conditions on nothing up to its lag
+    assert not conditioning[-1]
+    assert sum(conditioning) == {"full": 7, "delay": 5, "trivial": 0, "ridge": 7}[case]
+    assert any(ridged) == (case == "ridge")
+
+
+# --------------------------------------------------------------------------- #
 # Gram-space standardisation against the two-pass reference
 # --------------------------------------------------------------------------- #
 
