@@ -8,7 +8,8 @@ generalise them to any scenario, which the subcommands other than
 ``run-acceptance`` and ``check-mp`` report: C1's first-order condition
 (``optimal-consumption``), C2's exact discrete utility mean
 (``evaluate-utility``), C5's discrete resolvent (``solve-bsvie``), C7's two
-sides of each identity (``verify-duality``) and C8's terminal-mean oracle
+sides of each identity, against each other and against their exact discrete
+values (``verify-duality``), and C8's terminal-mean oracle
 (``simulate-forward``).
 
 The reference scenario is fixed: horizon 1, 100 steps, unit initial level,
@@ -75,6 +76,7 @@ __all__ = [
     "jump_duality",
     "check_duality",
     "check_sides_agree",
+    "check_exact_sides",
     "check_forward_solver",
     "check_terminal_mean",
     "check_adjoint_reduction",
@@ -371,6 +373,22 @@ def check_contraction() -> list[CheckResult]:
     ]
 
 
+# the C7 Brownian noise's grid; its square pairing needs the fine step
+_BROWNIAN_GRID = build_time_grid(1.0, 200)
+# the exact discrete value of each side (lhs, rhs) of each identity on its
+# C7 grid, with w the time_quadrature_weights:
+# * brownian_square: E[B(T)^2 sum_{i<n} B(t_i) dB_i] = 2 dt sum_{i<n} t_i
+#   = 1 - dt, and sum_i w_i E[2 B(T) B(t_i)] = 2 sum_i w_i t_i = 1 - dt^2;
+# * jump_square: the third central moment of Poisson(2), and 2 sum_i w_i;
+# * the isometries: T = 1 and nu T = 2 on both sides
+_EXACT_SIDES = {
+    "brownian_square": (1.0 - _BROWNIAN_GRID.dt, 1.0 - _BROWNIAN_GRID.dt ** 2),
+    "brownian_isometry": (1.0, 1.0),
+    "jump_square": (2.0, 2.0),
+    "jump_isometry": (2.0, 2.0),
+}
+
+
 def brownian_duality(
     names: tuple[str, ...], n_paths: int = 200_000, seed: int = 7
 ) -> list[DualityResult]:
@@ -390,7 +408,7 @@ def brownian_duality(
     }
     no_jumps = LevyMeasure.from_atoms([])
     return verify_duality_brownian(
-        [(name, *identities[name]) for name in names], build_time_grid(1.0, 200), no_jumps,
+        [(name, *identities[name]) for name in names], _BROWNIAN_GRID, no_jumps,
         n_paths, seed, math.gcd(n_paths, 8),
     )
 
@@ -441,6 +459,23 @@ def check_sides_agree(results: list[DualityResult]) -> list[CheckResult]:
     ``results`` within 3 of their standard errors taken in quadrature."""
     return [_result("C7", f"{r.name}_sides_agree", r.lhs, r.rhs, 3.0 * r.combined_se)
             for r in results]
+
+
+def check_exact_sides(results: list[DualityResult]) -> list[CheckResult]:
+    """C7 against the closed forms: each side of each identity in ``results``
+    within 3 of its own standard errors of its exact discrete value.
+
+    A sign error in an integrand flips both sides together, which
+    :func:`check_sides_agree` cannot see.  Each band adds 1e-12 of the exact
+    value: an isometry's right-hand side is one sum on every path, so its
+    standard error is rounding.
+    """
+    rows = []
+    for r in results:
+        lhs, rhs = _EXACT_SIDES[r.name]
+        rows += [_result("C7", f"{r.name}_lhs", r.lhs, lhs, 3.0 * r.se_lhs + 1e-12 * lhs),
+                 _result("C7", f"{r.name}_rhs", r.rhs, rhs, 3.0 * r.se_rhs + 1e-12 * rhs)]
+    return rows
 
 
 def check_forward_solver(scenario: ScenarioSpec, log_noise: _LogNoiseLeg) -> list[CheckResult]:

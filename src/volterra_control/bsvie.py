@@ -112,8 +112,8 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: list, grid: TimeGrid, beta_w: float
 
     with trapezoid quadrature in ``t`` and left-point in ``s``.  ``y_sq``
     holds ``E[Y^2]`` per node and ``pair_sq[r]`` holds
-    ``E[Z^2] + sum_q w_q E[K_q^2]`` for the pairs ``(0..r, r)``; the terms
-    are summed first index by first index.
+    ``E[Z^2] + sum_q w_q E[K_q^2]`` for the pairs ``(0..r, r)``; each
+    running time's pairs are summed over the first index, then weighted.
     """
     n, dt = grid.n_steps, grid.dt
     w_t = trapezoid_weights(n + 1, dt)
@@ -121,17 +121,8 @@ def _weighted_sum(y_sq: np.ndarray, pair_sq: list, grid: TimeGrid, beta_w: float
     # solve_bsvie reports as non-convergence
     with np.errstate(over="ignore"):
         e_t = np.exp(beta_w * grid.nodes)
-    # first index i reads one contiguous row: a strided read rounds differently
-    rows = np.zeros((n, n))
-    for r, col in enumerate(pair_sq):
-        rows[:r + 1, r] = col
-    total = 0.0
-    for i in range(n + 1):
-        inner = y_sq[i] * e_t[i]
-        if i < n:
-            inner += float(e_t[i:n] @ rows[i, i:]) * dt
-        total += w_t[i] * inner
-    return total
+    pairs = np.array([w_t[:r + 1] @ col for r, col in enumerate(pair_sq)])
+    return float(w_t @ (e_t * y_sq) + dt * (e_t[:n] @ pairs))
 
 
 def _terminal_family(zeta: np.ndarray, n_steps: int, n_paths: int) -> np.ndarray:

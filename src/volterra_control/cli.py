@@ -22,6 +22,7 @@ even when a check fails) and sets the exit code: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ from .control import (
 )
 from .fsvie import ForwardPaths, PositivityBreachError, simulate_fsvie
 from .malliavin import DualityResult
-from .model import ScenarioSpec, ValidationError, mean_se, validate_scenario
+from .model import CONVENTIONS, ScenarioSpec, ValidationError, mean_se, validate_scenario
 from .paths import generate_noise
 
 __all__ = ["main", "run", "load_config", "RunReport"]
@@ -88,39 +89,14 @@ def load_config(path: str) -> ScenarioSpec:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc.strerror}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: top-level JSON object expected")
     return validate_scenario(raw)
 
 
-def _scenario_dict(spec: ScenarioSpec) -> dict:
-    def kernel_dict(k):
-        if k.kind == "constant":
-            return {"kind": "constant", "value": k.value}
-        if k.kind == "exp_decay":
-            return {"kind": "exp_decay", "amplitude": k.amplitude, "rate": k.rate}
-        return {"kind": "table", "n": k.table_n, "values": list(map(float, k.table))}
-
-    return {
-        "grid": {"horizon": spec.grid.horizon, "n_steps": spec.grid.n_steps},
-        "initial": float(spec.initial) if np.isscalar(spec.initial)
-        else list(map(float, spec.initial)),
-        "alpha_kernel": kernel_dict(spec.alpha),
-        "beta_kernel": kernel_dict(spec.beta),
-        "pi_kernels": [kernel_dict(k) for k in spec.pi_kernels],
-        "levy": {"atoms": [[float(e), float(w)] for e, w in
-                           zip(spec.levy.sizes, spec.levy.weights)]},
-        "gamma": list(map(float, spec.gamma)),
-        "filtration": {"mode": spec.filtration.mode, "delay": spec.filtration.delay},
-        "gamma_sign_convention": spec.convention,
-        "mc": {"n_paths": spec.mc.n_paths, "seed": spec.mc.seed, "n_blocks": spec.mc.n_blocks},
-        "regression": {"degree": spec.regression.degree,
-                       "state": list(spec.regression.variables)},
-    }
-
-
 def scenario_hash(spec: ScenarioSpec) -> str:
-    canon = json.dumps(_scenario_dict(spec), sort_keys=True, separators=(",", ":"))
+    """The first 16 hex digits of the SHA-256 of every field of ``spec``, as
+    canonical JSON (node tables as lists)."""
+    canon = json.dumps(asdict(spec), sort_keys=True, separators=(",", ":"),
+                       default=np.ndarray.tolist)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -128,46 +104,32 @@ def scenario_hash(spec: ScenarioSpec) -> str:
 # CSV
 # --------------------------------------------------------------------------- #
 
-def _format_cell(value) -> tuple[str, bool]:
-    """17-significant-digit reals, RFC-4180 quoting; returns (text, is_nan)."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan", True
-        return f"{value:.17g}", False
-    text = str(value)
-    if any(ch in text for ch in (',', '"', "\n")):
-        text = '"' + text.replace('"', '""') + '"'
-    return text, False
-
-
 def emit_csv(
     rows: list[dict], path: str, columns: list[str] | None = None
 ) -> list[tuple[int, str]]:
     """Write rectangular rows; header always present; '.' decimal separator.
 
-    The header is ``columns`` or, without them, the first row's keys, so a
-    table whose layout is fixed keeps its header when it has no rows.
-    Returns the positions of any NaN cells so callers can flag them.
+    Reals are written to 17 significant digits, and cells are quoted as
+    RFC 4180 asks.  The header is ``columns`` or, without them, the first
+    row's keys, so a table whose layout is fixed keeps its header when it
+    has no rows.  Returns the positions of any NaN cells so callers can
+    flag them.
     """
     path = Path(path)
-    nan_cells: list[tuple[int, str]] = []
     if columns is None:
         columns = list(rows[0].keys()) if rows else []
     header = list(columns)
     for r in rows:
         if list(r.keys()) != header:
             raise ValidationError("CSV rows must share one column set")
-    lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        cells = []
-        for key in header:
-            text, is_nan = _format_cell(row[key])
-            if is_nan:
-                nan_cells.append((i, key))
-            cells.append(text)
-        lines.append(",".join(cells))
+    nan_cells = [(i, key) for i, row in enumerate(rows) for key in header
+                 if isinstance(row[key], float) and math.isnan(row[key])]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\r\n".join(lines) + "\r\n")
+    with path.open("w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()]
+                         for row in rows)
     return nan_cells
 
 
@@ -294,7 +256,8 @@ def _cmd_verify_duality(spec, args):
         acc.brownian_duality(("brownian_square", "brownian_isometry"), n_paths, args.seed)
         + acc.jump_duality(("jump_square", "jump_isometry"), n_paths, args.seed + 1)
     )
-    return {"duality.csv": _duality_rows(results)}, acc.check_sides_agree(results)
+    checks = acc.check_sides_agree(results) + acc.check_exact_sides(results)
+    return {"duality.csv": _duality_rows(results)}, checks
 
 
 def _cmd_run_acceptance(spec, args):
@@ -350,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name != "verify-duality":  # the one subcommand that reads no scenario
             p.add_argument("--config", required=True, help="scenario JSON file")
-            p.add_argument("--convention", choices=["discounting", "paper_ode"], default=None)
+            p.add_argument("--convention", choices=CONVENTIONS, default=None)
         if name not in _READS_NO_MC:
             p.add_argument("--seed", type=int, default=7 if name == "verify-duality" else None,
                            help="override the config seed")
@@ -383,7 +346,7 @@ def run(argv=None) -> int:
             if n_paths is not None:
                 spec = spec.with_mc(n_paths=n_paths, n_blocks=math.gcd(n_paths, spec.mc.n_blocks))
             if args.convention is not None:
-                spec = validate_scenario(replace(spec, convention=args.convention))
+                spec = replace(spec, convention=args.convention)
             report.scenario_hash = scenario_hash(spec)
             report.seed = spec.mc.seed
         else:

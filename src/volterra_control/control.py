@@ -369,8 +369,9 @@ def hamiltonian_h1(
     direction is held whole (on the lift, none is ever formed); every
     direction is added into one ``(N,)`` column, which is then projected
     once onto the information at ``t``.  Both ``adjoint.fwd`` and, when
-    there are gradient terms, ``fwd`` must reach the horizon, and ``noise``
-    must be the bundle ``fwd`` was simulated on.  Zero exactly when every
+    there are gradient terms, ``fwd`` must reach the horizon; then ``fwd``
+    must be ``adjoint.fwd`` itself, and ``noise`` the bundle it was
+    simulated on.  Zero exactly when every
     kernel is constant in its first argument, and at ``node = n``, where the
     integral over ``[T, T]`` is empty.
     """
@@ -397,6 +398,9 @@ def hamiltonian_h1(
         raise ValidationError("kernel time-derivative terms need noise, control and paths")
     if gradients and fwd.last_node < n:
         raise ValidationError("kernel time-derivative terms need paths through the horizon")
+    if gradients and fwd is not adjoint.fwd:
+        raise ValidationError("kernel time-derivative terms read the adjoint ratio and its "
+                              "gradients on one set of paths: fwd must be adjoint.fwd")
     # trapezoid weights on [t_k, T]
     w = trapezoid_weights(n + 1 - k, grid.dt)
     big_p = adjoint.big_p

@@ -7,11 +7,12 @@ control layer) consumes the immutable value types defined here:
 * :class:`Kernel` -- coefficient ``K(t, s)`` on the triangle ``0 <= s <= t``.
 * :class:`LevyMeasure` -- finite discrete measure of jump sizes.
 * :class:`FiltrationMode` -- information available to the controller.
-* :class:`ScenarioSpec` -- a fully validated model instance.
+* :class:`ScenarioSpec` -- a model instance, which checks its own invariants.
 
-``validate_scenario`` is the single entry point that turns raw dictionaries
-(parsed JSON) into a checked :class:`ScenarioSpec`.  All types are frozen
-dataclasses and safe to share across workers.
+``validate_scenario`` turns a raw dictionary (parsed JSON) into a
+:class:`ScenarioSpec`.  Every type checks itself on construction, so
+``dataclasses.replace`` re-checks too.  All types are frozen dataclasses
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "McSpec",
     "RegressionSpec",
     "ScenarioSpec",
+    "CONVENTIONS",
     "build_time_grid",
     "validate_scenario",
     "trapezoid_weights",
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+# the sign conventions of the discount rate (``controls._discount_sign``)
+CONVENTIONS = ("discounting", "paper_ode")
 
 
 class ValidationError(ValueError):
@@ -378,14 +382,30 @@ class RegressionSpec:
 # Scenario
 # --------------------------------------------------------------------------- #
 
+def _extreme_node_values(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
+    """Values of ``kernel`` on the grid triangle that bound all the others.
+
+    An analytic kernel is monotone in the lag ``t - s``, so its extremes
+    (and any non-finite value) sit at the lags 0 and ``T``: ``K(T, T)`` and
+    ``K(T, 0)``.  A table gives its flat triangle.
+    """
+    if kernel.exponential_form is None:
+        return kernel._table_values(grid)
+    t = grid.nodes[-1]
+    return np.array([kernel(t, t), kernel(t, 0.0)])
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
-    """A validated model instance.
+    """A model instance that cannot be built, or ``replace``d, invalid.
 
     ``initial`` is the (positive, constant) starting level of the cash flow;
     a per-node table is accepted for simulation-only use.  ``pi_kernels``
     holds one two-time kernel per jump atom.  ``gamma`` is the deterministic
-    discount/aggregator rate tabulated on the grid nodes.
+    discount/aggregator rate tabulated on the grid nodes.  Construction
+    checks a known sign convention, a positive initial level, finite node
+    tables of the right length, kernels finite on the grid triangle and one
+    jump kernel per atom with ``1 + pi > 0`` everywhere.
     """
 
     grid: TimeGrid
@@ -399,6 +419,41 @@ class ScenarioSpec:
     convention: str = "discounting"
     mc: McSpec = field(default_factory=McSpec)
     regression: RegressionSpec = field(default_factory=RegressionSpec)
+
+    def __post_init__(self) -> None:
+        nodes = self.grid.n_steps + 1
+        if self.convention not in CONVENTIONS:
+            raise ValidationError(f"unknown gamma_sign_convention {self.convention!r}")
+        if np.isscalar(self.initial):
+            if _real("initial", self.initial) <= 0.0:
+                raise ValidationError(f"initial level must be > 0, got {self.initial}")
+        elif np.shape(self.initial) != (nodes,):
+            raise ValidationError("initial table must have one value per node")
+        elif not np.all(np.isfinite(self.initial)):
+            raise ValidationError("initial table contains non-finite entries")
+        elif self.initial[0] <= 0.0:
+            raise ValidationError("initial level at t=0 must be > 0")
+        if np.shape(self.gamma) != (nodes,):
+            raise ValidationError(f"gamma table must have {nodes} node values")
+        if not np.all(np.isfinite(self.gamma)):
+            raise ValidationError("gamma contains non-finite entries")
+        if len(self.pi_kernels) != self.levy.n_atoms:
+            raise ValidationError(
+                f"pi_kernels has {len(self.pi_kernels)} entries for {self.levy.n_atoms} atoms"
+            )
+        # Kernels must be finite on the whole triangle (a NaN would pass the
+        # positivity test below); jump factors must keep the state positive.
+        for name, k in (("alpha", self.alpha), ("beta", self.beta)):
+            if not np.all(np.isfinite(_extreme_node_values(k, self.grid))):
+                raise ValidationError(f"{name} kernel produced non-finite values")
+        for m, k in enumerate(self.pi_kernels):
+            vals = _extreme_node_values(k, self.grid)
+            if not np.all(np.isfinite(vals)):
+                raise ValidationError(f"jump kernel {m} produced non-finite values")
+            if np.any(vals <= -1.0 + 1e-12):
+                raise ValidationError(
+                    f"jump kernel {m}: 1 + pi must stay positive, min pi = {vals.min():.6g}"
+                )
 
     @property
     def n_atoms(self) -> int:
@@ -463,116 +518,59 @@ def _kernel_from_raw(raw, n_steps: int, field_name: str) -> Kernel:
     raise ValidationError(f"{field_name}: unknown kernel kind {kind!r}")
 
 
-def _extreme_node_values(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
-    """Values of ``kernel`` on the grid triangle that bound all the others.
+def validate_scenario(raw: dict) -> ScenarioSpec:
+    """Parse a scenario given as a dict (JSON shape) into a :class:`ScenarioSpec`.
 
-    An analytic kernel is monotone in the lag ``t - s``, so its extremes
-    (and any non-finite value) sit at the lags 0 and ``T``: ``K(T, T)`` and
-    ``K(T, 0)``.  A table gives its flat triangle.
+    Fills the defaults and rejects fields of the wrong type, non-finite real
+    fields and non-integral integer fields, each named as written; the
+    built types check their own invariants.
     """
-    if kernel.exponential_form is None:
-        return kernel._table_values(grid)
-    t = grid.nodes[-1]
-    return np.array([kernel(t, t), kernel(t, 0.0)])
+    if not isinstance(raw, dict):
+        raise ValidationError(f"top-level JSON object expected, got {type(raw).__name__}")
+    if "grid" not in raw:
+        raise ValidationError("missing 'grid' section")
+    for section in ("grid", "levy", "filtration", "mc", "regression"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ValidationError(f"'{section}' section must be a JSON object, "
+                                  f"got {raw[section]!r}")
+    g = raw["grid"]
+    try:
+        grid = build_time_grid(_real("grid.horizon", g["horizon"]), g["n_steps"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"grid section malformed: {exc}") from exc
 
+    gamma = raw.get("gamma", 0.0)
+    gamma = (np.full(grid.n_steps + 1, _real("gamma", gamma)) if np.isscalar(gamma)
+             else _reals("gamma", gamma))
+    filt_raw = raw.get("filtration", {})
+    filtration = FiltrationMode(filt_raw.get("mode", "full"),
+                                _real("filtration.delay", filt_raw.get("delay", 0.0)))
+    mc_raw = raw.get("mc", {})
+    mc = McSpec(**{k: _integer(f"mc.{k}", v) for k, v in mc_raw.items()
+                   if k in ("n_paths", "seed", "n_blocks")})
+    reg_raw = raw.get("regression", {})
+    regression = RegressionSpec(
+        degree=_integer("regression.degree", reg_raw.get("degree", 2)),
+        variables=tuple(_list("regression.state", reg_raw.get("state", ["x"]))),
+    )
+    initial = raw.get("initial")
+    if initial is None:
+        raise ValidationError("missing 'initial'")
+    initial = _real("initial", initial) if np.isscalar(initial) else _reals("initial", initial)
 
-def validate_scenario(raw: dict | ScenarioSpec) -> ScenarioSpec:
-    """Normalize and validate a scenario given as a dict (JSON shape) or spec.
-
-    Checks: finite real fields, integral integer fields, positive initial
-    level, kernels finite on the grid triangle, one jump kernel per atom with
-    ``1 + pi > 0`` everywhere, a known sign convention, a consistent block partition.
-    """
-    if isinstance(raw, ScenarioSpec):
-        spec = raw
-    else:
-        if "grid" not in raw:
-            raise ValidationError("missing 'grid' section")
-        for section in ("grid", "levy", "filtration", "mc", "regression"):
-            if not isinstance(raw.get(section, {}), dict):
-                raise ValidationError(f"'{section}' section must be a JSON object, "
-                                      f"got {raw[section]!r}")
-        g = raw["grid"]
-        try:
-            grid = build_time_grid(_real("grid.horizon", g["horizon"]), g["n_steps"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"grid section malformed: {exc}") from exc
-
-        levy = LevyMeasure.from_atoms(_list("levy.atoms", raw.get("levy", {}).get("atoms", [])))
-        pi_raw = _list("pi_kernels", raw.get("pi_kernels", []))
-        if len(pi_raw) != levy.n_atoms:
-            raise ValidationError(
-                f"pi_kernels has {len(pi_raw)} entries for {levy.n_atoms} atoms"
-            )
-        gamma_raw = raw.get("gamma", 0.0)
-        if np.isscalar(gamma_raw):
-            gamma = np.full(grid.n_steps + 1, _real("gamma", gamma_raw))
-        else:
-            gamma = _reals("gamma", gamma_raw)
-            if gamma.shape != (grid.n_steps + 1,):
-                raise ValidationError(f"gamma table must have {grid.n_steps + 1} node values")
-
-        filt_raw = raw.get("filtration", {})
-        filtration = FiltrationMode(filt_raw.get("mode", "full"),
-                                    _real("filtration.delay", filt_raw.get("delay", 0.0)))
-        mc_raw = raw.get("mc", {})
-        mc = McSpec(**{k: _integer(f"mc.{k}", v) for k, v in mc_raw.items()
-                       if k in ("n_paths", "seed", "n_blocks")})
-        reg_raw = raw.get("regression", {})
-        regression = RegressionSpec(
-            degree=_integer("regression.degree", reg_raw.get("degree", 2)),
-            variables=tuple(_list("regression.state", reg_raw.get("state", ["x"]))),
-        )
-        initial = raw.get("initial")
-        if initial is None:
-            raise ValidationError("missing 'initial'")
-        initial = _real("initial", initial) if np.isscalar(initial) else _reals("initial", initial)
-        if not np.isscalar(initial) and initial.shape != (grid.n_steps + 1,):
-            raise ValidationError("initial table must have one value per node")
-
-        spec = ScenarioSpec(
-            grid=grid,
-            initial=initial,
-            alpha=_kernel_from_raw(raw.get("alpha_kernel", 0.0), grid.n_steps, "alpha_kernel"),
-            beta=_kernel_from_raw(raw.get("beta_kernel", 0.0), grid.n_steps, "beta_kernel"),
-            pi_kernels=tuple(
-                _kernel_from_raw(k, grid.n_steps, f"pi_kernels[{m}]")
-                for m, k in enumerate(pi_raw)
-            ),
-            levy=levy,
-            gamma=gamma,
-            filtration=filtration,
-            convention=raw.get("gamma_sign_convention", "discounting"),
-            mc=mc,
-            regression=regression,
-        )
-
-    if spec.convention not in ("discounting", "paper_ode"):
-        raise ValidationError(f"unknown gamma_sign_convention {spec.convention!r}")
-    if np.isscalar(spec.initial):
-        if not np.isfinite(spec.initial) or spec.initial <= 0.0:
-            raise ValidationError(f"initial level must be > 0, got {spec.initial}")
-    else:
-        if not np.all(np.isfinite(spec.initial)):
-            raise ValidationError("initial table contains non-finite entries")
-        if spec.initial[0] <= 0.0:
-            raise ValidationError("initial level at t=0 must be > 0")
-    if not np.all(np.isfinite(spec.gamma)):
-        raise ValidationError("gamma contains non-finite entries")
-    if len(spec.pi_kernels) != spec.levy.n_atoms:
-        raise ValidationError("need exactly one jump kernel per atom")
-
-    # Kernels must be finite on the whole triangle (a NaN would pass the
-    # positivity test below); jump factors must keep the state positive.
-    for name, k in (("alpha", spec.alpha), ("beta", spec.beta)):
-        if not np.all(np.isfinite(_extreme_node_values(k, spec.grid))):
-            raise ValidationError(f"{name} kernel produced non-finite values")
-    for m, k in enumerate(spec.pi_kernels):
-        vals = _extreme_node_values(k, spec.grid)
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError(f"jump kernel {m} produced non-finite values")
-        if np.any(vals <= -1.0 + 1e-12):
-            raise ValidationError(
-                f"jump kernel {m}: 1 + pi must stay positive, min pi = {vals.min():.6g}"
-            )
-    return spec
+    return ScenarioSpec(
+        grid=grid,
+        initial=initial,
+        levy=LevyMeasure.from_atoms(_list("levy.atoms", raw.get("levy", {}).get("atoms", []))),
+        alpha=_kernel_from_raw(raw.get("alpha_kernel", 0.0), grid.n_steps, "alpha_kernel"),
+        beta=_kernel_from_raw(raw.get("beta_kernel", 0.0), grid.n_steps, "beta_kernel"),
+        pi_kernels=tuple(
+            _kernel_from_raw(k, grid.n_steps, f"pi_kernels[{m}]")
+            for m, k in enumerate(_list("pi_kernels", raw.get("pi_kernels", [])))
+        ),
+        gamma=gamma,
+        filtration=filtration,
+        convention=raw.get("gamma_sign_convention", "discounting"),
+        mc=mc,
+        regression=regression,
+    )

@@ -26,6 +26,7 @@ from volterra_control.model import (
     RegressionSpec,
     ValidationError,
     build_time_grid,
+    trapezoid_weights,
 )
 from volterra_control.paths import generate_noise
 
@@ -213,6 +214,36 @@ def test_weighted_norm_zero_triple():
     assert _weighted_sum(np.zeros(11), zero_columns(10), grid, 5.0) == 0.0
 
 
+def _first_index_weighted_sum(y_sq, pair_sq, grid, beta_w):
+    """The weighted norm summed first index by first index, over the full
+    ``n x n`` matrix of pair squares."""
+    n, dt = grid.n_steps, grid.dt
+    w_t = trapezoid_weights(n + 1, dt)
+    e_t = np.exp(beta_w * grid.nodes)
+    rows = np.zeros((n, n))
+    for r, col in enumerate(pair_sq):
+        rows[:r + 1, r] = col
+    total = 0.0
+    for i in range(n + 1):
+        inner = y_sq[i] * e_t[i]
+        if i < n:
+            inner += float(e_t[i:n] @ rows[i, i:]) * dt
+        total += w_t[i] * inner
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_steps=st.integers(2, 60), beta_w=st.floats(0.0, 30.0), seed=st.integers(0, 2**16))
+def test_weighted_norm_is_the_first_index_sum(n_steps, beta_w, seed):
+    # summing each running time's pairs first reorders the additions only
+    rng = np.random.default_rng(seed)
+    grid = build_time_grid(1.0, n_steps)
+    y_sq = rng.uniform(0.0, 2.0, n_steps + 1)
+    pair_sq = [rng.uniform(0.0, 2.0, r + 1) for r in range(n_steps)]
+    assert math.isclose(_weighted_sum(y_sq, pair_sq, grid, beta_w),
+                        _first_index_weighted_sum(y_sq, pair_sq, grid, beta_w), rel_tol=1e-13)
+
+
 # --------------------------------------------------------------------------- #
 # family step
 # --------------------------------------------------------------------------- #
@@ -306,16 +337,8 @@ def _hand_weighted_sum(y_sq, pair_sq, grid, beta_w):
     w_t = np.full(n + 1, dt)
     w_t[0] = w_t[-1] = 0.5 * dt
     e_t = np.exp(beta_w * grid.nodes)
-    rows = np.zeros((n, n))
-    for r, col in enumerate(pair_sq):
-        rows[:r + 1, r] = col
-    total = 0.0
-    for i in range(n + 1):
-        inner = y_sq[i] * e_t[i]
-        if i < n:
-            inner += float(e_t[i:n] @ rows[i, i:]) * dt
-        total += w_t[i] * inner
-    return total
+    pairs = np.array([w_t[:r + 1] @ col for r, col in enumerate(pair_sq)])
+    return float(w_t @ (e_t * y_sq) + dt * (e_t[:n] @ pairs))
 
 
 def test_contraction_log_is_the_hand_built_trapezoid(monkeypatch):

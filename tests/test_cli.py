@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volterra_control import acceptance as acc
 from volterra_control.acceptance import (
     CheckResult,
     brownian_duality,
@@ -20,7 +21,7 @@ from volterra_control.acceptance import (
     resolvent_solution,
 )
 from volterra_control.bsde import _utility_weights
-from volterra_control.cli import _scenario_dict, emit_csv, load_config, run, scenario_hash
+from volterra_control.cli import emit_csv, load_config, run, scenario_hash
 from volterra_control.control import _streamed_log_noise_leg, build_adjoint_state, performance
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import (
@@ -135,6 +136,48 @@ def _raw_kernel(kind, rng, n_steps, scale):
 _KINDS = st.sampled_from(["constant", "exp_decay", "table"])
 
 
+def _nudged_kernel(kernel):
+    """``kernel`` with one parameter, or one table entry, moved a little."""
+    if kernel["kind"] == "constant":
+        return {**kernel, "value": kernel["value"] + 0.01}
+    if kernel["kind"] == "exp_decay":
+        return {**kernel, "rate": kernel["rate"] + 0.1}
+    return {**kernel, "values": [kernel["values"][0] + 0.01] + kernel["values"][1:]}
+
+
+def _nudged_head(value):
+    """A number, or the first entry of a node table, moved a little."""
+    return [value[0] + 0.01] + value[1:] if isinstance(value, list) else value + 0.01
+
+
+# one change of one field each, every one of which keeps the scenario valid
+_ONE_FIELD_CHANGES = {
+    "grid.horizon": lambda raw: raw["grid"].update(horizon=raw["grid"]["horizon"] + 0.01),
+    "initial": lambda raw: raw.update(initial=_nudged_head(raw["initial"])),
+    "gamma": lambda raw: raw.update(gamma=_nudged_head(raw["gamma"])),
+    "alpha_kernel": lambda raw: raw.update(alpha_kernel=_nudged_kernel(raw["alpha_kernel"])),
+    "beta_kernel": lambda raw: raw.update(beta_kernel=_nudged_kernel(raw["beta_kernel"])),
+    "pi_kernels[-1]": lambda raw: raw["pi_kernels"].append(
+        _nudged_kernel(raw["pi_kernels"].pop())),
+    "levy.atoms size": lambda raw: raw["levy"]["atoms"][-1].__setitem__(
+        0, 1.1 * raw["levy"]["atoms"][-1][0]),
+    "levy.atoms weight": lambda raw: raw["levy"]["atoms"][-1].__setitem__(
+        1, raw["levy"]["atoms"][-1][1] + 0.1),
+    "filtration.mode": lambda raw: raw["filtration"].update(
+        mode="full" if raw["filtration"]["mode"] == "trivial" else "trivial"),
+    "filtration.delay": lambda raw: raw["filtration"].update(
+        delay=raw["filtration"]["delay"] + 0.05),
+    "gamma_sign_convention": lambda raw: raw.update(gamma_sign_convention=(
+        "paper_ode" if raw["gamma_sign_convention"] == "discounting" else "discounting")),
+    "mc.n_paths": lambda raw: raw["mc"].update(n_paths=2 * raw["mc"]["n_paths"]),
+    "mc.seed": lambda raw: raw["mc"].update(seed=raw["mc"]["seed"] + 1),
+    "mc.n_blocks": lambda raw: raw["mc"].update(n_blocks=2),
+    "regression.degree": lambda raw: raw["regression"].update(
+        degree=raw["regression"]["degree"] % 3 + 1),
+    "regression.state": lambda raw: raw["regression"].update(state=["x"]),
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_steps=st.integers(2, 6),
@@ -146,12 +189,13 @@ _KINDS = st.sampled_from(["constant", "exp_decay", "table"])
     convention=st.sampled_from(["discounting", "paper_ode"]),
     seed=st.integers(0, 2**16),
 )
-def test_scenario_dict_round_trips_the_hash(n_steps, alpha, beta, pi, per_node, mode,
-                                            convention, seed):
-    # _scenario_dict inverts validate_scenario on every field the hash reads
+def test_scenario_hash_reads_every_field(n_steps, alpha, beta, pi, per_node, mode, convention,
+                                         seed):
+    # one raw scenario validated twice gives one hash; a change of any one
+    # field gives another
     rng = np.random.default_rng(seed)
     nodes = n_steps + 1
-    spec = validate_scenario({
+    raw = {
         "grid": {"horizon": rng.uniform(0.5, 2.0), "n_steps": n_steps},
         "initial": rng.uniform(0.5, 2.0, nodes).tolist() if per_node else rng.uniform(0.5, 2.0),
         "gamma": rng.uniform(0.0, 1.0, nodes).tolist() if per_node else rng.uniform(0.0, 1.0),
@@ -162,12 +206,16 @@ def test_scenario_dict_round_trips_the_hash(n_steps, alpha, beta, pi, per_node, 
         "pi_kernels": [_raw_kernel(kind, rng, n_steps, 0.3) for kind in pi],
         "filtration": {"mode": mode, "delay": rng.uniform(0.01, 0.5) if mode == "delay" else 0.0},
         "gamma_sign_convention": convention,
-        "mc": {"n_paths": int(rng.integers(1, 1000)), "seed": int(rng.integers(0, 2**31)),
+        "mc": {"n_paths": 2 * int(rng.integers(1, 500)), "seed": int(rng.integers(0, 2**31)),
                "n_blocks": 1},
         "regression": {"degree": int(rng.integers(1, 4)), "state": ["x", "brownian"]},
-    })
-    again = validate_scenario(json.loads(json.dumps(_scenario_dict(spec))))
-    assert scenario_hash(again) == scenario_hash(spec)
+    }
+    base = scenario_hash(validate_scenario(json.loads(json.dumps(raw))))
+    assert scenario_hash(validate_scenario(json.loads(json.dumps(raw)))) == base
+    for name, change in _ONE_FIELD_CHANGES.items():
+        changed = json.loads(json.dumps(raw))
+        change(changed)
+        assert scenario_hash(validate_scenario(changed)) != base, name
 
 
 # --------------------------------------------------------------------------- #
@@ -426,7 +474,8 @@ def test_verify_duality_small(tmp_path):
     assert len(rows) == 5
     checks = (out / "duality_checks.csv").read_text().splitlines()
     assert checks[0] == CHECKS_HEADER
-    assert len(checks) == 5
+    # the four sides-agree rows, then each side against its exact value
+    assert len(checks) == 1 + 4 + 8
 
 
 def test_verify_duality_paths_not_divisible_by_8(tmp_path):
@@ -783,7 +832,31 @@ def test_solve_bsvie_checks_keep_their_bands(tmp_path, n_steps):
 def test_verify_duality_checks_keep_their_bands(tmp_path):
     results = (brownian_duality(("brownian_square", "brownian_isometry"), 4000, 3)
                + jump_duality(("jump_square", "jump_isometry"), 4000, 4))
-    assert _reported(["verify-duality", "--paths", "4000", "--seed", "3"], tmp_path / "out") == {
-        f"C7:{r.name}_sides_agree": (r.lhs, r.rhs, 3.0 * r.combined_se)
-        for r in results
-    }
+    dt = 1.0 / 200  # the Brownian noise's step
+    exact = {"brownian_square": (1.0 - dt, 1.0 - dt**2), "brownian_isometry": (1.0, 1.0),
+             "jump_square": (2.0, 2.0), "jump_isometry": (2.0, 2.0)}
+    want = {f"C7:{r.name}_sides_agree": (r.lhs, r.rhs, 3.0 * r.combined_se) for r in results}
+    for r in results:
+        lhs, rhs = exact[r.name]
+        want[f"C7:{r.name}_lhs"] = (r.lhs, lhs, 3.0 * r.se_lhs + 1e-12 * lhs)
+        want[f"C7:{r.name}_rhs"] = (r.rhs, rhs, 3.0 * r.se_rhs + 1e-12 * rhs)
+    assert _reported(["verify-duality", "--paths", "4000", "--seed", "3"], tmp_path / "out") == want
+
+
+def test_verify_duality_sees_a_sign_error(tmp_path, monkeypatch):
+    # brownian_square with psi = -B: both sides flip together, so they still
+    # agree, and only the exact values see the error
+    streamed = acc.verify_duality_brownian
+
+    def flipped(identities, *args):
+        return streamed([(name, f, (lambda i, b, psi=psi: -psi(i, b))
+                          if name == "brownian_square" else psi)
+                         for name, f, psi in identities], *args)
+
+    monkeypatch.setattr(acc, "verify_duality_brownian", flipped)
+    out = tmp_path / "out"
+    assert run(["verify-duality", "--paths", "20000", "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    passed = {c["name"]: c["passed"] for c in report["checks"]}
+    assert passed["C7:brownian_square_sides_agree"]
+    assert not passed["C7:brownian_square_lhs"] and not passed["C7:brownian_square_rhs"]

@@ -691,6 +691,22 @@ def test_memory_hamiltonian_rejects_gradient_paths_short_of_the_horizon():
         hamiltonian_h1(5, 1.0, short, adj, spec, noise, one)
 
 
+@pytest.mark.parametrize("other", ["same_count", "more_paths"])
+def test_memory_hamiltonian_rejects_gradients_off_other_paths(other):
+    # the ratio comes from adjoint.fwd and the gradients from fwd: paths of
+    # another bundle gave another estimate silently, and a bundle of another
+    # path count a numpy broadcast error
+    spec = _h1_scenario(20, 400, 3, "exp_decay", 1, "full")
+    noise = generate_noise(spec.grid, spec.levy, 400, 3, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    adj = build_adjoint_state(spec, simulate_fsvie(spec, noise, one))
+    n_paths = {"same_count": 400, "more_paths": 800}[other]
+    elsewhere = generate_noise(spec.grid, spec.levy, n_paths, 4, 1)
+    fwd = simulate_fsvie(spec, elsewhere, one)
+    with pytest.raises(ValidationError, match="fwd must be adjoint.fwd"):
+        hamiltonian_h1(5, 1.0, fwd, adj, spec, elsewhere, one)
+
+
 def test_adjoint_gradient_projection_matches_shortcut(s0_small):
     # for one-time coefficients the projected Brownian gradient of p = P/X
     # is -beta * p

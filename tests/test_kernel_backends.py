@@ -342,7 +342,6 @@ def test_any_table_kernel_takes_the_blocked_path(exponential_case, table, monkey
         spec = replace(spec, pi_kernels=(spec.pi_kernels[0], as_table(spec.pi_kernels[1])))
     elif table is not None:
         spec = replace(spec, **{table: as_table(getattr(spec, table))})
-    spec = validate_scenario(spec)
     one = ControlFn.constant(1.0, spec.grid)
     kernels = []
 
@@ -388,7 +387,7 @@ def test_exponential_kernels_form_no_node_matrix(exponential_case, table, monkey
         monkeypatch.setattr(Kernel, "at_nodes", _no_node_matrix)
     else:
         lower = spec.beta.at_nodes(spec.grid)[np.tril_indices(n + 1)]
-        spec = validate_scenario(replace(spec, beta=Kernel.from_table(lower, n)))
+        spec = replace(spec, beta=Kernel.from_table(lower, n))
     beta_ndims = []
 
     def spy(*args, **kwargs):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,24 @@ def test_validate_gamma_table_length():
     raw["gamma"] = [0.0] * 5
     with pytest.raises(ValidationError, match="gamma"):
         validate_scenario(raw)
+
+
+def test_validate_rejects_a_top_level_that_is_not_an_object():
+    with pytest.raises(ValidationError, match="top-level JSON object expected, got list"):
+        validate_scenario([S0_RAW])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"convention": "bogus"}, "unknown gamma_sign_convention 'bogus'"),
+    ({"initial": -1.0}, "initial level must be > 0"),
+    ({"pi_kernels": ()}, "pi_kernels has 0 entries for 1 atoms"),
+])
+def test_replace_cannot_break_an_invariant(change, message):
+    # the spec checks itself, so a replaced field is checked as a parsed one
+    spec = validate_scenario(dict(S0_RAW, levy={"atoms": [[-0.1, 0.5]]},
+                                  pi_kernels=[{"kind": "constant", "value": -0.1}]))
+    with pytest.raises(ValidationError, match=message):
+        replace(spec, **change)
 
 
 def test_spec_is_immutable(s0):
