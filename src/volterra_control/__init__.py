@@ -9,7 +9,7 @@ Subpackage map:
 * ``condexp``   -- regression-based conditional expectations
 * ``bsde``      -- backward solver and the recursive-utility evaluator
 * ``bsvie``     -- two-time backward solver (freeze / solve / iterate)
-* ``malliavin`` -- functional calculus and duality-identity checkers
+* ``malliavin`` -- B(T), Ñ(T) and their powers; duality-identity checkers
 * ``controls``  -- consumption-rate controls
 * ``control``   -- multipliers, memory Hamiltonian, performance, bump derivatives
 * ``acceptance``-- reference-scenario acceptance checks

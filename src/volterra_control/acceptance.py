@@ -403,8 +403,8 @@ def brownian_duality(
     dropped after its pass, so the memory grows with ``n_paths`` only.
     """
     identities = {
-        "brownian_square": (WienerIntegral(1.0) ** 2, lambda i, b: b),
-        "brownian_isometry": (WienerIntegral(1.0), lambda i, b: 1.0),
+        "brownian_square": (WienerIntegral() ** 2, lambda i, b: b),
+        "brownian_isometry": (WienerIntegral(), lambda i, b: 1.0),
     }
     no_jumps = LevyMeasure.from_atoms([])
     return verify_duality_brownian(
@@ -425,8 +425,8 @@ def jump_duality(
     is drawn once for all the named identities.
     """
     identities = {
-        "jump_square": JumpIntegral(1.0) ** 2,
-        "jump_isometry": JumpIntegral(1.0),
+        "jump_square": JumpIntegral() ** 2,
+        "jump_isometry": JumpIntegral(),
     }
     one_atom = LevyMeasure(sizes=np.array([1.0]), weights=np.array([2.0]))
     return verify_duality_jump(

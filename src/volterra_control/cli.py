@@ -56,6 +56,7 @@ EXIT_CHECK_FAILED = 3
 EXIT_NO_CONVERGENCE = 4
 _ERROR_EXIT_CODES = {
     ValidationError: EXIT_VALIDATION,
+    MemoryError: EXIT_VALIDATION,  # a request larger than memory
     PositivityBreachError: EXIT_CHECK_FAILED,
     ConvergenceError: EXIT_NO_CONVERGENCE,
 }

@@ -171,10 +171,5 @@ class ControlFn:
                 cstar = np.where(tail > 0.0, lam / np.where(tail > 0, tail, 1.0), np.inf)
                 cum_cstar = -np.log(tail / tail[0])
             return self.theta * cstar, self.theta * cum_cstar
-        if self.kind == "bump":
-            c0, cum0 = self.base.oracle_profile(s, grid)
-            a, b = self.bump_start, self.bump_start + self.bump_len
-            ind = ((s >= a - 1e-12) & (s < b - 1e-12)).astype(float)
-            overlap = np.clip(np.minimum(s, b) - a, 0.0, None)
-            return c0 + self.bump_height * ind, cum0 + self.bump_height * overlap
-        raise ValidationError(f"unknown control kind {self.kind!r}")
+        raise ValidationError(
+            f"the oracle prices table and theta_cstar controls, not a {self.kind!r} control")

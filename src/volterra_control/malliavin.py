@@ -1,16 +1,18 @@
-"""Stochastic-gradient utilities for a small functional calculus.
+"""Stochastic gradients of B(T), Ñ(T) and their powers.
 
-Functionals are composition trees over three primitives -- constants, Wiener
-integrals ``int f dB`` with deterministic integrands, and compensated jump
-integrals ``int int h dN~`` with deterministic marks -- combined by products
-and integer powers.  Both derivatives are evaluations on the paths of a
-noise bundle, as they are random variables in the duality:
+The functionals are the Brownian terminal value ``B(T) = int dB``
+(:class:`WienerIntegral`), the compensated jump count
+``Ñ(T) = int int dN~`` with a unit mark on every atom
+(:class:`JumpIntegral`), and their integer powers 1 to 4 (:class:`Power`).
+Both derivatives are evaluations on the paths of a noise bundle, as they
+are random variables in the duality:
 
 * the Brownian derivative ``f.d_brownian(noise, node)`` is ``D_{t_node} F``
   by the chain rule, a scalar where it is deterministic;
 * the jump derivative at ``(node, atom)`` is the difference form
-  ``f.evaluate_with_jump(noise, node, atom) - f.evaluate(noise)``: the tree
-  re-evaluated with one extra jump inserted, minus the plain evaluation.
+  ``f.evaluate_with_jump(noise, node, atom) - f.evaluate(noise)``: the
+  functional re-evaluated with one extra jump inserted, minus the plain
+  evaluation.
 
 The duality checkers estimate both sides of the integration-by-parts
 identities on the same noise.  Their integrands are adapted by signature
@@ -37,8 +39,8 @@ not ``n_steps x n_paths``: one piece's buffers per worker plus the sample
 rows.  With jumps, a block's normals are held only when some identity's
 ``F`` reads them (:attr:`Functional.reads_brownian`); otherwise they are
 drawn and dropped a chunk at a time, and the pieces carry a NaN broadcast in
-their place.  Deterministic nodes and derivatives evaluate to scalars, so a
-piece costs its numpy work and little else.
+their place.  Deterministic derivatives evaluate to scalars, so a piece
+costs its numpy work and little else.
 """
 
 from __future__ import annotations
@@ -54,10 +56,8 @@ from .paths import NoiseBundle, stream_noise
 
 __all__ = [
     "Functional",
-    "Const",
     "WienerIntegral",
     "JumpIntegral",
-    "Product",
     "Power",
     "DualityResult",
     "verify_duality_brownian",
@@ -66,18 +66,18 @@ __all__ = [
 
 
 class Functional:
-    """Base node of the composition tree.
+    """A functional of the noise: ``B(T)``, ``Ñ(T)`` or a power of one.
 
     ``evaluate`` and ``d_brownian`` return one value per path of ``noise``,
-    or a scalar where the value is deterministic (a constant, the derivative
-    of a Wiener integral).  ``reads_brownian`` says whether ``evaluate``
-    reads the Brownian increments; a functional that does not declare it is
-    taken to read them.
+    or a scalar where the value is deterministic (the derivative of a Wiener
+    integral).  ``reads_brownian`` says whether ``evaluate`` reads the
+    Brownian increments; a functional that does not declare it is taken to
+    read them.
     """
 
     reads_brownian = True
 
-    def evaluate(self, noise: NoiseBundle) -> np.ndarray | float:
+    def evaluate(self, noise: NoiseBundle) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate_with_jump(self, noise: NoiseBundle, node: int, atom: int) -> np.ndarray:
@@ -88,40 +88,20 @@ class Functional:
         """``D_{t_node} F`` on the paths of ``noise``, by the chain rule."""
         raise NotImplementedError
 
-    def __mul__(self, other: "Functional"):
-        return Product(self, other)
-
     def __pow__(self, k: int):
         return Power(self, k)
 
 
-@dataclass
-class Const(Functional):
-    value: float
-
-    reads_brownian = False
-
-    def evaluate(self, noise):
-        return self.value
-
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.value
-
-    def d_brownian(self, noise, node):
-        return 0.0
-
-
 class WienerIntegral(Functional):
-    """``int_0^T f(t) dB(t)`` with a deterministic integrand on left nodes."""
+    """``B(T) = int_0^T dB(t)``, summed from the increments."""
 
-    def __init__(self, f: Callable[[float], float] | float = 1.0):
-        self.f = f
+    def __init__(self):
         self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def _values(self, noise: NoiseBundle) -> np.ndarray:
-        if callable(self.f):
-            return np.array([float(self.f(ti)) for ti in noise.grid.nodes[:-1]])
-        return np.full(noise.n_steps, float(self.f))
+        # a ones vector (a ones table for Ñ(T)) rather than a row sum: the
+        # product's rounding is the one the pinned values read
+        return np.ones(noise.n_steps)
 
     def evaluate(self, noise):
         # memo per bundle: a power's derivative reads its base at every node
@@ -137,26 +117,20 @@ class WienerIntegral(Functional):
         return self.evaluate(noise)  # a jump does not move the Brownian path
 
     def d_brownian(self, noise, node):
-        f = self.f
-        return float(f(noise.grid.nodes[node]) if callable(f) else f)
+        return 1.0
 
 
 class JumpIntegral(Functional):
-    """``int_0^T int h(t, e) dN~`` with deterministic marks on left nodes."""
+    """``Ñ(T) = int_0^T int dN~``: the compensated count of jumps, a unit
+    mark on every atom."""
 
     reads_brownian = False
 
-    def __init__(self, h: Callable[[float, float], float] | float = 1.0):
-        self.h = h
+    def __init__(self):
         self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def _mark(self, noise: NoiseBundle, node: int, atom: int) -> float:
-        h = self.h
-        return float(h(noise.grid.nodes[node], noise.levy.sizes[atom]) if callable(h) else h)
-
     def _values(self, noise: NoiseBundle) -> np.ndarray:
-        return np.array([[self._mark(noise, i, q) for i in range(noise.n_steps)]
-                         for q in range(noise.levy.n_atoms)])
+        return np.ones((noise.levy.n_atoms, noise.n_steps))
 
     def evaluate(self, noise):
         if noise.levy.n_atoms == 0:
@@ -165,39 +139,17 @@ class JumpIntegral(Functional):
         if out is None:
             vals = self._values(noise)
             # the counts as drawn (einsum casts them a buffer at a time), less
-            # the deterministic compensator dt sum_q w_q sum_s h_{q,s}
+            # the deterministic compensator dt sum_q w_q n
             out = np.einsum("ms,mps->p", vals, noise.jump_counts)
             out -= noise.grid.dt * float(noise.levy.weights @ vals.sum(axis=1))
             self._memo[noise] = out
         return out
 
     def evaluate_with_jump(self, noise, node, atom):
-        return self.evaluate(noise) + self._mark(noise, node, atom)
+        return self.evaluate(noise) + 1.0
 
     def d_brownian(self, noise, node):
         return 0.0
-
-
-@dataclass
-class Product(Functional):
-    left: Functional
-    right: Functional
-
-    @property
-    def reads_brownian(self) -> bool:
-        return self.left.reads_brownian or self.right.reads_brownian
-
-    def evaluate(self, noise):
-        return self.left.evaluate(noise) * self.right.evaluate(noise)
-
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.left.evaluate_with_jump(noise, node, atom) * \
-            self.right.evaluate_with_jump(noise, node, atom)
-
-    def d_brownian(self, noise, node):
-        left, right = self.left, self.right
-        return (left.d_brownian(noise, node) * right.evaluate(noise)
-                + left.evaluate(noise) * right.d_brownian(noise, node))
 
 
 @dataclass
@@ -206,8 +158,9 @@ class Power(Functional):
     exponent: int
 
     def __post_init__(self):
-        if not (1 <= int(self.exponent) <= 4):
-            raise ValidationError("power exponent limited to 1..4")
+        k = self.exponent
+        if type(k) is not int or not 1 <= k <= 4:
+            raise ValidationError(f"power exponent must be an int in 1..4, got {k!r}")
 
     @property
     def reads_brownian(self) -> bool:

@@ -308,6 +308,24 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
         assert out.read_text() == "taken"
 
 
+@pytest.mark.parametrize("case", ["duality_rows", "forward_noise"])
+def test_request_larger_than_memory_exits_2(tmp_path, capsys, case):
+    # petabytes of sample rows or noise (14 and 7 PiB): no address space
+    # holds them, so the allocation fails at once and nothing is touched; the
+    # grid's own node arrays are a few MB
+    out = tmp_path / "out"
+    grid = {"horizon": 1.0, "n_steps": 10**6}
+    argv = {
+        "duality_rows": ["verify-duality", "--paths", str(10**15)],
+        "forward_noise": ["simulate-forward", "--config", write_config(tmp_path, grid=grid),
+                          "--paths", str(10**9)],
+    }[case] + ["--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "allocate" in json.loads((out / "report.json").read_text())["error"]
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("mc", "seed", "abc"),
     ("mc", "seed", "7"),

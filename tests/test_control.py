@@ -163,8 +163,13 @@ def test_oracle_reads_a_table_on_the_grids_steps(s0):
     short, long = ControlFn.table(rates), ControlFn.table(np.append(rates, 123.0))
     assert np.array_equal(short.step_integrals(grid), long.step_integrals(grid))
     assert log_utility_oracle(s0, short) == log_utility_oracle(s0, long)
-    bumps = [ControlFn.bump(base, 0.4, 0.1, 0.3) for base in (short, long)]
-    assert log_utility_oracle(s0, bumps[0]) == log_utility_oracle(s0, bumps[1])
+
+
+def test_oracle_rejects_a_bump(s0):
+    # the oracle prices the controls its callers build; a bump is not one
+    bump = ControlFn.bump(ControlFn.constant(1.0, s0.grid), 0.4, 0.1, 0.3)
+    with pytest.raises(ValidationError, match="table and theta_cstar controls"):
+        log_utility_oracle(s0, bump)
 
 
 def test_oracle_rejects_two_time_kernels():

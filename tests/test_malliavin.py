@@ -10,11 +10,9 @@ from conftest import compensated
 from volterra_control import acceptance, paths
 from volterra_control.condexp import CondExpEngine
 from volterra_control.malliavin import (
-    Const,
     DualityResult,
     JumpIntegral,
     Power,
-    Product,
     WienerIntegral,
     verify_duality_brownian,
     verify_duality_jump,
@@ -68,48 +66,33 @@ def _brownian_engine(noise, degree=2):
 
 def test_brownian_derivative_of_unit_integrand():
     noise = make_noise()
-    assert np.allclose(WienerIntegral(1.0).d_brownian(noise, 37), 1.0)
+    assert np.allclose(WienerIntegral().d_brownian(noise, 37), 1.0)
 
 
 def test_brownian_derivative_chain_rule_square():
     noise = make_noise()
-    w = WienerIntegral(1.0)
+    w = WienerIntegral()
     d = (w**2).d_brownian(noise, 10)
     assert np.allclose(d, 2.0 * w.evaluate(noise), atol=1e-12)
 
 
-def test_brownian_derivative_of_constant_is_zero():
-    noise = make_noise()
-    assert np.allclose(Const(5.0).d_brownian(noise, 3), 0.0)
-
-
-def test_brownian_derivative_of_a_product():
-    # D_t (W1 W2) = f1(t) W2 + W1 f2(t), with f1 = 1 and f2(t) = 1 + t
-    noise = make_noise()
-    w1, w2 = WienerIntegral(1.0), WienerIntegral(lambda t: 1.0 + t)
-    for i in (0, 37, 99):
-        t_i = noise.grid.nodes[i]
-        want = 1.0 * w2.evaluate(noise) + w1.evaluate(noise) * (1.0 + t_i)
-        assert np.array_equal((w1 * w2).d_brownian(noise, i), want)
-
-
 def test_brownian_derivative_of_a_first_power_is_the_bases():
     noise = make_noise()
-    w = WienerIntegral(lambda t: 1.0 + t)
-    assert (w**1).d_brownian(noise, 37) == w.d_brownian(noise, 37) == 1.0 + noise.grid.nodes[37]
+    w = WienerIntegral()
+    assert (w**1).d_brownian(noise, 37) == w.d_brownian(noise, 37) == 1.0
 
 
 def test_power_exponent_above_four_is_rejected():
     with pytest.raises(ValidationError, match="1..4"):
-        WienerIntegral(1.0) ** 5
+        WienerIntegral() ** 5
 
 
-def test_derivative_of_adapted_functional_vanishes_later():
-    # integrand supported on [0, 0.5): derivative at later nodes is zero
-    noise = make_noise()
-    w = WienerIntegral(lambda t: 1.0 if t < 0.5 else 0.0)
-    assert np.allclose(w.d_brownian(noise, 70), 0.0)
-    assert np.allclose((w**2).d_brownian(noise, 70), 0.0)
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_power_exponent_must_be_an_int_in_one_to_four(k):
+    # int(2.5) is 2: a check that reads it would let B(T)^2.5 build and
+    # evaluate to NaN on every path with a negative B(T)
+    with pytest.raises(ValidationError, match="int in 1..4"):
+        Power(WienerIntegral(), k)
 
 
 def _jump_difference(f, noise, node, atom):
@@ -119,24 +102,19 @@ def _jump_difference(f, noise, node, atom):
 
 def test_jump_derivative_of_unit_mark():
     noise = make_noise(levy=ONE_ATOM)
-    assert np.allclose(_jump_difference(JumpIntegral(1.0), noise, 12, 0), 1.0)
+    assert np.allclose(_jump_difference(JumpIntegral(), noise, 12, 0), 1.0)
 
 
 def test_jump_derivative_difference_form_square():
     noise = make_noise(levy=ONE_ATOM)
-    g = JumpIntegral(1.0)
+    g = JumpIntegral()
     expected = 2.0 * g.evaluate(noise) + 1.0
     assert np.allclose(_jump_difference(g**2, noise, 5, 0), expected, atol=1e-12)
 
 
-def test_jump_derivative_of_constant_is_zero():
-    noise = make_noise(levy=ONE_ATOM)
-    assert np.allclose(_jump_difference(Const(2.0), noise, 5, 0), 0.0)
-
-
 def test_wiener_integral_is_brownian_terminal():
     noise = make_noise()
-    vals = WienerIntegral(1.0).evaluate(noise)
+    vals = WienerIntegral().evaluate(noise)
     assert np.allclose(vals, noise.brownian_levels[:, -1], atol=1e-12)
 
 
@@ -145,7 +123,7 @@ def test_wiener_integral_is_brownian_terminal():
 # --------------------------------------------------------------------------- #
 
 def test_brownian_duality_square_case():
-    res = brownian_duality(WienerIntegral(1.0) ** 2, lambda i, b: b,
+    res = brownian_duality(WienerIntegral() ** 2, lambda i, b: b,
                            n_steps=200, n_paths=50_000, seed=7)
     assert abs(res.lhs - 1.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 1.0) <= 3 * res.se_rhs
@@ -153,7 +131,7 @@ def test_brownian_duality_square_case():
 
 
 def test_brownian_duality_isometry_case():
-    res = brownian_duality(WienerIntegral(1.0), lambda i, _b: 1.0,
+    res = brownian_duality(WienerIntegral(), lambda i, _b: 1.0,
                            n_steps=100, n_paths=50_000, seed=8)
     # the derivative is the constant 1 and so is psi: every right-hand sample
     # is the same sum of quadrature weights, so the right side is exact up to
@@ -163,7 +141,9 @@ def test_brownian_duality_isometry_case():
 
 
 def test_brownian_duality_constant_functional():
-    res = brownian_duality(Const(4.0), lambda i, _b: 1.0, n_steps=50, n_paths=20_000, seed=9)
+    # Ñ(T) is constant in the Brownian direction and independent of B
+    res = brownian_duality(JumpIntegral(), lambda i, _b: 1.0, n_steps=50, n_paths=20_000,
+                           seed=9, levy=ONE_ATOM)
     assert abs(res.lhs) <= 3 * res.se_lhs
     assert res.rhs == 0.0  # derivative is exactly zero
 
@@ -225,15 +205,15 @@ def _column_stack_duality_brownian(f, psi, noise, pieces):
 
 
 BROWNIAN_CASES = [
-    (WienerIntegral(1.0) ** 2, lambda i, b: b),
+    (WienerIntegral() ** 2, lambda i, b: b),
     # sin(b) is not a polynomial in B(t): a projected right-hand side would
     # not have the raw samples' mean here
-    (WienerIntegral(lambda t: 1.0 + t) ** 3, lambda i, b: np.sin(b)),
-    (WienerIntegral(1.0), lambda i, _b: 1.0),
-    (WienerIntegral(1.0) * WienerIntegral(lambda t: 1.0 + t), lambda i, b: b),
+    (WienerIntegral() ** 3, lambda i, b: np.sin(b)),
+    (WienerIntegral(), lambda i, _b: 1.0),
+    (WienerIntegral() ** 4, lambda i, b: b),
     # the cases run without atoms: the jump integral is zero on every path,
     # and so are both sides
-    (WienerIntegral(1.0) * JumpIntegral(1.0), lambda i, b: b),
+    (JumpIntegral() ** 2, lambda i, b: b),
 ]
 
 
@@ -253,7 +233,7 @@ def test_streamed_brownian_duality_matches_column_stack():
 
 def test_brownian_duality_rejects_a_misshaped_integrand():
     with pytest.raises(ValueError):
-        brownian_duality(WienerIntegral(1.0), lambda i, _b: np.ones(99),
+        brownian_duality(WienerIntegral(), lambda i, _b: np.ones(99),
                          n_steps=10, n_paths=100, seed=14)
 
 
@@ -269,9 +249,9 @@ def test_misshaped_integrand_raises_from_a_worker(cpus, verifier):
 
     with pytest.raises(ValueError):
         if verifier == "brownian":
-            brownian_duality(WienerIntegral(1.0), integrand, **args)
+            brownian_duality(WienerIntegral(), integrand, **args)
         else:
-            jump_duality(JumpIntegral(1.0), integrand, **args)
+            jump_duality(JumpIntegral(), integrand, **args)
     assert callers and threading.main_thread() not in callers
 
 
@@ -309,7 +289,7 @@ def test_duality_on_split_blocks_matches_the_references(monkeypatch):
 
 
 def test_jump_duality_square_case():
-    res = jump_duality(JumpIntegral(1.0) ** 2, lambda i, q, _c: 1.0,
+    res = jump_duality(JumpIntegral() ** 2, lambda i, q, _c: 1.0,
                        n_steps=100, n_paths=50_000, seed=10, levy=ONE_ATOM)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs
@@ -317,27 +297,25 @@ def test_jump_duality_square_case():
 
 def test_jump_duality_without_atoms_is_rejected():
     with pytest.raises(ValidationError, match="at least one atom"):
-        jump_duality(JumpIntegral(1.0), lambda i, q, _c: 1.0, n_steps=10, n_paths=100, seed=11)
+        jump_duality(JumpIntegral(), lambda i, q, _c: 1.0, n_steps=10, n_paths=100, seed=11)
 
 
 def test_jump_duality_isometry_case():
-    res = jump_duality(JumpIntegral(1.0), lambda i, q, _c: 1.0,
+    res = jump_duality(JumpIntegral(), lambda i, q, _c: 1.0,
                        n_steps=100, n_paths=50_000, seed=11, levy=ONE_ATOM)
     assert abs(res.lhs - 2.0) <= 3 * res.se_lhs
     assert abs(res.rhs - 2.0) <= 3 * res.se_rhs + 1e-12
 
 
 def test_jump_integral_equals_the_compensated_sum():
-    # two atoms, a mark that depends on time and size: the counts as drawn
-    # less the deterministic compensator, against the compensated counts.
-    # Relative to the largest value too: a path whose terms cancel to near
-    # zero keeps their rounding.
+    # two atoms: the counts as drawn less the deterministic compensator,
+    # against the compensated counts.  Relative to the largest value too: a
+    # path whose terms cancel to near zero keeps their rounding.
     levy = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
     noise = make_noise(n_steps=30, n_paths=2500, seed=15, levy=levy)
-    f = JumpIntegral(lambda t, e: e * (1.0 + t))
-    vals = f._values(noise)
+    f = JumpIntegral()
     comp = compensated(noise)
-    want = np.einsum("ms,mps->p", vals, comp)
+    want = comp.sum(axis=(0, 2))
     np.testing.assert_allclose(f.evaluate(noise), want, rtol=1e-13,
                                atol=1e-13 * np.abs(want).max())
 
@@ -378,10 +356,12 @@ def _cached_levels_duality_jump(f, phi, noise, pieces):
 
 TWO_ATOMS = LevyMeasure.from_atoms([[1.0, 2.0], [-0.5, 0.7]])
 JUMP_CASES = [
-    JumpIntegral(1.0) ** 2,
-    JumpIntegral(1.0),
-    JumpIntegral(lambda t, e: e * (1.0 + t)) ** 2,
-    WienerIntegral(1.0) * JumpIntegral(1.0),
+    JumpIntegral() ** 2,
+    JumpIntegral(),
+    JumpIntegral() ** 3,
+    # a functional of B alone: its jump derivative is zero, and it makes the
+    # stream carry the normals
+    WienerIntegral() ** 2,
 ]
 JUMP_PHIS = [lambda i, q, c: 1.0 + 0.1 * i - 0.2 * q + 0.05 * c[q], lambda i, q, _c: 1.0]
 
@@ -480,15 +460,15 @@ def test_c7_jump_stage_holds_no_block_of_normals(cpus):
 
 
 @pytest.mark.parametrize("f, reads", [
-    (Const(2.0), False),
-    (WienerIntegral(1.0), True),
-    (JumpIntegral(1.0), False),
-    (JumpIntegral(1.0) * Const(2.0), False),
-    (JumpIntegral(1.0) * WienerIntegral(1.0), True),
-    (WienerIntegral(1.0) * JumpIntegral(1.0), True),
-    (Power(JumpIntegral(1.0), 2), False),
-    (Power(WienerIntegral(1.0), 3), True),
-    (Power(Const(1.0) * WienerIntegral(1.0), 2), True),
+    (Power(JumpIntegral(), 1), False),
+    (WienerIntegral(), True),
+    (JumpIntegral(), False),
+    (Power(JumpIntegral(), 4), False),
+    (Power(WienerIntegral(), 1), True),
+    (Power(WienerIntegral(), 2), True),
+    (Power(JumpIntegral(), 2), False),
+    (Power(WienerIntegral(), 3), True),
+    (Power(WienerIntegral(), 4), True),
 ])
 def test_reads_brownian_holds_where_a_wiener_integral_is_evaluated(f, reads):
     assert f.reads_brownian is reads
@@ -497,35 +477,13 @@ def test_reads_brownian_holds_where_a_wiener_integral_is_evaluated(f, reads):
 def test_a_functional_that_hides_its_brownian_read_gets_nan(monkeypatch):
     # a wrong property drops the normals F reads: the pieces' NaN increments
     # poison both sides instead of passing unseen
-    f = WienerIntegral(1.0) * JumpIntegral(1.0)
+    f = WienerIntegral() ** 2
     args = dict(n_steps=20, n_paths=600, seed=5, levy=ONE_ATOM, n_blocks=2)
     res = jump_duality(f, lambda i, q, _c: 1.0, **args)
     assert np.isfinite([res.lhs, res.rhs, res.se_lhs, res.se_rhs]).all()
-    monkeypatch.setattr(Product, "reads_brownian", property(lambda self: False))
+    monkeypatch.setattr(WienerIntegral, "reads_brownian", False)
     res = jump_duality(f, lambda i, q, _c: 1.0, **args)
     assert np.isnan([res.lhs, res.rhs, res.se_lhs, res.se_rhs]).all()
-
-
-def test_jump_derivative_reads_one_mark_per_node():
-    noise = make_noise(n_steps=100, n_paths=500, seed=17, levy=ONE_ATOM)
-    calls = []
-
-    def h(t, e):
-        calls.append((t, e))
-        return e * (1.0 + t)
-
-    f = JumpIntegral(h)
-    table = f._values(noise)
-    for node in (0, 37, 99):
-        assert np.array_equal(f.evaluate_with_jump(noise, node, 0),
-                              f.evaluate(noise) + table[0, node])
-    calls.clear()
-    jump_duality(JumpIntegral(h) ** 2, lambda i, q, _c: 1.0,
-                 n_steps=100, n_paths=500, seed=17, levy=ONE_ATOM)
-    # one block: the mark table once for the plain evaluation, then one mark
-    # per (node, atom)
-    n, m = noise.n_steps, noise.levy.n_atoms
-    assert len(calls) <= 2 * n * m
 
 
 # --------------------------------------------------------------------------- #
@@ -552,7 +510,7 @@ def test_reconstruction_error_shrinks_with_grid():
     # the gap F - E[F] - sum 2 B(t_i) dB_i is sum (dB_i^2 - dt), whose mean
     # square is 2 dt; any regression error adds to it.  A projection one node
     # late reads about 3x that.
-    f = WienerIntegral(1.0) ** 2
+    f = WienerIntegral() ** 2
     for n in (50, 200):
         noise = make_noise(n_steps=n, n_paths=20_000, seed=12)
         mse = float(np.mean((clark_ocone_reconstruction(f, noise) - f.evaluate(noise)) ** 2))
@@ -568,11 +526,11 @@ def test_integral_memo_never_serves_another_bundle(monkeypatch):
     monkeypatch.setattr(malliavin, "id", lambda obj: 0, raising=False)
     first = make_noise(n_steps=20, n_paths=64, seed=1, levy=ONE_ATOM)
     second = make_noise(n_steps=20, n_paths=64, seed=2, levy=ONE_ATOM)
-    wiener, jump = WienerIntegral(1.0), JumpIntegral(1.0)
+    wiener, jump = WienerIntegral(), JumpIntegral()
     wiener.evaluate(first)
     jump.evaluate(first)
     assert np.array_equal(wiener.evaluate(second), second.d_brownian @ np.ones(20))
-    assert np.array_equal(jump.evaluate(second), JumpIntegral(1.0).evaluate(second))
+    assert np.array_equal(jump.evaluate(second), JumpIntegral().evaluate(second))
 
 
 @pytest.mark.parametrize("verifier", ["brownian", "jump"])
@@ -598,11 +556,11 @@ def test_integral_memo_computes_each_block_once(cpus, verifier):
     sys.setswitchinterval(1e-6)  # switch threads as often as the lock allows
     try:
         if verifier == "brownian":
-            got = brownian_duality(Counted(1.0) ** 2, integrand, **args)
-            want = brownian_duality(WienerIntegral(1.0) ** 2, lambda i, b: 1.0, **args)
+            got = brownian_duality(Counted() ** 2, integrand, **args)
+            want = brownian_duality(WienerIntegral() ** 2, lambda i, b: 1.0, **args)
         else:
-            got = jump_duality(Counted(1.0) ** 2, integrand, **args)
-            want = jump_duality(JumpIntegral(1.0) ** 2, lambda i, q, c: 1.0, **args)
+            got = jump_duality(Counted() ** 2, integrand, **args)
+            want = jump_duality(JumpIntegral() ** 2, lambda i, q, c: 1.0, **args)
     finally:
         sys.setswitchinterval(interval)
     assert computed == [100] * 6

@@ -156,11 +156,21 @@ def test_every_export_has_a_caller():
     assert uncalled_exports(modules, callers) == []
 
 
+def _literal(node: ast.expr):
+    """``(type, value)`` of a literal expression, or None for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), value
+
+
 def unset_options(sources: list[str], callers: list[str],
                   allowed: frozenset[str] = frozenset()) -> list[str]:
     """``function.parameter`` (``Class.method.parameter`` for a method) of
     each defaulted parameter in ``sources`` that no call in ``sources`` or
-    ``callers`` sets, by keyword or by position.
+    ``callers`` sets, by keyword or by position, to anything but a literal
+    equal to its default.
 
     Calls are matched by the called name (a bare name or an attribute), a
     class name stands for its ``__init__``, and a method's ``self`` takes no
@@ -168,17 +178,16 @@ def unset_options(sources: list[str], callers: list[str],
     sets no keyword.  ``allowed`` holds ``function.parameter`` names that
     need no caller.
     """
-    keywords: dict[str, set[str]] = {}
-    positions: dict[str, int] = {}
+    calls: dict[str, list[tuple[list[ast.expr], dict[str, ast.expr]]]] = {}
     for tree in map(ast.parse, sources + callers):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
-            if not any(isinstance(a, ast.Starred) for a in node.args):
-                positions[name] = max(positions.get(name, 0), len(node.args))
+            args = [] if any(isinstance(a, ast.Starred) for a in node.args) else node.args
+            calls.setdefault(name, []).append(
+                (args, {k.arg: k.value for k in node.keywords if k.arg}))
     found = []
     for tree in map(ast.parse, sources):
         methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
@@ -190,14 +199,19 @@ def unset_options(sources: list[str], callers: list[str],
             name = owner if fn.name == "__init__" else fn.name
             params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
             skip = 1 if owner and params[:1] in (["self"], ["cls"]) else 0
-            defaulted = [(a, i - skip) for i, a in enumerate(params)
-                         if i >= len(params) - len(fn.args.defaults)]
-            defaulted += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            first = len(params) - len(fn.args.defaults)
+            defaulted = [(a, i - skip, d) for i, (a, d) in
+                         enumerate(zip(params[first:], fn.args.defaults), first)]
+            defaulted += [(a.arg, None, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                           if d is not None]
             label = f"{owner}.{fn.name}" if owner else fn.name
-            for param, pos in defaulted:
-                if param in keywords.get(name, ()) or (
-                        pos is not None and pos < positions.get(name, 0)):
+            for param, pos, default in defaulted:
+                passed = [kw[param] if param in kw else args[pos]
+                          for args, kw in calls.get(name, ())
+                          if param in kw or (pos is not None and pos < len(args))]
+                default_literal = _literal(default)
+                if any(default_literal is None or _literal(a) != default_literal
+                       for a in passed):
                     continue
                 if f"{label}.{param}" not in allowed:
                     found.append(f"{label}.{param}")
@@ -208,14 +222,17 @@ def test_unset_options_are_found():
     source = ("class C:\n    def __init__(self, a, b=1, *, c=2):\n        pass\n"
               "    def m(self, d=3, e=4):\n        pass\n"
               "def f(x, y=0, z=0):\n    pass\n"
-              "C(0, 1).m(5)\nf(*[1, 2, 3])\nf(1, **{'z': 0})\n")
+              "C(0, 5).m(5)\nf(*[1, 2, 3])\nf(1, **{'z': 0})\n")
     assert unset_options([source], ["f(0, z=1)\n"]) == ["C.__init__.c", "C.m.e", "f.y"]
     assert unset_options([source], [], frozenset({"C.m.e"})) == ["C.__init__.c", "f.y", "f.z"]
+    # a knob every call passes at its default is unset; one other value sets it
+    assert unset_options([source], ["f(0, 0, z=0)\nf(0, 1)\n"]) == [
+        "C.__init__.c", "C.m.e", "f.z"]
 
 
-# Defaulted parameters that neither the package nor the benchmark sets, each
-# with the reason it stays.  Tests are not callers: a knob that only a test
-# turns is not an option of the program.
+# Defaulted parameters that neither the package nor the benchmark sets to
+# anything but their default, each with the reason it stays.  Tests are not
+# callers: a knob that only a test turns is not an option of the program.
 _SIZING = "test sizing: the tests run the check on a smaller, faster input"
 OPTIONS_WITHOUT_CALLER = {
     "driver._lam": "binds a value of the enclosing scope into a closure; not an option",
@@ -225,6 +242,8 @@ OPTIONS_WITHOUT_CALLER = {
     "martingale_family_solution.seed": _SIZING,
     "first_variation.include_diagonal": "False is the literal pathwise derivative of the "
                                         "left-point scheme, which a finite-difference test pins",
+    "solve_bsvie.beta_w": "every caller passes the default 20.0, the benchmark's by keyword; "
+                          "dropping the knob changes a benchmark file",
 }
 
 
@@ -350,7 +369,7 @@ def test_path_major_bundle_gives_the_same_values():
         engine = CondExpEngine(*engine_spec, bundle)
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
                           None, bundle, engine)
-        wiener, jump = WienerIntegral(1.0) ** 2, JumpIntegral(1.0) ** 2
+        wiener, jump = WienerIntegral() ** 2, JumpIntegral() ** 2
         return [sweep, log_x, bsde.y, *bsde.z, *bsde.k, wiener.evaluate(bundle),
                 wiener.d_brownian(bundle, 5), jump.evaluate_with_jump(bundle, 5, 0)]
 
