@@ -443,6 +443,9 @@ def check_duality(n_paths: int = 200_000) -> list[CheckResult]:
     ``n_paths``, not ``n_steps x n_paths``.  The Brownian stage holds one
     piece of normals per worker; the jump stage holds one piece of counts
     per worker and no normals, since neither of its functionals reads them.
+    Each pass sums ``B(T)`` or ``Ñ(T)`` once per piece and reads ``F`` and
+    its gradient in closed form, so the values do not depend on how the
+    paths are split into blocks and pieces.
     """
     (res_b,) = brownian_duality(("brownian_square",), n_paths)
     (res_j,) = jump_duality(("jump_square",), n_paths)

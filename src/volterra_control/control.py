@@ -314,9 +314,6 @@ def gateaux_derivative(
     difference is the difference of their deterministic shifts and
     ``se_paired`` is exactly zero.
     """
-    if bump_height == 0.0:
-        base = performance(scenario, control, noise)
-        return GateauxResult(estimate=0.0, se=0.0, se_paired=0.0, j_plus=base.j, j_minus=base.j)
     if bump_start < 0.0 or bump_start + bump_len > scenario.grid.horizon + 1e-12:
         raise ValidationError("bump interval must lie inside [0, T)")
 

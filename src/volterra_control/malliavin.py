@@ -1,18 +1,23 @@
 """Stochastic gradients of B(T), Ñ(T) and their powers.
 
-The functionals are the Brownian terminal value ``B(T) = int dB``
-(:class:`WienerIntegral`), the compensated jump count
-``Ñ(T) = int int dN~`` with a unit mark on every atom
-(:class:`JumpIntegral`), and their integer powers 1 to 4 (:class:`Power`).
-Both derivatives are evaluations on the paths of a noise bundle, as they
-are random variables in the duality:
+The functionals are ``X(T)^k`` for ``k`` in 1..4, where ``X(T)`` is the
+Brownian terminal value ``B(T) = int dB`` (:func:`WienerIntegral`) or the
+compensated jump count ``Ñ(T) = int int dN~`` with a unit mark on every atom
+(:func:`JumpIntegral`): one frozen value, :class:`Functional`.  Both
+stochastic gradients have closed forms that do not depend on the node:
 
-* the Brownian derivative ``f.d_brownian(noise, node)`` is ``D_{t_node} F``
-  by the chain rule, a scalar where it is deterministic;
-* the jump derivative at ``(node, atom)`` is the difference form
-  ``f.evaluate_with_jump(noise, node, atom) - f.evaluate(noise)``: the
-  functional re-evaluated with one extra jump inserted, minus the plain
-  evaluation.
+* the Brownian derivative is ``D_t X^k = k X^(k-1)`` for ``B(T)`` (``1`` at
+  ``k = 1``) and ``0`` for ``Ñ(T)``;
+* the jump derivative at any ``(node, atom)`` is the difference form
+  ``(X + 1)^k - X^k`` for ``Ñ(T)``, the functional with one extra jump
+  inserted minus the plain one, and ``0`` for ``B(T)``, whose path a jump
+  does not move.
+
+A duality pass sums ``X`` once per piece for each base its identities read
+(``B(T)`` by a row sum, bit for bit ``brownian_levels[:, n]``; ``Ñ(T)`` as
+the exact count sum less the compensator) and forms each ``F`` and its
+gradients from it; the node loops only read them.  No value depends on how
+the paths are split, and nothing is memoised.
 
 The duality checkers estimate both sides of the integration-by-parts
 identities on the same noise.  Their integrands are adapted by signature
@@ -39,13 +44,11 @@ not ``n_steps x n_paths``: one piece's buffers per worker plus the sample
 rows.  With jumps, a block's normals are held only when some identity's
 ``F`` reads them (:attr:`Functional.reads_brownian`); otherwise they are
 drawn and dropped a chunk at a time, and the pieces carry a NaN broadcast in
-their place.  Deterministic derivatives evaluate to scalars, so a piece
-costs its numpy work and little else.
+their place.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,127 +61,86 @@ __all__ = [
     "Functional",
     "WienerIntegral",
     "JumpIntegral",
-    "Power",
     "DualityResult",
     "verify_duality_brownian",
     "verify_duality_jump",
 ]
 
 
-class Functional:
-    """A functional of the noise: ``B(T)``, ``Ñ(T)`` or a power of one.
+def _exponent(k) -> int:
+    if type(k) is not int or not 1 <= k <= 4:
+        raise ValidationError(f"power exponent must be an int in 1..4, got {k!r}")
+    return k
 
-    ``evaluate`` and ``d_brownian`` return one value per path of ``noise``,
-    or a scalar where the value is deterministic (the derivative of a Wiener
-    integral).  ``reads_brownian`` says whether ``evaluate`` reads the
-    Brownian increments; a functional that does not declare it is taken to
-    read them.
+
+@dataclass(frozen=True)
+class Functional:
+    """``X(T)^exponent``: ``X`` is ``Ñ(T)`` when ``jump`` holds, else ``B(T)``.
+
+    ``f ** k`` multiplies the exponent; every exponent is an ``int`` in 1..4.
     """
 
-    reads_brownian = True
-
-    def evaluate(self, noise: NoiseBundle) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate_with_jump(self, noise: NoiseBundle, node: int, atom: int) -> np.ndarray:
-        """Evaluate with one extra jump of ``atom`` inserted at ``node``."""
-        raise NotImplementedError
-
-    def d_brownian(self, noise: NoiseBundle, node: int) -> np.ndarray | float:
-        """``D_{t_node} F`` on the paths of ``noise``, by the chain rule."""
-        raise NotImplementedError
-
-    def __pow__(self, k: int):
-        return Power(self, k)
-
-
-class WienerIntegral(Functional):
-    """``B(T) = int_0^T dB(t)``, summed from the increments."""
-
-    def __init__(self):
-        self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    def _values(self, noise: NoiseBundle) -> np.ndarray:
-        # a ones vector (a ones table for Ñ(T)) rather than a row sum: the
-        # product's rounding is the one the pinned values read
-        return np.ones(noise.n_steps)
-
-    def evaluate(self, noise):
-        # memo per bundle: a power's derivative reads its base at every node
-        # of a duality pass, and workers pass different blocks at once.  Its
-        # keys are weak, so an entry dies with its bundle and a later bundle
-        # that reuses a freed one's id() is never served it.
-        vals = self._memo.get(noise)
-        if vals is None:
-            vals = self._memo[noise] = noise.d_brownian @ self._values(noise)
-        return vals
-
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.evaluate(noise)  # a jump does not move the Brownian path
-
-    def d_brownian(self, noise, node):
-        return 1.0
-
-
-class JumpIntegral(Functional):
-    """``Ñ(T) = int_0^T int dN~``: the compensated count of jumps, a unit
-    mark on every atom."""
-
-    reads_brownian = False
-
-    def __init__(self):
-        self._memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    def _values(self, noise: NoiseBundle) -> np.ndarray:
-        return np.ones((noise.levy.n_atoms, noise.n_steps))
-
-    def evaluate(self, noise):
-        if noise.levy.n_atoms == 0:
-            return np.zeros(noise.n_paths)
-        out = self._memo.get(noise)
-        if out is None:
-            vals = self._values(noise)
-            # the counts as drawn (einsum casts them a buffer at a time), less
-            # the deterministic compensator dt sum_q w_q n
-            out = np.einsum("ms,mps->p", vals, noise.jump_counts)
-            out -= noise.grid.dt * float(noise.levy.weights @ vals.sum(axis=1))
-            self._memo[noise] = out
-        return out
-
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.evaluate(noise) + 1.0
-
-    def d_brownian(self, noise, node):
-        return 0.0
-
-
-@dataclass
-class Power(Functional):
-    base: Functional
-    exponent: int
+    jump: bool
+    exponent: int = 1
 
     def __post_init__(self):
-        k = self.exponent
-        if type(k) is not int or not 1 <= k <= 4:
-            raise ValidationError(f"power exponent must be an int in 1..4, got {k!r}")
+        _exponent(self.exponent)
 
     @property
     def reads_brownian(self) -> bool:
-        return self.base.reads_brownian
+        """Whether ``F`` reads the Brownian increments."""
+        return not self.jump
 
-    def evaluate(self, noise):
-        return self.base.evaluate(noise) ** self.exponent
+    def __pow__(self, k: int) -> Functional:
+        return Functional(self.jump, self.exponent * _exponent(k))
 
-    def evaluate_with_jump(self, noise, node, atom):
-        return self.base.evaluate_with_jump(noise, node, atom) ** self.exponent
 
-    def d_brownian(self, noise, node):
-        k, base = self.exponent, self.base
-        if k == 1:
-            return base.d_brownian(noise, node)
-        # the base itself for a square, not a copy of its values
-        rest = base.evaluate(noise) if k == 2 else base.evaluate(noise) ** (k - 1)
-        return (float(k) * rest) * base.d_brownian(noise, node)
+def WienerIntegral() -> Functional:
+    """``B(T) = int_0^T dB(t)``."""
+    return Functional(jump=False)
+
+
+def JumpIntegral() -> Functional:
+    """``Ñ(T) = int_0^T int dN~``: the compensated count of jumps, a unit
+    mark on every atom."""
+    return Functional(jump=True)
+
+
+# One identity: its name, the functional F and the adapted integrand.
+Identity = tuple[str, Functional, Callable[..., np.ndarray]]
+
+
+def _terminal(noise: NoiseBundle, jump: bool) -> np.ndarray:
+    """``Ñ(T)`` (``jump``) or ``B(T)`` on each path of ``noise``."""
+    if not jump:
+        # a row sum over the node-major increments adds them node by node,
+        # as the levels are summed, so it reads the same on any split
+        return noise.d_brownian.sum(axis=1)
+    # the counts as drawn, summed exactly in integers, less the
+    # deterministic compensator dt n sum_q w_q
+    compensator = noise.grid.dt * float(noise.n_steps * noise.levy.weights.sum())
+    return noise.jump_counts.sum(axis=(0, 2)) - compensator
+
+
+def _closed_forms(identities: list[Identity], noise: NoiseBundle) -> tuple[list, list, list]:
+    """Each identity's ``F``, Brownian derivative ``D F`` and jump difference
+    ``F^+ - F`` on the paths of ``noise``, three lists in identity order,
+    from one ``X`` per base.  A gradient that is a constant is a scalar."""
+    terminals = {jump: _terminal(noise, jump) for jump in {f.jump for _, f, _ in identities}}
+    values, d_brownian, d_jump = [], [], []
+    for _, f, _ in identities:
+        x, k = terminals[f.jump], f.exponent
+        values.append(x ** k)
+        if f.jump:
+            d_brownian.append(0.0)
+            d_jump.append((x + 1.0) ** k - values[-1])
+        else:
+            # the base itself for a square, not a copy of its values.  A jump
+            # leaves B(T) where it is: the difference is zero, or NaN where
+            # F is, when the normals F reads were dropped
+            d_brownian.append(1.0 if k == 1 else float(k) * (x if k == 2 else x ** (k - 1)))
+            d_jump.append(values[-1] - values[-1])
+    return values, d_brownian, d_jump
 
 
 # --------------------------------------------------------------------------- #
@@ -207,10 +169,6 @@ def _running_levels(increments: np.ndarray):
     for i in range(increments.shape[-1]):
         yield level
         np.add(level, increments[..., i], out=level)
-
-
-# One identity: its name, the functional F and the adapted integrand.
-Identity = tuple[str, Functional, Callable[..., np.ndarray]]
 
 
 def _stream_duality(piece_pass, identities: list[Identity], grid: TimeGrid,
@@ -249,15 +207,16 @@ def _brownian_pass(identities: list[Identity], noise: NoiseBundle,
                    lhs: np.ndarray, rhs: np.ndarray) -> None:
     d_b = noise.d_brownian
     w = time_quadrature_weights(noise.grid)
+    f_vals, d_fs, _ = _closed_forms(identities, noise)
     integrals = np.zeros(lhs.shape)
     rhs[:] = 0.0
     for i, b in enumerate(_running_levels(d_b)):
-        for j, (_, f, psi) in enumerate(identities):
+        for j, (_, _, psi) in enumerate(identities):
             psi_i = _checked(psi(i, b), b.shape)
             integrals[j] += psi_i * d_b[:, i]
-            rhs[j] += f.d_brownian(noise, i) * psi_i * w[i]
-    for j, (_, f, _) in enumerate(identities):
-        np.multiply(f.evaluate(noise), integrals[j], out=lhs[j])
+            rhs[j] += d_fs[j] * psi_i * w[i]
+    for j, f_val in enumerate(f_vals):
+        np.multiply(f_val, integrals[j], out=lhs[j])
 
 
 def verify_duality_brownian(
@@ -276,8 +235,8 @@ def verify_duality_brownian(
     ``b = B(t_step)`` of the piece's paths (a running row: do not keep it),
     a scalar or one value per path.  It is called once per node per piece,
     from worker threads, so it must be pure.  The right-hand side averages
-    ``sum_i w_i D_i F psi_i``, with ``D_i F = F.d_brownian(piece, i)``
-    evaluated on the piece's paths.
+    ``sum_i w_i D_i F psi_i``, with ``D_i F`` the closed form of ``F``'s
+    Brownian derivative on the piece's paths.
     """
     return _stream_duality(
         lambda piece, lhs, rhs: _brownian_pass(identities, piece, lhs, rhs),
@@ -290,7 +249,7 @@ def _jump_pass(identities: list[Identity], noise: NoiseBundle,
     weights = noise.levy.weights
     w_dt = weights * noise.grid.dt
     w_t = time_quadrature_weights(noise.grid)
-    f_vals = [f.evaluate(noise) for _, f, _ in identities]
+    f_vals, _, d_fs = _closed_forms(identities, noise)
     lhs[:] = 0.0
     rhs[:] = 0.0
     for i, c in enumerate(_running_levels(counts)):
@@ -298,12 +257,10 @@ def _jump_pass(identities: list[Identity], noise: NoiseBundle,
             # the counts are compensated one step at a time, never as a
             # whole float array
             comp = np.subtract(counts[q, :, i], w_dt[q], dtype=float)
-            for j, (_, f, phi) in enumerate(identities):
+            for j, (_, _, phi) in enumerate(identities):
                 phi_iq = _checked(phi(i, q, c), comp.shape)
                 lhs[j] += phi_iq * comp
-                # the jump derivative of f at (i, q), with f evaluated once above
-                d_f = f.evaluate_with_jump(noise, i, q) - f_vals[j]
-                rhs[j] += phi_iq * d_f * weights[q] * w_t[i]
+                rhs[j] += phi_iq * d_fs[j] * weights[q] * w_t[i]
     for j, f_val in enumerate(f_vals):
         lhs[j] *= f_val
 

@@ -373,9 +373,12 @@ class RegressionSpec:
         # a tuple, not a set: an entry that is a list or an object is
         # compared, not hashed
         allowed = ("x", "log_x", "brownian", "jump_counts")
-        for v in self.variables:
+        for i, v in enumerate(self.variables):
             if v not in allowed:
                 raise ValidationError(f"regression.state entry {v!r} is not one of {allowed}")
+            # a repeated variable makes the design singular
+            if v in self.variables[:i]:
+                raise ValidationError(f"regression.state entry {v!r} is repeated")
 
 
 # --------------------------------------------------------------------------- #

@@ -483,6 +483,19 @@ def test_regression_state_entry_that_is_not_a_name_exits_2(tmp_path, capsys, ent
     assert f"regression.state entry {entry!r}" in err
 
 
+@pytest.mark.parametrize("argv", HOSTILE_RUNS, ids=lambda argv: argv[0])
+def test_repeated_regression_state_entry_exits_2(tmp_path, capsys, argv):
+    # its design would be singular, and silently rescued by the ridge
+    overrides = {"regression": {"degree": 2, "state": ["brownian", "x", "brownian"]}}
+    out = tmp_path / "out"
+    assert run([argv[0], "--config", write_config(tmp_path, **overrides),
+                "--out", str(out), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "regression.state entry 'brownian' is repeated" in err
+    assert "is repeated" in json.loads((out / "report.json").read_text())["error"]
+
+
 def test_verify_duality_small(tmp_path):
     out = tmp_path / "out"
     code = run(["verify-duality", "--paths", "40000", "--seed", "7", "--out", str(out)])

@@ -187,15 +187,24 @@ def test_a_declared_state_without_forward_paths_is_rejected(variables):
         engine.design_at(5)
 
 
-@pytest.mark.parametrize("variables", [("jump_counts",), ("jump_counts", "jump_counts")])
+@pytest.mark.parametrize("variables", [("jump_counts",)])
 def test_a_state_of_counts_without_atoms_names_its_variables(variables):
     # the counts of a measure without atoms are no row at all: the error
-    # names the declared state and why it is empty
+    # names the declared state and why it is empty.  A repeated entry is
+    # refused before, when the spec is built (below)
     noise = generate_noise(build_time_grid(1.0, 8), LevyMeasure.from_atoms([]), 200, 3, 1)
     engine = CondExpEngine(FiltrationMode(mode="full"),
                            RegressionSpec(degree=2, variables=variables), noise)
-    with pytest.raises(ValidationError, match=r"\['jump_counts'.*no atoms"):
+    with pytest.raises(ValidationError, match=r"\['jump_counts'\] has no rows.*no atoms"):
         engine.design_at(5)
+
+
+@pytest.mark.parametrize("variables", [("jump_counts", "jump_counts"),
+                                       ("x", "brownian", "x", "brownian")])
+def test_a_repeated_state_entry_is_refused_when_the_spec_is_built(variables):
+    # its design would be singular, and the ridge would rescue it unseen
+    with pytest.raises(ValidationError, match=f"entry {variables[0]!r} is repeated"):
+        RegressionSpec(degree=2, variables=variables)
 
 
 def test_an_empty_state_outside_trivial_mode_is_rejected():

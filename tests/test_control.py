@@ -399,9 +399,16 @@ def test_log_noise_leg_serves_only_its_own_scenario(s0_small):
 
 
 def test_gateaux_zero_height_is_exactly_zero(s0_small, s0_noise):
+    # no shortcut: both displaced controls are the control itself, so the
+    # general formula reads zero exactly, on a bundle and on a leg, and its
+    # SE is the two objectives' (here equal) SEs taken in quadrature
     one = ControlFn.constant(1.0, s0_small.grid)
-    g = gateaux_derivative(s0_small, one, 0.4, 0.1, 0.0, s0_noise)
-    assert g.estimate == 0.0
+    for noise in (s0_noise, ctl._streamed_log_noise_leg(s0_small)):
+        g = gateaux_derivative(s0_small, one, 0.4, 0.1, 0.0, noise)
+        assert g.estimate == 0.0 and g.se_paired == 0.0
+        base = performance(s0_small, one, noise)
+        assert g.j_plus == g.j_minus == base.j
+        assert g.se == math.hypot(base.se, base.se) / (2.0 * ctl._BUMP_THETA)
 
 
 def test_gateaux_second_route_through_hamiltonian_gradient(s0_small, s0_noise):

@@ -1,5 +1,5 @@
+import collections
 import dataclasses
-import sys
 import threading
 import tracemalloc
 
@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from conftest import compensated
 
-from volterra_control import acceptance, paths
+from volterra_control import acceptance, malliavin, paths
 from volterra_control.condexp import CondExpEngine
 from volterra_control.malliavin import (
     DualityResult,
+    Functional,
     JumpIntegral,
-    Power,
     WienerIntegral,
     verify_duality_brownian,
     verify_duality_jump,
@@ -61,61 +61,94 @@ def _brownian_engine(noise, degree=2):
 
 
 # --------------------------------------------------------------------------- #
-# derivatives of the functional calculus
+# the closed forms of F and its two gradients
 # --------------------------------------------------------------------------- #
+
+def closed_forms(f, noise):
+    """``(F, D F, F^+ - F)`` of ``f`` on the paths of ``noise``, as a duality
+    pass forms them: the values, the Brownian derivative and the jump
+    difference, each the same at every node and atom."""
+    return tuple(form for (form,) in malliavin._closed_forms([("f", f, None)], noise))
+
 
 def test_brownian_derivative_of_unit_integrand():
     noise = make_noise()
-    assert np.allclose(WienerIntegral().d_brownian(noise, 37), 1.0)
+    assert closed_forms(WienerIntegral(), noise)[1] == 1.0
 
 
 def test_brownian_derivative_chain_rule_square():
     noise = make_noise()
-    w = WienerIntegral()
-    d = (w**2).d_brownian(noise, 10)
-    assert np.allclose(d, 2.0 * w.evaluate(noise), atol=1e-12)
+    value, d_b, d_n = closed_forms(WienerIntegral() ** 2, noise)
+    b_t = noise.brownian_levels[:, -1]
+    np.testing.assert_array_equal(value, b_t * b_t)
+    np.testing.assert_array_equal(d_b, 2.0 * b_t)
+    np.testing.assert_array_equal(d_n, 0.0)  # a jump does not move B(T)
 
 
 def test_brownian_derivative_of_a_first_power_is_the_bases():
     noise = make_noise()
     w = WienerIntegral()
-    assert (w**1).d_brownian(noise, 37) == w.d_brownian(noise, 37) == 1.0
+    assert w**1 == w
+    assert closed_forms(w**1, noise)[1] == closed_forms(w, noise)[1] == 1.0
 
 
 def test_power_exponent_above_four_is_rejected():
     with pytest.raises(ValidationError, match="1..4"):
         WienerIntegral() ** 5
+    with pytest.raises(ValidationError, match="1..4"):
+        (JumpIntegral() ** 2) ** 3  # a power of a power multiplies the exponents
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
 def test_power_exponent_must_be_an_int_in_one_to_four(k):
     # int(2.5) is 2: a check that reads it would let B(T)^2.5 build and
-    # evaluate to NaN on every path with a negative B(T)
+    # evaluate to NaN on every path with a negative B(T).  1 * True is the
+    # int 1, so ``**`` checks its factor, not only the product.
     with pytest.raises(ValidationError, match="int in 1..4"):
-        Power(WienerIntegral(), k)
-
-
-def _jump_difference(f, noise, node, atom):
-    """The difference-form jump derivative, as the duality verifier forms it."""
-    return f.evaluate_with_jump(noise, node, atom) - f.evaluate(noise)
+        WienerIntegral() ** k
+    with pytest.raises(ValidationError, match="int in 1..4"):
+        Functional(jump=False, exponent=k)
 
 
 def test_jump_derivative_of_unit_mark():
     noise = make_noise(levy=ONE_ATOM)
-    assert np.allclose(_jump_difference(JumpIntegral(), noise, 12, 0), 1.0)
+    _, d_b, d_n = closed_forms(JumpIntegral(), noise)
+    assert d_b == 0.0
+    assert np.allclose(d_n, 1.0)
 
 
 def test_jump_derivative_difference_form_square():
     noise = make_noise(levy=ONE_ATOM)
-    g = JumpIntegral()
-    expected = 2.0 * g.evaluate(noise) + 1.0
-    assert np.allclose(_jump_difference(g**2, noise, 5, 0), expected, atol=1e-12)
+    n_t = closed_forms(JumpIntegral(), noise)[0]
+    assert np.allclose(closed_forms(JumpIntegral() ** 2, noise)[2], 2.0 * n_t + 1.0, atol=1e-12)
 
 
 def test_wiener_integral_is_brownian_terminal():
+    # bit for bit: the row sum adds the increments node by node, as the
+    # levels are summed
     noise = make_noise()
-    vals = WienerIntegral().evaluate(noise)
-    assert np.allclose(vals, noise.brownian_levels[:, -1], atol=1e-12)
+    np.testing.assert_array_equal(closed_forms(WienerIntegral(), noise)[0],
+                                  noise.brownian_levels[:, -1])
+
+
+@pytest.mark.parametrize("f", [WienerIntegral(), WienerIntegral() ** 2,
+                               JumpIntegral(), JumpIntegral() ** 2],
+                         ids=["brownian", "brownian_square", "jump", "jump_square"])
+def test_closed_forms_do_not_depend_on_how_the_paths_are_split(f):
+    # a 10,002-path bundle in six 1,667-path blocks: a BLAS matrix-vector
+    # product rounds the last rows of a block off its vector width
+    # differently from the same rows inside the whole bundle, a row sum
+    # does not
+    n_paths, n_blocks = 10_002, 6
+    noise = generate_noise(*stream_args(50, n_paths, 3, ONE_ATOM, n_blocks))
+    whole = closed_forms(f, noise)
+    block = n_paths // n_blocks
+    split = [closed_forms(f, dataclasses.replace(
+        noise, d_brownian=noise.d_brownian[rows], jump_counts=noise.jump_counts[:, rows]))
+        for rows in (slice(b * block, (b + 1) * block) for b in range(n_blocks))]
+    for whole_form, *block_forms in zip(whole, *split):
+        joined = np.concatenate([np.broadcast_to(form, (block,)) for form in block_forms])
+        np.testing.assert_array_equal(joined, np.broadcast_to(whole_form, (n_paths,)))
 
 
 # --------------------------------------------------------------------------- #
@@ -158,36 +191,21 @@ def _sample_result(name, lhs_samples, rhs_samples):
     )
 
 
-def _pieces(noise, args):
-    """The bundle ``generate_noise(*args)`` cut as the verifiers are streamed
-    it: the paths of each piece ``stream_noise`` hands out, as a bundle of
-    its own that views the bundle's columns.
-
-    The verifiers evaluate ``F`` and its derivatives on those pieces: a BLAS
-    matrix-vector product rounds the last rows of a piece that is not a
-    multiple of its vector width differently from the same rows inside a
-    longer array.  Built once per bundle, so each integral's memo serves
-    every evaluation on a piece.
-    """
+def _piece_sizes(args):
+    """The path count of each piece ``stream_noise(*args)`` hands out, in
+    path order."""
     rows = []
     paths.stream_noise(*args, lambda r, piece: rows.append(r))
-    return [dataclasses.replace(noise, d_brownian=noise.d_brownian[r],
-                                jump_counts=noise.jump_counts[:, r])
-            for r in sorted(rows, key=lambda r: r.start)]
+    return [r.stop - r.start for r in sorted(rows, key=lambda r: r.start)]
 
 
-def _per_piece(evaluate, pieces):
-    """``evaluate(piece)`` on each of ``pieces``, joined into one ``(N,)`` row."""
-    return np.concatenate([np.broadcast_to(evaluate(piece), (piece.n_paths,))
-                           for piece in pieces])
-
-
-def _column_stack_duality_brownian(f, psi, noise, pieces):
-    """An unprojected ``verify_duality_brownian`` on a ``generate_noise``
-    bundle and its ``pieces``: every psi value stacked into one ``(N, n)``
-    matrix, from the bundle's cached levels, before either side is formed;
-    the stochastic integral and the right-hand samples
-    ``sum_i w_i D_i F psi_i`` are summed in plain loops over the steps."""
+def _column_stack_duality_brownian(f, psi, noise):
+    """An unprojected ``verify_duality_brownian`` on a whole ``generate_noise``
+    bundle: every psi value stacked into one ``(N, n)`` matrix, from the
+    bundle's cached levels, before either side is formed; the stochastic
+    integral and the right-hand samples ``sum_i w_i D_i F psi_i`` are summed
+    in plain loops over the steps.  ``F`` and ``D F`` are read on the whole
+    bundle, which the verifier only ever sees in pieces."""
     n = noise.n_steps
     levels = noise.brownian_levels
     psi_vals = np.column_stack([np.broadcast_to(psi(i, levels[:, i]), (noise.n_paths,))
@@ -195,11 +213,11 @@ def _column_stack_duality_brownian(f, psi, noise, pieces):
     integral = np.zeros(noise.n_paths)
     for i in range(n):
         integral += psi_vals[:, i] * noise.d_brownian[:, i]
-    lhs_samples = _per_piece(f.evaluate, pieces) * integral
+    f_vals, d_f, _ = closed_forms(f, noise)
+    lhs_samples = f_vals * integral
     w = time_quadrature_weights(noise.grid)
     rhs_samples = np.zeros(noise.n_paths)
     for i in range(n):
-        d_f = _per_piece(lambda piece: f.d_brownian(piece, i), pieces)
         rhs_samples += d_f * psi_vals[:, i] * w[i]
     return _sample_result("brownian", lhs_samples, rhs_samples)
 
@@ -220,11 +238,9 @@ BROWNIAN_CASES = [
 def _assert_brownian_matches_column_stack(args):
     # all the cases in one streamed pass, each bit for bit its reference
     noise = generate_noise(*args)
-    pieces = _pieces(noise, args)
     got = verify_duality_brownian(
         [("brownian", f, psi) for f, psi in BROWNIAN_CASES], *args)
-    assert got == [_column_stack_duality_brownian(f, psi, noise, pieces)
-                   for f, psi in BROWNIAN_CASES]
+    assert got == [_column_stack_duality_brownian(f, psi, noise) for f, psi in BROWNIAN_CASES]
 
 
 def test_streamed_brownian_duality_matches_column_stack():
@@ -270,7 +286,7 @@ def _duality_results(n_paths, n_blocks):
 
 @pytest.mark.parametrize("n_paths, n_blocks", [(10002, 6), (7, 1)])
 def test_duality_does_not_depend_on_cpu_count(cpus, n_paths, n_blocks):
-    # 1667-path blocks end off the BLAS vector width; 7 paths in one block
+    # 1667-path blocks, off any vector width; 7 paths in one block
     cpus(1)
     sequential = _duality_results(n_paths, n_blocks)
     cpus(3)
@@ -283,7 +299,7 @@ def test_duality_on_split_blocks_matches_the_references(monkeypatch):
     # still match their references bit for bit
     monkeypatch.setattr(paths, "_PIECE_BYTES", paths._CHUNK_ROWS * 50 * 8)
     brownian = stream_args(50, 10002, 5, EMPTY, 6)
-    assert [p.n_paths for p in _pieces(generate_noise(*brownian), brownian)] == [1024, 643] * 6
+    assert _piece_sizes(brownian) == [1024, 643] * 6
     _assert_brownian_matches_column_stack(brownian)
     _assert_jump_matches_cached_levels(stream_args(50, 10002, 6, TWO_ATOMS, 6))
 
@@ -316,13 +332,12 @@ def test_jump_integral_equals_the_compensated_sum():
     f = JumpIntegral()
     comp = compensated(noise)
     want = comp.sum(axis=(0, 2))
-    np.testing.assert_allclose(f.evaluate(noise), want, rtol=1e-13,
-                               atol=1e-13 * np.abs(want).max())
+    f_vals = closed_forms(f, noise)[0]
+    np.testing.assert_allclose(f_vals, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def phi(i, q, _c):
         return 1.0 + 0.1 * i - 0.2 * q
 
-    f_vals = f.evaluate(noise)
     res = jump_duality(f, phi, n_steps=30, n_paths=2500, seed=15, levy=levy)
     lhs = np.zeros(noise.n_paths)
     for q in range(2):
@@ -332,15 +347,15 @@ def test_jump_integral_equals_the_compensated_sum():
     assert res.lhs == float(lhs.mean())
 
 
-def _cached_levels_duality_jump(f, phi, noise, pieces):
-    """An unprojected ``verify_duality_jump`` on the cached levels of a
+def _cached_levels_duality_jump(f, phi, noise):
+    """An unprojected ``verify_duality_jump`` on the cached levels of a whole
     ``generate_noise`` bundle: ``phi`` reads the cached ``count_levels``, the
     left side the whole ``compensated(noise)``, and the right-hand samples
     are ``sum_{i,q} w_i nu_q (F^{+(i,q)} - F) phi_{i,q}``.  Both sides sum
     node by node, the atoms inside each node, as the verifier does."""
     n_paths = noise.n_paths
     counts, comp = noise.count_levels, compensated(noise)
-    f_vals = _per_piece(f.evaluate, pieces)
+    f_vals, _, d_f = closed_forms(f, noise)
     w_t = time_quadrature_weights(noise.grid)
     lhs_samples = np.zeros(n_paths)
     rhs_samples = np.zeros(n_paths)
@@ -348,7 +363,6 @@ def _cached_levels_duality_jump(f, phi, noise, pieces):
         for q in range(noise.levy.n_atoms):
             phi_i = np.broadcast_to(phi(i, q, counts[:, :, i]), (n_paths,))
             lhs_samples += phi_i * comp[q, :, i]
-            d_f = _per_piece(lambda piece: f.evaluate_with_jump(piece, i, q), pieces) - f_vals
             rhs_samples += phi_i * d_f * noise.levy.weights[q] * w_t[i]
     lhs_samples *= f_vals
     return _sample_result("jump", lhs_samples, rhs_samples)
@@ -370,10 +384,9 @@ def _assert_jump_matches_cached_levels(args, cases=JUMP_CASES):
     # every (F, phi) pair in one streamed pass; all four fields of each, the
     # standard errors included, bit for bit
     noise = generate_noise(*args)
-    pieces = _pieces(noise, args)
     pairs = [(f, phi) for f in cases for phi in JUMP_PHIS]
     got = verify_duality_jump([("jump", f, phi) for f, phi in pairs], *args)
-    assert got == [_cached_levels_duality_jump(f, phi, noise, pieces) for f, phi in pairs]
+    assert got == [_cached_levels_duality_jump(f, phi, noise) for f, phi in pairs]
 
 
 @pytest.mark.parametrize("f, levy", [
@@ -460,15 +473,15 @@ def test_c7_jump_stage_holds_no_block_of_normals(cpus):
 
 
 @pytest.mark.parametrize("f, reads", [
-    (Power(JumpIntegral(), 1), False),
+    (JumpIntegral() ** 1, False),
     (WienerIntegral(), True),
     (JumpIntegral(), False),
-    (Power(JumpIntegral(), 4), False),
-    (Power(WienerIntegral(), 1), True),
-    (Power(WienerIntegral(), 2), True),
-    (Power(JumpIntegral(), 2), False),
-    (Power(WienerIntegral(), 3), True),
-    (Power(WienerIntegral(), 4), True),
+    (JumpIntegral() ** 4, False),
+    (WienerIntegral() ** 1, True),
+    (WienerIntegral() ** 2, True),
+    (JumpIntegral() ** 2, False),
+    (WienerIntegral() ** 3, True),
+    (WienerIntegral() ** 4, True),
 ])
 def test_reads_brownian_holds_where_a_wiener_integral_is_evaluated(f, reads):
     assert f.reads_brownian is reads
@@ -481,7 +494,7 @@ def test_a_functional_that_hides_its_brownian_read_gets_nan(monkeypatch):
     args = dict(n_steps=20, n_paths=600, seed=5, levy=ONE_ATOM, n_blocks=2)
     res = jump_duality(f, lambda i, q, _c: 1.0, **args)
     assert np.isfinite([res.lhs, res.rhs, res.se_lhs, res.se_rhs]).all()
-    monkeypatch.setattr(WienerIntegral, "reads_brownian", False)
+    monkeypatch.setattr(Functional, "reads_brownian", False)
     res = jump_duality(f, lambda i, q, _c: 1.0, **args)
     assert np.isnan([res.lhs, res.rhs, res.se_lhs, res.se_rhs]).all()
 
@@ -496,11 +509,11 @@ def clark_ocone_reconstruction(f, noise, degree=2):
     Returns per-path reconstructed values; the mean-square gap to the true
     functional shrinks linearly in the step size.
     """
-    f_vals = f.evaluate(noise)
+    f_vals, d_f, _ = closed_forms(f, noise)
     engine = _brownian_engine(noise, degree)
     recon = np.full(noise.n_paths, f_vals.mean())
     for i in range(noise.n_steps):
-        proj = engine.project(i, f.d_brownian(noise, i))
+        proj = engine.project(i, d_f)
         recon += proj * noise.d_brownian[:, i]
     return recon
 
@@ -513,55 +526,34 @@ def test_reconstruction_error_shrinks_with_grid():
     f = WienerIntegral() ** 2
     for n in (50, 200):
         noise = make_noise(n_steps=n, n_paths=20_000, seed=12)
-        mse = float(np.mean((clark_ocone_reconstruction(f, noise) - f.evaluate(noise)) ** 2))
+        f_vals = closed_forms(f, noise)[0]
+        mse = float(np.mean((clark_ocone_reconstruction(f, noise) - f_vals) ** 2))
         two_dt = 2.0 * noise.grid.dt
         assert abs(mse - two_dt) <= 0.1 * two_dt, (n, mse)
 
 
-def test_integral_memo_never_serves_another_bundle(monkeypatch):
-    # give every object the same id(): a memo keyed on id() would hand the
-    # second bundle the first bundle's values
-    from volterra_control import malliavin
-
-    monkeypatch.setattr(malliavin, "id", lambda obj: 0, raising=False)
-    first = make_noise(n_steps=20, n_paths=64, seed=1, levy=ONE_ATOM)
-    second = make_noise(n_steps=20, n_paths=64, seed=2, levy=ONE_ATOM)
-    wiener, jump = WienerIntegral(), JumpIntegral()
-    wiener.evaluate(first)
-    jump.evaluate(first)
-    assert np.array_equal(wiener.evaluate(second), second.d_brownian @ np.ones(20))
-    assert np.array_equal(jump.evaluate(second), JumpIntegral().evaluate(second))
-
-
+@pytest.mark.parametrize("n_cpus", [1, 2])
 @pytest.mark.parametrize("verifier", ["brownian", "jump"])
-def test_integral_memo_computes_each_block_once(cpus, verifier):
-    # three workers pass their blocks at once; a memo of one slot would be
-    # overwritten by the other workers' blocks and recompute the integral
-    cpus(3)
-    barrier = threading.Barrier(3, timeout=30)
+def test_a_pass_computes_each_base_once_per_piece(cpus, monkeypatch, verifier, n_cpus):
+    # five identities over both bases: each piece's pass sums B(T) once and
+    # Ñ(T) once, however many powers of each it is given
+    cpus(n_cpus)
     computed = []
+    terminal = malliavin._terminal
 
-    class Counted(WienerIntegral if verifier == "brownian" else JumpIntegral):
-        def _values(self, noise):
-            computed.append(noise.n_paths)
-            return super()._values(noise)
+    def counted(noise, jump):
+        computed.append((noise, jump))  # held, so no two pieces share an id()
+        return terminal(noise, jump)
 
-    def integrand(i, *args):
-        if i == 0:
-            barrier.wait()  # every worker inside its block before any goes on
-        return 1.0
-
-    args = dict(n_steps=30, n_paths=600, seed=18, levy=ONE_ATOM, n_blocks=6)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the lock allows
-    try:
-        if verifier == "brownian":
-            got = brownian_duality(Counted() ** 2, integrand, **args)
-            want = brownian_duality(WienerIntegral() ** 2, lambda i, b: 1.0, **args)
-        else:
-            got = jump_duality(Counted() ** 2, integrand, **args)
-            want = jump_duality(JumpIntegral() ** 2, lambda i, q, c: 1.0, **args)
-    finally:
-        sys.setswitchinterval(interval)
-    assert computed == [100] * 6
-    assert got == want
+    monkeypatch.setattr(malliavin, "_terminal", counted)
+    functionals = [WienerIntegral() ** 2, JumpIntegral(), WienerIntegral(),
+                   JumpIntegral() ** 3, WienerIntegral() ** 4]
+    args = stream_args(30, 600, 18, ONE_ATOM, n_blocks=6)
+    if verifier == "brownian":
+        verify_duality_brownian([("b", f, lambda i, b: 1.0) for f in functionals], *args)
+    else:
+        verify_duality_jump([("j", f, lambda i, q, c: 1.0) for f in functionals], *args)
+    assert len({id(noise) for noise, _ in computed}) == len(_piece_sizes(args)) == 6
+    # both bases, once in each piece
+    assert sorted(collections.Counter((id(noise), jump) for noise, jump in computed).values()) \
+        == [1] * 12

@@ -17,7 +17,7 @@ from volterra_control.bsde import solve_bsde
 from volterra_control.condexp import CondExpEngine
 from volterra_control.controls import ControlFn
 from volterra_control.fsvie import first_variation, simulate_fsvie
-from volterra_control.malliavin import JumpIntegral, WienerIntegral
+from volterra_control.malliavin import JumpIntegral, WienerIntegral, _closed_forms
 from volterra_control.model import (
     FiltrationMode,
     LevyMeasure,
@@ -369,9 +369,9 @@ def test_path_major_bundle_gives_the_same_values():
         engine = CondExpEngine(*engine_spec, bundle)
         bsde = solve_bsde(bundle.count_levels[0, :, -1] + bundle.brownian_levels[:, -1],
                           None, bundle, engine)
-        wiener, jump = WienerIntegral() ** 2, JumpIntegral() ** 2
-        return [sweep, log_x, bsde.y, *bsde.z, *bsde.k, wiener.evaluate(bundle),
-                wiener.d_brownian(bundle, 5), jump.evaluate_with_jump(bundle, 5, 0)]
+        forms = _closed_forms([("w", WienerIntegral() ** 2, None),
+                               ("j", JumpIntegral() ** 2, None)], bundle)
+        return [sweep, log_x, bsde.y, *bsde.z, *bsde.k, *(a for form in forms for a in form)]
 
     want = values(noise)
     for bundle in (built, replaced):
