@@ -365,7 +365,8 @@ def hamiltonian_h1(
     variation at a time, as ``first_variation`` hands out each row, so no
     direction is held whole (on the lift, none is ever formed); every
     direction is added into one ``(N,)`` column, which is then projected
-    once onto the information at ``t``.  Both ``adjoint.fwd`` and, when
+    once onto the information at ``t``; every design keeps the intercept, so
+    the SE is that of the unprojected sum.  Both ``adjoint.fwd`` and, when
     there are gradient terms, ``fwd`` must reach the horizon; then ``fwd``
     must be ``adjoint.fwd`` itself, and ``noise`` the bundle it was
     simulated on.  Zero exactly when every
@@ -424,7 +425,9 @@ def hamiltonian_h1(
 
         first_variation(scenario, noise, control, fwd, k, contract)
         engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
+        # the projection moves the mean by rounding only, so the SE is the raw sum's
+        se = abs(x) * mean_se(per_path + column)[1]
         per_path += engine.project(k, column)
     per_path *= x
-    return mean_se(per_path)
+    return float(per_path.mean()), se if gradients else mean_se(per_path)[1]
 

@@ -10,14 +10,14 @@ control layer) consumes the immutable value types defined here:
 * :class:`ScenarioSpec` -- a model instance, which checks its own invariants.
 
 ``validate_scenario`` turns a raw dictionary (parsed JSON) into a
-:class:`ScenarioSpec`.  Every type checks itself on construction, so
-``dataclasses.replace`` re-checks too.  All types are frozen dataclasses
-and safe to share across workers.
+:class:`ScenarioSpec`; a key outside its section's table is an error.  Every
+type checks its fields on construction, so ``dataclasses.replace`` re-checks
+too.  All types are frozen dataclasses and safe to share across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -74,16 +74,18 @@ def _real(name: str, value) -> float:
 
 def _list(name: str, value) -> list:
     """``value`` as a list; null, a bare string or a number is rejected."""
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, (list, tuple, np.ndarray)):
         raise ValidationError(f"{name} must be a list, got {value!r}")
     return list(value)
 
 
 def _reals(name: str, values) -> np.ndarray:
-    """A list of numbers as a float array, each entry through :func:`_real`."""
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
-    return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(values)], dtype=float)
+    """A list of numbers as a new float array, each entry through :func:`_real`
+    (at once, for a float vector with no non-finite entry)."""
+    if (isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.ndim == 1
+            and np.isfinite(values).all()):
+        return np.array(values, dtype=float)
+    return np.array([_real(f"{name}[{i}]", v) for i, v in enumerate(_list(name, values))], float)
 
 
 # --------------------------------------------------------------------------- #
@@ -98,7 +100,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
+        object.__setattr__(self, "horizon", _real("grid.horizon", self.horizon))
+        if self.horizon <= 0.0:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
         raw = self.n_steps
         object.__setattr__(self, "n_steps", _integer("grid.n_steps", raw))
@@ -119,7 +122,7 @@ class TimeGrid:
 
 def build_time_grid(horizon: float, n_steps: int) -> TimeGrid:
     """Uniform grid with ``n_steps + 1`` nodes spanning ``[0, horizon]``."""
-    return TimeGrid(horizon=float(horizon), n_steps=n_steps)
+    return TimeGrid(horizon=horizon, n_steps=n_steps)
 
 
 def trapezoid_weights(n_nodes: int, dt: float) -> np.ndarray:
@@ -169,8 +172,8 @@ class Kernel:
     are ``amplitude * exp(-rate * (t - s))`` (``constant`` with rate 0), which
     ``exponential_form`` reports; the forward sweep takes that pair, forms
     no node matrix and runs as an exact Markovian lift in O(n_steps *
-    n_paths).  Their parameters must be finite.  On a grid, ``column`` and
-    ``d_first_column`` read one column of the triangle, ``at_nodes`` all.
+    n_paths).  Factories name a bad argument by its file key.  On a grid,
+    ``column`` and ``d_first_column`` read one column, ``at_nodes`` all.
     """
 
     kind: str
@@ -184,27 +187,23 @@ class Kernel:
 
     @staticmethod
     def constant(value: float) -> "Kernel":
-        return Kernel(kind="constant", value=_real("constant kernel value", value))
+        return Kernel(kind="constant", value=_real("value", value))
 
     @staticmethod
     def exp_decay(amplitude: float, rate: float) -> "Kernel":
-        amplitude, rate = _real("exp_decay amplitude", amplitude), _real("exp_decay rate", rate)
+        amplitude, rate = _real("amplitude", amplitude), _real("rate", rate)
         if rate < 0.0:
-            raise ValidationError(f"exp_decay rate must be >= 0, got {rate}")
+            raise ValidationError(f"rate must be >= 0, got {rate}")
         return Kernel(kind="exp_decay", amplitude=amplitude, rate=rate)
 
     @staticmethod
     def from_table(values: Sequence[float], n_steps: int) -> "Kernel":
-        values = np.asarray(values, dtype=float)
+        n_steps, values = _integer("n", n_steps), _reals("values", values)
         expected = (n_steps + 1) * (n_steps + 2) // 2
-        if values.ndim != 1 or values.size != expected:
-            raise ValidationError(
-                f"table kernel for n={n_steps} needs {expected} lower-triangular "
-                f"values, got {values.size}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("table kernel contains non-finite entries")
-        return Kernel(kind="table", table=values, table_n=int(n_steps))
+        if values.size != expected:
+            raise ValidationError(f"values must hold the {expected} lower-triangular node "
+                                  f"values of n={n_steps}, got {values.size}")
+        return Kernel(kind="table", table=values, table_n=n_steps)
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "exp_decay", "table"):
@@ -292,27 +291,25 @@ class LevyMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        sizes = np.atleast_1d(np.asarray(self.sizes, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if sizes.shape != weights.shape:
+        sizes, weights = _list("jump sizes", self.sizes), _list("jump weights", self.weights)
+        if len(sizes) != len(weights):
             raise ValidationError("jump sizes and weights must have equal length")
+        # atom m of a scenario file is levy.atoms[m] = [size, weight]
+        pairs = [_reals(f"levy.atoms[{m}]", pair) for m, pair in enumerate(zip(sizes, weights))]
+        sizes, weights = np.array(pairs).reshape(-1, 2).T.copy()
         if np.any(sizes == 0.0):
             raise ValidationError("jump sizes must be nonzero")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-            raise ValidationError("jump weights must be positive and finite")
+        if np.any(weights <= 0.0):
+            raise ValidationError("jump weights must be positive")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def from_atoms(atoms: Sequence[Sequence[float]]) -> "LevyMeasure":
-        atoms = list(atoms)
-        if not atoms:
-            return LevyMeasure(sizes=np.empty(0), weights=np.empty(0))
-        arr = np.asarray(atoms, dtype=object)
-        if arr.ndim != 2 or arr.shape[1] != 2:
+        atoms = _list("levy.atoms", atoms)
+        if not all(isinstance(atom, (list, tuple)) and len(atom) == 2 for atom in atoms):
             raise ValidationError("atoms must be [size, weight] pairs")
-        arr = np.array([_reals(f"levy.atoms[{m}]", atom) for m, atom in enumerate(arr)])
-        return LevyMeasure(sizes=arr[:, 0], weights=arr[:, 1])
+        return LevyMeasure(sizes=[a[0] for a in atoms], weights=[a[1] for a in atoms])
 
     @property
     def n_atoms(self) -> int:
@@ -338,6 +335,7 @@ class FiltrationMode:
     def __post_init__(self) -> None:
         if self.mode not in ("full", "trivial", "delay"):
             raise ValidationError(f"unknown filtration mode {self.mode!r}")
+        object.__setattr__(self, "delay", _real("filtration.delay", self.delay))
         if self.delay < 0.0:
             raise ValidationError("delay must be >= 0")
         if self.mode == "delay" and self.delay == 0.0:
@@ -351,6 +349,8 @@ class McSpec:
     n_blocks: int = 8
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _integer(f"mc.{f.name}", getattr(self, f.name)))
         # an integral 1e308 would otherwise reach numpy as an array dimension
         if not 1 <= self.n_paths <= 10**9:
             raise ValidationError("mc.n_paths must be an integer from 1 to 10**9")
@@ -368,6 +368,8 @@ class RegressionSpec:
     variables: tuple[str, ...] = ("x",)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", _integer("regression.degree", self.degree))
+        object.__setattr__(self, "variables", tuple(_list("regression.state", self.variables)))
         if self.degree < 1 or self.degree > 8:
             raise ValidationError("regression degree must be in [1, 8]")
         # a tuple, not a set: an entry that is a list or an object is
@@ -405,10 +407,10 @@ class ScenarioSpec:
     ``initial`` is the (positive, constant) starting level of the cash flow;
     a per-node table is accepted for simulation-only use.  ``pi_kernels``
     holds one two-time kernel per jump atom.  ``gamma`` is the deterministic
-    discount/aggregator rate tabulated on the grid nodes.  Construction
-    checks a known sign convention, a positive initial level, finite node
-    tables of the right length, kernels finite on the grid triangle and one
-    jump kernel per atom with ``1 + pi > 0`` everywhere.
+    discount/aggregator rate, a number or a node table, kept as the table.
+    Construction checks a known sign convention, a positive finite initial
+    level, finite node tables of the right length, kernels finite on the
+    grid triangle and one jump kernel per atom with ``1 + pi > 0`` everywhere.
     """
 
     grid: TimeGrid
@@ -427,19 +429,18 @@ class ScenarioSpec:
         nodes = self.grid.n_steps + 1
         if self.convention not in CONVENTIONS:
             raise ValidationError(f"unknown gamma_sign_convention {self.convention!r}")
-        if np.isscalar(self.initial):
-            if _real("initial", self.initial) <= 0.0:
-                raise ValidationError(f"initial level must be > 0, got {self.initial}")
-        elif np.shape(self.initial) != (nodes,):
+        initial = (_real("initial", self.initial) if np.isscalar(self.initial)
+                   else _reals("initial", self.initial))
+        if np.shape(initial) not in ((), (nodes,)):
             raise ValidationError("initial table must have one value per node")
-        elif not np.all(np.isfinite(self.initial)):
-            raise ValidationError("initial table contains non-finite entries")
-        elif self.initial[0] <= 0.0:
-            raise ValidationError("initial level at t=0 must be > 0")
-        if np.shape(self.gamma) != (nodes,):
+        if np.ravel(initial)[0] <= 0.0:
+            raise ValidationError(f"initial level must be > 0 at t=0, got {np.ravel(initial)[0]}")
+        gamma = (np.full(nodes, _real("gamma", self.gamma)) if np.isscalar(self.gamma)
+                 else _reals("gamma", self.gamma))
+        if gamma.shape != (nodes,):
             raise ValidationError(f"gamma table must have {nodes} node values")
-        if not np.all(np.isfinite(self.gamma)):
-            raise ValidationError("gamma contains non-finite entries")
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "gamma", gamma)
         if len(self.pi_kernels) != self.levy.n_atoms:
             raise ValidationError(
                 f"pi_kernels has {len(self.pi_kernels)} entries for {self.levy.n_atoms} atoms"
@@ -488,92 +489,87 @@ class ScenarioSpec:
         return replace(self, mc=replace(self.mc, **kwargs))
 
 
-def _kernel_from_raw(raw, n_steps: int, field_name: str) -> Kernel:
-    if isinstance(raw, Kernel):
-        return raw
-    if isinstance(raw, (int, float)):
-        return Kernel.constant(_real(field_name, raw))
+# the keys each part of a scenario file takes; a key is compared with each
+# entry of a tuple, so an unhashable one is rejected, not a TypeError
+_TOP_KEYS = ("grid", "initial", "gamma", "alpha_kernel", "beta_kernel", "levy", "pi_kernels",
+             "filtration", "gamma_sign_convention", "mc", "regression")
+_KERNEL_KEYS = (("constant", ("value",)), ("exp_decay", ("amplitude", "rate")),
+                ("table", ("values", "n")))
+_GRID_KEYS, _FILTRATION_KEYS, _MC_KEYS = (
+    tuple(f.name for f in fields(cls)) for cls in (TimeGrid, FiltrationMode, McSpec))
+_ZERO = {"kind": "constant", "value": 0.0}
+
+
+def _section(raw, where: str, keys: tuple[str, ...]) -> dict:
+    """``raw``, a JSON object with no key outside ``keys``; errors name ``where``."""
     if not isinstance(raw, dict):
-        raise ValidationError(f"{field_name}: expected a kernel object, got {type(raw).__name__}")
+        raise ValidationError(f"{where} must be a JSON object, got {raw!r}")
+    for key in raw:
+        if key not in keys:
+            raise ValidationError(f"unknown key {key!r} in {where}; it takes {', '.join(keys)}")
+    return raw
+
+
+def _kernel_from_raw(raw, n_steps: int, name: str) -> Kernel:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{name} must be a kernel object, got {raw!r}")
     kind = raw.get("kind")
-    if kind is None:
-        raise ValidationError(f"{field_name}: missing 'kind'")
-    if "value" in raw and ("table" in raw or "values" in raw):
-        raise ValidationError(f"{field_name}: both 'value' and 'table' given (ambiguous)")
-    if kind == "constant":
-        if "value" not in raw:
-            raise ValidationError(f"{field_name}: constant kernel needs 'value'")
-        return Kernel.constant(_real(f"{field_name}.value", raw["value"]))
-    if kind == "exp_decay":
-        try:
-            return Kernel.exp_decay(_real(f"{field_name}.amplitude", raw["amplitude"]),
-                                    _real(f"{field_name}.rate", raw["rate"]))
-        except KeyError as exc:
-            raise ValidationError(f"{field_name}: exp_decay kernel needs {exc}") from exc
-    if kind == "table":
-        key = "values" if "values" in raw else "table"
-        if raw.get(key) is None:
-            raise ValidationError(f"{field_name}: table kernel needs 'values'")
-        n = raw.get("n", n_steps)
-        if n != n_steps:
-            raise ValidationError(f"{field_name}: table n={n} does not match grid n={n_steps}")
-        return Kernel.from_table(_reals(f"{field_name}.{key}", raw[key]), n_steps)
-    raise ValidationError(f"{field_name}: unknown kernel kind {kind!r}")
+    keys = next((keys for known, keys in _KERNEL_KEYS if known == kind), None)
+    if keys is None:
+        raise ValidationError(f"{name}: kind must be constant, exp_decay or table, got {kind!r}")
+    _section(raw, f"'{name}' ({kind} kernel)", ("kind", *keys))
+    try:
+        if kind == "constant":
+            return Kernel.constant(raw["value"])
+        if kind == "exp_decay":
+            return Kernel.exp_decay(raw["amplitude"], raw["rate"])
+        if raw.get("n", n_steps) != n_steps:
+            raise ValidationError(f"n must equal grid.n_steps = {n_steps}, got {raw['n']!r}")
+        return Kernel.from_table(raw["values"], n_steps)
+    except KeyError as exc:
+        raise ValidationError(f"{name}: {kind} kernel needs {exc}") from None
+    except ValidationError as exc:
+        # the factory names the key, and the path to it is the file's
+        raise ValidationError(f"{name}.{exc}") from None
 
 
 def validate_scenario(raw: dict) -> ScenarioSpec:
     """Parse a scenario given as a dict (JSON shape) into a :class:`ScenarioSpec`.
 
-    Fills the defaults and rejects fields of the wrong type, non-finite real
-    fields and non-integral integer fields, each named as written; the
-    built types check their own invariants.
+    Each section and each kernel kind takes the keys of its table above, and
+    any other key is rejected, named with its section.  The types fill the
+    defaults and check their own fields.
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"top-level JSON object expected, got {type(raw).__name__}")
-    if "grid" not in raw:
-        raise ValidationError("missing 'grid' section")
-    for section in ("grid", "levy", "filtration", "mc", "regression"):
-        if not isinstance(raw.get(section, {}), dict):
-            raise ValidationError(f"'{section}' section must be a JSON object, "
-                                  f"got {raw[section]!r}")
-    g = raw["grid"]
+    _section(raw, "the top-level object", _TOP_KEYS)
+    for key in ("grid", "initial"):
+        if key not in raw:
+            raise ValidationError(f"missing '{key}'")
+    g = _section(raw["grid"], "the 'grid' section", _GRID_KEYS)
     try:
-        grid = build_time_grid(_real("grid.horizon", g["horizon"]), g["n_steps"])
-    except (KeyError, TypeError) as exc:
+        grid = TimeGrid(g["horizon"], g["n_steps"])
+    except KeyError as exc:
         raise ValidationError(f"grid section malformed: {exc}") from exc
-
-    gamma = raw.get("gamma", 0.0)
-    gamma = (np.full(grid.n_steps + 1, _real("gamma", gamma)) if np.isscalar(gamma)
-             else _reals("gamma", gamma))
-    filt_raw = raw.get("filtration", {})
-    filtration = FiltrationMode(filt_raw.get("mode", "full"),
-                                _real("filtration.delay", filt_raw.get("delay", 0.0)))
-    mc_raw = raw.get("mc", {})
-    mc = McSpec(**{k: _integer(f"mc.{k}", v) for k, v in mc_raw.items()
-                   if k in ("n_paths", "seed", "n_blocks")})
-    reg_raw = raw.get("regression", {})
-    regression = RegressionSpec(
-        degree=_integer("regression.degree", reg_raw.get("degree", 2)),
-        variables=tuple(_list("regression.state", reg_raw.get("state", ["x"]))),
-    )
-    initial = raw.get("initial")
-    if initial is None:
-        raise ValidationError("missing 'initial'")
-    initial = _real("initial", initial) if np.isscalar(initial) else _reals("initial", initial)
-
+    levy = _section(raw.get("levy", {}), "the 'levy' section", ("atoms",))
+    regression = _section(raw.get("regression", {}), "the 'regression' section",
+                          ("degree", "state"))
     return ScenarioSpec(
         grid=grid,
-        initial=initial,
-        levy=LevyMeasure.from_atoms(_list("levy.atoms", raw.get("levy", {}).get("atoms", []))),
-        alpha=_kernel_from_raw(raw.get("alpha_kernel", 0.0), grid.n_steps, "alpha_kernel"),
-        beta=_kernel_from_raw(raw.get("beta_kernel", 0.0), grid.n_steps, "beta_kernel"),
+        initial=raw["initial"],
+        levy=LevyMeasure.from_atoms(levy.get("atoms", [])),
+        alpha=_kernel_from_raw(raw.get("alpha_kernel", _ZERO), grid.n_steps, "alpha_kernel"),
+        beta=_kernel_from_raw(raw.get("beta_kernel", _ZERO), grid.n_steps, "beta_kernel"),
         pi_kernels=tuple(
             _kernel_from_raw(k, grid.n_steps, f"pi_kernels[{m}]")
             for m, k in enumerate(_list("pi_kernels", raw.get("pi_kernels", [])))
         ),
-        gamma=gamma,
-        filtration=filtration,
+        gamma=raw.get("gamma", 0.0),
+        filtration=FiltrationMode(**_section(raw.get("filtration", {}),
+                                             "the 'filtration' section", _FILTRATION_KEYS)),
         convention=raw.get("gamma_sign_convention", "discounting"),
-        mc=mc,
-        regression=regression,
+        mc=McSpec(**_section(raw.get("mc", {}), "the 'mc' section", _MC_KEYS)),
+        # the file's regression.state is the spec's variables
+        regression=RegressionSpec(**{"variables" if k == "state" else k: v
+                                     for k, v in regression.items()}),
     )

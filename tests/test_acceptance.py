@@ -42,14 +42,6 @@ ROUNDING_ROWS = {"C1:optimal_rate_nodes", "C1:first_order_condition",
                  "C9:product_adjoint_gamma_0", "C9:product_adjoint_gamma_1",
                  "verify-duality:brownian_isometry:se_rhs",
                  "verify-duality:jump_isometry:se_rhs"}
-# subcommand runs whose CSV outputs (written at 17 significant digits, so
-# read back exactly) are pinned beside the rows; evaluate-utility reads
-# TWO_TIME_UTILITY, written beside its output directory
-SUBCOMMAND_PINS = {
-    "solve-bsvie": ["--config", str(CONFIG)],
-    "verify-duality": ["--paths", "20000"],
-    "evaluate-utility": ["--control", "cstar"],
-}
 # s0 with a two-time drift kernel and discounting, at a small size
 TWO_TIME_UTILITY = {
     "grid": {"horizon": 1.0, "n_steps": 50},
@@ -57,6 +49,26 @@ TWO_TIME_UTILITY = {
     "alpha_kernel": {"kind": "exp_decay", "amplitude": 0.05, "rate": 1.0},
     "mc": {"n_paths": 4000, "seed": 42, "n_blocks": 8},
 }
+# the same drift kernel as a table of its node values, row by row of the
+# lower triangle: the blocked sweep runs it, where the exp_decay form runs
+# the Markovian lift
+_T = np.linspace(0.0, 1.0, 51)
+TWO_TIME_TABLE = {**TWO_TIME_UTILITY, "alpha_kernel": {"kind": "table", "values": [
+    0.05 * math.exp(-(_T[i] - _T[j])) for i in range(51) for j in range(i + 1)]}}
+# subcommand runs whose CSV outputs (written at 17 significant digits, so
+# read back exactly) are pinned beside the rows, keyed as in the ledger: the
+# subcommand, its arguments and the scenario it reads, s0 or s0 updated by a
+# dict (written beside the output directory); a ":table" run holds the pins
+# of the run it is named after, too
+SUBCOMMAND_PINS = {
+    "solve-bsvie": ("solve-bsvie", [], {}),
+    "verify-duality": ("verify-duality", ["--paths", "20000"], None),
+    "evaluate-utility": ("evaluate-utility", ["--control", "cstar"], TWO_TIME_UTILITY),
+    "evaluate-utility:table": ("evaluate-utility", ["--control", "cstar"], TWO_TIME_TABLE),
+    "simulate-forward": ("simulate-forward", [], TWO_TIME_UTILITY),
+    "simulate-forward:table": ("simulate-forward", [], TWO_TIME_TABLE),
+}
+FORWARD_CURVE = ("mean", "se", "q05", "q50", "q95")
 # the utility pair on the BSDE tests' cases: 20 steps x 2000 paths, seed 21
 UTILITY_CASES = {"no_jump": [], "jump": [[-0.1, 2.0]]}
 
@@ -96,12 +108,13 @@ def _assert_all(results):
     assert not failed, "; ".join(r.line() for r in failed)
 
 
-def _subcommand_values(subcommand, out):
-    """The pinned outputs of one ``SUBCOMMAND_PINS`` run, keyed as in the ledger."""
-    args = SUBCOMMAND_PINS[subcommand]
-    if subcommand == "evaluate-utility":
-        config = out.parent / "two_time_utility.json"
-        config.write_text(json.dumps({**json.loads(CONFIG.read_text()), **TWO_TIME_UTILITY}))
+def _subcommand_values(name, out):
+    """The pinned outputs of the ``SUBCOMMAND_PINS`` run ``name``, keyed as in
+    the ledger."""
+    subcommand, args, update = SUBCOMMAND_PINS[name]
+    if update is not None:
+        config = out.with_name(out.name + ".json")
+        config.write_text(json.dumps({**json.loads(CONFIG.read_text()), **update}))
         args = [*args, "--config", str(config)]
     assert run([subcommand, *args, "--out", str(out)]) == 0
 
@@ -110,14 +123,17 @@ def _subcommand_values(subcommand, out):
             return list(csv.DictReader(fh))
 
     if subcommand == "solve-bsvie":
-        return {"solve-bsvie": {
+        return {name: {
             "y0": float(table("bsvie_diagonal.csv")[0]["y_mean"]),
             "weighted_distance": [float(r["weighted_distance"])
                                   for r in table("iteration_log.csv")],
         }}
     if subcommand == "evaluate-utility":
         (row,) = table("utility.csv")
-        return {"evaluate-utility": {field: float(v) for field, v in row.items()}}
+        return {name: {field: float(v) for field, v in row.items()}}
+    if subcommand == "simulate-forward":
+        rows = table("forward_curve.csv")
+        return {name: {field: [float(r[field]) for r in rows] for field in FORWARD_CURVE}}
     return {f"verify-duality:{r['identity']}": {
         field: float(r[field]) for field in ("lhs", "rhs", "se_lhs", "se_rhs")}
         for r in table("duality.csv")}
@@ -219,9 +235,13 @@ def test_c10_z_time_derivative(martingale_solution):
     _assert_pinned(acc.check_z_time_derivative(martingale_solution))
 
 
-@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_PINS))
-def test_subcommand_outputs_hold_their_pins(subcommand, tmp_path):
-    _assert_ledger(_subcommand_values(subcommand, tmp_path / subcommand))
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_PINS))
+def test_subcommand_outputs_hold_their_pins(name, tmp_path):
+    values = _subcommand_values(name, tmp_path / name)
+    _assert_ledger(values)
+    if name.endswith(":table"):
+        # the table agrees with the exp_decay form to rounding
+        _assert_ledger({name.removesuffix(":table"): values[name]})
 
 
 def test_utility_pair_holds_its_pins():
@@ -490,8 +510,8 @@ def _ledger():
     rows = acc.run_acceptance(load_config(str(CONFIG)))
     ledger = {f"{r.criterion}:{r.name}": _pinned_fields(r) for r in rows}
     with tempfile.TemporaryDirectory() as tmp:
-        for subcommand in SUBCOMMAND_PINS:
-            ledger.update(_subcommand_values(subcommand, pathlib.Path(tmp) / subcommand))
+        for name in SUBCOMMAND_PINS:
+            ledger.update(_subcommand_values(name, pathlib.Path(tmp) / name))
     ledger.update(_utility_values())
     return ledger
 

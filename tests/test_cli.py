@@ -108,9 +108,10 @@ def test_load_config_missing_grid_names_field(tmp_path):
 
 
 def test_load_config_ambiguous_kernel(tmp_path):
+    # a constant kernel takes no table: the table is a key it does not read
     path = write_config(tmp_path,
                         alpha_kernel={"kind": "constant", "value": 1.0, "table": [0.0]})
-    with pytest.raises(ValidationError, match="ambiguous"):
+    with pytest.raises(ValidationError, match="unknown key 'table' in 'alpha_kernel'"):
         load_config(path)
 
 
@@ -400,6 +401,56 @@ def test_hostile_config_meets_a_documented_exit(tmp_path, field):
     assert not wrong, "\n".join(wrong)
 
 
+# a key that its section's table does not take, at each level of a scenario
+# file, with the section the error names: a misspelled key must never run on
+# the default of the key it meant
+MISSPELLED_KEYS = [
+    ({"alpha_kernal": {"kind": "constant", "value": 0.05}}, "alpha_kernal", "top-level"),
+    ({"grid": {"horizon": 1.0, "n_steps": 8, "n_step": 10}}, "n_step", "'grid'"),
+    ({"mc": {"n_paths": 64, "n_path": 128, "seed": 42, "n_blocks": 8}}, "n_path", "'mc'"),
+    ({"filtration": {"mode": "trivial", "dealy": 0.1}}, "dealy", "'filtration'"),
+    ({"regression": {"degree": 2, "states": ["brownian"]}}, "states", "'regression'"),
+    ({"levy": {"atom": [[-0.1, 0.5]]}}, "atom", "'levy'"),
+    ({"alpha_kernel": {"kind": "constant", "value": 0.05, "rate": 3.0}}, "rate",
+     "'alpha_kernel' (constant kernel)"),
+    ({"beta_kernel": {"kind": "exp_decay", "amplitude": 0.2, "rate": 0.5, "value": 0.2}},
+     "value", "'beta_kernel' (exp_decay kernel)"),
+    # values has no alias
+    ({"alpha_kernel": {"kind": "table", "table": [0.05] * 45}}, "table",
+     "'alpha_kernel' (table kernel)"),
+    ({"levy": {"atoms": [[-0.1, 0.5]]},
+      "pi_kernels": [{"kind": "table", "values": [-0.1] * 45, "n_steps": 8}]}, "n_steps",
+     "'pi_kernels[0]' (table kernel)"),
+]
+
+
+@pytest.mark.parametrize("overrides, key, section", MISSPELLED_KEYS,
+                         ids=[key for _, key, _ in MISSPELLED_KEYS])
+def test_key_outside_its_sections_table_exits_2(tmp_path, overrides, key, section):
+    raw = json.loads(CONFIG.read_text())
+    raw["grid"]["n_steps"] = 8
+    raw["mc"] = {"n_paths": 64, "seed": 42, "n_blocks": 8}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({**raw, **overrides}))
+    for argv in HOSTILE_RUNS:
+        out = tmp_path / argv[0]
+        assert run([argv[0], "--config", str(cfg), "--out", str(out)] + argv[1:]) == 2
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert f"unknown key {key!r} in " in error and section in error, error
+
+
+@pytest.mark.parametrize("kernel", [True, 0.05, "0.05", None, [0.05]],
+                         ids=["True", "number", "string", "None", "list"])
+def test_kernel_entry_that_is_not_an_object_exits_2(tmp_path, capsys, kernel):
+    # a kernel is an object with a kind; a bare number is not a constant kernel
+    out = tmp_path / "out"
+    assert run(["optimal-consumption", "--config", write_config(tmp_path, alpha_kernel=kernel),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"alpha_kernel must be a kernel object, got {kernel!r}" in err
+
+
 ONE_ATOM = {"pi_kernels": [{"kind": "constant", "value": 0.1}]}
 
 
@@ -412,7 +463,7 @@ ONE_ATOM = {"pi_kernels": [{"kind": "constant", "value": 0.1}]}
     ({"gamma": [0.0] * 100 + [False]}, "gamma[100]", False),
     ({"filtration": {"mode": "delay", "delay": "x"}}, "filtration.delay", "x"),
     ({"filtration": {"mode": "delay", "delay": math.nan}}, "filtration.delay", math.nan),
-    ({"alpha_kernel": True}, "alpha_kernel", True),
+    ({"initial": [1.0] * 100 + [math.nan]}, "initial[100]", math.nan),
     ({"alpha_kernel": {"kind": "constant", "value": "0.05"}}, "alpha_kernel.value", "0.05"),
     ({"beta_kernel": {"kind": "exp_decay", "amplitude": True, "rate": 1.0}},
      "beta_kernel.amplitude", True),
@@ -423,6 +474,8 @@ ONE_ATOM = {"pi_kernels": [{"kind": "constant", "value": 0.1}]}
     ({"levy": {"atoms": [["a", 1]]}, **ONE_ATOM}, "levy.atoms[0][0]", "a"),
     ({"levy": {"atoms": [[True, 1]]}, **ONE_ATOM}, "levy.atoms[0][0]", True),
     ({"levy": {"atoms": [[0.1, math.inf]]}, **ONE_ATOM}, "levy.atoms[0][1]", math.inf),
+    ({"levy": {"atoms": [[[1.0], 0.5], [0.3, 0.2]]}, "pi_kernels": ONE_ATOM["pi_kernels"] * 2},
+     "levy.atoms[0][0]", [1.0]),
 ])
 def test_real_field_that_is_not_a_finite_number_exits_2(tmp_path, capsys, overrides, field,
                                                         value):

@@ -510,9 +510,10 @@ def _outer_product_first_variations(scenario, noise, control, fwd, k):
     return [run(b_nodes[:, k])] + [run(p_nodes[q, :, k]) for q in range(scenario.n_atoms)]
 
 
-def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
+def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node, project=True):
     """Projected stochastic gradients of the adjoint ratio ``p = P / X``,
-    one projected column per node and direction.
+    one projected column per node and direction (unprojected with
+    ``project=False``).
 
     For the Brownian direction the pathwise derivative is
     ``-P(s) V(s) / X(s)^2`` with ``V`` the first-variation process; for a
@@ -527,7 +528,6 @@ def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
     last = fwd.last_node
     x = fwd.values
     big_p = adjoint.big_p[: last + 1]
-    engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
 
     m = scenario.n_atoms
     n_paths = x.shape[0]
@@ -540,7 +540,9 @@ def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
         block[:, (q + 1) * width:(q + 2) * width] = (
             p_tail / (x_tail + jumps[q][:, cols]) - p_tail / x_tail
         )
-    block = engine.project(k, block)
+    if project:
+        engine = CondExpEngine(scenario.filtration, scenario.regression, noise, x_paths=fwd)
+        block = engine.project(k, block)
     out_b = np.zeros((n_paths, last + 1))
     out_b[:, cols] = block[:, :width]
     out_j = np.zeros((m, n_paths, last + 1))
@@ -549,9 +551,10 @@ def adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, node):
     return {"brownian": out_b, "jump": out_j}
 
 
-def _h1_project_then_contract(node, x, fwd, adjoint, scenario, noise, control):
-    """The memory Hamiltonian formed the long way: the whole ratio ``P/X``,
-    every gradient column projected on its own, then the quadrature."""
+def _h1_project_then_contract(node, x, fwd, adjoint, scenario, noise, control, project=True):
+    """The memory Hamiltonian's per-path sum formed the long way: the whole
+    ratio ``P/X``, every gradient column projected on its own (or left raw
+    with ``project=False``), then the quadrature."""
     grid = scenario.grid
     n, k = grid.n_steps, node
     col_a = scenario.alpha.d_first_column(grid, k)
@@ -561,12 +564,12 @@ def _h1_project_then_contract(node, x, fwd, adjoint, scenario, noise, control):
     w[0] = w[-1] = 0.5 * grid.dt
     p_paths = adjoint.big_p[None, :] / adjoint.fwd.values
     per_path = (p_paths[:, k:] * (w * col_a)[None, :]).sum(axis=1) * x
-    projections = adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, k)
+    projections = adjoint_malliavin_projection(scenario, noise, control, fwd, adjoint, k, project)
     per_path = per_path + (projections["brownian"][:, k:] * (w * col_b)[None, :]).sum(axis=1) * x
     for q, col in enumerate(cols_p):
         wq, jump = scenario.levy.weights[q], projections["jump"][q][:, k:]
         per_path = per_path + wq * (jump * (w * col)[None, :]).sum(axis=1) * x
-    return float(per_path.mean()), float(per_path.std(ddof=1) / np.sqrt(per_path.shape[0]))
+    return per_path
 
 
 def _two_time_kernel(kind, base, spread, n_steps, rng):
@@ -608,7 +611,8 @@ def test_memory_hamiltonian_matches_project_then_contract(
 ):
     # projection is linear: contracting the gradients first and projecting
     # the (N, 1 + m) block once moves the estimate by rounding only, relative
-    # to the per-path spread where the mean cancels
+    # to the per-path spread where the mean cancels; the SE is the raw sum's
+    # (test_memory_hamiltonian_se_is_the_raw_sums)
     spec = _h1_scenario(n_steps, n_paths, seed, kind, n_atoms, mode)
     noise = generate_noise(spec.grid, spec.levy, n_paths, seed, 1)
     one = ControlFn.constant(1.0, spec.grid)
@@ -616,9 +620,30 @@ def test_memory_hamiltonian_matches_project_then_contract(
     adj = build_adjoint_state(spec, fwd)
     k = {"first": 0, "mid": n_steps // 2, "last": n_steps - 1}[where]
     x = float(fwd.values[:, k].mean())
-    got = hamiltonian_h1(k, x, fwd, adj, spec, noise, one)
+    got, _ = hamiltonian_h1(k, x, fwd, adj, spec, noise, one)
     want = _h1_project_then_contract(k, x, fwd, adj, spec, noise, one)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * want[1] * np.sqrt(n_paths))
+    np.testing.assert_allclose(got, want.mean(), rtol=1e-13, atol=1e-13 * want.std(ddof=1))
+
+
+@pytest.mark.parametrize("kind, mode, x", [
+    ("exp_decay", "full", 0.8), ("table", "delay", 1.3), ("exp_decay", "trivial", -1.1),
+])
+def test_memory_hamiltonian_se_is_the_raw_sums(kind, mode, x):
+    # every design keeps the intercept, so the projected sum's mean is the
+    # raw sum's: the estimate's SE is the raw sum's, not the projected one's
+    spec = _h1_scenario(12, 400, 5, kind, 1, mode)
+    noise = generate_noise(spec.grid, spec.levy, 400, 5, 1)
+    one = ControlFn.constant(1.0, spec.grid)
+    fwd = simulate_fsvie(spec, noise, one)
+    adj = build_adjoint_state(spec, fwd)
+    k = 4
+    raw = _h1_project_then_contract(k, 1.0, fwd, adj, spec, noise, one, project=False)
+    projected = _h1_project_then_contract(k, 1.0, fwd, adj, spec, noise, one)
+    est, se = hamiltonian_h1(k, x, fwd, adj, spec, noise, one)
+    assert math.isclose(se, abs(x) * raw.std(ddof=1) / np.sqrt(400), rel_tol=1e-12)
+    assert abs(est - x * raw.mean()) <= 1e-12 * abs(x) * raw.std(ddof=1)
+    # the projection moves the spread, so the SE read off it would differ
+    assert not math.isclose(projected.std(ddof=1), raw.std(ddof=1), rel_tol=0.01)
 
 
 @pytest.mark.parametrize("k", [0, 20])

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from volterra_control.model import (
+    FiltrationMode,
     Kernel,
     KernelDomainError,
     LevyMeasure,
+    McSpec,
+    RegressionSpec,
+    TimeGrid,
     ValidationError,
     build_time_grid,
     time_quadrature_weights,
@@ -220,26 +224,37 @@ def test_validate_rejects_jump_killing_positivity():
         validate_scenario(raw)
 
 
+def _with_kernel(raw, field, kernel):
+    """``raw`` validated with ``kernel`` as its ``field``: a kernel object is
+    set on the parsed spec by ``replace``, which runs the same spec checks."""
+    if isinstance(kernel, dict):
+        return validate_scenario({**raw, field: [kernel] if field == "pi_kernels" else kernel})
+    spec = validate_scenario({**raw, "pi_kernels": [{"kind": "constant", "value": 0.0}]
+                              * len(raw["levy"]["atoms"])})
+    if field == "pi_kernels":
+        return replace(spec, pi_kernels=(kernel,))
+    return replace(spec, **{field[:-7]: kernel})
+
+
 @pytest.mark.parametrize("kernel", [
     {"kind": "exp_decay", "amplitude": -0.1, "rate": math.nan},
     {"kind": "exp_decay", "amplitude": math.nan, "rate": 0.5},
     {"kind": "constant", "value": math.nan},
     {"kind": "exp_decay", "amplitude": -0.1, "rate": math.inf},
-    # built past the constructors' checks: validation still sees the NaN
+    # built past the constructors' checks: the spec still sees the NaN
     Kernel(kind="exp_decay", amplitude=-0.1, rate=math.nan),
     Kernel(kind="exp_decay", amplitude=math.nan, rate=0.5),
 ])
 def test_validate_rejects_non_finite_jump_kernel(kernel):
-    raw = dict(S0_RAW, levy={"atoms": [[-0.1, 0.5]]}, pi_kernels=[kernel])
+    raw = dict(S0_RAW, levy={"atoms": [[-0.1, 0.5]]})
     with pytest.raises(ValidationError, match="finite"):
-        validate_scenario(raw)
+        _with_kernel(raw, "pi_kernels", kernel)
 
 
 @pytest.mark.parametrize("field", ["alpha_kernel", "beta_kernel"])
 def test_validate_rejects_non_finite_drift_kernel(field):
-    raw = dict(S0_RAW, **{field: Kernel(kind="exp_decay", amplitude=math.nan, rate=0.5)})
     with pytest.raises(ValidationError, match=f"{field[:-7]} kernel produced non-finite values"):
-        validate_scenario(raw)
+        _with_kernel(S0_RAW, field, Kernel(kind="exp_decay", amplitude=math.nan, rate=0.5))
 
 
 @pytest.mark.parametrize("kernel, min_pi", [
@@ -251,10 +266,9 @@ def test_validate_rejects_non_finite_drift_kernel(field):
 def test_jump_kernel_minimum_over_the_triangle(kernel, min_pi):
     # an analytic kernel is monotone in the lag, so its minimum is one of
     # the two extreme lags; a table is read on the whole triangle
-    raw = dict(S0_RAW, grid={"horizon": 1.0, "n_steps": 2}, levy={"atoms": [[-0.1, 0.5]]},
-               pi_kernels=[kernel])
+    raw = dict(S0_RAW, grid={"horizon": 1.0, "n_steps": 2}, levy={"atoms": [[-0.1, 0.5]]})
     with pytest.raises(ValidationError) as err:
-        validate_scenario(raw)
+        _with_kernel(raw, "pi_kernels", kernel)
     assert str(err.value) == f"jump kernel 0: 1 + pi must stay positive, min pi = {min_pi}"
 
 
@@ -288,9 +302,10 @@ def test_validate_rejects_unknown_kernel_kind():
 
 
 def test_validate_rejects_ambiguous_kernel():
+    # a constant kernel takes no table: the table is a key it does not read
     raw = dict(S0_RAW)
     raw["alpha_kernel"] = {"kind": "constant", "value": 1.0, "table": [1.0]}
-    with pytest.raises(ValidationError, match="ambiguous"):
+    with pytest.raises(ValidationError, match="unknown key 'table' in 'alpha_kernel'"):
         validate_scenario(raw)
 
 
@@ -324,6 +339,8 @@ def test_validate_rejects_a_top_level_that_is_not_an_object():
     ({"convention": "bogus"}, "unknown gamma_sign_convention 'bogus'"),
     ({"initial": -1.0}, "initial level must be > 0"),
     ({"pi_kernels": ()}, "pi_kernels has 0 entries for 1 atoms"),
+    ({"gamma": "0.5"}, "gamma must be a finite number, got '0.5'"),
+    ({"initial": [1.0] * 100 + [math.inf]}, r"initial\[100\] must be a finite number, got inf"),
 ])
 def test_replace_cannot_break_an_invariant(change, message):
     # the spec checks itself, so a replaced field is checked as a parsed one
@@ -331,6 +348,64 @@ def test_replace_cannot_break_an_invariant(change, message):
                                   pi_kernels=[{"kind": "constant", "value": -0.1}]))
     with pytest.raises(ValidationError, match=message):
         replace(spec, **change)
+
+
+# each type names a field as a scenario file spells it; a kernel factory
+# names the key alone, and the parser adds the path to the kernel
+TYPE_CHECKS = {
+    "with_mc_seed_fraction": (lambda spec: spec.with_mc(seed=1.5),
+                              "mc.seed must be an integer, got 1.5"),
+    "with_mc_seed_bool": (lambda spec: spec.with_mc(seed=True),
+                          "mc.seed must be an integer, got True"),
+    "with_mc_paths_string": (lambda spec: spec.with_mc(n_paths="64"),
+                             "mc.n_paths must be an integer, got '64'"),
+    "regression_degree": (lambda spec: RegressionSpec(degree=2.5),
+                          "regression.degree must be an integer, got 2.5"),
+    "regression_variables": (lambda spec: RegressionSpec(variables="x"),
+                             "regression.state must be a list, got 'x'"),
+    "filtration_delay": (lambda spec: FiltrationMode(delay="x"),
+                         "filtration.delay must be a finite number, got 'x'"),
+    "grid_horizon": (lambda spec: TimeGrid(horizon="1", n_steps=10),
+                     "grid.horizon must be a finite number, got '1'"),
+    "build_time_grid": (lambda spec: build_time_grid("1", 10),
+                        "grid.horizon must be a finite number, got '1'"),
+    "levy_size": (lambda spec: LevyMeasure(sizes=[math.nan], weights=[1.0]),
+                  "levy.atoms[0][0] must be a finite number, got nan"),
+    "levy_weight": (lambda spec: LevyMeasure(sizes=[0.1, 0.2], weights=[1.0, "2"]),
+                    "levy.atoms[1][1] must be a finite number, got '2'"),
+    "constant_value": (lambda spec: Kernel.constant("0.05"),
+                       "value must be a finite number, got '0.05'"),
+    "exp_decay_rate": (lambda spec: Kernel.exp_decay(0.1, -1.0), "rate must be >= 0, got -1.0"),
+    "table_n": (lambda spec: Kernel.from_table([0.0] * 6, 2.5), "n must be an integer, got 2.5"),
+    "table_values": (lambda spec: Kernel.from_table([0.0] * 5 + [True], 2),
+                     "values[5] must be a finite number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", TYPE_CHECKS)
+def test_a_type_built_directly_checks_its_fields(case):
+    build, message = TYPE_CHECKS[case]
+    spec = validate_scenario(S0_RAW)
+    with pytest.raises(ValidationError) as err:
+        build(spec)
+    assert str(err.value) == message
+
+
+def test_integral_counts_and_listed_variables_take_their_field_types():
+    # as a scenario file's integral float is read
+    mc = McSpec(n_paths=64.0, n_blocks=8)
+    assert mc.n_paths == 64 and type(mc.n_paths) is int
+    assert RegressionSpec(variables=["brownian"]).variables == ("brownian",)
+    assert type(TimeGrid(horizon=2, n_steps=4).horizon) is float
+
+
+def test_a_checked_table_is_the_types_own_copy():
+    # a caller that writes into its array later cannot put a NaN past the check
+    values, gamma = np.zeros(6), np.zeros(101)
+    kernel = Kernel.from_table(values, 2)
+    spec = replace(validate_scenario(S0_RAW), gamma=gamma)
+    values[3] = gamma[5] = math.nan
+    assert np.isfinite(kernel.table).all() and np.isfinite(spec.gamma).all()
 
 
 def test_spec_is_immutable(s0):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -52,6 +53,16 @@ def test_every_module_is_named_in_the_readme_table_and_the_package_map():
     assert [m for m in MODULES if m not in tabled] == []
     assert [m for m in MODULES if m not in mapped] == []
     assert [row[:40] for row in rows if len(row) > 400] == []
+
+
+def test_every_config_and_readme_scenario_validates():
+    # an unknown key is an error, so a documented scenario that drifts from
+    # the schema fails here
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    assert blocks and configs
+    for text in blocks + [path.read_text() for path in configs]:
+        validate_scenario(json.loads(text))
 
 
 def _all_node(tree: ast.Module) -> ast.Assign | None:
